@@ -1,11 +1,16 @@
 """Command line front end: ad hoc probes plus a config-driven runner.
 
 Subcommands classify/trace/mode/parametrix are one-shot probes driven
-by flags.  measure/verify/run execute experiment configs: run takes
-every experiment in the file, verify restricts to the defect-measure
-kinds, measure to pairing series.  Exit status is 0 when nothing
-failed (inconclusive is not a failure), 1 when any experiment failed
-or errored, 2 on a config or usage problem.
+by flags; trace and parametrix compute through the same helpers as the
+config kinds of the same name.  measure/verify/run execute experiment
+configs.  Each experiment kind is declared twice, once in each of two
+tables: its schema in `config._EXPERIMENT_SCHEMAS`, its runner in
+`RUNNERS` below (a test pins the two key sets equal).  run takes every
+experiment in the file; verify and measure are kind filters over the
+same table, verify keeping `VERIFY_KINDS` (the defect-measure checks)
+and measure the pairing series.  Exit status is 0 when nothing failed
+(inconclusive is not a failure), 1 when any experiment failed or
+errored, 2 on a config or usage problem.
 
 The runner is a single orchestrator; --jobs bounds worker parallelism
 and workers receive only the immutable config identity, writing their
@@ -20,7 +25,9 @@ import json
 import os
 import sys
 import time
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -30,7 +37,6 @@ from . import io as artio
 from .charts import PhasePoint, load_chart
 from .classify import classify
 from .config import (
-    VERIFY_KINDS,
     ConfigError,
     ExperimentConfig,
     build_chart,
@@ -78,12 +84,16 @@ def _meta(identity_hash: str, spec: dict, seed: int) -> dict:
     }
 
 
+# what a runner gets besides its own spec
+RunContext = namedtuple("RunContext", "chart thresholds seed index out_dir meta")
+
+
 def _residual_rows(modes):
-    keys = sorted(modes[0].residual_report())
+    reports = [mode.residual_report() for mode in modes]
+    keys = sorted(reports[0])
     cols = {"m": [], "k": [], "lam": [], "h": []}
     cols.update({key: [] for key in keys})
-    for mode in modes:
-        rep = mode.residual_report()
+    for mode, rep in zip(modes, reports):
         cols["m"].append(mode.m)
         cols["k"].append(mode.k)
         cols["lam"].append(mode.lam)
@@ -93,11 +103,11 @@ def _residual_rows(modes):
     return keys, cols
 
 
-def _run_classify(spec, chart, seed, index, out_dir, meta):
+def _run_classify(spec, ctx):
     points = [tuple(p) for p in spec.get("points", [])]
     n_extra = int(spec.get("samples", 0))
     if n_extra:
-        rng = np.random.default_rng(1_000_003 * (seed + 1) + index)
+        rng = np.random.default_rng(1_000_003 * (ctx.seed + 1) + ctx.index)
         extra = rng.uniform((-np.pi, -1.5), (np.pi, 1.5), size=(n_extra, 2))
         points += [tuple(p) for p in extra]
     kwargs = {}
@@ -105,7 +115,7 @@ def _run_classify(spec, chart, seed, index, out_dir, meta):
         kwargs["tol_g"] = spec["tol_g"]
     if "tol_bracket" in spec:
         kwargs["tol_bracket"] = spec["tol_bracket"]
-    results = [classify(chart, xp, xip, **kwargs) for xp, xip in points]
+    results = [classify(ctx.chart, xp, xip, **kwargs) for xp, xip in points]
     labels = [r.label() for r in results]
     cols = {
         "xp": [p[0] for p in points],
@@ -117,14 +127,14 @@ def _run_classify(spec, chart, seed, index, out_dir, meta):
         "r1": [r.witness.get("r1", "") for r in results],
     }
     files = [
-        artio.write_csv(out_dir / f"{spec['name']}.csv", cols, meta=meta),
+        artio.write_csv(ctx.out_dir / f"{spec['name']}.csv", cols, meta=ctx.meta),
         artio.write_json(
-            out_dir / f"{spec['name']}.json",
+            ctx.out_dir / f"{spec['name']}.json",
             [
                 {"xp": p[0], "xip": p[1], "result": r.as_dict()}
                 for p, r in zip(points, results)
             ],
-            meta=meta,
+            meta=ctx.meta,
         ),
     ]
     status, summary = "ok", {"points": len(points)}
@@ -140,14 +150,17 @@ def _run_classify(spec, chart, seed, index, out_dir, meta):
     return status, summary, files
 
 
-def _run_trace(spec, chart, out_dir, meta):
+def _trace_ray(spec, chart):
     start = spec["start"]
     if isinstance(start, dict):
         start = PhasePoint(**start)
     else:
         start = (np.asarray(start[:2], dtype=float), np.asarray(start[2:], dtype=float))
     options = TraceOptions(**spec.get("options", {}))
-    ray = trace(chart, start, float(spec["time"]), options)
+    return trace(chart, start, float(spec["time"]), options)
+
+
+def _write_trace(ray, spec, out_dir, meta):
     lo, hi = sorted((ray.t0, ray.t1))
     ts = np.linspace(lo, hi, int(spec.get("samples", 33)))
     frames, states = [], []
@@ -191,10 +204,14 @@ def _run_trace(spec, chart, out_dir, meta):
     return status, summary, files
 
 
-def _run_mode(spec, out_dir, meta):
+def _run_trace(spec, ctx):
+    return _write_trace(_trace_ray(spec, ctx.chart), spec, ctx.out_dir, ctx.meta)
+
+
+def _run_mode(spec, ctx):
     modes = build_family(spec["family"])
     keys, cols = _residual_rows(modes)
-    files = [artio.write_csv(out_dir / f"{spec['name']}.csv", cols, meta=meta)]
+    files = [artio.write_csv(ctx.out_dir / f"{spec['name']}.csv", cols, meta=ctx.meta)]
     worst = {key: max(cols[key]) for key in keys}
     violations = []
     for key, bound in sorted(spec.get("tolerances", {}).items()):
@@ -203,29 +220,34 @@ def _run_mode(spec, out_dir, meta):
         elif worst[key] > bound:
             violations.append(f"{key}: worst {worst[key]:.3e} exceeds {bound:.3e}")
     payload = {"worst": worst, "violations": violations}
-    files.append(artio.write_json(out_dir / f"{spec['name']}.json", payload, meta=meta))
+    files.append(artio.write_json(ctx.out_dir / f"{spec['name']}.json", payload, meta=ctx.meta))
     if spec.get("fields"):
         last = modes[-1]
-        grid_meta = dict(meta, m=last.m, k=last.k)
+        grid_meta = dict(ctx.meta, m=last.m, k=last.k)
         files += artio.write_field_grid(
-            out_dir / f"{spec['name']}-velocity", last.velocity, meta=grid_meta
+            ctx.out_dir / f"{spec['name']}-velocity", last.velocity, meta=grid_meta
         )
         if last.pressure is not None:
             files += artio.write_field_grid(
-                out_dir / f"{spec['name']}-pressure", last.pressure, meta=grid_meta
+                ctx.out_dir / f"{spec['name']}-pressure", last.pressure, meta=grid_meta
             )
     status = "fail" if violations else "ok"
     return status, payload, files
 
 
-def _run_parametrix(spec, chart, out_dir, meta):
-    orders = spec.get("orders", [0, 1])
-    ms = spec["m"]
+def _parametrix_table(spec, chart):
+    """{order: {m: extension error}} for the spec's orders and angular indices."""
     kwargs = {k: spec[k] for k in ("delta0", "eps0") if k in spec}
     table = {}
-    for order in orders:
+    for order in spec.get("orders", [0, 1]):
         sym = build_parametrix(chart=chart, order=order, **kwargs)
-        table[order] = {m: extension_error(sym, m) for m in ms}
+        table[order] = {m: extension_error(sym, m) for m in spec["m"]}
+    return table
+
+
+def _write_parametrix(table, spec, out_dir, meta):
+    orders = spec.get("orders", [0, 1])
+    ms = spec["m"]
     cols = {
         "order": [o for o in orders for _ in ms],
         "m": [m for _ in orders for m in ms],
@@ -258,7 +280,11 @@ def _run_parametrix(spec, chart, out_dir, meta):
     return ("fail" if violations else "ok"), payload, files
 
 
-def _run_measure(spec, out_dir, meta):
+def _run_parametrix(spec, ctx):
+    return _write_parametrix(_parametrix_table(spec, ctx.chart), spec, ctx.out_dir, ctx.meta)
+
+
+def _run_measure(spec, ctx):
     modes = build_family(spec["family"])
     a = build_symbol(spec["symbol"], name=spec["name"])
     series = measure_sequence(a, modes)
@@ -268,7 +294,7 @@ def _run_measure(spec, out_dir, meta):
         "im": series.values.imag,
         "gap": [""] + [float(g) for g in series.gaps],
     }
-    files = [artio.write_csv(out_dir / f"{spec['name']}.csv", cols, meta=meta)]
+    files = [artio.write_csv(ctx.out_dir / f"{spec['name']}.csv", cols, meta=ctx.meta)]
     payload = {
         "rows": list(series.rows()),
         "limit": None
@@ -276,7 +302,7 @@ def _run_measure(spec, out_dir, meta):
         else {"re": series.limit.real, "im": series.limit.imag},
         "extrapolated": series.extrapolated,
     }
-    files.append(artio.write_json(out_dir / f"{spec['name']}.json", payload, meta=meta))
+    files.append(artio.write_json(ctx.out_dir / f"{spec['name']}.json", payload, meta=ctx.meta))
     summary = {"members": len(modes), "extrapolated": series.extrapolated}
     return "ok", summary, files
 
@@ -296,82 +322,84 @@ def _write_propagation(rep, spec, out_dir, meta):
     return rep.verdict, summary, files
 
 
-def _run_verify_kind(spec, chart, thresholds, out_dir, meta):
-    kind = spec["kind"]
-    if kind == "tails":
-        modes = build_family(spec["family"])
-        radii = [float(r) for r in spec["radii"]]
-        fr = h_oscillation_tail(modes, tuple(radii), variant=spec.get("variant", "interior"))
-        cols = {
-            "R": [r for r in radii for _ in modes],
-            "m": [mode.m for _ in radii for mode in modes],
-            "k": [mode.k for _ in radii for mode in modes],
-            "h": [mode.h for _ in radii for mode in modes],
-            "fraction": [float(v) for row in fr for v in row],
-        }
-        files = [artio.write_csv(out_dir / f"{spec['name']}.csv", cols, meta=meta)]
-        worst = float(np.max(fr[-1]))
-        payload = {"radii": radii, "fractions": fr.tolist(), "worst_at_largest_radius": worst}
-        status = "ok"
-        if "bound" in spec and worst > spec["bound"]:
-            status = "fail"
-            payload["bound"] = spec["bound"]
-        files.append(artio.write_json(out_dir / f"{spec['name']}.json", payload, meta=meta))
-        return status, payload, files
+def _run_tails(spec, ctx):
+    modes = build_family(spec["family"])
+    radii = [float(r) for r in spec["radii"]]
+    fr = h_oscillation_tail(modes, tuple(radii), variant=spec.get("variant", "interior"))
+    cols = {
+        "R": [r for r in radii for _ in modes],
+        "m": [mode.m for _ in radii for mode in modes],
+        "k": [mode.k for _ in radii for mode in modes],
+        "h": [mode.h for _ in radii for mode in modes],
+        "fraction": [float(v) for row in fr for v in row],
+    }
+    files = [artio.write_csv(ctx.out_dir / f"{spec['name']}.csv", cols, meta=ctx.meta)]
+    worst = float(np.max(fr[-1]))
+    payload = {"radii": radii, "fractions": fr.tolist(), "worst_at_largest_radius": worst}
+    status = "ok"
+    if "bound" in spec and worst > spec["bound"]:
+        status = "fail"
+        payload["bound"] = spec["bound"]
+    files.append(artio.write_json(ctx.out_dir / f"{spec['name']}.json", payload, meta=ctx.meta))
+    return status, payload, files
+
+
+def _run_propagation(check, spec, ctx, options=None):
+    """Family, symbol, `check` with the keywords `options(spec, chart)` adds, report."""
     modes = build_family(spec["family"])
     a = build_symbol(spec["symbol"], name=spec["name"])
-    name = spec["name"]
-    if kind == "invariance":
-        rep = invariance_gap(
-            modes,
-            a,
-            float(spec["time"]),
-            thresholds=thresholds,
-            route=spec.get("route", "free"),
-            chart=chart,
-            experiment=name,
-        )
-    elif kind == "support":
-        husimi = spec.get("husimi", {})
-        rep = support_gap(
-            modes,
-            a,
-            float(spec["time"]),
-            thresholds=thresholds,
-            chart=chart,
-            experiment=name,
-            glancing_sign=float(spec.get("glancing_sign", 1)),
-            **husimi,
-        )
-    elif kind == "elliptic":
-        rep = elliptic_mass(modes, a, thresholds=thresholds, experiment=name)
-    else:
-        rep = car_mass(modes, a, thresholds=thresholds, experiment=name)
-    return _write_propagation(rep, spec, out_dir, meta)
+    extra = options(spec, ctx.chart) if options else {}
+    rep = check(modes, a, thresholds=ctx.thresholds, experiment=spec["name"], **extra)
+    return _write_propagation(rep, spec, ctx.out_dir, ctx.meta)
+
+
+def _invariance_options(spec, chart):
+    return {"s": float(spec["time"]), "route": spec.get("route", "free"), "chart": chart}
+
+
+def _support_options(spec, chart):
+    return {
+        "s": float(spec["time"]),
+        "chart": chart,
+        "glancing_sign": float(spec.get("glancing_sign", 1)),
+        **spec.get("husimi", {}),
+    }
+
+
+# one runner per experiment kind, called as runner(spec, ctx); the same
+# kinds key the schemas in config._EXPERIMENT_SCHEMAS
+RUNNERS = {
+    "classify": _run_classify,
+    "trace": _run_trace,
+    "mode": _run_mode,
+    "parametrix": _run_parametrix,
+    "measure": _run_measure,
+    "invariance": partial(_run_propagation, invariance_gap, options=_invariance_options),
+    "support": partial(_run_propagation, support_gap, options=_support_options),
+    "elliptic": partial(_run_propagation, elliptic_mass),
+    "car": partial(_run_propagation, car_mass),
+    "tails": _run_tails,
+}
+
+# the kinds `verify` runs: the defect-measure checks
+VERIFY_KINDS = ("invariance", "support", "elliptic", "car", "tails")
 
 
 def run_experiment(identity: dict, index: int, out: str, identity_hash: str) -> dict:
     """Execute one experiment and write its artifacts; never raises."""
     spec = identity["experiments"][index]
-    out_dir = Path(out)
     seed = identity["seed"]
     meta = _meta(identity_hash, spec, seed)
     try:
-        chart = build_chart(identity["chart"])
-        thresholds = build_thresholds(identity["thresholds"])
-        kind = spec["kind"]
-        if kind == "classify":
-            status, summary, files = _run_classify(spec, chart, seed, index, out_dir, meta)
-        elif kind == "trace":
-            status, summary, files = _run_trace(spec, chart, out_dir, meta)
-        elif kind == "mode":
-            status, summary, files = _run_mode(spec, out_dir, meta)
-        elif kind == "parametrix":
-            status, summary, files = _run_parametrix(spec, chart, out_dir, meta)
-        elif kind == "measure":
-            status, summary, files = _run_measure(spec, out_dir, meta)
-        else:
-            status, summary, files = _run_verify_kind(spec, chart, thresholds, out_dir, meta)
+        ctx = RunContext(
+            chart=build_chart(identity["chart"]),
+            thresholds=build_thresholds(identity["thresholds"]),
+            seed=seed,
+            index=index,
+            out_dir=Path(out),
+            meta=meta,
+        )
+        status, summary, files = RUNNERS[spec["kind"]](spec, ctx)
     except Exception as exc:
         status = "error"
         summary = {"error": f"{type(exc).__name__}: {exc}"}
@@ -476,7 +504,9 @@ def cmd_trace(args) -> int:
     if len(vals) != 4:
         print("--start needs x1,x2,xi1,xi2", file=sys.stderr)
         return 2
-    ray = trace(chart, (np.array(vals[:2]), np.array(vals[2:])), args.time)
+    spec = {"name": "trace", "kind": "trace",
+            "start": vals, "time": args.time, "samples": args.samples}
+    ray = _trace_ray(spec, chart)
     print(f"status {ray.status}, {ray.reflections} reflection(s), t_final {ray.t_final:.6g}")
     for e in ray.events:
         loc = "" if e.x is None else f" at ({e.x[0]:.6g}, {e.x[1]:.6g})"
@@ -485,15 +515,8 @@ def cmd_trace(args) -> int:
     frame, _, vec = ray.state_vector(ray.t_final)
     print(f"final ({frame}): {', '.join(f'{v:.9g}' for v in vec)}")
     if args.out:
-        spec = {
-            "name": "trace",
-            "kind": "trace",
-            "start": vals,
-            "time": args.time,
-            "samples": args.samples,
-        }
         meta = _adhoc_meta("trace", {"chart": args.chart, **{k: spec[k] for k in ("start", "time", "samples")}})
-        _, _, files = _run_trace(spec, chart, Path(args.out), meta)
+        _, _, files = _write_trace(ray, spec, Path(args.out), meta)
         print(f"wrote {', '.join(str(f) for f in files)}")
     return 0
 
@@ -519,25 +542,15 @@ def cmd_mode(args) -> int:
 def cmd_parametrix(args) -> int:
     ms = [int(v) for v in args.m.split(",")]
     orders = [int(v) for v in args.orders.split(",")]
-    spec = {
-        "name": "parametrix",
-        "kind": "parametrix",
-        "m": ms,
-        "orders": orders,
-        "delta0": args.delta0,
-        "eps0": args.eps0,
-    }
-    out_dir = Path(args.out) if args.out else None
-    table = {}
-    for order in orders:
-        sym = build_parametrix(order=order, delta0=args.delta0, eps0=args.eps0)
-        table[order] = [extension_error(sym, m) for m in ms]
+    spec = {"name": "parametrix", "kind": "parametrix",
+            "m": ms, "orders": orders, "delta0": args.delta0, "eps0": args.eps0}
+    table = _parametrix_table(spec, None)
     print("order " + "".join(f"  m={m:<10}" for m in ms))
     for order in orders:
-        print(f"{order:<6}" + "".join(f"  {e:<12.4e}" for e in table[order]))
-    if out_dir:
+        print(f"{order:<6}" + "".join(f"  {table[order][m]:<12.4e}" for m in ms))
+    if args.out:
         meta = _adhoc_meta("parametrix", {k: spec[k] for k in ("m", "orders", "delta0", "eps0")})
-        _, _, files = _run_parametrix(spec, None, out_dir, meta)
+        _, _, files = _write_parametrix(table, spec, Path(args.out), meta)
         print(f"wrote {', '.join(str(f) for f in files)}")
     return 0
 

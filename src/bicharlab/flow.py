@@ -32,7 +32,6 @@ __all__ = [
     "trace",
     "reflect_hyperbolic",
     "step_gliding",
-    "flow_pullback",
 ]
 
 
@@ -598,27 +597,3 @@ def trace(
         fwd = _Tracer(chart, options).run(flipped, -t_total)
         return fwd._time_reversed()
     return _Tracer(chart, options).run(start, t_total)
-
-
-def flow_pullback(
-    chart: CollarChart,
-    symbol: Callable,
-    t: float,
-    options: Optional[TraceOptions] = None,
-) -> Callable:
-    """Pull a phase-space function back along the flow: p -> symbol(flow_t(p)).
-
-    The returned callable accepts either a PhasePoint or an (x, xi) pair and
-    hands the evolved state to `symbol` in the same representation.
-    """
-
-    def pulled(*args):
-        if len(args) == 1 and isinstance(args[0], PhasePoint):
-            ray = trace(chart, args[0], t, options)
-            return symbol(ray.final_collar())
-        x, xi = args[0] if len(args) == 1 else args
-        ray = trace(chart, (x, xi), t, options)
-        xe, xie = ray.final_cartesian()
-        return symbol(xe, xie)
-
-    return pulled

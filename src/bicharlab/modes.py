@@ -112,7 +112,7 @@ class Quasimode:
     pressure is the companion scalar (None for the scalar family).
     """
 
-    def __init__(self, kind, m, k, lam, grid, velocity, pressure, c, q_sign=1):
+    def __init__(self, kind, m, k, lam, grid, velocity, pressure, c):
         self.kind = kind
         self.m = m
         self.k = k
@@ -122,7 +122,6 @@ class Quasimode:
         self.velocity = velocity
         self.pressure = pressure
         self.c = c
-        self.q_sign = q_sign
 
     # -- closed-form evaluation ------------------------------------------
 
@@ -160,7 +159,7 @@ class Quasimode:
         rho, theta = self._polar(points)
         m, lam, c = self.m, self.lam, self.c
         w_m = rho**m * np.exp(1j * m * theta)
-        return self.q_sign * (-1j) * c * lam * jv(m, lam) * w_m
+        return -1j * c * lam * jv(m, lam) * w_m
 
     # -- grid diagnostics ---------------------------------------------------
 
@@ -212,8 +211,10 @@ def laplace_disk_mode(m: int, k: int, num_r=None, num_theta=None) -> Quasimode:
 def stokes_disk_mode(m: int, k: int, num_r=None, num_theta=None) -> Quasimode:
     """No-slip divergence-free eigenmode pair (velocity, rescaled pressure).
 
-    The pressure sign is fixed empirically by minimizing the momentum
-    residual on the grid, which guards the orientation convention.
+    With u = (d_2 psi, -d_1 psi), -h^2 Lap u - u is the rotated gradient
+    of the harmonic c J_m(lam) r^m e^{i m theta}, which for a power of
+    z = x_1 + i x_2 is i times its gradient; so the momentum equation
+    -h^2 Lap u - u + h grad q = 0 fixes q = -i c lam J_m(lam) z^m.
     """
     spec = ModeSpec("stokes", m, k, num_r, num_theta)
     lam = bessel_zero(m + 1, k)
@@ -230,8 +231,4 @@ def stokes_disk_mode(m: int, k: int, num_r=None, num_theta=None) -> Quasimode:
     w_m = grid.r[:, None] ** m * np.exp(1j * m * grid.theta)[None, :]
     q = -1j * c * lam * jm_lam * w_m
 
-    mode = Quasimode("stokes", m, k, lam, grid, velocity, q, c, q_sign=1)
-    alt = Quasimode("stokes", m, k, lam, grid, velocity, -q, c, q_sign=-1)
-    if alt.residual_report()["momentum"] < mode.residual_report()["momentum"]:
-        mode = alt
-    return mode
+    return Quasimode("stokes", m, k, lam, grid, velocity, q, c)

@@ -36,6 +36,7 @@ __all__ = [
     "SupportMarginError",
     "BandlimitError",
     "default_box",
+    "difference_witness",
     "snap_frequency",
     "sample_mode_on_box",
     "apply_interior_op",
@@ -58,6 +59,39 @@ class SupportMarginError(ValueError):
 
 class BandlimitError(ValueError):
     """Frequency lattice cannot represent the symbol's declared xi box."""
+
+
+# central differences by order: (offsets, coefficients)
+_STENCILS = {
+    1: ([-1, 1], [-0.5, 0.5]),
+    2: ([-1, 0, 1], [1.0, -2.0, 1.0]),
+    3: ([-2, -1, 1, 2], [-0.5, 1.0, -1.0, 0.5]),
+    4: ([-2, -1, 0, 1, 2], [1.0, -4.0, 6.0, -4.0, 1.0]),
+}
+
+
+def difference_witness(fn: Callable, base: np.ndarray, delta: float, max_order: int) -> dict:
+    """Max scaled central differences of fn(x1, x2, xi1, xi2), orders 1..max_order.
+
+    `base` is a probe cloud of shape (n, 4), shifted along each of the
+    four phase-space axes in turn.  Returns {order: max |Delta^j fn| /
+    delta^j}; raises if any value is not finite.
+    """
+    out = {}
+    for order in range(1, max_order + 1):
+        offs, coefs = _STENCILS[order]
+        worst = 0.0
+        for axis in range(4):
+            acc = np.zeros(len(base))
+            for o, c in zip(offs, coefs):
+                pt = base.copy()
+                pt[:, axis] += o * delta
+                acc += c * np.asarray(fn(pt[:, 0], pt[:, 1], pt[:, 2], pt[:, 3]), dtype=float)
+            worst = max(worst, float(np.max(np.abs(acc))) / delta**order)
+        if not np.isfinite(worst):
+            raise ValueError(f"order-{order} difference quotient not finite")
+        out[order] = worst
+    return out
 
 
 class BoxGrid:
@@ -197,29 +231,7 @@ class InteriorSymbol:
         xb = max(self.xi_bound, 1.0)
         xis = rng.uniform(-xb, xb, size=(num_probes, 2))
         base = np.concatenate([xs, xis], axis=1)
-        stencils = {
-            1: ([-1, 1], [-0.5, 0.5]),
-            2: ([-1, 0, 1], [1.0, -2.0, 1.0]),
-            3: ([-2, -1, 1, 2], [-0.5, 1.0, -1.0, 0.5]),
-            4: ([-2, -1, 0, 1, 2], [1.0, -4.0, 6.0, -4.0, 1.0]),
-        }
-        out = {}
-        for order, (offs, coefs) in stencils.items():
-            worst = 0.0
-            for axis in range(4):
-                acc = np.zeros(num_probes)
-                for o, c in zip(offs, coefs):
-                    pt = base.copy()
-                    pt[:, axis] += o * delta
-                    acc += c * np.asarray(
-                        self.eval(pt[:, 0], pt[:, 1], pt[:, 2], pt[:, 3]),
-                        dtype=float,
-                    )
-                worst = max(worst, float(np.max(np.abs(acc))) / delta**order)
-            if not np.isfinite(worst):
-                raise ValueError(f"order-{order} difference quotient not finite")
-            out[order] = worst
-        return out
+        return difference_witness(self.eval, base, delta, 4)
 
 
 class TangentialSymbol:

@@ -26,6 +26,7 @@ from .quantize import (
     InteriorSymbol,
     TangentialSymbol,
     default_box,
+    difference_witness,
     husimi_grid,
     pairing,
     sample_mode_on_box,
@@ -314,21 +315,7 @@ class TransportedSymbol:
             ],
             axis=1,
         )
-        stencils = {1: ([-1, 1], [-0.5, 0.5]), 2: ([-1, 0, 1], [1.0, -2.0, 1.0])}
-        out = {}
-        for order, (offs, coefs) in stencils.items():
-            worst = 0.0
-            for axis in range(4):
-                acc = np.zeros(num_probes)
-                for o, c in zip(offs, coefs):
-                    pt = base.copy()
-                    pt[:, axis] += o * delta
-                    acc += c * self.eval(pt[:, 0], pt[:, 1], pt[:, 2], pt[:, 3])
-                worst = max(worst, float(np.max(np.abs(acc))) / delta**order)
-            if not np.isfinite(worst):
-                raise ValueError(f"order-{order} difference quotient not finite")
-            out[order] = worst
-        return out
+        return difference_witness(self.eval, base, delta, 2)
 
 
 def transport_symbol(

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 import bicharlab.cli as cli
 from bicharlab import io as artio
 from bicharlab.config import (
+    _EXPERIMENT_SCHEMAS,
     ConfigError,
     build_symbol,
     family_members,
@@ -144,6 +148,31 @@ def test_validation_collects_every_offense():
     assert "radius or bump" in errs  # unbounded spatial support
 
 
+def test_husimi_grid_needs_two_points_per_axis(tmp_path, capsys):
+    spec = {
+        "name": "s",
+        "kind": "support",
+        "family": {"family": "laplace", "m": 0, "k": [6]},
+        "symbol": {
+            "type": "interior",
+            "xi_bound": 1.6,
+            "factors": [
+                {"var": "radius", "window": [0.2, 0.3, 0.5, 0.6]},
+                {"var": "speed", "window": [0.6, 0.8, 1.2, 1.4]},
+            ],
+        },
+        "time": 0.3,
+    }
+    errs = validate_config({"experiments": [dict(spec, husimi={"nx": 1})]})
+    assert len(errs) == 1 and errs[0].startswith("experiments[0].husimi.nx:")
+    cfg = tmp_path / "h.json"
+    cfg.write_text(json.dumps({"experiments": [dict(spec, husimi={"nxi": 1})]}))
+    code = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "experiments[0].husimi.nxi" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
 def test_validation_rejects_non_object():
     assert validate_config([1, 2]) == ["(root): config must be a JSON object"]
 
@@ -250,6 +279,11 @@ def test_build_symbol_arc_rotates_support():
 
 
 # -- runner behavior -------------------------------------------------------
+
+
+def test_every_schema_kind_has_one_runner():
+    assert set(cli.RUNNERS) == set(_EXPERIMENT_SCHEMAS)
+    assert set(cli.VERIFY_KINDS) <= set(cli.RUNNERS)
 
 
 def test_smoke_config_exits_clean_and_fast(tmp_path):
@@ -520,6 +554,47 @@ def test_mode_subcommand_prints_residuals(capsys):
     assert run_cli(["mode", "--family", "laplace", "--m", "2", "--k", "1"]) == 0
     out = capsys.readouterr().out
     assert "pde" in out and "boundary" in out
+
+
+def counted(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_adhoc_subcommands_compute_once(tmp_path, monkeypatch, capsys):
+    errors = counted(monkeypatch, cli, "extension_error")
+    argv = ["parametrix", "--m", "12,24", "--orders", "0,1", "--out", str(tmp_path / "p")]
+    assert run_cli(argv) == 0
+    assert len(errors) == 4  # two orders times two angular indices
+    traces = counted(monkeypatch, cli, "trace")
+    argv = ["trace", "--start", "0.0,-1.0,0.6,0.8", "--time", "2.0", "--out", str(tmp_path / "t")]
+    assert run_cli(argv) == 0
+    assert len(traces) == 1
+    # what is printed and what is written come from the same computation
+    out = capsys.readouterr().out
+    doc = json.load(open(tmp_path / "t" / "trace.json"))["payload"]
+    assert f"{doc['reflections']} reflection(s)" in out
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark wraps and swaps bindings of cli (laplace_disk_mode,
+    # run_experiment, load_config, run_config); a refactor that drops one
+    # fails here rather than in the benchmark
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "selftest passed" in proc.stdout
 
 
 def test_parametrix_subcommand_writes_csv(tmp_path, capsys):

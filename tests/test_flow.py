@@ -6,7 +6,6 @@ from bicharlab.charts import AnnulusChart, DiskChart, ModelChart, PhasePoint
 from bicharlab.flow import (
     GeneralizedRay,
     TraceOptions,
-    flow_pullback,
     reflect_hyperbolic,
     step_gliding,
     trace,
@@ -74,14 +73,6 @@ def test_gliding_rotation():
     assert p.eta == pytest.approx(0.0, abs=1e-12)
     assert p.xip == pytest.approx(1.0, abs=1e-10)
     assert p.xp == pytest.approx(0.3 + np.pi, abs=1e-9)
-
-
-def test_flow_pullback_antipodal_map():
-    probe = flow_pullback(DISK, lambda p: p.xp, np.pi / 2)
-    assert probe(PhasePoint(0.0, 0.3, 0.0, 1.0)) == pytest.approx(0.3 + np.pi, abs=1e-9)
-    # cartesian variant on a short free stretch
-    val = flow_pullback(DISK, lambda x, xi: x[0], 0.1)((np.zeros(2), unit(0.0)))
-    assert val == pytest.approx(0.2, abs=1e-12)
 
 
 def test_diffractive_tangency_annulus():

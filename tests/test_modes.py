@@ -117,7 +117,6 @@ def test_stokes_flux_is_tangential_of_constant_modulus():
 
 def test_stokes_pressure_sign_matters():
     mode = stokes_disk_mode(2, 2)
-    assert mode.q_sign == 1
     g = mode.grid
     h = mode.h
     qx, qy = g.grad_cartesian(-mode.pressure)
