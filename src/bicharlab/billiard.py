@@ -18,6 +18,10 @@ __all__ = [
     "chord_rotation",
 ]
 
+# loop guard of `propagate`: a batch still bouncing after this many
+# reflections raises instead of looping on
+MAX_BOUNCES = 100_000
+
 
 def time_to_boundary(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """First time t >= 0 with |x + 2 xi t| = 1, for points with |x| <= 1.
@@ -65,13 +69,12 @@ def propagate(
     x: np.ndarray,
     xi: np.ndarray,
     t: float,
-    max_bounces: int = 100_000,
     pinned: str = "raise",
 ):
     """Evolve a batch of rays for time t (either sign), reflecting at |x| = 1.
 
     Returns (x_t, xi_t, bounces).  Raises if some ray is still bouncing
-    after max_bounces reflections.  A tangential contact makes no forward
+    after MAX_BOUNCES reflections.  A tangential contact makes no forward
     progress and cannot be continued by chords; with pinned="raise"
     (default) that aborts the batch, with pinned="mark" the offending
     rays are frozen at the contact point and flagged in a fourth return
@@ -91,7 +94,7 @@ def propagate(
     stuck = np.zeros(flat_x.shape[0], dtype=bool)
     active = remaining > 0
 
-    for _ in range(max_bounces):
+    for _ in range(MAX_BOUNCES):
         if not active.any():
             break
         xa = flat_x[active]
@@ -130,7 +133,7 @@ def propagate(
         stuck[idx[pin]] = True
         active[idx[done | pin]] = False
     if active.any():
-        raise RuntimeError(f"exceeded {max_bounces} reflections")
+        raise RuntimeError(f"exceeded {MAX_BOUNCES} reflections")
 
     if t < 0:
         flat_xi *= -1.0

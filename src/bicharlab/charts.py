@@ -111,16 +111,6 @@ class CollarChart:
         return abs(p.eta**2 - self._jet_any_y(p.y, p.xp, p.xip).r)
 
 
-def hamiltonian_field(chart: CollarChart, p: PhasePoint) -> tuple[float, float, float, float]:
-    """Interior ray velocity (dy, dx', deta, dxi')/ds for eta^2 - r."""
-    jet = chart.eval_r(p.y, p.xp, p.xip)
-    return (2.0 * p.eta, -jet.dr_dxip, jet.dr_dy, jet.dr_dxp)
-
-
-def iterated_bracket(chart: CollarChart, j: int, xp: float, xip: float) -> float:
-    return chart.iterated_bracket(j, xp, xip)
-
-
 def bracket_fd(chart: CollarChart, j: int, xp: float, xip: float, h_fd: float = 1e-4) -> float:
     """Generic bracket by nested central differences, one Richardson level."""
 
@@ -182,12 +172,6 @@ class DiskChart(CollarChart):
         return 0.0
 
     # metric data used by the boundary-layer machinery
-    def alpha(self, y: float) -> float:
-        return (1.0 - y) ** -2
-
-    def sqrt_g(self, y: float) -> float:
-        return 1.0 - y
-
     def curvature_h(self, y: float) -> float:
         """d/dy of log sqrt(det g)."""
         return -1.0 / (1.0 - y)
@@ -274,12 +258,6 @@ class AnnulusChart(CollarChart):
             sgn = -1.0 if self.component == "outer" else 1.0
             return sgn * 2.0 * xip**2 / self._rho(0.0) ** 3
         return 0.0
-
-    def alpha(self, y: float) -> float:
-        return self._rho(y) ** -2
-
-    def sqrt_g(self, y: float) -> float:
-        return self._rho(y)
 
     def curvature_h(self, y: float) -> float:
         sgn = -1.0 if self.component == "outer" else 1.0

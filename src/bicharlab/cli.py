@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -500,12 +501,8 @@ def cmd_classify(args) -> int:
 
 def cmd_trace(args) -> int:
     chart = load_chart(args.chart)
-    vals = [float(v) for v in args.start.split(",")]
-    if len(vals) != 4:
-        print("--start needs x1,x2,xi1,xi2", file=sys.stderr)
-        return 2
     spec = {"name": "trace", "kind": "trace",
-            "start": vals, "time": args.time, "samples": args.samples}
+            "start": args.start, "time": args.time, "samples": args.samples}
     ray = _trace_ray(spec, chart)
     print(f"status {ray.status}, {ray.reflections} reflection(s), t_final {ray.t_final:.6g}")
     for e in ray.events:
@@ -540,8 +537,7 @@ def cmd_mode(args) -> int:
 
 
 def cmd_parametrix(args) -> int:
-    ms = [int(v) for v in args.m.split(",")]
-    orders = [int(v) for v in args.orders.split(",")]
+    ms, orders = args.m, args.orders
     spec = {"name": "parametrix", "kind": "parametrix",
             "m": ms, "orders": orders, "delta0": args.delta0, "eps0": args.eps0}
     table = _parametrix_table(spec, None)
@@ -594,6 +590,50 @@ def _add_config_flags(p):
     p.add_argument("--select", nargs="*", default=None, help="run only these experiment names")
 
 
+def _checked(convert, ok, what):
+    """argparse type: convert a flag value, refusing it unless ok(value).
+
+    A refusal is a usage error: argparse prints the usage line and exits 2.
+    """
+
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"need {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _numbers(convert):
+    return lambda text: [convert(v) for v in text.split(",")]
+
+
+def _distinct(values):
+    return len(set(values)) == len(values)
+
+
+_START = _checked(
+    _numbers(float),
+    lambda v: len(v) == 4 and all(map(math.isfinite, v)),
+    "four finite numbers x1,x2,xi1,xi2",
+)
+_RING_INDICES = _checked(
+    _numbers(int), lambda v: _distinct(v) and min(v) >= 1, "distinct integers >= 1"
+)
+_ORDERS = _checked(
+    _numbers(int), lambda v: _distinct(v) and set(v) <= {0, 1}, "distinct orders from 0,1"
+)
+_POSITIVE = _checked(float, lambda v: v > 0.0, "a positive number")
+
+
+def _int_at_least(lo):
+    return _checked(int, lambda v: v >= lo, f"an integer >= {lo}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="bicharlab",
@@ -605,14 +645,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chart", default="disk")
     p.add_argument("--xp", type=float, required=True)
     p.add_argument("--xip", type=float, required=True)
-    p.add_argument("--tol-g", dest="tol_g", type=float, default=1e-8)
-    p.add_argument("--tol-bracket", dest="tol_bracket", type=float, default=1e-6)
+    p.add_argument("--tol-g", dest="tol_g", type=_POSITIVE, default=1e-8)
+    p.add_argument("--tol-bracket", dest="tol_bracket", type=_POSITIVE, default=1e-6)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("trace", help="trace one broken ray")
     p.add_argument("--chart", default="disk")
-    p.add_argument("--start", required=True, help="x1,x2,xi1,xi2")
+    p.add_argument("--start", type=_START, required=True, help="x1,x2,xi1,xi2")
     p.add_argument("--time", type=float, required=True)
     p.add_argument("--samples", type=int, default=33)
     p.add_argument("--out", default=None)
@@ -620,16 +660,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mode", help="build one quasimode and print its residuals")
     p.add_argument("--family", choices=["laplace", "stokes"], required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--m", type=_int_at_least(0), required=True)
+    p.add_argument("--k", type=_int_at_least(1), required=True)
     p.add_argument("--num-r", dest="num_r", type=int, default=None)
     p.add_argument("--num-theta", dest="num_theta", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_mode)
 
     p = sub.add_parser("parametrix", help="boundary-layer extension errors")
-    p.add_argument("--m", default="32,64,128", help="comma-separated angular orders")
-    p.add_argument("--orders", default="0,1", help="comma-separated symbol orders")
+    p.add_argument("--m", type=_RING_INDICES, default="32,64,128",
+                   help="comma-separated angular orders")
+    p.add_argument("--orders", type=_ORDERS, default="0,1", help="comma-separated symbol orders")
     p.add_argument("--delta0", type=float, default=0.25)
     p.add_argument("--eps0", type=float, default=0.3)
     p.add_argument("--out", default=None)

@@ -204,8 +204,13 @@ _EXPERIMENT_SCHEMAS = {
         "type": "object",
         "properties": {
             **_COMMON,
-            "m": {"type": "array", "items": _INT_POS, "minItems": 1},
-            "orders": {"type": "array", "items": {"enum": [0, 1]}, "minItems": 1},
+            "m": {"type": "array", "items": _INT_POS, "minItems": 1, "uniqueItems": True},
+            "orders": {
+                "type": "array",
+                "items": {"enum": [0, 1]},
+                "minItems": 1,
+                "uniqueItems": True,
+            },
             "delta0": _FRAC,
             "eps0": _FRAC,
             "expect_halving": {"type": "boolean"},

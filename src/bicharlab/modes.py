@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import jv
+from scipy.special import jn_zeros, jv
 
 from .polar import PolarGrid
 
@@ -36,31 +35,10 @@ __all__ = [
 
 
 def bessel_zero(m: int, k: int) -> float:
-    """k-th positive zero of J_m, located by scan plus brentq polish.
-
-    The scan step stays below pi because consecutive zeros of J_m are
-    never closer than that.
-    """
+    """k-th positive zero of J_m."""
     if m < 0 or k < 1:
         raise ValueError("need m >= 0 and k >= 1")
-    x = max(float(m), 1e-6)
-    step = 1.5
-    f_prev = jv(m, x)
-    found = 0
-    for _ in range(100_000):
-        x_next = x + step
-        f_next = jv(m, x_next)
-        if f_prev == 0.0:
-            found += 1
-            if found == k:
-                return x
-        elif f_prev * f_next < 0.0:
-            root = brentq(lambda t: jv(m, t), x, x_next, xtol=1e-14, rtol=8.9e-16)
-            found += 1
-            if found == k:
-                return float(root)
-        x, f_prev = x_next, f_next
-    raise RuntimeError(f"zero scan for J_{m} did not reach index {k}")
+    return float(jn_zeros(m, k)[-1])
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ collar like exp(-y lam / h), where lam(y, xi') is the metric length of
 the tangential frequency.  This module builds a two-term symbol
 expansion of that layer: the exponential leading factor in closed form
 and a first correction obtained by integrating a linear second-order
-ODE in the collar depth.  The exact Fourier-series Poisson extension
-and the Dirichlet-Neumann multiplier serve as oracles, and a strip-mass
+ODE in the collar depth.  The exact harmonic extension on the same
+depth slices (`collar_poisson`) serves as the oracle, and a strip-mass
 diagnostic quantifies how thin the layer actually is at a given h.
 
 Everything is specialized to the unit disk, where lam = |xi'|/(1 - y)
@@ -36,10 +36,12 @@ __all__ = [
     "apply_parametrix",
     "collar_poisson",
     "extension_error",
-    "poisson_extend",
-    "dtn",
     "band_mass",
 ]
+
+
+# fewest RK4 steps of the depth ODE; steep layers (large lam / h) take more
+MIN_ODE_STEPS = 2000
 
 
 class ParametrixODEError(RuntimeError):
@@ -113,17 +115,17 @@ def _forcing(chart, step: PolyStep, y, xi, h: float):
     return -(f0 + H * hdy)
 
 
-def _solve_correction(chart, step: PolyStep, xi, h: float, eps0: float, num_steps: int):
+def _solve_correction(chart, step: PolyStep, xi, h: float, eps0: float, n_steps: int):
     """March the correction ODE backward from y = eps0 and superpose.
 
     Zero terminal data wipes the branch that grows with depth; one
     backward sweep of the homogeneous equation supplies the decaying
     branch, whose multiple is then fixed so the correction vanishes at
     the boundary.  Returns the depth grid and the correction with its
-    derivative, both (num_steps + 1, len(xi)).
+    derivative, both (n_steps + 1, len(xi)).
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    ns = int(num_steps)
+    ns = int(n_steps)
     ys = np.linspace(0.0, eps0, ns + 1)
     dt = eps0 / ns
 
@@ -222,7 +224,6 @@ class ParametrixSymbol:
     eps0: float
     chart: object
     step: PolyStep = field(repr=False)
-    num_steps: int = 2000
 
     def a0(self, y, xi, h: float):
         y = np.asarray(y, dtype=float)
@@ -236,7 +237,7 @@ class ParametrixSymbol:
         if y.min() < 0.0 or y.max() > self.eps0:
             raise ValueError("depths must lie in [0, eps0]")
         lam_top = float(np.max(np.abs(xi))) / (1.0 - self.eps0)
-        steps = max(self.num_steps, int(self.eps0 * lam_top / h))
+        steps = max(MIN_ODE_STEPS, int(self.eps0 * lam_top / h))
         ys, corr, corr_v = _solve_correction(
             self.chart, self.step, xi, h, self.eps0, steps
         )
@@ -360,21 +361,6 @@ def extension_error(sym: ParametrixSymbol, m: int, h: Optional[float] = None,
     ref = collar_poisson(sym, q0, h, num_y=num_y)
     diff = CollarField(got.y, got.weights, got.theta, got.values - ref.values)
     return diff.norm() / ref.norm()
-
-
-def poisson_extend(q0: np.ndarray, grid: PolarGrid) -> np.ndarray:
-    """Harmonic extension to the disk: ring mode m becomes r^|m|."""
-    c, m = _boundary_modes(q0)
-    if q0.size != grid.n_theta:
-        raise ValueError("boundary samples must match the grid's theta nodes")
-    fhat = grid.r[:, None] ** np.abs(m)[None, :] * c[None, :]
-    return grid.from_modes(fhat)
-
-
-def dtn(q0: np.ndarray) -> np.ndarray:
-    """Dirichlet-Neumann map of the disk: the |m| Fourier multiplier."""
-    c, m = _boundary_modes(q0)
-    return np.fft.ifft(np.abs(m) * c * q0.size)
 
 
 def band_mass(

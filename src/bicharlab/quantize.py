@@ -36,15 +36,12 @@ __all__ = [
     "SupportMarginError",
     "BandlimitError",
     "default_box",
-    "difference_witness",
-    "snap_frequency",
     "sample_mode_on_box",
     "apply_interior_op",
     "apply_shifted_op",
     "apply_tangential_op",
     "pairing",
     "shifted_pairing",
-    "angular_multiplier_pairing",
     "spectral_tail_mass",
     "PairingSeries",
     "measure_sequence",
@@ -59,39 +56,6 @@ class SupportMarginError(ValueError):
 
 class BandlimitError(ValueError):
     """Frequency lattice cannot represent the symbol's declared xi box."""
-
-
-# central differences by order: (offsets, coefficients)
-_STENCILS = {
-    1: ([-1, 1], [-0.5, 0.5]),
-    2: ([-1, 0, 1], [1.0, -2.0, 1.0]),
-    3: ([-2, -1, 1, 2], [-0.5, 1.0, -1.0, 0.5]),
-    4: ([-2, -1, 0, 1, 2], [1.0, -4.0, 6.0, -4.0, 1.0]),
-}
-
-
-def difference_witness(fn: Callable, base: np.ndarray, delta: float, max_order: int) -> dict:
-    """Max scaled central differences of fn(x1, x2, xi1, xi2), orders 1..max_order.
-
-    `base` is a probe cloud of shape (n, 4), shifted along each of the
-    four phase-space axes in turn.  Returns {order: max |Delta^j fn| /
-    delta^j}; raises if any value is not finite.
-    """
-    out = {}
-    for order in range(1, max_order + 1):
-        offs, coefs = _STENCILS[order]
-        worst = 0.0
-        for axis in range(4):
-            acc = np.zeros(len(base))
-            for o, c in zip(offs, coefs):
-                pt = base.copy()
-                pt[:, axis] += o * delta
-                acc += c * np.asarray(fn(pt[:, 0], pt[:, 1], pt[:, 2], pt[:, 3]), dtype=float)
-            worst = max(worst, float(np.max(np.abs(acc))) / delta**order)
-        if not np.isfinite(worst):
-            raise ValueError(f"order-{order} difference quotient not finite")
-        out[order] = worst
-    return out
 
 
 class BoxGrid:
@@ -131,12 +95,6 @@ def default_box(h: float, xi_bound: float, half: float = 1.5) -> BoxGrid:
     n = int(math.ceil((xi_bound / h + 4.0 * np.pi / (2.0 * half)) * 2.0 * half / np.pi))
     n = max(32, n + (n % 2) + 8)
     return BoxGrid(n, half)
-
-
-def snap_frequency(grid: BoxGrid, h: float, xi: Sequence[float]) -> np.ndarray:
-    """Componentwise nearest point of the h-scaled frequency lattice."""
-    lattice = h * grid.k
-    return np.array([lattice[np.argmin(np.abs(lattice - v))] for v in xi])
 
 
 @dataclass(frozen=True)
@@ -216,22 +174,6 @@ class InteriorSymbol:
                 f"symbol support reaches |x| = {rad:.4f}, needs <= {bound:.4f} "
                 f"(two cells inside the unit circle at n = {grid.n})"
             )
-
-    def smoothness_witness(
-        self, delta: float = 0.05, num_probes: int = 48, seed: int = 7
-    ) -> dict:
-        """Max scaled central differences of orders 1..4 over a probe cloud.
-
-        Returns {order: max |Delta^j a| / delta^j}; raises if any value is
-        not finite, which is the cheap certificate that the evaluator is
-        pointwise smooth enough to quantize.
-        """
-        rng = np.random.default_rng(seed)
-        xs = rng.uniform(-0.9, 0.9, size=(num_probes, 2))
-        xb = max(self.xi_bound, 1.0)
-        xis = rng.uniform(-xb, xb, size=(num_probes, 2))
-        base = np.concatenate([xs, xis], axis=1)
-        return difference_witness(self.eval, base, delta, 4)
 
 
 class TangentialSymbol:
@@ -474,21 +416,6 @@ def shifted_pairing(
     return complex(total)
 
 
-def angular_multiplier_pairing(chi: Callable, mode) -> complex:
-    """Pair with the diagonal multiplier chi(h * angular frequency).
-
-    This is the exact quantization of a function of the angular-momentum
-    fiber variable on the disk, with no spatial cutoff.
-    """
-    g = mode.grid
-    weights = chi(mode.h * g.modes.astype(float))
-    total = 0.0 + 0.0j
-    for u in mode.velocity:
-        fhat = g.to_modes(u)
-        total += g.inner(g.from_modes(weights[None, :] * fhat), u)
-    return complex(total)
-
-
 def spectral_tail_mass(fields: np.ndarray, grid: BoxGrid, h: float, R: float) -> float:
     """Fraction of L2 mass at lattice frequencies with |h k| > R."""
     comps = np.asarray(fields)
@@ -565,25 +492,6 @@ class HusimiGrid:
 
     def mass(self) -> float:
         return float(self.density.sum() * self.cell_volume)
-
-    def off_shell_fraction(self, width: float) -> float:
-        """Share of mass at frequency radius outside [1-width, 1+width]."""
-        S1, S2 = np.meshgrid(self.xi_axis, self.xi_axis, indexing="ij")
-        off = np.abs(np.hypot(S1, S2) - 1.0) > width
-        tot = float(self.density.sum())
-        if tot == 0.0:
-            return 0.0
-        return float(self.density[:, :, off].sum()) / tot
-
-    def peak(self):
-        """(x1, x2, xi1, xi2) of the density maximum."""
-        i, j, p, q = np.unravel_index(int(np.argmax(self.density)), self.density.shape)
-        return (
-            float(self.x_axis[i]),
-            float(self.x_axis[j]),
-            float(self.xi_axis[p]),
-            float(self.xi_axis[q]),
-        )
 
 
 def husimi_grid(

@@ -26,7 +26,6 @@ from .quantize import (
     InteriorSymbol,
     TangentialSymbol,
     default_box,
-    difference_witness,
     husimi_grid,
     pairing,
     sample_mode_on_box,
@@ -39,7 +38,6 @@ __all__ = [
     "ModeRow",
     "PropagationReport",
     "TransportedSymbol",
-    "transport_symbol",
     "gliding_rotation",
     "invariance_gap",
     "support_gap",
@@ -205,30 +203,26 @@ def _require_disk(chart: Optional[CollarChart]) -> DiskChart:
     return chart
 
 
+# frequencies no faster than this do not move under transport
+DEAD_SPEED = 1e-12
+
+
 class TransportedSymbol:
     """Pullback a(gamma_s(x, xi)) along the broken geodesic flow of the disk.
 
     Evaluation pushes each requested point forward for time s through the
     chord-reflection integrator and reads the base symbol there.  Points
-    outside the closed disk evaluate to zero.  Frequencies with |xi| below
-    `dead_speed` do not move.  A tangential contact cannot be continued by
-    chords; such nodes evaluate to zero and are counted in `unresolved`,
-    so downstream verdicts can refuse to certify.  Values are taken real:
-    the transported symbols fed to mass experiments are real windows.
+    outside the closed disk evaluate to zero.  Frequencies with |xi| at
+    most the constant `DEAD_SPEED` do not move.  A tangential contact
+    cannot be continued by chords; such nodes evaluate to zero and are
+    counted in `unresolved`, so downstream verdicts can refuse to certify.
+    Values are taken real: the transported symbols fed to mass
+    experiments are real windows.
     """
 
-    def __init__(
-        self,
-        base: Union[InteriorSymbol, Callable],
-        s: float,
-        *,
-        max_bounces: int = 100_000,
-        dead_speed: float = 1e-12,
-    ):
+    def __init__(self, base: Union[InteriorSymbol, Callable], s: float):
         self._base = base.eval if hasattr(base, "eval") else base
         self.s = float(s)
-        self.max_bounces = int(max_bounces)
-        self.dead_speed = float(dead_speed)
         self.unresolved = 0
 
     def eval(self, x1, x2, xi1, xi2) -> np.ndarray:
@@ -243,7 +237,7 @@ class TransportedSymbol:
         pxi = np.stack([S1.ravel(), S2.ravel()], axis=-1)
         out = np.zeros(px.shape[0], dtype=float)
         inside = np.hypot(px[:, 0], px[:, 1]) <= 1.0 + 1e-12
-        moving = np.hypot(pxi[:, 0], pxi[:, 1]) > self.dead_speed
+        moving = np.hypot(pxi[:, 0], pxi[:, 1]) > DEAD_SPEED
         if self.s == 0.0:
             sel = inside
             if sel.any():
@@ -261,7 +255,7 @@ class TransportedSymbol:
         live = inside & moving
         if live.any():
             xt, xit, _, stuck = billiard.propagate(
-                px[live], pxi[live], self.s, self.max_bounces, pinned="mark"
+                px[live], pxi[live], self.s, pinned="mark"
             )
             vals = np.real(self._base(xt[:, 0], xt[:, 1], xit[:, 0], xit[:, 1]))
             if stuck.any():
@@ -292,50 +286,6 @@ class TransportedSymbol:
 
     __call__ = eval
 
-    def smoothness_witness(
-        self, delta: float = 0.02, num_probes: int = 48, seed: int = 11
-    ) -> Dict[int, float]:
-        """Max scaled central differences of orders 1 and 2 over a probe cloud.
-
-        Raises if any quotient is not finite.  Large but finite second
-        differences are expected near reflection folds and are reported,
-        not judged.
-        """
-        rng = np.random.default_rng(seed)
-        radii = 0.85 * np.sqrt(rng.uniform(0.0, 1.0, num_probes))
-        angs = rng.uniform(0.0, 2.0 * np.pi, num_probes)
-        speeds = rng.uniform(0.3, 1.5, num_probes)
-        dirs = rng.uniform(0.0, 2.0 * np.pi, num_probes)
-        base = np.stack(
-            [
-                radii * np.cos(angs),
-                radii * np.sin(angs),
-                speeds * np.cos(dirs),
-                speeds * np.sin(dirs),
-            ],
-            axis=1,
-        )
-        return difference_witness(self.eval, base, delta, 2)
-
-
-def transport_symbol(
-    chart: Optional[CollarChart],
-    a: Union[InteriorSymbol, Callable],
-    s: float,
-    *,
-    max_bounces: int = 100_000,
-) -> TransportedSymbol:
-    """Compose a phase-space symbol with the time-s broken flow.
-
-    `a` is an interior symbol or a vectorized callable a(x1, x2, xi1, xi2).
-    The result evaluates a(gamma_s(rho)) pointwise; see TransportedSymbol
-    for the conventions at pinned contacts and away from the disk.
-    """
-    _require_disk(chart)
-    tau = TransportedSymbol(a, s, max_bounces=max_bounces)
-    tau.smoothness_witness(num_probes=12)
-    return tau
-
 
 def gliding_rotation(chart: Optional[CollarChart], s: float, xip: float = 1.0) -> float:
     """Boundary rotation angle swept by the glancing flow over time s.
@@ -349,11 +299,6 @@ def gliding_rotation(chart: Optional[CollarChart], s: float, xip: float = 1.0) -
         raise ValueError("glancing at the disk rim needs |xip| = 1")
     ray = trace(chart, PhasePoint(0.0, 0.0, 0.0, float(xip)), float(s))
     return float(ray.final_collar().xp)
-
-
-def _mode_label(modes: Sequence) -> str:
-    hs = [m.h for m in modes]
-    return f"{len(hs)} modes, h in [{min(hs):.4g}, {max(hs):.4g}]"
 
 
 def _symbol_name(a, fallback: str) -> str:
@@ -384,6 +329,7 @@ def invariance_gap(
     """
     if route not in ("free", "pullback"):
         raise ValueError("route must be 'free' or 'pullback'")
+    _require_disk(chart)
     th = thresholds or Thresholds()
     rows = []
     unresolved = 0

@@ -11,7 +11,6 @@ from bicharlab.charts import (
     OutOfCollarError,
     PhasePoint,
     bracket_fd,
-    hamiltonian_field,
     load_chart,
 )
 
@@ -44,15 +43,6 @@ def test_disk_frozen_values():
     assert jet.dr_dy == pytest.approx(-2.0, abs=1e-15)
     assert c.r0(0.0, 0.5) == pytest.approx(0.75)
     assert c.r1(0.0, 1.0) == pytest.approx(-2.0)
-
-
-def test_hamiltonian_field_examples():
-    c = DiskChart()
-    dy, dxp, deta, dxip = hamiltonian_field(c, PhasePoint(0.1, 0.0, 0.3, 0.8))
-    assert dy == pytest.approx(0.6, abs=1e-15)
-    assert dxip == 0.0
-    _, _, deta, _ = hamiltonian_field(c, PhasePoint(0.0, 0.0, 0.0, 1.0))
-    assert deta == pytest.approx(-2.0, abs=1e-15)
 
 
 def test_fd_agreement_random_points():

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -135,9 +136,12 @@ def test_validation_collects_every_offense():
                 },
                 "time": 0.5,
             },
+            {"name": "p", "kind": "parametrix", "m": [12, 12], "orders": [1, 1]},
         ],
     }
     errs = "\n".join(validate_config(bad))
+    assert "experiments[4].m: [12, 12] has non-unique elements" in errs
+    assert "experiments[4].orders: [1, 1] has non-unique elements" in errs
     assert "junk" in errs
     assert "kappa" in errs
     assert "experiments[2].kind" in errs
@@ -281,6 +285,53 @@ def test_build_symbol_arc_rotates_support():
 # -- runner behavior -------------------------------------------------------
 
 
+def _defined_and_used(path):
+    """(__all__ names, line spans of top-level definitions, names used) of a module.
+
+    A name counts as used where it is loaded or read as an attribute, not
+    where it is only imported or listed in __all__.
+    """
+    tree = ast.parse(path.read_text())
+    spans, exported = {}, []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            spans[node.name] = (node.lineno, node.end_lineno)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = ast.literal_eval(node.value)
+            spans["__all__"] = (node.lineno, node.end_lineno)
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            uses.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            uses.append((node.attr, node.lineno))
+    return exported, spans, uses
+
+
+def test_every_public_name_has_a_program_caller():
+    # a name in __all__ must be used by the program or by an acceptance
+    # criterion, not only by its own unit test
+    root = Path(__file__).resolve().parents[1]
+    files = sorted((root / "src" / "bicharlab").glob("*.py"))
+    files.append(root / "tests" / "test_acceptance.py")
+    parsed = {path: _defined_and_used(path) for path in files}
+    orphans = []
+    for path, (exported, spans, uses) in parsed.items():
+        for name in exported:
+            own = [spans["__all__"], spans.get(name, (0, -1))]
+            inside = any(
+                n == name and not any(lo <= line <= hi for lo, hi in own) for n, line in uses
+            )
+            elsewhere = any(
+                n == name for other, (_, _, u) in parsed.items() if other != path for n, _ in u
+            )
+            if not (inside or elsewhere):
+                orphans.append(f"{path.stem}.{name}")
+    assert orphans == []
+
+
 def test_every_schema_kind_has_one_runner():
     assert set(cli.RUNNERS) == set(_EXPERIMENT_SCHEMAS)
     assert set(cli.VERIFY_KINDS) <= set(cli.RUNNERS)
@@ -324,16 +375,39 @@ def test_empty_experiment_list_exits_zero(tmp_path):
 
 
 def test_invalid_config_exits_two(tmp_path, capsys):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(
-        json.dumps(
-            {"experiments": [{"name": "c", "kind": "classify", "points": [[0, 0.5]], "tol_g": -1}]}
-        )
-    )
-    code = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
-    assert code == 2
-    assert "tol_g" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "summary.json").exists()  # refused before computing
+    cases = [
+        ({"name": "c", "kind": "classify", "points": [[0, 0.5]], "tol_g": -1}, "tol_g"),
+        ({"name": "p", "kind": "parametrix", "m": [12, 12]}, "experiments[0].m"),
+    ]
+    for i, (spec, named) in enumerate(cases):
+        cfg = tmp_path / f"bad{i}.json"
+        cfg.write_text(json.dumps({"experiments": [spec]}))
+        out = tmp_path / f"out{i}"
+        code = run_cli(["run", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not (out / "summary.json").exists()  # refused before computing
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["trace", "--start", "a,b,c,d", "--time", "1"], "--start"),
+        (["parametrix", "--m", "0", "--orders", "0"], "--m"),
+        (["parametrix", "--m", "12,x"], "--m"),
+        (["mode", "--family", "laplace", "--m", "-1", "--k", "1"], "--m"),
+        (["mode", "--family", "stokes", "--m", "3", "--k", "0"], "--k"),
+        (["classify", "--xp", "0", "--xip", "1", "--tol-g", "0"], "--tol-g"),
+    ],
+)
+def test_adhoc_usage_error_exits_two(argv, flag, capsys):
+    # argparse refuses the flag: one usage line, exit 2, no traceback
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: bicharlab " + argv[0])
+    assert f"error: argument {flag}: need " in err
 
 
 def test_failing_expectation_exits_one(tmp_path):

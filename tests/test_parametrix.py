@@ -9,21 +9,33 @@ from bicharlab.parametrix import (
     CollarField,
     ParametrixODEError,
     PolyStep,
+    _boundary_modes,
     _forcing,
     _solve_correction,
     apply_parametrix,
     band_mass,
     build_parametrix,
     collar_poisson,
-    dtn,
     extension_error,
-    poisson_extend,
 )
 from bicharlab.polar import PolarGrid
 
 
 def ring(n):
     return 2.0 * np.pi * np.arange(n) / n
+
+
+def poisson_extend(q0, grid):
+    """Harmonic extension to the disk: ring mode m becomes r^|m|."""
+    c, m = _boundary_modes(q0)
+    assert q0.size == grid.n_theta
+    return grid.from_modes(grid.r[:, None] ** np.abs(m)[None, :] * c[None, :])
+
+
+def dtn(q0):
+    """Dirichlet-Neumann map of the disk: the |m| Fourier multiplier."""
+    c, m = _boundary_modes(q0)
+    return np.fft.ifft(np.abs(m) * c * q0.size)
 
 
 # -- cutoff ramp -------------------------------------------------------------

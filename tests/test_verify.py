@@ -54,7 +54,7 @@ def disk_cloud(rng, num, r_max=0.97, speed=(0.3, 1.5)):
 
 def test_transport_identity_at_zero_time():
     a = offcenter_bump()
-    tau = verify.transport_symbol(CHART, a, 0.0)
+    tau = verify.TransportedSymbol(a, 0.0)
     x1, x2, s1, s2 = disk_cloud(np.random.default_rng(0), 300)
     got = tau.eval(x1, x2, s1, s2)
     want = np.real(a.eval(x1, x2, s1, s2))
@@ -74,7 +74,7 @@ def test_transport_recenters_free_bump():
         xi_bound=1.5,
         name="centered bump",
     )
-    tau = verify.transport_symbol(CHART, a, s)
+    tau = verify.TransportedSymbol(a, s)
     x1, x2, s1, s2 = disk_cloud(np.random.default_rng(1), 300, r_max=0.3)
     want = bump_profile(np.hypot(x1 + 2 * s * s1, x2 + 2 * s * s2) / 0.3)
     want = want * ring_window(s1, s2)
@@ -85,7 +85,7 @@ def test_transport_recenters_free_bump():
 def test_transport_conserved_quantities_invariant():
     # speed and angular momentum survive every reflection, so a window in
     # those variables is a fixed point of the pullback for any time
-    tau = verify.transport_symbol(CHART, conserved_eval, 3.7)
+    tau = verify.TransportedSymbol(conserved_eval, 3.7)
     x1, x2, s1, s2 = disk_cloud(np.random.default_rng(2), 400)
     dev = np.abs(tau.eval(x1, x2, s1, s2) - conserved_eval(x1, x2, s1, s2))
     assert np.max(dev) < 1e-12
@@ -94,8 +94,8 @@ def test_transport_conserved_quantities_invariant():
 
 def test_transport_round_trip_inverts():
     a = offcenter_bump()
-    tau1 = verify.transport_symbol(CHART, a, 0.9)
-    tau2 = verify.transport_symbol(CHART, tau1, -0.9)
+    tau1 = verify.TransportedSymbol(a, 0.9)
+    tau2 = verify.TransportedSymbol(tau1, -0.9)
     x1, x2, s1, s2 = disk_cloud(np.random.default_rng(3), 300)
     dev = np.abs(tau2.eval(x1, x2, s1, s2) - np.real(a.eval(x1, x2, s1, s2)))
     assert np.max(dev) < 1e-12
@@ -103,28 +103,32 @@ def test_transport_round_trip_inverts():
 
 
 def test_transport_zero_outside_disk_and_static_nodes():
-    tau = verify.transport_symbol(CHART, lambda *p: np.ones_like(p[0]), 0.5)
+    tau = verify.TransportedSymbol(lambda *p: np.ones_like(p[0]), 0.5)
     assert tau.eval(1.2, 0.0, 1.0, 0.0) == 0.0
     assert tau.eval(0.3, 0.0, 0.0, 0.0) == 1.0
 
 
 def test_transport_marks_doubtful_tangential_contacts():
-    tau = verify.transport_symbol(CHART, lambda x1, x2, s1, s2: ring_window(s1, s2), 0.5)
+    tau = verify.TransportedSymbol(lambda x1, x2, s1, s2: ring_window(s1, s2), 0.5)
     val = tau.eval(np.array([1.0]), np.array([0.0]), np.array([0.0]), np.array([0.8]))
     assert val[0] == 0.0
     assert tau.unresolved == 1
 
-    spatial = verify.transport_symbol(
-        CHART, lambda x1, x2, s1, s2: window(np.hypot(x1, x2), 0.2, 0.3, 0.5, 0.6), 0.5
+    spatial = verify.TransportedSymbol(
+        lambda x1, x2, s1, s2: window(np.hypot(x1, x2), 0.2, 0.3, 0.5, 0.6), 0.5
     )
     val = spatial.eval(np.array([1.0]), np.array([0.0]), np.array([0.0]), np.array([0.8]))
     assert val[0] == 0.0
     assert spatial.unresolved == 0
 
 
-def test_transport_requires_disk_chart():
+def test_propagation_checks_require_disk_chart():
+    fam = [modes.laplace_disk_mode(0, 8)]
+    annulus = AnnulusChart(0.35)
     with pytest.raises(NotImplementedError):
-        verify.transport_symbol(AnnulusChart(0.35), conserved_eval, 0.3)
+        verify.invariance_gap(fam, conserved_symbol(), 0.3, route="pullback", chart=annulus)
+    with pytest.raises(NotImplementedError):
+        verify.support_gap(fam, conserved_symbol(), 0.3, chart=annulus)
 
 
 def test_gliding_rotation_traced_rate():
@@ -209,9 +213,7 @@ def test_support_gap_reverse_transport_recovers_mass():
     a = high_momentum_window()
     rep1 = verify.support_gap(fam, a, 0.9)
     round_trip = InteriorSymbol(
-        evaluator=verify.transport_symbol(
-            CHART, verify.transport_symbol(CHART, a, 0.9), -0.9
-        ).eval,
+        evaluator=verify.TransportedSymbol(verify.TransportedSymbol(a, 0.9), -0.9).eval,
         xi_bound=a.xi_bound,
         x_envelope=lambda x1, x2: np.where(np.hypot(x1, x2) <= 1.0, 1.0, 0.0),
         name="round trip",
