@@ -1,9 +1,11 @@
 """Closed-form billiard dynamics in the unit disk.
 
 Free motion is x' = 2 xi with xi constant, so chords, hit times, and
-specular reflections all have explicit formulas.  This module is the fast
-vectorized engine used to push symbols along the broken flow, and it
-doubles as an independent oracle for the ODE-based tracer.
+specular reflections all have explicit formulas, and after its first hit
+a ray repeats one chord turned by one angle: any flow time costs the
+same.  This module is the fast vectorized engine used to push symbols
+along the broken flow, and it doubles as an independent oracle for the
+ODE-based tracer.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ __all__ = [
     "chord_rotation",
 ]
 
-# loop guard of `propagate`: a batch still bouncing after this many
-# reflections raises instead of looping on
-MAX_BOUNCES = 100_000
+# rays per pass of `propagate`: bounds the size of its temporaries
+BLOCK = 16_384
 
 
 def time_to_boundary(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -54,86 +55,89 @@ def angular_momentum(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return x[..., 0] * xi[..., 1] - x[..., 1] * xi[..., 0]
 
 
+def _turn(inward, ell):
+    # hit-point rotation of one chord, from the inward and the tangential
+    # (ell = x wedge xi) components of the covector at the hit
+    return np.where(ell < 0.0, -2.0, 2.0) * np.arctan2(inward, np.abs(ell))
+
+
 def chord_rotation(ell: np.ndarray) -> np.ndarray:
     """Boundary-angle advance per bounce for unit covectors.
 
     ell is the angular momentum (equal to the tangential frequency for
-    |xi| = 1).  Each chord rotates the hit point by sign(ell) * 2 *
-    arccos(|ell|) and takes time sqrt(1 - ell^2).
+    |xi| = 1).  Each chord takes time sqrt(1 - ell^2) and rotates the hit
+    point by sign(ell) * 2 * arccos(|ell|), with sign +1 for ell >= 0 (a
+    diameter turns it by pi).
     """
     ell = np.asarray(ell, dtype=float)
-    return np.sign(ell) * 2.0 * np.arccos(np.clip(np.abs(ell), 0.0, 1.0))
+    a = np.minimum(np.abs(ell), 1.0)
+    return _turn(np.sqrt((1.0 - a) * (1.0 + a)), ell)
 
 
-def propagate(
-    x: np.ndarray,
-    xi: np.ndarray,
-    t: float,
-    pinned: str = "raise",
-):
+def _flow(x, xi, t):
+    """Flow one block of rays in place for time t >= 0; returns (bounces, pinned).
+
+    After the first hit every chord takes the same time and turns the state
+    by the same angle: all later bounces are one rotation and one partial chord.
+    """
+    th = time_to_boundary(x, xi)
+    # landing exactly at the endpoint still reflects, matching the
+    # post-contact convention of the ODE tracer
+    hit = (th <= t) & (t > 0.0)
+    x += 2.0 * np.where(hit, th, t)[:, None] * xi
+    # land exactly on the circle before reflecting
+    x[hit] /= np.linalg.norm(x[hit], axis=-1, keepdims=True)
+    xi[hit] = specular_reflect(x[hit], xi[hit])
+    a = np.sum(xi * xi, axis=-1)
+    inward = -np.sum(x * xi, axis=-1)
+    chord = inward / a
+    # a tangential contact makes no forward progress: no chord continues it
+    pin = hit & (chord < 1e-14) & (inward <= 1e-12 * np.sqrt(a))
+    go = np.flatnonzero(hit & ~pin)
+    n = np.floor((t - th[go]) / chord[go])
+    turn = n * _turn(inward[go], angular_momentum(x[go], xi[go]))
+    # rotate by turn: (v1, v2) -> c (v1, v2) + s (-v2, v1)
+    c, s = np.cos(turn)[:, None], np.sin(turn)[:, None] * [-1.0, 1.0]
+    xi[go] = c * xi[go] + s * xi[go, ::-1]
+    x[go] = c * x[go] + s * x[go, ::-1] + 2.0 * (t - th[go] - n * chord[go])[:, None] * xi[go]
+    bounces = np.zeros(x.shape[0], dtype=np.int64)
+    bounces[go] = n + 1
+    return bounces, pin
+
+
+def propagate(x: np.ndarray, xi: np.ndarray, t: float, pinned: str = "raise"):
     """Evolve a batch of rays for time t (either sign), reflecting at |x| = 1.
 
-    Returns (x_t, xi_t, bounces).  Raises if some ray is still bouncing
-    after MAX_BOUNCES reflections.  A tangential contact makes no forward
-    progress and cannot be continued by chords; with pinned="raise"
-    (default) that aborts the batch, with pinned="mark" the offending
-    rays are frozen at the contact point and flagged in a fourth return
-    value so the caller can treat them as unresolved.
+    Returns (x_t, xi_t, bounces), exactly and at a cost independent of t:
+    a flight to the first hit, one rotation for all later chords and one
+    partial chord.  ValueError unless x, xi and t are finite, every x is
+    in the closed disk (hypot(x) <= 1 + 1e-12) and every xi is nonzero.
+    A tangential contact cannot be continued by chords; with
+    pinned="raise" (default) that aborts the batch, with pinned="mark"
+    the offending rays are frozen at the contact point and flagged in a
+    fourth return value so the caller can treat them as unresolved.
     """
     if pinned not in ("raise", "mark"):
         raise ValueError("pinned must be 'raise' or 'mark'")
     x = np.array(x, dtype=float, copy=True)
     xi = np.array(xi, dtype=float, copy=True)
-    flat_x = x.reshape(-1, 2)
-    flat_xi = xi.reshape(-1, 2)
+    flat_x, flat_xi = x.reshape(-1, 2), xi.reshape(-1, 2)
+    if not (np.isfinite(t) and np.isfinite(x).all() and np.isfinite(xi).all()):
+        raise ValueError("propagate needs finite x, xi and t")
+    if np.any(np.hypot(flat_x[:, 0], flat_x[:, 1]) > 1.0 + 1e-12):
+        raise ValueError("propagate needs every x in the closed unit disk")
+    if not np.all(np.sum(flat_xi * flat_xi, axis=-1) > 0.0):
+        raise ValueError("propagate needs every xi nonzero")
     if t < 0:
         flat_xi *= -1.0
 
-    remaining = np.full(flat_x.shape[0], abs(float(t)))
     bounces = np.zeros(flat_x.shape[0], dtype=np.int64)
     stuck = np.zeros(flat_x.shape[0], dtype=bool)
-    active = remaining > 0
-
-    for _ in range(MAX_BOUNCES):
-        if not active.any():
-            break
-        xa = flat_x[active]
-        xia = flat_xi[active]
-        th = time_to_boundary(xa, xia)
-        ra = remaining[active]
-        # landing exactly at the endpoint still reflects, matching the
-        # post-contact convention of the ODE tracer
-        hits = th <= ra
-        # zero advance alone is not a pin: a rim point with outward
-        # momentum reflects immediately and makes strict progress on the
-        # next chord; only a tangential contact cannot be continued
-        outward = np.sum(xa * xia, axis=-1)
-        speed = np.linalg.norm(xia, axis=-1)
-        pin = hits & (th < 1e-14) & (np.abs(outward) <= 1e-12 * speed)
-        if pin.any() and pinned == "raise":
-            raise RuntimeError("ray pinned tangentially at the boundary")
-
-        done = ~hits
-        if done.any():
-            xa[done] += 2.0 * ra[done, None] * xia[done]
-        if hits.any():
-            xa[hits] += 2.0 * th[hits, None] * xia[hits]
-            # land exactly on the circle before reflecting
-            xa[hits] /= np.linalg.norm(xa[hits], axis=-1, keepdims=True)
-            xia[hits] = specular_reflect(xa[hits], xia[hits])
-            ra = ra - th
-            ra[pin] = 0.0
-
-        ra[done] = 0.0
-        flat_x[active] = xa
-        flat_xi[active] = xia
-        remaining[active] = ra
-        idx = np.flatnonzero(active)
-        bounces[idx[hits & ~pin]] += 1
-        stuck[idx[pin]] = True
-        active[idx[done | pin]] = False
-    if active.any():
-        raise RuntimeError(f"exceeded {MAX_BOUNCES} reflections")
+    for lo in range(0, flat_x.shape[0], BLOCK):
+        block = slice(lo, lo + BLOCK)
+        bounces[block], stuck[block] = _flow(flat_x[block], flat_xi[block], abs(t))
+    if stuck.any() and pinned == "raise":
+        raise RuntimeError("ray pinned tangentially at the boundary")
 
     if t < 0:
         flat_xi *= -1.0

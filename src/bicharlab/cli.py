@@ -520,7 +520,12 @@ def cmd_trace(args) -> int:
 
 def cmd_mode(args) -> int:
     ctor = laplace_disk_mode if args.family == "laplace" else stokes_disk_mode
-    mode = ctor(args.m, args.k, args.num_r, args.num_theta)
+    try:
+        mode = ctor(args.m, args.k, args.num_r, args.num_theta)
+    except ValueError as exc:
+        # the floors of --num-r and --num-theta depend on m and k
+        flag = "--num-theta" if "num_theta" in str(exc) else "--num-r"
+        args.usage_error(f"argument {flag}: {exc}")
     rep = mode.residual_report()
     print(f"{args.family} mode m = {mode.m}, k = {mode.k}: lam = {mode.lam:.12g}, h = {mode.h:.6g}")
     for key in sorted(rep):
@@ -593,17 +598,19 @@ def _add_config_flags(p):
 def _checked(convert, ok, what):
     """argparse type: convert a flag value, refusing it unless ok(value).
 
-    A refusal is a usage error: argparse prints the usage line and exits 2.
+    A ValueError or OSError (an unreadable file) from either also refuses
+    it.  A refusal is a usage error: argparse prints the usage line and
+    exits 2.
     """
 
     def parse(text):
         try:
             value = convert(text)
-        except ValueError:
-            value = None
-        if value is None or not ok(value):
-            raise argparse.ArgumentTypeError(f"need {what}, got {text!r}")
-        return value
+            if ok(value):
+                return value
+        except (ValueError, OSError):
+            pass
+        raise argparse.ArgumentTypeError(f"need {what}, got {text!r}")
 
     return parse
 
@@ -628,6 +635,9 @@ _ORDERS = _checked(
     _numbers(int), lambda v: _distinct(v) and set(v) <= {0, 1}, "distinct orders from 0,1"
 )
 _POSITIVE = _checked(float, lambda v: v > 0.0, "a positive number")
+_FRACTION = _checked(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
+_TIME = _checked(float, lambda v: v != 0.0 and math.isfinite(v), "a finite nonzero time")
+_CHART = _checked(str, load_chart, "disk[:WIDTH], annulus:RHO_IN[:inner|outer] or a chart file")
 
 
 def _int_at_least(lo):
@@ -642,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="classify one boundary covector")
-    p.add_argument("--chart", default="disk")
+    p.add_argument("--chart", type=_CHART, default="disk")
     p.add_argument("--xp", type=float, required=True)
     p.add_argument("--xip", type=float, required=True)
     p.add_argument("--tol-g", dest="tol_g", type=_POSITIVE, default=1e-8)
@@ -651,10 +661,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("trace", help="trace one broken ray")
-    p.add_argument("--chart", default="disk")
+    p.add_argument("--chart", type=_CHART, default="disk")
     p.add_argument("--start", type=_START, required=True, help="x1,x2,xi1,xi2")
-    p.add_argument("--time", type=float, required=True)
-    p.add_argument("--samples", type=int, default=33)
+    p.add_argument("--time", type=_TIME, required=True)
+    p.add_argument("--samples", type=_int_at_least(1), default=33)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_trace)
 
@@ -665,14 +675,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num-r", dest="num_r", type=int, default=None)
     p.add_argument("--num-theta", dest="num_theta", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_mode)
+    p.set_defaults(func=cmd_mode, usage_error=p.error)
 
     p = sub.add_parser("parametrix", help="boundary-layer extension errors")
     p.add_argument("--m", type=_RING_INDICES, default="32,64,128",
                    help="comma-separated angular orders")
     p.add_argument("--orders", type=_ORDERS, default="0,1", help="comma-separated symbol orders")
-    p.add_argument("--delta0", type=float, default=0.25)
-    p.add_argument("--eps0", type=float, default=0.3)
+    p.add_argument("--delta0", type=_POSITIVE, default=0.25)
+    p.add_argument("--eps0", type=_FRACTION, default=0.3)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_parametrix)
 

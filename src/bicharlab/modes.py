@@ -63,16 +63,11 @@ class ModeSpec:
             else max(32, 4 * self.m + 16)
         )
         num_theta += num_theta % 2
-        if num_r <= 4.0 * lam / math.pi:
-            raise ValueError(
-                f"num_r = {num_r} cannot resolve radial frequency lam = {lam:.3f};"
-                f" need num_r > {4.0 * lam / math.pi:.1f}"
-            )
+        floor_r = 4.0 * lam / math.pi
+        if num_r <= floor_r:
+            raise ValueError(f"need num_r > {floor_r:.1f} for lam = {lam:.3f}, got {num_r}")
         if num_theta <= 4 * self.m:
-            raise ValueError(
-                f"num_theta = {num_theta} cannot resolve angular frequency m = {self.m};"
-                f" need num_theta > {4 * self.m}"
-            )
+            raise ValueError(f"need num_theta > {4 * self.m} for m = {self.m}, got {num_theta}")
         return num_r, num_theta
 
 

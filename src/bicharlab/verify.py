@@ -5,7 +5,7 @@ per-mode numbers in a PropagationReport, and derives the verdict from the
 stored numbers and thresholds alone.  A report read back from disk must
 re-judge to the same verdict, so no experiment keeps hidden state.
 
-Transport across the boundary uses the chord-reflection integrator; mass
+Transport across the boundary uses the closed-form billiard map; mass
 comparisons across reflections are made on |a|^2 (nonnegative symbols,
 positive coherent-state quantization) rather than signed pairings, since
 the statements being tested concern where mass lives, not its phase.
@@ -211,13 +211,13 @@ class TransportedSymbol:
     """Pullback a(gamma_s(x, xi)) along the broken geodesic flow of the disk.
 
     Evaluation pushes each requested point forward for time s through the
-    chord-reflection integrator and reads the base symbol there.  Points
-    outside the closed disk evaluate to zero.  Frequencies with |xi| at
-    most the constant `DEAD_SPEED` do not move.  A tangential contact
-    cannot be continued by chords; such nodes evaluate to zero and are
-    counted in `unresolved`, so downstream verdicts can refuse to certify.
-    Values are taken real: the transported symbols fed to mass
-    experiments are real windows.
+    closed-form billiard map `billiard.propagate` and reads the base
+    symbol there.  Points outside the closed disk evaluate to zero.
+    Frequencies with |xi| at most the constant `DEAD_SPEED` do not move.
+    A tangential contact cannot be continued by chords; such nodes
+    evaluate to zero and are counted in `unresolved`, so downstream
+    verdicts can refuse to certify.  Values are taken real: the
+    transported symbols fed to mass experiments are real windows.
     """
 
     def __init__(self, base: Union[InteriorSymbol, Callable], s: float):
@@ -237,33 +237,19 @@ class TransportedSymbol:
         pxi = np.stack([S1.ravel(), S2.ravel()], axis=-1)
         out = np.zeros(px.shape[0], dtype=float)
         inside = np.hypot(px[:, 0], px[:, 1]) <= 1.0 + 1e-12
-        moving = np.hypot(pxi[:, 0], pxi[:, 1]) > DEAD_SPEED
-        if self.s == 0.0:
-            sel = inside
-            if sel.any():
-                out[sel] = np.real(
-                    self._base(px[sel, 0], px[sel, 1], pxi[sel, 0], pxi[sel, 1])
-                )
-            return out.reshape(shape)
-        static = inside & ~moving
-        if static.any():
-            out[static] = np.real(
-                self._base(
-                    px[static, 0], px[static, 1], pxi[static, 0], pxi[static, 1]
-                )
-            )
-        live = inside & moving
+        live = inside & (np.hypot(pxi[:, 0], pxi[:, 1]) > DEAD_SPEED)
+        stuck = np.zeros_like(inside)
         if live.any():
-            xt, xit, _, stuck = billiard.propagate(
+            px[live], pxi[live], _, stuck[live] = billiard.propagate(
                 px[live], pxi[live], self.s, pinned="mark"
             )
-            vals = np.real(self._base(xt[:, 0], xt[:, 1], xit[:, 0], xit[:, 1]))
-            if stuck.any():
-                vals = np.where(stuck, 0.0, vals)
-                self.unresolved += int(
-                    np.sum(self._doubtful(xt[stuck], xit[stuck]))
-                )
-            out[live] = vals
+        if stuck.any():
+            self.unresolved += int(np.sum(self._doubtful(px[stuck], pxi[stuck])))
+        keep = inside & ~stuck
+        if keep.any():
+            out[keep] = np.real(
+                self._base(px[keep, 0], px[keep, 1], pxi[keep, 0], pxi[keep, 1])
+            )
         return out.reshape(shape)
 
     def _doubtful(self, xs: np.ndarray, xis: np.ndarray) -> np.ndarray:
@@ -323,8 +309,8 @@ def invariance_gap(
     fast shifted-lattice path; it is the broken-flow pullback only while
     the support cannot reach the boundary within time s, and the margin
     check inside refuses geometries where that could fail.  route="pullback"
-    evaluates the transported symbol through the reflection integrator and
-    quantizes it on the dense path; valid across reflections but far
+    evaluates the transported symbol through the closed-form billiard map
+    and quantizes it on the dense path; valid across reflections but far
     slower, meant for small cross-checks.
     """
     if route not in ("free", "pullback"):
@@ -348,7 +334,7 @@ def invariance_gap(
         else:
             # both sides share the transported wrapper's conventions
             # (zero outside the closed disk), so a flow-invariant symbol
-            # gives a gap at integrator roundoff, not rim-smearing, size
+            # gives a gap at roundoff, not rim-smearing, size
             tau = TransportedSymbol(a, s)
             before = pairing(_wrap(TransportedSymbol(a, 0.0)), m, check=False)
             after = pairing(_wrap(tau), m, check=False)
@@ -411,8 +397,8 @@ def support_gap(
 
     Interior symbols are paired through the coherent-state density (a
     positive quantization, so the numbers really are masses) with the
-    transported symbol evaluated pointwise through the reflection
-    integrator; both masses are counted over the closed disk and reported
+    transported symbol evaluated pointwise through the closed-form
+    billiard map; both masses are counted over the closed disk and reported
     as fractions of the mode's total phase-space mass.  Tangential symbols are compared against their
     gliding rotation: the transported symbol is the input arc rotated by
     the angle the flow engine sweeps in time s at the glancing ring on the

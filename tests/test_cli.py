@@ -398,6 +398,17 @@ def test_invalid_config_exits_two(tmp_path, capsys):
         (["mode", "--family", "laplace", "--m", "-1", "--k", "1"], "--m"),
         (["mode", "--family", "stokes", "--m", "3", "--k", "0"], "--k"),
         (["classify", "--xp", "0", "--xip", "1", "--tol-g", "0"], "--tol-g"),
+        (["mode", "--family", "laplace", "--m", "2", "--k", "1", "--num-r", "3"], "--num-r"),
+        (["mode", "--family", "laplace", "--m", "2", "--k", "1", "--num-theta", "6"],
+         "--num-theta"),
+        (["parametrix", "--m", "12", "--delta0", "-1"], "--delta0"),
+        (["parametrix", "--m", "12", "--eps0", "1.5"], "--eps0"),
+        (["classify", "--chart", "annulus:2", "--xp", "0", "--xip", "1"], "--chart"),
+        (["classify", "--chart", "nosuch", "--xp", "0", "--xip", "1"], "--chart"),
+        (["trace", "--start", "0,0,1,0", "--time", "1", "--samples", "0", "--out", "D"],
+         "--samples"),
+        (["trace", "--start", "0,0,1,0", "--time", "0"], "--time"),
+        (["trace", "--start", "0,0,1,0", "--time", "nan"], "--time"),
     ],
 )
 def test_adhoc_usage_error_exits_two(argv, flag, capsys):
