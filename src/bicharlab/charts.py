@@ -416,8 +416,16 @@ def load_chart(spec: str | dict) -> CollarChart:
         return _chart_from_dict(json.load(fh))
 
 
+_REQUIRED_KEYS = {"annulus": "rho_in", "model": "terms"}
+
+
 def _chart_from_dict(d: dict) -> CollarChart:
+    if not isinstance(d, dict):
+        raise ValueError("a chart definition must be a JSON object")
     kind = d.get("kind")
+    key = _REQUIRED_KEYS.get(kind)
+    if key is not None and key not in d:
+        raise ValueError(f"chart kind {kind!r} needs key {key!r}")
     if kind == "disk":
         return DiskChart(
             collar_width=d.get("collar_width", 0.35),

@@ -111,11 +111,7 @@ def _run_classify(spec, ctx):
         rng = np.random.default_rng(1_000_003 * (ctx.seed + 1) + ctx.index)
         extra = rng.uniform((-np.pi, -1.5), (np.pi, 1.5), size=(n_extra, 2))
         points += [tuple(p) for p in extra]
-    kwargs = {}
-    if "tol_g" in spec:
-        kwargs["tol_g"] = spec["tol_g"]
-    if "tol_bracket" in spec:
-        kwargs["tol_bracket"] = spec["tol_bracket"]
+    kwargs = {k: spec[k] for k in ("tol_g", "tol_bracket") if k in spec}
     results = [classify(ctx.chart, xp, xip, **kwargs) for xp, xip in points]
     labels = [r.label() for r in results]
     cols = {
@@ -309,12 +305,7 @@ def _run_measure(spec, ctx):
 
 
 def _write_propagation(rep, spec, out_dir, meta):
-    cols = {
-        "h": [r.h for r in rep.rows],
-        "before": [r.before for r in rep.rows],
-        "after": [r.after for r in rep.rows],
-        "gap": [r.gap for r in rep.rows],
-    }
+    cols = {key: [getattr(r, key) for r in rep.rows] for key in ("h", "before", "after", "gap")}
     files = [
         artio.write_csv(out_dir / f"{spec['name']}.csv", cols, meta=meta),
         artio.write_json(out_dir / f"{spec['name']}.json", rep.to_dict(), meta=meta),

@@ -23,7 +23,7 @@ from scipy.special import jn_zeros
 from .bumps import bump_profile, plateau_step, window
 from .charts import load_chart
 from .io import config_hash
-from .modes import laplace_disk_mode, stokes_disk_mode
+from .modes import ModeSpec, laplace_disk_mode, stokes_disk_mode
 from .quantize import InteriorSymbol, SeparableTerm, TangentialSymbol
 from .verify import Thresholds
 
@@ -391,6 +391,18 @@ def _validate_family(fam, where: str, errors: list[str]):
         ms = m if isinstance(m, list) else [m]
         if any(isinstance(mi, int) and mi < 1 for mi in ms):
             errors.append(f"{where}.m: the velocity family needs m >= 1")
+    if not {"num_r", "num_theta"} & set(fam) or any(e.startswith(where) for e in errors):
+        return
+    # the defaults clear the floors; explicit sizes must clear them for
+    # every member, since the floors grow with m and lam
+    for mi, ki in family_members(fam):
+        spec = ModeSpec(fam["family"], mi, ki, fam.get("num_r"), fam.get("num_theta"))
+        try:
+            spec.resolve(family_lambda(fam["family"], mi, ki))
+        except ValueError as exc:
+            key = "num_theta" if "num_theta" in str(exc) else "num_r"
+            errors.append(f"{where}.{key}: {exc}")
+            return
 
 
 def _validate_chart(spec, errors: list[str]):
@@ -402,11 +414,12 @@ def _validate_chart(spec, errors: list[str]):
         extra = set(spec) - _CHART_KEYS[kind]
         for key in sorted(extra):
             errors.append(f"chart.{key}: unknown key for kind {kind!r}")
-    else:
-        try:
-            load_chart(spec)
-        except (ValueError, OSError) as exc:
-            errors.append(f"chart: {exc}")
+        if extra:
+            return
+    try:
+        load_chart(spec)
+    except (ValueError, OSError, TypeError) as exc:
+        errors.append(f"chart: {exc}")
 
 
 def validate_config(raw) -> list[str]:

@@ -216,11 +216,15 @@ class TangentialSymbol:
 
 
 def sample_mode_on_box(mode, grid: BoxGrid) -> np.ndarray:
-    """Velocity components on the box, zero outside the closed disk."""
-    pts = np.stack([grid.X1, grid.X2], axis=-1)
-    vals = mode.eval_velocity(pts)
-    comps = np.moveaxis(vals, -1, 0).astype(complex)
-    comps *= grid.disk_mask()[None, :, :]
+    """Velocity components on the box, zero outside the closed disk.
+
+    The closed form is evaluated at the disk nodes only, where the Bessel
+    argument stays below lam; the rest of the box is left at +0.0.
+    """
+    inside = grid.disk_mask()
+    vals = mode.eval_velocity(np.stack([grid.X1[inside], grid.X2[inside]], axis=-1))
+    comps = np.zeros((vals.shape[-1], grid.n, grid.n), dtype=complex)
+    comps[:, inside] = vals.T
     return comps
 
 
@@ -254,12 +258,9 @@ def apply_interior_op(
                 t.xi_factor(h * grid.K1, h * grid.K2) * fhat
             )
         return out
-    # direct lattice sum, chunked over the first frequency axis; the
-    # plane-wave coefficients of f in the e^{i k.x} basis pick up the
-    # box-origin phase relative to raw FFT output
+    # direct lattice sum, chunked over the first frequency axis
     n = grid.n
-    F = np.fft.fft2(f) / n**2
-    F = F * np.exp(1j * grid.half * (grid.K1 + grid.K2))
+    F = _plane_coeffs(f, grid)
     E = np.exp(1j * np.outer(grid.k, grid.x))  # E[m, j] = e^{i k_m x_j}
     out = np.zeros((n, n), dtype=complex)
     x1 = grid.x[:, None, None]
@@ -508,10 +509,12 @@ def husimi_grid(
 
     `source` is a mode (components sampled on the box, h taken from it) or
     a raw box field / stack of fields with `h` given explicitly.  The xi
-    axis snaps to the frequency lattice so each overlap column is one
-    windowed FFT.  Cells wider than about sqrt(h) under-resolve the
-    coherent widths and the mass check drifts; callers pick nx, nxi
-    accordingly.
+    axis snaps to the frequency lattice, so overlaps are entries of DFTs:
+    per x0 row and component, one batched 1-D FFT along x1 and one along
+    x2 for every y0 at once, both numpy's pocketfft.  No BLAS call enters,
+    so the bytes do not depend on the thread count.  Cells wider than
+    about sqrt(h) under-resolve the coherent widths and the mass check
+    drifts; callers pick nx, nxi accordingly.
     """
     if hasattr(source, "velocity"):
         h = source.h
@@ -533,17 +536,15 @@ def husimi_grid(
         raise ValueError("frequency lattice too coarse for the xi axis")
     dxi = float(np.mean(np.diff(xi_axis)))
     x_axis = np.linspace(-x_max, x_max, nx)
+    # the window g(x1 - x0) g(x2 - y0) is separable; one x0 row at a time
+    # bounds the work array at (nx, len(idx), n)
+    g = np.exp(-((box.x[None, :] - x_axis[:, None]) ** 2) / (2.0 * h))
     dens = np.zeros((nx, nx, len(idx), len(idx)))
-    norm_w = 1.0 / np.sqrt(np.pi * h)
-    sel = np.ix_(idx, idx)
-    for i, x0 in enumerate(x_axis):
-        g1 = np.exp(-((box.x - x0) ** 2) / (2.0 * h))
-        for j, y0 in enumerate(x_axis):
-            g2 = np.exp(-((box.x - y0) ** 2) / (2.0 * h))
-            w = norm_w * np.outer(g1, g2)
-            for u in comps:
-                G = np.fft.fft2(w * u) * box.cell
-                dens[i, j] += np.abs(G[sel]) ** 2
-    dens /= (2.0 * np.pi * h) ** 2
+    for i in range(nx):
+        for u in comps:
+            V = np.fft.fft(g[i][:, None] * u, axis=0)[idx]
+            G = np.fft.fft(V[None] * g[:, None, :], axis=2)[:, :, idx]
+            dens[i] += np.abs(G) ** 2
+    dens *= (box.cell / np.sqrt(np.pi * h)) ** 2 / (2.0 * np.pi * h) ** 2
     dx0 = float(x_axis[1] - x_axis[0]) if nx > 1 else 1.0
     return HusimiGrid(x_axis, xi_axis, dens, (dx0 * dxi) ** 2)

@@ -13,7 +13,7 @@ the statements being tested concern where mass lives, not its phase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -61,11 +61,7 @@ class Thresholds:
     theta_floor: float = 1e-3
 
     def as_dict(self) -> Dict[str, float]:
-        return {
-            "theta_pass": self.theta_pass,
-            "kappa": self.kappa,
-            "theta_floor": self.theta_floor,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -78,12 +74,7 @@ class ModeRow:
     gap: float
 
     def as_dict(self) -> Dict[str, float]:
-        return {
-            "h": self.h,
-            "before": self.before,
-            "after": self.after,
-            "gap": self.gap,
-        }
+        return asdict(self)
 
 
 _KINDS = ("invariance", "support", "elliptic", "car")
@@ -115,9 +106,7 @@ class PropagationReport:
 
     def recompute_verdict(self) -> str:
         th = self.thresholds
-        if self.notes.get("unresolved", 0.0) > 0:
-            return "inconclusive"
-        if not self.rows:
+        if self.notes.get("unresolved", 0.0) > 0 or not self.rows:
             return "inconclusive"
         gaps = [r.gap for r in self.rows]
         if self.kind == "invariance":
@@ -227,10 +216,7 @@ class TransportedSymbol:
 
     def eval(self, x1, x2, xi1, xi2) -> np.ndarray:
         X1, X2, S1, S2 = np.broadcast_arrays(
-            np.asarray(x1, dtype=float),
-            np.asarray(x2, dtype=float),
-            np.asarray(xi1, dtype=float),
-            np.asarray(xi2, dtype=float),
+            *(np.asarray(v, dtype=float) for v in (x1, x2, xi1, xi2))
         )
         shape = X1.shape
         px = np.stack([X1.ravel(), X2.ravel()], axis=-1)

@@ -137,9 +137,15 @@ def test_validation_collects_every_offense():
                 "time": 0.5,
             },
             {"name": "p", "kind": "parametrix", "m": [12, 12], "orders": [1, 1]},
+            {
+                "name": "r",
+                "kind": "mode",
+                "family": {"family": "laplace", "m": 2, "k": 1, "num_r": 3},
+            },
         ],
     }
     errs = "\n".join(validate_config(bad))
+    assert "experiments[5].family.num_r: need num_r > 6.5 for lam = 5.136, got 3" in errs
     assert "experiments[4].m: [12, 12] has non-unique elements" in errs
     assert "experiments[4].orders: [1, 1] has non-unique elements" in errs
     assert "junk" in errs
@@ -358,6 +364,40 @@ def test_reruns_are_bit_identical(tmp_path):
     assert da == dc  # parallel schedule cannot change artifact bytes
 
 
+def test_support_bytes_do_not_depend_on_threads_or_jobs(tmp_path):
+    # @smoke runs no Husimi density; these two support experiments do,
+    # and m = 32 puts it on a 172-point box, large enough that a BLAS
+    # contraction would round differently at 1 and 2 threads
+    symbol = {
+        "type": "interior",
+        "xi_bound": 1.5,
+        "factors": [
+            {"var": "radius", "window": [0.45, 0.55, 0.97, 1.02]},
+            {"var": "speed", "window": [0.75, 0.85, 1.15, 1.25]},
+        ],
+    }
+    cfg = tmp_path / "support.json"
+    cfg.write_text(json.dumps({"experiments": [
+        {"name": f"s{m}", "kind": "support", "symbol": symbol, "time": 0.9,
+         "family": {"family": "stokes", "m": m, "k": {"ratio": 0.5}}}
+        for m in (4, 32)
+    ]}))
+    root = Path(__file__).resolve().parents[1]
+    digests = []
+    for width in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS=width)
+        out = tmp_path / f"out{width}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "bicharlab.cli", "run", "--config", str(cfg),
+             "--out", str(out), "--jobs", width],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        digests.append(tree_digest(out))
+    assert len(digests[0]) == 5  # two CSV/JSON pairs and summary.json
+    assert digests[0] == digests[1]
+
+
 def test_seed_changes_output_bytes(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     run_cli(["run", "--config", "@smoke", "--out", str(a)])
@@ -375,13 +415,23 @@ def test_empty_experiment_list_exits_zero(tmp_path):
 
 
 def test_invalid_config_exits_two(tmp_path, capsys):
+    classify = {"name": "c", "kind": "classify", "points": [[0, 0.5]]}
+    no_radius = tmp_path / "no-radius.json"
+    no_radius.write_text(json.dumps({"kind": "annulus"}))
     cases = [
-        ({"name": "c", "kind": "classify", "points": [[0, 0.5]], "tol_g": -1}, "tol_g"),
-        ({"name": "p", "kind": "parametrix", "m": [12, 12]}, "experiments[0].m"),
+        ({"experiments": [dict(classify, tol_g=-1)]}, "tol_g"),
+        ({"experiments": [{"name": "p", "kind": "parametrix", "m": [12, 12]}]},
+         "experiments[0].m"),
+        ({"chart": {"kind": "annulus"}, "experiments": [classify]}, "chart: "),
+        ({"chart": {"kind": "annulus", "rho_in": 2}, "experiments": [classify]}, "chart: "),
+        ({"chart": str(no_radius), "experiments": [classify]}, "chart: "),
+        ({"experiments": [{"name": "m", "kind": "mode", "family": {
+            "family": "laplace", "m": 2, "k": 1, "num_r": 3}}]},
+         "experiments[0].family.num_r"),
     ]
-    for i, (spec, named) in enumerate(cases):
+    for i, (raw, named) in enumerate(cases):
         cfg = tmp_path / f"bad{i}.json"
-        cfg.write_text(json.dumps({"experiments": [spec]}))
+        cfg.write_text(json.dumps(raw))
         out = tmp_path / f"out{i}"
         code = run_cli(["run", "--config", str(cfg), "--out", str(out)])
         assert code == 2
@@ -409,9 +459,12 @@ def test_invalid_config_exits_two(tmp_path, capsys):
          "--samples"),
         (["trace", "--start", "0,0,1,0", "--time", "0"], "--time"),
         (["trace", "--start", "0,0,1,0", "--time", "nan"], "--time"),
+        (["classify", "--chart", "no-radius.json", "--xp", "0", "--xip", "1"], "--chart"),
     ],
 )
-def test_adhoc_usage_error_exits_two(argv, flag, capsys):
+def test_adhoc_usage_error_exits_two(argv, flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "no-radius.json").write_text(json.dumps({"kind": "annulus"}))
     # argparse refuses the flag: one usage line, exit 2, no traceback
     with pytest.raises(SystemExit) as exc:
         run_cli(argv)

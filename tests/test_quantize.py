@@ -367,6 +367,75 @@ def test_husimi_mode_concentrates_on_unit_shell():
     assert hg.density[:, :, off].sum() / hg.density.sum() < 0.1
 
 
+def loop_husimi_density(comps, h, box, nx, nxi, x_max, xi_max):
+    """The nx^2 full-FFT loop that husimi_grid replaced: the oracle."""
+    lattice = h * box.k
+    targets = np.linspace(-xi_max, xi_max, nxi)
+    idx = np.unique([int(np.argmin(np.abs(lattice - t))) for t in targets])
+    idx = idx[np.argsort(lattice[idx])]
+    x_axis = np.linspace(-x_max, x_max, nx)
+    dens = np.zeros((nx, nx, len(idx), len(idx)))
+    norm_w = 1.0 / np.sqrt(np.pi * h)
+    sel = np.ix_(idx, idx)
+    for i, x0 in enumerate(x_axis):
+        g1 = np.exp(-((box.x - x0) ** 2) / (2.0 * h))
+        for j, y0 in enumerate(x_axis):
+            g2 = np.exp(-((box.x - y0) ** 2) / (2.0 * h))
+            w = norm_w * np.outer(g1, g2)
+            for u in comps:
+                G = np.fft.fft2(w * u) * box.cell
+                dens[i, j] += np.abs(G[sel]) ** 2
+    return dens / (2.0 * np.pi * h) ** 2
+
+
+def assert_husimi_matches_loop(source, h, box, comps, nx, nxi, x_max=1.25, xi_max=1.6):
+    hg = husimi_grid(source, h, box=box, nx=nx, nxi=nxi, x_max=x_max, xi_max=xi_max)
+    ref = loop_husimi_density(comps, h, box, nx, nxi, x_max, xi_max)
+    assert hg.density.shape == ref.shape
+    assert np.max(np.abs(hg.density - ref)) <= 1e-13 * ref.max()
+    return hg
+
+
+def test_husimi_matches_fft_loop_on_raw_fields():
+    h = 0.05
+    box = BoxGrid(64)
+    f, _ = packet(box, (0.2, -0.1), (0.7, -0.3), h, width=0.4)
+    g, _ = packet(box, (-0.3, 0.25), (-0.5, 0.9), h, width=0.3)
+    assert_husimi_matches_loop(f, h, box, f[None], nx=12, nxi=13)  # single field
+    assert_husimi_matches_loop(np.stack([f, g]), h, box, [f, g], nx=10, nxi=11)
+    assert_husimi_matches_loop(g, h, box, g[None], nx=11, nxi=9)  # odd nx
+
+
+def test_husimi_matches_fft_loop_when_xi_targets_collapse():
+    # lattice step h dk ~ 0.21 exceeds the target step 3.2 / 24, so
+    # np.unique merges targets and the xi axis is shorter than nxi
+    h = 0.1
+    box = BoxGrid(32)
+    f, _ = packet(box, (0.1, 0.2), (0.6, 0.4), h, width=0.5)
+    hg = assert_husimi_matches_loop(f, h, box, f[None], nx=8, nxi=25)
+    assert 2 <= len(hg.xi_axis) < 25
+
+
+def test_husimi_matches_fft_loop_on_stokes_mode():
+    mode = stokes_disk_mode(16, 3)
+    box = default_box(mode.h, 2.6)
+    comps = sample_mode_on_box(mode, box)
+    assert_husimi_matches_loop(mode, mode.h, box, comps, nx=24, nxi=25)
+
+
+@pytest.mark.parametrize("mode", [stokes_disk_mode(7, 2), laplace_disk_mode(3, 4)])
+def test_sample_mode_on_box_is_the_full_box_closed_form_on_the_disk(mode):
+    box = default_box(mode.h, 2.6)
+    comps = sample_mode_on_box(mode, box)
+    full = np.moveaxis(mode.eval_velocity(np.stack([box.X1, box.X2], axis=-1)), -1, 0)
+    inside = box.disk_mask()
+    assert comps.shape == full.shape and comps.dtype == complex
+    bits = [np.ascontiguousarray(c[:, inside]).view(np.uint64) for c in (comps, full)]
+    assert np.array_equal(*bits)
+    outside = np.ascontiguousarray(comps[:, ~inside]).view(float)
+    assert np.all(outside == 0.0) and not np.signbit(outside).any()
+
+
 def test_spectral_tail_mass_decreases_in_radius():
     mode = laplace_disk_mode(4, 6)
     h = mode.h
