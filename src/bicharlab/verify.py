@@ -584,10 +584,11 @@ def h_oscillation_tail(
         for j, m in enumerate(modes):
             grid = default_box(m.h, float(Rs.max()) + 0.5)
             comps = sample_mode_on_box(m, grid)
-            psi = 1.0 - plateau_step(np.hypot(grid.X1, grid.X2), lo, hi)
-            comps = comps * psi[None, :, :]
+            comps *= 1.0 - plateau_step(np.hypot(grid.X1, grid.X2), lo, hi)
             for i, rad in enumerate(Rs):
                 out[i, j] = spectral_tail_mass(comps, grid, m.h, float(rad))
+            # free this box before the next one, or peak memory varies
+            del grid, comps
     else:
         lo, hi = cutoff if cutoff is not None else (0.2, 0.3)
         for j, m in enumerate(modes):
