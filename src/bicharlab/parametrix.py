@@ -48,6 +48,11 @@ class ParametrixODEError(RuntimeError):
     """The depth ODE for the correction symbol left the finite range."""
 
 
+def _require_h(h) -> None:
+    if not (np.isfinite(h) and h > 0.0):
+        raise ValueError(f"h must be finite and positive, got {h}")
+
+
 class PolyStep:
     """Polynomial ramp: 0 below a, 1 above b, C^3 across [a, b].
 
@@ -121,7 +126,9 @@ def _solve_correction(chart, step: PolyStep, xi, h: float, eps0: float, n_steps:
     Zero terminal data wipes the branch that grows with depth; one
     backward sweep of the homogeneous equation supplies the decaying
     branch, whose multiple is then fixed so the correction vanishes at
-    the boundary.  Returns the depth grid and the correction with its
+    the boundary.  lam^2 and F are tabulated once, as (n_steps, len(xi))
+    arrays, at the depths ys[1:], ys[1:] - dt/2 and ys[1:] - dt that the
+    RK4 stages visit.  Returns the depth grid and the correction with its
     derivative, both (n_steps + 1, len(xi)).
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -147,18 +154,21 @@ def _solve_correction(chart, step: PolyStep, xi, h: float, eps0: float, n_steps:
     path_uv[ns] = v_u
     path_log[ns] = log_u
 
-    def rhs(y, ap, vp, au, vu):
-        lam2 = chart.lam_jet(y, np.abs(xi))[0] ** 2
-        force = _forcing(chart, step, y, xi, h)
+    y = ys[1:, None]
+    with np.errstate(invalid="ignore", over="ignore"):
+        tables = [(chart.lam_jet(yy, np.abs(xi))[0] ** 2, _forcing(chart, step, yy, xi, h))
+                  for yy in (y, y - 0.5 * dt, y - dt)]
+
+    def rhs(lam2, force, ap, vp, au, vu):
         return vp, (lam2 * ap + force) / h**2, vu, lam2 * au / h**2
 
     for i in range(ns, 0, -1):
-        y = ys[i]
+        at_y, at_mid, at_end = ((lam2[i - 1], force[i - 1]) for lam2, force in tables)
         with np.errstate(invalid="ignore", over="ignore"):
-            k1 = rhs(y, a_p, v_p, a_u, v_u)
-            k2 = rhs(y - 0.5 * dt, *(s - 0.5 * dt * k for s, k in zip((a_p, v_p, a_u, v_u), k1)))
-            k3 = rhs(y - 0.5 * dt, *(s - 0.5 * dt * k for s, k in zip((a_p, v_p, a_u, v_u), k2)))
-            k4 = rhs(y - dt, *(s - dt * k for s, k in zip((a_p, v_p, a_u, v_u), k3)))
+            k1 = rhs(*at_y, a_p, v_p, a_u, v_u)
+            k2 = rhs(*at_mid, *(s - 0.5 * dt * k for s, k in zip((a_p, v_p, a_u, v_u), k1)))
+            k3 = rhs(*at_mid, *(s - 0.5 * dt * k for s, k in zip((a_p, v_p, a_u, v_u), k2)))
+            k4 = rhs(*at_end, *(s - dt * k for s, k in zip((a_p, v_p, a_u, v_u), k3)))
             a_p, v_p, a_u, v_u = (
                 s - (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
                 for s, f1, f2, f3, f4 in zip((a_p, v_p, a_u, v_u), k1, k2, k3, k4)
@@ -226,16 +236,20 @@ class ParametrixSymbol:
     step: PolyStep = field(repr=False)
 
     def a0(self, y, xi, h: float):
+        _require_h(h)
         y = np.asarray(y, dtype=float)
         lam = self.chart.lam_jet(y, np.abs(np.asarray(xi, dtype=float)))[0]
         return np.exp(-y * lam / h) * self.step(lam)
 
     def a1(self, y, xi, h: float):
         """Correction symbol on a (depth, frequency) product grid."""
+        _require_h(h)
         y = np.atleast_1d(np.asarray(y, dtype=float))
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        if y.min() < 0.0 or y.max() > self.eps0:
+        if not (y.min() >= 0.0 and y.max() <= self.eps0):
             raise ValueError("depths must lie in [0, eps0]")
+        if not np.isfinite(xi).all():
+            raise ValueError("frequencies must be finite")
         lam_top = float(np.max(np.abs(xi))) / (1.0 - self.eps0)
         steps = max(MIN_ODE_STEPS, int(self.eps0 * lam_top / h))
         ys, corr, corr_v = _solve_correction(
@@ -324,6 +338,7 @@ def apply_parametrix(
     h |m| <= delta0 / 2 contribute exactly nothing; the remaining modes
     are multiplied by the symbol at xi' = h m on each depth slice.
     """
+    _require_h(h)
     c, m = _boundary_modes(q0)
     peak = np.abs(c).max()
     c = c * sym.step(h * np.abs(m))
@@ -341,6 +356,7 @@ def collar_poisson(
     sym: ParametrixSymbol, q0: np.ndarray, h: float, num_y: int = 200
 ) -> CollarField:
     """Exact harmonic extension of the cutoff data on the same slices."""
+    _require_h(h)
     c, m = _boundary_modes(q0)
     c = c * sym.step(h * np.abs(m))
     y, w = _gauss_nodes(0.0, sym.eps0, num_y)
@@ -351,9 +367,11 @@ def collar_poisson(
 
 def extension_error(sym: ParametrixSymbol, m: int, h: Optional[float] = None,
                     num_y: int = 200) -> float:
-    """Relative collar-L2 distance to the exact extension for one ring mode."""
+    """Relative collar-L2 distance to the exact extension; m != 0, h = 1/|m| by default."""
+    if m == 0:
+        raise ValueError("extension_error needs a nonzero ring mode m")
     if h is None:
-        h = 1.0 / m
+        h = 1.0 / abs(m)
     n = 1 << max(6, int(np.ceil(np.log2(2 * abs(m) + 8))))
     theta = 2.0 * np.pi * np.arange(n) / n
     q0 = np.exp(1j * m * theta)
@@ -380,6 +398,7 @@ def band_mass(
     """
     if not 0.0 <= y0 < eps0 < 1.0:
         raise ValueError("need 0 <= y0 < eps0 < 1")
+    _require_h(h)
     step = PolyStep(delta0 / 2.0, delta0)
     fhat = grid.to_modes(np.asarray(field, dtype=complex))
     col_mass = np.sum(np.abs(fhat) ** 2, axis=0)

@@ -15,6 +15,8 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
+__all__ = ["cheb_diff_matrix", "cheb_coeff_matrix", "RadialHalfGrid", "PolarGrid"]
+
 
 def cheb_diff_matrix(x: np.ndarray) -> np.ndarray:
     """Differentiation matrix on Chebyshev-Lobatto nodes x_j = cos(j pi / N)."""
@@ -41,14 +43,14 @@ def cheb_coeff_matrix(n: int) -> np.ndarray:
 
 
 def _abs_weight_moments(n: int) -> np.ndarray:
-    """Moments of |x| against T_k on [-1, 1]."""
+    """Moments of |x| against T_k on [-1, 1], k = 0..n, in closed form.
+
+    For k = 2j the moment is 1 / (1 - j^2) when j is even and 0 when j is
+    odd (j = 1 included); odd k give 0 by symmetry.
+    """
     mom = np.zeros(n + 1)
-    for k in range(0, n + 1, 2):
-        e = np.zeros(k + 1)
-        e[k] = 1.0
-        xe = _cheb.chebmulx(e)
-        anti = _cheb.chebint(xe)
-        mom[k] = 2.0 * (_cheb.chebval(1.0, anti) - _cheb.chebval(0.0, anti))
+    j = np.arange(0, n + 1, 4) / 2
+    mom[::4] = 1.0 / (1.0 - j * j)
     return mom
 
 
@@ -77,11 +79,6 @@ class RadialHalfGrid:
         w_full = coeff.T @ _abs_weight_moments(self.N)
         self.w_rdr = 0.5 * (w_full[: self.K] + w_full[cols])
         self._coeff = coeff
-
-    def diff(self, prof: np.ndarray, parity: int) -> np.ndarray:
-        """d/dr of radial profiles (first axis) with the given parity at 0."""
-        d = self.d_even if parity > 0 else self.d_odd
-        return d @ prof
 
     def coeffs(self, prof: np.ndarray, parity: int) -> np.ndarray:
         """Chebyshev coefficients of the parity extension of a profile."""
@@ -144,10 +141,6 @@ class PolarGrid:
 
     def dr(self, field: np.ndarray) -> np.ndarray:
         return self.from_modes(self._diff_modes(self.to_modes(field)))
-
-    def dtheta(self, field: np.ndarray) -> np.ndarray:
-        fhat = self.to_modes(field)
-        return self.from_modes(1j * self.modes[None, :] * fhat)
 
     def laplacian(self, field: np.ndarray) -> np.ndarray:
         """Flat Laplacian, mode by mode: f'' + f'/r - n^2 f / r^2."""

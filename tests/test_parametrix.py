@@ -5,6 +5,7 @@ import pytest
 
 from bicharlab.charts import DiskChart
 from bicharlab.modes import stokes_disk_mode
+from bicharlab import parametrix
 from bicharlab.parametrix import (
     CollarField,
     ParametrixODEError,
@@ -36,6 +37,81 @@ def dtn(q0):
     """Dirichlet-Neumann map of the disk: the |m| Fourier multiplier."""
     c, m = _boundary_modes(q0)
     return np.fft.ifft(np.abs(m) * c * q0.size)
+
+
+def loop_solve_correction(chart, step, xi, h, eps0, n_steps):
+    """The RK4 depth solve with lam^2 and F recomputed at every stage."""
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    ns = int(n_steps)
+    ys = np.linspace(0.0, eps0, ns + 1)
+    dt = eps0 / ns
+
+    lam_end = chart.lam_jet(eps0, np.abs(xi))[0]
+    a_p = np.zeros(xi.shape, dtype=complex)
+    v_p = np.zeros(xi.shape, dtype=complex)
+    a_u = np.ones(xi.shape)
+    v_u = -lam_end / h
+    log_u = np.zeros(xi.shape)
+
+    path_a = np.empty((ns + 1, xi.size), dtype=complex)
+    path_v = np.empty_like(path_a)
+    path_u = np.empty((ns + 1, xi.size))
+    path_uv = np.empty_like(path_u)
+    path_log = np.empty_like(path_u)
+    path_a[ns] = a_p
+    path_v[ns] = v_p
+    path_u[ns] = a_u
+    path_uv[ns] = v_u
+    path_log[ns] = log_u
+
+    def rhs(y, ap, vp, au, vu):
+        lam2 = chart.lam_jet(y, np.abs(xi))[0] ** 2
+        force = _forcing(chart, step, y, xi, h)
+        return vp, (lam2 * ap + force) / h**2, vu, lam2 * au / h**2
+
+    for i in range(ns, 0, -1):
+        y = ys[i]
+        with np.errstate(invalid="ignore", over="ignore"):
+            k1 = rhs(y, a_p, v_p, a_u, v_u)
+            k2 = rhs(y - 0.5 * dt, *(s - 0.5 * dt * k for s, k in zip((a_p, v_p, a_u, v_u), k1)))
+            k3 = rhs(y - 0.5 * dt, *(s - 0.5 * dt * k for s, k in zip((a_p, v_p, a_u, v_u), k2)))
+            k4 = rhs(y - dt, *(s - dt * k for s, k in zip((a_p, v_p, a_u, v_u), k3)))
+            a_p, v_p, a_u, v_u = (
+                s - (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+                for s, f1, f2, f3, f4 in zip((a_p, v_p, a_u, v_u), k1, k2, k3, k4)
+            )
+        scale = np.maximum(np.abs(a_u), h * np.abs(v_u))
+        big = scale > 1e30
+        if big.any():
+            a_u = np.where(big, a_u / scale, a_u)
+            v_u = np.where(big, v_u / scale, v_u)
+            log_u = log_u + np.where(big, np.log(scale), 0.0)
+        path_a[i - 1] = a_p
+        path_v[i - 1] = v_p
+        path_u[i - 1] = a_u
+        path_uv[i - 1] = v_u
+        path_log[i - 1] = log_u
+
+    ratio = path_u / path_u[0] * np.exp(path_log - path_log[0])
+    ratio_v = path_uv / path_u[0] * np.exp(path_log - path_log[0])
+    corr = path_a - path_a[0] * ratio
+    corr_v = path_v - path_a[0] * ratio_v
+    return ys, corr, corr_v
+
+
+def live_solves(monkeypatch, run):
+    """Arguments of every depth solve that `run` makes."""
+    seen = []
+    real = parametrix._solve_correction
+
+    def spy(*args):
+        seen.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(parametrix, "_solve_correction", spy)
+    run()
+    monkeypatch.undo()
+    return seen
 
 
 # -- cutoff ramp -------------------------------------------------------------
@@ -168,6 +244,74 @@ def test_correction_solves_depth_ode():
     F = np.stack([_forcing(chart, st, y, xi, h) for y in ys[1:-1]])
     resid = h * h * second - lam**2 * corr[1:-1] - F
     assert np.abs(resid).max() < 2e-2 * np.abs(F).max()
+
+
+def test_tabulated_solve_is_bit_identical_to_stage_loop(monkeypatch):
+    sym = build_parametrix(order=1)
+    solves = []
+    for m in (12, 32, 128):
+        solves += live_solves(monkeypatch, lambda: extension_error(sym, m))
+    rng = np.random.default_rng(23)
+    h, n = 1.0 / 40, 256
+    th = ring(n)
+    q0 = sum((rng.standard_normal() + 1j * rng.standard_normal()) * np.exp(1j * m * th)
+             for m in range(20, 61))
+    batch = live_solves(monkeypatch, lambda: apply_parametrix(sym, q0, h))
+    assert batch[0][2].size == 41
+    solves += batch
+    assert len(solves) == 4
+    for args in solves:
+        for got, want in zip(_solve_correction(*args), loop_solve_correction(*args)):
+            assert np.array_equal(got, want)
+
+
+def test_a1_evaluates_forcing_once_per_stage_depth(monkeypatch):
+    calls = []
+    real = parametrix._forcing
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(parametrix, "_forcing", counted)
+    build_parametrix(order=1).a1(np.array([0.0, 0.1]), np.array([1.0, 2.0]), 1.0 / 32)
+    assert len(calls) == 3
+
+
+SYM1 = build_parametrix(order=1)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: SYM1.a1([0.0, 0.1], [1.0], -0.05), "h must be finite and positive"),
+        (lambda: SYM1.a1([0.0, 0.1], [1.0], 0.0), "h must be finite and positive"),
+        (lambda: SYM1.a1([0.0, 0.1], [1.0], np.nan), "h must be finite and positive"),
+        (lambda: SYM1.a1([0.0, 0.1], [1.0], np.inf), "h must be finite and positive"),
+        (lambda: SYM1.a0([0.0, 0.1], [1.0], -0.05), "h must be finite and positive"),
+        (lambda: SYM1.a1([0.0, np.nan], [1.0], 0.05), "depths"),
+        (lambda: SYM1.a1([0.0, 0.1], [np.nan], 0.05), "frequencies"),
+        (lambda: SYM1.a1([0.0, 0.1], [1.0, np.inf], 0.05), "frequencies"),
+        (lambda: band_mass(np.ones((24, 32)), PolarGrid(24, 32), 0.0, 0.0),
+         "h must be finite and positive"),
+        (lambda: extension_error(SYM1, 0), "nonzero ring mode"),
+        (lambda: extension_error(SYM1, 16, h=-1.0 / 16), "h must be finite and positive"),
+        (lambda: apply_parametrix(SYM1, np.exp(16j * ring(64)), -1.0 / 16),
+         "h must be finite and positive"),
+        (lambda: collar_poisson(SYM1, np.exp(16j * ring(64)), 0.0), "h must be finite and positive"),
+    ],
+    ids=["a1-negative-h", "a1-zero-h", "a1-nan-h", "a1-inf-h", "a0-negative-h",
+         "a1-nan-depth", "a1-nan-xi", "a1-inf-xi", "band-mass-zero-h", "m-zero",
+         "extension-negative-h", "apply-negative-h", "poisson-zero-h"],
+)
+def test_layer_kernels_refuse_bad_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_extension_error_negative_mode_uses_abs_h():
+    sym = build_parametrix(order=0)
+    assert extension_error(sym, -16) == extension_error(sym, 16)
 
 
 def test_build_validation():

@@ -2,7 +2,26 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
-from bicharlab.polar import PolarGrid, RadialHalfGrid, cheb_diff_matrix
+from numpy.polynomial import chebyshev as cheb
+
+from bicharlab.polar import PolarGrid, RadialHalfGrid, _abs_weight_moments, cheb_diff_matrix
+
+
+def radial_diff(g, prof, parity):
+    """d/dr of radial profiles (first axis) with the given parity at 0."""
+    d = g.d_even if parity > 0 else g.d_odd
+    return d @ prof
+
+
+def loop_abs_weight_moments(n):
+    """Moments of |x| against T_k on [-1, 1] by Chebyshev antiderivatives."""
+    mom = np.zeros(n + 1)
+    for k in range(0, n + 1, 2):
+        e = np.zeros(k + 1)
+        e[k] = 1.0
+        anti = cheb.chebint(cheb.chebmulx(e))
+        mom[k] = 2.0 * (cheb.chebval(1.0, anti) - cheb.chebval(0.0, anti))
+    return mom
 
 
 def test_diff_matrix_on_monomials():
@@ -30,13 +49,25 @@ def test_radial_quadrature_bessel_norm():
     assert abs(val - 0.5 * jv(1, lam) ** 2) < 1e-12
 
 
+def test_abs_weight_moments_match_antiderivative_loop():
+    # moment k does not depend on n, so one loop to the largest degree
+    # serves every grid K = 4..300 (degree n = 2K - 1)
+    want = loop_abs_weight_moments(2 * 300 - 1)
+    for K in range(4, 301):
+        n = 2 * K - 1
+        assert np.abs(_abs_weight_moments(n) - want[: n + 1]).max() <= 1e-15
+    mom = _abs_weight_moments(7)
+    assert mom[0] == 1.0 and mom[2] == 0.0 and mom[4] == -1.0 / 3.0 and mom[6] == 0.0
+    assert not mom[1::2].any()
+
+
 def test_radial_parity_derivative():
     g = RadialHalfGrid(40)
     lam = 11.3
     # even profile
-    err_e = np.max(np.abs(g.diff(np.cos(lam * g.r), +1) + lam * np.sin(lam * g.r)))
+    err_e = np.max(np.abs(radial_diff(g, np.cos(lam * g.r), +1) + lam * np.sin(lam * g.r)))
     # odd profile
-    err_o = np.max(np.abs(g.diff(np.sin(lam * g.r), -1) - lam * np.cos(lam * g.r)))
+    err_o = np.max(np.abs(radial_diff(g, np.sin(lam * g.r), -1) - lam * np.cos(lam * g.r)))
     assert err_e < 1e-9 and err_o < 1e-9
 
 
