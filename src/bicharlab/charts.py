@@ -26,7 +26,18 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import convolve2d
+
+__all__ = [
+    "OutOfCollarError",
+    "OrderBudgetError",
+    "PhasePoint",
+    "RJet",
+    "CollarChart",
+    "DiskChart",
+    "AnnulusChart",
+    "ModelChart",
+    "load_chart",
+]
 
 
 class OutOfCollarError(ValueError):
@@ -93,8 +104,7 @@ class CollarChart:
         """j-fold Hamilton bracket of r0 applied to r1 on the boundary.
 
         j = 0 returns r1 itself.  The bracket H_{r0} f = (dr0/dxi') df/dx'
-        - (dr0/dx') df/dxi' is iterated with exact derivatives where the
-        chart provides them and nested central differences otherwise.
+        - (dr0/dx') df/dxi' is iterated with the chart's exact derivatives.
         """
         if j < 0:
             raise ValueError("bracket order must be >= 0")
@@ -105,36 +115,10 @@ class CollarChart:
         return self._bracket(j, xp, xip)
 
     def _bracket(self, j: int, xp: float, xip: float) -> float:
-        return bracket_fd(self, j, xp, xip)
+        raise NotImplementedError
 
     def on_shell_defect(self, p: PhasePoint) -> float:
         return abs(p.eta**2 - self._jet_any_y(p.y, p.xp, p.xip).r)
-
-
-def bracket_fd(chart: CollarChart, j: int, xp: float, xip: float, h_fd: float = 1e-4) -> float:
-    """Generic bracket by nested central differences, one Richardson level."""
-
-    def rec(order: int, a: float, b: float) -> float:
-        if order == 0:
-            return chart.r1(a, b)
-
-        def dxp(f, a, b, h):
-            return (f(a + h, b) - f(a - h, b)) / (2 * h)
-
-        def dxip(f, a, b, h):
-            return (f(a, b + h) - f(a, b - h)) / (2 * h)
-
-        def richardson(d):
-            return (4.0 * d(h_fd / 2) - d(h_fd)) / 3.0
-
-        g = lambda u, v: rec(order - 1, u, v)
-        g_x = richardson(lambda h: dxp(g, a, b, h))
-        g_xi = richardson(lambda h: dxip(g, a, b, h))
-        r0_x = richardson(lambda h: dxp(chart.r0, a, b, h))
-        r0_xi = richardson(lambda h: dxip(chart.r0, a, b, h))
-        return r0_xi * g_x - r0_x * g_xi
-
-    return rec(j, xp, xip)
 
 
 # ----------------------------------------------------------------------
@@ -316,6 +300,15 @@ def _poly_diff2(c: np.ndarray, axis: int) -> np.ndarray:
     return c[:, 1:] * np.arange(1, c.shape[1])[None, :]
 
 
+def _poly_mul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # product of two tables: the full 2-D convolution, one shifted b per term of a
+    nb0, nb1 = b.shape
+    out = np.zeros((a.shape[0] + nb0 - 1, a.shape[1] + nb1 - 1))
+    for i, j in zip(*np.nonzero(a)):
+        out[i : i + nb0, j : j + nb1] += a[i, j] * b
+    return out
+
+
 class ModelChart(CollarChart):
     """Abstract collar with polynomial r; used to stage higher-order contact.
 
@@ -340,6 +333,10 @@ class ModelChart(CollarChart):
         for t in terms:
             if len(t) != 4 or min(t[0], t[1], t[2]) < 0:
                 raise ValueError(f"bad term {t!r}: need (pow_z1, pow_zeta1, pow_y, coeff)")
+            if not math.isfinite(float(t[3])):
+                raise ValueError(f"bad term {t!r}: coefficient must be finite")
+        if not 0.0 < collar_width < math.inf:
+            raise ValueError("collar width must be finite and positive")
         coef = np.zeros((amax + 1, bmax + 1, cmax + 1))
         for a, b, cy, v in terms:
             coef[int(a), int(b), int(cy)] += float(v)
@@ -383,7 +380,7 @@ class ModelChart(CollarChart):
         dz_r0 = _poly_diff2(self._r0_poly, 0)
         dzeta_r0 = _poly_diff2(self._r0_poly, 1)
         for _ in range(j):
-            g = convolve2d(dzeta_r0, _poly_diff2(g, 0)) - convolve2d(
+            g = _poly_mul2(dzeta_r0, _poly_diff2(g, 0)) - _poly_mul2(
                 dz_r0, _poly_diff2(g, 1)
             )
         return g

@@ -10,6 +10,7 @@ boundary Hamilton field of r0 to vanish with the next one alive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .charts import CollarChart
@@ -63,6 +64,8 @@ def classify(
     k_max; deeper contact is reported explicitly as unresolved, never
     silently rounded down.
     """
+    if not (math.isfinite(xp) and math.isfinite(xip)):
+        raise ValueError(f"boundary covector must be finite, got ({xp}, {xip})")
     if tol_g <= 0 or tol_bracket <= 0:
         raise ValueError("tolerances must be positive")
     budget = chart.max_derivative_order

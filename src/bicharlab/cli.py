@@ -474,7 +474,12 @@ def cmd_classify(args) -> int:
     res = classify(chart, args.xp, args.xip, tol_g=args.tol_g, tol_bracket=args.tol_bracket)
     print(res.label())
     for key in sorted(res.witness):
-        print(f"  {key} = {res.witness[key]:.12g}")
+        value = res.witness[key]
+        if isinstance(value, list):
+            for j, v in enumerate(value):
+                print(f"  {key}[{j}] = {v:.12g}")
+        else:
+            print(f"  {key} = {value:.12g}")
     if args.out:
         meta = _adhoc_meta(
             "classify",
@@ -625,6 +630,7 @@ _RING_INDICES = _checked(
 _ORDERS = _checked(
     _numbers(int), lambda v: _distinct(v) and set(v) <= {0, 1}, "distinct orders from 0,1"
 )
+_FINITE = _checked(float, math.isfinite, "a finite number")
 _POSITIVE = _checked(float, lambda v: v > 0.0, "a positive number")
 _FRACTION = _checked(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
 _TIME = _checked(float, lambda v: v != 0.0 and math.isfinite(v), "a finite nonzero time")
@@ -644,8 +650,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify one boundary covector")
     p.add_argument("--chart", type=_CHART, default="disk")
-    p.add_argument("--xp", type=float, required=True)
-    p.add_argument("--xip", type=float, required=True)
+    p.add_argument("--xp", type=_FINITE, required=True)
+    p.add_argument("--xip", type=_FINITE, required=True)
     p.add_argument("--tol-g", dest="tol_g", type=_POSITIVE, default=1e-8)
     p.add_argument("--tol-bracket", dest="tol_bracket", type=_POSITIVE, default=1e-6)
     p.add_argument("--out", default=None)

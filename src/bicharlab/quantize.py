@@ -42,7 +42,6 @@ __all__ = [
     "apply_tangential_op",
     "pairing",
     "shifted_pairing",
-    "spectral_tail_mass",
     "PairingSeries",
     "measure_sequence",
     "HusimiGrid",
@@ -415,24 +414,6 @@ def shifted_pairing(
     for u in comps:
         total += grid.inner(apply_shifted_op(a, s, u, h, grid, check=check), u)
     return complex(total)
-
-
-def spectral_tail_mass(fields: np.ndarray, grid: BoxGrid, h: float, R: float) -> float:
-    """Fraction of L2 mass at lattice frequencies with |h k| > R."""
-    comps = np.asarray(fields)
-    if comps.ndim == 2:
-        comps = comps[None, :, :]
-    speed = h * np.hypot(grid.K1, grid.K2)
-    tail_mask = speed > R
-    tot = 0.0
-    tail = 0.0
-    for u in comps:
-        power = np.abs(np.fft.fft2(u)) ** 2
-        tot += float(power.sum())
-        tail += float(power[tail_mask].sum())
-    if tot == 0.0:
-        return 0.0
-    return tail / tot
 
 
 @dataclass

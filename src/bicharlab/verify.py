@@ -30,7 +30,6 @@ from .quantize import (
     pairing,
     sample_mode_on_box,
     shifted_pairing,
-    spectral_tail_mass,
 )
 
 __all__ = [
@@ -585,10 +584,21 @@ def h_oscillation_tail(
             grid = default_box(m.h, float(Rs.max()) + 0.5)
             comps = sample_mode_on_box(m, grid)
             comps *= 1.0 - plateau_step(np.hypot(grid.X1, grid.X2), lo, hi)
-            for i, rad in enumerate(Rs):
-                out[i, j] = spectral_tail_mass(comps, grid, m.h, float(rad))
+            # one power spectrum per component serves every radius; the
+            # per-radius sums still run over the components in order
+            speed = m.h * np.hypot(grid.K1, grid.K2)
+            tot = 0.0
+            tail = np.zeros(Rs.size)
+            for u in comps:
+                power = np.abs(np.fft.fft2(u)) ** 2
+                tot += float(power.sum())
+                for i, rad in enumerate(Rs):
+                    tail[i] += float(power[speed > rad].sum())
+                del power
+            if tot != 0.0:
+                out[:, j] = tail / tot
             # free this box before the next one, or peak memory varies
-            del grid, comps
+            del grid, comps, speed
     else:
         lo, hi = cutoff if cutoff is not None else (0.2, 0.3)
         for j, m in enumerate(modes):

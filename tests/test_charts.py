@@ -1,18 +1,48 @@
 import json
 
+import math
+
 import numpy as np
 import pytest
+from scipy.signal import convolve2d
 
 from bicharlab.charts import (
     AnnulusChart,
+    CollarChart,
     DiskChart,
     ModelChart,
     OrderBudgetError,
     OutOfCollarError,
     PhasePoint,
-    bracket_fd,
+    _poly_mul2,
     load_chart,
 )
+
+
+def bracket_fd(chart, j, xp, xip, h_fd=1e-4):
+    """Bracket oracle by nested central differences, one Richardson level."""
+
+    def rec(order, a, b):
+        if order == 0:
+            return chart.r1(a, b)
+
+        def dxp(f, a, b, h):
+            return (f(a + h, b) - f(a - h, b)) / (2 * h)
+
+        def dxip(f, a, b, h):
+            return (f(a, b + h) - f(a, b - h)) / (2 * h)
+
+        def richardson(d):
+            return (4.0 * d(h_fd / 2) - d(h_fd)) / 3.0
+
+        g = lambda u, v: rec(order - 1, u, v)
+        g_x = richardson(lambda h: dxp(g, a, b, h))
+        g_xi = richardson(lambda h: dxip(g, a, b, h))
+        r0_x = richardson(lambda h: dxp(chart.r0, a, b, h))
+        r0_xi = richardson(lambda h: dxip(chart.r0, a, b, h))
+        return r0_xi * g_x - r0_x * g_xi
+
+    return rec(j, xp, xip)
 
 
 def fd_jet(chart, y, xp, xip, h=1e-4):
@@ -107,7 +137,7 @@ def test_bracket_rotational_charts_vanish():
         assert chart.iterated_bracket(0, 0.7, 1.0) != 0.0
         for j in (1, 2, 3):
             assert chart.iterated_bracket(j, 0.7, 1.0) == 0.0
-        # the generic nested-difference engine agrees
+        # the nested-difference oracle agrees
         assert abs(bracket_fd(chart, 1, 0.7, 1.0)) < 1e-6
 
 
@@ -117,9 +147,38 @@ def test_bracket_fd_matches_polynomial():
         max_derivative_order=8,
     )
     for pt in [(0.3, -0.2), (0.0, 0.5), (-0.4, 0.1)]:
-        exact = m.iterated_bracket(1, *pt)
-        fd = bracket_fd(m, 1, *pt)
-        assert abs(exact - fd) < 1e-6 * (1 + abs(exact))
+        # order 2 multiplies polynomials twice; the nested oracle loses digits
+        for j, tol in ((1, 1e-6), (2, 1e-5)):
+            exact = m.iterated_bracket(j, *pt)
+            fd = bracket_fd(m, j, *pt)
+            assert abs(exact - fd) < tol * (1 + abs(exact))
+
+
+def random_tables(rng, draw):
+    for _ in range(200):
+        yield draw(tuple(rng.integers(1, 6, 2))), draw(tuple(rng.integers(1, 6, 2)))
+
+
+def test_poly_product_matches_convolve2d():
+    # exact coefficients have exact products and sums in any order, so the
+    # numpy product and convolve2d agree to the bit
+    rng = np.random.default_rng(5)
+    integer = lambda shape: rng.integers(-9, 10, shape).astype(float)
+    dyadic = lambda shape: rng.integers(-2**20, 2**20, shape) / 2.0**12
+    for draw in (integer, dyadic):
+        for a, b in random_tables(rng, draw):
+            assert np.array_equal(_poly_mul2(a, b), convolve2d(a, b))
+    # general floats: only the summation order differs
+    for a, b in random_tables(rng, rng.standard_normal):
+        gap = np.abs(_poly_mul2(a, b) - convolve2d(a, b))
+        assert np.all(gap <= 1e-15 * convolve2d(np.abs(a), np.abs(b)))
+
+
+def test_base_chart_has_no_bracket_fallback():
+    chart = CollarChart()
+    chart.max_derivative_order = 8
+    with pytest.raises(NotImplementedError):
+        chart.iterated_bracket(1, 0.0, 0.5)
 
 
 def test_bracket_budget():
@@ -182,3 +241,12 @@ def test_model_chart_validation():
         ModelChart([])
     with pytest.raises(ValueError):
         ModelChart([(0, -1, 0, 1.0)])
+    for coeff in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ModelChart([(0, 1, 0, 1.0), (1, 0, 1, coeff)])
+    for width in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="collar width"):
+            ModelChart([(0, 1, 0, 1.0)], collar_width=width)
+    spec = {"kind": "model", "terms": [[0, 1, 0, 1.0], [1, 0, 1, math.nan]]}
+    with pytest.raises(ValueError, match="finite"):
+        load_chart(spec)

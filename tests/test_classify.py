@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -78,3 +80,6 @@ def test_parameter_validation():
         classify(c, 0.0, 1.0, k_max=12)
     with pytest.raises(ValueError):
         classify(c, 0.0, 1.0, k_max=1)
+    for xp, xip in ((0.0, math.inf), (math.nan, 1.0), (-math.inf, 0.5)):
+        with pytest.raises(ValueError, match="finite"):
+            classify(c, xp, xip)

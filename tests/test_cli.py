@@ -414,10 +414,15 @@ def test_empty_experiment_list_exits_zero(tmp_path):
     assert doc["experiments"] == [] and doc["counts"] == {}
 
 
+NAN_CHART = {"kind": "model", "terms": [[0, 1, 0, 1.0], [1, 0, 1, float("nan")]]}
+
+
 def test_invalid_config_exits_two(tmp_path, capsys):
     classify = {"name": "c", "kind": "classify", "points": [[0, 0.5]]}
     no_radius = tmp_path / "no-radius.json"
     no_radius.write_text(json.dumps({"kind": "annulus"}))
+    nan_coeff = tmp_path / "nan-coeff.json"
+    nan_coeff.write_text(json.dumps(NAN_CHART))
     cases = [
         ({"experiments": [dict(classify, tol_g=-1)]}, "tol_g"),
         ({"experiments": [{"name": "p", "kind": "parametrix", "m": [12, 12]}]},
@@ -428,6 +433,8 @@ def test_invalid_config_exits_two(tmp_path, capsys):
         ({"experiments": [{"name": "m", "kind": "mode", "family": {
             "family": "laplace", "m": 2, "k": 1, "num_r": 3}}]},
          "experiments[0].family.num_r"),
+        ({"chart": NAN_CHART, "experiments": [classify]}, "chart: "),
+        ({"chart": str(nan_coeff), "experiments": [classify]}, "chart: "),
     ]
     for i, (raw, named) in enumerate(cases):
         cfg = tmp_path / f"bad{i}.json"
@@ -460,11 +467,15 @@ def test_invalid_config_exits_two(tmp_path, capsys):
         (["trace", "--start", "0,0,1,0", "--time", "0"], "--time"),
         (["trace", "--start", "0,0,1,0", "--time", "nan"], "--time"),
         (["classify", "--chart", "no-radius.json", "--xp", "0", "--xip", "1"], "--chart"),
+        (["classify", "--xp", "0", "--xip", "inf"], "--xip"),
+        (["classify", "--xp", "nan", "--xip", "1"], "--xp"),
+        (["classify", "--chart", "nan-coeff.json", "--xp", "0", "--xip", "1"], "--chart"),
     ],
 )
 def test_adhoc_usage_error_exits_two(argv, flag, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "no-radius.json").write_text(json.dumps({"kind": "annulus"}))
+    (tmp_path / "nan-coeff.json").write_text(json.dumps(NAN_CHART))
     # argparse refuses the flag: one usage line, exit 2, no traceback
     with pytest.raises(SystemExit) as exc:
         run_cli(argv)
@@ -676,6 +687,48 @@ def test_classify_subcommand_prints_label(tmp_path, capsys):
     doc = json.load(open(tmp_path / "classify.json"))
     assert doc["payload"]["result"]["tag"] == "glancing"
     assert doc["meta"]["config_hash"]
+
+
+def test_classify_subcommand_prints_bracket_witness(tmp_path, capsys):
+    # r0 = zeta1, r1 = z1: the first bracket resolves the contact, so the
+    # witness holds a list of brackets rather than one number
+    chart = tmp_path / "C.json"
+    chart.write_text(json.dumps({"kind": "model", "terms": [[0, 1, 0, 1.0], [1, 0, 1, 1.0]]}))
+    argv = ["classify", "--chart", str(chart), "--xp", "0", "--xip", "0"]
+    assert run_cli(argv + ["--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[:4] == [
+        "glancing(3)", "  brackets[0] = 0", "  brackets[1] = 1", "  r0 = 0"
+    ]
+    payload = json.load(open(tmp_path / "classify.json"))["payload"]
+    assert payload == {
+        "xp": 0.0,
+        "xip": 0.0,
+        "result": {
+            "tag": "glancing",
+            "order": 3,
+            "sign": None,
+            "unresolved": False,
+            "witness": {"r0": 0.0, "brackets": [0.0, 1.0]},
+        },
+    }
+
+
+def test_cli_import_skips_heavy_scipy_modules():
+    # which modules load, not how long they take: the check cannot flake
+    # on a slow clock
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    probe = (
+        "import sys, bicharlab.cli; "
+        "print(sorted(m for m in ('scipy.signal', 'scipy.stats', 'scipy.ndimage') "
+        "if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_trace_subcommand_reports_reflections(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bicharlab import billiard
 from bicharlab.charts import AnnulusChart, DiskChart, ModelChart, PhasePoint
@@ -167,3 +169,25 @@ def test_mixed_frame_energy_on_annulus():
         x, xi = ray.state_cartesian(t)
         assert abs(float(xi @ xi) - 1.0) < 1e-8
         assert float(np.hypot(x[0], x[1])) > 0.5 - 1e-9
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    st.floats(0.0, 0.95),
+    st.floats(-np.pi, np.pi),
+    st.floats(-np.pi, np.pi),
+    st.floats(0.05, 8.0),
+)
+def test_property_trace_matches_propagate_on_disk(r, a, b, t):
+    # unit-speed rays that are not grazing: |x ^ xi| <= 0.95 keeps every
+    # chord a clean transversal hit for both the closed form and the ODE
+    x0, xi0 = r * unit(a), unit(b)
+    assume(abs(x0[0] * xi0[1] - x0[1] * xi0[0]) <= 0.95)
+    x_ref, xi_ref, nb = billiard.propagate(x0, xi0, t)
+    assume(np.hypot(*x_ref) < 1.0 - 1e-6)  # an end on the rim is ambiguous
+    ray = trace(DISK, (x0, xi0), t)
+    assert ray.status == "completed"
+    assert ray.reflections == nb
+    x, xi = ray.final_cartesian()
+    assert np.max(np.abs(x - x_ref)) < 1e-8
+    assert np.max(np.abs(xi - xi_ref)) < 1e-8

@@ -24,8 +24,8 @@ from bicharlab.quantize import (
     measure_sequence,
     pairing,
     sample_mode_on_box,
-    spectral_tail_mass,
 )
+from bicharlab.verify import h_oscillation_tail
 
 
 def spatial_plateau(r_on, r_off):
@@ -436,6 +436,28 @@ def test_sample_mode_on_box_is_the_full_box_closed_form_on_the_disk(mode):
     assert np.all(outside == 0.0) and not np.signbit(outside).any()
 
 
+def spectral_tail_mass(fields, grid, h, R):
+    """Fraction of L2 mass at lattice frequencies with |h k| > R.
+
+    Oracle for h_oscillation_tail, which takes one spectrum per component
+    for all radii instead of one per radius.
+    """
+    comps = np.asarray(fields)
+    if comps.ndim == 2:
+        comps = comps[None, :, :]
+    speed = h * np.hypot(grid.K1, grid.K2)
+    tail_mask = speed > R
+    tot = 0.0
+    tail = 0.0
+    for u in comps:
+        power = np.abs(np.fft.fft2(u)) ** 2
+        tot += float(power.sum())
+        tail += float(power[tail_mask].sum())
+    if tot == 0.0:
+        return 0.0
+    return tail / tot
+
+
 def test_spectral_tail_mass_decreases_in_radius():
     mode = laplace_disk_mode(4, 6)
     h = mode.h
@@ -444,6 +466,22 @@ def test_spectral_tail_mass_decreases_in_radius():
     tails = [spectral_tail_mass(comps, box, h, R) for R in (2.0, 4.0, 8.0)]
     assert tails[0] < 0.05
     assert tails[0] > tails[1] > tails[2]
+
+
+def test_h_oscillation_tail_matches_per_radius_oracle():
+    # the Stokes mode has two velocity components, so the sums over
+    # components are checked too; the cutoff is the interior default
+    fam = [laplace_disk_mode(4, 6), stokes_disk_mode(3, 4)]
+    radii = (2.0, 4.0, 8.0)
+    want = np.zeros((len(radii), len(fam)))
+    for j, mode in enumerate(fam):
+        box = default_box(mode.h, max(radii) + 0.5)
+        comps = sample_mode_on_box(mode, box)
+        comps *= 1.0 - plateau_step(np.hypot(box.X1, box.X2), 0.7, 0.9)
+        for i, R in enumerate(radii):
+            want[i, j] = spectral_tail_mass(comps, box, mode.h, R)
+    assert np.array_equal(h_oscillation_tail(fam, radii), want)
+    assert np.array_equal(h_oscillation_tail(fam, 8.0), want[2])
 
 
 def test_default_box_and_snap_frequency():
