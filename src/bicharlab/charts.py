@@ -20,8 +20,10 @@ exactly.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,6 +48,23 @@ class OutOfCollarError(ValueError):
 
 class OrderBudgetError(ValueError):
     """A derivative of higher order than the chart supports was requested."""
+
+
+def _is_whole(value, lo: int) -> bool:
+    """An integer >= lo; integral floats such as 1.0 (JSON writes them) count."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and float(value).is_integer()
+        and value >= lo
+    )
+
+
+def _derivative_order(value) -> int:
+    # contact order 2 needs r1, so no chart can classify with fewer
+    if not _is_whole(value, 2):
+        raise ValueError(f"max_derivative_order must be an integer >= 2, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -138,7 +157,7 @@ class DiskChart(CollarChart):
         if not 0.0 < collar_width < 1.0:
             raise ValueError("collar width must lie in (0, 1)")
         self.collar_width = float(collar_width)
-        self.max_derivative_order = int(max_derivative_order)
+        self.max_derivative_order = _derivative_order(max_derivative_order)
 
     def _jet_any_y(self, y, xp, xip):
         s = 1.0 - y
@@ -220,7 +239,7 @@ class AnnulusChart(CollarChart):
         self.collar_width = float(collar_width) if collar_width else 0.4 * gap
         if not 0.0 < self.collar_width < gap:
             raise ValueError("collar width must be positive and below the gap width")
-        self.max_derivative_order = int(max_derivative_order)
+        self.max_derivative_order = _derivative_order(max_derivative_order)
 
     def _rho(self, y: float) -> float:
         if self.component == "outer":
@@ -327,23 +346,22 @@ class ModelChart(CollarChart):
     ):
         if not terms:
             raise ValueError("model chart needs at least one term")
-        amax = max(t[0] for t in terms)
-        bmax = max(t[1] for t in terms)
-        cmax = max(t[2] for t in terms)
         for t in terms:
-            if len(t) != 4 or min(t[0], t[1], t[2]) < 0:
+            if len(t) != 4:
                 raise ValueError(f"bad term {t!r}: need (pow_z1, pow_zeta1, pow_y, coeff)")
+            if not all(_is_whole(p, 0) for p in t[:3]):
+                raise ValueError(f"bad term {t!r}: powers must be integers >= 0")
             if not math.isfinite(float(t[3])):
                 raise ValueError(f"bad term {t!r}: coefficient must be finite")
         if not 0.0 < collar_width < math.inf:
             raise ValueError("collar width must be finite and positive")
-        coef = np.zeros((amax + 1, bmax + 1, cmax + 1))
-        for a, b, cy, v in terms:
-            coef[int(a), int(b), int(cy)] += float(v)
-        self.coef = coef
         self.terms = tuple((int(a), int(b), int(cy), float(v)) for a, b, cy, v in terms)
+        coef = np.zeros(tuple(max(t[i] for t in self.terms) + 1 for i in range(3)))
+        for a, b, cy, v in self.terms:
+            coef[a, b, cy] += v
+        self.coef = coef
         self.collar_width = float(collar_width)
-        self.max_derivative_order = int(max_derivative_order)
+        self.max_derivative_order = _derivative_order(max_derivative_order)
         self._r0_poly = coef[:, :, 0]
         self._r1_poly = coef[:, :, 1] if coef.shape[2] > 1 else np.zeros((1, 1))
 
@@ -394,7 +412,8 @@ def load_chart(spec: str | dict) -> CollarChart:
     """Build a chart from a shorthand string or a parsed definition.
 
     Strings: "disk", "disk:WIDTH", "annulus:RHO_IN:inner|outer", or a path
-    to a JSON definition file.  Dicts use the same keys as the files:
+    to a JSON definition file.  Dicts use the same keys as the files: the
+    kind plus the keyword arguments of that kind's constructor, e.g.
     {"kind": "model", "terms": [[pow_z1, pow_zeta1, pow_y, coeff], ...]}.
     """
     if isinstance(spec, dict):
@@ -413,32 +432,21 @@ def load_chart(spec: str | dict) -> CollarChart:
         return _chart_from_dict(json.load(fh))
 
 
-_REQUIRED_KEYS = {"annulus": "rho_in", "model": "terms"}
+_KINDS = {"disk": DiskChart, "annulus": AnnulusChart, "model": ModelChart}
 
 
 def _chart_from_dict(d: dict) -> CollarChart:
     if not isinstance(d, dict):
         raise ValueError("a chart definition must be a JSON object")
     kind = d.get("kind")
-    key = _REQUIRED_KEYS.get(kind)
-    if key is not None and key not in d:
-        raise ValueError(f"chart kind {kind!r} needs key {key!r}")
-    if kind == "disk":
-        return DiskChart(
-            collar_width=d.get("collar_width", 0.35),
-            max_derivative_order=d.get("max_derivative_order", 8),
-        )
-    if kind == "annulus":
-        return AnnulusChart(
-            d["rho_in"],
-            d.get("component", "outer"),
-            d.get("collar_width"),
-            d.get("max_derivative_order", 8),
-        )
-    if kind == "model":
-        return ModelChart(
-            [tuple(t) for t in d["terms"]],
-            collar_width=d.get("collar_width", 1.0),
-            max_derivative_order=d.get("max_derivative_order", 8),
-        )
-    raise ValueError(f"unknown chart kind {kind!r}")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown chart kind {kind!r}")
+    ctor = _KINDS[kind]
+    params = inspect.signature(ctor).parameters
+    for key, param in params.items():
+        if param.default is param.empty and key not in d:
+            raise ValueError(f"chart kind {kind!r} needs key {key!r}")
+    unknown = sorted(set(d) - set(params) - {"kind"})
+    if unknown:
+        raise ValueError(f"chart kind {kind!r} has no key {unknown[0]!r}")
+    return ctor(**{key: value for key, value in d.items() if key != "kind"})

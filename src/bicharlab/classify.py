@@ -15,9 +15,23 @@ from dataclasses import dataclass, field
 
 from .charts import CollarChart
 
+__all__ = [
+    "ELLIPTIC",
+    "HYPERBOLIC",
+    "GLANCING",
+    "TOL_G",
+    "TOL_BRACKET",
+    "BoundaryClass",
+    "classify",
+]
+
 ELLIPTIC = "elliptic"
 HYPERBOLIC = "hyperbolic"
 GLANCING = "glancing"
+
+# default gates: |r0| <= TOL_G is tangency, |bracket| <= TOL_BRACKET is zero
+TOL_G = 1e-8
+TOL_BRACKET = 1e-6
 
 
 @dataclass(frozen=True)
@@ -53,28 +67,22 @@ def classify(
     chart: CollarChart,
     xp: float,
     xip: float,
-    tol_g: float = 1e-8,
-    tol_bracket: float = 1e-6,
-    k_max: int | None = None,
+    tol_g: float = TOL_G,
+    tol_bracket: float = TOL_BRACKET,
 ) -> BoundaryClass:
     """Classify the boundary covector (x', xi') of the chart.
 
     tol_g bounds |r0| for the tangency band, tol_bracket decides whether
     a bracket value counts as zero.  Contact orders are resolved up to
-    k_max; deeper contact is reported explicitly as unresolved, never
-    silently rounded down.
+    the chart's max_derivative_order (an integer >= 2, which the chart
+    constructors enforce); deeper contact is reported explicitly as
+    unresolved, never silently rounded down.
     """
     if not (math.isfinite(xp) and math.isfinite(xip)):
         raise ValueError(f"boundary covector must be finite, got ({xp}, {xip})")
     if tol_g <= 0 or tol_bracket <= 0:
         raise ValueError("tolerances must be positive")
-    budget = chart.max_derivative_order
-    if k_max is None:
-        k_max = budget
-    if k_max > budget:
-        raise ValueError(f"k_max = {k_max} exceeds chart derivative budget {budget}")
-    if k_max < 2:
-        raise ValueError("k_max must be at least 2")
+    k_max = chart.max_derivative_order
 
     r0 = chart.r0(xp, xip)
     if r0 > tol_g:

@@ -46,11 +46,30 @@ from .config import (
     build_thresholds,
     load_config,
 )
-from .flow import TraceOptions, trace
+from .flow import trace
 from .modes import laplace_disk_mode, stokes_disk_mode
 from .parametrix import build_parametrix, extension_error
 from .quantize import measure_sequence
 from .verify import car_mass, elliptic_mass, h_oscillation_tail, invariance_gap, support_gap
+
+__all__ = [
+    "OUT_ENV",
+    "FAIL_STATUSES",
+    "RunContext",
+    "RUNNERS",
+    "VERIFY_KINDS",
+    "run_experiment",
+    "run_config",
+    "cmd_classify",
+    "cmd_trace",
+    "cmd_mode",
+    "cmd_parametrix",
+    "cmd_run",
+    "cmd_verify",
+    "cmd_measure",
+    "build_parser",
+    "main",
+]
 
 OUT_ENV = "BICHARLAB_OUT"
 FAIL_STATUSES = ("fail", "error")
@@ -153,8 +172,7 @@ def _trace_ray(spec, chart):
         start = PhasePoint(**start)
     else:
         start = (np.asarray(start[:2], dtype=float), np.asarray(start[2:], dtype=float))
-    options = TraceOptions(**spec.get("options", {}))
-    return trace(chart, start, float(spec["time"]), options)
+    return trace(chart, start, float(spec["time"]))
 
 
 def _write_trace(ray, spec, out_dir, meta):
@@ -409,7 +427,7 @@ def _entry(payload):
     return run_experiment(*payload)
 
 
-def run_config(cfg: ExperimentConfig, *, only_kinds=None, select=None, echo=print):
+def run_config(cfg: ExperimentConfig, *, only_kinds=None, select=None):
     """Run the config's experiments; returns (exit_code, summary dict, out dir)."""
     out_dir = Path(cfg.out or _default_out())
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -450,13 +468,12 @@ def run_config(cfg: ExperimentConfig, *, only_kinds=None, select=None, echo=prin
     code = 1 if any(r["status"] in FAIL_STATUSES for r in results) else 0
     summary = {"experiments": results, "counts": counts, "exit_status": code}
     artio.write_json(out_dir / "summary.json", summary, meta={"config_hash": chash, "seed": cfg.seed})
-    if echo is not None:
-        for r in results:
-            echo(f"{r['name']:<28} {r['status']}")
-        echo(
-            f"{len(live)} experiment(s) in {time.perf_counter() - t0:.1f}s,"
-            f" summary -> {out_dir / 'summary.json'}"
-        )
+    for r in results:
+        print(f"{r['name']:<28} {r['status']}")
+    print(
+        f"{len(live)} experiment(s) in {time.perf_counter() - t0:.1f}s,"
+        f" summary -> {out_dir / 'summary.json'}"
+    )
     return code, summary, out_dir
 
 

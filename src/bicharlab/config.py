@@ -13,6 +13,7 @@ execution details and stay out of the hash.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -26,6 +27,20 @@ from .io import config_hash
 from .modes import ModeSpec, laplace_disk_mode, stokes_disk_mode
 from .quantize import InteriorSymbol, SeparableTerm, TangentialSymbol
 from .verify import Thresholds
+
+__all__ = [
+    "ConfigError",
+    "validate_config",
+    "ExperimentConfig",
+    "load_config",
+    "build_thresholds",
+    "build_chart",
+    "family_lambda",
+    "pick_k_for_ratio",
+    "family_members",
+    "build_family",
+    "build_symbol",
+]
 
 
 class ConfigError(ValueError):
@@ -46,23 +61,6 @@ _INT_POS = {"type": "integer", "minimum": 1}
 _WINDOW = {"type": "array", "items": _NUM, "minItems": 4, "maxItems": 4}
 _NAME = {"type": "string", "pattern": "^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$"}
 _PAIR = {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2}
-
-_TRACE_OPTIONS = {
-    "type": "object",
-    "properties": {
-        "rtol": _POS,
-        "atol": _POS,
-        "max_step_collar": _POS,
-        "tol_g": _POS,
-        "tol_bracket": _POS,
-        "k_max": _INT_POS,
-        "graze_tol": _POS,
-        "gliding_step": _POS,
-        "kick": _POS,
-        "max_events": _INT_POS,
-    },
-    "additionalProperties": False,
-}
 
 _FAMILY = {
     "type": "object",
@@ -171,7 +169,6 @@ _EXPERIMENT_SCHEMAS = {
                 ]
             },
             "time": _NUM,
-            "options": _TRACE_OPTIONS,
             "samples": _INT_POS,
             "expect_reflections": _INT_NN,
         },
@@ -303,13 +300,6 @@ _TOP = {
     "additionalProperties": False,
 }
 
-_CHART_KEYS = {
-    "disk": {"kind", "collar_width", "max_derivative_order"},
-    "annulus": {"kind", "rho_in", "component", "collar_width", "max_derivative_order"},
-    "model": {"kind", "terms", "collar_width", "max_derivative_order"},
-}
-
-
 def _path_str(prefix: str, path) -> str:
     out = prefix
     for p in path:
@@ -317,10 +307,30 @@ def _path_str(prefix: str, path) -> str:
     return out.lstrip(".") if out else "(root)"
 
 
+def _nonfinite(node, path=()):
+    """(path, value) of each NaN or infinity, which Python's json parses."""
+    if isinstance(node, float) and not math.isfinite(node):
+        yield path, node
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            yield from _nonfinite(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _nonfinite(value, path + (i,))
+
+
 def _schema_errors(instance, schema, prefix: str) -> list[str]:
     v = jsonschema.Draft202012Validator(schema)
-    errs = sorted(v.iter_errors(instance), key=lambda e: list(e.absolute_path))
-    return [f"{_path_str(prefix, e.absolute_path)}: {e.message}" for e in errs]
+    out = []
+    for e in sorted(v.iter_errors(instance), key=lambda e: list(e.absolute_path)):
+        path = list(e.absolute_path)
+        if e.validator == "additionalProperties":
+            # name each unknown key by its own path
+            extra = sorted(set(e.instance) - set(e.schema.get("properties", {})))
+            out += [f"{_path_str(prefix, path + [key])}: unknown key" for key in extra]
+        else:
+            out.append(f"{_path_str(prefix, path)}: {e.message}")
+    return out
 
 
 def _check_window(w, where: str, errors: list[str]):
@@ -406,16 +416,6 @@ def _validate_family(fam, where: str, errors: list[str]):
 
 
 def _validate_chart(spec, errors: list[str]):
-    if isinstance(spec, dict):
-        kind = spec.get("kind")
-        if kind not in _CHART_KEYS:
-            errors.append(f"chart.kind: must be one of {sorted(_CHART_KEYS)}")
-            return
-        extra = set(spec) - _CHART_KEYS[kind]
-        for key in sorted(extra):
-            errors.append(f"chart.{key}: unknown key for kind {kind!r}")
-        if extra:
-            return
     try:
         load_chart(spec)
     except (ValueError, OSError, TypeError) as exc:
@@ -427,6 +427,7 @@ def validate_config(raw) -> list[str]:
     if not isinstance(raw, dict):
         return ["(root): config must be a JSON object"]
     errors = _schema_errors(raw, _TOP, "")
+    errors += [f"{_path_str('', p)}: {v} is not a finite number" for p, v in _nonfinite(raw)]
     _validate_chart(raw.get("chart", "disk"), errors)
     exps = raw.get("experiments")
     if not isinstance(exps, list):

@@ -22,10 +22,9 @@ from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
 
 from .charts import CollarChart, PhasePoint
-from .classify import GLANCING, HYPERBOLIC, BoundaryClass, classify
+from .classify import GLANCING, HYPERBOLIC, TOL_G, BoundaryClass, classify
 
 __all__ = [
-    "TraceOptions",
     "RayEvent",
     "RaySegment",
     "GeneralizedRay",
@@ -35,18 +34,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TraceOptions:
-    rtol: float = 1e-11
-    atol: float = 1e-13
-    max_step_collar: float = 0.01
-    tol_g: float = 1e-8
-    tol_bracket: float = 1e-6
-    k_max: Optional[int] = None
-    graze_tol: float = 1e-9
-    gliding_step: float = 1e-3
-    kick: float = 1e-9
-    max_events: int = 10_000
+# collar ODE tolerances and largest step
+RTOL = 1e-11
+ATOL = 1e-13
+MAX_STEP_COLLAR = 0.01
+# heights within this of the boundary count as on it
+GRAZE_TOL = 1e-9
+# time step of the gliding RK4 and the restart nudge off an event root
+GLIDING_STEP = 1e-3
+KICK = 1e-9
+# a ray logging more events than this is aborted
+MAX_EVENTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -75,12 +73,11 @@ class GeneralizedRay:
     (y, x', eta, xi') in a collar frame.
     """
 
-    def __init__(self, chart, segments, events, status, options, t0, t1):
+    def __init__(self, chart, segments, events, status, t0, t1):
         self.chart = chart
         self.segments = segments
         self.events = events
         self.status = status
-        self.options = options
         self.t0 = t0
         self.t1 = t1
 
@@ -162,17 +159,13 @@ class GeneralizedRay:
             )
             for e in reversed(self.events)
         ]
-        return GeneralizedRay(
-            self.chart, segs, evs, self.status, self.options, -self.t1, -self.t0
-        )
+        return GeneralizedRay(self.chart, segs, evs, self.status, -self.t1, -self.t0)
 
 
-def reflect_hyperbolic(
-    chart: CollarChart, point: PhasePoint, tol_g: float = 1e-8
-) -> PhasePoint:
+def reflect_hyperbolic(chart: CollarChart, point: PhasePoint) -> PhasePoint:
     """Specular update at a transversal boundary contact: eta -> +sqrt(r0)."""
     r0 = chart.r0(point.xp, point.xip)
-    if r0 <= tol_g:
+    if r0 <= TOL_G:
         raise ValueError(f"contact is not hyperbolic (r0 = {r0})")
     return PhasePoint(0.0, point.xp, math.sqrt(r0), point.xip)
 
@@ -213,9 +206,8 @@ def _ev(fn, terminal, direction):
 
 
 class _Tracer:
-    def __init__(self, chart: CollarChart, options: TraceOptions):
+    def __init__(self, chart: CollarChart):
         self.chart = chart
-        self.opts = options
         self.segments: list = []
         self.events: list = []
         self.status = "completed"
@@ -244,7 +236,7 @@ class _Tracer:
             except ValueError:
                 x = None
         self.events.append(RayEvent(kind, t, point, x, classification))
-        if len(self.events) > self.opts.max_events:
+        if len(self.events) > MAX_EVENTS:
             self.status = "aborted_max_events"
             return False
         return True
@@ -300,7 +292,7 @@ class _Tracer:
     def _kick(self, chart, u):
         # one tiny explicit RK4 step of the true field, so restarts do not
         # sit exactly on an event root
-        h = self.opts.kick
+        h = KICK
         f = self._rhs(chart)
         u = np.asarray(u, dtype=float)
         k1 = np.array(f(0, u))
@@ -315,8 +307,7 @@ class _Tracer:
         Returns (t_new, mode, payload) with mode in {"free", "collar",
         "glide", "done"}.
         """
-        opts = self.opts
-        if pt.y <= opts.graze_tol and pt.eta <= 0.0:
+        if pt.y <= GRAZE_TOL and pt.eta <= 0.0:
             # on the boundary moving along or into it: dispatch immediately
             return self.dispatch(t, chart, pt, t_total)
 
@@ -334,9 +325,9 @@ class _Tracer:
             (t, t_total),
             u0,
             method="RK45",
-            rtol=opts.rtol,
-            atol=opts.atol,
-            max_step=opts.max_step_collar,
+            rtol=RTOL,
+            atol=ATOL,
+            max_step=MAX_STEP_COLLAR,
             dense_output=True,
             events=events,
         )
@@ -372,11 +363,11 @@ class _Tracer:
 
         # turning point: eta hits 0 and y is locally extremal there
         u = sol.y_events[1][0]
-        if u[0] > opts.graze_tol:
+        if u[0] > GRAZE_TOL:
             # perihelion above the boundary: nudge past the root and go on
             u2 = self._kick(chart, u)
-            return t_turn + opts.kick, "collar", (chart, PhasePoint(*u2))
-        if u[0] >= -opts.graze_tol:
+            return t_turn + KICK, "collar", (chart, PhasePoint(*u2))
+        if u[0] >= -GRAZE_TOL:
             contact = PhasePoint(0.0, u[1], u[2], u[3])
             return self.dispatch(t_turn, chart, contact, t_total)
         # the step dipped below the boundary without an endpoint sign change;
@@ -392,17 +383,9 @@ class _Tracer:
     # -- contact dispatch ------------------------------------------------------
 
     def dispatch(self, t, chart, contact: PhasePoint, t_total):
-        opts = self.opts
-        cls = classify(
-            chart,
-            contact.xp,
-            contact.xip,
-            tol_g=opts.tol_g,
-            tol_bracket=opts.tol_bracket,
-            k_max=opts.k_max,
-        )
+        cls = classify(chart, contact.xp, contact.xip)
         if cls.tag == HYPERBOLIC:
-            out = reflect_hyperbolic(chart, contact, opts.tol_g)
+            out = reflect_hyperbolic(chart, contact)
             if not self._log("reflect", t, out, classification=cls):
                 return t, "done", None
             return t, "collar", (chart, out)
@@ -413,7 +396,7 @@ class _Tracer:
                     return t, "done", None
                 if out.eta <= 0.0:
                     u = self._kick(chart, [0.0, out.xp, out.eta, out.xip])
-                    return t + opts.kick, "collar", (chart, PhasePoint(*u))
+                    return t + KICK, "collar", (chart, PhasePoint(*u))
                 return t, "collar", (chart, out)
             start = PhasePoint(
                 0.0, contact.xp, 0.0, _project_shell(chart, contact.xp, contact.xip)
@@ -430,7 +413,6 @@ class _Tracer:
     # -- gliding ---------------------------------------------------------------
 
     def run_glide(self, t, chart, pt, t_total):
-        opts = self.opts
         ts = [t]
         xps = [pt.xp]
         xips = [pt.xip]
@@ -439,10 +421,10 @@ class _Tracer:
         cur = pt
         t_cur = t
         while t_cur < t_total - 1e-12:
-            h = min(opts.gliding_step, t_total - t_cur)
+            h = min(GLIDING_STEP, t_total - t_cur)
             nxt = step_gliding(chart, cur, h)
             r1_new = chart.r1(nxt.xp, nxt.xip)
-            if r1_new > opts.tol_g:
+            if r1_new > TOL_G:
                 # release where the curvature condition crosses zero
                 if r1_prev <= 0.0:
 
@@ -489,7 +471,7 @@ class _Tracer:
         if not self._log("glide_release", t_cur, released):
             return t_cur, "done", None
         u = self._kick(chart, [0.0, released.xp, 0.0, released.xip])
-        return t_cur + opts.kick, "collar", (chart, PhasePoint(*u))
+        return t_cur + KICK, "collar", (chart, PhasePoint(*u))
 
     # -- main loop ---------------------------------------------------------------
 
@@ -567,25 +549,18 @@ class _Tracer:
             self.segments,
             self.events,
             self.status,
-            self.opts,
             0.0,
             self.segments[-1].t1 if self.segments else 0.0,
         )
 
 
-def trace(
-    chart: CollarChart,
-    start: Union[PhasePoint, tuple],
-    t_total: float,
-    options: Optional[TraceOptions] = None,
-) -> GeneralizedRay:
+def trace(chart: CollarChart, start: Union[PhasePoint, tuple], t_total: float) -> GeneralizedRay:
     """Trace the generalized broken ray through `start` for time `t_total`.
 
     `start` is a PhasePoint in the chart's collar frame, or an (x, xi) pair
     in ambient coordinates for embeddable charts.  Negative times run the
     flow backward through the momentum-flip involution.
     """
-    options = options or TraceOptions()
     if t_total < 0:
         if isinstance(start, PhasePoint):
             flipped = start.flipped()
@@ -594,6 +569,6 @@ def trace(
                 np.asarray(start[0], dtype=float),
                 -np.asarray(start[1], dtype=float),
             )
-        fwd = _Tracer(chart, options).run(flipped, -t_total)
+        fwd = _Tracer(chart).run(flipped, -t_total)
         return fwd._time_reversed()
-    return _Tracer(chart, options).run(start, t_total)
+    return _Tracer(chart).run(start, t_total)

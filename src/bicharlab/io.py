@@ -22,6 +22,17 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
+__all__ = [
+    "ARTIFACT_VERSION",
+    "config_hash",
+    "fmt_float",
+    "atomic_write_bytes",
+    "atomic_write_text",
+    "write_json",
+    "write_csv",
+    "write_field_grid",
+]
+
 ARTIFACT_VERSION = 1
 
 PathLike = Union[str, Path]
@@ -133,17 +144,3 @@ def write_field_grid(path_base: PathLike, array, *, meta: Mapping) -> tuple[Path
     }
     write_json(hdr_path, header, meta=meta)
     return bin_path, hdr_path
-
-
-def read_field_grid(path_base: PathLike):
-    """Inverse of write_field_grid; returns (array, header document)."""
-    base = Path(path_base)
-    with open(base.with_suffix(".json")) as fh:
-        doc = json.load(fh)
-    hdr = doc["payload"]
-    if hdr["dtype"] != "<f8" or hdr["order"] != "C":
-        raise ValueError(f"unsupported field grid layout {hdr['dtype']}/{hdr['order']}")
-    raw = np.fromfile(base.with_suffix(".f64"), dtype="<f8").reshape(hdr["shape"])
-    if hdr["components"] == ["re", "im"]:
-        return raw[0] + 1j * raw[1], doc
-    return raw, doc

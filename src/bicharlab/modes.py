@@ -98,15 +98,11 @@ class Quasimode:
 
     # -- closed-form evaluation ------------------------------------------
 
-    def _polar(self, points):
+    def eval_velocity(self, points) -> np.ndarray:
+        """Closed-form velocity at ambient points, shape (..., ncomp)."""
         pts = np.asarray(points, dtype=float)
         rho = np.hypot(pts[..., 0], pts[..., 1])
         theta = np.arctan2(pts[..., 1], pts[..., 0])
-        return rho, theta
-
-    def eval_velocity(self, points) -> np.ndarray:
-        """Closed-form velocity at ambient points, shape (..., ncomp)."""
-        rho, theta = self._polar(points)
         m, lam, c = self.m, self.lam, self.c
         phase = np.exp(1j * m * theta)
         if self.kind == "laplace":
@@ -124,15 +120,6 @@ class Quasimode:
         ux = (st * dF + ct * 1j * m * F_over_rho) * phase
         uy = -(ct * dF - st * 1j * m * F_over_rho) * phase
         return np.stack([ux, uy], axis=-1)
-
-    def eval_pressure(self, points) -> np.ndarray:
-        """Closed-form rescaled pressure q = h * P at ambient points."""
-        if self.kind != "stokes":
-            raise ValueError("scalar modes carry no pressure")
-        rho, theta = self._polar(points)
-        m, lam, c = self.m, self.lam, self.c
-        w_m = rho**m * np.exp(1j * m * theta)
-        return -1j * c * lam * jv(m, lam) * w_m
 
     # -- grid diagnostics ---------------------------------------------------
 

@@ -20,7 +20,6 @@ singularity of the layer symbols.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -42,6 +41,11 @@ __all__ = [
 
 # fewest RK4 steps of the depth ODE; steep layers (large lam / h) take more
 MIN_ODE_STEPS = 2000
+# default ramp edge and collar depth of the layer symbols
+DELTA0 = 0.25
+EPS0 = 0.3
+# Gauss-Legendre depth slices of every collar field
+NUM_Y = 200
 
 
 class ParametrixODEError(RuntimeError):
@@ -270,7 +274,7 @@ class ParametrixSymbol:
 
 
 def build_parametrix(
-    chart=None, delta0: float = 0.25, order: int = 0, eps0: float = 0.3
+    chart=None, delta0: float = DELTA0, order: int = 0, eps0: float = EPS0
 ) -> ParametrixSymbol:
     """Assemble the layer symbol for a collar chart with metric data.
 
@@ -329,9 +333,7 @@ def _boundary_modes(q0: np.ndarray):
     return np.fft.fft(q0) / n, m
 
 
-def apply_parametrix(
-    sym: ParametrixSymbol, q0: np.ndarray, h: float, num_y: int = 200
-) -> CollarField:
+def apply_parametrix(sym: ParametrixSymbol, q0: np.ndarray, h: float) -> CollarField:
     """Quantize the layer symbol on boundary data, slice by slice.
 
     The low-frequency cutoff is applied to the data first, so rings with
@@ -342,7 +344,7 @@ def apply_parametrix(
     c, m = _boundary_modes(q0)
     peak = np.abs(c).max()
     c = c * sym.step(h * np.abs(m))
-    y, w = _gauss_nodes(0.0, sym.eps0, num_y)
+    y, w = _gauss_nodes(0.0, sym.eps0, NUM_Y)
     # rounding dust in the ring FFT would otherwise enlarge the ODE batch
     live = np.abs(c) > peak * 1e-14 if peak > 0.0 else np.zeros(m.size, bool)
     vals = np.zeros((y.size, m.size), dtype=complex)
@@ -352,58 +354,46 @@ def apply_parametrix(
     return CollarField(y, w, theta, np.fft.ifft(vals * m.size, axis=1))
 
 
-def collar_poisson(
-    sym: ParametrixSymbol, q0: np.ndarray, h: float, num_y: int = 200
-) -> CollarField:
+def collar_poisson(sym: ParametrixSymbol, q0: np.ndarray, h: float) -> CollarField:
     """Exact harmonic extension of the cutoff data on the same slices."""
     _require_h(h)
     c, m = _boundary_modes(q0)
     c = c * sym.step(h * np.abs(m))
-    y, w = _gauss_nodes(0.0, sym.eps0, num_y)
+    y, w = _gauss_nodes(0.0, sym.eps0, NUM_Y)
     prof = (1.0 - y)[:, None] ** np.abs(m)[None, :]
     theta = 2.0 * np.pi * np.arange(m.size) / m.size
     return CollarField(y, w, theta, np.fft.ifft(prof * c[None, :] * m.size, axis=1))
 
 
-def extension_error(sym: ParametrixSymbol, m: int, h: Optional[float] = None,
-                    num_y: int = 200) -> float:
-    """Relative collar-L2 distance to the exact extension; m != 0, h = 1/|m| by default."""
+def extension_error(sym: ParametrixSymbol, m: int) -> float:
+    """Relative collar-L2 distance to the exact extension of ring mode m != 0, h = 1/|m|."""
     if m == 0:
         raise ValueError("extension_error needs a nonzero ring mode m")
-    if h is None:
-        h = 1.0 / abs(m)
+    h = 1.0 / abs(m)
     n = 1 << max(6, int(np.ceil(np.log2(2 * abs(m) + 8))))
     theta = 2.0 * np.pi * np.arange(n) / n
     q0 = np.exp(1j * m * theta)
-    got = apply_parametrix(sym, q0, h, num_y=num_y)
-    ref = collar_poisson(sym, q0, h, num_y=num_y)
+    got = apply_parametrix(sym, q0, h)
+    ref = collar_poisson(sym, q0, h)
     diff = CollarField(got.y, got.weights, got.theta, got.values - ref.values)
     return diff.norm() / ref.norm()
 
 
-def band_mass(
-    field: np.ndarray,
-    grid: PolarGrid,
-    y0: float,
-    h: float,
-    delta0: float = 0.25,
-    eps0: float = 0.3,
-    num_y: int = 200,
-) -> float:
-    """Microlocalized squared mass of a disk field in the band y0 < y < eps0.
+def band_mass(field: np.ndarray, grid: PolarGrid, y0: float, h: float) -> float:
+    """Microlocalized squared mass of a disk field in the band y0 < y < EPS0.
 
     Integrates the squared tangential L2 norm of the high-frequency part
-    (ramp cutoff at lam(y, h m), same shape as the layer cutoff) over
-    depth slices interpolated from the polar grid.
+    (ramp cutoff at lam(y, h m), the default layer cutoff with edge
+    DELTA0) over depth slices interpolated from the polar grid.
     """
-    if not 0.0 <= y0 < eps0 < 1.0:
-        raise ValueError("need 0 <= y0 < eps0 < 1")
+    if not 0.0 <= y0 < EPS0:
+        raise ValueError(f"need 0 <= y0 < EPS0 = {EPS0}")
     _require_h(h)
-    step = PolyStep(delta0 / 2.0, delta0)
+    step = PolyStep(DELTA0 / 2.0, DELTA0)
     fhat = grid.to_modes(np.asarray(field, dtype=complex))
     col_mass = np.sum(np.abs(fhat) ** 2, axis=0)
     live = np.flatnonzero(col_mass > col_mass.sum() * 1e-30)
-    y, w = _gauss_nodes(y0, eps0, num_y)
+    y, w = _gauss_nodes(y0, EPS0, NUM_Y)
     r_new = 1.0 - y
     total = np.zeros(y.size)
     for j in live:

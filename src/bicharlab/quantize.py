@@ -10,8 +10,9 @@ symbol is evaluated at the output point,
 
 with k running over the angular-frequency lattice of the box.  Separable
 symbols sum(X_p(x) Xi_p(xi)) go through FFTs; everything else takes the
-direct lattice sum, which is slower but makes no structural assumption
-and doubles as the cross-check oracle for the fast path.
+direct lattice sum, which is slower but makes no structural assumption.
+The same symbol given by its evaluator alone takes the direct sum, so it
+doubles as the cross-check oracle for the fast path.
 
 Tangential operators act per angular Fourier mode on the polar grid of a
 mode, with the fiber variable evaluated at h times the integer angular
@@ -62,14 +63,16 @@ class BoxGrid:
 
     Fields are (n, n) arrays indexed [i, j] for (x1_i, x2_j).  `k` holds
     the angular frequencies in numpy FFT order, so a field equals
-    sum_k fhat_k e^{i k.x} with fhat = fft2(f) / n^2.
+    sum_k fhat_k e^{i k.x} with fhat = fft2(f) / n^2.  Every box has the
+    same half width, 1.5, which leaves the unit disk a margin of 0.5.
     """
 
-    def __init__(self, n: int, half: float = 1.5):
+    half = 1.5
+
+    def __init__(self, n: int):
         if n < 8 or n % 2:
             raise ValueError("n must be even and >= 8")
         self.n = int(n)
-        self.half = float(half)
         self.dx = 2.0 * self.half / self.n
         self.x = -self.half + self.dx * np.arange(self.n)
         self.X1, self.X2 = np.meshgrid(self.x, self.x, indexing="ij")
@@ -89,11 +92,12 @@ class BoxGrid:
         return (self.X1**2 + self.X2**2) <= 1.0
 
 
-def default_box(h: float, xi_bound: float, half: float = 1.5) -> BoxGrid:
+def default_box(h: float, xi_bound: float) -> BoxGrid:
     """Smallest comfortable grid whose lattice covers |xi| <= xi_bound."""
+    half = BoxGrid.half
     n = int(math.ceil((xi_bound / h + 4.0 * np.pi / (2.0 * half)) * 2.0 * half / np.pi))
     n = max(32, n + (n % 2) + 8)
-    return BoxGrid(n, half)
+    return BoxGrid(n)
 
 
 @dataclass(frozen=True)
@@ -158,9 +162,9 @@ class InteriorSymbol:
     def eval(self, x1, x2, xi1, xi2) -> np.ndarray:
         return self._evaluator(x1, x2, xi1, xi2)
 
-    def support_radius(self, grid: BoxGrid, tiny: float = 1e-13) -> float:
+    def support_radius(self, grid: BoxGrid) -> float:
         env = np.abs(self._envelope(grid.X1, grid.X2))
-        live = env > tiny
+        live = env > 1e-13  # smaller envelope values count as zero
         if not live.any():
             return 0.0
         return float(np.max(np.hypot(grid.X1[live], grid.X2[live])))
@@ -233,12 +237,12 @@ def apply_interior_op(
     h: float,
     grid: BoxGrid,
     *,
-    path: str = "auto",
     check: bool = True,
 ) -> np.ndarray:
-    """Left quantization of `a` at parameter h applied to a box field."""
-    if path not in ("auto", "fast", "masked"):
-        raise ValueError("path must be auto, fast, or masked")
+    """Left quantization of `a` at parameter h applied to a box field.
+
+    Separable terms take the FFT path, an evaluator the direct lattice sum.
+    """
     if check:
         a.check_margin(grid)
         if a.xi_bound > h * (grid.kmax - 2.0 * grid.dk):
@@ -246,10 +250,7 @@ def apply_interior_op(
                 f"declared xi box {a.xi_bound:.3f} exceeds lattice reach "
                 f"{h * (grid.kmax - 2.0 * grid.dk):.3f} at n = {grid.n}, h = {h:.3g}"
             )
-    use_fast = a.terms is not None and path != "masked"
-    if path == "fast" and a.terms is None:
-        raise ValueError("fast path needs separable terms")
-    if use_fast:
+    if a.terms is not None:
         fhat = np.fft.fft2(f)
         out = np.zeros_like(fhat)
         for t in a.terms:
@@ -369,7 +370,6 @@ def pairing(
     mode,
     *,
     grid: Optional[BoxGrid] = None,
-    path: str = "auto",
     check: bool = True,
 ) -> complex:
     """Quadratic form (Op_h(a) u | u), summed over velocity components."""
@@ -387,7 +387,7 @@ def pairing(
     comps = sample_mode_on_box(mode, grid)
     total = 0.0 + 0.0j
     for u in comps:
-        total += grid.inner(apply_interior_op(a, u, h, grid, path=path, check=check), u)
+        total += grid.inner(apply_interior_op(a, u, h, grid, check=check), u)
     return complex(total)
 
 

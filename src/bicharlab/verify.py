@@ -286,7 +286,6 @@ def invariance_gap(
     route: str = "free",
     chart: Optional[CollarChart] = None,
     experiment: str = "invariance-gap",
-    check: bool = True,
 ) -> PropagationReport:
     """Compare pairings of a and of a(gamma_s) along a mode family.
 
@@ -314,8 +313,8 @@ def invariance_gap(
 
     for m in modes:
         if route == "free":
-            before = pairing(a, m, check=check)
-            after = shifted_pairing(a, s, m, check=check)
+            before = pairing(a, m)
+            after = shifted_pairing(a, s, m)
         else:
             # both sides share the transported wrapper's conventions
             # (zero outside the closed disk), so a flow-invariant symbol
@@ -551,21 +550,20 @@ def car_mass(
     )
 
 
-def h_oscillation_tail(
-    modes: Sequence,
-    R,
-    *,
-    variant: str = "interior",
-    cutoff: Optional[tuple] = None,
-) -> np.ndarray:
+# the plateau ramp of each tail variant: on |x| for the interior one, on
+# the collar depth 1 - |x| for the tangential one
+TAIL_CUTOFFS = {"interior": (0.7, 0.9), "tangential": (0.2, 0.3)}
+
+
+def h_oscillation_tail(modes: Sequence, R, *, variant: str = "interior") -> np.ndarray:
     """Mass fraction beyond frequency R/h for each mode, under a cutoff.
 
     variant="interior": modes are sampled on a Cartesian box sized so the
     lattice reaches the largest requested R, multiplied by a radial
-    plateau cutoff (default ramp on |x| in [0.7, 0.9]), and the tail is
-    the fraction of Fourier power at |xi| > R/h.  variant="tangential":
-    the angular-frequency tail of the velocity restricted to the boundary
-    collar (default depth ramp on [0.2, 0.3]).
+    plateau cutoff (ramp on |x| in [0.7, 0.9]), and the tail is the
+    fraction of Fourier power at |xi| > R/h.  variant="tangential": the
+    angular-frequency tail of the velocity restricted to the boundary
+    collar (depth ramp on [0.2, 0.3]).  The ramps are `TAIL_CUTOFFS`.
 
     R may be a scalar or a sequence; a sequence is measured on one shared
     grid per mode, so the tails nest exactly.  Returns shape (len(modes),)
@@ -575,11 +573,11 @@ def h_oscillation_tail(
     scalar = np.ndim(R) == 0
     if np.any(Rs <= 1.0):
         raise ValueError("tail radii must exceed 1, the speed of the shell")
-    if variant not in ("interior", "tangential"):
+    if variant not in TAIL_CUTOFFS:
         raise ValueError("variant must be 'interior' or 'tangential'")
+    lo, hi = TAIL_CUTOFFS[variant]
     out = np.zeros((Rs.size, len(modes)))
     if variant == "interior":
-        lo, hi = cutoff if cutoff is not None else (0.7, 0.9)
         for j, m in enumerate(modes):
             grid = default_box(m.h, float(Rs.max()) + 0.5)
             comps = sample_mode_on_box(m, grid)
@@ -600,7 +598,6 @@ def h_oscillation_tail(
             # free this box before the next one, or peak memory varies
             del grid, comps, speed
     else:
-        lo, hi = cutoff if cutoff is not None else (0.2, 0.3)
         for j, m in enumerate(modes):
             g = m.grid
             w = 1.0 - plateau_step(1.0 - g.r, lo, hi)

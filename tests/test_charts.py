@@ -234,6 +234,9 @@ def test_load_chart(tmp_path):
     path.write_text(json.dumps(spec))
     m = load_chart(str(path))
     assert m.r0(0.0, 0.7) == pytest.approx(0.7)
+    # JSON may write the power 1 as 1.0: the same chart
+    floats = load_chart({"kind": "model", "terms": [[0, 1.0, 0, 1.0], [1, 0, 1.0, 1.0]]})
+    assert floats.terms == m.terms and np.array_equal(floats.coef, m.coef)
 
 
 def test_model_chart_validation():
@@ -241,6 +244,9 @@ def test_model_chart_validation():
         ModelChart([])
     with pytest.raises(ValueError):
         ModelChart([(0, -1, 0, 1.0)])
+    for power in (1.5, -1.0, math.nan, "1", True):
+        with pytest.raises(ValueError, match="powers must be integers"):
+            ModelChart([(0, 1, 0, 1.0), (power, 0, 1, 1.0)])
     for coeff in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             ModelChart([(0, 1, 0, 1.0), (1, 0, 1, coeff)])

@@ -41,8 +41,8 @@ def test_model_higher_order():
 
 
 def test_unresolved_flag():
-    m = ModelChart([(0, 1, 0, 1.0)], max_derivative_order=8)  # r identically zeta1
-    g = classify(m, 0.0, 0.0, k_max=6)
+    m = ModelChart([(0, 1, 0, 1.0)], max_derivative_order=6)  # r identically zeta1
+    g = classify(m, 0.0, 0.0)
     assert g.tag == GLANCING and g.unresolved
     assert g.order == 6
     assert g.label() == "glancing(order>6)"
@@ -76,10 +76,16 @@ def test_parameter_validation():
         classify(c, 0.0, 1.0, tol_g=-1.0)
     with pytest.raises(ValueError):
         classify(c, 0.0, 1.0, tol_bracket=0.0)
-    with pytest.raises(ValueError):
-        classify(c, 0.0, 1.0, k_max=12)
-    with pytest.raises(ValueError):
-        classify(c, 0.0, 1.0, k_max=1)
+    # contact order 2 needs r1: no chart resolves fewer than 2 derivatives
+    for order in (1, 0, 2.5, "8", True, math.nan):
+        for build in (
+            lambda: DiskChart(max_derivative_order=order),
+            lambda: AnnulusChart(0.5, max_derivative_order=order),
+            lambda: ModelChart([(0, 1, 0, 1.0)], max_derivative_order=order),
+        ):
+            with pytest.raises(ValueError, match="max_derivative_order"):
+                build()
+    assert DiskChart(max_derivative_order=2.0).max_derivative_order == 2
     for xp, xip in ((0.0, math.inf), (math.nan, 1.0), (-math.inf, 0.5)):
         with pytest.raises(ValueError, match="finite"):
             classify(c, xp, xip)

@@ -24,6 +24,20 @@ from bicharlab.config import (
 from bicharlab.modes import bessel_zero
 
 
+def read_field_grid(path_base):
+    """Inverse of io.write_field_grid; returns (array, header document)."""
+    base = Path(path_base)
+    with open(base.with_suffix(".json")) as fh:
+        doc = json.load(fh)
+    hdr = doc["payload"]
+    if hdr["dtype"] != "<f8" or hdr["order"] != "C":
+        raise ValueError(f"unsupported field grid layout {hdr['dtype']}/{hdr['order']}")
+    raw = np.fromfile(base.with_suffix(".f64"), dtype="<f8").reshape(hdr["shape"])
+    if hdr["components"] == ["re", "im"]:
+        return raw[0] + 1j * raw[1], doc
+    return raw, doc
+
+
 def run_cli(args):
     return cli.main(args)
 
@@ -75,13 +89,13 @@ def test_field_grid_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     arr = rng.standard_normal((2, 5, 7)) + 1j * rng.standard_normal((2, 5, 7))
     artio.write_field_grid(tmp_path / "f", arr, meta={"config_hash": "x"})
-    back, doc = artio.read_field_grid(tmp_path / "f")
+    back, doc = read_field_grid(tmp_path / "f")
     assert np.array_equal(back, arr)
     assert doc["payload"]["components"] == ["re", "im"]
     assert doc["payload"]["dtype"] == "<f8"
     real = rng.standard_normal((4, 3))
     artio.write_field_grid(tmp_path / "g", real, meta={"config_hash": "x"})
-    back2, doc2 = artio.read_field_grid(tmp_path / "g")
+    back2, doc2 = read_field_grid(tmp_path / "g")
     assert np.array_equal(back2, real)
     assert doc2["payload"]["components"] == ["value"]
 
@@ -101,7 +115,8 @@ def test_validation_names_tol_g():
         load_config(bad)
 
 
-def test_validation_names_nested_trace_option():
+def test_validation_names_nested_trace_option(tmp_path, capsys):
+    # the tracer's tolerances are constants: a trace takes no options
     bad = {
         "experiments": [
             {
@@ -109,12 +124,14 @@ def test_validation_names_nested_trace_option():
                 "kind": "trace",
                 "start": [0, 0, 1, 0],
                 "time": 1.0,
-                "options": {"tol_g": -1},
+                "options": {"tol_g": 1e-8},
             }
         ]
     }
-    errs = validate_config(bad)
-    assert any("experiments[0].options.tol_g" in e for e in errs)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(bad))
+    assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "experiments[0].options: unknown key" in capsys.readouterr().err
 
 
 def test_validation_collects_every_offense():
@@ -415,6 +432,9 @@ def test_empty_experiment_list_exits_zero(tmp_path):
 
 
 NAN_CHART = {"kind": "model", "terms": [[0, 1, 0, 1.0], [1, 0, 1, float("nan")]]}
+HALF_POWER_CHART = {"kind": "model", "terms": [[0, 1, 0, 1.0], [1.5, 0, 1, 1.0]]}
+MISSPELT_CHART = {"kind": "disk", "colar_width": 0.2}
+ORDER_ONE_CHART = {"kind": "disk", "max_derivative_order": 1}
 
 
 def test_invalid_config_exits_two(tmp_path, capsys):
@@ -435,6 +455,16 @@ def test_invalid_config_exits_two(tmp_path, capsys):
          "experiments[0].family.num_r"),
         ({"chart": NAN_CHART, "experiments": [classify]}, "chart: "),
         ({"chart": str(nan_coeff), "experiments": [classify]}, "chart: "),
+        ({"experiments": [dict(classify, points=[[0, float("nan")]])]},
+         "experiments[0].points[0][1]: nan is not a finite number"),
+        ({"experiments": [dict(classify, points=[[float("-inf"), 0.5]])]},
+         "experiments[0].points[0][0]: -inf is not a finite number"),
+        ({"chart": HALF_POWER_CHART, "experiments": [classify]},
+         "chart: bad term [1.5, 0, 1, 1.0]: powers must be integers"),
+        ({"chart": MISSPELT_CHART, "experiments": [classify]},
+         "chart: chart kind 'disk' has no key 'colar_width'"),
+        ({"chart": ORDER_ONE_CHART, "experiments": [classify]},
+         "chart: max_derivative_order must be an integer >= 2"),
     ]
     for i, (raw, named) in enumerate(cases):
         cfg = tmp_path / f"bad{i}.json"
@@ -470,12 +500,18 @@ def test_invalid_config_exits_two(tmp_path, capsys):
         (["classify", "--xp", "0", "--xip", "inf"], "--xip"),
         (["classify", "--xp", "nan", "--xip", "1"], "--xp"),
         (["classify", "--chart", "nan-coeff.json", "--xp", "0", "--xip", "1"], "--chart"),
+        (["classify", "--chart", "half-power.json", "--xp", "0", "--xip", "1"], "--chart"),
+        (["classify", "--chart", "misspelt.json", "--xp", "0", "--xip", "1"], "--chart"),
+        (["classify", "--chart", "order-one.json", "--xp", "0", "--xip", "1"], "--chart"),
     ],
 )
 def test_adhoc_usage_error_exits_two(argv, flag, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "no-radius.json").write_text(json.dumps({"kind": "annulus"}))
     (tmp_path / "nan-coeff.json").write_text(json.dumps(NAN_CHART))
+    (tmp_path / "half-power.json").write_text(json.dumps(HALF_POWER_CHART))
+    (tmp_path / "misspelt.json").write_text(json.dumps(MISSPELT_CHART))
+    (tmp_path / "order-one.json").write_text(json.dumps(ORDER_ONE_CHART))
     # argparse refuses the flag: one usage line, exit 2, no traceback
     with pytest.raises(SystemExit) as exc:
         run_cli(argv)
@@ -636,7 +672,7 @@ def test_mode_experiment_writes_field_grid(tmp_path):
         )
     )
     assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    vel, _ = artio.read_field_grid(tmp_path / "out" / "probe-velocity")
+    vel, _ = read_field_grid(tmp_path / "out" / "probe-velocity")
     from bicharlab.modes import stokes_disk_mode
 
     mode = stokes_disk_mode(2, 1)

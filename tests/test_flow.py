@@ -7,7 +7,6 @@ from bicharlab import billiard
 from bicharlab.charts import AnnulusChart, DiskChart, ModelChart, PhasePoint
 from bicharlab.flow import (
     GeneralizedRay,
-    TraceOptions,
     reflect_hyperbolic,
     step_gliding,
     trace,

@@ -96,6 +96,15 @@ def test_first_order_symbol_oscillatory_and_quadrature_oracle():
     assert abs(val - out[i0, j0]) < 1e-9
 
 
+def evaluator_twin(sym):
+    """The same separable symbol given by its evaluator alone: the masked path."""
+    return InteriorSymbol(
+        evaluator=sym.eval,
+        xi_bound=sym.xi_bound,
+        x_envelope=lambda x1, x2: sum(np.abs(t.x_factor(x1, x2)) for t in sym.terms),
+    )
+
+
 def test_masked_path_matches_fast_path():
     grid = BoxGrid(48)
     h = 0.1
@@ -111,13 +120,14 @@ def test_masked_path_matches_fast_path():
     ]
     sym = InteriorSymbol(terms=terms, xi_bound=1.6)
     f, _ = packet(grid, (-0.1, 0.05), (0.6, 0.2), h, width=0.3)
-    fast = apply_interior_op(sym, f, h, grid, path="fast")
-    masked = apply_interior_op(sym, f, h, grid, path="masked")
+    twin = evaluator_twin(sym)
+    fast = apply_interior_op(sym, f, h, grid)
+    masked = apply_interior_op(twin, f, h, grid)
     assert np.max(np.abs(fast - masked)) < 1e-10
 
     mode = laplace_disk_mode(1, 1)
-    v_fast = pairing(sym, mode, grid=grid, path="fast")
-    v_masked = pairing(sym, mode, grid=grid, path="masked")
+    v_fast = pairing(sym, mode, grid=grid)
+    v_masked = pairing(twin, mode, grid=grid)
     assert abs(v_fast - v_masked) < 1e-10
 
 
@@ -135,22 +145,6 @@ def test_margin_bandlimit_and_construction_refusals():
     with pytest.raises(BandlimitError):
         apply_interior_op(hungry, np.zeros((64, 64)), 0.01, grid)
 
-    ok = InteriorSymbol(
-        terms=[SeparableTerm(spatial_plateau(0.5, 0.6), ones_xi)], xi_bound=0.0
-    )
-    with pytest.raises(ValueError):
-        apply_interior_op(
-            InteriorSymbol(
-                evaluator=lambda a, b, c, d: 0.0 * a,
-                xi_bound=0.0,
-                x_envelope=lambda a, b: 0.0 * a,
-            ),
-            np.zeros((64, 64)),
-            0.05,
-            grid,
-            path="fast",
-        )
-    del ok
     with pytest.raises(ValueError):
         InteriorSymbol(evaluator=lambda a, b, c, d: 0.0 * a, xi_bound=1.0)
     with pytest.raises(ValueError):
@@ -332,7 +326,7 @@ def test_real_symbol_pairing_imaginary_part_and_positivity():
         x_envelope=lambda x1, x2: 1.0 - plateau_step(np.hypot(x1, x2), 0.7, 0.8),
     )
     modes = [laplace_disk_mode(5, k) for k in (2, 4, 8)]
-    vals = [pairing(sym, m, path="masked") for m in modes]
+    vals = [pairing(sym, m) for m in modes]
     for v, m in zip(vals, modes):
         assert abs(v.imag) < 0.5 * m.h
         # nonnegative symbol: sharp-Garding-size negative part at most
@@ -530,7 +524,7 @@ def lattice_field(grid, reach, seed):
 def test_shifted_op_matches_direct_sum():
     from bicharlab.quantize import apply_shifted_op
 
-    grid = BoxGrid(64, 1.5)
+    grid = BoxGrid(64)
     h, s = 0.05, 0.12
     xf = trig_window(grid)
     a = InteriorSymbol(terms=[SeparableTerm(xf, ring_window)], xi_bound=1.5)
@@ -555,7 +549,7 @@ def test_shifted_op_matches_direct_sum():
 def test_shifted_op_zero_shift_is_plain_quantization():
     from bicharlab.quantize import apply_shifted_op
 
-    grid = BoxGrid(64, 1.5)
+    grid = BoxGrid(64)
     h = 0.06
     xf = trig_window(grid)
     a = InteriorSymbol(terms=[SeparableTerm(xf, ring_window)], xi_bound=1.5)
@@ -568,7 +562,7 @@ def test_shifted_op_zero_shift_is_plain_quantization():
 def test_shifted_op_margin_accounts_for_transport():
     from bicharlab.quantize import apply_shifted_op
 
-    grid = BoxGrid(64, 1.5)
+    grid = BoxGrid(64)
     a = InteriorSymbol(
         terms=[SeparableTerm(spatial_plateau(0.25, 0.45), ring_window)],
         xi_bound=1.5,
@@ -593,6 +587,6 @@ def test_shifted_pairing_agrees_with_masked_route():
         x_envelope=lambda x1, x2: np.ones(np.broadcast(x1, x2).shape),
     )
     fast = shifted_pairing(a, s, md, grid=grid, check=False)
-    dense = pairing(moved, md, grid=grid, path="masked", check=False)
+    dense = pairing(moved, md, grid=grid, check=False)
     assert abs(fast - dense) < 1e-8 * max(1.0, abs(dense))
 

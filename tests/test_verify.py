@@ -167,7 +167,7 @@ def test_invariance_gap_free_route_decays():
 def test_invariance_gap_pullback_conserved_symbol():
     # flow-invariant symbol: the gap isolates integrator roundoff
     fam = [modes.laplace_disk_mode(0, 8)]
-    rep = verify.invariance_gap(fam, conserved_symbol(), 1.3, route="pullback", check=False)
+    rep = verify.invariance_gap(fam, conserved_symbol(), 1.3, route="pullback")
     assert rep.verdict == "pass"
     assert rep.rows[0].gap < 1e-10
     assert abs(rep.rows[0].before) > 1e-3
