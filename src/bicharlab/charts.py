@@ -236,7 +236,7 @@ class AnnulusChart(CollarChart):
         self.rho_in = float(rho_in)
         self.component = component
         gap = 1.0 - rho_in
-        self.collar_width = float(collar_width) if collar_width else 0.4 * gap
+        self.collar_width = 0.4 * gap if collar_width is None else float(collar_width)
         if not 0.0 < self.collar_width < gap:
             raise ValueError("collar width must be positive and below the gap width")
         self.max_derivative_order = _derivative_order(max_derivative_order)
@@ -347,7 +347,7 @@ class ModelChart(CollarChart):
         if not terms:
             raise ValueError("model chart needs at least one term")
         for t in terms:
-            if len(t) != 4:
+            if not isinstance(t, (list, tuple)) or len(t) != 4:
                 raise ValueError(f"bad term {t!r}: need (pow_z1, pow_zeta1, pow_y, coeff)")
             if not all(_is_whole(p, 0) for p in t[:3]):
                 raise ValueError(f"bad term {t!r}: powers must be integers >= 0")

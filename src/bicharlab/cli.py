@@ -1,29 +1,36 @@
-"""Command line front end: ad hoc probes plus a config-driven runner.
+"""Command line front end: experiment configs and one-experiment probes.
 
-Subcommands classify/trace/mode/parametrix are one-shot probes driven
-by flags; trace and parametrix compute through the same helpers as the
-config kinds of the same name.  measure/verify/run execute experiment
-configs.  Each experiment kind is declared twice, once in each of two
-tables: its schema in `config._EXPERIMENT_SCHEMAS`, its runner in
-`RUNNERS` below (a test pins the two key sets equal).  run takes every
+Each experiment kind is declared twice, once in each of two tables: its
+schema in `config._EXPERIMENT_SCHEMAS`, its runner in `RUNNERS` below
+(a test pins the two key sets equal).  A runner only computes: it
+returns an `Outcome`, and `_write` turns any outcome into the kind's
+artifacts, NAME.csv and NAME.json plus, for a mode experiment with
+`fields`, the field grids beside them.
+
+run, verify and measure execute a config file.  run takes every
 experiment in the file; verify and measure are kind filters over the
 same table, verify keeping `VERIFY_KINDS` (the defect-measure checks)
-and measure the pairing series.  Exit status is 0 when nothing failed
-(inconclusive is not a failure), 1 when any experiment failed or
-errored, 2 on a config or usage problem.
+and measure the pairing series.  classify, trace, mode and parametrix
+are probes: each turns its flags into a config holding one experiment
+of the kind of the same name, checks it with `config.validate_config`
+like any other config (a refusal names the flag that set the offending
+key), computes it with the kind's runner, prints the result and, with
+--out, writes the same artifacts a run of that config writes.
 
-The runner is a single orchestrator; --jobs bounds worker parallelism
-and workers receive only the immutable config identity, writing their
-own artifact files.  All artifacts are deterministic for a fixed
-config and seed.
+Exit status is 0 when nothing failed (inconclusive is not a failure),
+1 when any experiment failed or errored, 2 on a config or usage
+problem.  The runner is a single orchestrator; --jobs bounds worker
+parallelism and workers receive only the immutable config identity,
+writing their own artifact files.  All artifacts are deterministic for
+a fixed config and seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
+import re
 import sys
 import time
 from collections import namedtuple
@@ -37,33 +44,24 @@ import numpy as np
 from . import io as artio
 from .charts import PhasePoint, load_chart
 from .classify import classify
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    build_chart,
-    build_family,
-    build_symbol,
-    build_thresholds,
-    load_config,
-)
+from .config import ConfigError, ExperimentConfig, build_family, build_symbol, load_config
 from .flow import trace
-from .modes import laplace_disk_mode, stokes_disk_mode
+from .modes import laplace_disk_mode  # noqa: F401  perfbench/selftest.py wraps this binding
 from .parametrix import build_parametrix, extension_error
 from .quantize import measure_sequence
+from .verify import Thresholds
 from .verify import car_mass, elliptic_mass, h_oscillation_tail, invariance_gap, support_gap
 
 __all__ = [
     "OUT_ENV",
     "FAIL_STATUSES",
+    "Outcome",
     "RunContext",
     "RUNNERS",
     "VERIFY_KINDS",
     "run_experiment",
     "run_config",
-    "cmd_classify",
-    "cmd_trace",
-    "cmd_mode",
-    "cmd_parametrix",
+    "cmd_probe",
     "cmd_run",
     "cmd_verify",
     "cmd_measure",
@@ -105,7 +103,12 @@ def _meta(identity_hash: str, spec: dict, seed: int) -> dict:
 
 
 # what a runner gets besides its own spec
-RunContext = namedtuple("RunContext", "chart thresholds seed index out_dir meta")
+RunContext = namedtuple("RunContext", "chart thresholds seed index")
+
+# what a runner returns: the status and summary.json row, the columns of
+# NAME.csv, the payload of NAME.json, and (suffix, array, extra meta)
+# triples, each written as the field grid NAME-suffix
+Outcome = namedtuple("Outcome", "status summary cols payload grids", defaults=((),))
 
 
 def _residual_rows(modes):
@@ -142,17 +145,7 @@ def _run_classify(spec, ctx):
         "r0": [r.witness.get("r0", "") for r in results],
         "r1": [r.witness.get("r1", "") for r in results],
     }
-    files = [
-        artio.write_csv(ctx.out_dir / f"{spec['name']}.csv", cols, meta=ctx.meta),
-        artio.write_json(
-            ctx.out_dir / f"{spec['name']}.json",
-            [
-                {"xp": p[0], "xip": p[1], "result": r.as_dict()}
-                for p, r in zip(points, results)
-            ],
-            meta=ctx.meta,
-        ),
-    ]
+    payload = [{"xp": p[0], "xip": p[1], "result": r.as_dict()} for p, r in zip(points, results)]
     status, summary = "ok", {"points": len(points)}
     expect = spec.get("expect")
     if expect is not None:
@@ -163,19 +156,16 @@ def _run_classify(spec, ctx):
         ]
         if bad:
             status, summary = "fail", {"points": len(points), "mismatches": bad}
-    return status, summary, files
+    return Outcome(status, summary, cols, payload)
 
 
-def _trace_ray(spec, chart):
+def _run_trace(spec, ctx):
     start = spec["start"]
     if isinstance(start, dict):
         start = PhasePoint(**start)
     else:
         start = (np.asarray(start[:2], dtype=float), np.asarray(start[2:], dtype=float))
-    return trace(chart, start, float(spec["time"]))
-
-
-def _write_trace(ray, spec, out_dir, meta):
+    ray = trace(ctx.chart, start, float(spec["time"]))
     lo, hi = sorted((ray.t0, ray.t1))
     ts = np.linspace(lo, hi, int(spec.get("samples", 33)))
     frames, states = [], []
@@ -207,26 +197,17 @@ def _write_trace(ray, spec, out_dir, meta):
         "t_final": ray.t_final,
         "events": events,
     }
-    files = [
-        artio.write_csv(out_dir / f"{spec['name']}.csv", cols, meta=meta),
-        artio.write_json(out_dir / f"{spec['name']}.json", payload, meta=meta),
-    ]
     status, summary = "ok", {"status": ray.status, "reflections": ray.reflections}
     want = spec.get("expect_reflections")
     if want is not None and ray.reflections != want:
         status = "fail"
         summary["expect_reflections"] = want
-    return status, summary, files
-
-
-def _run_trace(spec, ctx):
-    return _write_trace(_trace_ray(spec, ctx.chart), spec, ctx.out_dir, ctx.meta)
+    return Outcome(status, summary, cols, payload)
 
 
 def _run_mode(spec, ctx):
     modes = build_family(spec["family"])
     keys, cols = _residual_rows(modes)
-    files = [artio.write_csv(ctx.out_dir / f"{spec['name']}.csv", cols, meta=ctx.meta)]
     worst = {key: max(cols[key]) for key in keys}
     violations = []
     for key, bound in sorted(spec.get("tolerances", {}).items()):
@@ -235,41 +216,32 @@ def _run_mode(spec, ctx):
         elif worst[key] > bound:
             violations.append(f"{key}: worst {worst[key]:.3e} exceeds {bound:.3e}")
     payload = {"worst": worst, "violations": violations}
-    files.append(artio.write_json(ctx.out_dir / f"{spec['name']}.json", payload, meta=ctx.meta))
+    grids = ()
     if spec.get("fields"):
         last = modes[-1]
-        grid_meta = dict(ctx.meta, m=last.m, k=last.k)
-        files += artio.write_field_grid(
-            ctx.out_dir / f"{spec['name']}-velocity", last.velocity, meta=grid_meta
-        )
-        if last.pressure is not None:
-            files += artio.write_field_grid(
-                ctx.out_dir / f"{spec['name']}-pressure", last.pressure, meta=grid_meta
-            )
-    status = "fail" if violations else "ok"
-    return status, payload, files
+        at = {"m": last.m, "k": last.k}
+        grids = [
+            (suffix, field, at)
+            for suffix, field in (("velocity", last.velocity), ("pressure", last.pressure))
+            if field is not None
+        ]
+    return Outcome("fail" if violations else "ok", payload, cols, payload, grids)
 
 
-def _parametrix_table(spec, chart):
-    """{order: {m: extension error}} for the spec's orders and angular indices."""
+def _run_parametrix(spec, ctx):
     kwargs = {k: spec[k] for k in ("delta0", "eps0") if k in spec}
-    table = {}
-    for order in spec.get("orders", [0, 1]):
-        sym = build_parametrix(chart=chart, order=order, **kwargs)
-        table[order] = {m: extension_error(sym, m) for m in spec["m"]}
-    return table
-
-
-def _write_parametrix(table, spec, out_dir, meta):
     orders = spec.get("orders", [0, 1])
     ms = spec["m"]
+    table = {}
+    for order in orders:
+        sym = build_parametrix(chart=ctx.chart, order=order, **kwargs)
+        table[order] = {m: extension_error(sym, m) for m in ms}
     cols = {
         "order": [o for o in orders for _ in ms],
         "m": [m for _ in orders for m in ms],
         "h": [1.0 / m for _ in orders for m in ms],
         "error": [table[o][m] for o in orders for m in ms],
     }
-    files = [artio.write_csv(out_dir / f"{spec['name']}.csv", cols, meta=meta)]
     violations = []
     if spec.get("expect_halving"):
         lo, hi = spec.get("halving_band", [1.4, 2.6])
@@ -291,12 +263,7 @@ def _write_parametrix(table, spec, out_dir, meta):
         "errors": {str(o): {str(m): table[o][m] for m in ms} for o in orders},
         "violations": violations,
     }
-    files.append(artio.write_json(out_dir / f"{spec['name']}.json", payload, meta=meta))
-    return ("fail" if violations else "ok"), payload, files
-
-
-def _run_parametrix(spec, ctx):
-    return _write_parametrix(_parametrix_table(spec, ctx.chart), spec, ctx.out_dir, ctx.meta)
+    return Outcome("fail" if violations else "ok", payload, cols, payload)
 
 
 def _run_measure(spec, ctx):
@@ -309,7 +276,6 @@ def _run_measure(spec, ctx):
         "im": series.values.imag,
         "gap": [""] + [float(g) for g in series.gaps],
     }
-    files = [artio.write_csv(ctx.out_dir / f"{spec['name']}.csv", cols, meta=ctx.meta)]
     payload = {
         "rows": list(series.rows()),
         "limit": None
@@ -317,19 +283,8 @@ def _run_measure(spec, ctx):
         else {"re": series.limit.real, "im": series.limit.imag},
         "extrapolated": series.extrapolated,
     }
-    files.append(artio.write_json(ctx.out_dir / f"{spec['name']}.json", payload, meta=ctx.meta))
     summary = {"members": len(modes), "extrapolated": series.extrapolated}
-    return "ok", summary, files
-
-
-def _write_propagation(rep, spec, out_dir, meta):
-    cols = {key: [getattr(r, key) for r in rep.rows] for key in ("h", "before", "after", "gap")}
-    files = [
-        artio.write_csv(out_dir / f"{spec['name']}.csv", cols, meta=meta),
-        artio.write_json(out_dir / f"{spec['name']}.json", rep.to_dict(), meta=meta),
-    ]
-    summary = {"verdict": rep.verdict, "notes": rep.notes}
-    return rep.verdict, summary, files
+    return Outcome("ok", summary, cols, payload)
 
 
 def _run_tails(spec, ctx):
@@ -343,15 +298,13 @@ def _run_tails(spec, ctx):
         "h": [mode.h for _ in radii for mode in modes],
         "fraction": [float(v) for row in fr for v in row],
     }
-    files = [artio.write_csv(ctx.out_dir / f"{spec['name']}.csv", cols, meta=ctx.meta)]
     worst = float(np.max(fr[-1]))
     payload = {"radii": radii, "fractions": fr.tolist(), "worst_at_largest_radius": worst}
     status = "ok"
     if "bound" in spec and worst > spec["bound"]:
         status = "fail"
         payload["bound"] = spec["bound"]
-    files.append(artio.write_json(ctx.out_dir / f"{spec['name']}.json", payload, meta=ctx.meta))
-    return status, payload, files
+    return Outcome(status, payload, cols, payload)
 
 
 def _run_propagation(check, spec, ctx, options=None):
@@ -360,7 +313,9 @@ def _run_propagation(check, spec, ctx, options=None):
     a = build_symbol(spec["symbol"], name=spec["name"])
     extra = options(spec, ctx.chart) if options else {}
     rep = check(modes, a, thresholds=ctx.thresholds, experiment=spec["name"], **extra)
-    return _write_propagation(rep, spec, ctx.out_dir, ctx.meta)
+    cols = {key: [getattr(r, key) for r in rep.rows] for key in ("h", "before", "after", "gap")}
+    summary = {"verdict": rep.verdict, "notes": rep.notes}
+    return Outcome(rep.verdict, summary, cols, rep.to_dict())
 
 
 def _invariance_options(spec, chart):
@@ -395,21 +350,37 @@ RUNNERS = {
 VERIFY_KINDS = ("invariance", "support", "elliptic", "car", "tails")
 
 
+def _compute(identity: dict, index: int) -> Outcome:
+    spec = identity["experiments"][index]
+    ctx = RunContext(
+        chart=load_chart(identity["chart"]),
+        thresholds=Thresholds(**identity["thresholds"]),
+        seed=identity["seed"],
+        index=index,
+    )
+    return RUNNERS[spec["kind"]](spec, ctx)
+
+
+def _write(out_dir: Path, spec: dict, meta: dict, outcome: Outcome) -> list:
+    """Write one experiment's artifacts; returns their paths."""
+    name = spec["name"]
+    files = [
+        artio.write_csv(out_dir / f"{name}.csv", outcome.cols, meta=meta),
+        artio.write_json(out_dir / f"{name}.json", outcome.payload, meta=meta),
+    ]
+    for suffix, field, at in outcome.grids:
+        files += artio.write_field_grid(out_dir / f"{name}-{suffix}", field, meta=dict(meta, **at))
+    return files
+
+
 def run_experiment(identity: dict, index: int, out: str, identity_hash: str) -> dict:
     """Execute one experiment and write its artifacts; never raises."""
     spec = identity["experiments"][index]
-    seed = identity["seed"]
-    meta = _meta(identity_hash, spec, seed)
     try:
-        ctx = RunContext(
-            chart=build_chart(identity["chart"]),
-            thresholds=build_thresholds(identity["thresholds"]),
-            seed=seed,
-            index=index,
-            out_dir=Path(out),
-            meta=meta,
-        )
-        status, summary, files = RUNNERS[spec["kind"]](spec, ctx)
+        outcome = _compute(identity, index)
+        meta = _meta(identity_hash, spec, identity["seed"])
+        files = _write(Path(out), spec, meta, outcome)
+        status, summary = outcome.status, outcome.summary
     except Exception as exc:
         status = "error"
         summary = {"error": f"{type(exc).__name__}: {exc}"}
@@ -478,95 +449,103 @@ def run_config(cfg: ExperimentConfig, *, only_kinds=None, select=None):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# probes
 
 
-def _adhoc_meta(command: str, params: dict) -> dict:
-    ident = {"command": command, **params}
-    return {"config_hash": artio.config_hash(ident), "experiment": command, "kind": command, "seed": 0}
+def _given(**keys) -> dict:
+    return {key: value for key, value in keys.items() if value is not None}
 
 
-def cmd_classify(args) -> int:
-    chart = load_chart(args.chart)
-    res = classify(chart, args.xp, args.xip, tol_g=args.tol_g, tol_bracket=args.tol_bracket)
-    print(res.label())
-    for key in sorted(res.witness):
-        value = res.witness[key]
+# each probe's flags as the keys of its one experiment; a flag not given
+# leaves its key out, so the config default applies
+_PROBE_KEYS = {
+    "classify": lambda a: _given(points=[[a.xp, a.xip]], tol_g=a.tol_g, tol_bracket=a.tol_bracket),
+    "trace": lambda a: _given(start=a.start, time=a.time, samples=a.samples),
+    "mode": lambda a: {
+        "family": _given(family=a.family, m=a.m, k=a.k, num_r=a.num_r, num_theta=a.num_theta)
+    },
+    "parametrix": lambda a: _given(m=a.m, orders=a.orders, delta0=a.delta0, eps0=a.eps0),
+}
+
+_POINT_FLAGS = {"points[0][0]": "--xp", "points[0][1]": "--xip"}
+
+
+def _flag(path: str) -> str:
+    """The probe flag that sets the config key at `path`."""
+    key = path.removeprefix("experiments[0].")
+    if key in _POINT_FLAGS:
+        return _POINT_FLAGS[key]
+    return "--" + re.sub(r"\[\d+\]", "", key).rsplit(".", 1)[-1].replace("_", "-")
+
+
+def _print_classify(spec, outcome):
+    print(outcome.cols["label"][0])
+    witness = outcome.payload[0]["result"]["witness"]
+    for key in sorted(witness):
+        value = witness[key]
         if isinstance(value, list):
             for j, v in enumerate(value):
                 print(f"  {key}[{j}] = {v:.12g}")
         else:
             print(f"  {key} = {value:.12g}")
-    if args.out:
-        meta = _adhoc_meta(
-            "classify",
-            {"chart": args.chart, "xp": args.xp, "xip": args.xip,
-             "tol_g": args.tol_g, "tol_bracket": args.tol_bracket},
-        )
-        path = artio.write_json(
-            Path(args.out) / "classify.json",
-            {"xp": args.xp, "xip": args.xip, "result": res.as_dict()},
-            meta=meta,
-        )
-        print(f"wrote {path}")
-    return 0
 
 
-def cmd_trace(args) -> int:
-    chart = load_chart(args.chart)
-    spec = {"name": "trace", "kind": "trace",
-            "start": args.start, "time": args.time, "samples": args.samples}
-    ray = _trace_ray(spec, chart)
-    print(f"status {ray.status}, {ray.reflections} reflection(s), t_final {ray.t_final:.6g}")
-    for e in ray.events:
-        loc = "" if e.x is None else f" at ({e.x[0]:.6g}, {e.x[1]:.6g})"
-        cls = "" if e.classification is None else f" [{e.classification.label()}]"
-        print(f"  t = {e.t:10.6f}  {e.kind}{loc}{cls}")
-    frame, _, vec = ray.state_vector(ray.t_final)
-    print(f"final ({frame}): {', '.join(f'{v:.9g}' for v in vec)}")
-    if args.out:
-        meta = _adhoc_meta("trace", {"chart": args.chart, **{k: spec[k] for k in ("start", "time", "samples")}})
-        _, _, files = _write_trace(ray, spec, Path(args.out), meta)
-        print(f"wrote {', '.join(str(f) for f in files)}")
-    return 0
+def _print_trace(spec, outcome):
+    ray = outcome.payload
+    print(
+        f"status {ray['status']}, {ray['reflections']} reflection(s),"
+        f" t_final {ray['t_final']:.6g}"
+    )
+    for e in ray["events"]:
+        loc = "" if e["x"] is None else f" at ({e['x'][0]:.6g}, {e['x'][1]:.6g})"
+        cls = "" if e["classification"] is None else f" [{e['classification']}]"
+        print(f"  t = {e['t']:10.6f}  {e['kind']}{loc}{cls}")
+    # two or more samples span [t_final, 0] or [0, t_final] and pin both
+    # ends exactly; a single sample sits at the lower end
+    i = 0 if ray["t_final"] < 0 else -1
+    state = ", ".join(f"{outcome.cols[c][i]:.9g}" for c in ("q1", "q2", "p1", "p2"))
+    print(f"final ({outcome.cols['frame'][i]}): {state}")
 
 
-def cmd_mode(args) -> int:
-    ctor = laplace_disk_mode if args.family == "laplace" else stokes_disk_mode
+def _print_mode(spec, outcome):
+    cols = outcome.cols
+    print(
+        f"{spec['family']['family']} mode m = {cols['m'][0]}, k = {cols['k'][0]}:"
+        f" lam = {cols['lam'][0]:.12g}, h = {cols['h'][0]:.6g}"
+    )
+    for key, value in sorted(outcome.payload["worst"].items()):
+        print(f"  {key:<14} {value:.6e}")
+
+
+def _print_parametrix(spec, outcome):
+    print("order " + "".join(f"  m={m:<10}" for m in spec["m"]))
+    for order, row in outcome.payload["errors"].items():
+        print(f"{order:<6}" + "".join(f"  {error:<12.4e}" for error in row.values()))
+
+
+_PRINTERS = {
+    "classify": _print_classify,
+    "trace": _print_trace,
+    "mode": _print_mode,
+    "parametrix": _print_parametrix,
+}
+
+
+def cmd_probe(args) -> int:
+    """Run the probe's flags as a one-experiment config of the same kind."""
+    kind = args.command
+    spec = {"name": kind, "kind": kind, **_PROBE_KEYS[kind](args)}
     try:
-        mode = ctor(args.m, args.k, args.num_r, args.num_theta)
-    except ValueError as exc:
-        # the floors of --num-r and --num-theta depend on m and k
-        flag = "--num-theta" if "num_theta" in str(exc) else "--num-r"
-        args.usage_error(f"argument {flag}: {exc}")
-    rep = mode.residual_report()
-    print(f"{args.family} mode m = {mode.m}, k = {mode.k}: lam = {mode.lam:.12g}, h = {mode.h:.6g}")
-    for key in sorted(rep):
-        print(f"  {key:<14} {rep[key]:.6e}")
+        cfg = load_config({"chart": getattr(args, "chart", "disk"), "experiments": [spec]})
+    except ConfigError as exc:
+        path, _, reason = exc.errors[0].partition(": ")
+        args.usage_error(f"argument {_flag(path)}: {reason}")
+    outcome = _compute(cfg.identity(), 0)
+    _PRINTERS[kind](spec, outcome)
     if args.out:
-        meta = _adhoc_meta("mode", {"family": args.family, "m": args.m, "k": args.k})
-        path = artio.write_json(
-            Path(args.out) / f"mode-{args.family}-{args.m}-{args.k}.json",
-            {"lam": mode.lam, "h": mode.h, "residuals": rep},
-            meta=meta,
-        )
-        print(f"wrote {path}")
-    return 0
-
-
-def cmd_parametrix(args) -> int:
-    ms, orders = args.m, args.orders
-    spec = {"name": "parametrix", "kind": "parametrix",
-            "m": ms, "orders": orders, "delta0": args.delta0, "eps0": args.eps0}
-    table = _parametrix_table(spec, None)
-    print("order " + "".join(f"  m={m:<10}" for m in ms))
-    for order in orders:
-        print(f"{order:<6}" + "".join(f"  {table[order][m]:<12.4e}" for m in ms))
-    if args.out:
-        meta = _adhoc_meta("parametrix", {k: spec[k] for k in ("m", "orders", "delta0", "eps0")})
-        _, _, files = _write_parametrix(table, spec, Path(args.out), meta)
+        files = _write(Path(args.out), spec, _meta(cfg.hash, spec, cfg.seed), outcome)
         print(f"wrote {', '.join(str(f) for f in files)}")
-    return 0
+    return 1 if outcome.status in FAIL_STATUSES else 0
 
 
 def _cmd_config_driven(args, only_kinds=None) -> int:
@@ -608,54 +587,14 @@ def _add_config_flags(p):
     p.add_argument("--select", nargs="*", default=None, help="run only these experiment names")
 
 
-def _checked(convert, ok, what):
-    """argparse type: convert a flag value, refusing it unless ok(value).
-
-    A ValueError or OSError (an unreadable file) from either also refuses
-    it.  A refusal is a usage error: argparse prints the usage line and
-    exits 2.
-    """
+def _comma_list(convert):
+    """argparse type: comma-separated values, each converted by `convert`."""
 
     def parse(text):
-        try:
-            value = convert(text)
-            if ok(value):
-                return value
-        except (ValueError, OSError):
-            pass
-        raise argparse.ArgumentTypeError(f"need {what}, got {text!r}")
+        return [convert(v) for v in text.split(",")]
 
+    parse.__name__ = f"comma-separated {convert.__name__}"
     return parse
-
-
-def _numbers(convert):
-    return lambda text: [convert(v) for v in text.split(",")]
-
-
-def _distinct(values):
-    return len(set(values)) == len(values)
-
-
-_START = _checked(
-    _numbers(float),
-    lambda v: len(v) == 4 and all(map(math.isfinite, v)),
-    "four finite numbers x1,x2,xi1,xi2",
-)
-_RING_INDICES = _checked(
-    _numbers(int), lambda v: _distinct(v) and min(v) >= 1, "distinct integers >= 1"
-)
-_ORDERS = _checked(
-    _numbers(int), lambda v: _distinct(v) and set(v) <= {0, 1}, "distinct orders from 0,1"
-)
-_FINITE = _checked(float, math.isfinite, "a finite number")
-_POSITIVE = _checked(float, lambda v: v > 0.0, "a positive number")
-_FRACTION = _checked(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
-_TIME = _checked(float, lambda v: v != 0.0 and math.isfinite(v), "a finite nonzero time")
-_CHART = _checked(str, load_chart, "disk[:WIDTH], annulus:RHO_IN[:inner|outer] or a chart file")
-
-
-def _int_at_least(lo):
-    return _checked(int, lambda v: v >= lo, f"an integer >= {lo}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -665,40 +604,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", help="classify one boundary covector")
-    p.add_argument("--chart", type=_CHART, default="disk")
-    p.add_argument("--xp", type=_FINITE, required=True)
-    p.add_argument("--xip", type=_FINITE, required=True)
-    p.add_argument("--tol-g", dest="tol_g", type=_POSITIVE, default=1e-8)
-    p.add_argument("--tol-bracket", dest="tol_bracket", type=_POSITIVE, default=1e-6)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_classify)
+    def probe(kind, help):
+        p = sub.add_parser(kind, help=help)
+        p.set_defaults(func=cmd_probe, usage_error=p.error)
+        return p
 
-    p = sub.add_parser("trace", help="trace one broken ray")
-    p.add_argument("--chart", type=_CHART, default="disk")
-    p.add_argument("--start", type=_START, required=True, help="x1,x2,xi1,xi2")
-    p.add_argument("--time", type=_TIME, required=True)
-    p.add_argument("--samples", type=_int_at_least(1), default=33)
+    chart_help = "disk[:WIDTH], annulus:RHO_IN[:inner|outer] or a chart file"
+    p = probe("classify", "classify one boundary covector")
+    p.add_argument("--chart", default="disk", help=chart_help)
+    p.add_argument("--xp", type=float, required=True)
+    p.add_argument("--xip", type=float, required=True)
+    p.add_argument("--tol-g", dest="tol_g", type=float)
+    p.add_argument("--tol-bracket", dest="tol_bracket", type=float)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_trace)
 
-    p = sub.add_parser("mode", help="build one quasimode and print its residuals")
-    p.add_argument("--family", choices=["laplace", "stokes"], required=True)
-    p.add_argument("--m", type=_int_at_least(0), required=True)
-    p.add_argument("--k", type=_int_at_least(1), required=True)
-    p.add_argument("--num-r", dest="num_r", type=int, default=None)
-    p.add_argument("--num-theta", dest="num_theta", type=int, default=None)
+    p = probe("trace", "trace one broken ray")
+    p.add_argument("--chart", default="disk", help=chart_help)
+    p.add_argument("--start", type=_comma_list(float), required=True, help="x1,x2,xi1,xi2")
+    p.add_argument("--time", type=float, required=True)
+    p.add_argument("--samples", type=int)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_mode, usage_error=p.error)
 
-    p = sub.add_parser("parametrix", help="boundary-layer extension errors")
-    p.add_argument("--m", type=_RING_INDICES, default="32,64,128",
+    p = probe("mode", "build one quasimode and print its residuals")
+    p.add_argument("--family", required=True, help="laplace or stokes")
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--num-r", dest="num_r", type=int)
+    p.add_argument("--num-theta", dest="num_theta", type=int)
+    p.add_argument("--out", default=None)
+
+    p = probe("parametrix", "boundary-layer extension errors")
+    p.add_argument("--m", type=_comma_list(int), default="32,64,128",
                    help="comma-separated angular orders")
-    p.add_argument("--orders", type=_ORDERS, default="0,1", help="comma-separated symbol orders")
-    p.add_argument("--delta0", type=_POSITIVE, default=0.25)
-    p.add_argument("--eps0", type=_FRACTION, default=0.3)
+    p.add_argument("--orders", type=_comma_list(int), help="comma-separated symbol orders")
+    p.add_argument("--delta0", type=float)
+    p.add_argument("--eps0", type=float)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_parametrix)
 
     p = sub.add_parser("measure", help="run the pairing-series experiments of a config")
     _add_config_flags(p)

@@ -33,8 +33,6 @@ __all__ = [
     "validate_config",
     "ExperimentConfig",
     "load_config",
-    "build_thresholds",
-    "build_chart",
     "family_lambda",
     "pick_k_for_ratio",
     "family_members",
@@ -416,10 +414,12 @@ def _validate_family(fam, where: str, errors: list[str]):
 
 
 def _validate_chart(spec, errors: list[str]):
+    """The chart `spec` names, or None after recording why it has none."""
     try:
-        load_chart(spec)
+        return load_chart(spec)
     except (ValueError, OSError, TypeError) as exc:
         errors.append(f"chart: {exc}")
+        return None
 
 
 def validate_config(raw) -> list[str]:
@@ -428,7 +428,7 @@ def validate_config(raw) -> list[str]:
         return ["(root): config must be a JSON object"]
     errors = _schema_errors(raw, _TOP, "")
     errors += [f"{_path_str('', p)}: {v} is not a finite number" for p, v in _nonfinite(raw)]
-    _validate_chart(raw.get("chart", "disk"), errors)
+    chart = _validate_chart(raw.get("chart", "disk"), errors)
     exps = raw.get("experiments")
     if not isinstance(exps, list):
         return errors
@@ -464,6 +464,12 @@ def validate_config(raw) -> list[str]:
                 )
         if kind == "trace" and exp.get("time") == 0:
             errors.append(f"{where}.time: zero-time traces are empty, pick a sign")
+        if kind == "trace" and isinstance(exp.get("start"), list) and chart is not None:
+            if not hasattr(chart, "to_cartesian"):
+                errors.append(
+                    f"{where}.start: a {chart.kind} chart has no ambient embedding,"
+                    " give the start as {y, xp, eta, xip}"
+                )
         if kind == "tails":
             radii = exp.get("radii", [])
             if any(not r > 1 for r in radii):
@@ -510,19 +516,11 @@ def load_config(raw: dict, *, out=None, seed=None, jobs=None) -> ExperimentConfi
     return ExperimentConfig(
         raw=raw,
         experiments=tuple(raw["experiments"]),
-        thresholds=build_thresholds(raw.get("thresholds")),
+        thresholds=Thresholds(**raw.get("thresholds", {})),
         seed=int(seed if seed is not None else raw.get("seed", 0)),
         out=str(out) if out is not None else raw.get("out"),
         jobs=int(jobs if jobs is not None else raw.get("jobs", 1)),
     )
-
-
-def build_thresholds(d: Optional[dict]) -> Thresholds:
-    return Thresholds(**(d or {}))
-
-
-def build_chart(spec):
-    return load_chart(spec if spec is not None else "disk")
 
 
 def _zero_order(family: str, m: int) -> int:

@@ -231,6 +231,15 @@ def sample_mode_on_box(mode, grid: BoxGrid) -> np.ndarray:
     return comps
 
 
+def _check_bandlimit(a: InteriorSymbol, h: float, grid: BoxGrid) -> None:
+    reach = h * (grid.kmax - 2.0 * grid.dk)
+    if a.xi_bound > reach:
+        raise BandlimitError(
+            f"declared xi box {a.xi_bound:.3f} exceeds lattice reach "
+            f"{reach:.3f} at n = {grid.n}, h = {h:.3g}"
+        )
+
+
 def apply_interior_op(
     a: InteriorSymbol,
     f: np.ndarray,
@@ -245,11 +254,7 @@ def apply_interior_op(
     """
     if check:
         a.check_margin(grid)
-        if a.xi_bound > h * (grid.kmax - 2.0 * grid.dk):
-            raise BandlimitError(
-                f"declared xi box {a.xi_bound:.3f} exceeds lattice reach "
-                f"{h * (grid.kmax - 2.0 * grid.dk):.3f} at n = {grid.n}, h = {h:.3g}"
-            )
+        _check_bandlimit(a, h, grid)
     if a.terms is not None:
         fhat = np.fft.fft2(f)
         out = np.zeros_like(fhat)
@@ -323,11 +328,7 @@ def apply_shifted_op(
                 f"transported support reaches |x| = {rad:.4f}, needs <= "
                 f"{bound:.4f} (shift 2|s| xi_bound = {2 * abs(s) * a.xi_bound:.3f})"
             )
-        if a.xi_bound > h * (grid.kmax - 2.0 * grid.dk):
-            raise BandlimitError(
-                f"declared xi box {a.xi_bound:.3f} exceeds lattice reach "
-                f"{h * (grid.kmax - 2.0 * grid.dk):.3f} at n = {grid.n}, h = {h:.3g}"
-            )
+        _check_bandlimit(a, h, grid)
     n = grid.n
     pos = _lattice_positions(n)
     k2 = grid.dk * np.fft.fftfreq(2 * n, 1.0 / (2 * n)).astype(int)
@@ -382,12 +383,21 @@ def pairing(
         return complex(total)
     if not isinstance(a, InteriorSymbol):
         raise TypeError("expected an InteriorSymbol or TangentialSymbol")
+    return _box_pairing(
+        a, mode, grid, lambda u, g: apply_interior_op(a, u, h, g, check=check)
+    )
+
+
+def _box_pairing(a: InteriorSymbol, mode, grid: Optional[BoxGrid], apply) -> complex:
+    """Sum of (apply(u, grid) | u) over the mode's velocity components on a box.
+
+    The box defaults to `default_box(mode.h, a.xi_bound)`.
+    """
     if grid is None:
-        grid = default_box(h, a.xi_bound)
-    comps = sample_mode_on_box(mode, grid)
+        grid = default_box(mode.h, a.xi_bound)
     total = 0.0 + 0.0j
-    for u in comps:
-        total += grid.inner(apply_interior_op(a, u, h, grid, check=check), u)
+    for u in sample_mode_on_box(mode, grid):
+        total += grid.inner(apply(u, grid), u)
     return complex(total)
 
 
@@ -406,14 +416,9 @@ def shifted_pairing(
     check inside apply_shifted_op enforces the conservative version of
     that geometry.
     """
-    h = mode.h
-    if grid is None:
-        grid = default_box(h, a.xi_bound)
-    comps = sample_mode_on_box(mode, grid)
-    total = 0.0 + 0.0j
-    for u in comps:
-        total += grid.inner(apply_shifted_op(a, s, u, h, grid, check=check), u)
-    return complex(total)
+    return _box_pairing(
+        a, mode, grid, lambda u, g: apply_shifted_op(a, s, u, mode.h, g, check=check)
+    )
 
 
 @dataclass

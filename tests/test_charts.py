@@ -253,6 +253,18 @@ def test_model_chart_validation():
     for width in (-1.0, 0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="collar width"):
             ModelChart([(0, 1, 0, 1.0)], collar_width=width)
+    # a term that is not a 4-item list is named, not a TypeError
+    for term in (5, None, "0100", (0, 1, 0)):
+        with pytest.raises(ValueError, match=r"bad term .*: need \(pow_z1, pow_zeta1, pow_y, coeff\)"):
+            ModelChart([(0, 1, 0, 1.0), term])
     spec = {"kind": "model", "terms": [[0, 1, 0, 1.0], [1, 0, 1, math.nan]]}
     with pytest.raises(ValueError, match="finite"):
         load_chart(spec)
+
+
+def test_annulus_collar_width_zero_refused():
+    # an explicit width must clear 0 < width < gap; only None means the default
+    assert AnnulusChart(0.5).collar_width == pytest.approx(0.2)
+    for width in (0, 0.0, -0.1, 0.5):
+        with pytest.raises(ValueError, match="collar width"):
+            AnnulusChart(0.5, collar_width=width)

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import hashlib
 import json
@@ -358,6 +359,11 @@ def test_every_public_name_has_a_program_caller():
 def test_every_schema_kind_has_one_runner():
     assert set(cli.RUNNERS) == set(_EXPERIMENT_SCHEMAS)
     assert set(cli.VERIFY_KINDS) <= set(cli.RUNNERS)
+    # every probe subcommand runs the experiment kind of its own name
+    [subs] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    probes = {name for name, p in subs.choices.items() if p.get_default("func") is cli.cmd_probe}
+    assert probes == {"classify", "trace", "mode", "parametrix"}
+    assert probes <= set(cli.RUNNERS)
 
 
 def test_smoke_config_exits_clean_and_fast(tmp_path):
@@ -435,6 +441,9 @@ NAN_CHART = {"kind": "model", "terms": [[0, 1, 0, 1.0], [1, 0, 1, float("nan")]]
 HALF_POWER_CHART = {"kind": "model", "terms": [[0, 1, 0, 1.0], [1.5, 0, 1, 1.0]]}
 MISSPELT_CHART = {"kind": "disk", "colar_width": 0.2}
 ORDER_ONE_CHART = {"kind": "disk", "max_derivative_order": 1}
+ZERO_COLLAR_CHART = {"kind": "annulus", "rho_in": 0.5, "collar_width": 0}
+INT_TERM_CHART = {"kind": "model", "terms": [5]}
+MODEL_CHART = {"kind": "model", "terms": [[0, 1, 0, 1.0], [1, 0, 1, 1.0]]}
 
 
 def test_invalid_config_exits_two(tmp_path, capsys):
@@ -443,6 +452,9 @@ def test_invalid_config_exits_two(tmp_path, capsys):
     no_radius.write_text(json.dumps({"kind": "annulus"}))
     nan_coeff = tmp_path / "nan-coeff.json"
     nan_coeff.write_text(json.dumps(NAN_CHART))
+    zero_collar = tmp_path / "zero-collar.json"
+    zero_collar.write_text(json.dumps(ZERO_COLLAR_CHART))
+    trace = {"name": "t", "kind": "trace", "start": [0, 0, 1, 0], "time": 1.0}
     cases = [
         ({"experiments": [dict(classify, tol_g=-1)]}, "tol_g"),
         ({"experiments": [{"name": "p", "kind": "parametrix", "m": [12, 12]}]},
@@ -465,6 +477,12 @@ def test_invalid_config_exits_two(tmp_path, capsys):
          "chart: chart kind 'disk' has no key 'colar_width'"),
         ({"chart": ORDER_ONE_CHART, "experiments": [classify]},
          "chart: max_derivative_order must be an integer >= 2"),
+        ({"chart": str(zero_collar), "experiments": [classify]},
+         "chart: collar width must be positive"),
+        ({"chart": INT_TERM_CHART, "experiments": [classify]},
+         "chart: bad term 5: need (pow_z1, pow_zeta1, pow_y, coeff)"),
+        ({"chart": MODEL_CHART, "experiments": [trace]},
+         "experiments[0].start: a model chart has no ambient embedding"),
     ]
     for i, (raw, named) in enumerate(cases):
         cfg = tmp_path / f"bad{i}.json"
@@ -476,49 +494,129 @@ def test_invalid_config_exits_two(tmp_path, capsys):
         assert not (out / "summary.json").exists()  # refused before computing
 
 
+def probe_config(kind, chart=None, **keys):
+    """The one-experiment config a probe of this kind runs."""
+    raw = {"experiments": [{"name": kind, "kind": kind, **keys}]}
+    if chart is not None:
+        raw["chart"] = chart
+    return raw
+
+
+ORIGIN_RAY = {"start": [0.0, 0.0, 1.0, 0.0], "time": 1.0}
+COVECTOR = {"points": [[0.0, 1.0]]}
+
+
+def laplace(**family):
+    return probe_config("mode", family={"family": "laplace", "m": 2, "k": 1, **family})
+
+
+# (probe argv, refused flag, equivalent config); no config where argparse
+# cannot convert the text to numbers, which no JSON config can hold
+PROBE_REFUSALS = [
+    (["trace", "--start", "a,b,c,d", "--time", "1"], "--start", None),
+    (["parametrix", "--m", "0", "--orders", "0"], "--m",
+     probe_config("parametrix", m=[0], orders=[0])),
+    (["parametrix", "--m", "12,x"], "--m", None),
+    (["mode", "--family", "laplace", "--m", "-1", "--k", "1"], "--m", laplace(m=-1)),
+    (["mode", "--family", "stokes", "--m", "3", "--k", "0"], "--k",
+     probe_config("mode", family={"family": "stokes", "m": 3, "k": 0})),
+    (["classify", "--xp", "0", "--xip", "1", "--tol-g", "0"], "--tol-g",
+     probe_config("classify", **COVECTOR, tol_g=0.0)),
+    (["mode", "--family", "laplace", "--m", "2", "--k", "1", "--num-r", "3"], "--num-r",
+     laplace(num_r=3)),
+    (["mode", "--family", "laplace", "--m", "2", "--k", "1", "--num-theta", "6"],
+     "--num-theta", laplace(num_theta=6)),
+    (["parametrix", "--m", "12", "--delta0", "-1"], "--delta0",
+     probe_config("parametrix", m=[12], delta0=-1.0)),
+    (["parametrix", "--m", "12", "--eps0", "1.5"], "--eps0",
+     probe_config("parametrix", m=[12], eps0=1.5)),
+    (["classify", "--chart", "annulus:2", "--xp", "0", "--xip", "1"], "--chart",
+     probe_config("classify", "annulus:2", **COVECTOR)),
+    (["classify", "--chart", "nosuch", "--xp", "0", "--xip", "1"], "--chart",
+     probe_config("classify", "nosuch", **COVECTOR)),
+    (["trace", "--start", "0,0,1,0", "--time", "1", "--samples", "0", "--out", "D"],
+     "--samples", probe_config("trace", **ORIGIN_RAY, samples=0)),
+    (["trace", "--start", "0,0,1,0", "--time", "0"], "--time",
+     probe_config("trace", **dict(ORIGIN_RAY, time=0.0))),
+    (["trace", "--start", "0,0,1,0", "--time", "nan"], "--time",
+     probe_config("trace", **dict(ORIGIN_RAY, time=float("nan")))),
+    (["classify", "--chart", "no-radius.json", "--xp", "0", "--xip", "1"], "--chart",
+     probe_config("classify", "no-radius.json", **COVECTOR)),
+    (["classify", "--xp", "0", "--xip", "inf"], "--xip",
+     probe_config("classify", points=[[0.0, float("inf")]])),
+    (["classify", "--xp", "nan", "--xip", "1"], "--xp",
+     probe_config("classify", points=[[float("nan"), 1.0]])),
+    (["classify", "--chart", "nan-coeff.json", "--xp", "0", "--xip", "1"], "--chart",
+     probe_config("classify", "nan-coeff.json", **COVECTOR)),
+    (["classify", "--chart", "half-power.json", "--xp", "0", "--xip", "1"], "--chart",
+     probe_config("classify", "half-power.json", **COVECTOR)),
+    (["classify", "--chart", "misspelt.json", "--xp", "0", "--xip", "1"], "--chart",
+     probe_config("classify", "misspelt.json", **COVECTOR)),
+    (["classify", "--chart", "order-one.json", "--xp", "0", "--xip", "1"], "--chart",
+     probe_config("classify", "order-one.json", **COVECTOR)),
+    (["classify", "--chart", "zero-collar.json", "--xp", "0", "--xip", "1"], "--chart",
+     probe_config("classify", "zero-collar.json", **COVECTOR)),
+    (["classify", "--chart", "int-term.json", "--xp", "0", "--xip", "1"], "--chart",
+     probe_config("classify", "int-term.json", **COVECTOR)),
+    (["trace", "--chart", "model.json", "--start", "0,0,1,0", "--time", "1"], "--start",
+     probe_config("trace", "model.json", **ORIGIN_RAY)),
+    (["parametrix", "--m", "12", "--delta0", "2"], "--delta0",
+     probe_config("parametrix", m=[12], delta0=2.0)),
+]
+
+
 @pytest.mark.parametrize(
-    "argv, flag",
-    [
-        (["trace", "--start", "a,b,c,d", "--time", "1"], "--start"),
-        (["parametrix", "--m", "0", "--orders", "0"], "--m"),
-        (["parametrix", "--m", "12,x"], "--m"),
-        (["mode", "--family", "laplace", "--m", "-1", "--k", "1"], "--m"),
-        (["mode", "--family", "stokes", "--m", "3", "--k", "0"], "--k"),
-        (["classify", "--xp", "0", "--xip", "1", "--tol-g", "0"], "--tol-g"),
-        (["mode", "--family", "laplace", "--m", "2", "--k", "1", "--num-r", "3"], "--num-r"),
-        (["mode", "--family", "laplace", "--m", "2", "--k", "1", "--num-theta", "6"],
-         "--num-theta"),
-        (["parametrix", "--m", "12", "--delta0", "-1"], "--delta0"),
-        (["parametrix", "--m", "12", "--eps0", "1.5"], "--eps0"),
-        (["classify", "--chart", "annulus:2", "--xp", "0", "--xip", "1"], "--chart"),
-        (["classify", "--chart", "nosuch", "--xp", "0", "--xip", "1"], "--chart"),
-        (["trace", "--start", "0,0,1,0", "--time", "1", "--samples", "0", "--out", "D"],
-         "--samples"),
-        (["trace", "--start", "0,0,1,0", "--time", "0"], "--time"),
-        (["trace", "--start", "0,0,1,0", "--time", "nan"], "--time"),
-        (["classify", "--chart", "no-radius.json", "--xp", "0", "--xip", "1"], "--chart"),
-        (["classify", "--xp", "0", "--xip", "inf"], "--xip"),
-        (["classify", "--xp", "nan", "--xip", "1"], "--xp"),
-        (["classify", "--chart", "nan-coeff.json", "--xp", "0", "--xip", "1"], "--chart"),
-        (["classify", "--chart", "half-power.json", "--xp", "0", "--xip", "1"], "--chart"),
-        (["classify", "--chart", "misspelt.json", "--xp", "0", "--xip", "1"], "--chart"),
-        (["classify", "--chart", "order-one.json", "--xp", "0", "--xip", "1"], "--chart"),
-    ],
+    "argv, flag, config",
+    [pytest.param(*case, id=f"argv{i}-{case[1]}") for i, case in enumerate(PROBE_REFUSALS)],
 )
-def test_adhoc_usage_error_exits_two(argv, flag, tmp_path, monkeypatch, capsys):
+def test_adhoc_usage_error_exits_two(argv, flag, config, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "no-radius.json").write_text(json.dumps({"kind": "annulus"}))
-    (tmp_path / "nan-coeff.json").write_text(json.dumps(NAN_CHART))
-    (tmp_path / "half-power.json").write_text(json.dumps(HALF_POWER_CHART))
-    (tmp_path / "misspelt.json").write_text(json.dumps(MISSPELT_CHART))
-    (tmp_path / "order-one.json").write_text(json.dumps(ORDER_ONE_CHART))
+    for name, chart in [
+        ("no-radius", {"kind": "annulus"}), ("nan-coeff", NAN_CHART),
+        ("half-power", HALF_POWER_CHART), ("misspelt", MISSPELT_CHART),
+        ("order-one", ORDER_ONE_CHART), ("zero-collar", ZERO_COLLAR_CHART),
+        ("int-term", INT_TERM_CHART), ("model", MODEL_CHART),
+    ]:
+        (tmp_path / f"{name}.json").write_text(json.dumps(chart))
     # argparse refuses the flag: one usage line, exit 2, no traceback
     with pytest.raises(SystemExit) as exc:
         run_cli(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: bicharlab " + argv[0])
-    assert f"error: argument {flag}: need " in err
+    assert not (tmp_path / "D").exists()  # refused before computing
+    if config is None:
+        assert f"error: argument {flag}: invalid comma-separated " in err
+        return
+    # the reason is the config schema's own, as `bicharlab run` prints it
+    (tmp_path / "equivalent.json").write_text(json.dumps(config))
+    assert run_cli(["run", "--config", "equivalent.json", "--out", "R"]) == 2
+    first = capsys.readouterr().err.splitlines()[1]  # after "invalid config:"
+    reason = first.strip().partition(": ")[2]
+    assert f"error: argument {flag}: {reason}\n" in err
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["classify", "--xp", "0.0", "--xip", "1.0"], probe_config("classify", **COVECTOR)),
+        (["trace", "--start", "0.0,-1.0,0.6,0.8", "--time", "2.0", "--samples", "9"],
+         probe_config("trace", start=[0.0, -1.0, 0.6, 0.8], time=2.0, samples=9)),
+        (["mode", "--family", "stokes", "--m", "3", "--k", "2"],
+         probe_config("mode", family={"family": "stokes", "m": 3, "k": 2})),
+        (["parametrix", "--m", "12,24", "--orders", "0"],
+         probe_config("parametrix", m=[12, 24], orders=[0])),
+    ],
+)
+def test_probe_writes_the_artifacts_of_its_config(argv, config, tmp_path, capsys):
+    assert run_cli(argv + ["--out", str(tmp_path / "probe")]) == 0
+    cfg = tmp_path / "equivalent.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    probe, run = tree_digest(tmp_path / "probe"), tree_digest(tmp_path / "run")
+    kind = argv[0]
+    assert sorted(probe) == [f"{kind}.csv", f"{kind}.json"]
+    assert probe == {name: run[name] for name in probe}
 
 
 def test_failing_expectation_exits_one(tmp_path):
@@ -721,8 +819,9 @@ def test_classify_subcommand_prints_label(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "glancing(2,-)" in out
     doc = json.load(open(tmp_path / "classify.json"))
-    assert doc["payload"]["result"]["tag"] == "glancing"
+    assert doc["payload"][0]["result"]["tag"] == "glancing"
     assert doc["meta"]["config_hash"]
+    assert (tmp_path / "classify.csv").exists()
 
 
 def test_classify_subcommand_prints_bracket_witness(tmp_path, capsys):
@@ -737,17 +836,19 @@ def test_classify_subcommand_prints_bracket_witness(tmp_path, capsys):
         "glancing(3)", "  brackets[0] = 0", "  brackets[1] = 1", "  r0 = 0"
     ]
     payload = json.load(open(tmp_path / "classify.json"))["payload"]
-    assert payload == {
-        "xp": 0.0,
-        "xip": 0.0,
-        "result": {
-            "tag": "glancing",
-            "order": 3,
-            "sign": None,
-            "unresolved": False,
-            "witness": {"r0": 0.0, "brackets": [0.0, 1.0]},
-        },
-    }
+    assert payload == [
+        {
+            "xp": 0.0,
+            "xip": 0.0,
+            "result": {
+                "tag": "glancing",
+                "order": 3,
+                "sign": None,
+                "unresolved": False,
+                "witness": {"r0": 0.0, "brackets": [0.0, 1.0]},
+            },
+        }
+    ]
 
 
 def test_cli_import_skips_heavy_scipy_modules():
