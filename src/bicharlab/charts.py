@@ -187,6 +187,10 @@ class DiskChart(CollarChart):
 
     # embedding ------------------------------------------------------
 
+    def contains(self, x: Sequence[float]) -> bool:
+        """x lies in the closed unit disk, up to 1e-12 as in billiard.propagate."""
+        return math.hypot(x[0], x[1]) <= 1.0 + 1e-12
+
     def to_cartesian(self, p: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
         rho = 1.0 - p.y
         if rho < 0.0:
@@ -271,6 +275,10 @@ class AnnulusChart(CollarChart):
         a = np.abs(xip)
         sgn = -1.0 if self.component == "outer" else 1.0
         return a / rho, -sgn * a / rho**2, 2.0 * a / rho**3
+
+    def contains(self, x: Sequence[float]) -> bool:
+        """x lies in the closed annulus, up to 1e-12 on either circle."""
+        return self.rho_in - 1e-12 <= math.hypot(x[0], x[1]) <= 1.0 + 1e-12
 
     def to_cartesian(self, p: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
         rho = self._rho(p.y)

@@ -465,10 +465,18 @@ def validate_config(raw) -> list[str]:
         if kind == "trace" and exp.get("time") == 0:
             errors.append(f"{where}.time: zero-time traces are empty, pick a sign")
         if kind == "trace" and isinstance(exp.get("start"), list) and chart is not None:
+            x = exp["start"][:2]
+            numeric = len(x) == 2 and all(type(v) in (int, float) and math.isfinite(v) for v in x)
             if not hasattr(chart, "to_cartesian"):
                 errors.append(
                     f"{where}.start: a {chart.kind} chart has no ambient embedding,"
                     " give the start as {y, xp, eta, xip}"
+                )
+            elif numeric and not chart.contains(x):
+                # the schema and the finiteness check report malformed starts
+                errors.append(
+                    f"{where}.start: x = ({x[0]}, {x[1]}) lies outside the closed"
+                    f" {chart.kind} domain"
                 )
         if kind == "tails":
             radii = exp.get("radii", [])

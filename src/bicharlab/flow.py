@@ -8,18 +8,26 @@ dispatched: transversal contacts reflect, tangential contacts with the
 boundary curving toward the domain pass straight through, the remaining
 glancing contacts start a glide that releases where the curvature condition
 changes sign.  Unresolvable contacts abort the trace rather than guess.
+
+The collar field is integrated by a Dormand-Prince 5(4) stepper with its
+4th-order continuous extension (Dormand & Prince 1980; step control and dense
+output as in Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6), a port of
+scipy's RK45 on plain floats.  Event roots, the sub-step dip crossing and the
+glide release come from one Brent solver (scipy's brentq, ported), and glide
+segments are cubic Hermite interpolants of their RK4 knots.  The tests hold
+all three to scipy's solve_ivp, brentq and CubicHermiteSpline as oracles.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicHermiteSpline
-from scipy.optimize import brentq
 
 from .charts import CollarChart, PhasePoint
 from .classify import GLANCING, HYPERBOLIC, TOL_G, BoundaryClass, classify
@@ -45,6 +53,232 @@ GLIDING_STEP = 1e-3
 KICK = 1e-9
 # a ray logging more events than this is aborted
 MAX_EVENTS = 10_000
+
+# Dormand-Prince 5(4) tableau, error weights and dense-output matrix, as in
+# scipy's RK45; the collar field is autonomous, so the nodes c_i go unused
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_DP_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+# columns of scipy's P: coefficient k of the dense polynomial over the 7 stages
+_DP_P = tuple(
+    zip(
+        (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+        (0.0, 0.0, 0.0, 0.0),
+        (
+            0.0,
+            131558114200 / 32700410799,
+            -68118460800 / 10900136933,
+            87487479700 / 32700410799,
+        ),
+        (
+            0.0,
+            -1754552775 / 470086768,
+            14199869525 / 1410260304,
+            -10690763975 / 1880347072,
+        ),
+        (
+            0.0,
+            127303824393 / 49829197408,
+            -318862633887 / 49829197408,
+            701980252875 / 199316789632,
+        ),
+        (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+        (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+    )
+)
+# step-size control: safety factor, step change bounds, error exponent -1/(4+1)
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10.0
+_ERR_EXP = -1 / 5
+# relative root tolerance, and the absolute one of event times (scipy's 4 eps)
+_ROOT_TOL = 4 * sys.float_info.epsilon
+# collar events (state component, level, direction): the boundary y = 0
+# crossed downward, the turning point eta = 0, and (embeddable charts only)
+# the collar band's midline crossed upward, appended per chart
+_CONTACT, _TURN, _EXIT = 0, 1, 2
+_COLLAR_EVENTS = ((0, 0.0, -1), (2, 0.0, 0))
+
+
+def _brent(f, a, b, xtol):
+    """Root of f in [a, b] by Brent's method; a port of scipy's brentq.
+
+    Converges to within xtol + 4 eps |x|, in at most 100 iterations.
+    """
+    xpre, xcur = a, b
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _ROOT_TOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError("root not converged in 100 iterations")
+
+
+def _rms_scaled(v, scale):
+    return math.sqrt(sum((a / s) ** 2 for a, s in zip(v, scale))) / 2.0
+
+
+def _initial_step(f, y0, f0, interval):
+    """First step size: Hairer, Norsett & Wanner II.4, as scipy selects it."""
+    scale = [ATOL + abs(a) * RTOL for a in y0]
+    d0 = _rms_scaled(y0, scale)
+    d1 = _rms_scaled(f0, scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    f1 = f([a + h0 * b for a, b in zip(y0, f0)])
+    d2 = _rms_scaled([a - b for a, b in zip(f1, f0)], scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, interval, MAX_STEP_COLLAR)
+
+
+def _dp_step(f, y, fy, h):
+    """One Dormand-Prince step of size h: (y_new, stages K0..K6)."""
+    K = [fy]
+    for a in _DP_A:
+        K.append(f([yi + h * sum(map(mul, a, ks)) for yi, ks in zip(y, zip(*K))]))
+    y_new = [yi + h * sum(map(mul, _DP_B, ks)) for yi, ks in zip(y, zip(*K))]
+    K.append(f(y_new))
+    return y_new, K
+
+
+def _dense(step, t, i):
+    """Component i of one step's quartic continuous extension at time t."""
+    t_old, h, y_old, K = step
+    x = (t - t_old) / h
+    ks = [k[i] for k in K]
+    q0, q1, q2, q3 = (sum(map(mul, ks, col)) for col in _DP_P)
+    x2 = x * x
+    x3 = x2 * x
+    return y_old[i] + h * (q0 * x + q1 * x2 + q2 * x3 + q3 * (x3 * x))
+
+
+class _CollarPath:
+    """Dense output of one collar solve, one quartic per accepted step.
+
+    ts holds the step boundaries, the last one cut to the event time when an
+    event ended the solve.  A time on a boundary takes the earlier step, and
+    times outside extrapolate the end steps, as scipy's OdeSolution does.
+    """
+
+    def __init__(self, t0):
+        self.ts = [t0]
+        self.steps = []  # (t_old, h, y_old, K)
+
+    def __call__(self, t):
+        j = min(max(bisect_left(self.ts, t) - 1, 0), len(self.steps) - 1)
+        return np.array([_dense(self.steps[j], t, i) for i in range(4)])
+
+
+def _solve_collar(f, t, y, t_bound, events):
+    """Integrate y' = f(y) from t toward t_bound, stopping at the first event.
+
+    Events are (component, level, direction) triples, as solve_ivp's
+    terminal events on y[component] - level: a sign change in the given
+    direction (0 for either) over an accepted step, located on the step's
+    dense polynomial.  Returns (path, hit) with hit = (event index, time,
+    state) or None when t_bound is reached first.
+    """
+    fy = f(y)
+    h_abs = _initial_step(f, y, fy, t_bound - t)
+    path = _CollarPath(t)
+    g = [y[i] - level for i, level, _ in events]
+    while True:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs = min(max(h_abs, min_step), MAX_STEP_COLLAR)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise RuntimeError(
+                    "collar integration failed: required step size is less than"
+                    " spacing between numbers"
+                )
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = abs(h)
+            y_new, K = _dp_step(f, y, fy, h)
+            err = [h * sum(map(mul, _DP_E, ks)) for ks in zip(*K)]
+            scale = [ATOL + max(abs(a), abs(b)) * RTOL for a, b in zip(y, y_new)]
+            error_norm = _rms_scaled(err, scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm**_ERR_EXP)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_ERR_EXP)
+            rejected = True
+
+        step = (t, h, y, K)
+        path.steps.append(step)
+        path.ts.append(t_new)
+        hit = None
+        g_new = [y_new[i] - level for i, level, _ in events]
+        for n, ((i, level, direction), g0, g1) in enumerate(zip(events, g, g_new)):
+            up = g0 <= 0 <= g1
+            down = g0 >= 0 >= g1
+            if (up and direction >= 0) or (down and direction <= 0):
+                root = _brent(
+                    lambda s, i=i, level=level: _dense(step, s, i) - level,
+                    t,
+                    t_new,
+                    _ROOT_TOL,
+                )
+                if hit is None or root < hit[1]:
+                    hit = (n, root)
+        if hit is not None:
+            n, root = hit
+            path.ts[-1] = root
+            return path, (n, root, [_dense(step, root, i) for i in range(4)])
+        if t_new >= t_bound:
+            return path, None
+        t, y, fy, g = t_new, y_new, K[-1], g_new
 
 
 @dataclass(frozen=True)
@@ -170,6 +404,16 @@ def reflect_hyperbolic(chart: CollarChart, point: PhasePoint) -> PhasePoint:
     return PhasePoint(0.0, point.xp, math.sqrt(r0), point.xip)
 
 
+def _collar_field(chart: CollarChart):
+    """Hamilton field of the collar symbol on (y, x', eta, xi')."""
+
+    def f(u):
+        jet = chart._jet_any_y(u[0], u[1], u[3])
+        return (2.0 * u[2], -jet.dr_dxip, jet.dr_dy, jet.dr_dxp)
+
+    return f
+
+
 def _glide_field(chart: CollarChart, xp: float, xip: float):
     jet = chart._jet_any_y(0.0, xp, xip)
     return -jet.dr_dxip, jet.dr_dxp
@@ -199,10 +443,26 @@ def step_gliding(chart: CollarChart, point: PhasePoint, ds: float) -> PhasePoint
     return PhasePoint(0.0, xp2, 0.0, _project_shell(chart, xp2, xip2))
 
 
-def _ev(fn, terminal, direction):
-    fn.terminal = terminal
-    fn.direction = direction
-    return fn
+def _hermite(ts, ys, ds):
+    """Cubic Hermite interpolant of knots ts, values ys and slopes ds.
+
+    Evaluated through the four basis polynomials, so it returns the knot
+    values exactly; outside the knots it extrapolates the end cubics.
+    """
+
+    def ev(t):
+        j = min(max(bisect_right(ts, t) - 1, 0), len(ts) - 2)
+        h = ts[j + 1] - ts[j]
+        s = (t - ts[j]) / h
+        u = 1.0 - s
+        return (
+            (1.0 + 2.0 * s) * u * u * ys[j]
+            + s * u * u * h * ds[j]
+            + s * s * (3.0 - 2.0 * s) * ys[j + 1]
+            - s * s * u * h * ds[j + 1]
+        )
+
+    return ev
 
 
 class _Tracer:
@@ -282,23 +542,16 @@ class _Tracer:
 
     # -- collar integration --------------------------------------------------
 
-    def _rhs(self, chart):
-        def f(tt, u):
-            jet = chart._jet_any_y(u[0], u[1], u[3])
-            return (2.0 * u[2], -jet.dr_dxip, jet.dr_dy, jet.dr_dxp)
-
-        return f
-
     def _kick(self, chart, u):
         # one tiny explicit RK4 step of the true field, so restarts do not
         # sit exactly on an event root
         h = KICK
-        f = self._rhs(chart)
+        f = _collar_field(chart)
         u = np.asarray(u, dtype=float)
-        k1 = np.array(f(0, u))
-        k2 = np.array(f(0, u + 0.5 * h * k1))
-        k3 = np.array(f(0, u + 0.5 * h * k2))
-        k4 = np.array(f(0, u + h * k3))
+        k1 = np.array(f(u))
+        k2 = np.array(f(u + 0.5 * h * k1))
+        k3 = np.array(f(u + 0.5 * h * k2))
+        k4 = np.array(f(u + h * k3))
         return u + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
 
     def run_collar(self, t, chart, pt, t_total):
@@ -311,71 +564,41 @@ class _Tracer:
             # on the boundary moving along or into it: dispatch immediately
             return self.dispatch(t, chart, pt, t_total)
 
-        u0 = np.array([pt.y, pt.xp, pt.eta, pt.xip], dtype=float)
-        events = [
-            _ev(lambda tt, u: u[0], True, -1),  # transversal boundary contact
-            _ev(lambda tt, u: u[2], True, 0),  # turning point (eta = 0)
-        ]
+        u0 = [float(pt.y), float(pt.xp), float(pt.eta), float(pt.xip)]
+        events = _COLLAR_EVENTS
         if self.embeddable:
-            half = 0.5 * chart.collar_width
-            events.append(_ev(lambda tt, u: u[0] - half, True, 1))  # leaves band
-
-        sol = solve_ivp(
-            self._rhs(chart),
-            (t, t_total),
-            u0,
-            method="RK45",
-            rtol=RTOL,
-            atol=ATOL,
-            max_step=MAX_STEP_COLLAR,
-            dense_output=True,
-            events=events,
-        )
-        if sol.status < 0:
-            raise RuntimeError(f"collar integration failed: {sol.message}")
-
-        t_end = float(sol.t[-1])
-        segment = RaySegment("collar", "collar", t, t_end, chart, lambda tt: sol.sol(tt))
+            events += ((0, 0.5 * chart.collar_width, 1),)
+        path, hit = _solve_collar(_collar_field(chart), t, u0, t_total, events)
+        segment = RaySegment("collar", "collar", t, path.ts[-1], chart, path)
         self.segments.append(segment)
-        if sol.status == 0:
+        if hit is None:
             return t_total, "done", None
 
-        t_b = sol.t_events[0][0] if len(sol.t_events[0]) else math.inf
-        t_turn = sol.t_events[1][0] if len(sol.t_events[1]) else math.inf
-        t_exit = (
-            sol.t_events[2][0]
-            if self.embeddable and len(sol.t_events[2])
-            else math.inf
-        )
-
-        if t_exit <= min(t_b, t_turn):
-            u = sol.y_events[2][0]
+        kind, t_hit, u = hit
+        if kind == _EXIT:
             p = PhasePoint(u[0], u[1], u[2], u[3])
             x, xi = chart.to_cartesian(p)
-            if not self._log("exit_collar", t_exit, p, (float(x[0]), float(x[1]))):
-                return t_exit, "done", None
-            return t_exit, "free", (x, xi)
+            if not self._log("exit_collar", t_hit, p, (float(x[0]), float(x[1]))):
+                return t_hit, "done", None
+            return t_hit, "free", (x, xi)
 
-        if t_b <= t_turn:
-            u = sol.y_events[0][0]
+        if kind == _CONTACT:
             contact = PhasePoint(0.0, u[1], u[2], u[3])
-            return self.dispatch(t_b, chart, contact, t_total)
+            return self.dispatch(t_hit, chart, contact, t_total)
 
         # turning point: eta hits 0 and y is locally extremal there
-        u = sol.y_events[1][0]
         if u[0] > GRAZE_TOL:
             # perihelion above the boundary: nudge past the root and go on
             u2 = self._kick(chart, u)
-            return t_turn + KICK, "collar", (chart, PhasePoint(*u2))
+            return t_hit + KICK, "collar", (chart, PhasePoint(*u2))
         if u[0] >= -GRAZE_TOL:
             contact = PhasePoint(0.0, u[1], u[2], u[3])
-            return self.dispatch(t_turn, chart, contact, t_total)
+            return self.dispatch(t_hit, chart, contact, t_total)
         # the step dipped below the boundary without an endpoint sign change;
         # locate the first actual crossing inside the accepted step
-        idx = int(np.searchsorted(sol.t, t_turn)) - 1
-        t_a = float(sol.t[max(idx, 0)])
-        t_c = brentq(lambda s: sol.sol(s)[0], t_a, t_turn, xtol=1e-14)
-        u_c = sol.sol(t_c)
+        t_a = path.ts[max(bisect_left(path.ts, t_hit) - 1, 0)]
+        t_c = _brent(lambda s: path(s)[0], t_a, t_hit, 1e-14)
+        u_c = path(t_c)
         segment.t1 = t_c
         contact = PhasePoint(0.0, u_c[1], u_c[2], u_c[3])
         return self.dispatch(t_c, chart, contact, t_total)
@@ -432,7 +655,7 @@ class _Tracer:
                         q = step_gliding(chart, _cur, s) if s > 0 else _cur
                         return chart.r1(q.xp, q.xip)
 
-                    s_star = brentq(f, 0.0, h, xtol=1e-13)
+                    s_star = _brent(f, 0.0, h, 1e-13)
                 else:
                     s_star = 0.0
                 if s_star > 0:
@@ -453,12 +676,12 @@ class _Tracer:
         if released is None:
             t_cur = max(t_cur, t_total)
         if len(ts) >= 2:
-            d = np.array([_glide_field(chart, a, b) for a, b in zip(xps, xips)])
-            sp_x = CubicHermiteSpline(np.asarray(ts), np.asarray(xps), d[:, 0])
-            sp_k = CubicHermiteSpline(np.asarray(ts), np.asarray(xips), d[:, 1])
+            d_x, d_k = zip(*(_glide_field(chart, a, b) for a, b in zip(xps, xips)))
+            sp_x = _hermite(ts, xps, d_x)
+            sp_k = _hermite(ts, xips, d_k)
 
             def ev(tt):
-                return np.array([0.0, float(sp_x(tt)), 0.0, float(sp_k(tt))])
+                return np.array([0.0, sp_x(tt), 0.0, sp_k(tt)])
 
         else:
 
@@ -559,16 +782,22 @@ def trace(chart: CollarChart, start: Union[PhasePoint, tuple], t_total: float) -
 
     `start` is a PhasePoint in the chart's collar frame, or an (x, xi) pair
     in ambient coordinates for embeddable charts.  Negative times run the
-    flow backward through the momentum-flip involution.
+    flow backward through the momentum-flip involution.  ValueError unless
+    the time and the start are finite and an ambient x lies in the chart's
+    closed domain (up to 1e-12).
     """
+    x = None
+    if isinstance(start, PhasePoint):
+        values = [start.y, start.xp, start.eta, start.xip]
+        flipped = start.flipped()
+    else:
+        x, xi = np.asarray(start[0], dtype=float), np.asarray(start[1], dtype=float)
+        start, flipped = (x, xi), (x, -xi)
+        values = x.tolist() + xi.tolist()
+    if not all(math.isfinite(v) for v in [t_total, *values]):
+        raise ValueError(f"trace needs a finite time and start, got {t_total} and {values}")
+    if x is not None and hasattr(chart, "contains") and not chart.contains(x):
+        raise ValueError(f"start x = {values[:2]} lies outside the closed {chart.kind} domain")
     if t_total < 0:
-        if isinstance(start, PhasePoint):
-            flipped = start.flipped()
-        else:
-            flipped = (
-                np.asarray(start[0], dtype=float),
-                -np.asarray(start[1], dtype=float),
-            )
-        fwd = _Tracer(chart).run(flipped, -t_total)
-        return fwd._time_reversed()
+        return _Tracer(chart).run(flipped, -t_total)._time_reversed()
     return _Tracer(chart).run(start, t_total)

@@ -131,9 +131,10 @@ def write_field_grid(path_base: PathLike, array, *, meta: Mapping) -> tuple[Path
     else:
         data = arr.astype("<f8")
         components = ["value"]
+    # append the suffixes: a dotted base name keeps its dots
     base = Path(path_base)
-    bin_path = base.with_suffix(".f64")
-    hdr_path = base.with_suffix(".json")
+    bin_path = base.with_name(base.name + ".f64")
+    hdr_path = base.with_name(base.name + ".json")
     atomic_write_bytes(bin_path, np.ascontiguousarray(data).tobytes())
     header = {
         "dtype": "<f8",

@@ -28,12 +28,12 @@ from bicharlab.modes import bessel_zero
 def read_field_grid(path_base):
     """Inverse of io.write_field_grid; returns (array, header document)."""
     base = Path(path_base)
-    with open(base.with_suffix(".json")) as fh:
+    with open(base.with_name(base.name + ".json")) as fh:
         doc = json.load(fh)
     hdr = doc["payload"]
     if hdr["dtype"] != "<f8" or hdr["order"] != "C":
         raise ValueError(f"unsupported field grid layout {hdr['dtype']}/{hdr['order']}")
-    raw = np.fromfile(base.with_suffix(".f64"), dtype="<f8").reshape(hdr["shape"])
+    raw = np.fromfile(base.with_name(base.name + ".f64"), dtype="<f8").reshape(hdr["shape"])
     if hdr["components"] == ["re", "im"]:
         return raw[0] + 1j * raw[1], doc
     return raw, doc
@@ -483,6 +483,10 @@ def test_invalid_config_exits_two(tmp_path, capsys):
          "chart: bad term 5: need (pow_z1, pow_zeta1, pow_y, coeff)"),
         ({"chart": MODEL_CHART, "experiments": [trace]},
          "experiments[0].start: a model chart has no ambient embedding"),
+        ({"experiments": [dict(trace, start=[2, 0, 1, 0])]},
+         "experiments[0].start: x = (2, 0) lies outside the closed disk domain"),
+        ({"chart": {"kind": "annulus", "rho_in": 0.5}, "experiments": [trace]},
+         "experiments[0].start: x = (0, 0) lies outside the closed annulus domain"),
     ]
     for i, (raw, named) in enumerate(cases):
         cfg = tmp_path / f"bad{i}.json"
@@ -562,6 +566,10 @@ PROBE_REFUSALS = [
      probe_config("trace", "model.json", **ORIGIN_RAY)),
     (["parametrix", "--m", "12", "--delta0", "2"], "--delta0",
      probe_config("parametrix", m=[12], delta0=2.0)),
+    (["trace", "--start", "2,0,1,0", "--time", "1"], "--start",
+     probe_config("trace", **dict(ORIGIN_RAY, start=[2.0, 0.0, 1.0, 0.0]))),
+    (["trace", "--chart", "annulus:0.5", "--start", "0.2,0,1,0", "--time", "1"], "--start",
+     probe_config("trace", "annulus:0.5", **dict(ORIGIN_RAY, start=[0.2, 0.0, 1.0, 0.0]))),
 ]
 
 
@@ -779,6 +787,27 @@ def test_mode_experiment_writes_field_grid(tmp_path):
     (tmp_path / "out" / "probe-pressure.f64").exists()
 
 
+def test_dotted_experiment_names_keep_their_field_grids_apart(tmp_path):
+    # "probe.fine-velocity" must not lose ".fine-velocity" as a suffix and
+    # overwrite probe.json with a field-grid header
+    mode = {"kind": "mode", "family": {"family": "stokes", "m": 2, "k": [1]}, "fields": True}
+    cfg = tmp_path / "dotted.json"
+    cfg.write_text(
+        json.dumps({"experiments": [dict(mode, name="probe"), dict(mode, name="probe.fine")]})
+    )
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    listed = [f for r in summary_of(out)["experiments"] for f in r["files"]]
+    assert len(listed) == len(set(listed)) == 2 * 6
+    assert all((out / f).is_file() for f in listed)
+    assert "probe.fine-velocity.f64" in listed and "probe.fine-pressure.json" in listed
+    probe = json.load(open(out / "probe.json"))
+    assert probe["meta"]["experiment"] == "probe"
+    assert set(probe["payload"]) == {"worst", "violations"}
+    vel, _ = read_field_grid(out / "probe.fine-velocity")
+    assert np.array_equal(vel, read_field_grid(out / "probe-velocity")[0])
+
+
 def test_error_status_is_reported_not_raised(tmp_path):
     # a valid schema whose numerics must refuse: quantization margin
     # cannot cover a symbol pressed against the rim at this coarse h
@@ -851,21 +880,46 @@ def test_classify_subcommand_prints_bracket_witness(tmp_path, capsys):
     ]
 
 
+HEAVY_SCIPY = (
+    "scipy.signal",
+    "scipy.stats",
+    "scipy.ndimage",
+    "scipy.integrate",
+    "scipy.interpolate",
+    "scipy.optimize",
+    "scipy.linalg",
+    "scipy.sparse",
+)
+
+
 def test_cli_import_skips_heavy_scipy_modules():
     # which modules load, not how long they take: the check cannot flake
-    # on a slow clock
+    # on a slow clock.  Checked again after a traced ray and a glide, so
+    # the cost is not merely deferred into run time
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    probe = (
-        "import sys, bicharlab.cli; "
-        "print(sorted(m for m in ('scipy.signal', 'scipy.stats', 'scipy.ndimage') "
-        "if m in sys.modules))"
-    )
+    probe = f"""
+import sys
+import bicharlab.cli
+
+def heavy():
+    print(sorted(m for m in {HEAVY_SCIPY!r} if m in sys.modules))
+
+heavy()
+import numpy as np
+from bicharlab.charts import DiskChart
+from bicharlab.flow import trace
+from bicharlab.verify import gliding_rotation
+ray = trace(DiskChart(), (np.array([0.05, -0.17]), np.array([0.6, 0.8])), 10.0)
+assert ray.reflections >= 10, ray.reflections
+gliding_rotation(DiskChart(), 1.0)
+heavy()
+"""
     proc = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split("\n") == ["[]", "[]", ""]
 
 
 def test_trace_subcommand_reports_reflections(tmp_path, capsys):

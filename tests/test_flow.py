@@ -1,9 +1,14 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicHermiteSpline
+from scipy.optimize import brentq
 
-from bicharlab import billiard
+from bicharlab import billiard, flow
 from bicharlab.charts import AnnulusChart, DiskChart, ModelChart, PhasePoint
 from bicharlab.flow import (
     GeneralizedRay,
@@ -190,3 +195,184 @@ def test_property_trace_matches_propagate_on_disk(r, a, b, t):
     x, xi = ray.final_cartesian()
     assert np.max(np.abs(x - x_ref)) < 1e-8
     assert np.max(np.abs(xi - xi_ref)) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the collar stepper, the root solver and the glide interpolant against
+# scipy's solve_ivp, brentq and CubicHermiteSpline
+
+
+def collar_events(chart):
+    return flow._COLLAR_EVENTS + ((0, 0.5 * chart.collar_width, 1),)
+
+
+def scipy_collar(chart, t0, u0, t1):
+    """solve_ivp on the collar field with the tracer's settings and events."""
+    f = flow._collar_field(chart)
+
+    def event(i, level, direction):
+        def fn(t, u):
+            return u[i] - level
+
+        fn.terminal = True
+        fn.direction = direction
+        return fn
+
+    return solve_ivp(
+        lambda t, u: f(u),
+        (t0, t1),
+        np.asarray(u0, dtype=float),
+        method="RK45",
+        rtol=flow.RTOL,
+        atol=flow.ATOL,
+        max_step=flow.MAX_STEP_COLLAR,
+        dense_output=True,
+        events=[event(*e) for e in collar_events(chart)],
+    )
+
+
+def assert_collar_matches_scipy(chart, t0, u0, t1):
+    field = flow._collar_field(chart)
+    path, hit = flow._solve_collar(field, t0, list(u0), t1, collar_events(chart))
+    sol = scipy_collar(chart, t0, u0, t1)
+    fired = [k for k, times in enumerate(sol.t_events) if len(times)]
+    if hit is None:
+        assert sol.status == 0 and not fired
+        assert path.ts[-1] == t1
+    else:
+        assert sol.status == 1 and fired == [hit[0]]
+        assert abs(hit[1] - sol.t_events[hit[0]][0]) < 1e-12
+        assert np.max(np.abs(np.array(hit[2]) - sol.y_events[hit[0]][0])) < 1e-11
+    assert abs(path.ts[-1] - sol.t[-1]) < 1e-12
+    for t in np.linspace(t0, path.ts[-1], 52)[1:-1]:
+        assert np.max(np.abs(path(t) - sol.sol(t))) < 1e-11
+    return None if hit is None else hit[0]
+
+
+COLLAR_CHARTS = {
+    "disk": DISK,
+    "outer": AnnulusChart(0.5, "outer"),
+    "inner": AnnulusChart(0.5, "inner"),
+}
+CONTACT, TURN, EXIT = flow._CONTACT, flow._TURN, flow._EXIT
+
+
+@pytest.mark.parametrize(
+    "chart, u0, span, ending",
+    [
+        ("disk", (0.1, 0.3, -0.5, 0.8), 5.0, CONTACT),
+        ("disk", (0.05, 0.3, 0.3, 0.5), 5.0, TURN),
+        ("disk", (0.05, 0.3, 0.6, 0.8), 5.0, EXIT),
+        ("disk", (0.05, 0.3, 0.6, 0.8), 0.02, None),
+        ("outer", (0.1, 0.3, -0.5, 0.8), 5.0, CONTACT),
+        ("outer", (0.05, 0.3, 0.05, 0.55), 5.0, TURN),
+        ("outer", (0.05, 0.3, 0.6, 0.8), 5.0, EXIT),
+        ("outer", (0.05, 0.3, 0.6, 0.8), 0.02, None),
+        ("inner", (0.02, 0.3, -0.5, 0.3), 5.0, CONTACT),
+        ("inner", (0.1, 0.3, -0.5, 0.8), 5.0, TURN),
+        ("inner", (0.05, 0.3, 0.6, 0.8), 5.0, EXIT),
+        ("inner", (0.05, 0.3, 0.6, 0.8), 0.02, None),
+    ],
+)
+def test_collar_solve_matches_solve_ivp(chart, u0, span, ending):
+    t0 = 0.75
+    assert assert_collar_matches_scipy(COLLAR_CHARTS[chart], t0, u0, t0 + span) == ending
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    st.floats(0.01, 0.34),
+    st.floats(-np.pi, np.pi),
+    st.floats(-1.0, 1.0),
+    st.floats(-0.95, 0.95),
+    st.floats(0.01, 2.0),
+)
+def test_property_collar_solve_matches_solve_ivp(y, xp, eta, xip, span):
+    assert_collar_matches_scipy(DISK, 0.0, (y, xp, eta, xip), span)
+
+
+def glide_release_function(chart, cur):
+    def f(s):
+        q = step_gliding(chart, cur, s) if s > 0 else cur
+        return chart.r1(q.xp, q.xip)
+
+    return f
+
+
+@pytest.mark.parametrize("z0", [-1.5e-3, -1e-3, -2e-4, -1.9e-3])
+def test_brent_matches_brentq_on_glide_release(z0):
+    # the model chart of test_model_glide_release: r1 = z, and the glide
+    # moves z at speed 2, so z0 in (-2e-3, 0) releases inside one step
+    chart = ModelChart([(0, 0, 0, 1.0), (0, 2, 0, -1.0), (1, 0, 1, 1.0)])
+    f = glide_release_function(chart, PhasePoint(0.0, z0, 0.0, 1.0))
+    h = flow.GLIDING_STEP
+    for xtol in (1e-13, 1e-14, 4 * np.finfo(float).eps):
+        assert flow._brent(f, 0.0, h, xtol) == brentq(f, 0.0, h, xtol=xtol)
+    assert flow._brent(f, 0.0, h, 1e-13) == pytest.approx(-z0 / 2, abs=1e-12)
+    with pytest.raises(ValueError):
+        flow._brent(f, 0.0, h / 100, 1e-13)  # no sign change
+
+
+def glide_knots(start, n):
+    """Values and slopes of n glide steps on the disk rim."""
+    xps, xips = [start.xp], [start.xip]
+    p = start
+    for _ in range(n):
+        p = step_gliding(DISK, p, flow.GLIDING_STEP)
+        xps.append(p.xp)
+        xips.append(p.xip)
+    d = np.array([flow._glide_field(DISK, a, b) for a, b in zip(xps, xips)])
+    return np.array(xps), np.array(xips), d
+
+
+def hermite_exact(ts, ys, ds, t):
+    """The cubic Hermite basis form in rational arithmetic, rounded once."""
+    j = min(max(int(np.searchsorted(ts, t, side="right")) - 1, 0), len(ts) - 2)
+    h = Fraction(ts[j + 1]) - Fraction(ts[j])
+    s = (Fraction(t) - Fraction(ts[j])) / h
+    u = 1 - s
+    return float(
+        (1 + 2 * s) * u * u * Fraction(ys[j])
+        + s * u * u * h * Fraction(ds[j])
+        + s * s * (3 - 2 * s) * Fraction(ys[j + 1])
+        - s * s * u * h * Fraction(ds[j + 1])
+    )
+
+
+@pytest.mark.parametrize("xp0, n", [(0.3, 1), (0.3, 40), (-2.9, 7), (3.1, 25)])
+def test_hermite_matches_cubic_hermite_spline(xp0, n):
+    xps, xips, d = glide_knots(PhasePoint(0.0, xp0, 0.0, 1.0), n)
+    rng = np.random.default_rng(n)
+    # uneven knot spacing, as a release shortens the last step
+    ts = np.cumsum(np.r_[0.0, rng.uniform(0.2, 1.0, n)]) * flow.GLIDING_STEP
+    probes = np.linspace(ts[0] - 1e-9, ts[-1] + 1e-9, 301)
+    for ys, ds in ((xps, d[:, 0]), (xips, d[:, 1])):
+        ours = flow._hermite(ts.tolist(), ys.tolist(), ds.tolist())
+        ref = CubicHermiteSpline(ts, ys, ds)
+        bound = 1e-15 * np.max(np.abs(ys))
+        assert all(abs(ours(t) - ref(t)) <= bound for t in probes)
+        assert [ours(t) for t in ts] == ys.tolist()
+    # on rough data scipy's own rounding passes 1e-15 max|y|: hold the
+    # basis form to the exactly rounded value instead
+    ys, ds = rng.normal(size=n + 1), rng.normal(size=n + 1)
+    ours = flow._hermite(ts.tolist(), ys.tolist(), ds.tolist())
+    bound = 4 * np.finfo(float).eps * np.max(np.abs(ys))
+    assert all(abs(ours(t) - hermite_exact(ts, ys, ds, t)) <= bound for t in probes)
+    assert [ours(t) for t in ts] == ys.tolist()
+
+
+def test_trace_refuses_bad_input():
+    x0, xi0 = np.array([0.2, 0.1]), unit(0.3)
+    for t in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            trace(DISK, (x0, xi0), t)
+    with pytest.raises(ValueError, match="finite"):
+        trace(DISK, (x0, np.array([np.nan, 1.0])), 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        trace(DISK, PhasePoint(0.1, 0.0, np.inf, 0.5), 1.0)
+    with pytest.raises(ValueError, match="outside the closed disk"):
+        trace(DISK, (np.array([2.0, 0.0]), unit(0.0)), 1.0)
+    with pytest.raises(ValueError, match="outside the closed annulus"):
+        trace(AnnulusChart(0.5, "outer"), (np.array([0.2, 0.0]), unit(0.0)), 1.0)
+    # the closed domain holds its rim up to 1e-12, as billiard.propagate does
+    assert trace(DISK, (np.array([1.0 + 5e-13, 0.0]), unit(np.pi)), 0.5).status == "completed"
