@@ -1,10 +1,14 @@
-"""Experiment configs: schema validation and builders.
+"""Experiment configs: the table of experiment kinds, validation and builders.
 
 A config is a plain JSON document listing experiments over one chart.
-Validation runs before any numerics and reports every offense by the
-dotted path of the offending key, so a bad tolerance or an unknown
-field never costs a mode build.  Builders then turn the declarative
-specs into charts, mode families and symbols from the core modules.
+Each experiment kind is one record of `KINDS`: the schema of its keys,
+the cross-key rules no schema states, and the runner that computes it
+and returns an `Outcome`.  Validation reports every offense by the
+dotted path of the offending key before any numerics run.  The schema
+runs first; the cross-key rules of an experiment's own keys, of its
+family and of its symbol then run only where the schema found no error
+inside that part, so they read well-typed values.  Builders turn the
+declarative specs into charts, mode families and symbols.
 
 The identity of a run is the canonical form of (chart, experiments,
 thresholds, seed); the output directory and the worker count are
@@ -14,27 +18,32 @@ execution details and stay out of the hash.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import jsonschema
 import numpy as np
-from scipy.special import jn_zeros
 
 from .bumps import bump_profile, plateau_step, window
-from .charts import load_chart
+from .charts import PhasePoint, load_chart
+from .classify import classify
+from .flow import trace
 from .io import config_hash
-from .modes import ModeSpec, laplace_disk_mode, stokes_disk_mode
-from .quantize import InteriorSymbol, SeparableTerm, TangentialSymbol
+from .modes import ModeSpec, family_lambda, laplace_disk_mode, pick_k_for_ratio, stokes_disk_mode
+from .parametrix import build_parametrix, extension_error
+from .quantize import InteriorSymbol, SeparableTerm, TangentialSymbol, measure_sequence
 from .verify import Thresholds
+from .verify import car_mass, elliptic_mass, h_oscillation_tail, invariance_gap, support_gap
 
 __all__ = [
     "ConfigError",
+    "Outcome",
+    "RunContext",
+    "KINDS",
     "validate_config",
     "ExperimentConfig",
     "load_config",
-    "family_lambda",
-    "pick_k_for_ratio",
     "family_members",
     "build_family",
     "build_symbol",
@@ -60,6 +69,27 @@ _WINDOW = {"type": "array", "items": _NUM, "minItems": 4, "maxItems": 4}
 _NAME = {"type": "string", "pattern": "^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$"}
 _PAIR = {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2}
 
+
+def _by(key: str, schemas: dict) -> dict:
+    """Object schema applying schemas[its value at `key`]."""
+    return {
+        "type": "object",
+        "properties": {key: {"enum": list(schemas)}},
+        "required": [key],
+        "pick": [key, schemas],
+    }
+
+
+def _pick(validator, pick, instance, schema):
+    # keyword "pick": [key, {value: schema}] applies the schema an object's
+    # value at key names; the enum beside it in _by reports any other value
+    key, schemas = pick
+    if validator.is_type(instance, "object"):
+        for value, picked in schemas.items():
+            if instance.get(key) == value:
+                yield from validator.descend(instance, picked)
+
+
 _FAMILY = {
     "type": "object",
     "properties": {
@@ -84,17 +114,25 @@ _FAMILY = {
     "additionalProperties": False,
 }
 
-_FACTOR = {
-    "type": "object",
-    "properties": {
-        "var": {"enum": ["radius", "speed", "speed_sq", "angular_momentum", "bump"]},
-        "window": _WINDOW,
-        "center": _PAIR,
-        "radius": _POS,
-    },
-    "required": ["var"],
+_WINDOWED = {
+    "properties": {"var": {}, "window": _WINDOW},
+    "required": ["window"],
     "additionalProperties": False,
 }
+_FACTOR = _by(
+    "var",
+    {
+        "radius": _WINDOWED,
+        "speed": _WINDOWED,
+        "speed_sq": _WINDOWED,
+        "angular_momentum": _WINDOWED,
+        "bump": {
+            "properties": {"var": {}, "center": _PAIR, "radius": _POS},
+            "required": ["center", "radius"],
+            "additionalProperties": False,
+        },
+    },
+)
 
 _ARC = {
     "type": "object",
@@ -103,59 +141,402 @@ _ARC = {
     "additionalProperties": False,
 }
 
-_INTERIOR_SYMBOL = {
-    "type": "object",
-    "properties": {
-        "type": {"const": "interior"},
-        "xi_bound": _POS,
-        "factors": {"type": "array", "items": _FACTOR, "minItems": 1},
-        "arc": _ARC,
-        "name": {"type": "string"},
-    },
-    "required": ["type", "xi_bound", "factors"],
-    "additionalProperties": False,
-}
-
-_TANGENTIAL_SYMBOL = {
-    "type": "object",
-    "properties": {
-        "type": {"const": "tangential"},
-        "y_support": _FRAC,
-        "y_ramp": _PAIR,
-        "xip_window": _WINDOW,
-        "xip_abs": {"type": "boolean"},
-        "arc": _ARC,
-        "name": {"type": "string"},
-    },
-    "required": ["type", "y_support"],
-    "additionalProperties": False,
-}
-
-_ANY_SYMBOL = {"type": "object"}
-
-# "kind" needs no constraint: validate_config picks the schema by it
-_COMMON = {"name": _NAME, "kind": {}}
-
-# the experiment kinds: one schema each; cli.RUNNERS has one runner each
-_EXPERIMENT_SCHEMAS = {
-    "classify": {
-        "type": "object",
-        "properties": {
-            **_COMMON,
-            "points": {"type": "array", "items": _PAIR},
-            "samples": _INT_NN,
-            "expect": {"type": "array", "items": {"type": "string"}},
-            "tol_g": _POS,
-            "tol_bracket": _POS,
+_SYMBOL = _by(
+    "type",
+    {
+        "interior": {
+            "properties": {
+                "type": {},
+                "xi_bound": _POS,
+                "factors": {"type": "array", "items": _FACTOR, "minItems": 1},
+                "arc": _ARC,
+                "name": {"type": "string"},
+            },
+            "required": ["xi_bound", "factors"],
+            "additionalProperties": False,
         },
-        "required": ["name", "kind"],
-        "additionalProperties": False,
+        "tangential": {
+            "properties": {
+                "type": {},
+                "y_support": _FRAC,
+                "y_ramp": _PAIR,
+                "xip_window": _WINDOW,
+                "xip_abs": {"type": "boolean"},
+                "arc": _ARC,
+                "name": {"type": "string"},
+            },
+            "required": ["y_support"],
+            "additionalProperties": False,
+        },
     },
-    "trace": {
-        "type": "object",
-        "properties": {
-            **_COMMON,
-            "start": {
+)
+
+# ---------------------------------------------------------------------------
+# cross-key rules: each reads only values its part's schema has accepted
+
+
+def _check_window(w, where: str):
+    if w is not None and not (w[0] <= w[1] <= w[2] <= w[3]):
+        yield f"{where}: window edges must be nondecreasing, got {w}"
+
+
+def _check_symbol(spec: dict, where: str):
+    if spec["type"] == "interior":
+        for j, f in enumerate(spec["factors"]):
+            yield from _check_window(f.get("window"), f"{where}.factors[{j}].window")
+        if not any(f["var"] in ("radius", "bump") for f in spec["factors"]):
+            yield (
+                f"{where}.factors: interior symbols need a radius or bump factor"
+                " so the spatial support is bounded"
+            )
+    else:
+        ramp = spec.get("y_ramp")
+        if ramp is not None and not 0.0 <= ramp[0] < ramp[1] <= spec["y_support"]:
+            yield f"{where}.y_ramp: need 0 <= a < b <= y_support, got {ramp}"
+        yield from _check_window(spec.get("xip_window"), f"{where}.xip_window")
+    arc = spec.get("arc")
+    if arc is not None and not arc["inner"] < arc["outer"] < np.pi:
+        yield f"{where}.arc: need 0 < inner < outer < pi for a smooth wrapped arc"
+
+
+def _check_family(fam: dict, where: str) -> list[str]:
+    errors = []
+    m, k = fam["m"], fam["k"]
+    if isinstance(m, list) and isinstance(k, list) and len(m) != len(k):
+        errors.append(f"{where}: m and k lists must have equal length to pair up")
+    if fam["family"] == "stokes" and min(m if isinstance(m, list) else [m]) < 1:
+        errors.append(f"{where}.m: the velocity family needs m >= 1")
+    if errors or not {"num_r", "num_theta"} & set(fam):
+        return errors
+    # the defaults clear the floors; explicit sizes must clear them for
+    # every member, since the floors grow with m and lam
+    for mi, ki in family_members(fam):
+        spec = ModeSpec(fam["family"], mi, ki, fam.get("num_r"), fam.get("num_theta"))
+        try:
+            spec.resolve(family_lambda(fam["family"], mi, ki))
+        except ValueError as exc:
+            key = "num_theta" if "num_theta" in str(exc) else "num_r"
+            return [f"{where}.{key}: {exc}"]
+    return errors
+
+
+def _no_rules(exp, where, chart):
+    return ()
+
+
+def _check_classify(exp, where, chart):
+    if not exp.get("points") and not exp.get("samples"):
+        yield f"{where}: need points or samples > 0"
+    if "expect" in exp and len(exp["expect"]) != len(exp.get("points", [])):
+        yield f"{where}.expect: must match points, one label per point"
+
+
+def _check_trace(exp, where, chart):
+    if exp["time"] == 0:
+        yield f"{where}.time: zero-time traces are empty, pick a sign"
+    start = exp["start"]
+    # a chart that did not load is reported already; a collar-frame start
+    # has no ambient x
+    if chart is None or not isinstance(start, list):
+        return
+    if not hasattr(chart, "to_cartesian"):
+        yield (
+            f"{where}.start: a {chart.kind} chart has no ambient embedding,"
+            " give the start as {y, xp, eta, xip}"
+        )
+    elif not chart.contains(start[:2]):
+        yield (
+            f"{where}.start: x = ({start[0]}, {start[1]}) lies outside the closed"
+            f" {chart.kind} domain"
+        )
+
+
+def _check_parametrix(exp, where, chart):
+    band = exp.get("halving_band")
+    if band is not None and not 0 < band[0] < band[1]:
+        yield f"{where}.halving_band: need 0 < lo < hi"
+
+
+def _check_tails(exp, where, chart):
+    radii = exp["radii"]
+    if any(not r > 1 for r in radii):
+        yield f"{where}.radii: every radius must exceed 1"
+    if radii != sorted(radii):
+        yield f"{where}.radii: must be increasing"
+
+
+# ---------------------------------------------------------------------------
+# runners
+
+# what a runner gets besides its own spec
+RunContext = namedtuple("RunContext", "chart thresholds seed index")
+
+# what a runner returns: the status and summary.json row, the columns of
+# NAME.csv, the payload of NAME.json, and (suffix, array, extra meta)
+# triples, each written as the field grid NAME-suffix
+Outcome = namedtuple("Outcome", "status summary cols payload grids", defaults=((),))
+
+
+def _set_keys(spec: dict, *keys) -> dict:
+    """The `keys` the spec sets: an unset one keeps its callee's default."""
+    return {key: spec[key] for key in keys if key in spec}
+
+
+def _residual_rows(modes):
+    reports = [mode.residual_report() for mode in modes]
+    keys = sorted(reports[0])
+    cols = {attr: [getattr(mode, attr) for mode in modes] for attr in ("m", "k", "lam", "h")}
+    cols.update({key: [rep[key] for rep in reports] for key in keys})
+    return keys, cols
+
+
+def _run_classify(spec, ctx):
+    points = [tuple(p) for p in spec.get("points", [])]
+    n_extra = int(spec.get("samples", 0))
+    if n_extra:
+        rng = np.random.default_rng(1_000_003 * (ctx.seed + 1) + ctx.index)
+        extra = rng.uniform((-np.pi, -1.5), (np.pi, 1.5), size=(n_extra, 2))
+        points += [tuple(p) for p in extra]
+    kwargs = _set_keys(spec, "tol_g", "tol_bracket")
+    results = [classify(ctx.chart, xp, xip, **kwargs) for xp, xip in points]
+    labels = [r.label() for r in results]
+    cols = {
+        "xp": [p[0] for p in points],
+        "xip": [p[1] for p in points],
+        "label": labels,
+        "order": ["" if r.order is None else r.order for r in results],
+        "sign": ["" if r.sign is None else r.sign for r in results],
+        "r0": [r.witness.get("r0", "") for r in results],
+        "r1": [r.witness.get("r1", "") for r in results],
+    }
+    payload = [{"xp": p[0], "xip": p[1], "result": r.as_dict()} for p, r in zip(points, results)]
+    status, summary = "ok", {"points": len(points)}
+    expect = spec.get("expect")
+    if expect is not None:
+        bad = [
+            {"xp": p[0], "xip": p[1], "got": g, "want": w}
+            for p, g, w in zip(points, labels, expect)
+            if g != w
+        ]
+        if bad:
+            status, summary = "fail", {"points": len(points), "mismatches": bad}
+    return Outcome(status, summary, cols, payload)
+
+
+def _run_trace(spec, ctx):
+    start = spec["start"]
+    start = PhasePoint(**start) if isinstance(start, dict) else (start[:2], start[2:])
+    ray = trace(ctx.chart, start, float(spec["time"]))
+    lo, hi = sorted((ray.t0, ray.t1))
+    ts = np.linspace(lo, hi, int(spec.get("samples", 33)))
+    frames, states = [], []
+    for t in ts:
+        frame, _, vec = ray.state_vector(float(t))
+        frames.append(frame)
+        states.append(vec)
+    states = np.asarray(states)
+    cols = {
+        "t": ts,
+        "frame": frames,
+        "q1": states[:, 0],
+        "q2": states[:, 1],
+        "p1": states[:, 2],
+        "p2": states[:, 3],
+    }
+    events = [
+        {
+            "kind": e.kind,
+            "t": e.t,
+            "x": None if e.x is None else [float(v) for v in e.x],
+            "classification": None if e.classification is None else e.classification.label(),
+        }
+        for e in ray.events
+    ]
+    payload = {
+        "status": ray.status,
+        "reflections": ray.reflections,
+        "t_final": ray.t_final,
+        "events": events,
+    }
+    status, summary = "ok", {"status": ray.status, "reflections": ray.reflections}
+    want = spec.get("expect_reflections")
+    if want is not None and ray.reflections != want:
+        status = "fail"
+        summary["expect_reflections"] = want
+    return Outcome(status, summary, cols, payload)
+
+
+def _run_mode(spec, ctx):
+    modes = build_family(spec["family"])
+    keys, cols = _residual_rows(modes)
+    worst = {key: max(cols[key]) for key in keys}
+    violations = []
+    for key, bound in sorted(spec.get("tolerances", {}).items()):
+        if key not in worst:
+            violations.append(f"{key}: not reported by the {spec['family']['family']} family")
+        elif worst[key] > bound:
+            violations.append(f"{key}: worst {worst[key]:.3e} exceeds {bound:.3e}")
+    payload = {"worst": worst, "violations": violations}
+    grids = ()
+    if spec.get("fields"):
+        last = modes[-1]
+        at = {"m": last.m, "k": last.k}
+        grids = [
+            (suffix, field, at)
+            for suffix, field in (("velocity", last.velocity), ("pressure", last.pressure))
+            if field is not None
+        ]
+    return Outcome("fail" if violations else "ok", payload, cols, payload, grids)
+
+
+def _run_parametrix(spec, ctx):
+    kwargs = _set_keys(spec, "delta0", "eps0")
+    orders = spec.get("orders", [0, 1])
+    ms = spec["m"]
+    table = {}
+    for order in orders:
+        sym = build_parametrix(chart=ctx.chart, order=order, **kwargs)
+        table[order] = {m: extension_error(sym, m) for m in ms}
+    cols = {
+        "order": [o for o in orders for _ in ms],
+        "m": [m for _ in orders for m in ms],
+        "h": [1.0 / m for _ in orders for m in ms],
+        "error": [table[o][m] for o in orders for m in ms],
+    }
+    violations = []
+    if spec.get("expect_halving"):
+        lo, hi = spec.get("halving_band", [1.4, 2.6])
+        base = table[orders[0]]
+        for m1, m2 in zip(ms, ms[1:]):
+            if m2 != 2 * m1:
+                continue
+            ratio = base[m1] / base[m2]
+            if not lo <= ratio <= hi:
+                violations.append(
+                    f"order-{orders[0]} ratio {ratio:.3f} at m {m1}->{m2}"
+                    f" outside [{lo}, {hi}]"
+                )
+        if 0 in table and 1 in table:
+            for m in ms:
+                if not table[1][m] < table[0][m]:
+                    violations.append(f"order-1 error not below order-0 at m = {m}")
+    payload = {
+        "errors": {str(o): {str(m): table[o][m] for m in ms} for o in orders},
+        "violations": violations,
+    }
+    return Outcome("fail" if violations else "ok", payload, cols, payload)
+
+
+def _run_measure(spec, ctx):
+    modes = build_family(spec["family"])
+    a = build_symbol(spec["symbol"], name=spec["name"])
+    series = measure_sequence(a, modes)
+    cols = {
+        "h": series.hs,
+        "re": series.values.real,
+        "im": series.values.imag,
+        "gap": [""] + [float(g) for g in series.gaps],
+    }
+    payload = {
+        "rows": list(series.rows()),
+        "limit": None
+        if series.limit is None
+        else {"re": series.limit.real, "im": series.limit.imag},
+        "extrapolated": series.extrapolated,
+    }
+    summary = {"members": len(modes), "extrapolated": series.extrapolated}
+    return Outcome("ok", summary, cols, payload)
+
+
+def _run_tails(spec, ctx):
+    modes = build_family(spec["family"])
+    radii = [float(r) for r in spec["radii"]]
+    fr = h_oscillation_tail(modes, tuple(radii), **_set_keys(spec, "variant"))
+    cols = {
+        "R": [r for r in radii for _ in modes],
+        "m": [mode.m for _ in radii for mode in modes],
+        "k": [mode.k for _ in radii for mode in modes],
+        "h": [mode.h for _ in radii for mode in modes],
+        "fraction": [float(v) for row in fr for v in row],
+    }
+    worst = float(np.max(fr[-1]))
+    payload = {"radii": radii, "fractions": fr.tolist(), "worst_at_largest_radius": worst}
+    status = "ok"
+    if "bound" in spec and worst > spec["bound"]:
+        status = "fail"
+        payload["bound"] = spec["bound"]
+    return Outcome(status, payload, cols, payload)
+
+
+def _run_propagation(check, spec, ctx, **options):
+    """Family, symbol, `check` with the given keywords, report."""
+    modes = build_family(spec["family"])
+    a = build_symbol(spec["symbol"], name=spec["name"])
+    rep = check(modes, a, thresholds=ctx.thresholds, experiment=spec["name"], **options)
+    cols = {key: [getattr(r, key) for r in rep.rows] for key in ("h", "before", "after", "gap")}
+    summary = {"verdict": rep.verdict, "notes": rep.notes}
+    return Outcome(rep.verdict, summary, cols, rep.to_dict())
+
+
+def _run_invariance(spec, ctx):
+    return _run_propagation(
+        invariance_gap, spec, ctx, s=float(spec["time"]), chart=ctx.chart,
+        **_set_keys(spec, "route"),
+    )
+
+
+def _run_support(spec, ctx):
+    return _run_propagation(
+        support_gap, spec, ctx, s=float(spec["time"]), chart=ctx.chart,
+        **_set_keys(spec, "glancing_sign"), **spec.get("husimi", {}),
+    )
+
+
+def _run_elliptic(spec, ctx):
+    return _run_propagation(elliptic_mass, spec, ctx)
+
+
+def _run_car(spec, ctx):
+    return _run_propagation(car_mass, spec, ctx)
+
+
+# ---------------------------------------------------------------------------
+# the experiment kinds
+
+
+def _keys(*required, **properties) -> dict:
+    """Schema of an experiment with a name, a kind and these keys, no other."""
+    return {
+        # "kind" needs no constraint: the dispatch in _by checks it
+        "properties": {"name": _NAME, "kind": {}, **properties},
+        "required": ["name", "kind", *required],
+        "additionalProperties": False,
+    }
+
+
+_PAIRING = _keys("family", "symbol", family=_FAMILY, symbol=_SYMBOL)
+
+# schema: the experiment's keys; check(exp, where, chart): the offenses its
+# own keys commit together, once they passed the schema; run(spec, ctx)
+# computes it and returns an Outcome
+Kind = namedtuple("Kind", "schema check run")
+
+KINDS = {
+    "classify": Kind(
+        _keys(
+            points={"type": "array", "items": _PAIR},
+            samples=_INT_NN,
+            expect={"type": "array", "items": {"type": "string"}},
+            tol_g=_POS,
+            tol_bracket=_POS,
+        ),
+        _check_classify,
+        _run_classify,
+    ),
+    "trace": Kind(
+        _keys(
+            "start", "time",
+            start={
                 "anyOf": [
                     {"type": "array", "items": _NUM, "minItems": 4, "maxItems": 4},
                     {
@@ -166,19 +547,18 @@ _EXPERIMENT_SCHEMAS = {
                     },
                 ]
             },
-            "time": _NUM,
-            "samples": _INT_POS,
-            "expect_reflections": _INT_NN,
-        },
-        "required": ["name", "kind", "start", "time"],
-        "additionalProperties": False,
-    },
-    "mode": {
-        "type": "object",
-        "properties": {
-            **_COMMON,
-            "family": _FAMILY,
-            "tolerances": {
+            time=_NUM,
+            samples=_INT_POS,
+            expect_reflections=_INT_NN,
+        ),
+        _check_trace,
+        _run_trace,
+    ),
+    "mode": Kind(
+        _keys(
+            "family",
+            family=_FAMILY,
+            tolerances={
                 "type": "object",
                 "properties": {
                     "pde": _POS,
@@ -190,57 +570,44 @@ _EXPERIMENT_SCHEMAS = {
                 },
                 "additionalProperties": False,
             },
-            "fields": {"type": "boolean"},
-        },
-        "required": ["name", "kind", "family"],
-        "additionalProperties": False,
-    },
-    "parametrix": {
-        "type": "object",
-        "properties": {
-            **_COMMON,
-            "m": {"type": "array", "items": _INT_POS, "minItems": 1, "uniqueItems": True},
-            "orders": {
-                "type": "array",
-                "items": {"enum": [0, 1]},
-                "minItems": 1,
-                "uniqueItems": True,
-            },
-            "delta0": _FRAC,
-            "eps0": _FRAC,
-            "expect_halving": {"type": "boolean"},
-            "halving_band": _PAIR,
-        },
-        "required": ["name", "kind", "m"],
-        "additionalProperties": False,
-    },
-    "measure": {
-        "type": "object",
-        "properties": {**_COMMON, "family": _FAMILY, "symbol": _ANY_SYMBOL},
-        "required": ["name", "kind", "family", "symbol"],
-        "additionalProperties": False,
-    },
-    "invariance": {
-        "type": "object",
-        "properties": {
-            **_COMMON,
-            "family": _FAMILY,
-            "symbol": _ANY_SYMBOL,
-            "time": _NUM,
-            "route": {"enum": ["free", "pullback"]},
-        },
-        "required": ["name", "kind", "family", "symbol", "time"],
-        "additionalProperties": False,
-    },
-    "support": {
-        "type": "object",
-        "properties": {
-            **_COMMON,
-            "family": _FAMILY,
-            "symbol": _ANY_SYMBOL,
-            "time": _NUM,
-            "glancing_sign": {"enum": [1, -1]},
-            "husimi": {
+            fields={"type": "boolean"},
+        ),
+        _no_rules,
+        _run_mode,
+    ),
+    "parametrix": Kind(
+        _keys(
+            "m",
+            m={"type": "array", "items": _INT_POS, "minItems": 1, "uniqueItems": True},
+            orders={"type": "array", "items": {"enum": [0, 1]}, "minItems": 1, "uniqueItems": True},
+            delta0=_FRAC,
+            eps0=_FRAC,
+            expect_halving={"type": "boolean"},
+            halving_band=_PAIR,
+        ),
+        _check_parametrix,
+        _run_parametrix,
+    ),
+    "measure": Kind(_PAIRING, _no_rules, _run_measure),
+    "invariance": Kind(
+        _keys(
+            "family", "symbol", "time",
+            family=_FAMILY,
+            symbol=_SYMBOL,
+            time=_NUM,
+            route={"enum": ["free", "pullback"]},
+        ),
+        _no_rules,
+        _run_invariance,
+    ),
+    "support": Kind(
+        _keys(
+            "family", "symbol", "time",
+            family=_FAMILY,
+            symbol=_SYMBOL,
+            time=_NUM,
+            glancing_sign={"enum": [1, -1]},
+            husimi={
                 "type": "object",
                 "properties": {
                     "nx": {"type": "integer", "minimum": 2},
@@ -250,40 +617,32 @@ _EXPERIMENT_SCHEMAS = {
                 },
                 "additionalProperties": False,
             },
-        },
-        "required": ["name", "kind", "family", "symbol", "time"],
-        "additionalProperties": False,
-    },
-    "elliptic": {
-        "type": "object",
-        "properties": {**_COMMON, "family": _FAMILY, "symbol": _ANY_SYMBOL},
-        "required": ["name", "kind", "family", "symbol"],
-        "additionalProperties": False,
-    },
-    "car": {
-        "type": "object",
-        "properties": {**_COMMON, "family": _FAMILY, "symbol": _ANY_SYMBOL},
-        "required": ["name", "kind", "family", "symbol"],
-        "additionalProperties": False,
-    },
-    "tails": {
-        "type": "object",
-        "properties": {
-            **_COMMON,
-            "family": _FAMILY,
-            "radii": {"type": "array", "items": _NUM, "minItems": 1},
-            "variant": {"enum": ["interior", "tangential"]},
-            "bound": _POS,
-        },
-        "required": ["name", "kind", "family", "radii"],
-        "additionalProperties": False,
-    },
+        ),
+        _no_rules,
+        _run_support,
+    ),
+    "elliptic": Kind(_PAIRING, _no_rules, _run_elliptic),
+    "car": Kind(_PAIRING, _no_rules, _run_car),
+    "tails": Kind(
+        _keys(
+            "family", "radii",
+            family=_FAMILY,
+            radii={"type": "array", "items": _NUM, "minItems": 1},
+            variant={"enum": ["interior", "tangential"]},
+            bound=_POS,
+        ),
+        _check_tails,
+        _run_tails,
+    ),
 }
 
-_TOP = {
+_CONFIG = {
     "type": "object",
     "properties": {
-        "experiments": {"type": "array", "items": {"type": "object"}},
+        "experiments": {
+            "type": "array",
+            "items": _by("kind", {name: kind.schema for name, kind in KINDS.items()}),
+        },
         "chart": {"type": ["string", "object"]},
         "thresholds": {
             "type": "object",
@@ -298,8 +657,23 @@ _TOP = {
     "additionalProperties": False,
 }
 
-def _path_str(prefix: str, path) -> str:
-    out = prefix
+# JSON Schema's "integer" also admits 2.0, which the builders cannot
+# iterate or index with, so only Python ints count
+_VALIDATOR = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    validators={"pick": _pick},
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda checker, value: type(value) is int
+    ),
+)(_CONFIG)
+
+
+# ---------------------------------------------------------------------------
+# validation
+
+
+def _path_str(path) -> str:
+    out = ""
     for p in path:
         out += f"[{p}]" if isinstance(p, int) else f".{p}"
     return out.lstrip(".") if out else "(root)"
@@ -317,177 +691,65 @@ def _nonfinite(node, path=()):
             yield from _nonfinite(value, path + (i,))
 
 
-def _schema_errors(instance, schema, prefix: str) -> list[str]:
-    v = jsonschema.Draft202012Validator(schema)
+def _schema_errors(raw) -> list[tuple]:
+    """(path, message) of each schema offense; an unknown key gets its own path."""
     out = []
-    for e in sorted(v.iter_errors(instance), key=lambda e: list(e.absolute_path)):
-        path = list(e.absolute_path)
+    for e in sorted(_VALIDATOR.iter_errors(raw), key=lambda e: list(e.absolute_path)):
+        path = tuple(e.absolute_path)
         if e.validator == "additionalProperties":
-            # name each unknown key by its own path
             extra = sorted(set(e.instance) - set(e.schema.get("properties", {})))
-            out += [f"{_path_str(prefix, path + [key])}: unknown key" for key in extra]
+            out += [(path + (key,), "unknown key") for key in extra]
         else:
-            out.append(f"{_path_str(prefix, path)}: {e.message}")
+            out.append((path, e.message))
     return out
 
 
-def _check_window(w, where: str, errors: list[str]):
-    if w is not None and not (w[0] <= w[1] <= w[2] <= w[3]):
-        errors.append(f"{where}: window edges must be nondecreasing, got {w}")
+def _spoiled(path) -> tuple:
+    """The part of the config whose cross-key rules an offense at `path` voids.
 
-
-def _check_arc(arc, where: str, errors: list[str]):
-    if arc is None:
-        return
-    if not arc["inner"] < arc["outer"] < np.pi:
-        errors.append(
-            f"{where}: need 0 < inner < outer < pi for a smooth wrapped arc"
-        )
-
-
-def _validate_symbol(spec, where: str, errors: list[str]):
-    if not isinstance(spec, dict) or spec.get("type") not in ("interior", "tangential"):
-        errors.append(f"{where}.type: must be 'interior' or 'tangential'")
-        return
-    if spec["type"] == "interior":
-        errors.extend(_schema_errors(spec, _INTERIOR_SYMBOL, where))
-        factors = spec.get("factors", [])
-        spatial = False
-        for j, f in enumerate(factors):
-            if not isinstance(f, dict) or "var" not in f:
-                continue
-            fwhere = f"{where}.factors[{j}]"
-            if f["var"] == "bump":
-                if "center" not in f or "radius" not in f:
-                    errors.append(f"{fwhere}: bump factors need center and radius")
-                if "window" in f:
-                    errors.append(f"{fwhere}.window: bump factors take no window")
-                spatial = True
-            else:
-                if "window" not in f:
-                    errors.append(f"{fwhere}.window: required for var {f['var']!r}")
-                else:
-                    _check_window(f["window"], f"{fwhere}.window", errors)
-                if "center" in f or "radius" in f:
-                    errors.append(f"{fwhere}: center/radius only apply to bump factors")
-                if f["var"] == "radius":
-                    spatial = True
-        if factors and not spatial:
-            errors.append(
-                f"{where}.factors: interior symbols need a radius or bump factor"
-                " so the spatial support is bounded"
-            )
-        _check_arc(spec.get("arc"), f"{where}.arc", errors)
-    else:
-        errors.extend(_schema_errors(spec, _TANGENTIAL_SYMBOL, where))
-        ys = spec.get("y_support")
-        ramp = spec.get("y_ramp")
-        if isinstance(ys, (int, float)) and ramp is not None:
-            if not 0.0 <= ramp[0] < ramp[1] <= ys:
-                errors.append(
-                    f"{where}.y_ramp: need 0 <= a < b <= y_support, got {ramp}"
-                )
-        _check_window(spec.get("xip_window"), f"{where}.xip_window", errors)
-        _check_arc(spec.get("arc"), f"{where}.arc", errors)
-
-
-def _validate_family(fam, where: str, errors: list[str]):
-    m, k = fam.get("m"), fam.get("k")
-    if isinstance(m, list) and isinstance(k, list) and len(m) != len(k):
-        errors.append(f"{where}: m and k lists must have equal length to pair up")
-    if fam.get("family") == "stokes":
-        ms = m if isinstance(m, list) else [m]
-        if any(isinstance(mi, int) and mi < 1 for mi in ms):
-            errors.append(f"{where}.m: the velocity family needs m >= 1")
-    if not {"num_r", "num_theta"} & set(fam) or any(e.startswith(where) for e in errors):
-        return
-    # the defaults clear the floors; explicit sizes must clear them for
-    # every member, since the floors grow with m and lam
-    for mi, ki in family_members(fam):
-        spec = ModeSpec(fam["family"], mi, ki, fam.get("num_r"), fam.get("num_theta"))
-        try:
-            spec.resolve(family_lambda(fam["family"], mi, ki))
-        except ValueError as exc:
-            key = "num_theta" if "num_theta" in str(exc) else "num_r"
-            errors.append(f"{where}.{key}: {exc}")
-            return
-
-
-def _validate_chart(spec, errors: list[str]):
-    """The chart `spec` names, or None after recording why it has none."""
-    try:
-        return load_chart(spec)
-    except (ValueError, OSError, TypeError) as exc:
-        errors.append(f"chart: {exc}")
-        return None
+    Within experiment i the parts are (..., "family"), (..., "symbol") and
+    (..., "keys") for its other keys; an offense at the experiment itself or
+    at its kind left its schema unapplied and voids ("experiments", i), all
+    of them.
+    """
+    head = tuple(path[:3])
+    if head[:1] != ("experiments",) or len(head) < 3 or head[2] == "kind":
+        return head[:2]
+    return head if head[2] in ("family", "symbol") else head[:2] + ("keys",)
 
 
 def validate_config(raw) -> list[str]:
-    """All offenses in one pass, each naming the offending key by path."""
+    """All offenses, each naming the offending key by path: the schema's,
+    then the cross-key rules of every part the schema found sound."""
     if not isinstance(raw, dict):
         return ["(root): config must be a JSON object"]
-    errors = _schema_errors(raw, _TOP, "")
-    errors += [f"{_path_str('', p)}: {v} is not a finite number" for p, v in _nonfinite(raw)]
-    chart = _validate_chart(raw.get("chart", "disk"), errors)
-    exps = raw.get("experiments")
-    if not isinstance(exps, list):
-        return errors
+    found = _schema_errors(raw)
+    found += [(path, f"{value} is not a finite number") for path, value in _nonfinite(raw)]
+    errors = [f"{_path_str(path)}: {message}" for path, message in found]
+    try:
+        chart = load_chart(raw.get("chart", "disk"))
+    except (ValueError, OSError, TypeError) as exc:
+        errors.append(f"chart: {exc}")
+        chart = None
+    spoiled = {_spoiled(path) for path, _ in found}
+    exps = [] if ("experiments",) in spoiled else raw.get("experiments", [])
     seen_names = {}
     for i, exp in enumerate(exps):
         where = f"experiments[{i}]"
-        if not isinstance(exp, dict):
+        if ("experiments", i) in spoiled:
             continue
-        kind = exp.get("kind")
-        if kind not in _EXPERIMENT_SCHEMAS:
-            errors.append(f"{where}.kind: unknown kind {kind!r}")
-            continue
-        errors.extend(_schema_errors(exp, _EXPERIMENT_SCHEMAS[kind], where))
-        name = exp.get("name")
-        if isinstance(name, str):
+        if ("experiments", i, "keys") not in spoiled:
+            name = exp["name"]
             if name in seen_names:
                 errors.append(
                     f"{where}.name: duplicate of experiments[{seen_names[name]}],"
                     " artifact files would collide"
                 )
             seen_names.setdefault(name, i)
-        if "symbol" in exp:
-            _validate_symbol(exp["symbol"], f"{where}.symbol", errors)
-        if "family" in exp and isinstance(exp["family"], dict):
-            _validate_family(exp["family"], f"{where}.family", errors)
-        if kind == "classify":
-            if not exp.get("points") and not exp.get("samples"):
-                errors.append(f"{where}: need points or samples > 0")
-            expect = exp.get("expect")
-            if expect is not None and len(expect) != len(exp.get("points", [])):
-                errors.append(
-                    f"{where}.expect: must match points, one label per point"
-                )
-        if kind == "trace" and exp.get("time") == 0:
-            errors.append(f"{where}.time: zero-time traces are empty, pick a sign")
-        if kind == "trace" and isinstance(exp.get("start"), list) and chart is not None:
-            x = exp["start"][:2]
-            numeric = len(x) == 2 and all(type(v) in (int, float) and math.isfinite(v) for v in x)
-            if not hasattr(chart, "to_cartesian"):
-                errors.append(
-                    f"{where}.start: a {chart.kind} chart has no ambient embedding,"
-                    " give the start as {y, xp, eta, xip}"
-                )
-            elif numeric and not chart.contains(x):
-                # the schema and the finiteness check report malformed starts
-                errors.append(
-                    f"{where}.start: x = ({x[0]}, {x[1]}) lies outside the closed"
-                    f" {chart.kind} domain"
-                )
-        if kind == "tails":
-            radii = exp.get("radii", [])
-            if any(not r > 1 for r in radii):
-                errors.append(f"{where}.radii: every radius must exceed 1")
-            if list(radii) != sorted(radii):
-                errors.append(f"{where}.radii: must be increasing")
-        if kind == "parametrix":
-            band = exp.get("halving_band")
-            if band is not None and not 0 < band[0] < band[1]:
-                errors.append(f"{where}.halving_band: need 0 < lo < hi")
+            errors += KINDS[exp["kind"]].check(exp, where, chart)
+        for key, check in (("family", _check_family), ("symbol", _check_symbol)):
+            if key in exp and ("experiments", i, key) not in spoiled:
+                errors += check(exp[key], f"{where}.{key}")
     return errors
 
 
@@ -531,34 +793,12 @@ def load_config(raw: dict, *, out=None, seed=None, jobs=None) -> ExperimentConfi
     )
 
 
-def _zero_order(family: str, m: int) -> int:
-    # scalar eigenvalues sit at zeros of J_m, velocity ones at J_{m+1}
-    return m if family == "laplace" else m + 1
-
-
-def family_lambda(family: str, m: int, k: int) -> float:
-    return float(jn_zeros(_zero_order(family, m), k)[-1])
-
-
-def pick_k_for_ratio(family: str, m: int, ratio: float, k_max: int = 80) -> int:
-    """Radial index whose angular-momentum fraction m/lam is nearest ratio.
-
-    lam grows with k, so the fraction sweeps down monotonically; the
-    minimizer over 1..k_max is unique up to ties.
-    """
-    zs = jn_zeros(_zero_order(family, m), k_max)
-    return int(np.argmin(np.abs(m / zs - ratio))) + 1
-
-
 def family_members(fam: dict) -> list[tuple[int, int]]:
     """Resolve the m/k broadcast into explicit (m, k) pairs, sorted by lam."""
     m, k = fam["m"], fam["k"]
     if isinstance(k, dict):
         ms = m if isinstance(m, list) else [m]
-        pairs = [
-            (mi, pick_k_for_ratio(fam["family"], mi, k["ratio"], k.get("k_max", 80)))
-            for mi in ms
-        ]
+        pairs = [(mi, pick_k_for_ratio(fam["family"], mi, **k)) for mi in ms]
     elif isinstance(m, int) and isinstance(k, int):
         pairs = [(m, k)]
     elif isinstance(m, int):
@@ -567,14 +807,7 @@ def family_members(fam: dict) -> list[tuple[int, int]]:
         pairs = [(mi, k) for mi in m]
     else:
         pairs = list(zip(m, k))
-    seen = set()
-    unique = []
-    for p in pairs:
-        if p not in seen:
-            seen.add(p)
-            unique.append(p)
-    unique.sort(key=lambda p: (family_lambda(fam["family"], *p), p))
-    return unique
+    return sorted(set(pairs), key=lambda p: (family_lambda(fam["family"], *p), p))
 
 
 def build_family(fam: dict) -> list:

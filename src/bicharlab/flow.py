@@ -51,7 +51,8 @@ GRAZE_TOL = 1e-9
 # time step of the gliding RK4 and the restart nudge off an event root
 GLIDING_STEP = 1e-3
 KICK = 1e-9
-# a ray logging more events than this is aborted
+# a ray whose logged events plus restarts nudged past a turning point
+# exceed this is aborted
 MAX_EVENTS = 10_000
 
 # Dormand-Prince 5(4) tableau, error weights and dense-output matrix, as in
@@ -219,8 +220,11 @@ def _solve_collar(f, t, y, t_bound, events):
     Events are (component, level, direction) triples, as solve_ivp's
     terminal events on y[component] - level: a sign change in the given
     direction (0 for either) over an accepted step, located on the step's
-    dense polynomial.  Returns (path, hit) with hit = (event index, time,
-    state) or None when t_bound is reached first.
+    dense polynomial.  Unlike solve_ivp, an event function that is exactly
+    0 at both ends of a step does not fire: it holds a conserved zero (eta
+    on a y-independent chart, or a zero covector) and would fire again
+    after every restart.  Returns (path, hit) with hit = (event index,
+    time, state) or None when t_bound is reached first.
     """
     fy = f(y)
     h_abs = _initial_step(f, y, fy, t_bound - t)
@@ -261,6 +265,8 @@ def _solve_collar(f, t, y, t_bound, events):
         hit = None
         g_new = [y_new[i] - level for i, level, _ in events]
         for n, ((i, level, direction), g0, g1) in enumerate(zip(events, g, g_new)):
+            if g0 == 0 == g1:
+                continue
             up = g0 <= 0 <= g1
             down = g0 >= 0 >= g1
             if (up and direction >= 0) or (down and direction <= 0):
@@ -470,6 +476,7 @@ class _Tracer:
         self.chart = chart
         self.segments: list = []
         self.events: list = []
+        self.restarts = 0
         self.status = "completed"
         self.active_chart = chart
         self.embeddable = hasattr(chart, "to_cartesian")
@@ -496,7 +503,11 @@ class _Tracer:
             except ValueError:
                 x = None
         self.events.append(RayEvent(kind, t, point, x, classification))
-        if len(self.events) > MAX_EVENTS:
+        return self._within_budget()
+
+    def _within_budget(self) -> bool:
+        """False, with the ray aborted, once it has spent MAX_EVENTS."""
+        if len(self.events) + self.restarts > MAX_EVENTS:
             self.status = "aborted_max_events"
             return False
         return True
@@ -588,7 +599,11 @@ class _Tracer:
 
         # turning point: eta hits 0 and y is locally extremal there
         if u[0] > GRAZE_TOL:
-            # perihelion above the boundary: nudge past the root and go on
+            # perihelion above the boundary: nudge past the root and go on;
+            # the nudge logs no event, so it is counted here
+            self.restarts += 1
+            if not self._within_budget():
+                return t_hit, "done", None
             u2 = self._kick(chart, u)
             return t_hit + KICK, "collar", (chart, PhasePoint(*u2))
         if u[0] >= -GRAZE_TOL:

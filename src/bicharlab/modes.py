@@ -27,6 +27,8 @@ from .polar import PolarGrid
 
 __all__ = [
     "bessel_zero",
+    "family_lambda",
+    "pick_k_for_ratio",
     "ModeSpec",
     "Quasimode",
     "laplace_disk_mode",
@@ -34,11 +36,36 @@ __all__ = [
 ]
 
 
-def bessel_zero(m: int, k: int) -> float:
-    """k-th positive zero of J_m."""
+def _bessel_zeros(m: int, k: int) -> np.ndarray:
+    """The first k positive zeros of J_m, increasing."""
     if m < 0 or k < 1:
         raise ValueError("need m >= 0 and k >= 1")
-    return float(jn_zeros(m, k)[-1])
+    return jn_zeros(m, k)
+
+
+def bessel_zero(m: int, k: int) -> float:
+    """k-th positive zero of J_m."""
+    return float(_bessel_zeros(m, k)[-1])
+
+
+def _zero_order(family: str, m: int) -> int:
+    # scalar eigenvalues sit at zeros of J_m, velocity ones at J_{m+1}
+    return m if family == "laplace" else m + 1
+
+
+def family_lambda(family: str, m: int, k: int) -> float:
+    """Eigenvalue lam = 1/h of the (m, k) member of a mode family."""
+    return bessel_zero(_zero_order(family, m), k)
+
+
+def pick_k_for_ratio(family: str, m: int, ratio: float, k_max: int = 80) -> int:
+    """Radial index whose angular-momentum fraction m/lam is nearest ratio.
+
+    lam grows with k, so the fraction sweeps down monotonically; the
+    minimizer over 1..k_max is unique up to ties.
+    """
+    zs = _bessel_zeros(_zero_order(family, m), k_max)
+    return int(np.argmin(np.abs(m / zs - ratio))) + 1
 
 
 @dataclass(frozen=True)
@@ -159,7 +186,7 @@ class Quasimode:
 def laplace_disk_mode(m: int, k: int, num_r=None, num_theta=None) -> Quasimode:
     """Dirichlet eigenmode of the scalar problem, unit L2 norm."""
     spec = ModeSpec("laplace", m, k, num_r, num_theta)
-    lam = bessel_zero(m, k)
+    lam = family_lambda("laplace", m, k)
     K, N = spec.resolve(lam)
     grid = PolarGrid(K, N)
     c = 1.0 / (math.sqrt(math.pi) * abs(jv(m + 1, lam)))
@@ -177,7 +204,7 @@ def stokes_disk_mode(m: int, k: int, num_r=None, num_theta=None) -> Quasimode:
     -h^2 Lap u - u + h grad q = 0 fixes q = -i c lam J_m(lam) z^m.
     """
     spec = ModeSpec("stokes", m, k, num_r, num_theta)
-    lam = bessel_zero(m + 1, k)
+    lam = family_lambda("stokes", m, k)
     K, N = spec.resolve(lam)
     grid = PolarGrid(K, N)
     c = 1.0 / (math.sqrt(math.pi) * lam * abs(jv(m, lam)))

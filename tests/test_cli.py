@@ -8,21 +8,22 @@ import sys
 import time
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
 import bicharlab.cli as cli
+from bicharlab import config
 from bicharlab import io as artio
 from bicharlab.config import (
-    _EXPERIMENT_SCHEMAS,
+    KINDS,
     ConfigError,
     build_symbol,
     family_members,
     load_config,
-    pick_k_for_ratio,
     validate_config,
 )
-from bicharlab.modes import bessel_zero
+from bicharlab.modes import bessel_zero, pick_k_for_ratio
 
 
 def read_field_grid(path_base):
@@ -357,13 +358,14 @@ def test_every_public_name_has_a_program_caller():
 
 
 def test_every_schema_kind_has_one_runner():
-    assert set(cli.RUNNERS) == set(_EXPERIMENT_SCHEMAS)
-    assert set(cli.VERIFY_KINDS) <= set(cli.RUNNERS)
+    for kind in KINDS.values():
+        jsonschema.Draft202012Validator.check_schema(kind.schema)
+    assert set(cli.VERIFY_KINDS) <= set(KINDS)
     # every probe subcommand runs the experiment kind of its own name
     [subs] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     probes = {name for name, p in subs.choices.items() if p.get_default("func") is cli.cmd_probe}
     assert probes == {"classify", "trace", "mode", "parametrix"}
-    assert probes <= set(cli.RUNNERS)
+    assert probes <= set(KINDS)
 
 
 def test_smoke_config_exits_clean_and_fast(tmp_path):
@@ -455,6 +457,13 @@ def test_invalid_config_exits_two(tmp_path, capsys):
     zero_collar = tmp_path / "zero-collar.json"
     zero_collar.write_text(json.dumps(ZERO_COLLAR_CHART))
     trace = {"name": "t", "kind": "trace", "start": [0, 0, 1, 0], "time": 1.0}
+    family = {"family": "laplace", "m": 0, "k": [2]}
+    tails = {"name": "t", "kind": "tails", "family": family, "radii": [2.0]}
+    measure = {"name": "m", "kind": "measure", "family": family, "symbol": {
+        "type": "interior", "xi_bound": 1.5,
+        "factors": [{"var": "radius", "window": [0.2, 0.3, 0.5, 0.6]}]}}
+    tangential = {"type": "tangential", "y_support": 0.3}
+    elliptic = {"name": "e", "kind": "elliptic", "family": family, "symbol": tangential}
     cases = [
         ({"experiments": [dict(classify, tol_g=-1)]}, "tol_g"),
         ({"experiments": [{"name": "p", "kind": "parametrix", "m": [12, 12]}]},
@@ -487,6 +496,29 @@ def test_invalid_config_exits_two(tmp_path, capsys):
          "experiments[0].start: x = (2, 0) lies outside the closed disk domain"),
         ({"chart": {"kind": "annulus", "rho_in": 0.5}, "experiments": [trace]},
          "experiments[0].start: x = (0, 0) lies outside the closed annulus domain"),
+        # values of the wrong type or length once reached the cross-key
+        # rules, which raised TypeError or IndexError
+        ({"experiments": [dict(tails, radii=["a"])]},
+         "experiments[0].radii[0]: 'a' is not of type 'number'"),
+        ({"experiments": [dict(tails, radii=5)]}, "experiments[0].radii: 5 is not of type 'array'"),
+        ({"experiments": [{"name": "p", "kind": "parametrix", "m": [12],
+                           "halving_band": ["a", "b"]}]},
+         "experiments[0].halving_band[0]: 'a' is not of type 'number'"),
+        ({"experiments": [dict(classify, points=3, expect=["hyperbolic"])]},
+         "experiments[0].points: 3 is not of type 'array'"),
+        ({"experiments": [dict(measure, symbol=dict(
+            measure["symbol"], factors=[{"var": "radius", "window": ["a", 1, 2, 3]}]))]},
+         "experiments[0].symbol.factors[0].window[0]: 'a' is not of type 'number'"),
+        ({"experiments": [dict(elliptic, symbol=dict(tangential, y_ramp=["a", 0.2]))]},
+         "experiments[0].symbol.y_ramp[0]: 'a' is not of type 'number'"),
+        ({"experiments": [dict(elliptic, symbol=dict(
+            tangential, arc={"center": 0, "inner": "a", "outer": 1}))]},
+         "experiments[0].symbol.arc.inner: 'a' is not of type 'number'"),
+        ({"experiments": [dict(elliptic, symbol=dict(tangential, xip_window=[1, 2, 3]))]},
+         "experiments[0].symbol.xip_window: [1, 2, 3] is too short"),
+        ({"experiments": [{"name": "m", "kind": "mode", "family": {
+            "family": "laplace", "m": 2.0, "k": 1, "num_r": 40}}]},
+         "experiments[0].family.m: 2.0 is not valid under any of the given schemas"),
     ]
     for i, (raw, named) in enumerate(cases):
         cfg = tmp_path / f"bad{i}.json"
@@ -494,7 +526,8 @@ def test_invalid_config_exits_two(tmp_path, capsys):
         out = tmp_path / f"out{i}"
         code = run_cli(["run", "--config", str(cfg), "--out", str(out)])
         assert code == 2
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
         assert not (out / "summary.json").exists()  # refused before computing
 
 
@@ -741,6 +774,44 @@ def test_verify_subcommand_filters_kinds(tmp_path):
     assert statuses == {"series": "ok", "ell": "skipped"}
 
 
+def test_spelt_out_defaults_change_nothing(tmp_path):
+    # each optional key's default lives in the signature of the function
+    # that takes it; spelling it out must give the same rows and payloads
+    rings = {"family": "laplace", "m": 0, "k": [16, 25]}
+    bump = {"type": "interior", "xi_bound": 1.6, "factors": [
+        {"var": "bump", "center": [0.25, 0.0], "radius": 0.2},
+        {"var": "speed", "window": [0.6, 0.8, 1.2, 1.4]},
+    ]}
+    arc = {"type": "tangential", "y_support": 0.3, "y_ramp": [0.12, 0.24],
+           "xip_window": [0.55, 0.7, 1.3, 1.45],
+           "arc": {"center": 0.5, "inner": 0.45, "outer": 0.75}}
+    bare = [
+        {"name": "inv", "kind": "invariance", "family": rings, "symbol": bump, "time": 0.15},
+        {"name": "sup", "kind": "support", "family": {"family": "laplace", "m": [8, 12], "k": 1},
+         "symbol": arc, "time": 0.4},
+        {"name": "tails", "kind": "tails", "family": rings, "radii": [2.0, 4.0]},
+    ]
+    spelt = [
+        dict(bare[0], route="free"),
+        dict(bare[1], glancing_sign=1),
+        dict(bare[2], variant="interior"),
+    ]
+    outs = []
+    for label, exps in (("bare", bare), ("spelt", spelt)):
+        cfg = tmp_path / f"{label}.json"
+        cfg.write_text(json.dumps({"experiments": exps}))
+        assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / label)]) == 0
+        outs.append(tmp_path / label)
+    for name in ("inv", "sup", "tails"):
+        rows = [
+            [line for line in (out / f"{name}.csv").read_text().splitlines() if not line.startswith("#")]
+            for out in outs
+        ]
+        assert rows[0] == rows[1] and len(rows[0]) > 1
+        payloads = [json.load(open(out / f"{name}.json"))["payload"] for out in outs]
+        assert payloads[0] == payloads[1]
+
+
 def test_select_flag_restricts_names(tmp_path):
     code = run_cli(
         ["run", "--config", "@smoke", "--out", str(tmp_path), "--select", "rim-classes"]
@@ -951,11 +1022,11 @@ def counted(monkeypatch, module, name):
 
 
 def test_adhoc_subcommands_compute_once(tmp_path, monkeypatch, capsys):
-    errors = counted(monkeypatch, cli, "extension_error")
+    errors = counted(monkeypatch, config, "extension_error")
     argv = ["parametrix", "--m", "12,24", "--orders", "0,1", "--out", str(tmp_path / "p")]
     assert run_cli(argv) == 0
     assert len(errors) == 4  # two orders times two angular indices
-    traces = counted(monkeypatch, cli, "trace")
+    traces = counted(monkeypatch, config, "trace")
     argv = ["trace", "--start", "0.0,-1.0,0.6,0.8", "--time", "2.0", "--out", str(tmp_path / "t")]
     assert run_cli(argv) == 0
     assert len(traces) == 1

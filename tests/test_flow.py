@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,6 +292,18 @@ def test_collar_solve_matches_solve_ivp(chart, u0, span, ending):
     st.floats(0.01, 2.0),
 )
 def test_property_collar_solve_matches_solve_ivp(y, xp, eta, xip, span):
+    if eta == xip == 0:
+        # the one difference from solve_ivp: a zero covector is a rest point
+        # and eta stays exactly 0.  solve_ivp fires the turning point on the
+        # first step; _solve_collar skips an event that is 0 at both ends of
+        # a step, so the tracer's restarts cannot stall on it
+        u0 = [y, xp, 0.0, 0.0]
+        field = flow._collar_field(DISK)
+        path, hit = flow._solve_collar(field, 0.0, u0, span, collar_events(DISK))
+        assert hit is None and path(span).tolist() == u0
+        sol = scipy_collar(DISK, 0.0, u0, span)
+        assert sol.status == 1 and len(sol.t_events[TURN]) == 1
+        return
     assert_collar_matches_scipy(DISK, 0.0, (y, xp, eta, xip), span)
 
 
@@ -359,6 +375,54 @@ def test_hermite_matches_cubic_hermite_spline(xp0, n):
     bound = 4 * np.finfo(float).eps * np.max(np.abs(ys))
     assert all(abs(ours(t) - hermite_exact(ts, ys, ds, t)) <= bound for t in probes)
     assert [ours(t) for t in ts] == ys.tolist()
+
+
+TERMINATION_PROBE = """
+from hypothesis import given, settings, strategies as st
+from bicharlab.charts import DiskChart, ModelChart, PhasePoint
+from bicharlab.flow import trace
+
+ray = trace(DiskChart(), ([0.9, 0], [0, 0]), 1.0)
+assert (ray.status, ray.t_final) == ("completed", 1.0), ray.status
+ray = trace(ModelChart([(0, 0, 0, 1.0), (0, 2, 0, -1.0)]), PhasePoint(0.5, 0, 0, 0.5), 1.0)
+assert ray.status == "completed", ray.status
+assert abs(ray.final_collar().xp - 1.0) < 1e-12
+
+# r independent of y: eta starts at 0 and stays exactly 0
+powers = st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])
+terms = st.lists(st.tuples(powers, st.floats(-1.0, 1.0)), min_size=1, max_size=4)
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(terms, st.floats(0.05, 0.9), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+def sweep(terms, y, xp, xip):
+    chart = ModelChart([(a, b, 0, c) for (a, b), c in terms])
+    ray = trace(chart, PhasePoint(y, xp, 0.0, xip), 1.0)
+    assert ray.status == "completed", ray.status
+    end = ray.final_collar()
+    assert (end.y, end.eta) == (y, 0.0)
+
+sweep()
+print("ok")
+"""
+
+
+def test_every_trace_terminates(tmp_path):
+    # a turning-point event held at exactly 0 along the ray once fired at
+    # the start of every restart, and these traces ran until killed
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    probe = subprocess.run(
+        [sys.executable, "-c", TERMINATION_PROBE],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout == "ok\n"
+    cli = subprocess.run(
+        [sys.executable, "-m", "bicharlab.cli", "trace", "--start", "0.9,0,0,0", "--time", "1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert cli.returncode == 0, cli.stderr
+    assert cli.stdout.startswith("status completed, 0 reflection(s), t_final 1\n")
 
 
 def test_trace_refuses_bad_input():
