@@ -30,7 +30,6 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "OutOfCollarError",
     "OrderBudgetError",
     "PhasePoint",
     "RJet",
@@ -40,10 +39,6 @@ __all__ = [
     "ModelChart",
     "load_chart",
 ]
-
-
-class OutOfCollarError(ValueError):
-    """Evaluation requested outside the chart's collar 0 <= y <= width."""
 
 
 class OrderBudgetError(ValueError):
@@ -110,14 +105,6 @@ class CollarChart:
         return self._jet_any_y(0.0, xp, xip).dr_dy
 
     # -- public evaluation -------------------------------------------
-
-    def eval_r(self, y: float, xp: float, xip: float) -> RJet:
-        """r and its first derivatives; y must lie in the collar."""
-        if not 0.0 <= y <= self.collar_width * (1.0 + 1e-12):
-            raise OutOfCollarError(
-                f"y = {y} outside collar [0, {self.collar_width}] of {self.kind} chart"
-            )
-        return self._jet_any_y(y, xp, xip)
 
     def iterated_bracket(self, j: int, xp: float, xip: float) -> float:
         """j-fold Hamilton bracket of r0 applied to r1 on the boundary.
@@ -372,10 +359,6 @@ class ModelChart(CollarChart):
         self.max_derivative_order = _derivative_order(max_derivative_order)
         self._r0_poly = coef[:, :, 0]
         self._r1_poly = coef[:, :, 1] if coef.shape[2] > 1 else np.zeros((1, 1))
-
-    def eval_r(self, y, xp, xip):
-        # model charts carry no ambient domain: any y is meaningful
-        return self._jet_any_y(y, xp, xip)
 
     def _jet_any_y(self, y, xp, xip):
         ypow = y ** np.arange(self.coef.shape[2])

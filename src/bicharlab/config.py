@@ -28,7 +28,7 @@ import numpy as np
 from .bumps import bump_profile, plateau_step, window
 from .charts import PhasePoint, load_chart
 from .classify import classify
-from .flow import trace
+from .flow import check_start, trace
 from .io import config_hash
 from .modes import ModeSpec, family_lambda, laplace_disk_mode, pick_k_for_ratio, stokes_disk_mode
 from .parametrix import build_parametrix, extension_error
@@ -234,21 +234,13 @@ def _check_classify(exp, where, chart):
 def _check_trace(exp, where, chart):
     if exp["time"] == 0:
         yield f"{where}.time: zero-time traces are empty, pick a sign"
-    start = exp["start"]
-    # a chart that did not load is reported already; a collar-frame start
-    # has no ambient x
-    if chart is None or not isinstance(start, list):
+    # a chart that did not load is reported already
+    if chart is None:
         return
-    if not hasattr(chart, "to_cartesian"):
-        yield (
-            f"{where}.start: a {chart.kind} chart has no ambient embedding,"
-            " give the start as {y, xp, eta, xip}"
-        )
-    elif not chart.contains(start[:2]):
-        yield (
-            f"{where}.start: x = ({start[0]}, {start[1]}) lies outside the closed"
-            f" {chart.kind} domain"
-        )
+    try:
+        check_start(chart, _trace_start(exp["start"]))
+    except ValueError as exc:
+        yield f"{where}.start: {exc}"
 
 
 def _check_parametrix(exp, where, chart):
@@ -323,10 +315,13 @@ def _run_classify(spec, ctx):
     return Outcome(status, summary, cols, payload)
 
 
+def _trace_start(start):
+    """A config start as trace takes it: a PhasePoint or an (x, xi) pair."""
+    return PhasePoint(**start) if isinstance(start, dict) else (start[:2], start[2:])
+
+
 def _run_trace(spec, ctx):
-    start = spec["start"]
-    start = PhasePoint(**start) if isinstance(start, dict) else (start[:2], start[2:])
-    ray = trace(ctx.chart, start, float(spec["time"]))
+    ray = trace(ctx.chart, _trace_start(spec["start"]), float(spec["time"]))
     lo, hi = sorted((ray.t0, ray.t1))
     ts = np.linspace(lo, hi, int(spec.get("samples", 33)))
     frames, states = [], []
@@ -779,8 +774,15 @@ class ExperimentConfig:
 
 
 def load_config(raw: dict, *, out=None, seed=None, jobs=None) -> ExperimentConfig:
-    """Validate and resolve a parsed config; flags beat file values."""
+    """Validate and resolve a parsed config; flags beat file values.
+
+    The --seed and --jobs flags are held to the schema of their file keys.
+    """
     errors = validate_config(raw)
+    for key, value in (("seed", seed), ("jobs", jobs)):
+        if value is not None:
+            flag_schema = _VALIDATOR.evolve(schema=_CONFIG["properties"][key])
+            errors += [f"--{key}: {e.message}" for e in flag_schema.iter_errors(value)]
     if errors:
         raise ConfigError(errors)
     return ExperimentConfig(

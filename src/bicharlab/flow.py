@@ -9,20 +9,21 @@ boundary curving toward the domain pass straight through, the remaining
 glancing contacts start a glide that releases where the curvature condition
 changes sign.  Unresolvable contacts abort the trace rather than guess.
 
-The collar field is integrated by a Dormand-Prince 5(4) stepper with its
-4th-order continuous extension (Dormand & Prince 1980; step control and dense
-output as in Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6), a port of
-scipy's RK45 on plain floats.  Event roots, the sub-step dip crossing and the
-glide release come from one Brent solver (scipy's brentq, ported), and glide
-segments are cubic Hermite interpolants of their RK4 knots.  The tests hold
-all three to scipy's solve_ivp, brentq and CubicHermiteSpline as oracles.
+The collar field and the gliding field are integrated by one Dormand-Prince
+5(4) stepper with its 4th-order continuous extension (Dormand & Prince 1980;
+step control and dense output as in Hairer, Norsett & Wanner, Solving ODEs I,
+II.4-II.6), a port of scipy's RK45 on plain floats.  Its dense output is the
+ray between events; the boundary contact, the turning point, the band exit
+and the glide release are events located on it, and they and the sub-step
+dip crossing come from one Brent solver (scipy's brentq, ported).  The tests
+hold both to scipy's solve_ivp and brentq as oracles.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import mul
 from typing import Callable, Optional, Union
@@ -38,18 +39,17 @@ __all__ = [
     "GeneralizedRay",
     "trace",
     "reflect_hyperbolic",
-    "step_gliding",
+    "check_start",
 ]
 
 
-# collar ODE tolerances and largest step
+# tolerances and largest step of the collar and glide solves
 RTOL = 1e-11
 ATOL = 1e-13
 MAX_STEP_COLLAR = 0.01
 # heights within this of the boundary count as on it
 GRAZE_TOL = 1e-9
-# time step of the gliding RK4 and the restart nudge off an event root
-GLIDING_STEP = 1e-3
+# time step of the restart nudge off an event root
 KICK = 1e-9
 # a ray whose logged events plus restarts nudged past a turning point
 # exceed this is aborted
@@ -100,11 +100,11 @@ _MAX_FACTOR = 10.0
 _ERR_EXP = -1 / 5
 # relative root tolerance, and the absolute one of event times (scipy's 4 eps)
 _ROOT_TOL = 4 * sys.float_info.epsilon
-# collar events (state component, level, direction): the boundary y = 0
+# collar events (function of a state getter, direction): the boundary y = 0
 # crossed downward, the turning point eta = 0, and (embeddable charts only)
 # the collar band's midline crossed upward, appended per chart
 _CONTACT, _TURN, _EXIT = 0, 1, 2
-_COLLAR_EVENTS = ((0, 0.0, -1), (2, 0.0, 0))
+_COLLAR_EVENTS = ((lambda get: get(0), -1), (lambda get: get(2), 0))
 
 
 def _brent(f, a, b, xtol):
@@ -157,7 +157,7 @@ def _brent(f, a, b, xtol):
 
 
 def _rms_scaled(v, scale):
-    return math.sqrt(sum((a / s) ** 2 for a, s in zip(v, scale))) / 2.0
+    return math.sqrt(sum((a / s) ** 2 for a, s in zip(v, scale))) / len(v) ** 0.5
 
 
 def _initial_step(f, y0, f0, interval):
@@ -198,7 +198,7 @@ def _dense(step, t, i):
 
 
 class _CollarPath:
-    """Dense output of one collar solve, one quartic per accepted step.
+    """Dense output of one collar or glide solve, one quartic per accepted step.
 
     ts holds the step boundaries, the last one cut to the event time when an
     event ended the solve.  A time on a boundary takes the earlier step, and
@@ -211,16 +211,18 @@ class _CollarPath:
 
     def __call__(self, t):
         j = min(max(bisect_left(self.ts, t) - 1, 0), len(self.steps) - 1)
-        return np.array([_dense(self.steps[j], t, i) for i in range(4)])
+        step = self.steps[j]
+        return np.array([_dense(step, t, i) for i in range(len(step[2]))])
 
 
 def _solve_collar(f, t, y, t_bound, events):
     """Integrate y' = f(y) from t toward t_bound, stopping at the first event.
 
-    Events are (component, level, direction) triples, as solve_ivp's
-    terminal events on y[component] - level: a sign change in the given
-    direction (0 for either) over an accepted step, located on the step's
-    dense polynomial.  Unlike solve_ivp, an event function that is exactly
+    Events are (function, direction) pairs, as solve_ivp's terminal events:
+    function(get) reads the state components it needs through get(i), so
+    the root search on a step's dense polynomial evaluates only those.  An
+    event fires on a sign change in the given direction (0 for either) over
+    an accepted step.  Unlike solve_ivp, an event function that is exactly
     0 at both ends of a step does not fire: it holds a conserved zero (eta
     on a y-independent chart, or a zero covector) and would fire again
     after every restart.  Returns (path, hit) with hit = (event index,
@@ -229,7 +231,8 @@ def _solve_collar(f, t, y, t_bound, events):
     fy = f(y)
     h_abs = _initial_step(f, y, fy, t_bound - t)
     path = _CollarPath(t)
-    g = [y[i] - level for i, level, _ in events]
+    get = y.__getitem__
+    g = [fn(get) for fn, _ in events]
     while True:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = min(max(h_abs, min_step), MAX_STEP_COLLAR)
@@ -263,15 +266,16 @@ def _solve_collar(f, t, y, t_bound, events):
         path.steps.append(step)
         path.ts.append(t_new)
         hit = None
-        g_new = [y_new[i] - level for i, level, _ in events]
-        for n, ((i, level, direction), g0, g1) in enumerate(zip(events, g, g_new)):
+        get = y_new.__getitem__
+        g_new = [fn(get) for fn, _ in events]
+        for n, ((fn, direction), g0, g1) in enumerate(zip(events, g, g_new)):
             if g0 == 0 == g1:
                 continue
             up = g0 <= 0 <= g1
             down = g0 >= 0 >= g1
             if (up and direction >= 0) or (down and direction <= 0):
                 root = _brent(
-                    lambda s, i=i, level=level: _dense(step, s, i) - level,
+                    lambda s, fn=fn: fn(lambda i: _dense(step, s, i)),
                     t,
                     t_new,
                     _ROOT_TOL,
@@ -281,7 +285,7 @@ def _solve_collar(f, t, y, t_bound, events):
         if hit is not None:
             n, root = hit
             path.ts[-1] = root
-            return path, (n, root, [_dense(step, root, i) for i in range(4)])
+            return path, (n, root, [_dense(step, root, i) for i in range(len(y))])
         if t_new >= t_bound:
             return path, None
         t, y, fy, g = t_new, y_new, K[-1], g_new
@@ -329,9 +333,6 @@ class GeneralizedRay:
     @property
     def reflections(self) -> int:
         return sum(1 for e in self.events if e.kind == "reflect")
-
-    def event_times(self, kind: str):
-        return [e.t for e in self.events if e.kind == kind]
 
     def segment_at(self, t: float) -> RaySegment:
         if not self.segments:
@@ -420,9 +421,14 @@ def _collar_field(chart: CollarChart):
     return f
 
 
-def _glide_field(chart: CollarChart, xp: float, xip: float):
-    jet = chart._jet_any_y(0.0, xp, xip)
-    return -jet.dr_dxip, jet.dr_dxp
+def _glide_field(chart: CollarChart):
+    """Hamilton field of r0 on the boundary, in the collar state (0, x', 0, xi')."""
+
+    def f(u):
+        jet = chart._jet_any_y(0.0, u[1], u[3])
+        return (0.0, -jet.dr_dxip, 0.0, jet.dr_dxp)
+
+    return f
 
 
 def _project_shell(chart: CollarChart, xp: float, xip: float) -> float:
@@ -437,38 +443,11 @@ def _project_shell(chart: CollarChart, xp: float, xip: float) -> float:
     return xip
 
 
-def step_gliding(chart: CollarChart, point: PhasePoint, ds: float) -> PhasePoint:
-    """One RK4 step of the gliding field on {y = 0, r0 = 0}."""
-    xp, xip = point.xp, point.xip
-    k1 = _glide_field(chart, xp, xip)
-    k2 = _glide_field(chart, xp + 0.5 * ds * k1[0], xip + 0.5 * ds * k1[1])
-    k3 = _glide_field(chart, xp + 0.5 * ds * k2[0], xip + 0.5 * ds * k2[1])
-    k4 = _glide_field(chart, xp + ds * k3[0], xip + ds * k3[1])
-    xp2 = xp + ds * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]) / 6.0
-    xip2 = xip + ds * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) / 6.0
-    return PhasePoint(0.0, xp2, 0.0, _project_shell(chart, xp2, xip2))
-
-
-def _hermite(ts, ys, ds):
-    """Cubic Hermite interpolant of knots ts, values ys and slopes ds.
-
-    Evaluated through the four basis polynomials, so it returns the knot
-    values exactly; outside the knots it extrapolates the end cubics.
-    """
-
-    def ev(t):
-        j = min(max(bisect_right(ts, t) - 1, 0), len(ts) - 2)
-        h = ts[j + 1] - ts[j]
-        s = (t - ts[j]) / h
-        u = 1.0 - s
-        return (
-            (1.0 + 2.0 * s) * u * u * ys[j]
-            + s * u * u * h * ds[j]
-            + s * s * (3.0 - 2.0 * s) * ys[j + 1]
-            - s * s * u * h * ds[j + 1]
-        )
-
-    return ev
+def _kick(chart: CollarChart, u):
+    # one tiny Dormand-Prince step of the collar field, so restarts do not
+    # sit exactly on an event root
+    f = _collar_field(chart)
+    return _dp_step(f, u, f(u), KICK)[0]
 
 
 class _Tracer:
@@ -553,18 +532,6 @@ class _Tracer:
 
     # -- collar integration --------------------------------------------------
 
-    def _kick(self, chart, u):
-        # one tiny explicit RK4 step of the true field, so restarts do not
-        # sit exactly on an event root
-        h = KICK
-        f = _collar_field(chart)
-        u = np.asarray(u, dtype=float)
-        k1 = np.array(f(u))
-        k2 = np.array(f(u + 0.5 * h * k1))
-        k3 = np.array(f(u + 0.5 * h * k2))
-        k4 = np.array(f(u + h * k3))
-        return u + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-
     def run_collar(self, t, chart, pt, t_total):
         """Integrate inside the collar until contact, exit, or time runs out.
 
@@ -578,7 +545,8 @@ class _Tracer:
         u0 = [float(pt.y), float(pt.xp), float(pt.eta), float(pt.xip)]
         events = _COLLAR_EVENTS
         if self.embeddable:
-            events += ((0, 0.5 * chart.collar_width, 1),)
+            mid = 0.5 * chart.collar_width
+            events += ((lambda get: get(0) - mid, 1),)
         path, hit = _solve_collar(_collar_field(chart), t, u0, t_total, events)
         segment = RaySegment("collar", "collar", t, path.ts[-1], chart, path)
         self.segments.append(segment)
@@ -604,7 +572,7 @@ class _Tracer:
             self.restarts += 1
             if not self._within_budget():
                 return t_hit, "done", None
-            u2 = self._kick(chart, u)
+            u2 = _kick(chart, u)
             return t_hit + KICK, "collar", (chart, PhasePoint(*u2))
         if u[0] >= -GRAZE_TOL:
             contact = PhasePoint(0.0, u[1], u[2], u[3])
@@ -633,7 +601,7 @@ class _Tracer:
                 if not self._log("diffract", t, out, classification=cls):
                     return t, "done", None
                 if out.eta <= 0.0:
-                    u = self._kick(chart, [0.0, out.xp, out.eta, out.xip])
+                    u = _kick(chart, [0.0, out.xp, out.eta, out.xip])
                     return t + KICK, "collar", (chart, PhasePoint(*u))
                 return t, "collar", (chart, out)
             start = PhasePoint(
@@ -651,65 +619,23 @@ class _Tracer:
     # -- gliding ---------------------------------------------------------------
 
     def run_glide(self, t, chart, pt, t_total):
-        ts = [t]
-        xps = [pt.xp]
-        xips = [pt.xip]
-        released = None
-        r1_prev = chart.r1(pt.xp, pt.xip)
-        cur = pt
-        t_cur = t
-        while t_cur < t_total - 1e-12:
-            h = min(GLIDING_STEP, t_total - t_cur)
-            nxt = step_gliding(chart, cur, h)
-            r1_new = chart.r1(nxt.xp, nxt.xip)
-            if r1_new > TOL_G:
-                # release where the curvature condition crosses zero
-                if r1_prev <= 0.0:
-
-                    def f(s, _cur=cur):
-                        q = step_gliding(chart, _cur, s) if s > 0 else _cur
-                        return chart.r1(q.xp, q.xip)
-
-                    s_star = _brent(f, 0.0, h, 1e-13)
-                else:
-                    s_star = 0.0
-                if s_star > 0:
-                    cur = step_gliding(chart, cur, s_star)
-                    t_cur += s_star
-                    ts.append(t_cur)
-                    xps.append(cur.xp)
-                    xips.append(cur.xip)
-                released = cur
-                break
-            cur = nxt
-            t_cur += h
-            r1_prev = r1_new
-            ts.append(t_cur)
-            xps.append(cur.xp)
-            xips.append(cur.xip)
-
-        if released is None:
-            t_cur = max(t_cur, t_total)
-        if len(ts) >= 2:
-            d_x, d_k = zip(*(_glide_field(chart, a, b) for a, b in zip(xps, xips)))
-            sp_x = _hermite(ts, xps, d_x)
-            sp_k = _hermite(ts, xips, d_k)
-
-            def ev(tt):
-                return np.array([0.0, sp_x(tt), 0.0, sp_k(tt)])
-
+        """Glide along the boundary until r1 turns positive or time runs out."""
+        u = [0.0, pt.xp, 0.0, pt.xip]
+        if chart.r1(pt.xp, pt.xip) > 0.0:
+            # the liftoff condition already holds: release at once
+            hit = (0, t, u)
+            segment = RaySegment("gliding", "collar", t, t, chart, lambda tt, _u=np.array(u): _u)
         else:
-
-            def ev(tt, _p=cur):
-                return np.array([0.0, _p.xp, 0.0, _p.xip])
-
-        self.segments.append(RaySegment("gliding", "collar", t, t_cur, chart, ev))
-        if released is None:
+            release = (lambda get: chart.r1(get(1), get(3)), 1)
+            path, hit = _solve_collar(_glide_field(chart), t, u, t_total, (release,))
+            segment = RaySegment("gliding", "collar", t, path.ts[-1], chart, path)
+        self.segments.append(segment)
+        if hit is None:
             return t_total, "done", None
-        if not self._log("glide_release", t_cur, released):
-            return t_cur, "done", None
-        u = self._kick(chart, [0.0, released.xp, 0.0, released.xip])
-        return t_cur + KICK, "collar", (chart, PhasePoint(*u))
+        _, t_rel, u = hit
+        if not self._log("glide_release", t_rel, PhasePoint(*u)):
+            return t_rel, "done", None
+        return t_rel + KICK, "collar", (chart, PhasePoint(*_kick(chart, u)))
 
     # -- main loop ---------------------------------------------------------------
 
@@ -731,8 +657,6 @@ class _Tracer:
             else:
                 mode, payload = "collar", (self.chart, start)
         else:
-            if not self.embeddable:
-                raise ValueError("model charts take collar-frame start points")
             x = np.asarray(start[0], dtype=float)
             xi = np.asarray(start[1], dtype=float)
             mode, payload = self._place(x, xi)
@@ -792,16 +716,45 @@ class _Tracer:
         )
 
 
+def check_start(chart: CollarChart, start: Union[PhasePoint, tuple]) -> None:
+    """ValueError unless `start` lies in the chart's closed domain.
+
+    A collar-frame PhasePoint needs y >= 0 on every chart and, on a chart
+    with an embedding, a state that maps into the domain; an ambient
+    (x, xi) pair needs an embeddable chart and x in its domain.  Both hold
+    the boundary up to 1e-12, as billiard.propagate does.
+    """
+    embeddable = hasattr(chart, "to_cartesian")
+    if isinstance(start, PhasePoint):
+        if start.y < -1e-12:
+            raise ValueError(f"y = {start.y} lies below the boundary y = 0")
+        if embeddable:
+            try:
+                x, _ = chart.to_cartesian(start)
+                inside, why = chart.contains(x), ""
+            except ValueError as exc:  # past the disk center, or at it with xi' != 0
+                inside, why = False, f" ({exc})"
+            if not inside:
+                raise ValueError(
+                    f"y = {start.y} does not map into the closed {chart.kind} domain{why}"
+                )
+    elif not embeddable:
+        raise ValueError(
+            f"a {chart.kind} chart has no ambient embedding, give the start as {{y, xp, eta, xip}}"
+        )
+    elif not chart.contains(start[0]):
+        x = start[0]
+        raise ValueError(f"x = ({x[0]}, {x[1]}) lies outside the closed {chart.kind} domain")
+
+
 def trace(chart: CollarChart, start: Union[PhasePoint, tuple], t_total: float) -> GeneralizedRay:
     """Trace the generalized broken ray through `start` for time `t_total`.
 
     `start` is a PhasePoint in the chart's collar frame, or an (x, xi) pair
     in ambient coordinates for embeddable charts.  Negative times run the
     flow backward through the momentum-flip involution.  ValueError unless
-    the time and the start are finite and an ambient x lies in the chart's
-    closed domain (up to 1e-12).
+    the time and the start are finite and check_start accepts the start.
     """
-    x = None
     if isinstance(start, PhasePoint):
         values = [start.y, start.xp, start.eta, start.xip]
         flipped = start.flipped()
@@ -811,8 +764,7 @@ def trace(chart: CollarChart, start: Union[PhasePoint, tuple], t_total: float) -
         values = x.tolist() + xi.tolist()
     if not all(math.isfinite(v) for v in [t_total, *values]):
         raise ValueError(f"trace needs a finite time and start, got {t_total} and {values}")
-    if x is not None and hasattr(chart, "contains") and not chart.contains(x):
-        raise ValueError(f"start x = {values[:2]} lies outside the closed {chart.kind} domain")
+    check_start(chart, start)
     if t_total < 0:
         return _Tracer(chart).run(flipped, -t_total)._time_reversed()
     return _Tracer(chart).run(start, t_total)

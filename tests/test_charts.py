@@ -12,11 +12,11 @@ from bicharlab.charts import (
     DiskChart,
     ModelChart,
     OrderBudgetError,
-    OutOfCollarError,
     PhasePoint,
     _poly_mul2,
     load_chart,
 )
+from bicharlab.flow import check_start
 
 
 def bracket_fd(chart, j, xp, xip, h_fd=1e-4):
@@ -54,7 +54,7 @@ def fd_jet(chart, y, xp, xip, h=1e-4):
 
         return (4 * central(h / 2) - central(h)) / 3
 
-    r = chart.eval_r(y, xp, xip).r
+    r = chart._jet_any_y(y, xp, xip).r
     return (
         r,
         d(lambda s: chart._jet_any_y(y + s, xp, xip).r),
@@ -65,10 +65,10 @@ def fd_jet(chart, y, xp, xip, h=1e-4):
 
 def test_disk_frozen_values():
     c = DiskChart()
-    jet = c.eval_r(0.0, 0.3, 0.5)
+    jet = c._jet_any_y(0.0, 0.3, 0.5)
     assert jet.r == pytest.approx(0.75, abs=1e-15)
     assert jet.dr_dy == pytest.approx(-0.5, abs=1e-15)
-    jet = c.eval_r(0.0, -1.0, 1.0)
+    jet = c._jet_any_y(0.0, -1.0, 1.0)
     assert jet.r == pytest.approx(0.0, abs=1e-15)
     assert jet.dr_dy == pytest.approx(-2.0, abs=1e-15)
     assert c.r0(0.0, 0.5) == pytest.approx(0.75)
@@ -88,7 +88,7 @@ def test_fd_agreement_random_points():
             y = rng.uniform(0.01, chart.collar_width * 0.9)
             xp = rng.uniform(-2.0, 2.0)
             xip = rng.uniform(-1.2, 1.2)
-            jet = chart.eval_r(y, xp, xip)
+            jet = chart._jet_any_y(y, xp, xip)
             _, fy, fxp, fxip = fd_jet(chart, y, xp, xip)
             scale = 1.0 + abs(jet.dr_dy) + abs(jet.dr_dxp) + abs(jet.dr_dxip)
             assert abs(jet.dr_dy - fy) / scale < 1e-6
@@ -111,18 +111,25 @@ def test_disk_r_against_embedded_metric():
         jt = (emb(y, th + h) - emb(y, th - h)) / (2 * h)
         g_tt = jt @ jt
         r_oracle = 1.0 - xip**2 / g_tt
-        assert abs(c.eval_r(y, th, xip).r - r_oracle) < 1e-8
+        assert abs(c._jet_any_y(y, th, xip).r - r_oracle) < 1e-8
 
 
 def test_collar_domain_enforced():
+    # a collar-frame start needs y >= 0, and on the disk 1 - y >= 0 with
+    # xi' = 0 at the center
     c = DiskChart(collar_width=0.35)
-    with pytest.raises(OutOfCollarError):
-        c.eval_r(0.5, 0.0, 0.1)
-    with pytest.raises(OutOfCollarError):
-        c.eval_r(-0.01, 0.0, 0.1)
-    # model charts have no ambient domain
+    with pytest.raises(ValueError, match="below the boundary"):
+        check_start(c, PhasePoint(-0.01, 0.0, 0.0, 0.1))
+    with pytest.raises(ValueError, match="does not map into the closed disk domain"):
+        check_start(c, PhasePoint(1.01, 0.0, 0.0, 0.1))
+    with pytest.raises(ValueError, match="angular covector at the center"):
+        check_start(c, PhasePoint(1.0, 0.0, 0.0, 0.1))
+    check_start(c, PhasePoint(1.0, 0.0, 0.5, 0.0))  # the center, moving radially
+    check_start(c, PhasePoint(0.5, 0.0, 0.0, 0.1))  # past the collar, inside the disk
+    # model charts have no ambient domain: any y >= 0 is meaningful
     m = ModelChart([(0, 1, 0, 1.0)])
-    assert m.eval_r(5.0, 0.0, 0.2).r == pytest.approx(0.2)
+    check_start(m, PhasePoint(5.0, 0.0, 0.0, 0.2))
+    assert m._jet_any_y(5.0, 0.0, 0.2).r == pytest.approx(0.2)
 
 
 def test_bracket_model_chart_frozen():
@@ -211,7 +218,7 @@ def test_disk_energy_matches_euclidean():
     for _ in range(50):
         p = PhasePoint(rng.uniform(0, 0.3), rng.uniform(0, 6), rng.uniform(-1, 1), rng.uniform(-1, 1))
         x, xi = c.to_cartesian(p)
-        r = c.eval_r(p.y, p.xp, p.xip).r
+        r = c._jet_any_y(p.y, p.xp, p.xip).r
         assert abs((p.eta**2 - r) - (xi @ xi - 1.0)) < 1e-12
 
 

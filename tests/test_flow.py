@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -9,19 +8,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
 
 from bicharlab import billiard, flow
 from bicharlab.charts import AnnulusChart, DiskChart, ModelChart, PhasePoint
-from bicharlab.flow import (
-    GeneralizedRay,
-    reflect_hyperbolic,
-    step_gliding,
-    trace,
-)
+from bicharlab.flow import reflect_hyperbolic, trace
 
 DISK = DiskChart()
+# r = (1 - zeta^2) + z * y: a glide moves along z at speed 2, and the
+# liftoff condition r1 = z crosses zero at z = 0
+RELEASE_CHART = ModelChart([(0, 0, 0, 1.0), (0, 2, 0, -1.0), (1, 0, 1, 1.0)])
 
 
 def unit(angle):
@@ -77,7 +73,7 @@ def test_gliding_rotation():
     ray = trace(DISK, start, np.pi / 2)
     assert ray.status == "completed"
     assert [e.kind for e in ray.events][0] == "glide_start"
-    assert not ray.event_times("glide_release")
+    assert "glide_release" not in [e.kind for e in ray.events]
     p = ray.final_collar()
     assert p.y == pytest.approx(0.0, abs=1e-12)
     assert p.eta == pytest.approx(0.0, abs=1e-12)
@@ -104,7 +100,7 @@ def test_diffractive_tangency_annulus():
 def test_annulus_radial_bouncing():
     chart = AnnulusChart(0.5, "outer")
     ray = trace(chart, (np.array([0.7, 0.0]), np.array([1.0, 0.0])), 0.7)
-    times = ray.event_times("reflect")
+    times = [e.t for e in ray.events if e.kind == "reflect"]
     assert len(times) == 3
     assert times[0] == pytest.approx(0.15, abs=1e-9)
     assert times[1] == pytest.approx(0.40, abs=1e-9)
@@ -115,10 +111,7 @@ def test_annulus_radial_bouncing():
 
 
 def test_model_glide_release():
-    # r = (1 - zeta^2) + z * y: glide moves along z at speed 2 and the
-    # liftoff condition crosses zero at z = 0
-    chart = ModelChart([(0, 0, 0, 1.0), (0, 2, 0, -1.0), (1, 0, 1, 1.0)])
-    ray = trace(chart, PhasePoint(0.0, -0.5, 0.0, 1.0), 0.5)
+    ray = trace(RELEASE_CHART, PhasePoint(0.0, -0.5, 0.0, 1.0), 0.5)
     assert ray.status == "completed"
     kinds = [e.kind for e in ray.events]
     assert kinds[0] == "glide_start"
@@ -146,7 +139,7 @@ def test_collar_transit_events():
     ex = next(e for e in ray.events if e.kind == "exit_collar")
     assert ex.point.y == pytest.approx(0.5 * DISK.collar_width, abs=1e-9)
     # the chord between bounces takes time sqrt(r0)
-    t_reflect = ray.event_times("reflect")
+    t_reflect = [e.t for e in ray.events if e.kind == "reflect"]
     assert t_reflect and t_reflect[0] == pytest.approx(np.sqrt(0.75), abs=1e-8)
 
 
@@ -155,13 +148,6 @@ def test_reflect_hyperbolic_contract():
     assert out.eta == pytest.approx(np.sqrt(0.75), abs=1e-14)
     with pytest.raises(ValueError):
         reflect_hyperbolic(DISK, PhasePoint(0.0, 0.0, 0.0, 1.0))
-
-
-def test_step_gliding_stays_on_shell():
-    p = PhasePoint(0.0, 0.0, 0.0, 1.0)
-    for _ in range(100):
-        p = step_gliding(DISK, p, 1e-2)
-    assert DISK.r0(p.xp, p.xip) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_zero_time_trace():
@@ -201,29 +187,43 @@ def test_property_trace_matches_propagate_on_disk(r, a, b, t):
     assert np.max(np.abs(xi - xi_ref)) < 1e-8
 
 
+def test_glide_starting_with_positive_r1_releases_at_once():
+    # r1 = z = 5e-9 lies inside the tangency gate, so the contact is glancing
+    # of order 3 and starts a glide; r1 > 0 already, so it releases at its start
+    ray = trace(RELEASE_CHART, PhasePoint(0.0, 5e-9, 0.0, 1.0), 0.5)
+    assert ray.status == "completed"
+    assert [(e.kind, e.t) for e in ray.events][:2] == [("glide_start", 0.0), ("glide_release", 0.0)]
+    assert (ray.segments[0].kind, ray.segments[0].t0, ray.segments[0].t1) == ("gliding", 0.0, 0.0)
+    p = ray.final_collar()
+    assert p.y > 1e-4 and p.eta > 0.0
+
+
 # ---------------------------------------------------------------------------
-# the collar stepper, the root solver and the glide interpolant against
-# scipy's solve_ivp, brentq and CubicHermiteSpline
+# the stepper and the root solver against scipy's solve_ivp and brentq
 
 
 def collar_events(chart):
-    return flow._COLLAR_EVENTS + ((0, 0.5 * chart.collar_width, 1),)
+    mid = 0.5 * chart.collar_width
+    return flow._COLLAR_EVENTS + ((lambda get: get(0) - mid, 1),)
 
 
-def scipy_collar(chart, t0, u0, t1):
-    """solve_ivp on the collar field with the tracer's settings and events."""
-    f = flow._collar_field(chart)
+def release_event(chart):
+    return (lambda get: chart.r1(get(1), get(3)), 1)
 
-    def event(i, level, direction):
-        def fn(t, u):
-            return u[i] - level
 
-        fn.terminal = True
-        fn.direction = direction
-        return fn
+def scipy_solve(field, t0, u0, t1, events):
+    """solve_ivp on a field with the tracer's settings and terminal events."""
+
+    def event(fn, direction):
+        def g(t, u):
+            return fn(u.__getitem__)
+
+        g.terminal = True
+        g.direction = direction
+        return g
 
     return solve_ivp(
-        lambda t, u: f(u),
+        lambda t, u: field(u),
         (t0, t1),
         np.asarray(u0, dtype=float),
         method="RK45",
@@ -231,14 +231,13 @@ def scipy_collar(chart, t0, u0, t1):
         atol=flow.ATOL,
         max_step=flow.MAX_STEP_COLLAR,
         dense_output=True,
-        events=[event(*e) for e in collar_events(chart)],
+        events=[event(*e) for e in events],
     )
 
 
-def assert_collar_matches_scipy(chart, t0, u0, t1):
-    field = flow._collar_field(chart)
-    path, hit = flow._solve_collar(field, t0, list(u0), t1, collar_events(chart))
-    sol = scipy_collar(chart, t0, u0, t1)
+def assert_solve_matches_scipy(field, t0, u0, t1, events):
+    path, hit = flow._solve_collar(field, t0, list(u0), t1, events)
+    sol = scipy_solve(field, t0, u0, t1, events)
     fired = [k for k, times in enumerate(sol.t_events) if len(times)]
     if hit is None:
         assert sol.status == 0 and not fired
@@ -250,6 +249,12 @@ def assert_collar_matches_scipy(chart, t0, u0, t1):
     assert abs(path.ts[-1] - sol.t[-1]) < 1e-12
     for t in np.linspace(t0, path.ts[-1], 52)[1:-1]:
         assert np.max(np.abs(path(t) - sol.sol(t))) < 1e-11
+    return hit
+
+
+def assert_collar_matches_scipy(chart, t0, u0, t1):
+    field = flow._collar_field(chart)
+    hit = assert_solve_matches_scipy(field, t0, u0, t1, collar_events(chart))
     return None if hit is None else hit[0]
 
 
@@ -301,80 +306,52 @@ def test_property_collar_solve_matches_solve_ivp(y, xp, eta, xip, span):
         field = flow._collar_field(DISK)
         path, hit = flow._solve_collar(field, 0.0, u0, span, collar_events(DISK))
         assert hit is None and path(span).tolist() == u0
-        sol = scipy_collar(DISK, 0.0, u0, span)
+        sol = scipy_solve(field, 0.0, u0, span, collar_events(DISK))
         assert sol.status == 1 and len(sol.t_events[TURN]) == 1
         return
     assert_collar_matches_scipy(DISK, 0.0, (y, xp, eta, xip), span)
 
 
-def glide_release_function(chart, cur):
-    def f(s):
-        q = step_gliding(chart, cur, s) if s > 0 else cur
-        return chart.r1(q.xp, q.xip)
-
-    return f
+@pytest.mark.parametrize(
+    "chart, xp0, span, release",
+    [
+        # released where z = 0, at t = 0.25 exactly
+        ("model", -0.5, 1.0, 0.25),
+        # the disk rim has r1 = -2 xi'^2 < 0: the glide runs out of time
+        ("disk", 0.3, 1.5, None),
+    ],
+)
+def test_glide_solve_matches_solve_ivp(chart, xp0, span, release):
+    t0 = 0.5
+    chart = {"model": RELEASE_CHART, "disk": DISK}[chart]
+    field = flow._glide_field(chart)
+    u0 = (0.0, xp0, 0.0, 1.0)
+    hit = assert_solve_matches_scipy(field, t0, u0, t0 + span, (release_event(chart),))
+    if release is None:
+        assert hit is None
+    else:
+        assert abs(hit[1] - (t0 + release)) < 1e-12
+        # y and eta have no velocity and stay exactly 0
+        assert (hit[2][0], hit[2][2]) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("z0", [-1.5e-3, -1e-3, -2e-4, -1.9e-3])
 def test_brent_matches_brentq_on_glide_release(z0):
-    # the model chart of test_model_glide_release: r1 = z, and the glide
-    # moves z at speed 2, so z0 in (-2e-3, 0) releases inside one step
-    chart = ModelChart([(0, 0, 0, 1.0), (0, 2, 0, -1.0), (1, 0, 1, 1.0)])
-    f = glide_release_function(chart, PhasePoint(0.0, z0, 0.0, 1.0))
-    h = flow.GLIDING_STEP
+    # r1 = z on the release chart, read off the dense output of the first
+    # accepted glide step; z moves at speed 2, so each z0 releases in it
+    field = flow._glide_field(RELEASE_CHART)
+    path, _ = flow._solve_collar(field, 0.0, [0.0, z0, 0.0, 1.0], 1.0, ())
+    step = path.steps[0]
+    a, b = step[0], step[0] + step[1]
+
+    def f(s):
+        return RELEASE_CHART.r1(flow._dense(step, s, 1), flow._dense(step, s, 3))
+
     for xtol in (1e-13, 1e-14, 4 * np.finfo(float).eps):
-        assert flow._brent(f, 0.0, h, xtol) == brentq(f, 0.0, h, xtol=xtol)
-    assert flow._brent(f, 0.0, h, 1e-13) == pytest.approx(-z0 / 2, abs=1e-12)
+        assert flow._brent(f, a, b, xtol) == brentq(f, a, b, xtol=xtol)
+    assert flow._brent(f, a, b, 1e-13) == pytest.approx(-z0 / 2, abs=1e-12)
     with pytest.raises(ValueError):
-        flow._brent(f, 0.0, h / 100, 1e-13)  # no sign change
-
-
-def glide_knots(start, n):
-    """Values and slopes of n glide steps on the disk rim."""
-    xps, xips = [start.xp], [start.xip]
-    p = start
-    for _ in range(n):
-        p = step_gliding(DISK, p, flow.GLIDING_STEP)
-        xps.append(p.xp)
-        xips.append(p.xip)
-    d = np.array([flow._glide_field(DISK, a, b) for a, b in zip(xps, xips)])
-    return np.array(xps), np.array(xips), d
-
-
-def hermite_exact(ts, ys, ds, t):
-    """The cubic Hermite basis form in rational arithmetic, rounded once."""
-    j = min(max(int(np.searchsorted(ts, t, side="right")) - 1, 0), len(ts) - 2)
-    h = Fraction(ts[j + 1]) - Fraction(ts[j])
-    s = (Fraction(t) - Fraction(ts[j])) / h
-    u = 1 - s
-    return float(
-        (1 + 2 * s) * u * u * Fraction(ys[j])
-        + s * u * u * h * Fraction(ds[j])
-        + s * s * (3 - 2 * s) * Fraction(ys[j + 1])
-        - s * s * u * h * Fraction(ds[j + 1])
-    )
-
-
-@pytest.mark.parametrize("xp0, n", [(0.3, 1), (0.3, 40), (-2.9, 7), (3.1, 25)])
-def test_hermite_matches_cubic_hermite_spline(xp0, n):
-    xps, xips, d = glide_knots(PhasePoint(0.0, xp0, 0.0, 1.0), n)
-    rng = np.random.default_rng(n)
-    # uneven knot spacing, as a release shortens the last step
-    ts = np.cumsum(np.r_[0.0, rng.uniform(0.2, 1.0, n)]) * flow.GLIDING_STEP
-    probes = np.linspace(ts[0] - 1e-9, ts[-1] + 1e-9, 301)
-    for ys, ds in ((xps, d[:, 0]), (xips, d[:, 1])):
-        ours = flow._hermite(ts.tolist(), ys.tolist(), ds.tolist())
-        ref = CubicHermiteSpline(ts, ys, ds)
-        bound = 1e-15 * np.max(np.abs(ys))
-        assert all(abs(ours(t) - ref(t)) <= bound for t in probes)
-        assert [ours(t) for t in ts] == ys.tolist()
-    # on rough data scipy's own rounding passes 1e-15 max|y|: hold the
-    # basis form to the exactly rounded value instead
-    ys, ds = rng.normal(size=n + 1), rng.normal(size=n + 1)
-    ours = flow._hermite(ts.tolist(), ys.tolist(), ds.tolist())
-    bound = 4 * np.finfo(float).eps * np.max(np.abs(ys))
-    assert all(abs(ours(t) - hermite_exact(ts, ys, ds, t)) <= bound for t in probes)
-    assert [ours(t) for t in ts] == ys.tolist()
+        flow._brent(f, a, -z0 / 4, 1e-13)  # no sign change
 
 
 TERMINATION_PROBE = """
@@ -438,5 +415,18 @@ def test_trace_refuses_bad_input():
         trace(DISK, (np.array([2.0, 0.0]), unit(0.0)), 1.0)
     with pytest.raises(ValueError, match="outside the closed annulus"):
         trace(AnnulusChart(0.5, "outer"), (np.array([0.2, 0.0]), unit(0.0)), 1.0)
+    with pytest.raises(ValueError, match="no ambient embedding"):
+        trace(RELEASE_CHART, (x0, xi0), 1.0)
+    # collar-frame starts: y >= 0 on every chart, and (y, x') in the domain
+    # of a chart with an embedding
+    for chart in (DISK, AnnulusChart(0.5, "outer"), RELEASE_CHART):
+        with pytest.raises(ValueError, match="y = -0.5 lies below the boundary"):
+            trace(chart, PhasePoint(-0.5, 0.0, 0.5, 0.5), 1.0)
+    with pytest.raises(ValueError, match="y = 1.5 does not map into the closed disk domain"):
+        trace(DISK, PhasePoint(1.5, 0.0, 0.5, 0.5), 1.0)
+    for component in ("outer", "inner"):
+        with pytest.raises(ValueError, match="does not map into the closed annulus domain"):
+            trace(AnnulusChart(0.5, component), PhasePoint(0.6, 0.0, 0.5, 0.5), -1.0)
     # the closed domain holds its rim up to 1e-12, as billiard.propagate does
     assert trace(DISK, (np.array([1.0 + 5e-13, 0.0]), unit(np.pi)), 0.5).status == "completed"
+    assert trace(DISK, PhasePoint(-5e-13, 0.0, 0.5, 0.5), 0.5).status == "completed"
