@@ -916,10 +916,22 @@ def _build_interior(spec: dict, label: str) -> InteriorSymbol:
             acc = acc * fn(xi1, xi2)
         return acc
 
+    def invariant(x1, x2, xi1, xi2):
+        # the factors in |xi| and x wedge xi, which the disk billiard conserves
+        acc = fiber(xi1, xi2)
+        for fn in general_fns:
+            acc = acc * fn(x1, x2, xi1, xi2)
+        return acc
+
+    if not (fiber_fns or general_fns):
+        invariant = None
     xi_bound = float(spec["xi_bound"])
     if not general_fns and arc is None:
         return InteriorSymbol(
-            terms=[SeparableTerm(spatial, fiber)], xi_bound=xi_bound, name=label
+            terms=[SeparableTerm(spatial, fiber)],
+            xi_bound=xi_bound,
+            invariant=invariant,
+            name=label,
         )
 
     def envelope(x1, x2):
@@ -935,5 +947,9 @@ def _build_interior(spec: dict, label: str) -> InteriorSymbol:
         return acc
 
     return InteriorSymbol(
-        evaluator=evaluator, xi_bound=xi_bound, x_envelope=envelope, name=label
+        evaluator=evaluator,
+        xi_bound=xi_bound,
+        x_envelope=envelope,
+        invariant=invariant,
+        name=label,
     )

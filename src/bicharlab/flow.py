@@ -340,10 +340,12 @@ class GeneralizedRay:
         lo, hi = sorted((self.t0, self.t1))
         if not (lo - 1e-9 <= t <= hi + 1e-9):
             raise ValueError(f"time {t} outside [{lo}, {hi}]")
-        for seg in self.segments:
-            if seg.t0 - 1e-12 <= t <= seg.t1 + 1e-12:
-                return seg
-        return self.segments[-1]
+        # the first segment within 1e-12 of t, else the nearest one: a
+        # restart nudge (`KICK`) leaves a gap between two segments
+        return min(
+            self.segments,
+            key=lambda seg: max(seg.t0 - 1e-12 - t, t - seg.t1 - 1e-12, 0.0),
+        )
 
     def state_vector(self, t: float):
         seg = self.segment_at(t)

@@ -116,6 +116,13 @@ class InteriorSymbol:
     must also declare `x_envelope`, a nonnegative function whose support
     contains the spatial support, because the margin check cannot infer
     it from an opaque evaluator.
+
+    `invariant`, when given, is a vectorized function of (x1, x2, xi1, xi2)
+    that is a factor of the symbol and depends on |xi| and x wedge xi
+    only; both are conserved by the disk billiard, so wherever it is 0
+    the symbol is 0 along the whole broken ray.  Transport uses it to skip
+    those points.  `None` (the default, and the only safe value for an
+    opaque evaluator) claims nothing.
     """
 
     def __init__(
@@ -125,12 +132,14 @@ class InteriorSymbol:
         evaluator: Optional[Callable] = None,
         xi_bound: float,
         x_envelope: Optional[Callable] = None,
+        invariant: Optional[Callable] = None,
         name: str = "",
     ):
         if terms is None and evaluator is None:
             raise ValueError("need terms or an evaluator")
         self.terms = tuple(terms) if terms is not None else None
         self.xi_bound = float(xi_bound)
+        self.invariant = invariant
         self.name = name
         if self.xi_bound < 0:
             raise ValueError("xi_bound must be nonnegative")

@@ -195,47 +195,74 @@ def _require_disk(chart: Optional[CollarChart]) -> DiskChart:
 DEAD_SPEED = 1e-12
 
 
+def _survivors(x1, x2, xi1, xi2, invariant):
+    """The phase points where a pullback along the disk billiard can be nonzero.
+
+    Those are the points inside the closed disk where `invariant` (if not
+    None) is nonzero.  The inputs keep their broadcast structure: the disk
+    mask is taken on x, the invariant on the broadcast axes it needs, and
+    only the survivors are gathered, with `np.nonzero`, as four 1-D
+    arrays.  Returns (shape, idx, points) for a grid of at least one
+    dimension; `idx` indexes that grid.
+    """
+    X1, X2, S1, S2 = np.atleast_1d(
+        *(np.asarray(v, dtype=float) for v in (x1, x2, xi1, xi2))
+    )
+    if not all(np.isfinite(v).all() for v in (X1, X2, S1, S2)):
+        raise ValueError("a transported symbol needs finite x and xi")
+    shape = np.broadcast_shapes(X1.shape, X2.shape, S1.shape, S2.shape)
+    keep = np.hypot(X1, X2) <= 1.0 + 1e-12
+    if invariant is not None:
+        keep = keep & (invariant(X1, X2, S1, S2) != 0)
+    idx = np.nonzero(np.broadcast_to(keep, shape))
+    return shape, idx, tuple(np.broadcast_to(v, shape)[idx] for v in (X1, X2, S1, S2))
+
+
 class TransportedSymbol:
     """Pullback a(gamma_s(x, xi)) along the broken geodesic flow of the disk.
 
     Evaluation pushes each requested point forward for time s through the
     closed-form billiard map `billiard.propagate` and reads the base
-    symbol there.  Points outside the closed disk evaluate to zero.
-    Frequencies with |xi| at most the constant `DEAD_SPEED` do not move.
-    A tangential contact cannot be continued by chords; such nodes
-    evaluate to zero and are counted in `unresolved`, so downstream
-    verdicts can refuse to certify.  Values are taken real: the
-    transported symbols fed to mass experiments are real windows.
+    symbol there.  x and xi must be finite (ValueError otherwise).
+    Points outside the closed disk evaluate to zero.  Frequencies with
+    |xi| at most the constant `DEAD_SPEED` do not move.  A tangential
+    contact cannot be continued by chords; such nodes evaluate to zero
+    and are counted in `unresolved`, so downstream verdicts can refuse to
+    certify.  Values are taken real: the transported symbols fed to mass
+    experiments are real windows.
+
+    Pruning: free flight and specular reflection conserve |xi| and
+    x wedge xi, so where the base's `invariant` (a factor of the base
+    that is a function of those two only, or None; see `InteriorSymbol`)
+    is 0, the pullback is 0 and the point is not flown.  The pullback
+    exposes the same `invariant`, so nested pullbacks prune too.
     """
 
     def __init__(self, base: Union[InteriorSymbol, Callable], s: float):
         self._base = base.eval if hasattr(base, "eval") else base
+        self.invariant = getattr(base, "invariant", None)
         self.s = float(s)
         self.unresolved = 0
 
     def eval(self, x1, x2, xi1, xi2) -> np.ndarray:
-        X1, X2, S1, S2 = np.broadcast_arrays(
-            *(np.asarray(v, dtype=float) for v in (x1, x2, xi1, xi2))
-        )
-        shape = X1.shape
-        px = np.stack([X1.ravel(), X2.ravel()], axis=-1)
-        pxi = np.stack([S1.ravel(), S2.ravel()], axis=-1)
-        out = np.zeros(px.shape[0], dtype=float)
-        inside = np.hypot(px[:, 0], px[:, 1]) <= 1.0 + 1e-12
-        live = inside & (np.hypot(pxi[:, 0], pxi[:, 1]) > DEAD_SPEED)
-        stuck = np.zeros_like(inside)
+        shape, idx, (p1, p2, q1, q2) = _survivors(x1, x2, xi1, xi2, self.invariant)
+        px = np.stack([p1, p2], axis=-1)
+        pxi = np.stack([q1, q2], axis=-1)
+        live = np.hypot(q1, q2) > DEAD_SPEED
+        stuck = np.zeros(live.shape, dtype=bool)
         if live.any():
             px[live], pxi[live], _, stuck[live] = billiard.propagate(
                 px[live], pxi[live], self.s, pinned="mark"
             )
         if stuck.any():
             self.unresolved += int(np.sum(self._doubtful(px[stuck], pxi[stuck])))
-        keep = inside & ~stuck
+        out = np.zeros(shape, dtype=float)
+        keep = ~stuck
         if keep.any():
-            out[keep] = np.real(
+            out[tuple(i[keep] for i in idx)] = np.real(
                 self._base(px[keep, 0], px[keep, 1], pxi[keep, 0], pxi[keep, 1])
             )
-        return out.reshape(shape)
+        return out.reshape(np.broadcast_shapes(*map(np.shape, (x1, x2, xi1, xi2))))
 
     def _doubtful(self, xs: np.ndarray, xis: np.ndarray) -> np.ndarray:
         """Tangential contacts where zero cannot be certified.
@@ -426,15 +453,17 @@ def support_gap(
         _require_disk(chart)
         for m in modes:
             hg = husimi_grid(m, nx=nx, nxi=nxi, x_max=x_max, xi_max=xi_max)
-            x1, x2, s1, s2 = _phase_axes(hg)
-            # count mass over the closed disk only, matching the
+            shape, idx, pts = _survivors(*_phase_axes(hg), a.invariant)
+            # both a and its pullback are 0 off the survivors, the
+            # invariant being a factor of a: evaluate both there only.
+            # Count mass over the closed disk only, matching the
             # transported symbol's zero-outside convention, so the s and
             # then -s reversibility holds for any input support
-            in_disk = np.hypot(x1, x2) <= 1.0
-            base_sq = np.abs(a.eval(x1, x2, s1, s2)) ** 2 * in_disk
-            base_sq = np.broadcast_to(base_sq, hg.density.shape)
+            in_disk = np.hypot(pts[0], pts[1]) <= 1.0
+            base_sq, moved_sq = np.zeros(shape), np.zeros(shape)
+            base_sq[idx] = np.abs(a.eval(*pts)) ** 2 * in_disk
             tau = TransportedSymbol(a, s)
-            moved_sq = tau.eval(x1, x2, s1, s2) ** 2
+            moved_sq[idx] = tau.eval(*pts) ** 2
             unresolved += tau.unresolved
             before = _husimi_mass_fraction(hg, base_sq)
             after = _husimi_mass_fraction(hg, moved_sq)

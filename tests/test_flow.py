@@ -156,6 +156,22 @@ def test_zero_time_trace():
     assert np.allclose(x, [0.2, 0.0]) and np.allclose(xi, unit(0.3))
 
 
+def test_state_inside_a_restart_gap_reads_the_nearest_segment():
+    # each restart nudge (KICK) leaves a 1e-9 gap between two segments;
+    # a time inside it reads the nearest segment, not the ray's last one
+    ray = trace(DISK, PhasePoint(0.05, 0.0, 0.1, 0.9), 3.0)
+    gaps = [
+        (a.t1, b.t0)
+        for a, b in zip(ray.segments, ray.segments[1:])
+        if b.t0 - a.t1 > 1e-12
+    ]
+    assert gaps and gaps[0][0] < 0.0523411988 < gaps[0][1]
+    for lo, hi in gaps:
+        mid = ray.state_vector(0.5 * (lo + hi))[2]
+        for end in (lo, hi):
+            assert np.max(np.abs(mid - ray.state_vector(end)[2])) < 1e-8
+
+
 def test_mixed_frame_energy_on_annulus():
     chart = AnnulusChart(0.5, "outer")
     ray = trace(chart, (np.array([0.8, 0.1]), unit(2.4)), 2.0)

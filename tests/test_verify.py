@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bicharlab import modes, verify
+from bicharlab import billiard, config, modes, quantize, verify
 from bicharlab.bumps import bump_profile, plateau_step, window
 from bicharlab.charts import AnnulusChart, DiskChart
 from bicharlab.quantize import InteriorSymbol, SeparableTerm, TangentialSymbol
@@ -120,6 +122,236 @@ def test_transport_marks_doubtful_tangential_contacts():
     val = spatial.eval(np.array([1.0]), np.array([0.0]), np.array([0.0]), np.array([0.8]))
     assert val[0] == 0.0
     assert spatial.unresolved == 0
+
+
+def test_transport_refuses_non_finite_input():
+    tau = verify.TransportedSymbol(lambda *p: np.ones_like(p[0]), 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        tau.eval(np.nan, 0.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        tau.eval(0.3, 0.0, np.nan, 0.0)
+    # refused before pruning: the speed window is 0 at |xi| = inf
+    ring = verify.TransportedSymbol(config.build_symbol(REFLECT_SYMBOL), 0.5)
+    assert ring.invariant is not None
+    with pytest.raises(ValueError, match="finite"):
+        ring.eval(np.array([0.3, 0.3]), 0.0, np.array([np.inf, 0.9]), 0.0)
+
+
+# -- pruning by the flow invariants -------------------------------------
+
+# the criterion-11 symbol, run by the `reflect` and `bounce` benchmarks
+REFLECT_SYMBOL = {
+    "type": "interior",
+    "xi_bound": 1.5,
+    "factors": [
+        {"var": "radius", "window": [0.45, 0.55, 0.97, 1.02]},
+        {"var": "speed", "window": [0.75, 0.85, 1.15, 1.25]},
+        {"var": "angular_momentum", "window": [0.3, 0.4, 0.6, 0.7]},
+    ],
+    "arc": {"center": 0.0, "inner": 0.35, "outer": 0.6},
+}
+
+
+def unpruned_eval(tau, x1, x2, xi1, xi2):
+    """TransportedSymbol.eval before pruning: every live disk point is flown."""
+    X1, X2, S1, S2 = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (x1, x2, xi1, xi2))
+    )
+    shape = X1.shape
+    px = np.stack([X1.ravel(), X2.ravel()], axis=-1)
+    pxi = np.stack([S1.ravel(), S2.ravel()], axis=-1)
+    out = np.zeros(px.shape[0], dtype=float)
+    inside = np.hypot(px[:, 0], px[:, 1]) <= 1.0 + 1e-12
+    live = inside & (np.hypot(pxi[:, 0], pxi[:, 1]) > verify.DEAD_SPEED)
+    stuck = np.zeros_like(inside)
+    if live.any():
+        px[live], pxi[live], _, stuck[live] = billiard.propagate(
+            px[live], pxi[live], tau.s, pinned="mark"
+        )
+    if stuck.any():
+        tau.unresolved += int(np.sum(tau._doubtful(px[stuck], pxi[stuck])))
+    keep = inside & ~stuck
+    if keep.any():
+        out[keep] = np.real(
+            tau._base(px[keep, 0], px[keep, 1], pxi[keep, 0], pxi[keep, 1])
+        )
+    return out.reshape(shape)
+
+
+def assert_pruning_exact(a, s, *points):
+    tau, ref = verify.TransportedSymbol(a, s), verify.TransportedSymbol(a, s)
+    got = tau.eval(*points)
+    want = unpruned_eval(ref, *points)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert tau.unresolved == ref.unresolved
+
+
+@st.composite
+def _edges(draw, lo, width):
+    # ramps of at least 1e-6: a window is exactly 0 within 1/745 of a ramp
+    # of its outer edges (exp underflows), far beyond the 1e-12 relative
+    # drift of |xi| and x wedge xi under `propagate`; a ramp narrower than
+    # that drift has no transported value to agree on
+    a = draw(st.floats(lo, lo + width))
+    ramp = st.floats(1e-6, 0.3)
+    b = a + draw(ramp)
+    c = b + draw(st.floats(0.0, 0.5))
+    return [a, b, c, c + draw(ramp)]
+
+
+@st.composite
+def symbol_specs(draw):
+    factors = []
+    if draw(st.booleans()):
+        var = draw(st.sampled_from(["speed", "speed_sq"]))
+        factors.append({"var": var, "window": draw(_edges(0.0, 1.0))})
+    if draw(st.booleans()):
+        factors.append({"var": "angular_momentum", "window": draw(_edges(-0.9, 1.0))})
+    if draw(st.booleans()) or not factors:
+        factors.append({"var": "radius", "window": draw(_edges(-0.5, 1.2))})
+    spec = {"type": "interior", "xi_bound": 2.0, "factors": factors}
+    if draw(st.booleans()):
+        spec["arc"] = {"center": draw(st.floats(-3.0, 3.0)), "inner": 0.4, "outer": 0.9}
+    return spec
+
+
+# relative nudges off a window edge, from inside rounding to well clear
+NUDGES = np.array([0.0, 1e-15, -1e-15, 1e-9, -1e-9, 1e-3, -1e-3])
+
+
+def edge_points(spec, rng, num=96):
+    """Phase points on and near the edges of the spec's windows.
+
+    About a quarter of the points take a speed at a speed-window edge,
+    a quarter an angular momentum at an angular-momentum edge, an eighth
+    sit on the rim with a tangent covector (pinned contacts) and a few
+    have xi = 0 or x outside the disk.
+    """
+    speeds, ells = [], []
+    for f in spec["factors"]:
+        if f["var"] == "speed":
+            speeds += f["window"]
+        elif f["var"] == "speed_sq":
+            speeds += [np.sqrt(max(w, 0.0)) for w in f["window"]]
+        elif f["var"] == "angular_momentum":
+            ells += f["window"]
+    r = np.sqrt(rng.uniform(0.0, 1.0, num)) * 1.05
+    phi = rng.uniform(0.0, 2.0 * np.pi, num)
+    rho = rng.uniform(0.0, 1.8, num)
+    beta = phi + rng.uniform(0.0, 2.0 * np.pi, num)
+    quarter = num // 4
+    if speeds:
+        rho[:quarter] = rng.choice(speeds, quarter) * (1.0 + rng.choice(NUDGES, quarter))
+    if ells:
+        sl = slice(quarter, 2 * quarter)
+        r[sl] = np.minimum(r[sl], 1.0)
+        ell = rng.choice(ells, quarter) * (1.0 + rng.choice(NUDGES, quarter))
+        rho[sl] = np.maximum(rho[sl], np.abs(ell) / np.maximum(r[sl], 1e-3) + 1e-3)
+        beta[sl] = phi[sl] + np.arcsin(ell / (r[sl] * rho[sl]))
+    rim = slice(2 * quarter, 2 * quarter + num // 8)
+    r[rim] = 1.0
+    beta[rim] = phi[rim] + rng.choice([-0.5, 0.5], num // 8) * np.pi
+    rho[-3:] = 0.0
+    return r * np.cos(phi), r * np.sin(phi), rho * np.cos(beta), rho * np.sin(beta)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(symbol_specs(), st.floats(-3.0, 3.0), st.integers(0, 2**32 - 1), st.booleans())
+def test_property_pruned_transport_matches_unpruned(spec, s, seed, nested):
+    a = config.build_symbol(spec)
+    if nested:
+        a = verify.TransportedSymbol(a, 0.3)
+    rng = np.random.default_rng(seed)
+    x1, x2, s1, s2 = edge_points(spec, rng)
+    assert_pruning_exact(a, s, x1, x2, s1, s2)  # 1-D
+    if nested:
+        return  # each pinned node of the outer pullback runs 32 inner ones
+    for i in (0, 30, 50, 95):  # scalars
+        point = (float(v[i]) for v in (x1, x2, s1, s2))
+        assert_pruning_exact(a, s, *point)
+    # broadcast 4-D phase grid with rim nodes, the origin and window edges
+    xs = np.array([-1.05, -1.0, -0.45, 0.0, 0.3, 1.0, 1.05])
+    xis = np.unique(np.concatenate([[0.0, 0.6, 1.0], rng.choice(np.abs(s1), 3)]))
+    xis = np.concatenate([-xis[::-1], xis])
+    grid = (
+        xs[:, None, None, None],
+        xs[None, :, None, None],
+        xis[None, None, :, None],
+        xis[None, None, None, :],
+    )
+    assert_pruning_exact(a, s, *grid)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(symbol_specs(), st.integers(0, 2**32 - 1))
+def test_property_invariant_is_a_factor_of_the_symbol(spec, seed):
+    a = config.build_symbol(spec)
+    points = edge_points(spec, np.random.default_rng(seed))
+    if a.invariant is None:
+        assert not any(f["var"] != "radius" for f in spec["factors"])
+        return
+    dead = np.asarray(a.invariant(*points)) == 0
+    assert np.all(np.broadcast_to(a.eval(*points), dead.shape)[dead] == 0)
+
+
+def workload_phase_grid(m, k, nx=28, nxi=29, x_max=1.25, xi_max=1.6):
+    """The Husimi phase axes `support_gap` evaluates for the Stokes mode (m, k).
+
+    The same snap as `husimi_grid`, without sampling the mode.
+    """
+    h = 1.0 / modes.family_lambda("stokes", m, k)
+    lattice = h * quantize.default_box(h, xi_max + 1.0).k
+    nearest = [int(np.argmin(np.abs(lattice - t))) for t in np.linspace(-xi_max, xi_max, nxi)]
+    xi = np.sort(lattice[np.unique(nearest)])
+    x = np.linspace(-x_max, x_max, nx)
+    return (
+        x[:, None, None, None],
+        x[None, :, None, None],
+        xi[None, None, :, None],
+        xi[None, None, None, :],
+    )
+
+
+@pytest.mark.parametrize(
+    "members, s",
+    [
+        # `reflect`: m = 16, 24, 32, 44 at k for the ratio 0.5
+        ([(16, 3), (24, 5), (32, 7), (44, 10)], 0.9),
+        # `bounce`
+        ([(16, 3)], 12.0),
+    ],
+    ids=["reflect", "bounce"],
+)
+def test_pruned_transport_matches_unpruned_on_workload_grids(members, s):
+    a = config.build_symbol(REFLECT_SYMBOL)
+    for m, k in members:
+        assert_pruning_exact(a, s, *workload_phase_grid(m, k))
+
+
+def test_support_run_flies_few_points(monkeypatch):
+    # the config builder attaches the invariant: without it every live
+    # disk node of the phase grid would be flown
+    flown, grids = [], []
+    propagate, husimi = billiard.propagate, verify.husimi_grid
+
+    def counting_propagate(x, xi, t, **kw):
+        flown.append(np.asarray(x).reshape(-1, 2).shape[0])
+        return propagate(x, xi, t, **kw)
+
+    def recording_husimi(*args, **kw):
+        grids.append(husimi(*args, **kw))
+        return grids[-1]
+
+    monkeypatch.setattr(billiard, "propagate", counting_propagate)
+    monkeypatch.setattr(verify, "husimi_grid", recording_husimi)
+    a = config.build_symbol(REFLECT_SYMBOL)
+    rep = verify.support_gap([modes.stokes_disk_mode(16, 3)], a, 0.9, nx=28, nxi=29)
+    assert rep.rows[0].before > 1e-3
+    x1, x2, s1, s2 = verify._phase_axes(grids[0])
+    inside = np.sum(np.hypot(x1, x2) <= 1.0 + 1e-12)
+    live = inside * np.sum(np.hypot(s1, s2) > verify.DEAD_SPEED)
+    assert 0 < sum(flown) < 0.1 * live
 
 
 def test_propagation_checks_require_disk_chart():
