@@ -24,7 +24,9 @@ def smooth_step(t):
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     pos = t > 0
-    out[pos] = np.exp(-1.0 / t[pos])
+    # a subnormal t overflows -1/t to -inf, whose exp is the right 0
+    with np.errstate(over="ignore"):
+        out[pos] = np.exp(-1.0 / t[pos])
     return out if out.ndim else float(out)
 
 

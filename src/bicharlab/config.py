@@ -175,9 +175,18 @@ _SYMBOL = _by(
 # cross-key rules: each reads only values its part's schema has accepted
 
 
+# a window ramp narrower than this switches within round-off of its edges,
+# so a transported value on it is rounding noise
+MIN_RAMP = 1e-9
+
+
 def _check_window(w, where: str):
-    if w is not None and not (w[0] <= w[1] <= w[2] <= w[3]):
+    if w is None:
+        return
+    if not w[0] <= w[1] <= w[2] <= w[3]:
         yield f"{where}: window edges must be nondecreasing, got {w}"
+    elif min(w[1] - w[0], w[3] - w[2]) < MIN_RAMP:
+        yield f"{where}: window ramps must be at least {MIN_RAMP:g} wide, got {w}"
 
 
 def _check_symbol(spec: dict, where: str):
@@ -222,6 +231,34 @@ def _check_family(fam: dict, where: str) -> list[str]:
 
 def _no_rules(exp, where, chart):
     return ()
+
+
+def _symbol_of(symbol_type):
+    """Rule of a kind that pairs `symbol_type` symbols only."""
+
+    def check(exp, where, chart):
+        if exp["symbol"]["type"] != symbol_type:
+            yield f"{where}.symbol.type: {exp['kind']} experiments need {symbol_type} symbols"
+
+    return check
+
+
+def _check_invariance(exp, where, chart):
+    yield from _symbol_of("interior")(exp, where, chart)
+    factors = exp["symbol"].get("factors", ())
+    if exp.get("route") != "pullback" and any(f["var"] == "angular_momentum" for f in factors):
+        yield (
+            f"{where}.symbol.factors: an angular_momentum factor is not separable,"
+            " so only route 'pullback' transports it"
+        )
+
+
+def _check_support(exp, where, chart):
+    interior = exp["symbol"]["type"] == "interior"
+    if not interior and "husimi" in exp:
+        yield f"{where}.husimi: only interior symbols are paired through the Husimi density"
+    if interior and "glancing_sign" in exp:
+        yield f"{where}.glancing_sign: only tangential symbols glide"
 
 
 def _check_classify(exp, where, chart):
@@ -512,8 +549,8 @@ def _keys(*required, **properties) -> dict:
 _PAIRING = _keys("family", "symbol", family=_FAMILY, symbol=_SYMBOL)
 
 # schema: the experiment's keys; check(exp, where, chart): the offenses its
-# own keys commit together, once they passed the schema; run(spec, ctx)
-# computes it and returns an Outcome
+# own keys and its symbol commit together, once both passed the schema;
+# run(spec, ctx) computes it and returns an Outcome
 Kind = namedtuple("Kind", "schema check run")
 
 KINDS = {
@@ -592,7 +629,7 @@ KINDS = {
             time=_NUM,
             route={"enum": ["free", "pullback"]},
         ),
-        _no_rules,
+        _check_invariance,
         _run_invariance,
     ),
     "support": Kind(
@@ -613,11 +650,11 @@ KINDS = {
                 "additionalProperties": False,
             },
         ),
-        _no_rules,
+        _check_support,
         _run_support,
     ),
-    "elliptic": Kind(_PAIRING, _no_rules, _run_elliptic),
-    "car": Kind(_PAIRING, _no_rules, _run_car),
+    "elliptic": Kind(_PAIRING, _symbol_of("tangential"), _run_elliptic),
+    "car": Kind(_PAIRING, _symbol_of("interior"), _run_car),
     "tails": Kind(
         _keys(
             "family", "radii",
@@ -741,7 +778,8 @@ def validate_config(raw) -> list[str]:
                     " artifact files would collide"
                 )
             seen_names.setdefault(name, i)
-            errors += KINDS[exp["kind"]].check(exp, where, chart)
+            if ("experiments", i, "symbol") not in spoiled:
+                errors += KINDS[exp["kind"]].check(exp, where, chart)
         for key, check in (("family", _check_family), ("symbol", _check_symbol)):
             if key in exp and ("experiments", i, key) not in spoiled:
                 errors += check(exp[key], f"{where}.{key}")
@@ -856,15 +894,10 @@ def _build_tangential(spec: dict, label: str) -> TangentialSymbol:
         t = np.abs(xip) if use_abs else xip
         return window(t, *xw)
 
-    if arc is None:
-        return TangentialSymbol(
-            lambda y, xip: depth(y) * fiber(xip), y_support=ys, name=label
-        )
-    arcf = _arc_factor(arc)
     return TangentialSymbol(
-        lambda y, theta, xip: depth(y) * arcf(theta) * fiber(xip),
+        lambda y, xip: depth(y) * fiber(xip),
         y_support=ys,
-        theta_dependent=True,
+        angular=None if arc is None else _arc_factor(arc),
         name=label,
     )
 
@@ -926,7 +959,7 @@ def _build_interior(spec: dict, label: str) -> InteriorSymbol:
     if not (fiber_fns or general_fns):
         invariant = None
     xi_bound = float(spec["xi_bound"])
-    if not general_fns and arc is None:
+    if not general_fns:
         return InteriorSymbol(
             terms=[SeparableTerm(spatial, fiber)],
             xi_bound=xi_bound,

@@ -14,9 +14,11 @@ direct lattice sum, which is slower but makes no structural assumption.
 The same symbol given by its evaluator alone takes the direct sum, so it
 doubles as the cross-check oracle for the fast path.
 
-Tangential operators act per angular Fourier mode on the polar grid of a
-mode, with the fiber variable evaluated at h times the integer angular
-frequency.
+Tangential symbols are a depth-frequency multiplier b(y, xi') times an
+optional angular factor c(theta).  Left quantization of that product on
+the polar grid of a mode is exact as one Fourier multiplier per depth,
+with xi' evaluated at h times the integer angular frequency, followed by
+a pointwise multiply by c(theta).
 """
 
 from __future__ import annotations
@@ -189,42 +191,36 @@ class InteriorSymbol:
 
 
 class TangentialSymbol:
-    """Symbol a(y, x', xi') on the boundary collar, vanishing for y >= y_support.
+    """Collar symbol b(y, xi') c(theta), vanishing for y >= y_support.
 
-    For theta-independent symbols the action is an exact Fourier
-    multiplier per depth; otherwise the theta slice is left-quantized.
-    The constructor samples the evaluator past y_support and refuses
-    symbols that fail to vanish there.
+    `multiplier(y, xip)` is the depth-frequency factor b and `angular(theta)`
+    the factor c; `None` means c = 1.  The constructor samples the
+    multiplier past y_support and refuses one that fails to vanish there,
+    which makes the product vanish at every angle.
     """
 
     def __init__(
         self,
-        evaluator: Callable,
+        multiplier: Callable,
         *,
         y_support: float,
-        theta_dependent: bool = False,
+        angular: Optional[Callable] = None,
         name: str = "",
     ):
         if not 0.0 < y_support < 1.0:
             raise ValueError("y_support must lie in (0, 1)")
         self.y_support = float(y_support)
-        self.theta_dependent = bool(theta_dependent)
+        self.multiplier = multiplier
+        self.angular = angular
         self.name = name
-        self._evaluator = evaluator
         probe_y = np.linspace(self.y_support, 0.999, 24)[:, None]
         probe_xi = np.linspace(-4.0, 4.0, 17)[None, :]
-        th = np.pi / 7 if self.theta_dependent else None
-        worst = float(np.max(np.abs(self.eval(probe_y, th, probe_xi))))
+        worst = float(np.max(np.abs(multiplier(probe_y, probe_xi))))
         if worst > 1e-12:
             raise ValueError(
                 f"tangential symbol must vanish for y >= y_support, "
                 f"found |a| = {worst:.2e}"
             )
-
-    def eval(self, y, theta, xip) -> np.ndarray:
-        if self.theta_dependent:
-            return self._evaluator(y, theta, xip)
-        return self._evaluator(y, xip)
 
 
 def sample_mode_on_box(mode, grid: BoxGrid) -> np.ndarray:
@@ -361,17 +357,10 @@ def apply_tangential_op(
     a: TangentialSymbol, f: np.ndarray, h: float, grid: PolarGrid
 ) -> np.ndarray:
     """Quantize a collar symbol on the polar grid, y = 1 - r per row."""
-    fhat = grid.to_modes(f)
-    y = 1.0 - grid.r
-    xs = h * grid.modes.astype(float)
-    if not a.theta_dependent:
-        mult = a.eval(y[:, None], None, xs[None, :])
-        return grid.from_modes(mult * fhat)
-    E = np.exp(1j * np.outer(grid.theta, grid.modes.astype(float)))
-    out = np.empty((grid.K, grid.n_theta), dtype=complex)
-    for i in range(grid.K):
-        A = np.asarray(a.eval(y[i], grid.theta[:, None], xs[None, :]))
-        out[i] = (A * E) @ fhat[i]
+    mult = a.multiplier((1.0 - grid.r)[:, None], h * grid.modes.astype(float)[None, :])
+    out = grid.from_modes(mult * grid.to_modes(f))
+    if a.angular is not None:
+        out *= a.angular(grid.theta)[None, :]
     return out
 
 

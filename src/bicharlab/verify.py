@@ -424,17 +424,20 @@ def support_gap(
         alpha = gliding_rotation(chart, s, xip=glancing_sign)
         notes["rotation_angle"] = alpha
 
-        def abs2(y, theta, xp):
-            return np.abs(a.eval(y, theta, xp)) ** 2
+        def abs2(y, xp):
+            return np.abs(a.multiplier(y, xp)) ** 2
 
-        def abs2_rot(y, theta, xp):
-            return np.abs(a.eval(y, theta + alpha, xp)) ** 2
+        def arc2(rotation):
+            # |c|^2 of the arc rotated by `rotation`; no arc rotates to none
+            if a.angular is None:
+                return None
+            return lambda theta: np.abs(a.angular(theta + rotation)) ** 2
 
         sym0 = TangentialSymbol(
-            abs2, y_support=a.y_support, theta_dependent=True, name="|a|^2"
+            abs2, y_support=a.y_support, angular=arc2(0.0), name="|a|^2"
         )
         sym1 = TangentialSymbol(
-            abs2_rot, y_support=a.y_support, theta_dependent=True, name="|a|^2 rotated"
+            abs2, y_support=a.y_support, angular=arc2(alpha), name="|a|^2 rotated"
         )
         for m in modes:
             before = pairing(sym0, m).real
@@ -532,9 +535,7 @@ def elliptic_mass(
         raise TypeError("elliptic windows are tangential symbols")
     yy = np.linspace(0.0, 0.999 * a_E.y_support, 12)[:, None]
     xips = np.linspace(-1.1, 1.1, 45)[None, :]
-    worst = 0.0
-    for th_probe in np.linspace(0.0, 2.0 * np.pi, 7)[:-1]:
-        worst = max(worst, float(np.max(np.abs(a_E.eval(yy, th_probe, xips)))))
+    worst = float(np.max(np.abs(a_E.multiplier(yy, xips))))
     if worst > 1e-12:
         raise ValueError(
             f"elliptic window must vanish for |xi'| <= 1.1, found |a| = {worst:.2e}"

@@ -300,11 +300,15 @@ def test_build_symbol_arc_rotates_support():
             "arc": {"center": 1.0, "inner": 0.3, "outer": 0.5},
         }
     )
-    assert a.theta_dependent
-    assert a.eval(0.0, 1.0, 0.5) == pytest.approx(1.0)
-    assert a.eval(0.0, 1.0 + np.pi, 0.5) == 0.0
+    assert a.angular is not None
+
+    def value(y, theta, xip):
+        return a.multiplier(y, xip) * a.angular(theta)
+
+    assert value(0.0, 1.0, 0.5) == pytest.approx(1.0)
+    assert value(0.0, 1.0 + np.pi, 0.5) == 0.0
     # wrapped distance: theta near 1 + 2*pi is inside the arc again
-    assert a.eval(0.0, 1.0 + 2 * np.pi, 0.5) == pytest.approx(1.0)
+    assert value(0.0, 1.0 + 2 * np.pi, 0.5) == pytest.approx(1.0)
 
 
 # -- runner behavior -------------------------------------------------------
@@ -573,6 +577,70 @@ def test_invalid_config_exits_two(tmp_path, capsys):
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
         assert not (out / "summary.json").exists()  # refused before computing
+
+
+RINGS = {"family": "laplace", "m": 0, "k": [10, 16]}
+INTERIOR = {"type": "interior", "xi_bound": 1.6, "factors": [
+    {"var": "bump", "center": [0.25, 0.0], "radius": 0.2},
+    {"var": "speed", "window": [0.6, 0.8, 1.2, 1.4]},
+]}
+SPINNING = dict(INTERIOR, factors=[
+    *INTERIOR["factors"], {"var": "angular_momentum", "window": [0.0, 0.1, 0.2, 0.3]},
+])
+COLLAR = {"type": "tangential", "y_support": 0.3, "xip_window": [1.15, 1.3, 3.5, 3.9]}
+
+
+def pairing_config(kind, symbol, **keys):
+    exp = {"name": "p", "kind": kind, "family": RINGS, "symbol": symbol, **keys}
+    return {"experiments": [exp]}
+
+
+# each passed validation and then ended as a run-time error (exit 1), or
+# ran with a key its computation ignores
+@pytest.mark.parametrize(
+    "raw, named",
+    [
+        (pairing_config("car", COLLAR),
+         "experiments[0].symbol.type: car experiments need interior symbols"),
+        (pairing_config("elliptic", INTERIOR),
+         "experiments[0].symbol.type: elliptic experiments need tangential symbols"),
+        (pairing_config("invariance", COLLAR, time=0.1), "experiments[0].symbol.type"),
+        (pairing_config("invariance", SPINNING, time=0.1), "experiments[0].symbol.factors"),
+        (pairing_config("invariance", SPINNING, time=0.1, route="free"),
+         "experiments[0].symbol.factors"),
+        (pairing_config("support", COLLAR, time=0.1, husimi={"nx": 8}),
+         "experiments[0].husimi"),
+        (pairing_config("support", INTERIOR, time=0.1, glancing_sign=-1),
+         "experiments[0].glancing_sign"),
+        (pairing_config("car", dict(INTERIOR, factors=[
+            INTERIOR["factors"][0], {"var": "speed_sq", "window": [0.35, 0.35, 0.75, 0.8]},
+        ])), "experiments[0].symbol.factors[1].window: window ramps must be at least 1e-09"),
+        (pairing_config("measure", dict(INTERIOR, factors=[
+            INTERIOR["factors"][0], {"var": "speed", "window": [0.6, 0.8, 1.2, 1.2 + 1e-12]},
+        ])), "experiments[0].symbol.factors[1].window: window ramps"),
+        (pairing_config("elliptic", dict(COLLAR, xip_window=[1.15, 1.15, 3.5, 3.9])),
+         "experiments[0].symbol.xip_window: window ramps"),
+    ],
+)
+def test_kind_symbol_and_window_rules_exit_two(raw, named, tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(raw))
+    code = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_pullback_invariance_and_arc_symbols_pass_the_kind_rules(tmp_path):
+    pullback = pairing_config("invariance", SPINNING, time=0.1, route="pullback")
+    assert validate_config(pullback) == []
+    # an arc is a factor of x alone, so the free route takes this symbol
+    arc = dict(INTERIOR, arc={"center": 0.0, "inner": 0.5, "outer": 1.0})
+    cfg = tmp_path / "arc.json"
+    cfg.write_text(json.dumps(pairing_config("invariance", arc, time=0.15)))
+    assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert summary_of(tmp_path / "out")["experiments"][0]["summary"]["verdict"] == "pass"
 
 
 def probe_config(kind, chart=None, **keys):

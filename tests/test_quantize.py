@@ -6,8 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicharlab.bumps import bump_profile, plateau_step, window
+from bicharlab.config import build_symbol
 from bicharlab.modes import bessel_zero, laplace_disk_mode, stokes_disk_mode
 from bicharlab.polar import PolarGrid
 from bicharlab.quantize import (
@@ -105,6 +108,27 @@ def evaluator_twin(sym):
     )
 
 
+def test_arc_interior_symbol_takes_the_fft_path():
+    # the arc is a factor of x alone, so radius, speed and arc stay separable
+    a = build_symbol(
+        {
+            "type": "interior",
+            "xi_bound": 1.5,
+            "factors": [
+                {"var": "radius", "window": [0.2, 0.3, 0.7, 0.8]},
+                {"var": "speed", "window": [0.6, 0.8, 1.2, 1.4]},
+            ],
+            "arc": {"center": 0.5, "inner": 0.4, "outer": 0.9},
+        }
+    )
+    assert a.terms is not None
+    mode = laplace_disk_mode(3, 2)
+    grid = BoxGrid(64)
+    fast = pairing(a, mode, grid=grid)
+    assert abs(fast) > 1e-3
+    assert abs(fast - pairing(evaluator_twin(a), mode, grid=grid)) < 1e-12
+
+
 def test_masked_path_matches_fast_path():
     grid = BoxGrid(48)
     h = 0.1
@@ -149,6 +173,13 @@ def test_margin_bandlimit_and_construction_refusals():
         InteriorSymbol(evaluator=lambda a, b, c, d: 0.0 * a, xi_bound=1.0)
     with pytest.raises(ValueError):
         TangentialSymbol(lambda y, xip: 1.0 + 0.0 * y * xip, y_support=0.3)
+    # an angular factor that is 0 at one angle does not hide the multiplier
+    with pytest.raises(ValueError, match="must vanish for y >= y_support"):
+        TangentialSymbol(
+            lambda y, xip: 1.0 + 0.0 * y * xip,
+            angular=lambda th: np.sin(th - np.pi / 7),
+            y_support=0.3,
+        )
 
 
 def test_tangential_multiplier_and_theta_dependent_quantization():
@@ -174,13 +205,78 @@ def test_tangential_multiplier_and_theta_dependent_quantization():
     assert np.max(np.abs(out - expect)) < 1e-12
 
     full = TangentialSymbol(
-        lambda y, th, xip: psi(y) * (1.0 + 0.3 * np.cos(th)) * chi(xip),
+        lambda y, xip: psi(y) * chi(xip),
+        angular=lambda th: 1.0 + 0.3 * np.cos(th),
         y_support=0.31,
-        theta_dependent=True,
     )
     out = apply_tangential_op(full, f, h, g)
     expect = psi(1.0 - g.R) * (1.0 + 0.3 * np.cos(g.T)) * chi(h * m) * f
     assert np.max(np.abs(out - expect)) < 1e-12
+
+
+def dense_tangential_op(a, f, h, grid):
+    """Left quantization of a collar symbol as a dense sum: the oracle.
+
+    Row by row, sum_m a(1 - r_i, theta_j, h m) fhat_{i,m} e^{i m theta_j}
+    with the full symbol a = b(y, xi') c(theta) tabulated on the theta by
+    mode grid, so nothing rests on the factoring apply_tangential_op uses.
+    """
+    fhat = grid.to_modes(f)
+    y = 1.0 - grid.r
+    xs = h * grid.modes.astype(float)
+    E = np.exp(1j * np.outer(grid.theta, grid.modes.astype(float)))
+    angular = np.ones(grid.n_theta) if a.angular is None else a.angular(grid.theta)
+    out = np.empty((grid.K, grid.n_theta), dtype=complex)
+    for i in range(grid.K):
+        A = np.asarray(a.multiplier(y[i], xs[None, :]) * angular[:, None])
+        out[i] = (A * E) @ fhat[i]
+    return out
+
+
+def ramp(lo, hi, width):
+    """Strategy for (a, b), lo <= a < b <= hi, with b - a in [1e-3, width]."""
+    return st.tuples(st.floats(lo, hi - width), st.floats(1e-3, width)).map(
+        lambda p: (p[0], p[0] + p[1])
+    )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(
+    depth=ramp(0.0, 0.45, 0.3),
+    rise=ramp(-2.0, 0.0, 1.0),
+    plateau=st.floats(0.0, 1.0),
+    fall=st.floats(1e-3, 1.0),
+    xip_abs=st.booleans(),
+    arc=st.one_of(
+        st.none(),
+        st.tuples(st.floats(-7.0, 7.0), st.floats(0.01, 2.0), st.floats(1e-3, 1.0)),
+    ),
+    h=st.floats(0.01, 0.5),
+    m=st.integers(-20, 20),
+    seed=st.integers(0, 2**16),
+)
+def test_factored_tangential_op_matches_dense_oracle(
+    depth, rise, plateau, fall, xip_abs, arc, h, m, seed
+):
+    xw = [*rise, rise[1] + plateau, rise[1] + plateau + fall]
+    spec = {
+        "type": "tangential",
+        "y_support": 0.5,
+        "y_ramp": list(depth),
+        "xip_window": xw,
+        "xip_abs": xip_abs,
+    }
+    if arc is not None:
+        center, inner, gap = arc
+        spec["arc"] = {"center": center, "inner": inner, "outer": min(inner + gap, 3.1)}
+    a = build_symbol(spec)
+    g = PolarGrid(16, 48)
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal((g.K, g.n_theta)) + 1j * rng.standard_normal((g.K, g.n_theta))
+    f += (g.r**abs(m))[:, None] * np.exp(1j * m * g.theta)[None, :]
+    got = apply_tangential_op(a, f, h, g)
+    want = dense_tangential_op(a, f, h, g)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(f))
 
 
 def test_collar_exponential_symbol_matches_power_extension():

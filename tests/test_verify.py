@@ -469,11 +469,9 @@ def test_support_gap_zero_symbol_trivial():
 def test_support_gap_whispering_arc_rotates():
     fam = [modes.stokes_disk_mode(16, 1), modes.stokes_disk_mode(20, 1)]
     arc = TangentialSymbol(
-        lambda y, th, xp: (1.0 - plateau_step(y, 0.1, 0.2))
-        * bump_profile((np.mod(th - 1.0, 2.0 * np.pi) - np.pi) / 1.2)
-        * window(xp, 0.6, 0.68, 0.86, 0.94),
+        lambda y, xp: (1.0 - plateau_step(y, 0.1, 0.2)) * window(xp, 0.6, 0.68, 0.86, 0.94),
+        angular=lambda th: bump_profile((np.mod(th - 1.0, 2.0 * np.pi) - np.pi) / 1.2),
         y_support=0.2,
-        theta_dependent=True,
         name="boundary arc at grazing momentum",
     )
     rep = verify.support_gap(fam, arc, 0.4)
