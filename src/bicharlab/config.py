@@ -32,8 +32,8 @@ from .flow import check_start, trace
 from .io import config_hash
 from .modes import ModeSpec, family_lambda, laplace_disk_mode, pick_k_for_ratio, stokes_disk_mode
 from .parametrix import build_parametrix, extension_error
-from .quantize import InteriorSymbol, SeparableTerm, TangentialSymbol, measure_sequence
-from .verify import Thresholds
+from .quantize import InteriorSymbol, TangentialSymbol, measure_sequence
+from .verify import CAR_BAND, Thresholds
 from .verify import car_mass, elliptic_mass, h_oscillation_tail, invariance_gap, support_gap
 
 __all__ = [
@@ -175,6 +175,9 @@ _SYMBOL = _by(
 # cross-key rules: each reads only values its part's schema has accepted
 
 
+# the factors that are functions of |xi|
+SPEEDS = ("speed", "speed_sq")
+
 # a window ramp narrower than this switches within round-off of its edges,
 # so a transported value on it is rounding noise
 MIN_RAMP = 1e-9
@@ -189,10 +192,27 @@ def _check_window(w, where: str):
         yield f"{where}: window ramps must be at least {MIN_RAMP:g} wide, got {w}"
 
 
+def _speed_support(f: dict):
+    """The open |xi|^2 interval off which a speed or speed_sq window is 0.
+
+    A window is nonzero exactly on its open support (a, d).
+    """
+    a, d = f["window"][0], f["window"][3]
+    if f["var"] == "speed":
+        return max(a, 0.0) ** 2, max(d, 0.0) ** 2
+    return a, d
+
+
 def _check_symbol(spec: dict, where: str):
     if spec["type"] == "interior":
         for j, f in enumerate(spec["factors"]):
-            yield from _check_window(f.get("window"), f"{where}.factors[{j}].window")
+            key = f"{where}.factors[{j}].window"
+            errors = list(_check_window(f.get("window"), key))
+            yield from errors
+            # the lattice samples |xi| <= xi_bound only
+            reach = math.sqrt(max(_speed_support(f)[1], 0.0)) if f["var"] in SPEEDS else 0.0
+            if not errors and reach > spec["xi_bound"]:
+                yield f"{key}: the window reaches |xi| = {reach:g}, past xi_bound {spec['xi_bound']:g}"
         if not any(f["var"] in ("radius", "bump") for f in spec["factors"]):
             yield (
                 f"{where}.factors: interior symbols need a radius or bump factor"
@@ -251,6 +271,25 @@ def _check_invariance(exp, where, chart):
             f"{where}.symbol.factors: an angular_momentum factor is not separable,"
             " so only route 'pullback' transports it"
         )
+
+
+def _check_car(exp, where, chart):
+    yield from _symbol_of("interior")(exp, where, chart)
+    speeds = [f for f in exp["symbol"].get("factors", ()) if f["var"] in SPEEDS]
+    if exp["symbol"]["type"] == "interior" and not speeds:
+        yield f"{where}.symbol.factors: car symbols need a speed or speed_sq factor"
+    # a window that fails its own rule is named there
+    if speeds and not any(any(_check_window(f["window"], "")) for f in speeds):
+        # the symbol is nonzero only where every speed window is
+        a = max(_speed_support(f)[0] for f in speeds)
+        d = min(_speed_support(f)[1] for f in speeds)
+        lo, hi = CAR_BAND
+        if a < min(d, hi) and d > lo:
+            yield (
+                f"{where}.symbol.factors: the speed windows are nonzero for |xi|^2 in"
+                f" ({a:g}, {d:g}), which meets the band [{lo}, {hi}] where car"
+                " symbols must vanish"
+            )
 
 
 def _check_support(exp, where, chart):
@@ -654,7 +693,7 @@ KINDS = {
         _run_support,
     ),
     "elliptic": Kind(_PAIRING, _symbol_of("tangential"), _run_elliptic),
-    "car": Kind(_PAIRING, _symbol_of("interior"), _run_car),
+    "car": Kind(_PAIRING, _check_car, _run_car),
     "tails": Kind(
         _keys(
             "family", "radii",
@@ -902,11 +941,25 @@ def _build_tangential(spec: dict, label: str) -> TangentialSymbol:
     )
 
 
+def _product(fns):
+    """Pointwise product of the factors `fns`; None, meaning 1, for none."""
+    if not fns:
+        return None
+
+    def product(*args):
+        acc = fns[0](*args)
+        for fn in fns[1:]:
+            acc = acc * fn(*args)
+        return acc
+
+    return product
+
+
 def _build_interior(spec: dict, label: str) -> InteriorSymbol:
     spatial_fns = []
-    fiber_fns = []
-    general_fns = []
+    fiber_fns = {"speed": [], "angular_momentum": []}
     for f in spec["factors"]:
+        w = tuple(f.get("window", ()))
         if f["var"] == "bump":
             cx, cy = (float(c) for c in f["center"])
             rad = float(f["radius"])
@@ -916,73 +969,19 @@ def _build_interior(spec: dict, label: str) -> InteriorSymbol:
                 )
             )
         elif f["var"] == "radius":
-            w = tuple(f["window"])
-            spatial_fns.append(
-                lambda x1, x2, w=w: window(np.hypot(x1, x2), *w)
-            )
-        elif f["var"] == "speed":
-            w = tuple(f["window"])
-            fiber_fns.append(lambda xi1, xi2, w=w: window(np.hypot(xi1, xi2), *w))
+            spatial_fns.append(lambda x1, x2, w=w: window(np.hypot(x1, x2), *w))
         elif f["var"] == "speed_sq":
-            w = tuple(f["window"])
-            fiber_fns.append(
-                lambda xi1, xi2, w=w: window(xi1 * xi1 + xi2 * xi2, *w)
-            )
+            fiber_fns["speed"].append(lambda r, w=w: window(r * r, *w))
         else:
-            w = tuple(f["window"])
-            general_fns.append(
-                lambda x1, x2, xi1, xi2, w=w: window(x1 * xi2 - x2 * xi1, *w)
-            )
+            fiber_fns[f["var"]].append(lambda t, w=w: window(t, *w))
     arc = spec.get("arc")
-
-    def spatial(x1, x2):
-        acc = 1.0
-        for fn in spatial_fns:
-            acc = acc * fn(x1, x2)
-        if arc is not None:
-            acc = acc * _arc_factor(arc)(np.arctan2(x2, x1))
-        return acc
-
-    def fiber(xi1, xi2):
-        acc = np.ones_like(np.asarray(xi1, dtype=float))
-        for fn in fiber_fns:
-            acc = acc * fn(xi1, xi2)
-        return acc
-
-    def invariant(x1, x2, xi1, xi2):
-        # the factors in |xi| and x wedge xi, which the disk billiard conserves
-        acc = fiber(xi1, xi2)
-        for fn in general_fns:
-            acc = acc * fn(x1, x2, xi1, xi2)
-        return acc
-
-    if not (fiber_fns or general_fns):
-        invariant = None
-    xi_bound = float(spec["xi_bound"])
-    if not general_fns:
-        return InteriorSymbol(
-            terms=[SeparableTerm(spatial, fiber)],
-            xi_bound=xi_bound,
-            invariant=invariant,
-            name=label,
-        )
-
-    def envelope(x1, x2):
-        acc = 1.0
-        for fn in spatial_fns:
-            acc = acc * fn(x1, x2)
-        return acc
-
-    def evaluator(x1, x2, xi1, xi2):
-        acc = spatial(x1, x2) * fiber(xi1, xi2)
-        for fn in general_fns:
-            acc = acc * fn(x1, x2, xi1, xi2)
-        return acc
-
+    if arc is not None:
+        angular = _arc_factor(arc)
+        spatial_fns.append(lambda x1, x2: angular(np.arctan2(x2, x1)))
     return InteriorSymbol(
-        evaluator=evaluator,
-        xi_bound=xi_bound,
-        x_envelope=envelope,
-        invariant=invariant,
+        _product(spatial_fns) or (lambda x1, x2: 1.0),
+        _product(fiber_fns["speed"]),
+        _product(fiber_fns["angular_momentum"]),
+        xi_bound=float(spec["xi_bound"]),
         name=label,
     )

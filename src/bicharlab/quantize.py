@@ -8,11 +8,14 @@ symbol is evaluated at the output point,
 
     (Op_h(a) f)(x) = sum_k  a(x, h k)  fhat_k  e^{i k.x},
 
-with k running over the angular-frequency lattice of the box.  Separable
-symbols sum(X_p(x) Xi_p(xi)) go through FFTs; everything else takes the
-direct lattice sum, which is slower but makes no structural assumption.
-The same symbol given by its evaluator alone takes the direct sum, so it
-doubles as the cross-check oracle for the fast path.
+with k running over the angular-frequency lattice of the box.  An
+interior symbol is a spatial factor times a function of |xi| times a
+function of the angular momentum x wedge xi.  Without the momentum
+factor it is one separable term and goes through FFTs; with it the
+direct lattice sum runs, which is slower but makes no structural
+assumption.  A pullback symbol with an `eval` and a `xi_bound` takes the
+direct sum too, and the same symbol with momentum factor 1 doubles as
+the cross-check oracle for the fast path.
 
 Tangential symbols are a depth-frequency multiplier b(y, xi') times an
 optional angular factor c(theta).  Left quantization of that product on
@@ -33,7 +36,6 @@ from .polar import PolarGrid
 
 __all__ = [
     "BoxGrid",
-    "SeparableTerm",
     "InteriorSymbol",
     "TangentialSymbol",
     "SupportMarginError",
@@ -65,8 +67,10 @@ class BoxGrid:
 
     Fields are (n, n) arrays indexed [i, j] for (x1_i, x2_j).  `k` holds
     the angular frequencies in numpy FFT order, so a field equals
-    sum_k fhat_k e^{i k.x} with fhat = fft2(f) / n^2.  Every box has the
-    same half width, 1.5, which leaves the unit disk a margin of 0.5.
+    sum_k fhat_k e^{i k.x} with fhat = fft2(f) / n^2.  `X1`, `X2`, `K1`
+    and `K2` are the axes as broadcast views, (n, 1) and (1, n), so a
+    grid holds O(n) numbers.  Every box has the same half width, 1.5,
+    which leaves the unit disk a margin of 0.5.
     """
 
     half = 1.5
@@ -77,9 +81,9 @@ class BoxGrid:
         self.n = int(n)
         self.dx = 2.0 * self.half / self.n
         self.x = -self.half + self.dx * np.arange(self.n)
-        self.X1, self.X2 = np.meshgrid(self.x, self.x, indexing="ij")
+        self.X1, self.X2 = self.x[:, None], self.x[None, :]
         self.k = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
-        self.K1, self.K2 = np.meshgrid(self.k, self.k, indexing="ij")
+        self.K1, self.K2 = self.k[:, None], self.k[None, :]
         self.kmax = np.pi / self.dx
         self.dk = np.pi / self.half
         self.cell = self.dx * self.dx
@@ -102,83 +106,65 @@ def default_box(h: float, xi_bound: float) -> BoxGrid:
     return BoxGrid(n)
 
 
-@dataclass(frozen=True)
-class SeparableTerm:
-    x_factor: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    xi_factor: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
 class InteriorSymbol:
-    """Scalar symbol a(x, xi) with compact spatial support inside the disk.
+    """Interior symbol a(x, xi) = spatial(x) speed(|xi|) momentum(x wedge xi).
 
-    Either a list of separable terms (fast FFT application) or a general
-    vectorized evaluator a(x1, x2, xi1, xi2).  `xi_bound` declares the
-    frequency box on which the symbol is meant to act; operators refuse
-    when the lattice of the target grid cannot cover it.  General symbols
-    must also declare `x_envelope`, a nonnegative function whose support
-    contains the spatial support, because the margin check cannot infer
-    it from an opaque evaluator.
+    `spatial(x1, x2)` carries the compact support inside the disk; its
+    absolute value is the envelope the margin check reads.  `speed(r)` is
+    a function of r = |xi| and `momentum(l)` one of l = x1 xi2 - x2 xi1;
+    `None` means 1.  `xi_bound` declares the frequency box on which the
+    symbol is meant to act; operators refuse when the lattice of the
+    target grid cannot cover it.
 
-    `invariant`, when given, is a vectorized function of (x1, x2, xi1, xi2)
-    that is a factor of the symbol and depends on |xi| and x wedge xi
-    only; both are conserved by the disk billiard, so wherever it is 0
-    the symbol is 0 along the whole broken ray.  Transport uses it to skip
-    those points.  `None` (the default, and the only safe value for an
-    opaque evaluator) claims nothing.
+    Without a momentum factor the symbol is one separable term, which the
+    operators apply by FFTs; with one they take the direct lattice sum.
+
+    `invariant` is speed(|xi|) momentum(x wedge xi), or `None` when both
+    factors are `None`.  The disk billiard conserves |xi| and x wedge xi,
+    so wherever the invariant is 0 the symbol is 0 along the whole broken
+    ray; transport uses it to skip those points.
     """
 
     def __init__(
         self,
+        spatial: Callable,
+        speed: Optional[Callable] = None,
+        momentum: Optional[Callable] = None,
         *,
-        terms: Optional[Sequence[SeparableTerm]] = None,
-        evaluator: Optional[Callable] = None,
         xi_bound: float,
-        x_envelope: Optional[Callable] = None,
-        invariant: Optional[Callable] = None,
         name: str = "",
     ):
-        if terms is None and evaluator is None:
-            raise ValueError("need terms or an evaluator")
-        self.terms = tuple(terms) if terms is not None else None
+        self.spatial = spatial
+        self.speed = speed
+        self.momentum = momentum
         self.xi_bound = float(xi_bound)
-        self.invariant = invariant
         self.name = name
         if self.xi_bound < 0:
             raise ValueError("xi_bound must be nonnegative")
-        if evaluator is not None:
-            self._evaluator = evaluator
-        else:
 
-            def _from_terms(x1, x2, xi1, xi2):
-                acc = 0.0
-                for t in self.terms:
-                    acc = acc + t.x_factor(x1, x2) * t.xi_factor(xi1, xi2)
-                return acc
-
-            self._evaluator = _from_terms
-        if x_envelope is not None:
-            self._envelope = x_envelope
-        elif self.terms is not None:
-
-            def _term_envelope(x1, x2):
-                acc = 0.0
-                for t in self.terms:
-                    acc = acc + np.abs(t.x_factor(x1, x2))
-                return acc
-
-            self._envelope = _term_envelope
-        else:
-            raise ValueError("general symbols must declare x_envelope")
+    def _times_fiber(self, out, x1, x2, xi1, xi2):
+        # spatial * speed, then * momentum: one multiply order for all callers
+        if self.speed is not None:
+            out = out * self.speed(np.hypot(xi1, xi2))
+        if self.momentum is not None:
+            out = out * self.momentum(x1 * xi2 - x2 * xi1)
+        return out
 
     def eval(self, x1, x2, xi1, xi2) -> np.ndarray:
-        return self._evaluator(x1, x2, xi1, xi2)
+        return self._times_fiber(self.spatial(x1, x2), x1, x2, xi1, xi2)
+
+    @property
+    def invariant(self) -> Optional[Callable]:
+        if self.speed is None and self.momentum is None:
+            return None
+        return lambda x1, x2, xi1, xi2: self._times_fiber(1.0, x1, x2, xi1, xi2)
 
     def support_radius(self, grid: BoxGrid) -> float:
-        env = np.abs(self._envelope(grid.X1, grid.X2))
-        live = env > 1e-13  # smaller envelope values count as zero
-        if not live.any():
+        env = np.abs(np.broadcast_to(self.spatial(grid.X1, grid.X2), (grid.n, grid.n)))
+        i, j = np.nonzero(env > 1e-13)  # smaller envelope values count as zero
+        if i.size == 0:
             return 0.0
-        return float(np.max(np.hypot(grid.X1[live], grid.X2[live])))
+        return float(np.max(np.hypot(grid.x[i], grid.x[j])))
 
     def check_margin(self, grid: BoxGrid) -> None:
         rad = self.support_radius(grid)
@@ -229,10 +215,10 @@ def sample_mode_on_box(mode, grid: BoxGrid) -> np.ndarray:
     The closed form is evaluated at the disk nodes only, where the Bessel
     argument stays below lam; the rest of the box is left at +0.0.
     """
-    inside = grid.disk_mask()
-    vals = mode.eval_velocity(np.stack([grid.X1[inside], grid.X2[inside]], axis=-1))
+    i, j = np.nonzero(grid.disk_mask())
+    vals = mode.eval_velocity(np.stack([grid.x[i], grid.x[j]], axis=-1))
     comps = np.zeros((vals.shape[-1], grid.n, grid.n), dtype=complex)
-    comps[:, inside] = vals.T
+    comps[:, i, j] = vals.T
     return comps
 
 
@@ -245,8 +231,15 @@ def _check_bandlimit(a: InteriorSymbol, h: float, grid: BoxGrid) -> None:
         )
 
 
+def _speed_on_lattice(a: InteriorSymbol, h: float, grid: BoxGrid, fhat: np.ndarray):
+    """fhat times the speed factor at the h-scaled lattice frequencies."""
+    if a.speed is None:
+        return fhat
+    return a.speed(np.hypot(h * grid.K1, h * grid.K2)) * fhat
+
+
 def apply_interior_op(
-    a: InteriorSymbol,
+    a,
     f: np.ndarray,
     h: float,
     grid: BoxGrid,
@@ -255,19 +248,15 @@ def apply_interior_op(
 ) -> np.ndarray:
     """Left quantization of `a` at parameter h applied to a box field.
 
-    Separable terms take the FFT path, an evaluator the direct lattice sum.
+    An InteriorSymbol without a momentum factor takes the FFT path; one
+    with it, or any other symbol with an `eval`, the direct lattice sum.
     """
     if check:
         a.check_margin(grid)
         _check_bandlimit(a, h, grid)
-    if a.terms is not None:
-        fhat = np.fft.fft2(f)
-        out = np.zeros_like(fhat)
-        for t in a.terms:
-            out += t.x_factor(grid.X1, grid.X2) * np.fft.ifft2(
-                t.xi_factor(h * grid.K1, h * grid.K2) * fhat
-            )
-        return out
+    if isinstance(a, InteriorSymbol) and a.momentum is None:
+        fhat = _speed_on_lattice(a, h, grid, np.fft.fft2(f))
+        return a.spatial(grid.X1, grid.X2) * np.fft.ifft2(fhat)
     # direct lattice sum, chunked over the first frequency axis
     n = grid.n
     F = _plane_coeffs(f, grid)
@@ -309,17 +298,17 @@ def apply_shifted_op(
 ) -> np.ndarray:
     """Left quantization of the free-transported symbol a(x + 2 s xi, xi).
 
-    Needs separable terms.  Writing 2 k_p.k_q = |k_p+k_q|^2 - |k_p|^2 -
-    |k_q|^2 turns the shifted action into chirped coefficients, one
-    frequency-lattice convolution per term, and an unchirped synthesis,
-    so no dense (x, xi) sum is ever formed.  The convolution runs on a
+    Needs a symbol without a momentum factor.  Writing 2 k_p.k_q =
+    |k_p+k_q|^2 - |k_p|^2 - |k_q|^2 turns the shifted action into chirped
+    coefficients, one frequency-lattice convolution and an unchirped
+    synthesis, so no dense (x, xi) sum is ever formed.  The convolution runs on a
     zero-padded double lattice, which makes it the exact linear one;
     output frequencies beyond the original lattice are discarded, which
     is the projection any pairing against a resolved field performs
     anyway.
     """
-    if a.terms is None:
-        raise ValueError("shifted application needs separable terms")
+    if a.momentum is not None:
+        raise ValueError("shifted application needs a symbol without a momentum factor")
     s = float(s)
     if s == 0.0:
         # the zero-time flow is the identity, so match the plain route
@@ -339,17 +328,13 @@ def apply_shifted_op(
     k2 = grid.dk * np.fft.fftfreq(2 * n, 1.0 / (2 * n)).astype(int)
     unchirp2 = np.exp(1j * s * h * (k2[:, None] ** 2 + k2[None, :] ** 2))
     chirp = np.exp(-1j * s * h * (grid.K1**2 + grid.K2**2))
-    cu = _plane_coeffs(f, grid) * chirp
-    out2 = np.zeros((2 * n, 2 * n), dtype=complex)
-    P2 = np.zeros_like(out2)
-    Q2 = np.zeros_like(out2)
+    spatial = np.broadcast_to(a.spatial(grid.X1, grid.X2), (n, n))
+    P2 = np.zeros((2 * n, 2 * n), dtype=complex)
+    Q2 = np.zeros_like(P2)
     sel = np.ix_(pos, pos)
-    for t in a.terms:
-        P2[sel] = _plane_coeffs(
-            np.asarray(t.x_factor(grid.X1, grid.X2), dtype=complex), grid
-        ) * chirp
-        Q2[sel] = t.xi_factor(h * grid.K1, h * grid.K2) * cu
-        out2 += np.fft.fft2(np.fft.ifft2(P2) * np.fft.ifft2(Q2)) * (2 * n) ** 2
+    P2[sel] = _plane_coeffs(np.asarray(spatial, dtype=complex), grid) * chirp
+    Q2[sel] = _speed_on_lattice(a, h, grid, _plane_coeffs(f, grid) * chirp)
+    out2 = np.fft.fft2(np.fft.ifft2(P2) * np.fft.ifft2(Q2)) * (2 * n) ** 2
     return _synthesize((out2 * unchirp2)[sel], grid)
 
 
@@ -371,7 +356,13 @@ def pairing(
     grid: Optional[BoxGrid] = None,
     check: bool = True,
 ) -> complex:
-    """Quadratic form (Op_h(a) u | u), summed over velocity components."""
+    """Quadratic form (Op_h(a) u | u), summed over velocity components.
+
+    Besides interior and tangential symbols, `a` may be a pullback such as
+    `verify.TransportedSymbol`: its `eval` takes the direct lattice sum on
+    the box of its base's `xi_bound`.  It has no spatial factor for the
+    margin check to read, so it pairs with check=False only.
+    """
     h = mode.h
     if isinstance(a, TangentialSymbol):
         g = mode.grid
@@ -379,14 +370,17 @@ def pairing(
         for u in mode.velocity:
             total += g.inner(apply_tangential_op(a, u, h, g), u)
         return complex(total)
-    if not isinstance(a, InteriorSymbol):
-        raise TypeError("expected an InteriorSymbol or TangentialSymbol")
+    if not isinstance(a, InteriorSymbol) and (getattr(a, "xi_bound", None) is None or check):
+        raise TypeError(
+            "expected an InteriorSymbol or TangentialSymbol, or a pullback with"
+            " a xi_bound paired with check=False"
+        )
     return _box_pairing(
         a, mode, grid, lambda u, g: apply_interior_op(a, u, h, g, check=check)
     )
 
 
-def _box_pairing(a: InteriorSymbol, mode, grid: Optional[BoxGrid], apply) -> complex:
+def _box_pairing(a, mode, grid: Optional[BoxGrid], apply) -> complex:
     """Sum of (apply(u, grid) | u) over the mode's velocity components on a box.
 
     The box defaults to `default_box(mode.h, a.xi_bound)`.

@@ -235,12 +235,15 @@ class TransportedSymbol:
     x wedge xi, so where the base's `invariant` (a factor of the base
     that is a function of those two only, or None; see `InteriorSymbol`)
     is 0, the pullback is 0 and the point is not flown.  The pullback
-    exposes the same `invariant`, so nested pullbacks prune too.
+    exposes the same `invariant`, so nested pullbacks prune too, and the
+    base's `xi_bound` (None for a bare callable), so `pairing` and
+    `support_gap` take it as it is.
     """
 
     def __init__(self, base: Union[InteriorSymbol, Callable], s: float):
         self._base = base.eval if hasattr(base, "eval") else base
         self.invariant = getattr(base, "invariant", None)
+        self.xi_bound = getattr(base, "xi_bound", None)
         self.s = float(s)
         self.unresolved = 0
 
@@ -330,25 +333,17 @@ def invariance_gap(
     th = thresholds or Thresholds()
     rows = []
     unresolved = 0
-    def _wrap(tau):
-        return InteriorSymbol(
-            evaluator=tau.eval,
-            xi_bound=a.xi_bound,
-            x_envelope=lambda x1, x2: np.where(np.hypot(x1, x2) < 1.0, 1.0, 0.0),
-            name=f"pullback[{_symbol_name(a, 'a')}]",
-        )
-
     for m in modes:
         if route == "free":
             before = pairing(a, m)
             after = shifted_pairing(a, s, m)
         else:
-            # both sides share the transported wrapper's conventions
-            # (zero outside the closed disk), so a flow-invariant symbol
-            # gives a gap at roundoff, not rim-smearing, size
+            # both sides share the pullback's conventions (zero outside
+            # the closed disk), so a flow-invariant symbol gives a gap at
+            # roundoff, not rim-smearing, size
             tau = TransportedSymbol(a, s)
-            before = pairing(_wrap(TransportedSymbol(a, 0.0)), m, check=False)
-            after = pairing(_wrap(tau), m, check=False)
+            before = pairing(TransportedSymbol(a, 0.0), m, check=False)
+            after = pairing(tau, m, check=False)
             unresolved += tau.unresolved
         rows.append(
             ModeRow(
@@ -392,7 +387,7 @@ def _phase_axes(hg):
 
 def support_gap(
     modes: Sequence,
-    a: Union[InteriorSymbol, TangentialSymbol],
+    a: Union[InteriorSymbol, TransportedSymbol, TangentialSymbol],
     s: float,
     *,
     thresholds: Optional[Thresholds] = None,
@@ -451,8 +446,8 @@ def support_gap(
                 )
             )
     else:
-        if not isinstance(a, InteriorSymbol):
-            raise TypeError("expected an InteriorSymbol or TangentialSymbol")
+        if not isinstance(a, (InteriorSymbol, TransportedSymbol)) or a.xi_bound is None:
+            raise TypeError("expected an interior or tangential symbol, or a pullback of one")
         _require_disk(chart)
         for m in modes:
             hg = husimi_grid(m, nx=nx, nxi=nxi, x_max=x_max, xi_max=xi_max)
@@ -545,6 +540,10 @@ def elliptic_mass(
     )
 
 
+# the |xi|^2 band around the unit shell on which off-shell windows vanish
+CAR_BAND = (0.8, 1.2)
+
+
 def car_mass(
     modes: Sequence,
     a_off: InteriorSymbol,
@@ -557,19 +556,15 @@ def car_mass(
     Off-shell mass decays linearly in h; the report fits the constant
     C = max |value| / h (stored in notes) and the verdict demands the
     magnitudes shrink at least like h step to step, within 50 percent,
-    above the measurement floor.
+    above the measurement floor.  The speed factor must vanish on the band
+    `CAR_BAND`, 0.8 <= |xi|^2 <= 1.2, probed at 2001 evenly spaced |xi|^2;
+    a symbol without one is refused.
     """
     if not isinstance(a_off, InteriorSymbol):
         raise TypeError("off-shell windows are interior symbols")
-    speeds = np.sqrt(np.linspace(0.8, 1.2, 9))
-    angs = np.linspace(0.0, 2.0 * np.pi, 17)[:-1]
-    ring1 = (speeds[:, None] * np.cos(angs)[None, :]).ravel()[None, :]
-    ring2 = (speeds[:, None] * np.sin(angs)[None, :]).ravel()[None, :]
-    span = np.linspace(-0.99, 0.99, 15)
-    P1, P2 = np.meshgrid(span, span, indexing="ij")
-    worst = float(
-        np.max(np.abs(a_off.eval(P1.ravel()[:, None], P2.ravel()[:, None], ring1, ring2)))
-    )
+    if a_off.speed is None:
+        raise ValueError("off-shell window needs a speed factor to vanish on the band")
+    worst = float(np.max(np.abs(a_off.speed(np.sqrt(np.linspace(*CAR_BAND, 2001))))))
     if worst > 1e-12:
         raise ValueError(
             "off-shell window must vanish on the band | |xi|^2 - 1 | <= 0.2, "

@@ -269,7 +269,7 @@ def test_build_symbol_separable_uses_fft_terms():
             ],
         }
     )
-    assert a.terms is not None
+    assert a.momentum is None and a.speed is not None
     assert a.eval(0.0, 0.0, 1.0, 0.0) == pytest.approx(1.0)
     assert a.eval(0.0, 0.0, 0.5, 0.0) == 0.0
 
@@ -285,7 +285,7 @@ def test_build_symbol_angular_momentum_goes_general():
             ],
         }
     )
-    assert a.terms is None
+    assert a.momentum is not None and a.speed is None
     # ell = x ^ xi: at x = (0.6, 0), xi = (0, 0.8) it is 0.48, inside the window
     assert a.eval(0.6, 0.0, 0.0, 0.8) > 0.9
     # reversing the direction flips ell out of the window
@@ -620,6 +620,23 @@ def pairing_config(kind, symbol, **keys):
         ])), "experiments[0].symbol.factors[1].window: window ramps"),
         (pairing_config("elliptic", dict(COLLAR, xip_window=[1.15, 1.15, 3.5, 3.9])),
          "experiments[0].symbol.xip_window: window ramps"),
+        # the lattice never samples this speed window: the pairing read 1.9e-19
+        (pairing_config("measure", {"type": "interior", "xi_bound": 0.5, "factors": [
+            {"var": "radius", "window": [-0.7, -0.6, 0.6, 0.7]},
+            {"var": "speed", "window": [1.0, 1.1, 1.3, 1.4]},
+        ]}), "experiments[0].symbol.factors[1].window: the window reaches |xi| = 1.4"),
+        (pairing_config("measure", dict(INTERIOR, xi_bound=0.85, factors=[
+            INTERIOR["factors"][0], {"var": "speed_sq", "window": [0.35, 0.5, 0.75, 0.8]},
+        ])), "experiments[0].symbol.factors[1].window: the window reaches |xi| = 0.894"),
+        # 1.0 at |xi|^2 = 0.875, between the samples of a coarse probe
+        (pairing_config("car", dict(INTERIOR, factors=[
+            INTERIOR["factors"][0], {"var": "speed_sq", "window": [0.86, 0.87, 0.88, 0.89]},
+        ])), "experiments[0].symbol.factors: the speed windows are nonzero for |xi|^2"),
+        (pairing_config("car", dict(INTERIOR, factors=[
+            *INTERIOR["factors"], {"var": "speed", "window": [1.05, 1.1, 1.4, 1.5]},
+        ])), "experiments[0].symbol.factors: the speed windows are nonzero for |xi|^2"),
+        (pairing_config("car", dict(INTERIOR, factors=INTERIOR["factors"][:1])),
+         "experiments[0].symbol.factors: car symbols need a speed or speed_sq factor"),
     ],
 )
 def test_kind_symbol_and_window_rules_exit_two(raw, named, tmp_path, capsys):
@@ -630,6 +647,20 @@ def test_kind_symbol_and_window_rules_exit_two(raw, named, tmp_path, capsys):
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
     assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_car_band_rule_reads_the_intersection_of_the_speed_windows():
+    # each window alone meets the band; where both are nonzero, |xi|^2 in
+    # (0.36, 0.7), it does not
+    both = dict(INTERIOR, factors=[
+        *INTERIOR["factors"], {"var": "speed_sq", "window": [0.3, 0.4, 0.6, 0.7]},
+    ])
+    assert validate_config(pairing_config("car", both)) == []
+    # an open support that ends at the band's edge misses it
+    edge = dict(INTERIOR, factors=[
+        INTERIOR["factors"][0], {"var": "speed_sq", "window": [0.35, 0.5, 0.75, 0.8]},
+    ])
+    assert validate_config(pairing_config("car", edge)) == []
 
 
 def test_pullback_invariance_and_arc_symbols_pass_the_kind_rules(tmp_path):

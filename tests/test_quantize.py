@@ -3,6 +3,8 @@ of the FFT path with the direct lattice sum, pairing quadratures against
 independent integrals, family extrapolation, and phase-space densities."""
 
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from bicharlab.quantize import (
     BandlimitError,
     BoxGrid,
     InteriorSymbol,
-    SeparableTerm,
     SupportMarginError,
     TangentialSymbol,
     apply_interior_op,
@@ -33,10 +34,6 @@ from bicharlab.verify import h_oscillation_tail
 
 def spatial_plateau(r_on, r_off):
     return lambda x1, x2: 1.0 - plateau_step(np.hypot(x1, x2), r_on, r_off)
-
-
-def ones_xi(xi1, xi2):
-    return np.ones(np.broadcast(np.asarray(xi1), np.asarray(xi2)).shape)
 
 
 def snap_frequency(grid, h, xi):
@@ -57,16 +54,14 @@ def test_identity_and_multiplication_symbols():
     grid = BoxGrid(64)
     h = 0.05
     f, _ = packet(grid, (0.1, -0.2), (0.8, 0.3), h)
-    ident = InteriorSymbol(
-        terms=[SeparableTerm(spatial_plateau(0.7, 0.85), ones_xi)], xi_bound=0.0
-    )
+    ident = InteriorSymbol(spatial_plateau(0.7, 0.85), xi_bound=0.0)
     out = apply_interior_op(ident, f, h, grid)
     assert np.max(np.abs(out - f)) < 1e-12
 
     def xfac(x1, x2):
         return bump_profile(np.hypot(x1 - 0.1, x2 + 0.2) / 0.7)
 
-    mult = InteriorSymbol(terms=[SeparableTerm(xfac, ones_xi)], xi_bound=0.0)
+    mult = InteriorSymbol(xfac, xi_bound=0.0)
     out = apply_interior_op(mult, f, h, grid)
     assert np.max(np.abs(out - xfac(grid.X1, grid.X2) * f)) < 1e-12
 
@@ -74,14 +69,12 @@ def test_identity_and_multiplication_symbols():
 def test_first_order_symbol_oscillatory_and_quadrature_oracle():
     grid = BoxGrid(96)
     chi = spatial_plateau(0.7, 0.85)
-    sym = InteriorSymbol(
-        terms=[SeparableTerm(chi, lambda xi1, xi2: xi1 + 0.0 * xi2)], xi_bound=1.5
-    )
+    sym = InteriorSymbol(chi, lambda r: r, xi_bound=1.5)  # chi(x) |xi|
     errs = []
     for h in (0.05, 0.025):
         f, xi = packet(grid, (0.0, 0.1), (0.9, -0.4), h)
         out = apply_interior_op(sym, f, h, grid)
-        errs.append(grid.norm(out - xi[0] * f))
+        errs.append(grid.norm(out - np.hypot(*xi) * f))
     assert errs[0] < 0.4
     assert 1.6 < errs[0] / errs[1] < 2.5
 
@@ -95,17 +88,13 @@ def test_first_order_symbol_oscillatory_and_quadrature_oracle():
     i0, j0 = 52, 46
     x1s, x2s = grid.x[i0], grid.x[j0]
     phases = np.exp(1j * (grid.K1 * x1s + grid.K2 * x2s))
-    val = np.sum(chi(x1s, x2s) * (h * grid.K1) * coef * phases)
+    val = np.sum(chi(x1s, x2s) * np.hypot(h * grid.K1, h * grid.K2) * coef * phases)
     assert abs(val - out[i0, j0]) < 1e-9
 
 
-def evaluator_twin(sym):
-    """The same separable symbol given by its evaluator alone: the masked path."""
-    return InteriorSymbol(
-        evaluator=sym.eval,
-        xi_bound=sym.xi_bound,
-        x_envelope=lambda x1, x2: sum(np.abs(t.x_factor(x1, x2)) for t in sym.terms),
-    )
+def dense_twin(sym):
+    """The same symbol with momentum factor 1, which takes the masked path."""
+    return InteriorSymbol(sym.spatial, sym.speed, np.ones_like, xi_bound=sym.xi_bound)
 
 
 def test_arc_interior_symbol_takes_the_fft_path():
@@ -121,30 +110,22 @@ def test_arc_interior_symbol_takes_the_fft_path():
             "arc": {"center": 0.5, "inner": 0.4, "outer": 0.9},
         }
     )
-    assert a.terms is not None
+    assert a.momentum is None
     mode = laplace_disk_mode(3, 2)
     grid = BoxGrid(64)
     fast = pairing(a, mode, grid=grid)
     assert abs(fast) > 1e-3
-    assert abs(fast - pairing(evaluator_twin(a), mode, grid=grid)) < 1e-12
+    assert abs(fast - pairing(dense_twin(a), mode, grid=grid)) < 1e-12
 
 
 def test_masked_path_matches_fast_path():
     grid = BoxGrid(48)
     h = 0.1
-    terms = [
-        SeparableTerm(
-            spatial_plateau(0.55, 0.7),
-            lambda xi1, xi2: window(np.hypot(xi1, xi2), 0.2, 0.4, 1.2, 1.5),
-        ),
-        SeparableTerm(
-            lambda x1, x2: 0.4 * bump_profile(np.hypot(x1 + 0.2, x2) / 0.45),
-            lambda xi1, xi2: plateau_step(xi1 + 0.0 * xi2, -0.5, 0.5),
-        ),
-    ]
-    sym = InteriorSymbol(terms=terms, xi_bound=1.6)
+    sym = InteriorSymbol(
+        spatial_plateau(0.55, 0.7), lambda r: window(r, 0.2, 0.4, 1.2, 1.5), xi_bound=1.6
+    )
     f, _ = packet(grid, (-0.1, 0.05), (0.6, 0.2), h, width=0.3)
-    twin = evaluator_twin(sym)
+    twin = dense_twin(sym)
     fast = apply_interior_op(sym, f, h, grid)
     masked = apply_interior_op(twin, f, h, grid)
     assert np.max(np.abs(fast - masked)) < 1e-10
@@ -157,20 +138,16 @@ def test_masked_path_matches_fast_path():
 
 def test_margin_bandlimit_and_construction_refusals():
     grid = BoxGrid(64)
-    wide = InteriorSymbol(
-        terms=[SeparableTerm(spatial_plateau(0.95, 0.99), ones_xi)], xi_bound=0.0
-    )
+    wide = InteriorSymbol(spatial_plateau(0.95, 0.99), xi_bound=0.0)
     with pytest.raises(SupportMarginError):
         apply_interior_op(wide, np.zeros((64, 64)), 0.05, grid)
 
-    hungry = InteriorSymbol(
-        terms=[SeparableTerm(spatial_plateau(0.5, 0.6), ones_xi)], xi_bound=3.0
-    )
+    hungry = InteriorSymbol(spatial_plateau(0.5, 0.6), xi_bound=3.0)
     with pytest.raises(BandlimitError):
         apply_interior_op(hungry, np.zeros((64, 64)), 0.01, grid)
 
-    with pytest.raises(ValueError):
-        InteriorSymbol(evaluator=lambda a, b, c, d: 0.0 * a, xi_bound=1.0)
+    with pytest.raises(ValueError, match="xi_bound"):
+        InteriorSymbol(spatial_plateau(0.5, 0.6), xi_bound=-1.0)
     with pytest.raises(ValueError):
         TangentialSymbol(lambda y, xip: 1.0 + 0.0 * y * xip, y_support=0.3)
     # an angular factor that is 0 at one angle does not hide the multiplier
@@ -301,9 +278,7 @@ def test_collar_exponential_symbol_matches_power_extension():
 
 def test_pairing_partition_of_unity():
     grid = BoxGrid(192)
-    interior = InteriorSymbol(
-        terms=[SeparableTerm(spatial_plateau(0.8, 0.9), ones_xi)], xi_bound=0.0
-    )
+    interior = InteriorSymbol(spatial_plateau(0.8, 0.9), xi_bound=0.0)
     collar = TangentialSymbol(
         lambda y, xip: plateau_step(1.0 - y, 0.8, 0.9) + 0.0 * xip, y_support=0.21
     )
@@ -320,10 +295,7 @@ def test_pairing_partition_of_unity():
 def test_pairing_multiplication_matches_polar_quadrature():
     mode = laplace_disk_mode(0, 1, num_r=128)
     grid = BoxGrid(128)
-    sym = InteriorSymbol(
-        terms=[SeparableTerm(lambda x1, x2: bump_profile(np.hypot(x1, x2) / 0.6), ones_xi)],
-        xi_bound=0.0,
-    )
+    sym = InteriorSymbol(lambda x1, x2: bump_profile(np.hypot(x1, x2) / 0.6), xi_bound=0.0)
     val = pairing(sym, mode, grid=grid)
     g = mode.grid
     ref = g.integrate(bump_profile(g.R / 0.6) * np.abs(mode.velocity[0]) ** 2).real
@@ -335,13 +307,7 @@ def test_elliptic_frequency_symbol_decays_along_family():
     # kernel's subexponential leakage below the h-linear boundary term
     modes = [laplace_disk_mode(2, k) for k in (4, 8, 16, 32)]
     sym = InteriorSymbol(
-        terms=[
-            SeparableTerm(
-                spatial_plateau(0.6, 0.7),
-                lambda xi1, xi2: window(np.hypot(xi1, xi2), 1.2, 1.5, 1.9, 2.2),
-            )
-        ],
-        xi_bound=2.2,
+        spatial_plateau(0.6, 0.7), lambda r: window(r, 1.2, 1.5, 1.9, 2.2), xi_bound=2.2
     )
     series = measure_sequence(sym, modes, grid=BoxGrid(224))
     mags = np.abs(series.values)
@@ -394,32 +360,11 @@ def test_measure_sequence_angular_multiplier_concentration():
         measure_sequence(chi_on, family[::-1], pairing_fn=angular_multiplier_pairing)
 
 
-def test_pairing_linearity_in_the_symbol():
-    grid = BoxGrid(48)
-    mode = laplace_disk_mode(1, 1)
-    term_a = SeparableTerm(
-        spatial_plateau(0.5, 0.65),
-        lambda xi1, xi2: window(np.hypot(xi1, xi2), 0.1, 0.3, 1.2, 1.4),
-    )
-    term_b = SeparableTerm(
-        lambda x1, x2: bump_profile(np.hypot(x1, x2 - 0.1) / 0.5),
-        lambda xi1, xi2: plateau_step(xi2 + 0.0 * xi1, -0.8, 0.8),
-    )
-    va = pairing(InteriorSymbol(terms=[term_a], xi_bound=1.5), mode, grid=grid)
-    vb = pairing(InteriorSymbol(terms=[term_b], xi_bound=1.5), mode, grid=grid)
-    vab = pairing(InteriorSymbol(terms=[term_a, term_b], xi_bound=1.5), mode, grid=grid)
-    assert abs(vab - (va + vb)) < 1e-12
-
-
 def test_real_symbol_pairing_imaginary_part_and_positivity():
-    def evaluator(x1, x2, xi1, xi2):
-        spatial = 1.0 - plateau_step(np.hypot(x1, x2), 0.7, 0.8)
-        return spatial * window(x1 * xi2 - x2 * xi1, -0.2, -0.1, 0.35, 0.45)
-
     sym = InteriorSymbol(
-        evaluator=evaluator,
+        spatial_plateau(0.7, 0.8),
+        momentum=lambda ell: window(ell, -0.2, -0.1, 0.35, 0.45),
         xi_bound=1.5,
-        x_envelope=lambda x1, x2: 1.0 - plateau_step(np.hypot(x1, x2), 0.7, 0.8),
     )
     modes = [laplace_disk_mode(5, k) for k in (2, 4, 8)]
     vals = [pairing(sym, m) for m in modes]
@@ -517,7 +462,8 @@ def test_husimi_matches_fft_loop_on_stokes_mode():
 def test_sample_mode_on_box_is_the_full_box_closed_form_on_the_disk(mode):
     box = default_box(mode.h, 2.6)
     comps = sample_mode_on_box(mode, box)
-    full = np.moveaxis(mode.eval_velocity(np.stack([box.X1, box.X2], axis=-1)), -1, 0)
+    points = np.stack(np.broadcast_arrays(box.X1, box.X2), axis=-1)
+    full = np.moveaxis(mode.eval_velocity(points), -1, 0)
     inside = box.disk_mask()
     assert comps.shape == full.shape and comps.dtype == complex
     bits = [np.ascontiguousarray(c[:, inside]).view(np.uint64) for c in (comps, full)]
@@ -582,6 +528,30 @@ def test_default_box_and_snap_frequency():
     assert np.max(np.abs(snapped - np.array([0.777, -1.234]))) <= 0.5 * h * grid.dk
 
 
+def test_box_grid_keeps_axes_not_meshgrids():
+    # four (n, n) meshgrids at n = 1028 held 33.8 MB; the axes are O(n)
+    tracemalloc.start()
+    try:
+        box = BoxGrid(1028)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1_000_000
+    assert (box.X1 + box.X2).shape == (1028, 1028)
+    assert np.array_equal(box.K1[:, 0], box.k) and np.array_equal(box.K2[0], box.k)
+
+
+def test_pairing_refuses_a_pullback_it_cannot_place():
+    mode = laplace_disk_mode(1, 1)
+    bare = SimpleNamespace(eval=lambda x1, x2, xi1, xi2: 0.0 * x1, xi_bound=None)
+    with pytest.raises(TypeError, match="xi_bound"):
+        pairing(bare, mode, check=False)
+    placed = SimpleNamespace(eval=bare.eval, xi_bound=1.0)
+    with pytest.raises(TypeError, match="check=False"):
+        pairing(placed, mode)
+    assert pairing(placed, mode, check=False) == 0.0
+
+
 # -- transported-symbol application (chirped convolution route) --------------
 
 
@@ -599,8 +569,12 @@ def trig_window(grid, reach=3):
     return xf
 
 
+def ring_speed(r):
+    return window(r, 0.4, 0.6, 1.1, 1.3)
+
+
 def ring_window(xi1, xi2):
-    return window(np.hypot(xi1, xi2), 0.4, 0.6, 1.1, 1.3)
+    return ring_speed(np.hypot(xi1, xi2))
 
 
 def lattice_field(grid, reach, seed):
@@ -623,7 +597,7 @@ def test_shifted_op_matches_direct_sum():
     grid = BoxGrid(64)
     h, s = 0.05, 0.12
     xf = trig_window(grid)
-    a = InteriorSymbol(terms=[SeparableTerm(xf, ring_window)], xi_bound=1.5)
+    a = InteriorSymbol(xf, ring_speed, xi_bound=1.5)
     f, coeffs = lattice_field(grid, 4, seed=31)
     # support semantics are exercised elsewhere; this is the algebra check
     got = apply_shifted_op(a, s, f, h, grid, check=False)
@@ -648,7 +622,7 @@ def test_shifted_op_zero_shift_is_plain_quantization():
     grid = BoxGrid(64)
     h = 0.06
     xf = trig_window(grid)
-    a = InteriorSymbol(terms=[SeparableTerm(xf, ring_window)], xi_bound=1.5)
+    a = InteriorSymbol(xf, ring_speed, xi_bound=1.5)
     f, _ = lattice_field(grid, 4, seed=5)
     got = apply_shifted_op(a, 0.0, f, h, grid, check=False)
     want = apply_interior_op(a, f, h, grid, check=False)
@@ -659,10 +633,7 @@ def test_shifted_op_margin_accounts_for_transport():
     from bicharlab.quantize import apply_shifted_op
 
     grid = BoxGrid(64)
-    a = InteriorSymbol(
-        terms=[SeparableTerm(spatial_plateau(0.25, 0.45), ring_window)],
-        xi_bound=1.5,
-    )
+    a = InteriorSymbol(spatial_plateau(0.25, 0.45), ring_speed, xi_bound=1.5)
     f, _ = lattice_field(grid, 4, seed=9)
     with pytest.raises(SupportMarginError, match="transported"):
         apply_shifted_op(a, 0.5, f, 0.05, grid)
@@ -675,12 +646,12 @@ def test_shifted_pairing_agrees_with_masked_route():
     h, s = md.h, 0.1
     grid = default_box(h, 1.5)
     xf = trig_window(grid)
-    a = InteriorSymbol(terms=[SeparableTerm(xf, ring_window)], xi_bound=1.5)
-    moved = InteriorSymbol(
-        evaluator=lambda x1, x2, xi1, xi2: xf(x1 + 2 * s * xi1, x2 + 2 * s * xi2)
+    a = InteriorSymbol(xf, ring_speed, xi_bound=1.5)
+    # the free shift by its evaluator alone, paired on the dense path
+    moved = SimpleNamespace(
+        eval=lambda x1, x2, xi1, xi2: xf(x1 + 2 * s * xi1, x2 + 2 * s * xi2)
         * ring_window(xi1, xi2),
         xi_bound=1.5,
-        x_envelope=lambda x1, x2: np.ones(np.broadcast(x1, x2).shape),
     )
     fast = shifted_pairing(a, s, md, grid=grid, check=False)
     dense = pairing(moved, md, grid=grid, check=False)

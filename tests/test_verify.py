@@ -6,38 +6,42 @@ from hypothesis import strategies as st
 from bicharlab import billiard, config, modes, quantize, verify
 from bicharlab.bumps import bump_profile, plateau_step, window
 from bicharlab.charts import AnnulusChart, DiskChart
-from bicharlab.quantize import InteriorSymbol, SeparableTerm, TangentialSymbol
+from bicharlab.quantize import InteriorSymbol, TangentialSymbol
 from bicharlab.verify import ModeRow, PropagationReport, Thresholds
 
 CHART = DiskChart()
 
 
+def ring_speed(r):
+    return window(r, 0.5, 0.7, 1.3, 1.5)
+
+
 def ring_window(s1, s2):
-    return window(np.hypot(s1, s2), 0.5, 0.7, 1.3, 1.5)
+    return ring_speed(np.hypot(s1, s2))
+
+
+def conserved_momentum(ell):
+    return window(ell, 0.1, 0.2, 0.35, 0.45)
 
 
 def conserved_eval(x1, x2, xi1, xi2):
-    ell = x1 * xi2 - x2 * xi1
-    return ring_window(xi1, xi2) * window(ell, 0.1, 0.2, 0.35, 0.45)
+    return ring_window(xi1, xi2) * conserved_momentum(x1 * xi2 - x2 * xi1)
+
+
+def closed_disk(x1, x2):
+    return np.where(np.hypot(x1, x2) <= 1.0, 1.0, 0.0)
 
 
 def conserved_symbol():
     return InteriorSymbol(
-        evaluator=conserved_eval,
-        xi_bound=1.5,
-        x_envelope=lambda x1, x2: np.where(np.hypot(x1, x2) <= 1.0, 1.0, 0.0),
-        name="conserved window",
+        closed_disk, ring_speed, conserved_momentum, xi_bound=1.5, name="conserved window"
     )
 
 
 def offcenter_bump(xi_bound=1.4):
     return InteriorSymbol(
-        terms=[
-            SeparableTerm(
-                lambda x1, x2: bump_profile(np.hypot(x1 - 0.25, x2) / 0.2),
-                lambda s1, s2: window(np.hypot(s1, s2), 0.6, 0.8, 1.2, 1.4),
-            )
-        ],
+        lambda x1, x2: bump_profile(np.hypot(x1 - 0.25, x2) / 0.2),
+        lambda r: window(r, 0.6, 0.8, 1.2, 1.4),
         xi_bound=xi_bound,
         name="off-center bump",
     )
@@ -67,12 +71,8 @@ def test_transport_identity_at_zero_time():
 def test_transport_recenters_free_bump():
     s = 0.1
     a = InteriorSymbol(
-        terms=[
-            SeparableTerm(
-                lambda x1, x2: bump_profile(np.hypot(x1, x2) / 0.3),
-                ring_window,
-            )
-        ],
+        lambda x1, x2: bump_profile(np.hypot(x1, x2) / 0.3),
+        ring_speed,
         xi_bound=1.5,
         name="centered bump",
     )
@@ -295,6 +295,122 @@ def test_property_invariant_is_a_factor_of_the_symbol(spec, seed):
     assert np.all(np.broadcast_to(a.eval(*points), dead.shape)[dead] == 0)
 
 
+def legacy_interior(spec):
+    """The two-branch interior builder the factored form replaced: the oracle.
+
+    Returns (evaluator, invariant) as the old builder wired them: one
+    separable term, summed from 0.0, without an angular_momentum factor,
+    and a general evaluator with one.
+    """
+    spatial_fns, fiber_fns, general_fns = [], [], []
+    for f in spec["factors"]:
+        w = tuple(f.get("window", ()))
+        if f["var"] == "radius":
+            spatial_fns.append(lambda x1, x2, w=w: window(np.hypot(x1, x2), *w))
+        elif f["var"] == "speed":
+            fiber_fns.append(lambda xi1, xi2, w=w: window(np.hypot(xi1, xi2), *w))
+        elif f["var"] == "speed_sq":
+            fiber_fns.append(lambda xi1, xi2, w=w: window(xi1 * xi1 + xi2 * xi2, *w))
+        else:
+            general_fns.append(
+                lambda x1, x2, xi1, xi2, w=w: window(x1 * xi2 - x2 * xi1, *w)
+            )
+    arc = spec.get("arc")
+
+    def spatial(x1, x2):
+        acc = 1.0
+        for fn in spatial_fns:
+            acc = acc * fn(x1, x2)
+        if arc is not None:
+            acc = acc * config._arc_factor(arc)(np.arctan2(x2, x1))
+        return acc
+
+    def fiber(xi1, xi2):
+        acc = np.ones_like(np.asarray(xi1, dtype=float))
+        for fn in fiber_fns:
+            acc = acc * fn(xi1, xi2)
+        return acc
+
+    def invariant(x1, x2, xi1, xi2):
+        acc = fiber(xi1, xi2)
+        for fn in general_fns:
+            acc = acc * fn(x1, x2, xi1, xi2)
+        return acc
+
+    def evaluator(x1, x2, xi1, xi2):
+        acc = spatial(x1, x2) * fiber(xi1, xi2)
+        for fn in general_fns:
+            acc = acc * fn(x1, x2, xi1, xi2)
+        return acc
+
+    def separable(x1, x2, xi1, xi2):
+        return 0.0 + spatial(x1, x2) * fiber(xi1, xi2)
+
+    if not (fiber_fns or general_fns):
+        invariant = None
+    return (evaluator if general_fns else separable), invariant
+
+
+@st.composite
+def factored_specs(draw):
+    # up to two windows per fiber variable, so products of factors and
+    # the multiply order are exercised too
+    spec = draw(symbol_specs())
+    for var, lo in (("speed", 0.0), ("speed_sq", 0.0), ("angular_momentum", -0.9)):
+        if draw(st.booleans()):
+            spec["factors"].append({"var": var, "window": draw(_edges(lo, 1.0))})
+    return spec
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(factored_specs(), st.integers(0, 2**32 - 1))
+def test_property_factored_symbol_matches_two_branch_oracle(spec, seed):
+    a = config.build_symbol(spec)
+    evaluator, invariant = legacy_interior(spec)
+    rng = np.random.default_rng(seed)
+    x1, x2, s1, s2 = edge_points(spec, rng)
+    xs = np.array([-1.05, -0.45, 0.0, 0.3, 1.0])
+    xis = np.concatenate([[-1.3, 0.0, 0.6], rng.choice(np.abs(s1), 3)])
+    grid = (
+        xs[:, None, None, None],
+        xs[None, :, None, None],
+        xis[None, None, :, None],
+        xis[None, None, None, :],
+    )
+    # bit for bit, but for two round-off changes.  A speed_sq window now
+    # reads hypot(xi)^2, not xi1^2 + xi2^2: |xi|^2 moves by an ulp or two,
+    # which the window's slope, at most about 2 / ramp, turns into an
+    # absolute change.  Two momentum windows multiply together before
+    # they multiply the spatial-speed product: an ulp or two relative.
+    ramps = [
+        min(w[1] - w[0], w[3] - w[2])
+        for w in (f["window"] for f in spec["factors"] if f["var"] == "speed_sq")
+    ]
+    atol = 1e-14 / min(ramps) if ramps else 0.0
+    two_momenta = sum(f["var"] == "angular_momentum" for f in spec["factors"]) > 1
+    rtol = 1e-15 if two_momenta else 0.0
+    assert (a.invariant is None) == (invariant is None)
+    for points in ((x1, x2, s1, s2), grid):
+        got, want = np.broadcast_arrays(a.eval(*points), evaluator(*points))
+        pairs = [(got, want)]
+        if invariant is not None:
+            pairs.append(np.broadcast_arrays(a.invariant(*points), invariant(*points)))
+        for got, want in pairs:
+            assert np.array_equal(got == 0, want == 0)
+            if atol == rtol == 0.0:
+                assert np.array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=rtol, atol=atol)
+    if a.momentum is None:
+        # FFT path against the direct lattice sum of the same symbol
+        box = quantize.BoxGrid(32)
+        f = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+        twin = InteriorSymbol(a.spatial, a.speed, np.ones_like, xi_bound=a.xi_bound)
+        fast = quantize.apply_interior_op(a, f, 0.1, box, check=False)
+        dense = quantize.apply_interior_op(twin, f, 0.1, box, check=False)
+        assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(f))
+
+
 def workload_phase_grid(m, k, nx=28, nxi=29, x_max=1.25, xi_max=1.6):
     """The Husimi phase axes `support_gap` evaluates for the Stokes mode (m, k).
 
@@ -417,12 +533,10 @@ def test_invariance_gap_route_validated():
 
 def high_momentum_window():
     return InteriorSymbol(
-        evaluator=lambda x1, x2, s1, s2: window(
-            x1 * s2 - x2 * s1, 0.78, 0.84, 0.96, 1.02
-        )
-        * window(np.hypot(s1, s2), 0.75, 0.85, 1.15, 1.25),
+        closed_disk,
+        lambda r: window(r, 0.75, 0.85, 1.15, 1.25),
+        lambda ell: window(ell, 0.78, 0.84, 0.96, 1.02),
         xi_bound=1.25,
-        x_envelope=lambda x1, x2: window(np.hypot(x1, x2), 0.55, 0.65, 0.98, 1.04),
         name="angular-momentum 0.9 window",
     )
 
@@ -444,23 +558,15 @@ def test_support_gap_reverse_transport_recovers_mass():
     fam = [modes.stokes_disk_mode(8, 2)]
     a = high_momentum_window()
     rep1 = verify.support_gap(fam, a, 0.9)
-    round_trip = InteriorSymbol(
-        evaluator=verify.TransportedSymbol(verify.TransportedSymbol(a, 0.9), -0.9).eval,
-        xi_bound=a.xi_bound,
-        x_envelope=lambda x1, x2: np.where(np.hypot(x1, x2) <= 1.0, 1.0, 0.0),
-        name="round trip",
-    )
+    round_trip = verify.TransportedSymbol(verify.TransportedSymbol(a, 0.9), -0.9)
+    assert round_trip.xi_bound == a.xi_bound
     rep2 = verify.support_gap(fam, round_trip, 0.0)
     assert abs(rep2.rows[0].before - rep1.rows[0].before) < 1e-10
 
 
 def test_support_gap_zero_symbol_trivial():
     fam = [modes.stokes_disk_mode(8, 2)]
-    zero = InteriorSymbol(
-        terms=[SeparableTerm(lambda x1, x2: 0.0 * x1, ring_window)],
-        xi_bound=1.5,
-        name="zero",
-    )
+    zero = InteriorSymbol(lambda x1, x2: 0.0 * x1, ring_speed, xi_bound=1.5, name="zero")
     rep = verify.support_gap(fam, zero, 0.7)
     assert rep.verdict == "pass"
     assert rep.rows[0].before == 0.0 and rep.rows[0].after == 0.0
@@ -488,6 +594,9 @@ def test_support_gap_rejects_other_inputs():
     fam = [modes.stokes_disk_mode(8, 2)]
     with pytest.raises(TypeError):
         verify.support_gap(fam, lambda *p: 0.0, 0.3)
+    # a pullback of a bare callable has no xi_bound to place it by
+    with pytest.raises(TypeError):
+        verify.support_gap(fam, verify.TransportedSymbol(conserved_eval, 0.3), 0.3)
 
 
 # -- elliptic and off-shell mass ----------------------------------------
@@ -526,14 +635,14 @@ def test_elliptic_mass_rejects_low_fiber_support():
         verify.elliptic_mass([modes.laplace_disk_mode(0, 8)], offcenter_bump())
 
 
+def off_shell_spatial(x1, x2):
+    return 1.0 - plateau_step(np.hypot(x1, x2), 0.62, 0.76)
+
+
 def off_shell_window(lo, hi, xi_bound, name):
     return InteriorSymbol(
-        terms=[
-            SeparableTerm(
-                lambda x1, x2: 1.0 - plateau_step(np.hypot(x1, x2), 0.62, 0.76),
-                lambda s1, s2: window(np.hypot(s1, s2), lo, lo + 0.1, hi - 0.1, hi),
-            )
-        ],
+        off_shell_spatial,
+        lambda r: window(r, lo, lo + 0.1, hi - 0.1, hi),
         xi_bound=xi_bound,
         name=name,
     )
@@ -553,20 +662,30 @@ def test_car_mass_decays_like_h_both_sides_of_shell():
 
 
 def test_car_mass_rejects_on_shell_support():
+    fam = [modes.laplace_disk_mode(0, 8)]
     bad = InteriorSymbol(
-        terms=[
-            SeparableTerm(
-                lambda x1, x2: 1.0 - plateau_step(np.hypot(x1, x2), 0.62, 0.76),
-                ring_window,
-            )
-        ],
-        xi_bound=1.5,
-        name="shell-touching window",
+        off_shell_spatial, ring_speed, xi_bound=1.5, name="shell-touching window"
     )
     with pytest.raises(ValueError, match="vanish"):
-        verify.car_mass([modes.laplace_disk_mode(0, 8)], bad)
+        verify.car_mass(fam, bad)
+    # a window narrower than the spacing of a coarse |xi|^2 probe: the
+    # symbol is 1.0 at |xi|^2 = 0.875
+    narrow = config.build_symbol({
+        "type": "interior",
+        "xi_bound": 1.5,
+        "factors": [
+            {"var": "radius", "window": [-0.76, -0.62, 0.62, 0.76]},
+            {"var": "speed_sq", "window": [0.86, 0.87, 0.88, 0.89]},
+        ],
+    })
+    assert narrow.speed(np.sqrt(0.875)) == 1.0
+    with pytest.raises(ValueError, match="vanish"):
+        verify.car_mass(fam, narrow)
+    # without a speed factor nothing makes the symbol vanish on the band
+    with pytest.raises(ValueError, match="vanish"):
+        verify.car_mass(fam, InteriorSymbol(off_shell_spatial, xi_bound=1.5))
     with pytest.raises(TypeError):
-        verify.car_mass([modes.laplace_disk_mode(0, 8)], elliptic_window())
+        verify.car_mass(fam, elliptic_window())
 
 
 # -- oscillation tails ---------------------------------------------------
