@@ -31,13 +31,20 @@ def smooth_step(t):
 
 
 def plateau_step(t, a: float, b: float):
-    """Monotone C-infinity ramp: 0 for t <= a, 1 for t >= b."""
+    """Monotone C-infinity ramp: 0 for t <= a, 1 for t >= b.
+
+    The exponentials are taken on the ramp a < t < b only; NaN input
+    gives 0.
+    """
     if not b > a:
         raise ValueError("need b > a")
     u = (np.asarray(t, dtype=float) - a) / (b - a)
-    s0 = smooth_step(u)
-    s1 = smooth_step(1.0 - u)
-    return s0 / (s0 + s1)
+    out = np.where(u >= 1.0, 1.0, 0.0)
+    ramp = (u > 0.0) & (u < 1.0)
+    s0 = smooth_step(u[ramp])
+    s1 = smooth_step(1.0 - u[ramp])
+    out[ramp] = s0 / (s0 + s1)
+    return out if out.ndim else float(out)
 
 
 def bump_profile(t):

@@ -320,6 +320,10 @@ def _check_trace(exp, where, chart):
 
 
 def _check_parametrix(exp, where, chart):
+    # a chart that did not load is reported already
+    missing = [a for a in ("lam_jet", "curvature_h") if not hasattr(chart, a)]
+    if chart is not None and missing:
+        yield f"chart: a {chart.kind} chart lacks {' and '.join(missing)}, which {where} needs"
     band = exp.get("halving_band")
     if band is not None and not 0 < band[0] < band[1]:
         yield f"{where}.halving_band: need 0 < lo < hi"

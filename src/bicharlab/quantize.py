@@ -54,6 +54,11 @@ __all__ = [
 ]
 
 
+# least |xi| reach of a default pairing box: the modes live at |xi| = 1,
+# so a lattice sized from a smaller symbol box aliases them
+XI_FLOOR = 1.5
+
+
 class SupportMarginError(ValueError):
     """Symbol support reaches too close to the boundary for zero-extension."""
 
@@ -383,10 +388,10 @@ def pairing(
 def _box_pairing(a, mode, grid: Optional[BoxGrid], apply) -> complex:
     """Sum of (apply(u, grid) | u) over the mode's velocity components on a box.
 
-    The box defaults to `default_box(mode.h, a.xi_bound)`.
+    The box defaults to `default_box(mode.h, max(a.xi_bound, XI_FLOOR))`.
     """
     if grid is None:
-        grid = default_box(mode.h, a.xi_bound)
+        grid = default_box(mode.h, max(a.xi_bound, XI_FLOOR))
     total = 0.0 + 0.0j
     for u in sample_mode_on_box(mode, grid):
         total += grid.inner(apply(u, grid), u)

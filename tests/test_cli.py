@@ -528,6 +528,9 @@ def test_invalid_config_exits_two(tmp_path, capsys):
          "chart: bad term 5: need (pow_z1, pow_zeta1, pow_y, coeff)"),
         ({"chart": MODEL_CHART, "experiments": [trace]},
          "experiments[0].start: a model chart has no ambient embedding"),
+        # ended as status error, exit 1, when build_parametrix refused
+        ({"chart": MODEL_CHART, "experiments": [{"name": "p", "kind": "parametrix", "m": [12]}]},
+         "chart: a model chart lacks lam_jet and curvature_h, which experiments[0] needs"),
         ({"experiments": [dict(trace, start=[2, 0, 1, 0])]},
          "experiments[0].start: x = (2, 0) lies outside the closed disk domain"),
         ({"chart": {"kind": "annulus", "rho_in": 0.5}, "experiments": [trace]},
@@ -1204,3 +1207,34 @@ def test_parametrix_subcommand_writes_csv(tmp_path, capsys):
     text = (tmp_path / "parametrix.csv").read_text()
     assert text.count("\n") >= 4  # meta block, header, two rows
     assert "order,m,h,error" in text
+
+
+def test_parametrix_halves_on_the_inner_annulus_component(tmp_path):
+    # the exact extension from an inner circle is (rho_in / r)^|m|; measured
+    # order-0 errors 0.0205 and 0.0099, order-1 1.6e-4 and 3.8e-5
+    cfg = tmp_path / "inner.json"
+    cfg.write_text(json.dumps({"chart": "annulus:0.5:inner", "experiments": [
+        {"name": "p", "kind": "parametrix", "m": [32, 64], "expect_halving": True}]}))
+    assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    doc = json.load(open(tmp_path / "out" / "p.json"))["payload"]
+    assert doc["violations"] == []
+    for m in (32, 64):
+        assert 0.5 < doc["errors"]["0"][str(m)] * m < 0.8
+        assert 0.1 < doc["errors"]["1"][str(m)] * m * m < 0.2
+
+
+def test_default_pairing_box_resolves_the_mode(tmp_path):
+    # a radial mode has x wedge xi = 0, so this pairing is about 0; sized
+    # from xi_bound 0.5 alone, the box aliased the mode and read 0.1033.
+    # At xi_bound 3.0 it reads -1.4136e-4 (n = 190, a 100 s direct sum)
+    symbol = {"type": "interior", "xi_bound": 0.5, "factors": [
+        {"var": "radius", "window": [-0.7, -0.6, 0.6, 0.7]},
+        {"var": "angular_momentum", "window": [0.2, 0.3, 0.5, 0.6]},
+    ]}
+    cfg = tmp_path / "measure.json"
+    cfg.write_text(json.dumps({"experiments": [
+        {"name": "m", "kind": "measure", "family": {"family": "laplace", "m": 0, "k": [20]},
+         "symbol": symbol}]}))
+    assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    (row,) = json.load(open(tmp_path / "out" / "m.json"))["payload"]["rows"]
+    assert abs(row["re"] - -1.4136235170689835e-4) < 1e-3

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bicharlab.charts import DiskChart
+from bicharlab.charts import AnnulusChart, DiskChart
 from bicharlab.modes import stokes_disk_mode
 from bicharlab import parametrix
 from bicharlab.parametrix import (
@@ -39,8 +39,12 @@ def dtn(q0):
     return np.fft.ifft(np.abs(m) * c * q0.size)
 
 
-def loop_solve_correction(chart, step, xi, h, eps0, n_steps):
-    """The RK4 depth solve with lam^2 and F recomputed at every stage."""
+def loop_solve_correction(chart, step, xi, h, eps0, n_steps, cancelled=False):
+    """The RK4 depth solve with lam^2 and F recomputed at every stage.
+
+    With `cancelled`, also returns the largest terms, per column, that the
+    superposition cancels out of the values and of the derivatives.
+    """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     ns = int(n_steps)
     ys = np.linspace(0.0, eps0, ns + 1)
@@ -96,6 +100,9 @@ def loop_solve_correction(chart, step, xi, h, eps0, n_steps):
     ratio_v = path_uv / path_u[0] * np.exp(path_log - path_log[0])
     corr = path_a - path_a[0] * ratio
     corr_v = path_v - path_a[0] * ratio_v
+    if cancelled:
+        terms = [np.abs(path_a[0] * r).max(axis=0) for r in (ratio, ratio_v)]
+        return ys, corr, corr_v, terms
     return ys, corr, corr_v
 
 
@@ -246,23 +253,71 @@ def test_correction_solves_depth_ode():
     assert np.abs(resid).max() < 2e-2 * np.abs(F).max()
 
 
-def test_tabulated_solve_is_bit_identical_to_stage_loop(monkeypatch):
-    sym = build_parametrix(order=1)
+def test_scanned_solve_matches_stage_loop(monkeypatch):
+    # the superposition corr = a_p - a_p(0) u / u(0) cancels a term
+    # a_p(0) u / u(0) that exceeds max |corr| by a factor K: about 5e2 on
+    # the disk at m = 128, but 1.6e3, 6.8e4 and 5.9e7 at m = 32, 64 and 128
+    # on the inner component, where lam falls with depth.  Both solvers
+    # lose those digits alike, so the stated tolerance is 1e-11 of each
+    # column's max, or 1e-14 of the cancelled term where that is larger
+    # (measured: at most 1.4e-12 of the column max on the disk, 2e-8 at
+    # K = 5.9e7)
     solves = []
-    for m in (12, 32, 128):
-        solves += live_solves(monkeypatch, lambda: extension_error(sym, m))
-    rng = np.random.default_rng(23)
-    h, n = 1.0 / 40, 256
-    th = ring(n)
-    q0 = sum((rng.standard_normal() + 1j * rng.standard_normal()) * np.exp(1j * m * th)
-             for m in range(20, 61))
-    batch = live_solves(monkeypatch, lambda: apply_parametrix(sym, q0, h))
-    assert batch[0][2].size == 41
-    solves += batch
-    assert len(solves) == 4
+    for chart in (DiskChart(), AnnulusChart(0.5, component="inner")):
+        sym = build_parametrix(chart=chart, order=1)
+        for m in (12, 32, 128):
+            solves += live_solves(monkeypatch, lambda: extension_error(sym, m))
+        rng = np.random.default_rng(23)
+        h, n = 1.0 / 40, 256
+        th = ring(n)
+        q0 = sum((rng.standard_normal() + 1j * rng.standard_normal()) * np.exp(1j * m * th)
+                 for m in range(20, 61))
+        batch = live_solves(monkeypatch, lambda: apply_parametrix(sym, q0, h))
+        assert batch[0][2].size == 41
+        solves += batch
+    assert len(solves) == 8
     for args in solves:
-        for got, want in zip(_solve_correction(*args), loop_solve_correction(*args)):
-            assert np.array_equal(got, want)
+        ys, corr, corr_v = _solve_correction(*args)
+        ys_want, *want, terms = loop_solve_correction(*args, cancelled=True)
+        assert np.array_equal(ys, ys_want)
+        for got, ref, term in zip((corr, corr_v), want, terms):
+            tol = np.maximum(1e-11 * np.abs(ref).max(axis=0), 1e-14 * term)
+            assert (np.abs(got - ref) <= tol).all()
+
+
+def test_multi_block_extension_error_matches_stage_loop(monkeypatch):
+    # lam / h grows the homogeneous sweep by about e^713 at m = 2000, far
+    # past one scan block; the errors are near 1e-7 of the exact
+    # extension's norm, so they are compared to 1e-14 of that norm
+    sym = build_parametrix(order=1)
+    for m in (2000, 4000):
+        got = extension_error(sym, m)
+        monkeypatch.setattr(parametrix, "_solve_correction", loop_solve_correction)
+        want = extension_error(sym, m)
+        monkeypatch.undo()
+        assert abs(got - want) < 1e-14
+        # measured 4.786e-8 and 2.210e-7, 0.19 and 3.5 times h^2: the
+        # 2,000 depth steps stop resolving the layer near m = 4000
+        assert 0.1 < got * m * m < 5.0
+
+
+def test_scan_splits_growth_into_blocks(monkeypatch):
+    scans = []
+    real = parametrix._suffix_scan
+
+    def spy(*block):
+        scans.append(block[0].shape[0])
+        real(*block)
+
+    monkeypatch.setattr(parametrix, "_suffix_scan", spy)
+    st = PolyStep(0.125, 0.25)
+    for m in (128, 2000):
+        scans.clear()
+        ys, corr, corr_v = _solve_correction(DiskChart(), st, np.array([1.0]), 1.0 / m, 0.3, 2000)
+        assert sum(scans) == 2000 and np.isfinite(corr).all() and np.isfinite(corr_v).all()
+        # the log-growth is the integral of lam / h = m / (1 - y) over [0, 0.3]
+        want = int(np.ceil(-m * np.log(0.7) / parametrix.LOG_GROWTH_BLOCK))
+        assert len(scans) in (want, want + 1)
 
 
 def test_a1_evaluates_forcing_once_per_stage_depth(monkeypatch):
