@@ -11,11 +11,13 @@ whose boundary trace r0 separates transversal (r0 > 0) from shadowed
 measures the curvature felt by a tangent ray.  Interior motion at unit
 energy is the Hamilton flow of eta^2 - r.
 
-Three chart families are provided: the unit disk, either component of a
-round annulus, and "model" charts whose r is an explicit polynomial in
-(y, z1, zeta1) given by a coefficient table.  Disk and annulus return
-closed-form derivatives; model charts differentiate the polynomial
-exactly.
+Two chart families are provided.  Round charts put the collar at one
+circle of a round domain rho_in < |x| < 1: either component of an
+annulus, or the outer circle of the unit disk, which is the annulus
+without an inner circle.  One set of closed forms in the circle's radius
+rho(y) serves them all.  "Model" charts have an r that is an explicit
+polynomial in (y, z1, zeta1) given by a coefficient table, and
+differentiate it exactly.
 """
 
 from __future__ import annotations
@@ -131,66 +133,72 @@ class CollarChart:
 # round charts
 
 
-class DiskChart(CollarChart):
-    """Unit disk, collar at the circle r = 1; y = 1 - |x|, x' the angle.
+class _RoundChart(CollarChart):
+    """Collar at one circle of a round domain hole < |x| < 1; x' the angle.
 
-    The boundary metric pulled to the collar gives |xi'|^2_g = xi'^2/(1-y)^2,
-    hence r = 1 - xi'^2/(1-y)^2 in closed form.
+    The circle at depth y has radius rho(y) = edge + direction * y:
+    direction = -1 inward from the outer circle (edge 1), +1 outward from
+    an inner one (edge hole).  The boundary metric pulled to the collar gives
+    |xi'|^2_g = xi'^2 / rho(y)^2, hence r = 1 - xi'^2 / rho(y)^2 in closed
+    form.  The defaults are the outer circle of the unit disk, hole 0.
     """
 
-    kind = "disk"
+    component = "outer"
 
-    def __init__(self, collar_width: float = 0.35, max_derivative_order: int = 8):
-        if not 0.0 < collar_width < 1.0:
-            raise ValueError("collar width must lie in (0, 1)")
+    def __init__(self, collar_width, max_derivative_order, edge=1.0, direction=-1.0, hole=0.0):
         self.collar_width = float(collar_width)
         self.max_derivative_order = _derivative_order(max_derivative_order)
+        # instance attributes, which read faster than class ones in _jet_any_y
+        self._edge, self._dir, self._hole = edge, direction, hole
+
+    def radius(self, y):
+        """rho(y), the radius of the circle at depth y."""
+        return self._edge + self._dir * y
 
     def _jet_any_y(self, y, xp, xip):
-        s = 1.0 - y
+        # rho(y) inline: the tracer calls this on every field evaluation
+        rho = self._edge + self._dir * y
         return RJet(
-            r=1.0 - xip**2 / s**2,
-            dr_dy=-2.0 * xip**2 / s**3,
+            r=1.0 - xip**2 / rho**2,
+            dr_dy=self._dir * 2.0 * xip**2 / rho**3,
             dr_dxp=0.0,
-            dr_dxip=-2.0 * xip / s**2,
+            dr_dxip=-2.0 * xip / rho**2,
         )
 
     def _bracket(self, j, xp, xip):
         # r0 and r1 depend on xi' alone, so the bracket vanishes identically
-        if j == 0:
-            return -2.0 * xip**2
-        return 0.0
+        return self.r1(xp, xip) if j == 0 else 0.0
 
     # metric data used by the boundary-layer machinery
     def curvature_h(self, y: float) -> float:
         """d/dy of log sqrt(det g)."""
-        return -1.0 / (1.0 - y)
+        return self._dir / self.radius(y)
 
     def lam_jet(self, y, xip):
         """|xi'|_g and its first two y-derivatives (vectorized)."""
-        s = 1.0 - np.asarray(y)
+        rho = self.radius(np.asarray(y))
         a = np.abs(xip)
-        return a / s, a / s**2, 2.0 * a / s**3
+        return a / rho, -self._dir * a / rho**2, 2.0 * a / rho**3
 
     # embedding ------------------------------------------------------
 
     def contains(self, x: Sequence[float]) -> bool:
-        """x lies in the closed unit disk, up to 1e-12 as in billiard.propagate."""
-        return math.hypot(x[0], x[1]) <= 1.0 + 1e-12
+        """x lies in the closed domain, up to 1e-12 as in billiard.propagate."""
+        return self._hole - 1e-12 <= math.hypot(x[0], x[1]) <= 1.0 + 1e-12
 
     def to_cartesian(self, p: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
-        rho = 1.0 - p.y
+        rho = self.radius(p.y)
         if rho < 0.0:
-            raise ValueError("point beyond the disk center")
+            raise ValueError("point beyond the center")
         ct, st = math.cos(p.xp), math.sin(p.xp)
         rhat = np.array([ct, st])
         that = np.array([-st, ct])
         if rho == 0.0:
             if p.xip != 0.0:
                 raise ValueError("cannot place an angular covector at the center")
-            return np.zeros(2), -p.eta * rhat
+            return np.zeros(2), self._dir * p.eta * rhat
         x = np.array([rho * ct, rho * st])
-        xi = -p.eta * rhat + (p.xip / rho) * that
+        xi = self._dir * p.eta * rhat + (p.xip / rho) * that
         return x, xi
 
     def from_cartesian(self, x: Sequence[float], xi: Sequence[float]) -> PhasePoint:
@@ -198,17 +206,29 @@ class DiskChart(CollarChart):
         xi = np.asarray(xi, dtype=float)
         rho = float(np.hypot(x[0], x[1]))
         if rho < 1e-12:
-            # the angle degenerates at the center; align it with the covector so
-            # the covector is purely radial in the chart
+            # the angle degenerates at the center, which only the disk holds;
+            # align it with the covector so the covector is purely radial
             theta = math.atan2(xi[1], xi[0]) if float(xi @ xi) > 0 else 0.0
             return PhasePoint(1.0, theta, -float(np.hypot(xi[0], xi[1])), 0.0)
         theta = math.atan2(x[1], x[0])
         rhat = x / rho
         that = np.array([-rhat[1], rhat[0]])
-        return PhasePoint(1.0 - rho, theta, -float(xi @ rhat), rho * float(xi @ that))
+        y = self._edge - rho if self._dir < 0.0 else rho - self._edge
+        return PhasePoint(y, theta, self._dir * float(xi @ rhat), rho * float(xi @ that))
 
 
-class AnnulusChart(CollarChart):
+class DiskChart(_RoundChart):
+    """Unit disk, collar at the circle |x| = 1: the round family without a hole."""
+
+    kind = "disk"
+
+    def __init__(self, collar_width: float = 0.35, max_derivative_order: int = 8):
+        if not 0.0 < collar_width < 1.0:
+            raise ValueError("collar width must lie in (0, 1)")
+        super().__init__(collar_width, max_derivative_order)
+
+
+class AnnulusChart(_RoundChart):
     """Round annulus rho_in < |x| < 1; collar at the selected component."""
 
     kind = "annulus"
@@ -227,66 +247,11 @@ class AnnulusChart(CollarChart):
         self.rho_in = float(rho_in)
         self.component = component
         gap = 1.0 - rho_in
-        self.collar_width = 0.4 * gap if collar_width is None else float(collar_width)
-        if not 0.0 < self.collar_width < gap:
+        width = 0.4 * gap if collar_width is None else float(collar_width)
+        if not 0.0 < width < gap:
             raise ValueError("collar width must be positive and below the gap width")
-        self.max_derivative_order = _derivative_order(max_derivative_order)
-
-    def _rho(self, y: float) -> float:
-        if self.component == "outer":
-            return 1.0 - y
-        return self.rho_in + y
-
-    def _jet_any_y(self, y, xp, xip):
-        sgn = -1.0 if self.component == "outer" else 1.0
-        rho = self._rho(y)
-        return RJet(
-            r=1.0 - xip**2 / rho**2,
-            dr_dy=sgn * 2.0 * xip**2 / rho**3,
-            dr_dxp=0.0,
-            dr_dxip=-2.0 * xip / rho**2,
-        )
-
-    def _bracket(self, j, xp, xip):
-        if j == 0:
-            sgn = -1.0 if self.component == "outer" else 1.0
-            return sgn * 2.0 * xip**2 / self._rho(0.0) ** 3
-        return 0.0
-
-    def curvature_h(self, y: float) -> float:
-        sgn = -1.0 if self.component == "outer" else 1.0
-        return sgn / self._rho(y)
-
-    def lam_jet(self, y, xip):
-        rho = np.asarray(self._rho(np.asarray(y)))
-        a = np.abs(xip)
-        sgn = -1.0 if self.component == "outer" else 1.0
-        return a / rho, -sgn * a / rho**2, 2.0 * a / rho**3
-
-    def contains(self, x: Sequence[float]) -> bool:
-        """x lies in the closed annulus, up to 1e-12 on either circle."""
-        return self.rho_in - 1e-12 <= math.hypot(x[0], x[1]) <= 1.0 + 1e-12
-
-    def to_cartesian(self, p: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
-        rho = self._rho(p.y)
-        ct, st = math.cos(p.xp), math.sin(p.xp)
-        x = np.array([rho * ct, rho * st])
-        rhat = np.array([ct, st])
-        that = np.array([-st, ct])
-        nsign = -1.0 if self.component == "outer" else 1.0
-        xi = nsign * p.eta * rhat + (p.xip / rho) * that
-        return x, xi
-
-    def from_cartesian(self, x, xi) -> PhasePoint:
-        x = np.asarray(x, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        rho = float(np.hypot(x[0], x[1]))
-        theta = math.atan2(x[1], x[0])
-        rhat = x / rho
-        that = np.array([-rhat[1], rhat[0]])
-        nsign = -1.0 if self.component == "outer" else 1.0
-        y = 1.0 - rho if self.component == "outer" else rho - self.rho_in
-        return PhasePoint(y, theta, nsign * float(xi @ rhat), rho * float(xi @ that))
+        edge, direction = (self.rho_in, 1.0) if component == "inner" else (1.0, -1.0)
+        super().__init__(width, max_derivative_order, edge, direction, self.rho_in)
 
     def other_component(self) -> "AnnulusChart":
         other = "inner" if self.component == "outer" else "outer"

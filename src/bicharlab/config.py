@@ -33,7 +33,7 @@ from .io import config_hash
 from .modes import ModeSpec, family_lambda, laplace_disk_mode, pick_k_for_ratio, stokes_disk_mode
 from .parametrix import build_parametrix, extension_error
 from .quantize import InteriorSymbol, TangentialSymbol, measure_sequence
-from .verify import CAR_BAND, Thresholds
+from .verify import CAR_BAND, ELLIPTIC_EDGE, Thresholds
 from .verify import car_mass, elliptic_mass, h_oscillation_tail, invariance_gap, support_gap
 
 __all__ = [
@@ -319,11 +319,29 @@ def _check_trace(exp, where, chart):
         yield f"{where}.start: {exc}"
 
 
+def _check_elliptic(exp, where, chart):
+    yield from _symbol_of("tangential")(exp, where, chart)
+    symbol = exp["symbol"]
+    if symbol["type"] != "tangential":
+        return
+    w = symbol.get("xip_window")
+    key, edge = f"{where}.symbol.xip_window", ELLIPTIC_EDGE
+    if w is None:
+        yield f"{key}: elliptic symbols need a window that vanishes for |xi'| <= {edge}"
+    # a window that fails its own rule is named there
+    elif not any(_check_window(w, "")):
+        # the window is nonzero exactly on its open support (a, d)
+        a, d = w[0], w[3]
+        use_abs = symbol.get("xip_abs", False)
+        if a < edge and (use_abs or d > -edge):
+            var = "|xi'|" if use_abs else "xi'"
+            yield (
+                f"{key}: the window is nonzero for {var} in ({a:g}, {d:g}), which"
+                f" meets |xi'| <= {edge} where elliptic symbols must vanish"
+            )
+
+
 def _check_parametrix(exp, where, chart):
-    # a chart that did not load is reported already
-    missing = [a for a in ("lam_jet", "curvature_h") if not hasattr(chart, a)]
-    if chart is not None and missing:
-        yield f"chart: a {chart.kind} chart lacks {' and '.join(missing)}, which {where} needs"
     band = exp.get("halving_band")
     if band is not None and not 0 < band[0] < band[1]:
         yield f"{where}.halving_band: need 0 < lo < hi"
@@ -591,10 +609,17 @@ def _keys(*required, **properties) -> dict:
 
 _PAIRING = _keys("family", "symbol", family=_FAMILY, symbol=_SYMBOL)
 
+# the chart kinds an experiment kind models: the pairing, mode and tail
+# kinds compute on disk modes, and the layer symbols need a round chart
+_DISK = ("disk",)
+_ROUND = ("disk", "annulus")
+_ANY = ("disk", "annulus", "model")
+
 # schema: the experiment's keys; check(exp, where, chart): the offenses its
 # own keys and its symbol commit together, once both passed the schema;
-# run(spec, ctx) computes it and returns an Outcome
-Kind = namedtuple("Kind", "schema check run")
+# run(spec, ctx) computes it and returns an Outcome; charts: the chart
+# kinds it models, validation refuses the others
+Kind = namedtuple("Kind", "schema check run charts")
 
 KINDS = {
     "classify": Kind(
@@ -607,6 +632,7 @@ KINDS = {
         ),
         _check_classify,
         _run_classify,
+        _ANY,
     ),
     "trace": Kind(
         _keys(
@@ -628,6 +654,7 @@ KINDS = {
         ),
         _check_trace,
         _run_trace,
+        _ANY,
     ),
     "mode": Kind(
         _keys(
@@ -649,6 +676,7 @@ KINDS = {
         ),
         _no_rules,
         _run_mode,
+        _DISK,
     ),
     "parametrix": Kind(
         _keys(
@@ -662,8 +690,9 @@ KINDS = {
         ),
         _check_parametrix,
         _run_parametrix,
+        _ROUND,
     ),
-    "measure": Kind(_PAIRING, _no_rules, _run_measure),
+    "measure": Kind(_PAIRING, _no_rules, _run_measure, _DISK),
     "invariance": Kind(
         _keys(
             "family", "symbol", "time",
@@ -674,6 +703,7 @@ KINDS = {
         ),
         _check_invariance,
         _run_invariance,
+        _DISK,
     ),
     "support": Kind(
         _keys(
@@ -695,9 +725,10 @@ KINDS = {
         ),
         _check_support,
         _run_support,
+        _DISK,
     ),
-    "elliptic": Kind(_PAIRING, _symbol_of("tangential"), _run_elliptic),
-    "car": Kind(_PAIRING, _check_car, _run_car),
+    "elliptic": Kind(_PAIRING, _check_elliptic, _run_elliptic, _DISK),
+    "car": Kind(_PAIRING, _check_car, _run_car, _DISK),
     "tails": Kind(
         _keys(
             "family", "radii",
@@ -708,6 +739,7 @@ KINDS = {
         ),
         _check_tails,
         _run_tails,
+        _DISK,
     ),
 }
 
@@ -813,6 +845,13 @@ def validate_config(raw) -> list[str]:
         where = f"experiments[{i}]"
         if ("experiments", i) in spoiled:
             continue
+        charts = KINDS[exp["kind"]].charts
+        # a chart that did not load is reported already
+        if chart is not None and chart.kind not in charts:
+            errors.append(
+                f"chart: {where} ({exp['kind']}) models {' and '.join(charts)}"
+                f" charts only, not {chart.kind} charts"
+            )
         if ("experiments", i, "keys") not in spoiled:
             name = exp["name"]
             if name in seen_names:

@@ -466,11 +466,9 @@ class _Tracer:
             charts = [chart]
             if hasattr(chart, "other_component"):
                 charts.append(chart.other_component())
-            for ch in charts:
-                if ch.kind == "annulus" and ch.component == "inner":
-                    self.bands.append((ch, ch.rho_in + 0.5 * ch.collar_width, "inner"))
-                else:
-                    self.bands.append((ch, 1.0 - 0.5 * ch.collar_width, "outer"))
+            self.bands = [
+                (ch, ch.radius(0.5 * ch.collar_width), ch.component) for ch in charts
+            ]
 
     # -- event logging ---------------------------------------------------
 

@@ -328,7 +328,9 @@ class ParametrixSymbol:
             raise ValueError("depths must lie in [0, eps0]")
         if not np.isfinite(xi).all():
             raise ValueError("frequencies must be finite")
-        lam_top = float(np.max(np.abs(xi))) / (1.0 - self.eps0)
+        # lam is monotone in depth on the round charts, so it peaks at an end
+        lam_ends = self.chart.lam_jet(np.array([0.0, self.eps0]), np.max(np.abs(xi)))[0]
+        lam_top = float(np.max(lam_ends))
         steps = max(MIN_ODE_STEPS, int(self.eps0 * lam_top / h))
         ys, corr, corr_v = _solve_correction(
             self.chart, self.step, xi, h, self.eps0, steps
@@ -439,11 +441,8 @@ def collar_poisson(sym: ParametrixSymbol, q0: np.ndarray, h: float) -> CollarFie
     c, m = _boundary_modes(q0)
     c = c * sym.step(h * np.abs(m))
     y, w = _gauss_nodes(0.0, sym.eps0, NUM_Y)
-    chart = sym.chart
-    if getattr(chart, "component", "outer") == "inner":
-        base = chart.rho_in / (chart.rho_in + y)
-    else:
-        base = 1.0 - y
+    rho, rho0 = sym.chart.radius(y), sym.chart.radius(0.0)
+    base = rho0 / rho if sym.chart.component == "inner" else rho / rho0
     prof = base[:, None] ** np.abs(m)[None, :]
     theta = 2.0 * np.pi * np.arange(m.size) / m.size
     return CollarField(y, w, theta, np.fft.ifft(prof * c[None, :] * m.size, axis=1))

@@ -513,6 +513,10 @@ def _pairing_magnitude_report(
     )
 
 
+# elliptic windows vanish for |xi'| up to this, past the glancing value 1
+ELLIPTIC_EDGE = 1.1
+
+
 def elliptic_mass(
     modes: Sequence,
     a_E: TangentialSymbol,
@@ -529,11 +533,11 @@ def elliptic_mass(
     if not isinstance(a_E, TangentialSymbol):
         raise TypeError("elliptic windows are tangential symbols")
     yy = np.linspace(0.0, 0.999 * a_E.y_support, 12)[:, None]
-    xips = np.linspace(-1.1, 1.1, 45)[None, :]
+    xips = np.linspace(-ELLIPTIC_EDGE, ELLIPTIC_EDGE, 45)[None, :]
     worst = float(np.max(np.abs(a_E.multiplier(yy, xips))))
     if worst > 1e-12:
         raise ValueError(
-            f"elliptic window must vanish for |xi'| <= 1.1, found |a| = {worst:.2e}"
+            f"elliptic window must vanish for |xi'| <= {ELLIPTIC_EDGE}, found |a| = {worst:.2e}"
         )
     return _pairing_magnitude_report(
         modes, a_E, kind="elliptic", thresholds=thresholds, experiment=experiment

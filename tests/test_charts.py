@@ -1,9 +1,12 @@
 import json
 
 import math
+from typing import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import convolve2d
 
 from bicharlab.charts import (
@@ -13,6 +16,8 @@ from bicharlab.charts import (
     ModelChart,
     OrderBudgetError,
     PhasePoint,
+    RJet,
+    _derivative_order,
     _poly_mul2,
     load_chart,
 )
@@ -126,6 +131,10 @@ def test_collar_domain_enforced():
         check_start(c, PhasePoint(1.0, 0.0, 0.0, 0.1))
     check_start(c, PhasePoint(1.0, 0.0, 0.5, 0.0))  # the center, moving radially
     check_start(c, PhasePoint(0.5, 0.0, 0.0, 0.1))  # past the collar, inside the disk
+    # past the center of an annulus: the mirrored point, |x| = 0.6, was
+    # once taken as lying in the domain
+    with pytest.raises(ValueError, match=r"annulus domain \(point beyond the center\)"):
+        check_start(AnnulusChart(0.5), PhasePoint(1.6, 0.0, 0.0, 0.1))
     # model charts have no ambient domain: any y >= 0 is meaningful
     m = ModelChart([(0, 1, 0, 1.0)])
     check_start(m, PhasePoint(5.0, 0.0, 0.0, 0.2))
@@ -275,3 +284,243 @@ def test_annulus_collar_width_zero_refused():
     for width in (0, 0.0, -0.1, 0.5):
         with pytest.raises(ValueError, match="collar width"):
             AnnulusChart(0.5, collar_width=width)
+
+
+# -- round charts against their two-class form ---------------------------
+#
+# The disk and the annulus as two classes, each with its own closed forms,
+# before they shared one round-chart base; only the class names differ.
+
+
+class DiskOracle(CollarChart):
+    """Unit disk, collar at the circle r = 1; y = 1 - |x|, x' the angle.
+
+    The boundary metric pulled to the collar gives |xi'|^2_g = xi'^2/(1-y)^2,
+    hence r = 1 - xi'^2/(1-y)^2 in closed form.
+    """
+
+    kind = "disk"
+
+    def __init__(self, collar_width: float = 0.35, max_derivative_order: int = 8):
+        if not 0.0 < collar_width < 1.0:
+            raise ValueError("collar width must lie in (0, 1)")
+        self.collar_width = float(collar_width)
+        self.max_derivative_order = _derivative_order(max_derivative_order)
+
+    def _jet_any_y(self, y, xp, xip):
+        s = 1.0 - y
+        return RJet(
+            r=1.0 - xip**2 / s**2,
+            dr_dy=-2.0 * xip**2 / s**3,
+            dr_dxp=0.0,
+            dr_dxip=-2.0 * xip / s**2,
+        )
+
+    def _bracket(self, j, xp, xip):
+        # r0 and r1 depend on xi' alone, so the bracket vanishes identically
+        if j == 0:
+            return -2.0 * xip**2
+        return 0.0
+
+    # metric data used by the boundary-layer machinery
+    def curvature_h(self, y: float) -> float:
+        """d/dy of log sqrt(det g)."""
+        return -1.0 / (1.0 - y)
+
+    def lam_jet(self, y, xip):
+        """|xi'|_g and its first two y-derivatives (vectorized)."""
+        s = 1.0 - np.asarray(y)
+        a = np.abs(xip)
+        return a / s, a / s**2, 2.0 * a / s**3
+
+    # embedding ------------------------------------------------------
+
+    def contains(self, x: Sequence[float]) -> bool:
+        """x lies in the closed unit disk, up to 1e-12 as in billiard.propagate."""
+        return math.hypot(x[0], x[1]) <= 1.0 + 1e-12
+
+    def to_cartesian(self, p: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
+        rho = 1.0 - p.y
+        if rho < 0.0:
+            raise ValueError("point beyond the disk center")
+        ct, st = math.cos(p.xp), math.sin(p.xp)
+        rhat = np.array([ct, st])
+        that = np.array([-st, ct])
+        if rho == 0.0:
+            if p.xip != 0.0:
+                raise ValueError("cannot place an angular covector at the center")
+            return np.zeros(2), -p.eta * rhat
+        x = np.array([rho * ct, rho * st])
+        xi = -p.eta * rhat + (p.xip / rho) * that
+        return x, xi
+
+    def from_cartesian(self, x: Sequence[float], xi: Sequence[float]) -> PhasePoint:
+        x = np.asarray(x, dtype=float)
+        xi = np.asarray(xi, dtype=float)
+        rho = float(np.hypot(x[0], x[1]))
+        if rho < 1e-12:
+            # the angle degenerates at the center; align it with the covector so
+            # the covector is purely radial in the chart
+            theta = math.atan2(xi[1], xi[0]) if float(xi @ xi) > 0 else 0.0
+            return PhasePoint(1.0, theta, -float(np.hypot(xi[0], xi[1])), 0.0)
+        theta = math.atan2(x[1], x[0])
+        rhat = x / rho
+        that = np.array([-rhat[1], rhat[0]])
+        return PhasePoint(1.0 - rho, theta, -float(xi @ rhat), rho * float(xi @ that))
+
+
+class AnnulusOracle(CollarChart):
+    """Round annulus rho_in < |x| < 1; collar at the selected component."""
+
+    kind = "annulus"
+
+    def __init__(
+        self,
+        rho_in: float,
+        component: str = "outer",
+        collar_width: float | None = None,
+        max_derivative_order: int = 8,
+    ):
+        if not 0.0 < rho_in < 1.0:
+            raise ValueError("inner radius must lie in (0, 1)")
+        if component not in ("inner", "outer"):
+            raise ValueError("component must be 'inner' or 'outer'")
+        self.rho_in = float(rho_in)
+        self.component = component
+        gap = 1.0 - rho_in
+        self.collar_width = 0.4 * gap if collar_width is None else float(collar_width)
+        if not 0.0 < self.collar_width < gap:
+            raise ValueError("collar width must be positive and below the gap width")
+        self.max_derivative_order = _derivative_order(max_derivative_order)
+
+    def _rho(self, y: float) -> float:
+        if self.component == "outer":
+            return 1.0 - y
+        return self.rho_in + y
+
+    def _jet_any_y(self, y, xp, xip):
+        sgn = -1.0 if self.component == "outer" else 1.0
+        rho = self._rho(y)
+        return RJet(
+            r=1.0 - xip**2 / rho**2,
+            dr_dy=sgn * 2.0 * xip**2 / rho**3,
+            dr_dxp=0.0,
+            dr_dxip=-2.0 * xip / rho**2,
+        )
+
+    def _bracket(self, j, xp, xip):
+        if j == 0:
+            sgn = -1.0 if self.component == "outer" else 1.0
+            return sgn * 2.0 * xip**2 / self._rho(0.0) ** 3
+        return 0.0
+
+    def curvature_h(self, y: float) -> float:
+        sgn = -1.0 if self.component == "outer" else 1.0
+        return sgn / self._rho(y)
+
+    def lam_jet(self, y, xip):
+        rho = np.asarray(self._rho(np.asarray(y)))
+        a = np.abs(xip)
+        sgn = -1.0 if self.component == "outer" else 1.0
+        return a / rho, -sgn * a / rho**2, 2.0 * a / rho**3
+
+    def contains(self, x: Sequence[float]) -> bool:
+        """x lies in the closed annulus, up to 1e-12 on either circle."""
+        return self.rho_in - 1e-12 <= math.hypot(x[0], x[1]) <= 1.0 + 1e-12
+
+    def to_cartesian(self, p: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
+        rho = self._rho(p.y)
+        ct, st = math.cos(p.xp), math.sin(p.xp)
+        x = np.array([rho * ct, rho * st])
+        rhat = np.array([ct, st])
+        that = np.array([-st, ct])
+        nsign = -1.0 if self.component == "outer" else 1.0
+        xi = nsign * p.eta * rhat + (p.xip / rho) * that
+        return x, xi
+
+    def from_cartesian(self, x, xi) -> PhasePoint:
+        x = np.asarray(x, dtype=float)
+        xi = np.asarray(xi, dtype=float)
+        rho = float(np.hypot(x[0], x[1]))
+        theta = math.atan2(x[1], x[0])
+        rhat = x / rho
+        that = np.array([-rhat[1], rhat[0]])
+        nsign = -1.0 if self.component == "outer" else 1.0
+        y = 1.0 - rho if self.component == "outer" else rho - self.rho_in
+        return PhasePoint(y, theta, nsign * float(xi @ rhat), rho * float(xi @ that))
+
+    def other_component(self) -> "AnnulusOracle":
+        other = "inner" if self.component == "outer" else "outer"
+        return AnnulusOracle(
+            self.rho_in, other, self.collar_width, self.max_derivative_order
+        )
+
+
+ROUND_PAIRS = [
+    (DiskChart(), DiskOracle()),
+    (DiskChart(collar_width=0.2), DiskOracle(collar_width=0.2)),
+    *(
+        (AnnulusChart(rho_in, side), AnnulusOracle(rho_in, side))
+        for rho_in in (0.3, 0.5, 0.7)
+        for side in ("outer", "inner")
+    ),
+]
+
+
+def same_bits(a, b) -> bool:
+    """Equal to the last bit, signed zeros included, for scalars or arrays."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def within_ulps(a, b, n) -> bool:
+    return bool(np.all(np.abs(np.asarray(a) - b) <= n * np.spacing(np.abs(b))))
+
+
+coord = st.floats(-3.0, 3.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    pair=st.sampled_from(ROUND_PAIRS),
+    depth=st.floats(0.0, 0.999),
+    xp=coord,
+    eta=coord,
+    xip=coord,
+    depths=st.lists(st.floats(0.0, 0.999), min_size=1, max_size=8),
+    x=st.tuples(st.floats(-1.1, 1.1), st.floats(-1.1, 1.1)),
+)
+def test_round_charts_match_their_two_class_form(pair, depth, xp, eta, xip, depths, x):
+    new, old = pair
+    # depths run across the whole domain: the disk to near its center,
+    # the annulus across the gap between its circles
+    span = 1.0 if isinstance(old, DiskOracle) else 1.0 - old.rho_in
+    y = depth * span
+    ys = np.array(depths) * span
+    assert new.kind == old.kind and new.collar_width == old.collar_width
+    for got, want in zip(vars(new._jet_any_y(y, xp, xip)).values(),
+                         vars(old._jet_any_y(y, xp, xip)).values()):
+        assert same_bits(got, want)
+    for j in (0, 1, 2):
+        assert same_bits(new.iterated_bracket(j, xp, xip), old.iterated_bracket(j, xp, xip))
+    assert same_bits(new.curvature_h(y), old.curvature_h(y))
+    assert same_bits(new.curvature_h(ys), old.curvature_h(ys))
+    for got, want in zip(new.lam_jet(ys[:, None], np.array([xip, 2.0 * xip])),
+                         old.lam_jet(ys[:, None], np.array([xip, 2.0 * xip]))):
+        assert same_bits(got, want)
+    # at a scalar depth the annulus took its powers of a 0-d array, which
+    # may round differently from a numpy scalar's; the program reads
+    # lam_jet only at array depths, so the derivatives may move by 2 ulp
+    got, want = new.lam_jet(y, xip), old.lam_jet(y, xip)
+    assert same_bits(got[0], want[0])
+    assert within_ulps(got[1], want[1], 2) and within_ulps(got[2], want[2], 2)
+    p = PhasePoint(y, xp, eta, xip)
+    for got, want in zip(new.to_cartesian(p), old.to_cartesian(p)):
+        assert same_bits(got, want)
+    xi = (eta, xip)
+    for point in (x, new.to_cartesian(p)[0]):
+        assert new.contains(point) == old.contains(point)
+        if old.contains(point):
+            assert all(same_bits(a, b) for a, b in zip(
+                vars(new.from_cartesian(point, xi)).values(),
+                vars(old.from_cartesian(point, xi)).values()))

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -530,7 +531,26 @@ def test_invalid_config_exits_two(tmp_path, capsys):
          "experiments[0].start: a model chart has no ambient embedding"),
         # ended as status error, exit 1, when build_parametrix refused
         ({"chart": MODEL_CHART, "experiments": [{"name": "p", "kind": "parametrix", "m": [12]}]},
-         "chart: a model chart lacks lam_jet and curvature_h, which experiments[0] needs"),
+         "chart: experiments[0] (parametrix) models disk and annulus charts only, not model"),
+        # the kinds that compute on disk modes: support and invariance ended
+        # as status error, exit 1; the others ignored the chart
+        *(
+            ({"chart": chart, "experiments": [exp]},
+             f"chart: experiments[0] ({exp['kind']}) models disk charts only, not {kind} charts")
+            for exp, chart, kind in (
+                ({"name": "m", "kind": "mode", "family": family}, "annulus:0.5", "annulus"),
+                (measure, "annulus:0.5:inner", "annulus"),
+                (dict(measure, kind="invariance", time=0.1), "annulus:0.5", "annulus"),
+                (dict(measure, kind="support", time=0.1), "annulus:0.4", "annulus"),
+                (dict(elliptic, symbol=dict(tangential, xip_window=[1.15, 1.3, 3.5, 3.9])),
+                 "annulus:0.5:inner", "annulus"),
+                (dict(measure, kind="car", symbol=dict(measure["symbol"], factors=[
+                    *measure["symbol"]["factors"],
+                    {"var": "speed_sq", "window": [0.35, 0.5, 0.75, 0.8]}])),
+                 MODEL_CHART, "model"),
+                (tails, "annulus:0.5", "annulus"),
+            )
+        ),
         ({"experiments": [dict(trace, start=[2, 0, 1, 0])]},
          "experiments[0].start: x = (2, 0) lies outside the closed disk domain"),
         ({"chart": {"kind": "annulus", "rho_in": 0.5}, "experiments": [trace]},
@@ -640,6 +660,13 @@ def pairing_config(kind, symbol, **keys):
         ])), "experiments[0].symbol.factors: the speed windows are nonzero for |xi|^2"),
         (pairing_config("car", dict(INTERIOR, factors=INTERIOR["factors"][:1])),
          "experiments[0].symbol.factors: car symbols need a speed or speed_sq factor"),
+        # elliptic_mass refused this window at run time: exit 1
+        (pairing_config("elliptic", dict(COLLAR, xip_window=[0.5, 0.6, 3.5, 3.9], xip_abs=True)),
+         "experiments[0].symbol.xip_window: the window is nonzero for |xi'| in (0.5, 3.9)"),
+        (pairing_config("elliptic", dict(COLLAR, xip_window=[-3.9, -3.5, 1.0, 1.2])),
+         "experiments[0].symbol.xip_window: the window is nonzero for xi' in (-3.9, 1.2)"),
+        (pairing_config("elliptic", {"type": "tangential", "y_support": 0.3}),
+         "experiments[0].symbol.xip_window: elliptic symbols need a window"),
     ],
 )
 def test_kind_symbol_and_window_rules_exit_two(raw, named, tmp_path, capsys):
@@ -664,6 +691,18 @@ def test_car_band_rule_reads_the_intersection_of_the_speed_windows():
         INTERIOR["factors"][0], {"var": "speed_sq", "window": [0.35, 0.5, 0.75, 0.8]},
     ])
     assert validate_config(pairing_config("car", edge)) == []
+
+
+def test_elliptic_window_rule_reads_the_open_support():
+    # a window is nonzero exactly on (a, d), so an edge at 1.1 clears the
+    # probe |xi'| <= 1.1; without xip_abs a window may also lie below -1.1
+    for w, use_abs in (
+        ([1.1, 1.3, 3.5, 3.9], True),
+        ([1.15, 1.3, 3.5, 3.9], False),
+        ([-3.9, -3.5, -1.3, -1.1], False),
+    ):
+        symbol = dict(COLLAR, xip_window=w, xip_abs=use_abs)
+        assert validate_config(pairing_config("elliptic", symbol)) == []
 
 
 def test_pullback_invariance_and_arc_symbols_pass_the_kind_rules(tmp_path):
@@ -1197,6 +1236,17 @@ def test_benchmark_selftest_passes():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "selftest passed" in proc.stdout
+
+
+def test_every_benchmark_workload_config_validates():
+    # a refused workload config would end the benchmark with exit 2
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name in workloads.WORKLOADS:
+        for seed in range(4):
+            assert validate_config(workloads.build_config(name, seed)) == [], (name, seed)
 
 
 def test_parametrix_subcommand_writes_csv(tmp_path, capsys):

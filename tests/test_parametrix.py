@@ -333,6 +333,25 @@ def test_a1_evaluates_forcing_once_per_stage_depth(monkeypatch):
     assert len(calls) == 3
 
 
+@pytest.mark.parametrize(
+    "chart, m, want",
+    [
+        # lam = |xi'|/(rho_in + y) peaks at the inner circle: eps0 lam / h =
+        # 0.3 * 2 * 4000; read at y = eps0, as on the disk, it gave 2,000
+        (AnnulusChart(0.5, "inner"), 4000, 2400),
+        (AnnulusChart(0.5, "inner"), 8000, 4800),
+        # lam = |xi'|/(1 - y) peaks at y = eps0: 0.3 / 0.7 * 8000 = 3428.6
+        (DiskChart(), 4000, 2000),
+        (DiskChart(), 8000, 3428),
+        (AnnulusChart(0.5), 8000, 3428),
+    ],
+)
+def test_depth_steps_follow_the_chart_lam_peak(monkeypatch, chart, m, want):
+    sym = build_parametrix(chart, order=1)
+    solves = live_solves(monkeypatch, lambda: sym.a1(np.array([0.1]), np.array([1.0]), 1.0 / m))
+    assert [args[-1] for args in solves] == [want]
+
+
 SYM1 = build_parametrix(order=1)
 
 
