@@ -617,7 +617,10 @@ def h_oscillation_tail(modes: Sequence, R, *, variant: str = "interior") -> np.n
             tot = 0.0
             tail = np.zeros(Rs.size)
             for u in comps:
-                power = np.abs(np.fft.fft2(u)) ** 2
+                # the spectrum overwrites the component and squares in
+                # place: fewer fresh (n, n) buffers keep the heap flat
+                power = np.abs(np.fft.fft2(u, out=u))
+                power *= power
                 tot += float(power.sum())
                 for i, rad in enumerate(Rs):
                     tail[i] += float(power[speed > rad].sum())

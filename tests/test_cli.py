@@ -1238,15 +1238,46 @@ def test_benchmark_selftest_passes():
     assert "selftest passed" in proc.stdout
 
 
-def test_every_benchmark_workload_config_validates():
-    # a refused workload config would end the benchmark with exit 2
+def benchmark_workloads():
+    """The benchmark's workload module, loaded from its file."""
     root = Path(__file__).resolve().parents[1]
     spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_every_benchmark_workload_config_validates():
+    # a refused workload config would end the benchmark with exit 2
+    workloads = benchmark_workloads()
     for name in workloads.WORKLOADS:
         for seed in range(4):
             assert validate_config(workloads.build_config(name, seed)) == [], (name, seed)
+
+
+# (h, before, after, gap) per mode of the seed-0 `reflect` benchmark
+# config, as the per-point Bessel sampling and the all-centre Husimi loop
+# computed them
+REFLECT_SUPPORT_ROWS = [
+    (0.03281563395082836, 0.06363452521397855, 0.06094216711414157, -0.0026923580998369848),
+    (0.021077547522488287, 0.07899322664476056, 0.07764056264987748, -0.0013526639948830826),
+    (0.015531017273510073, 0.09185282308076198, 0.08758368480862198, -0.004269138272139997),
+    (0.011137608917834513, 0.10209402076859544, 0.09701963407192853, -0.005074386696666919),
+]
+
+
+def test_reflect_support_values_hold_to_round_off(tmp_path):
+    # criterion 11's mass fractions through the symmetric Husimi quadrant
+    # and the per-radius mode sampling; the benchmark allows 1e-9
+    cfg = tmp_path / "reflect.json"
+    cfg.write_text(json.dumps(benchmark_workloads().build_config("reflect", 0)))
+    assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    doc = json.load(open(tmp_path / "out" / "reflect-support.json"))["payload"]
+    assert doc["verdict"] == "pass" and len(doc["rows"]) == len(REFLECT_SUPPORT_ROWS)
+    for row, want in zip(doc["rows"], REFLECT_SUPPORT_ROWS):
+        assert row["h"] == want[0]
+        for key, value in zip(("before", "after", "gap"), want[1:]):
+            assert abs(row[key] - value) <= 1e-12, (row["h"], key)
 
 
 def test_parametrix_subcommand_writes_csv(tmp_path, capsys):

@@ -1,13 +1,18 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import jv
 
 from bicharlab.modes import (
     ModeSpec,
+    _jv_deriv,
     bessel_zero,
     laplace_disk_mode,
+    pick_k_for_ratio,
     stokes_disk_mode,
 )
 from bicharlab.polar import PolarGrid
@@ -175,3 +180,64 @@ def test_resolution_validation():
         ModeSpec("heat", 0, 1).resolve(3.0)
     with pytest.raises(ValueError):
         bessel_zero(-1, 1)
+
+
+def per_point_velocity(mode, points):
+    """The per-point closed form that eval_velocity replaced: the oracle."""
+    pts = np.asarray(points, dtype=float)
+    rho = np.hypot(pts[..., 0], pts[..., 1])
+    theta = np.arctan2(pts[..., 1], pts[..., 0])
+    m, lam, c = mode.m, mode.lam, mode.c
+    phase = np.exp(1j * m * theta)
+    if mode.kind == "laplace":
+        return (c * jv(m, lam * rho) * phase)[..., None]
+    jm_lam = jv(m, lam)
+    F = c * (jv(m, lam * rho) - jm_lam * rho**m)
+    dF = c * (lam * _jv_deriv(m, lam * rho) - jm_lam * m * rho ** max(m - 1, 0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        F_over_rho = np.where(rho > 1e-12, F / np.where(rho > 1e-12, rho, 1.0), 0.0)
+    if m == 1:
+        lim = c * (0.5 * lam - jv(1, lam))
+        F_over_rho = np.where(rho > 1e-12, F_over_rho, lim)
+    ct, st_ = np.cos(theta), np.sin(theta)
+    ux = (st_ * dF + ct * 1j * m * F_over_rho) * phase
+    uy = -(ct * dF - st_ * 1j * m * F_over_rho) * phase
+    return np.stack([ux, uy], axis=-1)
+
+
+@functools.cache
+def mode_for(family, m):
+    if family == "laplace":
+        return laplace_disk_mode(m, 3)
+    return stokes_disk_mode(m, pick_k_for_ratio("stokes", m, 0.5))
+
+
+def signed_swaps(a, b):
+    """The eight images of (a, b) under the symmetries of the square: one radius."""
+    return [(s * x, t * y) for x, y in ((a, b), (b, a)) for s in (1, -1) for t in (1, -1)]
+
+
+coordinate = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.3, 0.5, 1.0]),
+    st.floats(-1.2, 1.2, allow_nan=False),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    family=st.sampled_from(["laplace", "stokes"]),
+    m=st.sampled_from([0, 1, 44]),
+    pairs=st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=6),
+)
+def test_eval_velocity_per_radius_is_bit_identical_to_per_point(family, m, pairs):
+    # each pair brings its eight square images, which share its float
+    # radius, and the origin is always in the set; a count divisible by
+    # 3 is also sent as a (k, 3, 2) batch
+    pts = np.array([(0.0, 0.0)] + [p for a, b in pairs for p in signed_swaps(a, b)])
+    pts = pts.reshape(-1, 3, 2) if len(pts) % 3 == 0 else pts
+    mode = mode_for(family, m)
+    got = mode.eval_velocity(pts)
+    want = per_point_velocity(mode, pts)
+    assert got.shape == want.shape
+    assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                          np.ascontiguousarray(want).view(np.uint64))

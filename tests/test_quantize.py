@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 
 from bicharlab.bumps import bump_profile, plateau_step, window
 from bicharlab.config import build_symbol
-from bicharlab.modes import bessel_zero, laplace_disk_mode, stokes_disk_mode
+from bicharlab.modes import bessel_zero, laplace_disk_mode, pick_k_for_ratio, stokes_disk_mode
 from bicharlab.polar import PolarGrid
 from bicharlab.quantize import (
+    XI_FLOOR,
     BandlimitError,
     BoxGrid,
+    HusimiGrid,
     InteriorSymbol,
     SupportMarginError,
     TangentialSymbol,
@@ -28,6 +30,7 @@ from bicharlab.quantize import (
     measure_sequence,
     pairing,
     sample_mode_on_box,
+    shifted_pairing,
 )
 from bicharlab.verify import h_oscillation_tail
 
@@ -375,11 +378,43 @@ def test_real_symbol_pairing_imaginary_part_and_positivity():
     assert abs(vals[-1].imag) < abs(vals[0].imag) + 0.05 * modes[-1].h
 
 
+def husimi_snap(h, box, nxi, xi_max):
+    """Lattice indices nearest each xi target, sorted by frequency."""
+    lattice = h * box.k
+    targets = np.linspace(-xi_max, xi_max, nxi)
+    idx = np.unique([int(np.argmin(np.abs(lattice - t))) for t in targets])
+    return idx[np.argsort(lattice[idx])]
+
+
+def two_pass_husimi(fields, h, box, nx=24, nxi=25, x_max=1.25, xi_max=1.6):
+    """Husimi density of raw box fields by two batched 1-D FFT passes.
+
+    The raw-field form of husimi_grid: it computes every window centre and
+    assumes no rotation symmetry, so it takes any field or stack of them.
+    """
+    comps = np.asarray(fields, dtype=complex)
+    if comps.ndim == 2:
+        comps = comps[None, :, :]
+    idx = husimi_snap(h, box, nxi, xi_max)
+    xi_axis = h * box.k[idx]
+    x_axis = np.linspace(-x_max, x_max, nx)
+    g = np.exp(-((box.x[None, :] - x_axis[:, None]) ** 2) / (2.0 * h))
+    dens = np.zeros((nx, nx, len(idx), len(idx)))
+    for i in range(nx):
+        for u in comps:
+            V = np.fft.fft(g[i][:, None] * u, axis=0)[idx]
+            G = np.fft.fft(V[None] * g[:, None, :], axis=2)[:, :, idx]
+            dens[i] += np.abs(G) ** 2
+    dens *= (box.cell / np.sqrt(np.pi * h)) ** 2 / (2.0 * np.pi * h) ** 2
+    dx0, dxi = x_axis[1] - x_axis[0], float(np.mean(np.diff(xi_axis)))
+    return HusimiGrid(x_axis, xi_axis, dens, (dx0 * dxi) ** 2)
+
+
 def test_husimi_plane_wave_peak_and_mass():
     h = 0.04
     box = BoxGrid(96)
     f, xi = packet(box, (0.2, -0.1), (0.7, -0.3), h, width=0.4)
-    hg = husimi_grid(f, h, box=box, nx=21, nxi=21, x_max=1.0, xi_max=1.4)
+    hg = two_pass_husimi(f, h, box, nx=21, nxi=21, x_max=1.0, xi_max=1.4)
     i, j, p, q = np.unravel_index(int(np.argmax(hg.density)), hg.density.shape)
     px, py = hg.x_axis[i], hg.x_axis[j]
     pxi1, pxi2 = hg.xi_axis[p], hg.xi_axis[q]
@@ -403,11 +438,8 @@ def test_husimi_mode_concentrates_on_unit_shell():
 
 
 def loop_husimi_density(comps, h, box, nx, nxi, x_max, xi_max):
-    """The nx^2 full-FFT loop that husimi_grid replaced: the oracle."""
-    lattice = h * box.k
-    targets = np.linspace(-xi_max, xi_max, nxi)
-    idx = np.unique([int(np.argmin(np.abs(lattice - t))) for t in targets])
-    idx = idx[np.argsort(lattice[idx])]
+    """The nx^2 full-FFT loop that the two passes replaced: the oracle."""
+    idx = husimi_snap(h, box, nxi, xi_max)
     x_axis = np.linspace(-x_max, x_max, nx)
     dens = np.zeros((nx, nx, len(idx), len(idx)))
     norm_w = 1.0 / np.sqrt(np.pi * h)
@@ -423,12 +455,21 @@ def loop_husimi_density(comps, h, box, nx, nxi, x_max, xi_max):
     return dens / (2.0 * np.pi * h) ** 2
 
 
-def assert_husimi_matches_loop(source, h, box, comps, nx, nxi, x_max=1.25, xi_max=1.6):
-    hg = husimi_grid(source, h, box=box, nx=nx, nxi=nxi, x_max=x_max, xi_max=xi_max)
+def assert_matches_loop(hg, h, box, comps, nx, nxi, x_max=1.25, xi_max=1.6):
     ref = loop_husimi_density(comps, h, box, nx, nxi, x_max, xi_max)
     assert hg.density.shape == ref.shape
     assert np.max(np.abs(hg.density - ref)) <= 1e-13 * ref.max()
     return hg
+
+
+def assert_two_pass_matches_loop(fields, h, box, nx, nxi):
+    hg = two_pass_husimi(fields, h, box, nx=nx, nxi=nxi)
+    return assert_matches_loop(hg, h, box, np.reshape(fields, (-1, box.n, box.n)), nx, nxi)
+
+
+def assert_husimi_matches_loop(mode, box, nx, nxi):
+    hg = husimi_grid(mode, box=box, nx=nx, nxi=nxi)
+    return assert_matches_loop(hg, mode.h, box, sample_mode_on_box(mode, box), nx, nxi)
 
 
 def test_husimi_matches_fft_loop_on_raw_fields():
@@ -436,9 +477,9 @@ def test_husimi_matches_fft_loop_on_raw_fields():
     box = BoxGrid(64)
     f, _ = packet(box, (0.2, -0.1), (0.7, -0.3), h, width=0.4)
     g, _ = packet(box, (-0.3, 0.25), (-0.5, 0.9), h, width=0.3)
-    assert_husimi_matches_loop(f, h, box, f[None], nx=12, nxi=13)  # single field
-    assert_husimi_matches_loop(np.stack([f, g]), h, box, [f, g], nx=10, nxi=11)
-    assert_husimi_matches_loop(g, h, box, g[None], nx=11, nxi=9)  # odd nx
+    assert_two_pass_matches_loop(f, h, box, nx=12, nxi=13)  # single field
+    assert_two_pass_matches_loop(np.stack([f, g]), h, box, nx=10, nxi=11)
+    assert_two_pass_matches_loop(g, h, box, nx=11, nxi=9)  # odd nx
 
 
 def test_husimi_matches_fft_loop_when_xi_targets_collapse():
@@ -447,15 +488,57 @@ def test_husimi_matches_fft_loop_when_xi_targets_collapse():
     h = 0.1
     box = BoxGrid(32)
     f, _ = packet(box, (0.1, 0.2), (0.6, 0.4), h, width=0.5)
-    hg = assert_husimi_matches_loop(f, h, box, f[None], nx=8, nxi=25)
+    hg = assert_two_pass_matches_loop(f, h, box, nx=8, nxi=25)
     assert 2 <= len(hg.xi_axis) < 25
 
 
 def test_husimi_matches_fft_loop_on_stokes_mode():
     mode = stokes_disk_mode(16, 3)
-    box = default_box(mode.h, 2.6)
-    comps = sample_mode_on_box(mode, box)
-    assert_husimi_matches_loop(mode, mode.h, box, comps, nx=24, nxi=25)
+    assert_husimi_matches_loop(mode, default_box(mode.h, 2.6), nx=24, nxi=25)
+
+
+@pytest.mark.parametrize(
+    "mode, nx",
+    [
+        (stokes_disk_mode(44, pick_k_for_ratio("stokes", 44, 0.5)), 6),
+        (laplace_disk_mode(5, 7), 9),  # odd nx: the origin row
+    ],
+    ids=["stokes-44", "laplace-odd-nx"],
+)
+def test_husimi_matches_fft_loop_on_the_other_quadrants(mode, nx):
+    assert_husimi_matches_loop(mode, default_box(mode.h, 2.6), nx=nx, nxi=29)
+
+
+def test_husimi_matches_fft_loop_on_a_mode_when_xi_targets_collapse():
+    # lattice step h dk ~ 0.24 exceeds the target step 3.2 / 24
+    mode = laplace_disk_mode(0, 3)
+    hg = assert_husimi_matches_loop(mode, BoxGrid(32), nx=8, nxi=25)
+    assert 2 <= len(hg.xi_axis) < 25
+
+
+def test_husimi_axes_are_symmetric_through_a_target_tie():
+    # xi_max sits halfway between the lattice points 3 h dk and 4 h dk, an
+    # exact tie in floats: argmin takes the first in FFT order, 3 h dk for
+    # +xi_max but -4 h dk for -xi_max, so snapping both signs is lopsided
+    mode = laplace_disk_mode(0, 3)
+    box = BoxGrid(32)
+    lattice = mode.h * box.k
+    xi_max = 0.5 * (lattice[3] + lattice[4])
+    assert abs(lattice[3] - xi_max) == abs(lattice[4] - xi_max)
+    lopsided = lattice[husimi_snap(mode.h, box, 3, xi_max)]
+    assert not np.array_equal(lopsided, -lopsided[::-1])
+    hg = husimi_grid(mode, box=box, nx=27, nxi=3, xi_max=xi_max)
+    assert np.array_equal(hg.xi_axis, [-lattice[3], 0.0, lattice[3]])
+    # linspace(-1.25, 1.25, 27) is off symmetric by 4.4e-16
+    assert np.array_equal(hg.x_axis, -hg.x_axis[::-1]) and hg.x_axis[13] == 0.0
+    assert np.max(np.abs(hg.x_axis - np.linspace(-1.25, 1.25, 27))) < 1e-15
+
+
+def test_husimi_refuses_raw_fields():
+    box = BoxGrid(32)
+    f, _ = packet(box, (0.1, 0.2), (0.6, 0.4), 0.1, width=0.5)
+    with pytest.raises(TypeError, match="disk mode"):
+        husimi_grid(f, box=box)
 
 
 @pytest.mark.parametrize("mode", [stokes_disk_mode(7, 2), laplace_disk_mode(3, 4)])
@@ -539,6 +622,23 @@ def test_box_grid_keeps_axes_not_meshgrids():
     assert held < 1_000_000
     assert (box.X1 + box.X2).shape == (1028, 1028)
     assert np.array_equal(box.K1[:, 0], box.k) and np.array_equal(box.K2[0], box.k)
+
+
+def test_pairing_refuses_an_explicit_box_below_the_reach_floor():
+    # the aliasing reproducer: a radial mode has x wedge xi = 0, so this
+    # pairing is about 0, but the box sized from xi_bound 0.5 read 0.1033
+    mode = laplace_disk_mode(0, 20)
+    a = build_symbol({"type": "interior", "xi_bound": 0.5, "factors": [
+        {"var": "radius", "window": [-0.7, -0.6, 0.6, 0.7]},
+        {"var": "angular_momentum", "window": [0.2, 0.3, 0.5, 0.6]},
+    ]})
+    low = default_box(mode.h, 0.5)
+    assert mode.h * (low.kmax - 2.0 * low.dk) < XI_FLOOR
+    with pytest.raises(BandlimitError, match="aliases the mode"):
+        pairing(a, mode, grid=low)
+    with pytest.raises(BandlimitError, match="aliases the mode"):
+        shifted_pairing(InteriorSymbol(a.spatial, xi_bound=0.5), 0.01, mode, grid=low)
+    assert abs(pairing(a, mode, grid=low, check=False) - 0.1033) < 1e-3
 
 
 def test_pairing_refuses_a_pullback_it_cannot_place():

@@ -414,7 +414,8 @@ def test_property_factored_symbol_matches_two_branch_oracle(spec, seed):
 def workload_phase_grid(m, k, nx=28, nxi=29, x_max=1.25, xi_max=1.6):
     """The Husimi phase axes `support_gap` evaluates for the Stokes mode (m, k).
 
-    The same snap as `husimi_grid`, without sampling the mode.
+    The snap of `husimi_grid`, without sampling the mode; its axes are
+    built odd under reversal and agree with these to an ulp.
     """
     h = 1.0 / modes.family_lambda("stokes", m, k)
     lattice = h * quantize.default_box(h, xi_max + 1.0).k
