@@ -509,27 +509,37 @@ def husimi_grid(
     the frequency lattice, so overlaps are entries of DFTs: per x0 row and
     component, one batched 1-D FFT along x1 and one along x2 for the
     window centres y0 at once, both numpy's pocketfft.  No BLAS call
-    enters, so the bytes do not depend on the thread count.  Cells wider
-    than about sqrt(h) under-resolve the coherent widths and the mass
-    check drifts; callers pick nx, nxi accordingly.
+    enters, so the bytes do not depend on the thread count.  The mode is
+    +0.0 outside the closed disk, so the first pass transforms only the
+    box columns with |x2| <= 1; the others would give exact zeros.  Cells
+    wider than about sqrt(h) under-resolve the coherent widths and the
+    mass check drifts; callers pick nx, nxi accordingly.
 
-    A disk mode turns with the plane: for the quarter turn R(x1, x2) =
-    (-x2, x1), u(R x) = e^{i m pi/2} R u(x), R acting on the velocity
-    components of a Stokes mode.  R maps the box grid, the window centres
-    and the xi lattice onto themselves and the window is round, so the
-    density obeys Q(-b, a, -xi2, xi1) = Q(a, b, xi1, xi2).  Both axes are
-    built symmetric (the non-negative xi targets are snapped and
-    mirrored, so a tie cannot break the symmetry), only the rows a > 0
-    with centres b >= 0 (and the origin when nx is odd) are computed, and
-    three turns fill the rest.  The filled values agree with a direct
+    A disk mode's density has the symmetry of the square, the dihedral
+    group D4.  For the quarter turn R(x1, x2) = (-x2, x1), u(R x) =
+    e^{i m pi/2} R u(x), R acting on the velocity components of a Stokes
+    mode; the window is round, so Q(-b, a, -xi2, xi1) = Q(a, b, xi1, xi2).
+    Both families are c F(rho) e^{i m theta} with c and F real, so the
+    reflection x2 -> -x2 takes each Cartesian component to its complex
+    conjugate up to sign, and conjugation takes xi to -xi; composed with
+    the quarter turn this is the swap Q(b, a, xi1, xi2) = Q(a, b, -xi2,
+    -xi1).  R and the swap map the box grid, the window centres and the
+    xi lattice onto themselves.  Both axes are built symmetric (the
+    non-negative xi targets are snapped and mirrored, so a tie cannot
+    break the symmetry), only the rows a > 0 with centres 0 <= b <= a
+    (and the origin when nx is odd) are computed, the swap fills b > a
+    and three turns fill the rest.  The filled values agree with a direct
     computation to the round-off of the sampled field, within 1e-13 of
     the density's max.  Anything but a `modes.Quasimode` is refused: only
-    a disk mode has the symmetry.
+    a disk mode, with its real profile, has the symmetry.  x_max and
+    xi_max must be finite and positive.
     """
     if not isinstance(mode, Quasimode):
         raise TypeError("husimi_grid takes a disk mode, whose density is rotation symmetric")
     if nx < 2 or nxi < 2:
         raise ValueError("need nx >= 2 and nxi >= 2")
+    if not (0.0 < x_max < math.inf and 0.0 < xi_max < math.inf):
+        raise ValueError("need finite x_max > 0 and xi_max > 0")
     h = mode.h
     if box is None:
         box = default_box(h, xi_max + 1.0)
@@ -548,14 +558,21 @@ def husimi_grid(
     g = np.exp(-((box.x[None, :] - x_axis[:, None]) ** 2) / (2.0 * h))
     dens = np.zeros((nx, nx, len(idx), len(idx)))
     half = nx // 2  # x_axis[half:] >= 0 and x_axis[nx - half:] > 0
-    rows = [(i, slice(half, nx)) for i in range(nx - half, nx)]
-    if nx % 2:
-        rows.append((half, slice(half, half + 1)))
-    for i, cols in rows:
+    on = np.nonzero(box.x**2 <= 1.0)[0]  # the disk's columns, contiguous
+    disk_cols = slice(on[0], on[-1] + 1)
+    V = np.zeros((len(idx), box.n), dtype=complex)
+    # rows a > 0 with centres 0 <= b <= a; when nx is odd, row `half` is
+    # the origin and column `half` is b = 0
+    for i in range(half, nx):
+        cols = slice(half, i + 1)
         for u in comps:
-            V = np.fft.fft(g[i][:, None] * u, axis=0)[idx]
+            V[:, disk_cols] = np.fft.fft(g[i][:, None] * u[:, disk_cols], axis=0)[idx]
             G = np.fft.fft(V[None] * g[cols, None, :], axis=2)[:, :, idx]
             dens[i, cols] += np.abs(G) ** 2
+    # the swap fills the centres b > a of the positive quadrant
+    pos = dens[nx - half :, nx - half :]
+    upper = np.triu_indices(half, 1)
+    pos[upper] = pos.transpose(1, 0, 3, 2)[:, :, ::-1, ::-1][upper]
     # each quarter turn carries one quadrant of centres onto the next
     quadrants = [
         (slice(nx - half, nx), slice(half, nx)),

@@ -369,20 +369,25 @@ def invariance_gap(
     )
 
 
-def _husimi_mass_fraction(hg, values_sq: np.ndarray) -> float:
-    total = hg.mass()
-    if total == 0.0:
-        return 0.0
-    got = float(np.sum(hg.density * values_sq) * hg.cell_volume)
-    return got / total
+def _phase_survivors(hg, invariant):
+    """The survivors of a Husimi phase grid, as `_survivors` finds them.
 
-
-def _phase_axes(hg):
-    x1 = hg.x_axis[:, None, None, None]
-    x2 = hg.x_axis[None, :, None, None]
-    s1 = hg.xi_axis[None, None, :, None]
-    s2 = hg.xi_axis[None, None, None, :]
-    return x1, x2, s1, s2
+    The window centres inside the closed disk are gathered once and the
+    invariant (if not None) is evaluated on them times the flattened xi
+    grid, (N_x, 1) by (1, N_xi), not on the full 4-D grid.  `np.nonzero`
+    in C order then yields the points of the 4-D scan, in its order and
+    bit for bit.  Returns (idx, points): `idx` indexes `hg.density`.
+    """
+    n_xi = len(hg.xi_axis)
+    ci, cj = np.nonzero(np.hypot(hg.x_axis[:, None], hg.x_axis[None, :]) <= 1.0 + 1e-12)
+    x1, x2 = hg.x_axis[ci], hg.x_axis[cj]
+    p, q = np.divmod(np.arange(n_xi * n_xi), n_xi)
+    s1, s2 = hg.xi_axis[p], hg.xi_axis[q]
+    keep = True
+    if invariant is not None:
+        keep = invariant(x1[:, None], x2[:, None], s1[None, :], s2[None, :]) != 0
+    r, c = np.nonzero(np.broadcast_to(keep, (len(ci), len(p))))
+    return (ci[r], cj[r], p[c], q[c]), (x1[r], x2[r], s1[c], s2[c])
 
 
 def support_gap(
@@ -405,10 +410,15 @@ def support_gap(
     positive quantization, so the numbers really are masses) with the
     transported symbol evaluated pointwise through the closed-form
     billiard map; both masses are counted over the closed disk and reported
-    as fractions of the mode's total phase-space mass.  Tangential symbols are compared against their
-    gliding rotation: the transported symbol is the input arc rotated by
-    the angle the flow engine sweeps in time s at the glancing ring on the
-    side `glancing_sign`, and the masses are boundary-collar pairings.
+    as fractions of the mode's total phase-space mass, which must be
+    positive (ValueError otherwise).  Both symbols are evaluated only on the
+    survivors of the phase grid, the window centres in the closed disk
+    times the xi points where the symbol's invariant is nonzero, and each
+    mass is a sum over those points.  Tangential symbols are compared
+    against their gliding rotation: the transported symbol is the input
+    arc rotated by the angle the flow engine sweeps in time s at the
+    glancing ring on the side `glancing_sign`, and the masses are
+    boundary-collar pairings.
     Pass rule: mass_after <= kappa * mass_before + theta_floor per mode.
     """
     th = thresholds or Thresholds()
@@ -451,20 +461,25 @@ def support_gap(
         _require_disk(chart)
         for m in modes:
             hg = husimi_grid(m, nx=nx, nxi=nxi, x_max=x_max, xi_max=xi_max)
-            shape, idx, pts = _survivors(*_phase_axes(hg), a.invariant)
+            total = hg.mass()
+            if total == 0.0:
+                raise ValueError(
+                    f"mode at h = {m.h:.4g} has no Husimi mass on the window grid"
+                )
             # both a and its pullback are 0 off the survivors, the
             # invariant being a factor of a: evaluate both there only.
             # Count mass over the closed disk only, matching the
             # transported symbol's zero-outside convention, so the s and
             # then -s reversibility holds for any input support
+            idx, pts = _phase_survivors(hg, a.invariant)
+            dens = hg.density[idx]
             in_disk = np.hypot(pts[0], pts[1]) <= 1.0
-            base_sq, moved_sq = np.zeros(shape), np.zeros(shape)
-            base_sq[idx] = np.abs(a.eval(*pts)) ** 2 * in_disk
             tau = TransportedSymbol(a, s)
-            moved_sq[idx] = tau.eval(*pts) ** 2
+            base_sq = np.abs(a.eval(*pts)) ** 2 * in_disk
+            moved_sq = tau.eval(*pts) ** 2
             unresolved += tau.unresolved
-            before = _husimi_mass_fraction(hg, base_sq)
-            after = _husimi_mass_fraction(hg, moved_sq)
+            before = float(np.sum(dens * base_sq) * hg.cell_volume) / total
+            after = float(np.sum(dens * moved_sq) * hg.cell_volume) / total
             rows.append(
                 ModeRow(
                     h=float(m.h), before=before, after=after, gap=after - before

@@ -1266,18 +1266,33 @@ REFLECT_SUPPORT_ROWS = [
 ]
 
 
-def test_reflect_support_values_hold_to_round_off(tmp_path):
-    # criterion 11's mass fractions through the symmetric Husimi quadrant
-    # and the per-radius mode sampling; the benchmark allows 1e-9
-    cfg = tmp_path / "reflect.json"
-    cfg.write_text(json.dumps(benchmark_workloads().build_config("reflect", 0)))
+# the seed-0 `bounce` support row: s = 12 flies each survivor through
+# many bounces
+BOUNCE_SUPPORT_ROWS = [
+    (0.03281563395082836, 0.06363452521397861, 0.06265033312796184, -0.0009841920860167719),
+]
+
+
+def assert_support_rows(tmp_path, workload, want_rows):
+    cfg = tmp_path / f"{workload}.json"
+    cfg.write_text(json.dumps(benchmark_workloads().build_config(workload, 0)))
     assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    doc = json.load(open(tmp_path / "out" / "reflect-support.json"))["payload"]
-    assert doc["verdict"] == "pass" and len(doc["rows"]) == len(REFLECT_SUPPORT_ROWS)
-    for row, want in zip(doc["rows"], REFLECT_SUPPORT_ROWS):
+    doc = json.load(open(tmp_path / "out" / f"{workload}-support.json"))["payload"]
+    assert doc["verdict"] == "pass" and len(doc["rows"]) == len(want_rows)
+    for row, want in zip(doc["rows"], want_rows):
         assert row["h"] == want[0]
         for key, value in zip(("before", "after", "gap"), want[1:]):
             assert abs(row[key] - value) <= 1e-12, (row["h"], key)
+
+
+def test_reflect_support_values_hold_to_round_off(tmp_path):
+    # criterion 11's mass fractions through the symmetric Husimi quadrant
+    # and the per-radius mode sampling; the benchmark allows 1e-9
+    assert_support_rows(tmp_path, "reflect", REFLECT_SUPPORT_ROWS)
+
+
+def test_bounce_support_values_hold_to_round_off(tmp_path):
+    assert_support_rows(tmp_path, "bounce", BOUNCE_SUPPORT_ROWS)
 
 
 def test_parametrix_subcommand_writes_csv(tmp_path, capsys):

@@ -502,8 +502,10 @@ def test_husimi_matches_fft_loop_on_stokes_mode():
     [
         (stokes_disk_mode(44, pick_k_for_ratio("stokes", 44, 0.5)), 6),
         (laplace_disk_mode(5, 7), 9),  # odd nx: the origin row
+        (stokes_disk_mode(1, 4), 8),
+        (laplace_disk_mode(0, 3), 7),
     ],
-    ids=["stokes-44", "laplace-odd-nx"],
+    ids=["stokes-44", "laplace-odd-nx", "stokes-1", "laplace-0-odd-nx"],
 )
 def test_husimi_matches_fft_loop_on_the_other_quadrants(mode, nx):
     assert_husimi_matches_loop(mode, default_box(mode.h, 2.6), nx=nx, nxi=29)
@@ -532,6 +534,48 @@ def test_husimi_axes_are_symmetric_through_a_target_tie():
     # linspace(-1.25, 1.25, 27) is off symmetric by 4.4e-16
     assert np.array_equal(hg.x_axis, -hg.x_axis[::-1]) and hg.x_axis[13] == 0.0
     assert np.max(np.abs(hg.x_axis - np.linspace(-1.25, 1.25, 27))) < 1e-15
+
+
+def d4_images(dens):
+    """The density read through each of the 8 symmetries of the square.
+
+    A symmetry g sends the centre x to g x and xi to g xi when it turns,
+    to -g xi when it reflects; on the symmetric axes, a sign flip is a
+    reversal.  An invariant density equals all 8 images.
+    """
+    nx, nxi = dens.shape[0], dens.shape[2]
+    i, j, p, q = np.meshgrid(*(np.arange(n) for n in (nx, nx, nxi, nxi)), indexing="ij")
+    for swap in (False, True):
+        for s1 in (1, -1):
+            for s2 in (1, -1):
+                turn = (-1 if swap else 1) * s1 * s2 > 0
+                x = [j, i] if swap else [i, j]
+                xi = [q, p] if swap else [p, q]
+                x = [c if sg > 0 else nx - 1 - c for c, sg in zip(x, (s1, s2))]
+                xsg = (s1, s2) if turn else (-s1, -s2)
+                xi = [c if sg > 0 else nxi - 1 - c for c, sg in zip(xi, xsg)]
+                yield dens[x[0], x[1], xi[0], xi[1]]
+
+
+@pytest.mark.parametrize(
+    "mode",
+    [laplace_disk_mode(0, 3), stokes_disk_mode(1, 4), stokes_disk_mode(44, 2)],
+    ids=["laplace-0", "stokes-1", "stokes-44"],
+)
+@pytest.mark.parametrize("nx", [10, 9])
+def test_husimi_density_has_the_symmetry_of_the_square(mode, nx):
+    dens = husimi_grid(mode, nx=nx, nxi=13).density
+    images = list(d4_images(dens))
+    assert len(images) == 8
+    for image in images:
+        assert np.max(np.abs(image - dens)) <= 1e-13 * dens.max()
+
+
+def test_husimi_refuses_degenerate_windows():
+    mode = laplace_disk_mode(0, 3)
+    for bad in ({"x_max": 0.0}, {"x_max": math.inf}, {"xi_max": -0.5}, {"xi_max": math.nan}):
+        with pytest.raises(ValueError, match="x_max"):
+            husimi_grid(mode, **bad)
 
 
 def test_husimi_refuses_raw_fields():

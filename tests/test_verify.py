@@ -1,6 +1,9 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bicharlab import billiard, config, modes, quantize, verify
@@ -465,10 +468,115 @@ def test_support_run_flies_few_points(monkeypatch):
     a = config.build_symbol(REFLECT_SYMBOL)
     rep = verify.support_gap([modes.stokes_disk_mode(16, 3)], a, 0.9, nx=28, nxi=29)
     assert rep.rows[0].before > 1e-3
-    x1, x2, s1, s2 = verify._phase_axes(grids[0])
+    x1, x2, s1, s2 = phase_axes(grids[0])
     inside = np.sum(np.hypot(x1, x2) <= 1.0 + 1e-12)
     live = inside * np.sum(np.hypot(s1, s2) > verify.DEAD_SPEED)
     assert 0 < sum(flown) < 0.1 * live
+
+
+def phase_axes(hg):
+    """The 4-D broadcast (x1, x2, xi1, xi2) axes of a Husimi grid."""
+    return (
+        hg.x_axis[:, None, None, None],
+        hg.x_axis[None, :, None, None],
+        hg.xi_axis[None, None, :, None],
+        hg.xi_axis[None, None, None, :],
+    )
+
+
+def husimi_mass_fraction(hg, values_sq):
+    total = hg.mass()
+    if total == 0.0:
+        return 0.0
+    got = float(np.sum(hg.density * values_sq) * hg.cell_volume)
+    return got / total
+
+
+def full_grid_support_masses(hg, a, s):
+    """The interior masses of `support_gap` on the full 4-D grid: the oracle.
+
+    `_survivors` scans the broadcast phase axes, and |a|^2 and the squared
+    pullback are written into full-grid arrays, zero off the survivors,
+    and summed against the whole density.  Returns (idx, points, before,
+    after, unresolved).
+    """
+    shape, idx, pts = verify._survivors(*phase_axes(hg), a.invariant)
+    in_disk = np.hypot(pts[0], pts[1]) <= 1.0
+    base_sq, moved_sq = np.zeros(shape), np.zeros(shape)
+    base_sq[idx] = np.abs(a.eval(*pts)) ** 2 * in_disk
+    tau = verify.TransportedSymbol(a, s)
+    moved_sq[idx] = tau.eval(*pts) ** 2
+    before = husimi_mass_fraction(hg, base_sq)
+    return idx, pts, before, husimi_mass_fraction(hg, moved_sq), tau.unresolved
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_mode(member):
+    family, m, k = member
+    build = modes.stokes_disk_mode if family == "stokes" else modes.laplace_disk_mode
+    return build(m, k)
+
+
+RADIUS_ONLY = {
+    "type": "interior",
+    "xi_bound": 2.0,
+    "factors": [{"var": "radius", "window": [-0.5, -0.3, 0.6, 0.8]}],
+}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    symbol_specs(),
+    st.sampled_from(
+        [("stokes", 16, 3), ("stokes", 1, 3), ("laplace", 0, 3), ("laplace", 5, 2)]
+    ),
+    st.integers(3, 13),
+    st.sampled_from([5, 12, 29]),
+    st.floats(-3.0, 3.0),
+)
+@example(RADIUS_ONLY, ("stokes", 16, 3), 9, 12, 0.7)  # invariant None
+@example(REFLECT_SYMBOL, ("stokes", 16, 3), 28, 29, 0.9)  # `reflect`
+@example(REFLECT_SYMBOL, ("stokes", 16, 3), 13, 29, 12.0)  # many bounces
+def test_property_product_grid_survivors_match_full_grid_oracle(spec, member, nx, nxi, s):
+    a = config.build_symbol(spec)
+    mode = oracle_mode(member)
+    hg = quantize.husimi_grid(mode, nx=nx, nxi=nxi)
+    idx, pts = verify._phase_survivors(hg, a.invariant)
+    want_idx, want_pts, before, after, unresolved = full_grid_support_masses(hg, a, s)
+    for got, want in zip(idx + pts, want_idx + want_pts):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    rep = verify.support_gap([mode], a, s, nx=nx, nxi=nxi)
+    (row,) = rep.rows
+    assert abs(row.before - before) <= 1e-15 * before
+    assert abs(row.after - after) <= 1e-15 * after
+    assert rep.notes["unresolved"] == unresolved
+
+
+def test_support_gap_refuses_degenerate_windows():
+    fam = [modes.stokes_disk_mode(16, 3)]
+    a = config.build_symbol(REFLECT_SYMBOL)
+    # x_max = 0 read before = after = 0 and passed; x_max = inf read NaN
+    for bad in ({"x_max": 0.0}, {"x_max": np.inf}, {"xi_max": -1.0}, {"xi_max": np.nan}):
+        with pytest.raises(ValueError, match="x_max"):
+            verify.support_gap(fam, a, 0.9, **bad)
+    # every window centre so far out that its Gaussian underflows on the
+    # box: the mode has no Husimi mass to take fractions of
+    with pytest.raises(ValueError, match="no Husimi mass"):
+        verify.support_gap(fam, a, 0.9, nx=4, x_max=50.0)
+
+
+def test_support_gap_holds_no_full_phase_grid_temporaries():
+    # the 4-D survivors scan and two full-grid mass arrays peaked at
+    # 27.9 MB here, the product-grid scan at 16.2 MB
+    mode = modes.stokes_disk_mode(44, 10)  # the last `reflect` member
+    a = config.build_symbol(REFLECT_SYMBOL)
+    tracemalloc.start()
+    try:
+        verify.support_gap([mode], a, 0.9, nx=28, nxi=29)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000_000
 
 
 def test_propagation_checks_require_disk_chart():
