@@ -341,10 +341,20 @@ def _check_elliptic(exp, where, chart):
             )
 
 
+def _halving_pairs(ms):
+    """The pairs (m, 2m) of the set ms, in ascending m."""
+    return [(m, 2 * m) for m in sorted(ms) if 2 * m in ms]
+
+
 def _check_parametrix(exp, where, chart):
     band = exp.get("halving_band")
     if band is not None and not 0 < band[0] < band[1]:
         yield f"{where}.halving_band: need 0 < lo < hi"
+    if exp.get("expect_halving"):
+        if 0 not in exp.get("orders", [0, 1]):
+            yield f"{where}.expect_halving: the halving law judges order 0, which orders lacks"
+        if not _halving_pairs(exp["m"]):
+            yield f"{where}.expect_halving: m holds no pair (m, 2m) to judge"
 
 
 def _check_tails(exp, where, chart):
@@ -499,15 +509,11 @@ def _run_parametrix(spec, ctx):
     violations = []
     if spec.get("expect_halving"):
         lo, hi = spec.get("halving_band", [1.4, 2.6])
-        base = table[orders[0]]
-        for m1, m2 in zip(ms, ms[1:]):
-            if m2 != 2 * m1:
-                continue
-            ratio = base[m1] / base[m2]
+        for m1, m2 in _halving_pairs(ms):
+            ratio = table[0][m1] / table[0][m2]
             if not lo <= ratio <= hi:
                 violations.append(
-                    f"order-{orders[0]} ratio {ratio:.3f} at m {m1}->{m2}"
-                    f" outside [{lo}, {hi}]"
+                    f"order-0 ratio {ratio:.3f} at m {m1}->{m2} outside [{lo}, {hi}]"
                 )
         if 0 in table and 1 in table:
             for m in ms:

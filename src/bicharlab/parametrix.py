@@ -9,10 +9,14 @@ collar depth.  The ODE is discretized by backward RK4 steps; each step
 is an affine map of (A, A'), and a suffix scan composes all of them in
 ceil(log2 n) vectorized passes, in blocks that keep the growing
 homogeneous branch finite.  The step-by-step loop stays in the tests
-as the oracle; see `_solve_correction` for the tolerance.  The exact
-harmonic extension on the same depth slices (`collar_poisson`) serves
-as the oracle of the expansion, and a strip-mass diagnostic quantifies
-how thin the layer actually is at a given h.
+as the oracle; see `_solve_correction` for the tolerance.
+
+The expansion is judged against the exact harmonic extension.  Ring mode
+e^{imx'} stays one harmonic under both, so `extension_error`, the
+collar-L2 distance at h = 1/|m|, is a closed-form depth integral; the
+slice-by-slice collar fields stay in the tests as its oracle.  A
+strip-mass diagnostic quantifies how thin the layer actually is at a
+given h.
 
 The round charts supply lam and the first-order coefficient of the
 Laplacian in collar coordinates: on the unit disk lam = |xi'|/(1 - y)
@@ -36,10 +40,7 @@ __all__ = [
     "PolyStep",
     "ParametrixODEError",
     "ParametrixSymbol",
-    "CollarField",
     "build_parametrix",
-    "apply_parametrix",
-    "collar_poisson",
     "extension_error",
     "band_mass",
 ]
@@ -52,7 +53,7 @@ LOG_GROWTH_BLOCK = float(np.log(1e30))
 # default ramp edge and collar depth of the layer symbols
 DELTA0 = 0.25
 EPS0 = 0.3
-# Gauss-Legendre depth slices of every collar field
+# Gauss-Legendre depth slices of the collar integrals
 NUM_Y = 200
 
 
@@ -313,21 +314,27 @@ class ParametrixSymbol:
     chart: object
     step: PolyStep = field(repr=False)
 
-    def a0(self, y, xi, h: float):
-        _require_h(h)
+    def _in_domain(self, y, xi):
+        """y and xi as float arrays; refuses depths off [0, eps0] and non-finite xi."""
         y = np.asarray(y, dtype=float)
-        lam = self.chart.lam_jet(y, np.abs(np.asarray(xi, dtype=float)))[0]
+        xi = np.asarray(xi, dtype=float)
+        if not np.all((y >= 0.0) & (y <= self.eps0)):
+            raise ValueError("depths must lie in [0, eps0]")
+        if not np.isfinite(xi).all():
+            raise ValueError("frequencies must be finite")
+        return y, xi
+
+    def a0(self, y, xi, h: float):
+        """Leading layer exp(-y lam / h) ramp(lam), broadcast over (y, xi)."""
+        _require_h(h)
+        y, xi = self._in_domain(y, xi)
+        lam = self.chart.lam_jet(y, np.abs(xi))[0]
         return np.exp(-y * lam / h) * self.step(lam)
 
     def a1(self, y, xi, h: float):
         """Correction symbol on a (depth, frequency) product grid."""
         _require_h(h)
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        if not (y.min() >= 0.0 and y.max() <= self.eps0):
-            raise ValueError("depths must lie in [0, eps0]")
-        if not np.isfinite(xi).all():
-            raise ValueError("frequencies must be finite")
+        y, xi = (np.atleast_1d(v) for v in self._in_domain(y, xi))
         # lam is monotone in depth on the round charts, so it peaks at an end
         lam_ends = self.chart.lam_jet(np.array([0.0, self.eps0]), np.max(np.abs(xi)))[0]
         lam_top = float(np.max(lam_ends))
@@ -378,109 +385,54 @@ def build_parametrix(
     )
 
 
-@dataclass
-class CollarField:
-    """Field on depth-quadrature slices of the collar, one row per depth."""
-
-    y: np.ndarray
-    weights: np.ndarray
-    theta: np.ndarray
-    values: np.ndarray
-
-    def norm(self) -> float:
-        """L2 over dy dx' (depth times boundary arc)."""
-        per_slice = np.sum(np.abs(self.values) ** 2, axis=1) * (
-            2.0 * np.pi / self.theta.size
-        )
-        return float(np.sqrt(np.dot(self.weights, per_slice)))
-
-
 def _gauss_nodes(a: float, b: float, num: int):
     z, w = np.polynomial.legendre.leggauss(int(num))
     return 0.5 * (b - a) * z + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-def _boundary_modes(q0: np.ndarray):
-    q0 = np.asarray(q0, dtype=complex)
-    if q0.ndim != 1:
-        raise ValueError("boundary data must be a single ring of samples")
-    n = q0.size
-    m = np.fft.fftfreq(n, 1.0 / n).astype(int)
-    return np.fft.fft(q0) / n, m
+def extension_error(sym: ParametrixSymbol, m: int) -> float:
+    """Relative collar-L2 distance to the exact extension of ring mode m != 0, h = 1/|m|.
 
-
-def apply_parametrix(sym: ParametrixSymbol, q0: np.ndarray, h: float) -> CollarField:
-    """Quantize the layer symbol on boundary data, slice by slice.
-
-    The low-frequency cutoff is applied to the data first, so rings with
-    h |m| <= delta0 / 2 contribute exactly nothing; the remaining modes
-    are multiplied by the symbol at xi' = h m on each depth slice.
+    Ring mode e^{imx'} stays one harmonic under the layer symbol and under
+    the harmonic extension, so the distance is a depth integral on NUM_Y
+    Gauss-Legendre slices: the symbol at xi' = h m against the decaying
+    branch (rho(y) / rho(0))^|m| from an outer circle, (rho(0) / rho(y))^|m|
+    from an inner one, both times the ramp at h |m|.
     """
-    _require_h(h)
-    c, m = _boundary_modes(q0)
-    peak = np.abs(c).max()
-    c = c * sym.step(h * np.abs(m))
-    y, w = _gauss_nodes(0.0, sym.eps0, NUM_Y)
-    # rounding dust in the ring FFT would otherwise enlarge the ODE batch
-    live = np.abs(c) > peak * 1e-14 if peak > 0.0 else np.zeros(m.size, bool)
-    vals = np.zeros((y.size, m.size), dtype=complex)
-    if live.any():
-        vals[:, live] = sym.total(y, h * m[live].astype(float), h) * c[live]
-    theta = 2.0 * np.pi * np.arange(m.size) / m.size
-    return CollarField(y, w, theta, np.fft.ifft(vals * m.size, axis=1))
-
-
-def collar_poisson(sym: ParametrixSymbol, q0: np.ndarray, h: float) -> CollarField:
-    """Exact harmonic extension of the cutoff data on the same slices.
-
-    Ring mode m extends by the branch that decays into the collar: r^|m|
-    inward from an outer circle, (rho_in / r)^|m| outward from an inner
-    one.
-    """
-    _require_h(h)
-    c, m = _boundary_modes(q0)
-    c = c * sym.step(h * np.abs(m))
+    if m == 0:
+        raise ValueError("extension_error needs a nonzero ring mode m")
+    if not (np.isfinite(m) and float(m).is_integer()):
+        raise ValueError(f"ring mode m must be an integer, got {m}")
+    h = 1.0 / abs(m)
     y, w = _gauss_nodes(0.0, sym.eps0, NUM_Y)
     rho, rho0 = sym.chart.radius(y), sym.chart.radius(0.0)
     base = rho0 / rho if sym.chart.component == "inner" else rho / rho0
-    prof = base[:, None] ** np.abs(m)[None, :]
-    theta = 2.0 * np.pi * np.arange(m.size) / m.size
-    return CollarField(y, w, theta, np.fft.ifft(prof * c[None, :] * m.size, axis=1))
-
-
-def extension_error(sym: ParametrixSymbol, m: int) -> float:
-    """Relative collar-L2 distance to the exact extension of ring mode m != 0, h = 1/|m|."""
-    if m == 0:
-        raise ValueError("extension_error needs a nonzero ring mode m")
-    h = 1.0 / abs(m)
-    n = 1 << max(6, int(np.ceil(np.log2(2 * abs(m) + 8))))
-    theta = 2.0 * np.pi * np.arange(n) / n
-    q0 = np.exp(1j * m * theta)
-    got = apply_parametrix(sym, q0, h)
-    ref = collar_poisson(sym, q0, h)
-    diff = CollarField(got.y, got.weights, got.theta, got.values - ref.values)
-    return diff.norm() / ref.norm()
+    ramp = sym.step(h * abs(m))
+    ref = ramp * base ** abs(m)
+    got = ramp * sym.total(y, h * m, h)[:, 0]
+    return float(np.sqrt(np.dot(w, np.abs(got - ref) ** 2) / np.dot(w, ref**2)))
 
 
 def band_mass(field: np.ndarray, grid: PolarGrid, y0: float, h: float) -> float:
     """Microlocalized squared mass of a disk field in the band y0 < y < EPS0.
 
     Integrates the squared tangential L2 norm of the high-frequency part
-    (ramp cutoff at lam(y, h m), the default layer cutoff with edge
-    DELTA0) over depth slices interpolated from the polar grid.
+    over depth slices interpolated from the polar grid; ring mode m is cut
+    off by the ramp and lam(y, h m) of the default layer symbol on the disk.
     """
     if not 0.0 <= y0 < EPS0:
         raise ValueError(f"need 0 <= y0 < EPS0 = {EPS0}")
     _require_h(h)
-    step = PolyStep(DELTA0 / 2.0, DELTA0)
+    sym = build_parametrix()
     fhat = grid.to_modes(np.asarray(field, dtype=complex))
     col_mass = np.sum(np.abs(fhat) ** 2, axis=0)
     live = np.flatnonzero(col_mass > col_mass.sum() * 1e-30)
     y, w = _gauss_nodes(y0, EPS0, NUM_Y)
-    r_new = 1.0 - y
+    rho = sym.chart.radius(y)
     total = np.zeros(y.size)
     for j in live:
-        prof = grid.interp_modes_radial(fhat[:, j], int(grid.modes[j]), r_new)
-        lam = h * abs(int(grid.modes[j])) / (1.0 - y)
-        total += np.abs(step(lam) * prof) ** 2
+        m = int(grid.modes[j])
+        prof = grid.interp_modes_radial(fhat[:, j], m, rho)
+        lam = sym.chart.lam_jet(y, h * abs(m))[0]
+        total += np.abs(sym.step(lam) * prof) ** 2
     return float(np.dot(w, 2.0 * np.pi * total))

@@ -468,14 +468,14 @@ def support_gap(
                 )
             # both a and its pullback are 0 off the survivors, the
             # invariant being a factor of a: evaluate both there only.
-            # Count mass over the closed disk only, matching the
-            # transported symbol's zero-outside convention, so the s and
-            # then -s reversibility holds for any input support
+            # The survivors lie in the closed disk, so both masses count
+            # the same centres, matching the transported symbol's
+            # zero-outside convention, and the s and then -s
+            # reversibility holds for any input support
             idx, pts = _phase_survivors(hg, a.invariant)
             dens = hg.density[idx]
-            in_disk = np.hypot(pts[0], pts[1]) <= 1.0
             tau = TransportedSymbol(a, s)
-            base_sq = np.abs(a.eval(*pts)) ** 2 * in_disk
+            base_sq = np.abs(a.eval(*pts)) ** 2
             moved_sq = tau.eval(*pts) ** 2
             unresolved += tau.unresolved
             before = float(np.sum(dens * base_sq) * hg.cell_volume) / total

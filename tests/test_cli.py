@@ -590,6 +590,18 @@ def test_invalid_config_exits_two(tmp_path, capsys):
         ({"experiments": [{"name": "m", "kind": "mode", "family": {
             "family": "laplace", "m": 2.0, "k": 1, "num_r": 40}}]},
          "experiments[0].family.m: 2.0 is not valid under any of the given schemas"),
+        ({"experiments": [dict(tails, radii=[2.0, 0.5])]},
+         "experiments[0].radii: every radius must exceed 1"),
+        ({"experiments": [dict(tails, radii=[3.0, 2.0])]},
+         "experiments[0].radii: must be increasing"),
+        ({"experiments": [{"name": "p", "kind": "parametrix", "m": [12],
+                           "halving_band": [2.6, 1.4]}]},
+         "experiments[0].halving_band: need 0 < lo < hi"),
+        ({"experiments": [{"name": "m", "kind": "mode", "family": {
+            "family": "stokes", "m": 0, "k": 1}}]},
+         "experiments[0].family.m: the velocity family needs m >= 1"),
+        ({"experiments": [dict(classify, expect=["hyperbolic", "elliptic"])]},
+         "experiments[0].expect: must match points, one label per point"),
     ]
     for i, (raw, named) in enumerate(cases):
         cfg = tmp_path / f"bad{i}.json"
@@ -667,6 +679,13 @@ def pairing_config(kind, symbol, **keys):
          "experiments[0].symbol.xip_window: the window is nonzero for xi' in (-3.9, 1.2)"),
         (pairing_config("elliptic", {"type": "tangential", "y_support": 0.3}),
          "experiments[0].symbol.xip_window: elliptic symbols need a window"),
+        # the halving law judged the order-1 errors, or no pair at all
+        ({"experiments": [{"name": "p", "kind": "parametrix", "m": [32, 64], "orders": [1],
+                           "expect_halving": True}]},
+         "experiments[0].expect_halving: the halving law judges order 0, which orders lacks"),
+        ({"experiments": [{"name": "p", "kind": "parametrix", "m": [16, 64],
+                           "expect_halving": True}]},
+         "experiments[0].expect_halving: m holds no pair (m, 2m) to judge"),
     ],
 )
 def test_kind_symbol_and_window_rules_exit_two(raw, named, tmp_path, capsys):
@@ -872,6 +891,35 @@ def test_failing_expectation_exits_one(tmp_path):
     doc = summary_of(tmp_path / "out")
     statuses = {r["name"]: r["status"] for r in doc["experiments"]}
     assert statuses == {"wrong": "fail", "fine": "ok"}
+
+
+LAPLACE_RING = {"family": "laplace", "m": 0, "k": [2]}
+
+
+@pytest.mark.parametrize(
+    "exp, named",
+    [
+        ({"kind": "trace", "start": [0, 0, 1, 0], "time": 1.0, "expect_reflections": 7},
+         "expect_reflections"),
+        ({"kind": "mode", "family": LAPLACE_RING, "tolerances": {"divergence": 1.0}},
+         "divergence: not reported by the laplace family"),
+        ({"kind": "mode", "family": LAPLACE_RING, "tolerances": {"pde": 1e-300}},
+         "pde: worst"),
+        ({"kind": "tails", "family": LAPLACE_RING, "radii": [2.0], "bound": 1e-300}, "bound"),
+        # listed in descending m: only the pair 16 -> 32 (ratio 1.886) is judged
+        ({"kind": "parametrix", "m": [32, 16], "orders": [0], "expect_halving": True,
+          "halving_band": [1.9, 2.6]},
+         "order-0 ratio 1.886 at m 16->32 outside [1.9, 2.6]"),
+    ],
+    ids=["trace-reflections", "mode-unreported-key", "mode-residual", "tails-bound",
+         "parametrix-halving"],
+)
+def test_failing_verdict_exits_one(exp, named, tmp_path):
+    cfg = tmp_path / "f.json"
+    cfg.write_text(json.dumps({"experiments": [dict(exp, name="f")]}))
+    assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    (row,) = summary_of(tmp_path / "out")["experiments"]
+    assert row["status"] == "fail" and named in json.dumps(row["summary"])
 
 
 def test_inconclusive_is_not_a_failure(tmp_path):
@@ -1293,6 +1341,42 @@ def test_reflect_support_values_hold_to_round_off(tmp_path):
 
 def test_bounce_support_values_hold_to_round_off(tmp_path):
     assert_support_rows(tmp_path, "bounce", BOUNCE_SUPPORT_ROWS)
+
+
+# the seed-0 `layer-parametrix` errors by order and m, as the ring-FFT
+# collar fields computed them
+LAYER_PARAMETRIX_ERRORS = {
+    "0": {"32": 0.01799880569785542, "64": 0.009273908668492795, "128": 0.004709232884550979},
+    "1": {"32": 0.00014180828338549543, "64": 3.639636595951752e-05,
+          "128": 9.220470638204705e-06},
+}
+
+
+def test_layer_parametrix_errors_hold_to_round_off(tmp_path):
+    # criterion 8's extension errors through the closed-form depth
+    # integral; the benchmark allows 1e-9
+    cfg = tmp_path / "layer.json"
+    cfg.write_text(json.dumps(benchmark_workloads().build_config("layer", 0)))
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", str(cfg), "--out", str(out),
+                    "--select", "layer-parametrix"]) == 0
+    doc = json.load(open(out / "layer-parametrix.json"))["payload"]
+    assert doc["violations"] == []
+    assert doc["errors"].keys() == LAYER_PARAMETRIX_ERRORS.keys()
+    for order, want in LAYER_PARAMETRIX_ERRORS.items():
+        assert doc["errors"][order].keys() == want.keys()
+        for m, value in want.items():
+            assert abs(doc["errors"][order][m] - value) <= 1e-12 * value, (order, m)
+
+
+def test_parametrix_halving_verdict_ignores_list_order(tmp_path):
+    # listed as orders [1, 0], the order-1 errors were held to the halving law
+    cfg = tmp_path / "p.json"
+    cfg.write_text(json.dumps({"experiments": [
+        {"name": "p", "kind": "parametrix", "m": [32, 64], "orders": [1, 0],
+         "expect_halving": True}]}))
+    assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert json.load(open(tmp_path / "out" / "p.json"))["payload"]["violations"] == []
 
 
 def test_parametrix_subcommand_writes_csv(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Boundary-layer parametrix: oracles, order counting, strip masses."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -7,16 +9,16 @@ from bicharlab.charts import AnnulusChart, DiskChart
 from bicharlab.modes import stokes_disk_mode
 from bicharlab import parametrix
 from bicharlab.parametrix import (
-    CollarField,
+    NUM_Y,
     ParametrixODEError,
+    ParametrixSymbol,
     PolyStep,
-    _boundary_modes,
     _forcing,
+    _gauss_nodes,
+    _require_h,
     _solve_correction,
-    apply_parametrix,
     band_mass,
     build_parametrix,
-    collar_poisson,
     extension_error,
 )
 from bicharlab.polar import PolarGrid
@@ -24,6 +26,85 @@ from bicharlab.polar import PolarGrid
 
 def ring(n):
     return 2.0 * np.pi * np.arange(n) / n
+
+
+# -- the slice-by-slice collar fields: the oracle of `extension_error` -------
+
+
+@dataclass
+class CollarField:
+    """Field on depth-quadrature slices of the collar, one row per depth."""
+
+    y: np.ndarray
+    weights: np.ndarray
+    theta: np.ndarray
+    values: np.ndarray
+
+    def norm(self) -> float:
+        """L2 over dy dx' (depth times boundary arc)."""
+        per_slice = np.sum(np.abs(self.values) ** 2, axis=1) * (
+            2.0 * np.pi / self.theta.size
+        )
+        return float(np.sqrt(np.dot(self.weights, per_slice)))
+
+
+def _boundary_modes(q0: np.ndarray):
+    q0 = np.asarray(q0, dtype=complex)
+    if q0.ndim != 1:
+        raise ValueError("boundary data must be a single ring of samples")
+    n = q0.size
+    m = np.fft.fftfreq(n, 1.0 / n).astype(int)
+    return np.fft.fft(q0) / n, m
+
+
+def apply_parametrix(sym: ParametrixSymbol, q0: np.ndarray, h: float) -> CollarField:
+    """Quantize the layer symbol on boundary data, slice by slice.
+
+    The low-frequency cutoff is applied to the data first, so rings with
+    h |m| <= delta0 / 2 contribute exactly nothing; the remaining modes
+    are multiplied by the symbol at xi' = h m on each depth slice.
+    """
+    _require_h(h)
+    c, m = _boundary_modes(q0)
+    peak = np.abs(c).max()
+    c = c * sym.step(h * np.abs(m))
+    y, w = _gauss_nodes(0.0, sym.eps0, NUM_Y)
+    # rounding dust in the ring FFT would otherwise enlarge the ODE batch
+    live = np.abs(c) > peak * 1e-14 if peak > 0.0 else np.zeros(m.size, bool)
+    vals = np.zeros((y.size, m.size), dtype=complex)
+    if live.any():
+        vals[:, live] = sym.total(y, h * m[live].astype(float), h) * c[live]
+    theta = 2.0 * np.pi * np.arange(m.size) / m.size
+    return CollarField(y, w, theta, np.fft.ifft(vals * m.size, axis=1))
+
+
+def collar_poisson(sym: ParametrixSymbol, q0: np.ndarray, h: float) -> CollarField:
+    """Exact harmonic extension of the cutoff data on the same slices.
+
+    Ring mode m extends by the branch that decays into the collar: r^|m|
+    inward from an outer circle, (rho_in / r)^|m| outward from an inner
+    one.
+    """
+    _require_h(h)
+    c, m = _boundary_modes(q0)
+    c = c * sym.step(h * np.abs(m))
+    y, w = _gauss_nodes(0.0, sym.eps0, NUM_Y)
+    rho, rho0 = sym.chart.radius(y), sym.chart.radius(0.0)
+    base = rho0 / rho if sym.chart.component == "inner" else rho / rho0
+    prof = base[:, None] ** np.abs(m)[None, :]
+    theta = 2.0 * np.pi * np.arange(m.size) / m.size
+    return CollarField(y, w, theta, np.fft.ifft(prof * c[None, :] * m.size, axis=1))
+
+
+def field_extension_error(sym: ParametrixSymbol, m: int) -> float:
+    """`extension_error` through the two collar fields of ring mode m."""
+    h = 1.0 / abs(m)
+    n = 1 << max(6, int(np.ceil(np.log2(2 * abs(m) + 8))))
+    q0 = np.exp(1j * m * ring(n))
+    got = apply_parametrix(sym, q0, h)
+    ref = collar_poisson(sym, q0, h)
+    diff = CollarField(got.y, got.weights, got.theta, got.values - ref.values)
+    return diff.norm() / ref.norm()
 
 
 def poisson_extend(q0, grid):
@@ -366,16 +447,25 @@ SYM1 = build_parametrix(order=1)
         (lambda: SYM1.a1([0.0, np.nan], [1.0], 0.05), "depths"),
         (lambda: SYM1.a1([0.0, 0.1], [np.nan], 0.05), "frequencies"),
         (lambda: SYM1.a1([0.0, 0.1], [1.0, np.inf], 0.05), "frequencies"),
+        # a0 once read exp(-y lam / h) off the collar: 3.0e14 at y = -0.5
+        (lambda: SYM1.a0(-0.5, 1.0, 0.01), "depths"),
+        (lambda: SYM1.a0([0.0, 0.31], [1.0], 0.05), "depths"),
+        (lambda: SYM1.a0([0.0, 0.1], [np.nan], 0.05), "frequencies"),
+        (lambda: SYM1.total([0.0, 1.2], [1.0], 0.05), "depths"),
+        (lambda: SYM1.total([0.0, 0.1], [-np.inf], 0.05), "frequencies"),
         (lambda: band_mass(np.ones((24, 32)), PolarGrid(24, 32), 0.0, 0.0),
          "h must be finite and positive"),
         (lambda: extension_error(SYM1, 0), "nonzero ring mode"),
+        (lambda: extension_error(SYM1, 32.5), "must be an integer"),
+        (lambda: extension_error(SYM1, np.nan), "must be an integer"),
         (lambda: apply_parametrix(SYM1, np.exp(16j * ring(64)), -1.0 / 16),
          "h must be finite and positive"),
         (lambda: collar_poisson(SYM1, np.exp(16j * ring(64)), 0.0), "h must be finite and positive"),
     ],
     ids=["a1-negative-h", "a1-zero-h", "a1-nan-h", "a1-inf-h", "a0-negative-h",
-         "a1-nan-depth", "a1-nan-xi", "a1-inf-xi", "band-mass-zero-h", "m-zero",
-         "apply-negative-h", "poisson-zero-h"],
+         "a1-nan-depth", "a1-nan-xi", "a1-inf-xi", "a0-negative-depth", "a0-deep",
+         "a0-nan-xi", "total-deep", "total-inf-xi", "band-mass-zero-h", "m-zero",
+         "m-half-integer", "m-nan", "apply-negative-h", "poisson-zero-h"],
 )
 def test_layer_kernels_refuse_bad_input(call, match):
     with pytest.raises(ValueError, match=match):
@@ -416,6 +506,20 @@ def test_ode_failure_names_frequency():
 
 
 # -- quantized extension vs the exact one ------------------------------------
+
+
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize(
+    "chart",
+    [DiskChart(), AnnulusChart(0.5), AnnulusChart(0.5, "inner"), AnnulusChart(0.3, "inner")],
+    ids=["disk", "annulus-0.5-outer", "annulus-0.5-inner", "annulus-0.3-inner"],
+)
+def test_closed_form_extension_error_matches_field_oracle(chart, order):
+    # one ring harmonic: the depth integral against the two ring-FFT fields
+    sym = build_parametrix(chart=chart, order=order)
+    for m in (8, 32, -40, 64, 128):
+        want = field_extension_error(sym, m)
+        assert abs(extension_error(sym, m) - want) <= 1e-12 * want, m
 
 
 def test_extension_error_leading_order():
@@ -495,6 +599,25 @@ def test_band_mass_against_closed_form():
     got = band_mass(field, grid, 0.0, h)
     want = 2.0 * np.pi * (1.0 - 0.7 ** (2 * m + 1)) / (2 * m + 1)
     assert abs(got - want) < 1e-9 * want
+
+
+def test_band_mass_reads_the_default_layer_ramp():
+    # the ramp PolyStep(DELTA0 / 2, DELTA0) and lam = h |m| / (1 - y), spelt
+    # out as band_mass once did, give the same bits on criterion 9's inputs
+    md = stokes_disk_mode(32, 1)
+    st = PolyStep(0.125, 0.25)
+    fhat = md.grid.to_modes(np.asarray(md.pressure, dtype=complex))
+    col_mass = np.sum(np.abs(fhat) ** 2, axis=0)
+    live = np.flatnonzero(col_mass > col_mass.sum() * 1e-30)
+    for y0 in (0.02, 0.1):
+        y, w = _gauss_nodes(y0, 0.3, NUM_Y)
+        total = np.zeros(y.size)
+        for j in live:
+            m = int(md.grid.modes[j])
+            prof = md.grid.interp_modes_radial(fhat[:, j], m, 1.0 - y)
+            total += np.abs(st(md.h * abs(m) / (1.0 - y)) * prof) ** 2
+        want = float(np.dot(w, 2.0 * np.pi * total))
+        assert band_mass(md.pressure, md.grid, y0, md.h) == want
 
 
 def test_band_mass_pressure_layer():

@@ -501,9 +501,8 @@ def full_grid_support_masses(hg, a, s):
     after, unresolved).
     """
     shape, idx, pts = verify._survivors(*phase_axes(hg), a.invariant)
-    in_disk = np.hypot(pts[0], pts[1]) <= 1.0
     base_sq, moved_sq = np.zeros(shape), np.zeros(shape)
-    base_sq[idx] = np.abs(a.eval(*pts)) ** 2 * in_disk
+    base_sq[idx] = np.abs(a.eval(*pts)) ** 2
     tau = verify.TransportedSymbol(a, s)
     moved_sq[idx] = tau.eval(*pts) ** 2
     before = husimi_mass_fraction(hg, base_sq)
@@ -671,6 +670,16 @@ def test_support_gap_reverse_transport_recovers_mass():
     assert round_trip.xi_bound == a.xi_bound
     rep2 = verify.support_gap(fam, round_trip, 0.0)
     assert abs(rep2.rows[0].before - rep1.rows[0].before) < 1e-10
+
+
+def test_support_gap_counts_both_masses_on_the_same_centres():
+    # the centres at |x| = 1 + 5e-13 survive the closed-disk tolerance 1e-12;
+    # masked to |x| <= 1 before transport only, they read before = 0.0 and
+    # after = 0.00547 under a zero-time flow
+    a = config.build_symbol(REFLECT_SYMBOL)
+    rep = verify.support_gap([modes.stokes_disk_mode(16, 3)], a, 0.0, nx=3, x_max=1.0 + 5e-13)
+    (row,) = rep.rows
+    assert row.before > 0.005 and row.gap == 0.0
 
 
 def test_support_gap_zero_symbol_trivial():
