@@ -27,7 +27,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -78,8 +78,7 @@ class PhasePoint:
         return PhasePoint(self.y, self.xp, -self.eta, -self.xip)
 
 
-@dataclass(frozen=True)
-class RJet:
+class RJet(NamedTuple):
     """Value and first derivatives of r at a phase point."""
 
     r: float
@@ -99,6 +98,13 @@ class CollarChart:
 
     def _jet_any_y(self, y: float, xp: float, xip: float) -> RJet:
         raise NotImplementedError
+
+    def _jet_values(self, y: float, xp: float, xip: float) -> tuple:
+        """(r, dr_dy, dr_dxp, dr_dxip) as the tracer's Hamilton fields unpack it.
+
+        A chart may return a plain tuple here and skip building an RJet.
+        """
+        return self._jet_any_y(y, xp, xip)
 
     def r0(self, xp: float, xip: float) -> float:
         return self._jet_any_y(0.0, xp, xip).r
@@ -155,15 +161,18 @@ class _RoundChart(CollarChart):
         """rho(y), the radius of the circle at depth y."""
         return self._edge + self._dir * y
 
-    def _jet_any_y(self, y, xp, xip):
+    def _jet_values(self, y, xp, xip):
         # rho(y) inline: the tracer calls this on every field evaluation
         rho = self._edge + self._dir * y
-        return RJet(
-            r=1.0 - xip**2 / rho**2,
-            dr_dy=self._dir * 2.0 * xip**2 / rho**3,
-            dr_dxp=0.0,
-            dr_dxip=-2.0 * xip / rho**2,
+        return (
+            1.0 - xip**2 / rho**2,
+            self._dir * 2.0 * xip**2 / rho**3,
+            0.0,
+            -2.0 * xip / rho**2,
         )
+
+    def _jet_any_y(self, y, xp, xip):
+        return RJet(*self._jet_values(y, xp, xip))
 
     def _bracket(self, j, xp, xip):
         # r0 and r1 depend on xi' alone, so the bracket vanishes identically

@@ -8,15 +8,19 @@ dispatched: transversal contacts reflect, tangential contacts with the
 boundary curving toward the domain pass straight through, the remaining
 glancing contacts start a glide that releases where the curvature condition
 changes sign.  Unresolvable contacts abort the trace rather than guess.
+Motion is at unit energy: the collar field and the reflection hold the
+shell |xi| = 1, and an ambient start off it is refused.
 
 The collar field and the gliding field are integrated by one Dormand-Prince
 5(4) stepper with its 4th-order continuous extension (Dormand & Prince 1980;
 step control and dense output as in Hairer, Norsett & Wanner, Solving ODEs I,
-II.4-II.6), a port of scipy's RK45 on plain floats.  Its dense output is the
+II.4-II.6), a port of scipy's RK45 on plain floats, written out for the
+4-component collar state (y, x', eta, xi').  Its dense output is the
 ray between events; the boundary contact, the turning point, the band exit
 and the glide release are events located on it, and they and the sub-step
 dip crossing come from one Brent solver (scipy's brentq, ported).  The tests
-hold both to scipy's solve_ivp and brentq as oracles.
+hold both to scipy's solve_ivp and brentq as oracles, and the written-out
+step to a loop over the tableau, bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import math
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import mul
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -47,6 +50,9 @@ __all__ = [
 RTOL = 1e-11
 ATOL = 1e-13
 MAX_STEP_COLLAR = 0.01
+# an ambient start needs ||xi| - 1| <= SHELL_TOL: the collar field and the
+# reflection eta -> +sqrt(r0) hold the unit energy shell
+SHELL_TOL = 1e-9
 # heights within this of the boundary count as on it
 GRAZE_TOL = 1e-9
 # time step of the restart nudge off an event root
@@ -55,44 +61,6 @@ KICK = 1e-9
 # exceed this is aborted
 MAX_EVENTS = 10_000
 
-# Dormand-Prince 5(4) tableau, error weights and dense-output matrix, as in
-# scipy's RK45; the collar field is autonomous, so the nodes c_i go unused
-_DP_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-)
-_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_DP_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
-# columns of scipy's P: coefficient k of the dense polynomial over the 7 stages
-_DP_P = tuple(
-    zip(
-        (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
-        (0.0, 0.0, 0.0, 0.0),
-        (
-            0.0,
-            131558114200 / 32700410799,
-            -68118460800 / 10900136933,
-            87487479700 / 32700410799,
-        ),
-        (
-            0.0,
-            -1754552775 / 470086768,
-            14199869525 / 1410260304,
-            -10690763975 / 1880347072,
-        ),
-        (
-            0.0,
-            127303824393 / 49829197408,
-            -318862633887 / 49829197408,
-            701980252875 / 199316789632,
-        ),
-        (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
-        (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
-    )
-)
 # step-size control: safety factor, step change bounds, error exponent -1/(4+1)
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -177,24 +145,105 @@ def _initial_step(f, y0, f0, interval):
 
 
 def _dp_step(f, y, fy, h):
-    """One Dormand-Prince step of size h: (y_new, stages K0..K6)."""
-    K = [fy]
-    for a in _DP_A:
-        K.append(f([yi + h * sum(map(mul, a, ks)) for yi, ks in zip(y, zip(*K))]))
-    y_new = [yi + h * sum(map(mul, _DP_B, ks)) for yi, ks in zip(y, zip(*K))]
-    K.append(f(y_new))
-    return y_new, K
+    """One Dormand-Prince step of size h: (y_new, stages K0..K6, error norm).
+
+    The state is the 4-component collar state (y, x', eta, xi'), and fy =
+    f(y) is K0.  The error norm is the RMS of the embedded error estimate
+    over ATOL + RTOL max(|y|, |y_new|), as scipy's RK45 scales it.  The
+    tableau of scipy's RK45 is written out: each sum over a tableau row runs
+    left to right from 0.0, where Python's sum starts (0 + -0.0 reads
+    +0.0), and skips the zero weights of K1, which with finite stages add a
+    signed zero to a sum started from 0.0 and so change nothing.  A negative
+    weight's term is subtracted, which rounds as adding it.  The error sums
+    start at their first term, as they are squared.  The nodes c_i go
+    unused, as the collar field is autonomous.
+    """
+    y0, y1, y2, y3 = y
+    k00, k01, k02, k03 = k0 = fy
+    k10, k11, k12, k13 = k1 = f((
+        y0 + h * (0.0 + 1 / 5 * k00),
+        y1 + h * (0.0 + 1 / 5 * k01),
+        y2 + h * (0.0 + 1 / 5 * k02),
+        y3 + h * (0.0 + 1 / 5 * k03),
+    ))
+    k20, k21, k22, k23 = k2 = f((
+        y0 + h * (0.0 + 3 / 40 * k00 + 9 / 40 * k10),
+        y1 + h * (0.0 + 3 / 40 * k01 + 9 / 40 * k11),
+        y2 + h * (0.0 + 3 / 40 * k02 + 9 / 40 * k12),
+        y3 + h * (0.0 + 3 / 40 * k03 + 9 / 40 * k13),
+    ))
+    k30, k31, k32, k33 = k3 = f((
+        y0 + h * (0.0 + 44 / 45 * k00 - 56 / 15 * k10 + 32 / 9 * k20),
+        y1 + h * (0.0 + 44 / 45 * k01 - 56 / 15 * k11 + 32 / 9 * k21),
+        y2 + h * (0.0 + 44 / 45 * k02 - 56 / 15 * k12 + 32 / 9 * k22),
+        y3 + h * (0.0 + 44 / 45 * k03 - 56 / 15 * k13 + 32 / 9 * k23),
+    ))
+    k40, k41, k42, k43 = k4 = f((
+        y0 + h * (0.0 + 19372 / 6561 * k00 - 25360 / 2187 * k10
+                  + 64448 / 6561 * k20 - 212 / 729 * k30),
+        y1 + h * (0.0 + 19372 / 6561 * k01 - 25360 / 2187 * k11
+                  + 64448 / 6561 * k21 - 212 / 729 * k31),
+        y2 + h * (0.0 + 19372 / 6561 * k02 - 25360 / 2187 * k12
+                  + 64448 / 6561 * k22 - 212 / 729 * k32),
+        y3 + h * (0.0 + 19372 / 6561 * k03 - 25360 / 2187 * k13
+                  + 64448 / 6561 * k23 - 212 / 729 * k33),
+    ))
+    k50, k51, k52, k53 = k5 = f((
+        y0 + h * (0.0 + 9017 / 3168 * k00 - 355 / 33 * k10 + 46732 / 5247 * k20
+                  + 49 / 176 * k30 - 5103 / 18656 * k40),
+        y1 + h * (0.0 + 9017 / 3168 * k01 - 355 / 33 * k11 + 46732 / 5247 * k21
+                  + 49 / 176 * k31 - 5103 / 18656 * k41),
+        y2 + h * (0.0 + 9017 / 3168 * k02 - 355 / 33 * k12 + 46732 / 5247 * k22
+                  + 49 / 176 * k32 - 5103 / 18656 * k42),
+        y3 + h * (0.0 + 9017 / 3168 * k03 - 355 / 33 * k13 + 46732 / 5247 * k23
+                  + 49 / 176 * k33 - 5103 / 18656 * k43),
+    ))
+    n0, n1, n2, n3 = y_new = (
+        y0 + h * (0.0 + 35 / 384 * k00 + 500 / 1113 * k20 + 125 / 192 * k30
+                  - 2187 / 6784 * k40 + 11 / 84 * k50),
+        y1 + h * (0.0 + 35 / 384 * k01 + 500 / 1113 * k21 + 125 / 192 * k31
+                  - 2187 / 6784 * k41 + 11 / 84 * k51),
+        y2 + h * (0.0 + 35 / 384 * k02 + 500 / 1113 * k22 + 125 / 192 * k32
+                  - 2187 / 6784 * k42 + 11 / 84 * k52),
+        y3 + h * (0.0 + 35 / 384 * k03 + 500 / 1113 * k23 + 125 / 192 * k33
+                  - 2187 / 6784 * k43 + 11 / 84 * k53),
+    )
+    k60, k61, k62, k63 = k6 = f(y_new)
+    # error estimate over its scale, component by component
+    e0 = h * (-71 / 57600 * k00 + 71 / 16695 * k20 - 71 / 1920 * k30 + 17253 / 339200 * k40
+              - 22 / 525 * k50 + 1 / 40 * k60) / (ATOL + max(abs(y0), abs(n0)) * RTOL)
+    e1 = h * (-71 / 57600 * k01 + 71 / 16695 * k21 - 71 / 1920 * k31 + 17253 / 339200 * k41
+              - 22 / 525 * k51 + 1 / 40 * k61) / (ATOL + max(abs(y1), abs(n1)) * RTOL)
+    e2 = h * (-71 / 57600 * k02 + 71 / 16695 * k22 - 71 / 1920 * k32 + 17253 / 339200 * k42
+              - 22 / 525 * k52 + 1 / 40 * k62) / (ATOL + max(abs(y2), abs(n2)) * RTOL)
+    e3 = h * (-71 / 57600 * k03 + 71 / 16695 * k23 - 71 / 1920 * k33 + 17253 / 339200 * k43
+              - 22 / 525 * k53 + 1 / 40 * k63) / (ATOL + max(abs(y3), abs(n3)) * RTOL)
+    error_norm = math.sqrt(e0**2 + e1**2 + e2**2 + e3**2) / 2.0
+    return y_new, (k0, k1, k2, k3, k4, k5, k6), error_norm
 
 
 def _dense(step, t, i):
-    """Component i of one step's quartic continuous extension at time t."""
-    t_old, h, y_old, K = step
+    """Component i of one step's quartic continuous extension at time t.
+
+    The quartic's coefficients are scipy's RK45 dense-output matrix P times
+    the stages, summed as _dp_step sums a tableau row, without the zero
+    entries of K1 and of the first column.
+    """
+    t_old, h, y_old, (k0, _, k2, k3, k4, k5, k6) = step
+    k0, k2, k3, k4, k5, k6 = k0[i], k2[i], k3[i], k4[i], k5[i], k6[i]
+    q1 = (0.0 - 8048581381 / 2820520608 * k0 + 131558114200 / 32700410799 * k2
+          - 1754552775 / 470086768 * k3 + 127303824393 / 49829197408 * k4
+          - 282668133 / 205662961 * k5 + 40617522 / 29380423 * k6)
+    q2 = (0.0 + 8663915743 / 2820520608 * k0 - 68118460800 / 10900136933 * k2
+          + 14199869525 / 1410260304 * k3 - 318862633887 / 49829197408 * k4
+          + 2019193451 / 616988883 * k5 - 110615467 / 29380423 * k6)
+    q3 = (0.0 - 12715105075 / 11282082432 * k0 + 87487479700 / 32700410799 * k2
+          - 10690763975 / 1880347072 * k3 + 701980252875 / 199316789632 * k4
+          - 1453857185 / 822651844 * k5 + 69997945 / 29380423 * k6)
     x = (t - t_old) / h
-    ks = [k[i] for k in K]
-    q0, q1, q2, q3 = (sum(map(mul, ks, col)) for col in _DP_P)
     x2 = x * x
     x3 = x2 * x
-    return y_old[i] + h * (q0 * x + q1 * x2 + q2 * x3 + q3 * (x3 * x))
+    return y_old[i] + h * ((0.0 + k0) * x + q1 * x2 + q2 * x3 + q3 * (x3 * x))
 
 
 class _CollarPath:
@@ -246,10 +295,7 @@ def _solve_collar(f, t, y, t_bound, events):
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = abs(h)
-            y_new, K = _dp_step(f, y, fy, h)
-            err = [h * sum(map(mul, _DP_E, ks)) for ks in zip(*K)]
-            scale = [ATOL + max(abs(a), abs(b)) * RTOL for a, b in zip(y, y_new)]
-            error_norm = _rms_scaled(err, scale)
+            y_new, K, error_norm = _dp_step(f, y, fy, h)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = _MAX_FACTOR
@@ -416,9 +462,11 @@ def reflect_hyperbolic(chart: CollarChart, point: PhasePoint) -> PhasePoint:
 def _collar_field(chart: CollarChart):
     """Hamilton field of the collar symbol on (y, x', eta, xi')."""
 
+    jet = chart._jet_values
+
     def f(u):
-        jet = chart._jet_any_y(u[0], u[1], u[3])
-        return (2.0 * u[2], -jet.dr_dxip, jet.dr_dy, jet.dr_dxp)
+        _, dr_dy, dr_dxp, dr_dxip = jet(u[0], u[1], u[3])
+        return (2.0 * u[2], -dr_dxip, dr_dy, dr_dxp)
 
     return f
 
@@ -426,9 +474,11 @@ def _collar_field(chart: CollarChart):
 def _glide_field(chart: CollarChart):
     """Hamilton field of r0 on the boundary, in the collar state (0, x', 0, xi')."""
 
+    jet = chart._jet_values
+
     def f(u):
-        jet = chart._jet_any_y(0.0, u[1], u[3])
-        return (0.0, -jet.dr_dxip, 0.0, jet.dr_dxp)
+        _, _, dr_dxp, dr_dxip = jet(0.0, u[1], u[3])
+        return (0.0, -dr_dxip, 0.0, dr_dxp)
 
     return f
 
@@ -721,8 +771,10 @@ def check_start(chart: CollarChart, start: Union[PhasePoint, tuple]) -> None:
 
     A collar-frame PhasePoint needs y >= 0 on every chart and, on a chart
     with an embedding, a state that maps into the domain; an ambient
-    (x, xi) pair needs an embeddable chart and x in its domain.  Both hold
-    the boundary up to 1e-12, as billiard.propagate does.
+    (x, xi) pair needs an embeddable chart, x in its domain and |xi| = 1
+    within SHELL_TOL.  Both hold the boundary up to 1e-12, as
+    billiard.propagate does.  A collar-frame start off the shell
+    eta^2 = r is taken as given.
     """
     embeddable = hasattr(chart, "to_cartesian")
     if isinstance(start, PhasePoint):
@@ -745,6 +797,13 @@ def check_start(chart: CollarChart, start: Union[PhasePoint, tuple]) -> None:
     elif not chart.contains(start[0]):
         x = start[0]
         raise ValueError(f"x = ({x[0]}, {x[1]}) lies outside the closed {chart.kind} domain")
+    else:
+        speed = math.hypot(*start[1])
+        if not abs(speed - 1.0) <= SHELL_TOL:
+            raise ValueError(
+                f"|xi| = {speed} lies off the unit energy shell |xi| = 1 (tolerance"
+                f" {SHELL_TOL:g}), which the collar field and the reflections assume"
+            )
 
 
 def trace(chart: CollarChart, start: Union[PhasePoint, tuple], t_total: float) -> GeneralizedRay:

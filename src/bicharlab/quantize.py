@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -112,6 +112,28 @@ def default_box(h: float, xi_bound: float) -> BoxGrid:
     return BoxGrid(n)
 
 
+class _Fiber(NamedTuple):
+    """speed(|xi|) momentum(x wedge xi), the fiber factor of an InteriorSymbol.
+
+    Either factor may be None, which means 1.  Calling it evaluates the
+    product, which is the symbol's `invariant`.
+    """
+
+    speed: Optional[Callable]
+    momentum: Optional[Callable]
+
+    def times(self, out, x1, x2, xi1, xi2):
+        # spatial * speed, then * momentum: one multiply order for all callers
+        if self.speed is not None:
+            out = out * self.speed(np.hypot(xi1, xi2))
+        if self.momentum is not None:
+            out = out * self.momentum(x1 * xi2 - x2 * xi1)
+        return out
+
+    def __call__(self, x1, x2, xi1, xi2):
+        return self.times(1.0, x1, x2, xi1, xi2)
+
+
 class InteriorSymbol:
     """Interior symbol a(x, xi) = spatial(x) speed(|xi|) momentum(x wedge xi).
 
@@ -148,22 +170,14 @@ class InteriorSymbol:
         if self.xi_bound < 0:
             raise ValueError("xi_bound must be nonnegative")
 
-    def _times_fiber(self, out, x1, x2, xi1, xi2):
-        # spatial * speed, then * momentum: one multiply order for all callers
-        if self.speed is not None:
-            out = out * self.speed(np.hypot(xi1, xi2))
-        if self.momentum is not None:
-            out = out * self.momentum(x1 * xi2 - x2 * xi1)
-        return out
-
     def eval(self, x1, x2, xi1, xi2) -> np.ndarray:
-        return self._times_fiber(self.spatial(x1, x2), x1, x2, xi1, xi2)
+        return _Fiber(self.speed, self.momentum).times(self.spatial(x1, x2), x1, x2, xi1, xi2)
 
     @property
-    def invariant(self) -> Optional[Callable]:
+    def invariant(self) -> Optional[_Fiber]:
         if self.speed is None and self.momentum is None:
             return None
-        return lambda x1, x2, xi1, xi2: self._times_fiber(1.0, x1, x2, xi1, xi2)
+        return _Fiber(self.speed, self.momentum)
 
     def support_radius(self, grid: BoxGrid) -> float:
         env = np.abs(np.broadcast_to(self.spatial(grid.X1, grid.X2), (grid.n, grid.n)))

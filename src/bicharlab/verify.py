@@ -373,10 +373,13 @@ def _phase_survivors(hg, invariant):
     """The survivors of a Husimi phase grid, as `_survivors` finds them.
 
     The window centres inside the closed disk are gathered once and the
-    invariant (if not None) is evaluated on them times the flattened xi
-    grid, (N_x, 1) by (1, N_xi), not on the full 4-D grid.  `np.nonzero`
-    in C order then yields the points of the 4-D scan, in its order and
-    bit for bit.  Returns (idx, points): `idx` indexes `hg.density`.
+    invariant (an InteriorSymbol's, or None) is read on them times the
+    flattened xi grid, (N_x, 1) by (1, N_xi), not on the full 4-D grid:
+    its speed factor once per xi point, and its momentum factor only where
+    the speed is nonzero.  A zero speed times a finite momentum is 0, so
+    the mask is the product's.  `np.nonzero` in C order then yields the
+    points of the 4-D scan, in its order and bit for bit.  Returns (idx,
+    points): `idx` indexes `hg.density`.
     """
     n_xi = len(hg.xi_axis)
     ci, cj = np.nonzero(np.hypot(hg.x_axis[:, None], hg.x_axis[None, :]) <= 1.0 + 1e-12)
@@ -385,7 +388,14 @@ def _phase_survivors(hg, invariant):
     s1, s2 = hg.xi_axis[p], hg.xi_axis[q]
     keep = True
     if invariant is not None:
-        keep = invariant(x1[:, None], x2[:, None], s1[None, :], s2[None, :]) != 0
+        speed = 1.0 if invariant.speed is None else invariant.speed(np.hypot(s1, s2))
+        speed = np.broadcast_to(speed, p.shape)
+        keep = speed != 0
+        if invariant.momentum is not None:
+            live = np.flatnonzero(keep)
+            wedge = x1[:, None] * s2[live] - x2[:, None] * s1[live]
+            keep = np.zeros((len(ci), len(p)), dtype=bool)
+            keep[:, live] = speed[live] * invariant.momentum(wedge) != 0
     r, c = np.nonzero(np.broadcast_to(keep, (len(ci), len(p))))
     return (ci[r], cj[r], p[c], q[c]), (x1[r], x2[r], s1[c], s2[c])
 

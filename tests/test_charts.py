@@ -498,8 +498,7 @@ def test_round_charts_match_their_two_class_form(pair, depth, xp, eta, xip, dept
     y = depth * span
     ys = np.array(depths) * span
     assert new.kind == old.kind and new.collar_width == old.collar_width
-    for got, want in zip(vars(new._jet_any_y(y, xp, xip)).values(),
-                         vars(old._jet_any_y(y, xp, xip)).values()):
+    for got, want in zip(new._jet_any_y(y, xp, xip), old._jet_any_y(y, xp, xip), strict=True):
         assert same_bits(got, want)
     for j in (0, 1, 2):
         assert same_bits(new.iterated_bracket(j, xp, xip), old.iterated_bracket(j, xp, xip))

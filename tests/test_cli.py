@@ -602,6 +602,12 @@ def test_invalid_config_exits_two(tmp_path, capsys):
          "experiments[0].family.m: the velocity family needs m >= 1"),
         ({"experiments": [dict(classify, expect=["hyperbolic", "elliptic"])]},
          "experiments[0].expect: must match points, one label per point"),
+        # ambient starts off the unit shell were traced as if |xi| = 1
+        *(
+            ({"experiments": [dict(trace, start=[0.1, 0, *xi], time=3.0)]},
+             f"experiments[0].start: |xi| = {speed} lies off the unit energy shell")
+            for xi, speed in (([1.2, 1.6], 2.0), ([0.3, 0.4], 0.5), ([0, 0], 0.0))
+        ),
     ]
     for i, (raw, named) in enumerate(cases):
         cfg = tmp_path / f"bad{i}.json"
@@ -807,6 +813,13 @@ PROBE_REFUSALS = [
      probe_config("trace", **dict(ORIGIN_RAY, start=[2.0, 0.0, 1.0, 0.0]))),
     (["trace", "--chart", "annulus:0.5", "--start", "0.2,0,1,0", "--time", "1"], "--start",
      probe_config("trace", "annulus:0.5", **dict(ORIGIN_RAY, start=[0.2, 0.0, 1.0, 0.0]))),
+    # ambient starts off the unit shell |xi| = 1
+    (["trace", "--start", "0.1,0,1.2,1.6", "--time", "3"], "--start",
+     probe_config("trace", start=[0.1, 0.0, 1.2, 1.6], time=3.0)),
+    (["trace", "--start", "0.1,0,0.3,0.4", "--time", "3"], "--start",
+     probe_config("trace", start=[0.1, 0.0, 0.3, 0.4], time=3.0)),
+    (["trace", "--start", "0.1,0,0,0", "--time", "3"], "--start",
+     probe_config("trace", start=[0.1, 0.0, 0.0, 0.0], time=3.0)),
 ]
 
 

@@ -1,11 +1,15 @@
+import importlib.util
+import math
 import os
+import struct
 import subprocess
 import sys
+from operator import mul
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
@@ -375,7 +379,9 @@ from hypothesis import given, settings, strategies as st
 from bicharlab.charts import DiskChart, ModelChart, PhasePoint
 from bicharlab.flow import trace
 
-ray = trace(DiskChart(), ([0.9, 0], [0, 0]), 1.0)
+# a zero covector at x = (0.9, 0); the ambient start is off the unit
+# shell and refused, so the collar-frame state it was placed at
+ray = trace(DiskChart(), PhasePoint(0.1, 0, 0, 0), 1.0)
 assert (ray.status, ray.t_final) == ("completed", 1.0), ray.status
 ray = trace(ModelChart([(0, 0, 0, 1.0), (0, 2, 0, -1.0)]), PhasePoint(0.5, 0, 0, 0.5), 1.0)
 assert ray.status == "completed", ray.status
@@ -410,12 +416,33 @@ def test_every_trace_terminates(tmp_path):
     )
     assert probe.returncode == 0, probe.stderr
     assert probe.stdout == "ok\n"
+    # the CLI takes ambient starts only, and refuses this one at once
     cli = subprocess.run(
         [sys.executable, "-m", "bicharlab.cli", "trace", "--start", "0.9,0,0,0", "--time", "1"],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
     )
-    assert cli.returncode == 0, cli.stderr
-    assert cli.stdout.startswith("status completed, 0 reflection(s), t_final 1\n")
+    assert cli.returncode == 2, cli.stderr
+    assert "|xi| = 0.0 lies off the unit energy shell" in cli.stderr
+
+
+@pytest.mark.parametrize("xi, speed", [((1.2, 1.6), "2.0"), ((0.3, 0.4), "0.5"), ((0, 0), "0.0")])
+def test_trace_refuses_an_ambient_start_off_the_unit_shell(xi, speed):
+    # the collar field and the reflection eta -> +sqrt(r0) hold |xi| = 1,
+    # so |xi| = 2 gave 3 reflections where the chord map gives 6
+    for t in (3.0, -3.0):
+        with pytest.raises(ValueError, match=rf"\|xi\| = {speed} lies off the unit energy shell"):
+            trace(DISK, (np.array([0.1, 0.0]), np.array(xi, dtype=float)), t)
+    assert trace(DISK, (np.array([0.1, 0.0]), unit(0.7)), 0.5).status == "completed"
+
+
+def test_unit_shell_tolerance():
+    for angle in np.linspace(-np.pi, np.pi, 1001):
+        flow.check_start(DISK, (np.zeros(2), unit(angle)))
+    flow.check_start(DISK, (np.zeros(2), np.array([1.0 + 0.5 * flow.SHELL_TOL, 0.0])))
+    flow.check_start(DISK, (np.zeros(2), np.array([0.0, -1.0 + 0.5 * flow.SHELL_TOL])))
+    for off in (2.0, -2.0):
+        with pytest.raises(ValueError, match="off the unit energy shell"):
+            flow.check_start(DISK, (np.zeros(2), np.array([1.0 + off * flow.SHELL_TOL, 0.0])))
 
 
 def test_trace_refuses_bad_input():
@@ -446,3 +473,170 @@ def test_trace_refuses_bad_input():
     # the closed domain holds its rim up to 1e-12, as billiard.propagate does
     assert trace(DISK, (np.array([1.0 + 5e-13, 0.0]), unit(np.pi)), 0.5).status == "completed"
     assert trace(DISK, PhasePoint(-5e-13, 0.0, 0.5, 0.5), 0.5).status == "completed"
+
+
+# ---------------------------------------------------------------------------
+# the straight-line stepper against the generic one it replaced
+
+# Dormand-Prince 5(4) tableau, error weights and dense-output matrix, as in
+# scipy's RK45; the collar field is autonomous, so the nodes c_i go unused
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_DP_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+# columns of scipy's P: coefficient k of the dense polynomial over the 7 stages
+_DP_P = tuple(
+    zip(
+        (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+        (0.0, 0.0, 0.0, 0.0),
+        (
+            0.0,
+            131558114200 / 32700410799,
+            -68118460800 / 10900136933,
+            87487479700 / 32700410799,
+        ),
+        (
+            0.0,
+            -1754552775 / 470086768,
+            14199869525 / 1410260304,
+            -10690763975 / 1880347072,
+        ),
+        (
+            0.0,
+            127303824393 / 49829197408,
+            -318862633887 / 49829197408,
+            701980252875 / 199316789632,
+        ),
+        (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+        (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+    )
+)
+
+
+def _dp_step(f, y, fy, h):
+    """One Dormand-Prince step of size h: (y_new, stages K0..K6)."""
+    K = [fy]
+    for a in _DP_A:
+        K.append(f([yi + h * sum(map(mul, a, ks)) for yi, ks in zip(y, zip(*K))]))
+    y_new = [yi + h * sum(map(mul, _DP_B, ks)) for yi, ks in zip(y, zip(*K))]
+    K.append(f(y_new))
+    return y_new, K
+
+
+def _dense(step, t, i):
+    """Component i of one step's quartic continuous extension at time t."""
+    t_old, h, y_old, K = step
+    x = (t - t_old) / h
+    ks = [k[i] for k in K]
+    q0, q1, q2, q3 = (sum(map(mul, ks, col)) for col in _DP_P)
+    x2 = x * x
+    x3 = x2 * x
+    return y_old[i] + h * (q0 * x + q1 * x2 + q2 * x3 + q3 * (x3 * x))
+
+
+def oracle_step(f, y, fy, h):
+    """(y_new, K, error norm) from the generic step and its error norm."""
+    y_new, K = _dp_step(f, y, fy, h)
+    err = [h * sum(map(mul, _DP_E, ks)) for ks in zip(*K)]
+    scale = [flow.ATOL + max(abs(a), abs(b)) * flow.RTOL for a, b in zip(y, y_new)]
+    error_norm = flow._rms_scaled(err, scale)
+    return y_new, K, error_norm
+
+
+def bits(value):
+    """IEEE bit patterns of a float or of nested sequences of floats."""
+    if isinstance(value, (list, tuple)):
+        return [bits(v) for v in value]
+    return struct.pack("<d", value)
+
+
+# the oracle sums with the builtin sum, a left fold from 0 up to Python
+# 3.11; from 3.12 on sum compensates its rounding and reads otherwise
+LEFT_FOLD_SUM = sum([1e16, 1.0, -1e16]) == 0.0
+left_fold_sum = pytest.mark.skipif(
+    not LEFT_FOLD_SUM, reason="the builtin sum compensates, so the oracle rounds differently"
+)
+
+MODEL = ModelChart([(0, 1, 0, 1.0), (1, 0, 1, 1.0), (2, 2, 2, 0.7)])
+ORACLE_FIELDS = {
+    "disk": flow._collar_field(DISK),
+    "outer": flow._collar_field(AnnulusChart(0.5, "outer")),
+    "inner": flow._collar_field(AnnulusChart(0.5, "inner")),
+    "model": flow._collar_field(MODEL),
+    "glide disk": flow._glide_field(DISK),
+    "glide model": flow._glide_field(RELEASE_CHART),
+}
+
+
+def component(lo, hi):
+    return st.one_of(st.just(0.0), st.just(-0.0), st.floats(lo, hi))
+
+
+@left_fold_sum
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(
+    st.sampled_from(sorted(ORACLE_FIELDS)),
+    st.tuples(component(0.0, 0.2), component(-4.0, 4.0), component(-1.5, 1.5),
+              component(-1.5, 1.5)),
+    st.floats(0.0, 100.0),
+    st.floats(0.0, 1.0),
+    st.lists(st.floats(-0.25, 1.25), min_size=1, max_size=4),
+)
+@example("glide disk", (-0.0, 0.0, -0.0, -0.0), 0.0, 0.0, [0.0])
+@example("disk", (-0.0, -0.0, -0.0, -0.0), 1.0, 0.0, [1.0])
+def test_property_straight_line_step_matches_generic_step(name, y, t_old, size, fracs):
+    # step sizes run from the solve's min_step at t_old up to MAX_STEP_COLLAR
+    f = ORACLE_FIELDS[name]
+    min_step = 10 * (math.nextafter(t_old, math.inf) - t_old)
+    h = min_step ** (1.0 - size) * flow.MAX_STEP_COLLAR**size
+    fy = f(y)
+    got = flow._dp_step(f, y, fy, h)
+    want = oracle_step(f, list(y), fy, h)
+    assert len(got[1]) == len(want[1]) == 7
+    assert bits(list(got[0])) == bits(want[0])
+    assert bits([list(k) for k in got[1]]) == bits([list(k) for k in want[1]])
+    assert bits(got[2]) == bits(want[2])
+    new_step, old_step = (t_old, h, y, got[1]), (t_old, h, list(y), want[1])
+    for t in [t_old, t_old + h, *(t_old + frac * h for frac in fracs)]:
+        for i in range(4):
+            assert bits(flow._dense(new_step, t, i)) == bits(_dense(old_step, t, i))
+
+
+def benchmark_trace_spec(seed):
+    """The `bounce` workload's trace experiment at this seed."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    (exp,) = [e for e in workloads.build_config("bounce", seed)["experiments"] if e["kind"] == "trace"]
+    return exp
+
+
+def trace_record(ray):
+    """Events, collar-path step boundaries and accepted-step counts, as bits."""
+    events = [
+        (e.kind, bits(e.t), None if e.point is None else bits(list(vars(e.point).values())),
+         None if e.x is None else bits(list(e.x)))
+        for e in ray.events
+    ]
+    paths = [seg.evaluate for seg in ray.segments if isinstance(seg.evaluate, flow._CollarPath)]
+    return events, [bits(p.ts) for p in paths], [len(p.steps) for p in paths]
+
+
+@left_fold_sum
+@pytest.mark.parametrize("seed", [0, 1])
+def test_bounce_trace_matches_generic_step(seed, monkeypatch):
+    exp = benchmark_trace_spec(seed)
+    start = (exp["start"][:2], exp["start"][2:])
+    ray = trace(DISK, start, exp["time"])
+    assert ray.status == "completed" and ray.reflections >= 100
+    monkeypatch.setattr(flow, "_dp_step", oracle_step)
+    monkeypatch.setattr(flow, "_dense", _dense)
+    oracle = trace(DISK, start, exp["time"])
+    assert trace_record(ray) == trace_record(oracle)
+    assert sum(trace_record(ray)[2]) > 1000
