@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -37,10 +38,18 @@ __all__ = [
 
 
 def _bessel_zeros(m: int, k: int) -> np.ndarray:
-    """The first k positive zeros of J_m, increasing."""
+    """The first k positive zeros of J_m, increasing; a read-only array."""
     if m < 0 or k < 1:
         raise ValueError("need m >= 0 and k >= 1")
-    return jn_zeros(m, k)
+    return _zeros_table(m, k)
+
+
+@lru_cache(maxsize=None)
+def _zeros_table(m: int, k: int) -> np.ndarray:
+    # one table per (m, k) and process; read-only, so no caller can edit it
+    zs = jn_zeros(m, k)
+    zs.flags.writeable = False
+    return zs
 
 
 def bessel_zero(m: int, k: int) -> float:
@@ -109,19 +118,49 @@ class Quasimode:
 
     velocity has shape (ncomp, num_r, num_theta) with ncomp = 1 for the
     scalar family and 2 (cartesian components) for the velocity family;
-    pressure is the companion scalar (None for the scalar family).
+    pressure is the companion scalar (None for the scalar family).  Both
+    are sampled on the polar grid on first read: experiments that only
+    evaluate the closed form never build them.
     """
 
-    def __init__(self, kind, m, k, lam, grid, velocity, pressure, c):
+    def __init__(self, kind, m, k, lam, grid, c):
         self.kind = kind
         self.m = m
         self.k = k
         self.lam = lam
         self.h = 1.0 / lam
         self.grid = grid
-        self.velocity = velocity
-        self.pressure = pressure
         self.c = c
+
+    @cached_property
+    def _fields(self):
+        """(velocity, pressure) on the polar grid.
+
+        For the velocity family, u = (d_2 psi, -d_1 psi), and -h^2 Lap u -
+        u is the rotated gradient of the harmonic c J_m(lam) r^m e^{i m
+        theta}, which for a power of z = x_1 + i x_2 is i times its
+        gradient; so the momentum equation -h^2 Lap u - u + h grad q = 0
+        fixes q = -i c lam J_m(lam) z^m.
+        """
+        g, m, lam, c = self.grid, self.m, self.lam, self.c
+        if self.kind == "laplace":
+            profile = c * jv(m, lam * g.r)
+            u = profile[:, None] * np.exp(1j * m * g.theta)[None, :]
+            return np.stack([u]), None
+        jm_lam = jv(m, lam)
+        F = c * (jv(m, lam * g.r) - jm_lam * g.r**m)
+        psi = F[:, None] * np.exp(1j * m * g.theta)[None, :]
+        g1, g2 = g.grad_cartesian(psi)
+        w_m = g.r[:, None] ** m * np.exp(1j * m * g.theta)[None, :]
+        return np.stack([g2, -g1]), -1j * c * lam * jm_lam * w_m
+
+    @property
+    def velocity(self) -> np.ndarray:
+        return self._fields[0]
+
+    @property
+    def pressure(self) -> Optional[np.ndarray]:
+        return self._fields[1]
 
     # -- closed-form evaluation ------------------------------------------
 
@@ -162,35 +201,35 @@ class Quasimode:
 
     # -- grid diagnostics ---------------------------------------------------
 
-    def boundary_flux(self) -> np.ndarray:
-        """h * (normal derivative of velocity) on the boundary nodes, from
-        the sampled fields (spectral radial derivative, row r = 1)."""
-        g = self.grid
-        rows = [self.h * g.dr(comp)[0, :] for comp in self.velocity]
-        return np.stack(rows, axis=0)
-
     def residual_report(self) -> dict:
+        """Residuals of the sampled fields, and h times their boundary flux.
+
+        Each velocity component takes one angular transform and one radial
+        derivative, which give its Laplacian, its normal derivative on the
+        boundary row r = 1 and, for the divergence, its gradient.
+        """
         g = self.grid
         h = self.h
         out = {}
-        if self.kind == "laplace":
+        stokes = self.kind == "stokes"
+        lap, dr, grad = zip(*(g.derivatives(u, gradient=stokes) for u in self.velocity))
+        if not stokes:
             u = self.velocity[0]
-            out["pde"] = g.norm(-(h * h) * g.laplacian(u) - u)
+            out["pde"] = g.norm(-(h * h) * lap[0] - u)
             out["boundary"] = g.boundary_norm(u[0, :])
             out["normalization"] = abs(g.norm(u) - 1.0)
         else:
             ux, uy = self.velocity
             qx, qy = g.grad_cartesian(self.pressure)
-            rx = -(h * h) * g.laplacian(ux) - ux + h * qx
-            ry = -(h * h) * g.laplacian(uy) - uy + h * qy
+            rx = -(h * h) * lap[0] - ux + h * qx
+            ry = -(h * h) * lap[1] - uy + h * qy
             out["momentum"] = math.hypot(g.norm(rx), g.norm(ry))
-            out["divergence"] = g.norm(g.div_cartesian(ux, uy))
+            out["divergence"] = g.norm(grad[0][0] + grad[1][1])
             out["boundary"] = max(g.boundary_norm(ux[0, :]), g.boundary_norm(uy[0, :]))
             nrm = math.hypot(g.norm(ux), g.norm(uy))
             out["normalization"] = abs(nrm - 1.0)
-        flux = self.boundary_flux()
         out["flux_norm"] = math.sqrt(
-            sum(g.boundary_norm(row) ** 2 for row in flux)
+            sum(g.boundary_norm(h * d[0, :]) ** 2 for d in dr)
         )
         return out
 
@@ -199,35 +238,19 @@ def laplace_disk_mode(m: int, k: int, num_r=None, num_theta=None) -> Quasimode:
     """Dirichlet eigenmode of the scalar problem, unit L2 norm."""
     spec = ModeSpec("laplace", m, k, num_r, num_theta)
     lam = family_lambda("laplace", m, k)
-    K, N = spec.resolve(lam)
-    grid = PolarGrid(K, N)
+    grid = PolarGrid(*spec.resolve(lam))
     c = 1.0 / (math.sqrt(math.pi) * abs(jv(m + 1, lam)))
-    profile = c * jv(m, lam * grid.r)
-    u = profile[:, None] * np.exp(1j * m * grid.theta)[None, :]
-    return Quasimode("laplace", m, k, lam, grid, np.stack([u]), None, c)
+    return Quasimode("laplace", m, k, lam, grid, c)
 
 
 def stokes_disk_mode(m: int, k: int, num_r=None, num_theta=None) -> Quasimode:
     """No-slip divergence-free eigenmode pair (velocity, rescaled pressure).
 
-    With u = (d_2 psi, -d_1 psi), -h^2 Lap u - u is the rotated gradient
-    of the harmonic c J_m(lam) r^m e^{i m theta}, which for a power of
-    z = x_1 + i x_2 is i times its gradient; so the momentum equation
-    -h^2 Lap u - u + h grad q = 0 fixes q = -i c lam J_m(lam) z^m.
+    The velocity derives from the stream function c (J_m(lam r) - J_m(lam)
+    r^m) e^{i m theta}; see `Quasimode._fields` for the pressure.
     """
     spec = ModeSpec("stokes", m, k, num_r, num_theta)
     lam = family_lambda("stokes", m, k)
-    K, N = spec.resolve(lam)
-    grid = PolarGrid(K, N)
+    grid = PolarGrid(*spec.resolve(lam))
     c = 1.0 / (math.sqrt(math.pi) * lam * abs(jv(m, lam)))
-
-    jm_lam = jv(m, lam)
-    F = c * (jv(m, lam * grid.r) - jm_lam * grid.r**m)
-    psi = F[:, None] * np.exp(1j * m * grid.theta)[None, :]
-    g1, g2 = grid.grad_cartesian(psi)
-    velocity = np.stack([g2, -g1])
-
-    w_m = grid.r[:, None] ** m * np.exp(1j * m * grid.theta)[None, :]
-    q = -1j * c * lam * jm_lam * w_m
-
-    return Quasimode("stokes", m, k, lam, grid, velocity, q, c)
+    return Quasimode("stokes", m, k, lam, grid, c)

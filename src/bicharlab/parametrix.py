@@ -30,6 +30,7 @@ singularity of the layer symbols.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -385,8 +386,17 @@ def build_parametrix(
     )
 
 
+@lru_cache(maxsize=None)
+def _legendre_rule(num: int):
+    # one eigenvalue solve per size and process; read-only, so no caller can edit it
+    z, w = np.polynomial.legendre.leggauss(num)
+    z.flags.writeable = w.flags.writeable = False
+    return z, w
+
+
 def _gauss_nodes(a: float, b: float, num: int):
-    z, w = np.polynomial.legendre.leggauss(int(num))
+    """num Gauss-Legendre nodes and weights on [a, b], as fresh arrays."""
+    z, w = _legendre_rule(int(num))
     return 0.5 * (b - a) * z + 0.5 * (a + b), 0.5 * (b - a) * w
 
 

@@ -58,7 +58,9 @@ class RadialHalfGrid:
     """K Chebyshev nodes in (0, 1], descending from r = 1.
 
     Profiles are differentiated via their even or odd extension through
-    r = 0, and integrated against r dr with spectral accuracy.
+    r = 0, and integrated against r dr with spectral accuracy.  The
+    differentiation, coefficient and quadrature matrices are built on
+    first use.
     """
 
     def __init__(self, num_nodes: int):
@@ -69,16 +71,34 @@ class RadialHalfGrid:
         j = np.arange(self.N + 1)
         self.x_full = np.cos(np.pi * j / self.N)
         self.r = self.x_full[: self.K]
+        # node N - i of the full grid sits at -r_i
+        self._mirror = self.N - np.arange(self.K)
+
+    @cached_property
+    def _d_parity(self) -> tuple[np.ndarray, np.ndarray]:
         d_full = cheb_diff_matrix(self.x_full)
-        cols = self.N - np.arange(self.K)
-        self._d_direct = d_full[: self.K, : self.K]
-        self._d_mirror = d_full[: self.K, cols]
-        self.d_even = self._d_direct + self._d_mirror
-        self.d_odd = self._d_direct - self._d_mirror
-        coeff = cheb_coeff_matrix(self.N)
-        w_full = coeff.T @ _abs_weight_moments(self.N)
-        self.w_rdr = 0.5 * (w_full[: self.K] + w_full[cols])
-        self._coeff = coeff
+        direct, mirror = d_full[: self.K, : self.K], d_full[: self.K, self._mirror]
+        return direct + mirror, direct - mirror
+
+    @property
+    def d_even(self) -> np.ndarray:
+        """d/dr of profiles that extend evenly through r = 0."""
+        return self._d_parity[0]
+
+    @property
+    def d_odd(self) -> np.ndarray:
+        """d/dr of profiles that extend oddly through r = 0."""
+        return self._d_parity[1]
+
+    @cached_property
+    def _coeff(self) -> np.ndarray:
+        return cheb_coeff_matrix(self.N)
+
+    @cached_property
+    def w_rdr(self) -> np.ndarray:
+        """Quadrature weights of the nodes for the measure r dr on (0, 1)."""
+        w_full = self._coeff.T @ _abs_weight_moments(self.N)
+        return 0.5 * (w_full[: self.K] + w_full[self._mirror])
 
     def coeffs(self, prof: np.ndarray, parity: int) -> np.ndarray:
         """Chebyshev coefficients of the parity extension of a profile."""
@@ -114,10 +134,33 @@ class PolarGrid:
         self.r = self.radial.r
         self.modes = np.fft.fftfreq(self.n_theta, 1.0 / self.n_theta).astype(int)
         self._even_cols = (self.modes % 2) == 0
-        self.R, self.T = np.meshgrid(self.r, self.theta, indexing="ij")
-        self.X1 = self.R * np.cos(self.T)
-        self.X2 = self.R * np.sin(self.T)
         self.dtheta_weight = 2.0 * np.pi / self.n_theta
+
+    # -- (K, n_theta) meshes, built on first use ----------------------
+
+    @cached_property
+    def _mesh(self) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(np.meshgrid(self.r, self.theta, indexing="ij"))
+
+    @property
+    def R(self) -> np.ndarray:
+        return self._mesh[0]
+
+    @property
+    def T(self) -> np.ndarray:
+        return self._mesh[1]
+
+    @cached_property
+    def _cos_sin(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.cos(self.T), np.sin(self.T)
+
+    @property
+    def X1(self) -> np.ndarray:
+        return self.R * self._cos_sin[0]
+
+    @property
+    def X2(self) -> np.ndarray:
+        return self.R * self._cos_sin[1]
 
     # -- transforms -------------------------------------------------
 
@@ -139,31 +182,32 @@ class PolarGrid:
         out[:, ~ev] = self.radial.d_odd @ fhat[:, ~ev]
         return out
 
-    def dr(self, field: np.ndarray) -> np.ndarray:
-        return self.from_modes(self._diff_modes(self.to_modes(field)))
+    def _cartesian(self, fhat: np.ndarray, fr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(d_1 f, d_2 f) from the angular transform of f and its radial derivative."""
+        ft_over_r = self.from_modes(
+            1j * self.modes[None, :] * fhat / self.r[:, None]
+        )
+        ct, st = self._cos_sin
+        return ct * fr - st * ft_over_r, st * fr + ct * ft_over_r
 
-    def laplacian(self, field: np.ndarray) -> np.ndarray:
-        """Flat Laplacian, mode by mode: f'' + f'/r - n^2 f / r^2."""
+    def grad_cartesian(self, field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        fhat = self.to_modes(field)
+        return self._cartesian(fhat, self.from_modes(self._diff_modes(fhat)))
+
+    def derivatives(self, field: np.ndarray, *, gradient: bool = False):
+        """(Laplacian, d_r f, (d_1 f, d_2 f) or None) of a field.
+
+        One angular transform and one radial derivative serve all three;
+        the Cartesian gradient is taken only with `gradient`.  The flat
+        Laplacian is taken mode by mode: f'' + f'/r - n^2 f / r^2.
+        """
         fhat = self.to_modes(field)
         d1 = self._diff_modes(fhat)
         d2 = self._diff_modes(d1, extra_parity=-1)
         rinv = 1.0 / self.r[:, None]
-        out = d2 + rinv * d1 - (self.modes[None, :] ** 2) * rinv**2 * fhat
-        return self.from_modes(out)
-
-    def grad_cartesian(self, field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        fhat = self.to_modes(field)
-        fr = self.from_modes(self._diff_modes(fhat))
-        ft_over_r = self.from_modes(
-            1j * self.modes[None, :] * fhat / self.r[:, None]
-        )
-        ct, st = np.cos(self.T), np.sin(self.T)
-        return ct * fr - st * ft_over_r, st * fr + ct * ft_over_r
-
-    def div_cartesian(self, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
-        d1, _ = self.grad_cartesian(f1)
-        _, d2 = self.grad_cartesian(f2)
-        return d1 + d2
+        lap = d2 + rinv * d1 - (self.modes[None, :] ** 2) * rinv**2 * fhat
+        fr = self.from_modes(d1)
+        return self.from_modes(lap), fr, self._cartesian(fhat, fr) if gradient else None
 
     # -- measure ----------------------------------------------------
 

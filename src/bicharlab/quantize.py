@@ -229,14 +229,24 @@ class TangentialSymbol:
             )
 
 
-def sample_mode_on_box(mode, grid: BoxGrid) -> np.ndarray:
+def sample_mode_on_box(mode, grid: BoxGrid, cutoff: Optional[Callable] = None) -> np.ndarray:
     """Velocity components on the box, zero outside the closed disk.
 
     The closed form is evaluated at the disk nodes only, where the Bessel
-    argument stays below lam; the rest of the box is left at +0.0.
+    argument stays below lam; the rest of the box is left at +0.0.  With
+    `cutoff`, a function of |x|, the components are multiplied by it, and
+    the closed form is evaluated only at the disk nodes where it is
+    nonzero.
     """
     i, j = np.nonzero(grid.disk_mask())
-    vals = mode.eval_velocity(np.stack([grid.x[i], grid.x[j]], axis=-1))
+    x1, x2 = grid.x[i], grid.x[j]
+    if cutoff is not None:
+        w = cutoff(np.hypot(x1, x2))
+        live = np.flatnonzero(w)
+        i, j, x1, x2, w = i[live], j[live], x1[live], x2[live], w[live]
+    vals = mode.eval_velocity(np.stack([x1, x2], axis=-1))
+    if cutoff is not None:
+        vals *= w[:, None]
     comps = np.zeros((vals.shape[-1], grid.n, grid.n), dtype=complex)
     comps[:, i, j] = vals.T
     return comps
@@ -279,7 +289,7 @@ def apply_interior_op(
         return a.spatial(grid.X1, grid.X2) * np.fft.ifft2(fhat)
     # direct lattice sum, chunked over the first frequency axis
     n = grid.n
-    F = _plane_coeffs(f, grid)
+    F = _plane_coeffs(f, grid, _origin_phase(grid))
     E = np.exp(1j * np.outer(grid.k, grid.x))  # E[m, j] = e^{i k_m x_j}
     out = np.zeros((n, n), dtype=complex)
     x1 = grid.x[:, None, None]
@@ -293,9 +303,14 @@ def apply_interior_op(
     return out
 
 
-def _plane_coeffs(f: np.ndarray, grid: BoxGrid) -> np.ndarray:
-    """Coefficients of f in the e^{i k.x} basis (box-origin phase applied)."""
-    return np.fft.fft2(f) / grid.n**2 * np.exp(1j * grid.half * (grid.K1 + grid.K2))
+def _origin_phase(grid: BoxGrid) -> np.ndarray:
+    """e^{i k.half}: the lattice phase of the box origin at (-half, -half)."""
+    return np.exp(1j * grid.half * (grid.K1 + grid.K2))
+
+
+def _plane_coeffs(f: np.ndarray, grid: BoxGrid, phase: np.ndarray) -> np.ndarray:
+    """Coefficients of f in the e^{i k.x} basis; `phase` is `_origin_phase(grid)`."""
+    return np.fft.fft2(f) / grid.n**2 * phase
 
 
 def _synthesize(coeffs: np.ndarray, grid: BoxGrid) -> np.ndarray:
@@ -345,17 +360,20 @@ def apply_shifted_op(
         _check_bandlimit(a, h, grid)
     n = grid.n
     pos = _lattice_positions(n)
-    k2 = grid.dk * np.fft.fftfreq(2 * n, 1.0 / (2 * n)).astype(int)
-    unchirp2 = np.exp(1j * s * h * (k2[:, None] ** 2 + k2[None, :] ** 2))
+    # the double lattice's frequencies at the kept positions: the unchirp
+    # is needed there only
+    kept = grid.dk * np.fft.fftfreq(2 * n, 1.0 / (2 * n)).astype(int)[pos]
+    unchirp = np.exp(1j * s * h * (kept[:, None] ** 2 + kept[None, :] ** 2))
     chirp = np.exp(-1j * s * h * (grid.K1**2 + grid.K2**2))
+    phase = _origin_phase(grid)
     spatial = np.broadcast_to(a.spatial(grid.X1, grid.X2), (n, n))
     P2 = np.zeros((2 * n, 2 * n), dtype=complex)
     Q2 = np.zeros_like(P2)
     sel = np.ix_(pos, pos)
-    P2[sel] = _plane_coeffs(np.asarray(spatial, dtype=complex), grid) * chirp
-    Q2[sel] = _speed_on_lattice(a, h, grid, _plane_coeffs(f, grid) * chirp)
+    P2[sel] = _plane_coeffs(np.asarray(spatial, dtype=complex), grid, phase) * chirp
+    Q2[sel] = _speed_on_lattice(a, h, grid, _plane_coeffs(f, grid, phase) * chirp)
     out2 = np.fft.fft2(np.fft.ifft2(P2) * np.fft.ifft2(Q2)) * (2 * n) ** 2
-    return _synthesize((out2 * unchirp2)[sel], grid)
+    return _synthesize(out2[sel] * unchirp, grid)
 
 
 def apply_tangential_op(
@@ -395,17 +413,19 @@ def pairing(
             "expected an InteriorSymbol or TangentialSymbol, or a pullback with"
             " a xi_bound paired with check=False"
         )
-    return _box_pairing(
-        a, mode, grid, lambda u, g: apply_interior_op(a, u, h, g, check=check), check
+    [total] = _box_pairings(
+        a, mode, grid, check, lambda u, g: apply_interior_op(a, u, h, g, check=check)
     )
+    return total
 
 
-def _box_pairing(a, mode, grid: Optional[BoxGrid], apply, check: bool) -> complex:
-    """Sum of (apply(u, grid) | u) over the mode's velocity components on a box.
+def _box_pairings(a, mode, grid: Optional[BoxGrid], check: bool, *applies) -> list:
+    """Sums of (apply(u, grid) | u) over the mode's velocity components, one per apply.
 
-    The box defaults to `default_box(mode.h, max(a.xi_bound, XI_FLOOR))`.
-    With `check`, an explicit box whose lattice reach is below XI_FLOOR is
-    refused: it aliases the mode.
+    The mode is sampled once, on the box that defaults to
+    `default_box(mode.h, max(a.xi_bound, XI_FLOOR))`.  With `check`, an
+    explicit box whose lattice reach is below XI_FLOOR is refused: it
+    aliases the mode.
     """
     if grid is None:
         grid = default_box(mode.h, max(a.xi_bound, XI_FLOOR))
@@ -416,10 +436,11 @@ def _box_pairing(a, mode, grid: Optional[BoxGrid], apply, check: bool) -> comple
                 f"pairing box reach {reach:.3f} is below {XI_FLOOR} at n = {grid.n},"
                 f" h = {mode.h:.3g}: the lattice aliases the mode"
             )
-    total = 0.0 + 0.0j
+    totals = [0.0 + 0.0j] * len(applies)
     for u in sample_mode_on_box(mode, grid):
-        total += grid.inner(apply(u, grid), u)
-    return complex(total)
+        for i, apply in enumerate(applies):
+            totals[i] += grid.inner(apply(u, grid), u)
+    return [complex(total) for total in totals]
 
 
 def shifted_pairing(
@@ -429,17 +450,21 @@ def shifted_pairing(
     *,
     grid: Optional[BoxGrid] = None,
     check: bool = True,
-) -> complex:
-    """Quadratic form of the free-transported symbol a(x + 2 s xi, xi).
+) -> tuple[complex, complex]:
+    """Quadratic forms of a and of the free-transported a(x + 2 s xi, xi).
 
-    Valid as the broken-flow pullback only while every ray feeding the
-    support stays strictly inside the disk over the shift; the margin
-    check inside apply_shifted_op enforces the conservative version of
-    that geometry.
+    Both pair on one sample of the mode, on the box `pairing` takes by
+    default; the first equals `pairing(a, mode)`.  The second is the
+    broken-flow pullback only while every ray feeding the support stays
+    strictly inside the disk over the shift; the margin check inside
+    apply_shifted_op enforces the conservative version of that geometry.
     """
-    return _box_pairing(
-        a, mode, grid, lambda u, g: apply_shifted_op(a, s, u, mode.h, g, check=check), check
-    )
+    h = mode.h
+    return tuple(_box_pairings(
+        a, mode, grid, check,
+        lambda u, g: apply_interior_op(a, u, h, g, check=check),
+        lambda u, g: apply_shifted_op(a, s, u, h, g, check=check),
+    ))
 
 
 @dataclass

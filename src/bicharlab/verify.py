@@ -320,7 +320,8 @@ def invariance_gap(
     """Compare pairings of a and of a(gamma_s) along a mode family.
 
     route="free" quantizes the straight-line transported symbol with the
-    fast shifted-lattice path; it is the broken-flow pullback only while
+    fast shifted-lattice path, pairing both symbols on one box sample of
+    each mode (`shifted_pairing`); it is the broken-flow pullback only while
     the support cannot reach the boundary within time s, and the margin
     check inside refuses geometries where that could fail.  route="pullback"
     evaluates the transported symbol through the closed-form billiard map
@@ -335,8 +336,7 @@ def invariance_gap(
     unresolved = 0
     for m in modes:
         if route == "free":
-            before = pairing(a, m)
-            after = shifted_pairing(a, s, m)
+            before, after = shifted_pairing(a, s, m)
         else:
             # both sides share the pullback's conventions (zero outside
             # the closed disk), so a flow-invariant symbol gives a gap at
@@ -614,7 +614,8 @@ def h_oscillation_tail(modes: Sequence, R, *, variant: str = "interior") -> np.n
 
     variant="interior": modes are sampled on a Cartesian box sized so the
     lattice reaches the largest requested R, multiplied by a radial
-    plateau cutoff (ramp on |x| in [0.7, 0.9]), and the tail is the
+    plateau cutoff (ramp on |x| in [0.7, 0.9]; the closed form is
+    evaluated only where the cutoff is nonzero), and the tail is the
     fraction of Fourier power at |xi| > R/h.  variant="tangential": the
     angular-frequency tail of the velocity restricted to the boundary
     collar (depth ramp on [0.2, 0.3]).  The ramps are `TAIL_CUTOFFS`.
@@ -634,8 +635,7 @@ def h_oscillation_tail(modes: Sequence, R, *, variant: str = "interior") -> np.n
     if variant == "interior":
         for j, m in enumerate(modes):
             grid = default_box(m.h, float(Rs.max()) + 0.5)
-            comps = sample_mode_on_box(m, grid)
-            comps *= 1.0 - plateau_step(np.hypot(grid.X1, grid.X2), lo, hi)
+            comps = sample_mode_on_box(m, grid, lambda t: 1.0 - plateau_step(t, lo, hi))
             # one power spectrum per component serves every radius; the
             # per-radius sums still run over the components in order
             speed = m.h * np.hypot(grid.K1, grid.K2)

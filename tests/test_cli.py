@@ -1382,6 +1382,58 @@ def test_layer_parametrix_errors_hold_to_round_off(tmp_path):
             assert abs(doc["errors"][order][m] - value) <= 1e-12 * value, (order, m)
 
 
+# seed-0 `layer` values before the experiments computed only what they
+# read; each must come back bit for bit
+LAYER_INVARIANCE_ROWS = [  # (h, before, after, gap)
+    (0.03264282180449974, 0.03282379564956469, 0.039253076029787, 0.008488558770565072),
+    (0.02020911997312793, 0.03361835759817946, 0.03539915256349787, 0.00643189555868364),
+    (0.01286073962619287, 0.033971780750695166, 0.03364082085441908, 0.003661959638535359),
+    (0.008007731694726204, 0.03387602066196259, 0.03309092756532406, 0.0019373384123264597),
+    (0.005327343212934813, 0.03388194338938233, 0.033333884792828984, 0.0008903080559324353),
+]
+LAYER_INVARIANCE_GAP_RATE = 1.249136471043538
+LAYER_TAIL_FRACTIONS = [
+    [0.0004394837057482119, 6.898871491183182e-06, 9.283718084882042e-08],
+    [9.061414413186673e-07, 1.2268795002870352e-09, 4.334585079894924e-13],
+    [3.42487888814023e-10, 7.268153350787496e-14, 5.225783804850996e-19],
+]
+LAYER_STOKES_WORST = {
+    "boundary": 3.8980232585552894e-12,
+    "divergence": 3.9171146680263907e-13,
+    "flux_norm": 1.414213562424176,
+    # the benchmark reference reads 2.22e-9 within 1e-9: drift shows here first
+    "momentum": 2.867807738026748e-09,
+    "normalization": 3.8191672047105385e-14,
+}
+LAYER_STOKES_MOMENTUM = [
+    4.5663100514637647e-10, 1.219338534262313e-10, 1.2567533261643621e-11,
+    1.3967674556078976e-10, 2.867807738026748e-09,
+]
+
+
+def test_layer_box_and_residual_values_are_bit_identical(tmp_path):
+    cfg = tmp_path / "layer.json"
+    cfg.write_text(json.dumps(benchmark_workloads().build_config("layer", 0)))
+    names = ["layer-invariance", "layer-tails", "layer-stokes-modes"]
+    outs = [tmp_path / f"out{jobs}" for jobs in (1, 2)]
+    for jobs, out in zip((1, 2), outs):
+        assert run_cli(["run", "--config", str(cfg), "--out", str(out), "--jobs", str(jobs),
+                        "--select", *names]) == 0
+    assert tree_digest(outs[0]) == tree_digest(outs[1])
+    inv = json.load(open(outs[0] / "layer-invariance.json"))["payload"]
+    rows = [(r["h"], r["before"], r["after"], r["gap"]) for r in inv["rows"]]
+    assert rows == LAYER_INVARIANCE_ROWS
+    assert inv["notes"] == {"gap_rate": LAYER_INVARIANCE_GAP_RATE, "unresolved": 0.0}
+    tails = json.load(open(outs[0] / "layer-tails.json"))["payload"]
+    assert tails["fractions"] == LAYER_TAIL_FRACTIONS
+    stokes = json.load(open(outs[0] / "layer-stokes-modes.json"))["payload"]
+    assert stokes["worst"] == LAYER_STOKES_WORST
+    lines = [ln for ln in (outs[0] / "layer-stokes-modes.csv").read_text().splitlines()
+             if not ln.startswith("#")]
+    col = lines[0].split(",").index("momentum")
+    assert [float(ln.split(",")[col]) for ln in lines[1:]] == LAYER_STOKES_MOMENTUM
+
+
 def test_parametrix_halving_verdict_ignores_list_order(tmp_path):
     # listed as orders [1, 0], the order-1 errors were held to the halving law
     cfg = tmp_path / "p.json"

@@ -1,5 +1,6 @@
 import functools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,15 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jv
 
+from bicharlab import modes as modes_module
 from bicharlab.modes import (
     ModeSpec,
+    _bessel_zeros,
     _jv_deriv,
+    _zeros_table,
     bessel_zero,
+    family_lambda,
     laplace_disk_mode,
     pick_k_for_ratio,
     stokes_disk_mode,
 )
 from bicharlab.polar import PolarGrid
+from test_polar import EagerGrid, built
 
 
 def j0_series(x):
@@ -108,7 +114,7 @@ def test_stokes_mode_properties():
 
 def test_stokes_flux_is_tangential_of_constant_modulus():
     mode = stokes_disk_mode(4, 2)
-    flux = mode.boundary_flux()
+    flux = [mode.h * mode.grid.derivatives(u)[1][0, :] for u in mode.velocity]
     mag = np.hypot(np.abs(flux[0]), np.abs(flux[1]))
     assert np.max(np.abs(mag - 1.0 / math.sqrt(math.pi))) < 1e-7
     # radial part of the normal derivative vanishes on the boundary; contract
@@ -127,8 +133,8 @@ def test_stokes_pressure_sign_matters():
     g = mode.grid
     h = mode.h
     qx, qy = g.grad_cartesian(-mode.pressure)
-    rx = -(h * h) * g.laplacian(mode.velocity[0]) - mode.velocity[0] + h * qx
-    ry = -(h * h) * g.laplacian(mode.velocity[1]) - mode.velocity[1] + h * qy
+    rx = -(h * h) * g.derivatives(mode.velocity[0])[0] - mode.velocity[0] + h * qx
+    ry = -(h * h) * g.derivatives(mode.velocity[1])[0] - mode.velocity[1] + h * qy
     wrong = math.hypot(g.norm(rx), g.norm(ry))
     assert wrong > 10 * mode.residual_report()["momentum"]
 
@@ -180,6 +186,165 @@ def test_resolution_validation():
         ModeSpec("heat", 0, 1).resolve(3.0)
     with pytest.raises(ValueError):
         bessel_zero(-1, 1)
+
+
+def test_too_coarse_grids_raise_at_construction():
+    # the resolution is checked when the mode is made, not when its
+    # first-use fields are read
+    for ctor in (laplace_disk_mode, stokes_disk_mode):
+        with pytest.raises(ValueError, match="num_r"):
+            ctor(3, 4, num_r=8)
+        with pytest.raises(ValueError, match="num_theta"):
+            ctor(3, 4, num_theta=12)
+        with pytest.raises(ValueError, match="num_theta"):
+            ctor(5, 1, num_r=60, num_theta=20)
+
+
+def test_mode_construction_makes_one_grid_and_one_zero_lookup(monkeypatch):
+    # the benchmark's self-test counts both on laplace_disk_mode(3, 2)
+    calls = {"grid": 0, "zero": 0}
+    grid_init, zero = PolarGrid.__init__, modes_module.bessel_zero
+
+    def counted_init(self, *args):
+        calls["grid"] += 1
+        grid_init(self, *args)
+
+    def counted_zero(*args):
+        calls["zero"] += 1
+        return zero(*args)
+
+    monkeypatch.setattr(PolarGrid, "__init__", counted_init)
+    monkeypatch.setattr(modes_module, "bessel_zero", counted_zero)
+    mode = laplace_disk_mode(3, 2)
+    assert calls == {"grid": 1, "zero": 1}
+    assert isinstance(mode.grid, PolarGrid) and mode.grid.K == 40
+
+
+def test_bessel_zero_tables_are_read_only():
+    zs = _bessel_zeros(4, 6)
+    want = zs.copy()
+    with pytest.raises(ValueError):
+        zs[-1] = 0.0
+    assert np.array_equal(_bessel_zeros(4, 6), want)
+    assert bessel_zero(4, 6) == want[-1]
+    # the range checks run ahead of the cache, which keeps no refused key
+    size = _zeros_table.cache_info().currsize
+    for m, k in ((-1, 3), (2, 0)):
+        with pytest.raises(ValueError, match="m >= 0 and k >= 1"):
+            _bessel_zeros(m, k)
+    assert _zeros_table.cache_info().currsize == size
+
+
+def eager_mode(kind, m, k, num_r=None, num_theta=None):
+    """A mode as its constructors built it before the fields became lazy.
+
+    The grid and both fields are made at once, on an `EagerGrid`.  Kept
+    as the oracle of `Quasimode`'s first-read fields.
+    """
+    lam = family_lambda(kind, m, k)
+    grid = EagerGrid(*ModeSpec(kind, m, k, num_r, num_theta).resolve(lam))
+    if kind == "laplace":
+        c = 1.0 / (math.sqrt(math.pi) * abs(jv(m + 1, lam)))
+        profile = c * jv(m, lam * grid.r)
+        u = profile[:, None] * np.exp(1j * m * grid.theta)[None, :]
+        velocity, pressure = np.stack([u]), None
+    else:
+        c = 1.0 / (math.sqrt(math.pi) * lam * abs(jv(m, lam)))
+        jm_lam = jv(m, lam)
+        F = c * (jv(m, lam * grid.r) - jm_lam * grid.r**m)
+        psi = F[:, None] * np.exp(1j * m * grid.theta)[None, :]
+        g1, g2 = grid.grad_cartesian(psi)
+        velocity = np.stack([g2, -g1])
+        w_m = grid.r[:, None] ** m * np.exp(1j * m * grid.theta)[None, :]
+        pressure = -1j * c * lam * jm_lam * w_m
+    return SimpleNamespace(kind=kind, m=m, k=k, lam=lam, h=1.0 / lam, grid=grid,
+                           velocity=velocity, pressure=pressure, c=c)
+
+
+def eager_boundary_flux(mode):
+    g = mode.grid
+    return np.stack([mode.h * g.dr(comp)[0, :] for comp in mode.velocity], axis=0)
+
+
+def eager_residual_report(mode):
+    """The residual report as separate Laplacian, divergence and flux passes."""
+    g = mode.grid
+    h = mode.h
+    out = {}
+    if mode.kind == "laplace":
+        u = mode.velocity[0]
+        out["pde"] = g.norm(-(h * h) * g.laplacian(u) - u)
+        out["boundary"] = g.boundary_norm(u[0, :])
+        out["normalization"] = abs(g.norm(u) - 1.0)
+    else:
+        ux, uy = mode.velocity
+        qx, qy = g.grad_cartesian(mode.pressure)
+        rx = -(h * h) * g.laplacian(ux) - ux + h * qx
+        ry = -(h * h) * g.laplacian(uy) - uy + h * qy
+        out["momentum"] = math.hypot(g.norm(rx), g.norm(ry))
+        out["divergence"] = g.norm(g.div_cartesian(ux, uy))
+        out["boundary"] = max(g.boundary_norm(ux[0, :]), g.boundary_norm(uy[0, :]))
+        nrm = math.hypot(g.norm(ux), g.norm(uy))
+        out["normalization"] = abs(nrm - 1.0)
+    flux = eager_boundary_flux(mode)
+    out["flux_norm"] = math.sqrt(sum(g.boundary_norm(row) ** 2 for row in flux))
+    return out
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+FIRST_READ_CASES = [
+    ("laplace", 0, 1, None, None),
+    ("laplace", 1, 3, None, None),
+    ("laplace", 5, 2, 44, 40),
+    ("laplace", 33, 6, None, None),
+    ("stokes", 0, 2, None, None),
+    ("stokes", 1, 1, None, None),
+    ("stokes", 2, 3, 36, 22),
+    ("stokes", 16, 4, None, None),
+]
+
+
+@pytest.mark.parametrize("kind, m, k, num_r, num_theta", FIRST_READ_CASES)
+def test_first_read_fields_and_one_pass_residuals_match_eager_oracle(kind, m, k, num_r, num_theta):
+    ctor = laplace_disk_mode if kind == "laplace" else stokes_disk_mode
+    mode = ctor(m, k, num_r, num_theta)
+    assert "_fields" not in vars(mode) and built(mode.grid) == []
+    eager = eager_mode(kind, m, k, num_r, num_theta)
+    assert (mode.grid.K, mode.grid.n_theta) == (eager.grid.K, eager.grid.n_theta)
+    assert mode.c == eager.c and mode.lam == eager.lam
+    assert same_bits(mode.velocity, eager.velocity)
+    assert len(mode.velocity) == (1 if kind == "laplace" else 2)
+    if kind == "laplace":
+        assert mode.pressure is None
+    else:
+        assert same_bits(mode.pressure, eager.pressure)
+    assert mode.velocity is mode.velocity
+    assert mode.residual_report() == eager_residual_report(eager)
+
+
+def test_box_only_experiments_build_no_polar_matrices():
+    # invariance, off-shell, support and interior-tail experiments read
+    # the closed form on a box: the polar grid keeps only its axes
+    from bicharlab.config import build_symbol
+    from bicharlab.verify import car_mass, h_oscillation_tail, invariance_gap, support_gap
+
+    bump = build_symbol({"type": "interior", "xi_bound": 1.6, "factors": [
+        {"var": "bump", "center": [0.25, 0.0], "radius": 0.2},
+        {"var": "speed", "window": [0.6, 0.8, 1.2, 1.4]}]})
+    off_shell = build_symbol({"type": "interior", "xi_bound": 1.5, "factors": [
+        {"var": "radius", "window": [-0.76, -0.62, 0.62, 0.76]},
+        {"var": "speed_sq", "window": [0.35, 0.5, 0.75, 0.8]}]})
+    fam = [laplace_disk_mode(0, 10), stokes_disk_mode(2, 6)]
+    invariance_gap(fam, bump, 0.1)
+    car_mass(fam, off_shell)
+    support_gap(fam, bump, 0.3, nx=8, nxi=9)
+    h_oscillation_tail(fam, (2.0, 4.0))
+    for mode in fam:
+        assert "_fields" not in vars(mode) and built(mode.grid) == []
 
 
 def per_point_velocity(mode, points):

@@ -242,7 +242,7 @@ def test_poisson_extend_is_harmonic():
     th = ring(64)
     q0 = sum(c[i] * np.exp(1j * (i - 8) * th) for i in range(17))
     u = poisson_extend(q0, grid)
-    res = grid.laplacian(u)
+    res = grid.derivatives(u)[0]
     assert grid.norm(res) < 1e-6 * grid.norm(u)
     assert np.abs(u[0, :] - q0).max() < 1e-10
 
@@ -266,7 +266,7 @@ def test_dtn_against_radial_derivative():
         a = rng.standard_normal() + 1j * rng.standard_normal()
         q0 += a * np.exp(1j * m * th)
     u = poisson_extend(q0, grid)
-    normal_deriv = grid.dr(u)[0, :]
+    normal_deriv = grid.derivatives(u)[1][0, :]
     assert np.abs(normal_deriv - dtn(q0)).max() < 1e-8 * np.abs(dtn(q0)).max()
 
 
@@ -644,3 +644,23 @@ def test_band_mass_input_validation():
     f = np.ones((24, 32), dtype=complex)
     with pytest.raises(ValueError):
         band_mass(f, grid, 0.5, 0.05)
+
+
+def test_gauss_nodes_are_fresh_arrays_over_one_cached_rule():
+    want_z, want_w = np.polynomial.legendre.leggauss(NUM_Y)
+    y, w = _gauss_nodes(-1.0, 1.0, NUM_Y)
+    assert np.array_equal(y, want_z) and np.array_equal(w, want_w)
+    # a caller writing into its nodes cannot change the next call's
+    y[:] = 0.0
+    w *= 2.0
+    y2, w2 = _gauss_nodes(-1.0, 1.0, NUM_Y)
+    assert np.array_equal(y2, want_z) and np.array_equal(w2, want_w)
+    assert y2 is not y and w2 is not w
+    z, wz = parametrix._legendre_rule(NUM_Y)
+    assert not z.flags.writeable and not wz.flags.writeable
+    assert parametrix._legendre_rule(NUM_Y)[0] is z
+    # the affine map onto [a, b] is the one it always was
+    a, b = 0.05, 0.3
+    y3, w3 = _gauss_nodes(a, b, NUM_Y)
+    assert np.array_equal(y3, 0.5 * (b - a) * want_z + 0.5 * (a + b))
+    assert np.array_equal(w3, 0.5 * (b - a) * want_w)

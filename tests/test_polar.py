@@ -4,7 +4,13 @@ from scipy.special import jv
 
 from numpy.polynomial import chebyshev as cheb
 
-from bicharlab.polar import PolarGrid, RadialHalfGrid, _abs_weight_moments, cheb_diff_matrix
+from bicharlab.polar import (
+    PolarGrid,
+    RadialHalfGrid,
+    _abs_weight_moments,
+    cheb_coeff_matrix,
+    cheb_diff_matrix,
+)
 
 
 def radial_diff(g, prof, parity):
@@ -108,14 +114,14 @@ def test_gradient_on_polynomials():
 def test_laplacian_polynomial_and_helmholtz():
     grid = PolarGrid(60, 24)
     f = grid.X1**4
-    assert np.max(np.abs(grid.laplacian(f) - 12 * grid.X1**2)) < 1e-8
+    assert np.max(np.abs(grid.derivatives(f)[0] - 12 * grid.X1**2)) < 1e-8
 
     from scipy.special import jn_zeros
 
     m = 3
     lam = jn_zeros(m, 2)[-1]
     u = jv(m, lam * grid.R) * np.exp(1j * m * grid.T)
-    res = grid.laplacian(u) + lam**2 * u
+    res = grid.derivatives(u)[0] + lam**2 * u
     assert grid.norm(res) / grid.norm(u) < 1e-9
 
 
@@ -145,3 +151,129 @@ def test_rejects_bad_grid_shapes():
         PolarGrid(10, 15)
     with pytest.raises(ValueError):
         RadialHalfGrid(2)
+
+
+class EagerGrid:
+    """The polar grid as it was built before its matrices became lazy.
+
+    Every matrix and mesh is made in the constructor, and the Laplacian,
+    radial derivative and divergence are separate compositions, each
+    with its own angular transform.  Kept as the oracle of
+    `PolarGrid`'s first-use construction and of `derivatives`.
+    """
+
+    def __init__(self, num_r: int, num_theta: int):
+        self.K = int(num_r)
+        self.N = 2 * self.K - 1
+        j = np.arange(self.N + 1)
+        self.x_full = np.cos(np.pi * j / self.N)
+        self.r = self.x_full[: self.K]
+        d_full = cheb_diff_matrix(self.x_full)
+        cols = self.N - np.arange(self.K)
+        d_direct = d_full[: self.K, : self.K]
+        d_mirror = d_full[: self.K, cols]
+        self.d_even = d_direct + d_mirror
+        self.d_odd = d_direct - d_mirror
+        coeff = cheb_coeff_matrix(self.N)
+        w_full = coeff.T @ _abs_weight_moments(self.N)
+        self.w_rdr = 0.5 * (w_full[: self.K] + w_full[cols])
+        self.coeff = coeff
+        self.n_theta = int(num_theta)
+        self.theta = 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta
+        self.modes = np.fft.fftfreq(self.n_theta, 1.0 / self.n_theta).astype(int)
+        self._even_cols = (self.modes % 2) == 0
+        self.R, self.T = np.meshgrid(self.r, self.theta, indexing="ij")
+        self.X1 = self.R * np.cos(self.T)
+        self.X2 = self.R * np.sin(self.T)
+        self.dtheta_weight = 2.0 * np.pi / self.n_theta
+
+    def to_modes(self, field):
+        return np.fft.fft(field, axis=1) / self.n_theta
+
+    def from_modes(self, fhat):
+        return np.fft.ifft(fhat * self.n_theta, axis=1)
+
+    def _diff_modes(self, fhat, extra_parity=1):
+        out = np.empty_like(fhat)
+        ev = self._even_cols
+        if extra_parity < 0:
+            ev = ~ev
+        out[:, ev] = self.d_even @ fhat[:, ev]
+        out[:, ~ev] = self.d_odd @ fhat[:, ~ev]
+        return out
+
+    def dr(self, field):
+        return self.from_modes(self._diff_modes(self.to_modes(field)))
+
+    def laplacian(self, field):
+        fhat = self.to_modes(field)
+        d1 = self._diff_modes(fhat)
+        d2 = self._diff_modes(d1, extra_parity=-1)
+        rinv = 1.0 / self.r[:, None]
+        out = d2 + rinv * d1 - (self.modes[None, :] ** 2) * rinv**2 * fhat
+        return self.from_modes(out)
+
+    def grad_cartesian(self, field):
+        fhat = self.to_modes(field)
+        fr = self.from_modes(self._diff_modes(fhat))
+        ft_over_r = self.from_modes(1j * self.modes[None, :] * fhat / self.r[:, None])
+        ct, st = np.cos(self.T), np.sin(self.T)
+        return ct * fr - st * ft_over_r, st * fr + ct * ft_over_r
+
+    def div_cartesian(self, f1, f2):
+        d1, _ = self.grad_cartesian(f1)
+        _, d2 = self.grad_cartesian(f2)
+        return d1 + d2
+
+    def integrate(self, field):
+        ang = field.sum(axis=1) * self.dtheta_weight
+        return complex(np.tensordot(self.w_rdr, ang, axes=(0, 0)))
+
+    def norm(self, f):
+        return float(np.sqrt(max(self.integrate(np.abs(f) ** 2).real, 0.0)))
+
+    def boundary_norm(self, row):
+        return float(np.sqrt(np.sum(np.abs(row) ** 2) * self.dtheta_weight))
+
+
+LAZY = ("_d_parity", "_coeff", "w_rdr", "_mesh", "_cos_sin")
+
+
+def built(grid):
+    """The first-use members a polar grid has built so far."""
+    return sorted(set(LAZY) & (set(vars(grid)) | set(vars(grid.radial))))
+
+
+@pytest.mark.parametrize("num_r, num_theta", [(4, 4), (12, 18), (40, 32), (61, 96)])
+def test_first_use_grid_matches_eager_construction(num_r, num_theta):
+    grid, eager = PolarGrid(num_r, num_theta), EagerGrid(num_r, num_theta)
+    assert built(grid) == []
+    rad = grid.radial
+    for name in ("d_even", "d_odd", "w_rdr"):
+        assert np.array_equal(getattr(rad, name), getattr(eager, name)), name
+    assert np.array_equal(rad._coeff, eager.coeff)
+    for name in ("r", "theta", "modes", "R", "T", "X1", "X2"):
+        assert np.array_equal(getattr(grid, name), getattr(eager, name)), name
+    assert built(grid) == sorted(LAZY)
+    # a second read returns the built member itself
+    assert rad.d_even is rad.d_even and grid.T is grid.T
+
+
+@pytest.mark.parametrize("num_r, num_theta", [(12, 18), (40, 32), (61, 96)])
+def test_one_pass_derivatives_match_the_separate_compositions(num_r, num_theta):
+    grid, eager = PolarGrid(num_r, num_theta), EagerGrid(num_r, num_theta)
+    rng = np.random.default_rng(num_r)
+    shape = (grid.K, grid.n_theta)
+    for f in (rng.standard_normal(shape), rng.standard_normal(shape) + 1j * rng.standard_normal(shape)):
+        lap, fr, (d1, d2) = grid.derivatives(f, gradient=True)
+        assert np.array_equal(lap, eager.laplacian(f))
+        assert np.array_equal(fr, eager.dr(f))
+        g1, g2 = eager.grad_cartesian(f)
+        assert np.array_equal(d1, g1) and np.array_equal(d2, g2)
+        without = grid.derivatives(f)
+        assert without[2] is None
+        assert np.array_equal(without[0], lap) and np.array_equal(without[1], fr)
+        assert all(np.array_equal(a, b) for a, b in zip(grid.grad_cartesian(f), (g1, g2)))
+    u1, u2 = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
+    div = grid.derivatives(u1, gradient=True)[2][0] + grid.derivatives(u2, gradient=True)[2][1]
+    assert np.array_equal(div, eager.div_cartesian(u1, u2))

@@ -32,7 +32,15 @@ from bicharlab.quantize import (
     sample_mode_on_box,
     shifted_pairing,
 )
-from bicharlab.verify import h_oscillation_tail
+from bicharlab.quantize import (
+    _lattice_positions,
+    _origin_phase,
+    _plane_coeffs,
+    _speed_on_lattice,
+    _synthesize,
+    apply_shifted_op,
+)
+from bicharlab.verify import h_oscillation_tail, invariance_gap
 
 
 def spatial_plateau(r_on, r_off):
@@ -634,7 +642,8 @@ def test_spectral_tail_mass_decreases_in_radius():
 def test_h_oscillation_tail_matches_per_radius_oracle():
     # the Stokes mode has two velocity components, so the sums over
     # components are checked too; the cutoff is the interior default
-    fam = [laplace_disk_mode(4, 6), stokes_disk_mode(3, 4)]
+    fam = [laplace_disk_mode(0, 5), laplace_disk_mode(1, 3), laplace_disk_mode(4, 6),
+           stokes_disk_mode(1, 2), stokes_disk_mode(3, 4, num_r=64, num_theta=30)]
     radii = (2.0, 4.0, 8.0)
     want = np.zeros((len(radii), len(fam)))
     for j, mode in enumerate(fam):
@@ -797,7 +806,129 @@ def test_shifted_pairing_agrees_with_masked_route():
         * ring_window(xi1, xi2),
         xi_bound=1.5,
     )
-    fast = shifted_pairing(a, s, md, grid=grid, check=False)
+    _, fast = shifted_pairing(a, s, md, grid=grid, check=False)
     dense = pairing(moved, md, grid=grid, check=False)
     assert abs(fast - dense) < 1e-8 * max(1.0, abs(dense))
 
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def double_lattice_unchirp_op(a, s, f, h, grid):
+    """apply_shifted_op as it was, checks aside: the unchirp taken on the
+    whole (2n)^2 double lattice and cut to the kept n^2 after the product,
+    and the box-origin phase taken once per plane transform.  The oracle
+    of the kept-lattice unchirp."""
+    if s == 0.0:
+        return apply_interior_op(a, f, h, grid, check=False)
+    n = grid.n
+    pos = _lattice_positions(n)
+    k2 = grid.dk * np.fft.fftfreq(2 * n, 1.0 / (2 * n)).astype(int)
+    unchirp2 = np.exp(1j * s * h * (k2[:, None] ** 2 + k2[None, :] ** 2))
+    chirp = np.exp(-1j * s * h * (grid.K1**2 + grid.K2**2))
+    spatial = np.broadcast_to(a.spatial(grid.X1, grid.X2), (n, n))
+    P2 = np.zeros((2 * n, 2 * n), dtype=complex)
+    Q2 = np.zeros_like(P2)
+    sel = np.ix_(pos, pos)
+    spatial_hat = _plane_coeffs(np.asarray(spatial, dtype=complex), grid, _origin_phase(grid))
+    P2[sel] = spatial_hat * chirp
+    Q2[sel] = _speed_on_lattice(a, h, grid, _plane_coeffs(f, grid, _origin_phase(grid)) * chirp)
+    out2 = np.fft.fft2(np.fft.ifft2(P2) * np.fft.ifft2(Q2)) * (2 * n) ** 2
+    return _synthesize((out2 * unchirp2)[sel], grid)
+
+
+def per_call_pairings(a, s, mode):
+    """The invariance loop as it was: `pairing`, then a second sample of the
+    mode on the same default box for the shifted pairing."""
+    before = pairing(a, mode)
+    grid = default_box(mode.h, max(a.xi_bound, XI_FLOOR))
+    after = 0.0 + 0.0j
+    for u in sample_mode_on_box(mode, grid):
+        after += grid.inner(double_lattice_unchirp_op(a, s, u, mode.h, grid), u)
+    return before, complex(after)
+
+
+# the symbol of the benchmark's invariance experiment
+BUMP_SYMBOL = {
+    "type": "interior",
+    "xi_bound": 1.6,
+    "factors": [
+        {"var": "bump", "center": [0.25, 0.0], "radius": 0.2},
+        {"var": "speed", "window": [0.6, 0.8, 1.2, 1.4]},
+    ],
+}
+
+SHIFT_MODES = [
+    laplace_disk_mode(0, 6),
+    laplace_disk_mode(1, 4),
+    laplace_disk_mode(5, 3, num_r=48, num_theta=40),
+    stokes_disk_mode(1, 2),
+    stokes_disk_mode(4, 2),
+]
+
+
+@pytest.mark.parametrize("mode", SHIFT_MODES, ids=lambda md: f"{md.kind}-{md.m}-{md.k}")
+@pytest.mark.parametrize("s", [0.1, -0.07, 0.0])
+def test_kept_lattice_unchirp_matches_double_lattice_oracle(mode, s):
+    a = build_symbol(BUMP_SYMBOL)
+    grid = default_box(mode.h, 1.6)
+    for u in sample_mode_on_box(mode, grid):
+        got = apply_shifted_op(a, s, u, mode.h, grid)
+        assert same_bits(got, double_lattice_unchirp_op(a, s, u, mode.h, grid))
+
+
+@pytest.mark.parametrize("s", [0.12, -0.12, 1e-3])
+def test_kept_lattice_unchirp_on_a_lattice_field(s):
+    grid = BoxGrid(64)
+    a = InteriorSymbol(trig_window(grid), ring_speed, xi_bound=1.5)
+    f, _ = lattice_field(grid, 4, seed=17)
+    got = apply_shifted_op(a, s, f, 0.05, grid, check=False)
+    assert same_bits(got, double_lattice_unchirp_op(a, s, f, 0.05, grid))
+
+
+@pytest.mark.parametrize("mode", SHIFT_MODES, ids=lambda md: f"{md.kind}-{md.m}-{md.k}")
+def test_shifted_pairing_takes_both_times_on_one_sample(mode, monkeypatch):
+    from bicharlab import quantize
+
+    a = build_symbol(BUMP_SYMBOL)
+    for s in (0.1, -0.07):
+        want = per_call_pairings(a, s, mode)
+        samples = []
+        sample = quantize.sample_mode_on_box
+        monkeypatch.setattr(quantize, "sample_mode_on_box",
+                            lambda *args: samples.append(1) or sample(*args))
+        got = shifted_pairing(a, s, mode)
+        monkeypatch.undo()
+        assert got == want and len(samples) == 1
+
+
+def test_invariance_rows_match_the_per_call_loop():
+    a = build_symbol(BUMP_SYMBOL)
+    fam = [laplace_disk_mode(0, k) for k in (10, 16, 25)]
+    for modes, s in ((fam, 0.15), (fam, -0.1), (SHIFT_MODES[3:], 0.1)):
+        rep = invariance_gap(modes, a, s)
+        for row, mode in zip(rep.rows, modes):
+            before, after = per_call_pairings(a, s, mode)
+            assert (row.h, row.before, row.after, row.gap) == (
+                float(mode.h), float(before.real), float(after.real), float(abs(after - before)))
+
+
+@pytest.mark.parametrize("mode", [laplace_disk_mode(0, 9), laplace_disk_mode(1, 5),
+                                  stokes_disk_mode(3, 4)], ids=["laplace-0", "laplace-1", "stokes-3"])
+def test_cutoff_sample_matches_the_full_box_cut(mode):
+    # the cutoff vanishes for |x| >= 0.9, so only the nodes inside are
+    # evaluated; the full-box product gives the same bits there and a
+    # zero of either sign everywhere else
+    cut = lambda t: 1.0 - plateau_step(t, 0.7, 0.9)
+    box = default_box(mode.h, 4.5)
+    got = sample_mode_on_box(mode, box, cut)
+    full = sample_mode_on_box(mode, box)
+    full *= cut(np.hypot(box.X1, box.X2))
+    live = cut(np.hypot(box.X1, box.X2)) != 0.0
+    assert live.any() and not live[~box.disk_mask()].any()
+    assert same_bits(got[:, live], full[:, live])
+    assert np.array_equal(got, full)
+    assert not np.signbit(np.ascontiguousarray(got[:, ~live]).view(float)).any()
