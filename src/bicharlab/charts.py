@@ -27,14 +27,13 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "OrderBudgetError",
     "PhasePoint",
-    "RJet",
     "CollarChart",
     "DiskChart",
     "AnnulusChart",
@@ -78,15 +77,6 @@ class PhasePoint:
         return PhasePoint(self.y, self.xp, -self.eta, -self.xip)
 
 
-class RJet(NamedTuple):
-    """Value and first derivatives of r at a phase point."""
-
-    r: float
-    dr_dy: float
-    dr_dxp: float
-    dr_dxip: float
-
-
 class CollarChart:
     """Base interface; concrete charts fill in the r data."""
 
@@ -96,21 +86,15 @@ class CollarChart:
 
     # -- required geometry ------------------------------------------
 
-    def _jet_any_y(self, y: float, xp: float, xip: float) -> RJet:
+    def _jet_values(self, y: float, xp: float, xip: float) -> tuple:
+        """(r, dr_dy, dr_dxp, dr_dxip) at a phase point, a plain tuple in that order."""
         raise NotImplementedError
 
-    def _jet_values(self, y: float, xp: float, xip: float) -> tuple:
-        """(r, dr_dy, dr_dxp, dr_dxip) as the tracer's Hamilton fields unpack it.
-
-        A chart may return a plain tuple here and skip building an RJet.
-        """
-        return self._jet_any_y(y, xp, xip)
-
     def r0(self, xp: float, xip: float) -> float:
-        return self._jet_any_y(0.0, xp, xip).r
+        return self._jet_values(0.0, xp, xip)[0]
 
     def r1(self, xp: float, xip: float) -> float:
-        return self._jet_any_y(0.0, xp, xip).dr_dy
+        return self._jet_values(0.0, xp, xip)[1]
 
     # -- public evaluation -------------------------------------------
 
@@ -132,7 +116,7 @@ class CollarChart:
         raise NotImplementedError
 
     def on_shell_defect(self, p: PhasePoint) -> float:
-        return abs(p.eta**2 - self._jet_any_y(p.y, p.xp, p.xip).r)
+        return abs(p.eta**2 - self._jet_values(p.y, p.xp, p.xip)[0])
 
 
 # ----------------------------------------------------------------------
@@ -154,7 +138,7 @@ class _RoundChart(CollarChart):
     def __init__(self, collar_width, max_derivative_order, edge=1.0, direction=-1.0, hole=0.0):
         self.collar_width = float(collar_width)
         self.max_derivative_order = _derivative_order(max_derivative_order)
-        # instance attributes, which read faster than class ones in _jet_any_y
+        # instance attributes, which read faster than class ones in _jet_values
         self._edge, self._dir, self._hole = edge, direction, hole
 
     def radius(self, y):
@@ -170,9 +154,6 @@ class _RoundChart(CollarChart):
             0.0,
             -2.0 * xip / rho**2,
         )
-
-    def _jet_any_y(self, y, xp, xip):
-        return RJet(*self._jet_values(y, xp, xip))
 
     def _bracket(self, j, xp, xip):
         # r0 and r1 depend on xi' alone, so the bracket vanishes identically
@@ -334,7 +315,7 @@ class ModelChart(CollarChart):
         self._r0_poly = coef[:, :, 0]
         self._r1_poly = coef[:, :, 1] if coef.shape[2] > 1 else np.zeros((1, 1))
 
-    def _jet_any_y(self, y, xp, xip):
+    def _jet_values(self, y, xp, xip):
         ypow = y ** np.arange(self.coef.shape[2])
         c2 = self.coef @ ypow  # collapse y axis -> (z, zeta) table
         dy_w = np.arange(self.coef.shape[2]) * y ** np.maximum(
@@ -342,11 +323,11 @@ class ModelChart(CollarChart):
         )
         dy_w[0] = 0.0
         c2_dy = self.coef @ dy_w
-        return RJet(
-            r=_poly_eval2(c2, xp, xip),
-            dr_dy=_poly_eval2(c2_dy, xp, xip),
-            dr_dxp=_poly_eval2(_poly_diff2(c2, 0), xp, xip),
-            dr_dxip=_poly_eval2(_poly_diff2(c2, 1), xp, xip),
+        return (
+            _poly_eval2(c2, xp, xip),
+            _poly_eval2(c2_dy, xp, xip),
+            _poly_eval2(_poly_diff2(c2, 0), xp, xip),
+            _poly_eval2(_poly_diff2(c2, 1), xp, xip),
         )
 
     def r0(self, xp, xip):
@@ -384,15 +365,14 @@ def load_chart(spec: str | dict) -> CollarChart:
     if isinstance(spec, dict):
         return _chart_from_dict(spec)
     s = str(spec)
-    if s == "disk" or s.startswith("disk:"):
-        parts = s.split(":")
-        width = float(parts[1]) if len(parts) > 1 else 0.35
-        return DiskChart(collar_width=width)
-    if s.startswith("annulus:"):
-        parts = s.split(":")
-        rho = float(parts[1])
-        comp = parts[2] if len(parts) > 2 else "outer"
-        return AnnulusChart(rho, comp)
+    if s == "disk" or s.startswith(("disk:", "annulus:")):
+        kind, *fields = s.split(":")
+        form, most = ("disk[:WIDTH]", 1) if kind == "disk" else ("annulus:RHO_IN[:inner|outer]", 2)
+        if len(fields) > most:
+            raise ValueError(f"chart {s!r} has fields past {form}")
+        if kind == "disk":
+            return DiskChart(collar_width=float(fields[0]) if fields else 0.35)
+        return AnnulusChart(float(fields[0]), *fields[1:])
     with open(s) as fh:
         return _chart_from_dict(json.load(fh))
 

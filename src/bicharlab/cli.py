@@ -305,7 +305,14 @@ def cmd_config(args) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    select = set(args.select) if args.select else None
+    select = None if args.select is None else set(args.select)
+    unknown = sorted((select or set()) - {spec["name"] for spec in cfg.experiments})
+    if unknown:
+        # argparse's usage error, returned like the config errors above
+        args.parser.print_usage(sys.stderr)
+        print(f"{args.parser.prog}: error: argument --select: no experiment named"
+              f" {', '.join(map(repr, unknown))}", file=sys.stderr)
+        return 2
     code, _, _ = run_config(cfg, only_kinds=args.only_kinds, select=select)
     return code
 
@@ -371,8 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help=f"output root (default ${OUT_ENV} or bicharlab_out)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--jobs", type=int, default=None, help="worker processes for experiments")
-        p.add_argument("--select", nargs="*", default=None, help="run only these experiment names")
-        p.set_defaults(func=cmd_config, only_kinds=kinds)
+        p.add_argument("--select", nargs="+", default=None, help="run only these experiment names")
+        p.set_defaults(func=cmd_config, only_kinds=kinds, parser=p)
 
     return ap
 

@@ -486,12 +486,12 @@ def _glide_field(chart: CollarChart):
 def _project_shell(chart: CollarChart, xp: float, xip: float) -> float:
     # Newton steps in xi' push the point back onto {r0 = 0}
     for _ in range(3):
-        jet = chart._jet_any_y(0.0, xp, xip)
-        if abs(jet.r) < 1e-14 * (1.0 + xip * xip):
+        r, _, _, dr_dxip = chart._jet_values(0.0, xp, xip)
+        if abs(r) < 1e-14 * (1.0 + xip * xip):
             break
-        if abs(jet.dr_dxip) < 1e-12:
+        if abs(dr_dxip) < 1e-12:
             break
-        xip = xip - jet.r / jet.dr_dxip
+        xip = xip - r / dr_dxip
     return xip
 
 

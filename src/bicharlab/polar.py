@@ -136,31 +136,10 @@ class PolarGrid:
         self._even_cols = (self.modes % 2) == 0
         self.dtheta_weight = 2.0 * np.pi / self.n_theta
 
-    # -- (K, n_theta) meshes, built on first use ----------------------
-
-    @cached_property
-    def _mesh(self) -> tuple[np.ndarray, np.ndarray]:
-        return tuple(np.meshgrid(self.r, self.theta, indexing="ij"))
-
-    @property
-    def R(self) -> np.ndarray:
-        return self._mesh[0]
-
-    @property
-    def T(self) -> np.ndarray:
-        return self._mesh[1]
-
     @cached_property
     def _cos_sin(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.cos(self.T), np.sin(self.T)
-
-    @property
-    def X1(self) -> np.ndarray:
-        return self.R * self._cos_sin[0]
-
-    @property
-    def X2(self) -> np.ndarray:
-        return self.R * self._cos_sin[1]
+        """cos and sin of the angle nodes, shape (n_theta,), built on first use."""
+        return np.cos(self.theta), np.sin(self.theta)
 
     # -- transforms -------------------------------------------------
 

@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 
-# least |xi| reach of a default pairing box: the modes live at |xi| = 1,
+# least |xi| reach of a pairing box: the modes live at |xi| = 1,
 # so a lattice sized from a smaller symbol box aliases them
 XI_FLOOR = 1.5
 
@@ -96,9 +96,6 @@ class BoxGrid:
 
     def inner(self, f: np.ndarray, g: np.ndarray) -> complex:
         return complex(self.cell * np.sum(f * np.conj(g)))
-
-    def norm(self, f: np.ndarray) -> float:
-        return float(np.sqrt(max(self.inner(f, f).real, 0.0)))
 
     def disk_mask(self) -> np.ndarray:
         return (self.X1**2 + self.X2**2) <= 1.0
@@ -387,13 +384,7 @@ def apply_tangential_op(
     return out
 
 
-def pairing(
-    a,
-    mode,
-    *,
-    grid: Optional[BoxGrid] = None,
-    check: bool = True,
-) -> complex:
+def pairing(a, mode, *, check: bool = True) -> complex:
     """Quadratic form (Op_h(a) u | u), summed over velocity components.
 
     Besides interior and tangential symbols, `a` may be a pullback such as
@@ -408,34 +399,20 @@ def pairing(
         for u in mode.velocity:
             total += g.inner(apply_tangential_op(a, u, h, g), u)
         return complex(total)
-    if not isinstance(a, InteriorSymbol) and (getattr(a, "xi_bound", None) is None or check):
+    if check and not isinstance(a, InteriorSymbol):
         raise TypeError(
-            "expected an InteriorSymbol or TangentialSymbol, or a pullback with"
-            " a xi_bound paired with check=False"
+            "expected an InteriorSymbol or TangentialSymbol, or a pullback paired with check=False"
         )
-    [total] = _box_pairings(
-        a, mode, grid, check, lambda u, g: apply_interior_op(a, u, h, g, check=check)
-    )
+    [total] = _box_pairings(a, mode, lambda u, g: apply_interior_op(a, u, h, g, check=check))
     return total
 
 
-def _box_pairings(a, mode, grid: Optional[BoxGrid], check: bool, *applies) -> list:
+def _box_pairings(a, mode, *applies) -> list:
     """Sums of (apply(u, grid) | u) over the mode's velocity components, one per apply.
 
-    The mode is sampled once, on the box that defaults to
-    `default_box(mode.h, max(a.xi_bound, XI_FLOOR))`.  With `check`, an
-    explicit box whose lattice reach is below XI_FLOOR is refused: it
-    aliases the mode.
+    The mode is sampled once, on `default_box(mode.h, max(a.xi_bound, XI_FLOOR))`.
     """
-    if grid is None:
-        grid = default_box(mode.h, max(a.xi_bound, XI_FLOOR))
-    elif check:
-        reach = mode.h * (grid.kmax - 2.0 * grid.dk)
-        if reach < XI_FLOOR:
-            raise BandlimitError(
-                f"pairing box reach {reach:.3f} is below {XI_FLOOR} at n = {grid.n},"
-                f" h = {mode.h:.3g}: the lattice aliases the mode"
-            )
+    grid = default_box(mode.h, max(a.xi_bound, XI_FLOOR))
     totals = [0.0 + 0.0j] * len(applies)
     for u in sample_mode_on_box(mode, grid):
         for i, apply in enumerate(applies):
@@ -443,27 +420,20 @@ def _box_pairings(a, mode, grid: Optional[BoxGrid], check: bool, *applies) -> li
     return [complex(total) for total in totals]
 
 
-def shifted_pairing(
-    a: InteriorSymbol,
-    s: float,
-    mode,
-    *,
-    grid: Optional[BoxGrid] = None,
-    check: bool = True,
-) -> tuple[complex, complex]:
+def shifted_pairing(a: InteriorSymbol, s: float, mode) -> tuple[complex, complex]:
     """Quadratic forms of a and of the free-transported a(x + 2 s xi, xi).
 
-    Both pair on one sample of the mode, on the box `pairing` takes by
-    default; the first equals `pairing(a, mode)`.  The second is the
+    Both pair on one sample of the mode, on the box `pairing` takes; the
+    first equals `pairing(a, mode)`.  The second is the
     broken-flow pullback only while every ray feeding the support stays
     strictly inside the disk over the shift; the margin check inside
     apply_shifted_op enforces the conservative version of that geometry.
     """
     h = mode.h
     return tuple(_box_pairings(
-        a, mode, grid, check,
-        lambda u, g: apply_interior_op(a, u, h, g, check=check),
-        lambda u, g: apply_shifted_op(a, s, u, h, g, check=check),
+        a, mode,
+        lambda u, g: apply_interior_op(a, u, h, g),
+        lambda u, g: apply_shifted_op(a, s, u, h, g),
     ))
 
 
@@ -482,13 +452,7 @@ class PairingSeries:
             yield {"h": float(h), "re": float(v.real), "im": float(v.imag)}
 
 
-def measure_sequence(
-    a,
-    modes: Sequence,
-    *,
-    grid: Optional[BoxGrid] = None,
-    pairing_fn: Optional[Callable] = None,
-) -> PairingSeries:
+def measure_sequence(a, modes: Sequence) -> PairingSeries:
     """Pair a symbol along a family and extrapolate the h -> 0 limit.
 
     Linear-in-h fit through the last three members gives the reported
@@ -500,8 +464,7 @@ def measure_sequence(
         raise ValueError("empty mode family")
     if np.any(np.diff(hs) >= 0.0):
         raise ValueError("modes must be ordered by strictly decreasing h")
-    fn = pairing_fn if pairing_fn is not None else (lambda s, m: pairing(s, m, grid=grid))
-    values = np.array([fn(a, m) for m in modes], dtype=complex)
+    values = np.array([pairing(a, m) for m in modes], dtype=complex)
     gaps = np.abs(np.diff(values))
     if len(modes) >= 3:
         design = np.stack([np.ones(3), hs[-3:]], axis=1)
@@ -535,7 +498,6 @@ def _symmetric_axis(half_width: float, num: int) -> np.ndarray:
 def husimi_grid(
     mode,
     *,
-    box: Optional[BoxGrid] = None,
     nx: int = 24,
     nxi: int = 25,
     x_max: float = 1.25,
@@ -543,8 +505,8 @@ def husimi_grid(
 ) -> HusimiGrid:
     """Coherent-state density |<phi_{x,xi}, u>|^2 / (2 pi h)^2 of a disk mode.
 
-    The mode's components are sampled on `box` (by default one whose
-    lattice reaches xi_max + 1) and h is the mode's.  The xi axis snaps to
+    The mode's components are sampled on the box whose lattice reaches
+    xi_max + 1, and h is the mode's.  The xi axis snaps to
     the frequency lattice, so overlaps are entries of DFTs: per x0 row and
     component, one batched 1-D FFT along x1 and one along x2 for the
     window centres y0 at once, both numpy's pocketfft.  No BLAS call
@@ -580,8 +542,7 @@ def husimi_grid(
     if not (0.0 < x_max < math.inf and 0.0 < xi_max < math.inf):
         raise ValueError("need finite x_max > 0 and xi_max > 0")
     h = mode.h
-    if box is None:
-        box = default_box(h, xi_max + 1.0)
+    box = default_box(h, xi_max + 1.0)
     comps = sample_mode_on_box(mode, box)
     lattice = h * box.k  # lattice[-i] == -lattice[i] exactly
     targets = _symmetric_axis(xi_max, nxi)

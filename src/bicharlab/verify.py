@@ -14,7 +14,7 @@ the statements being tested concern where mass lives, not its phase.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -155,31 +155,6 @@ class PropagationReport:
             verdict=d.get("verdict", ""),
         )
 
-    def summary_lines(self) -> List[str]:
-        th = self.thresholds
-        lines = [
-            f"experiment: {self.experiment}",
-            f"symbol: {self.symbol}",
-            f"kind: {self.kind}, flow time s = {self.flow_time:g}",
-            (
-                f"thresholds: theta_pass = {th.theta_pass:g}, "
-                f"kappa = {th.kappa:g}, theta_floor = {th.theta_floor:g}"
-            ),
-            f"{'h':>10}  {'before':>12}  {'after':>12}  {'gap':>12}",
-        ]
-        for r in self.rows:
-            lines.append(
-                f"{r.h:>10.6f}  {r.before:>12.4e}  {r.after:>12.4e}  {r.gap:>12.4e}"
-            )
-        if self.notes:
-            pairs = ", ".join(f"{k} = {v:g}" for k, v in sorted(self.notes.items()))
-            lines.append(f"notes: {pairs}")
-        lines.append(f"verdict: {self.verdict}")
-        return lines
-
-    def __str__(self) -> str:
-        return "\n".join(self.summary_lines())
-
 
 def _require_disk(chart: Optional[CollarChart]) -> DiskChart:
     if chart is None:
@@ -234,16 +209,16 @@ class TransportedSymbol:
     Pruning: free flight and specular reflection conserve |xi| and
     x wedge xi, so where the base's `invariant` (a factor of the base
     that is a function of those two only, or None; see `InteriorSymbol`)
-    is 0, the pullback is 0 and the point is not flown.  The pullback
-    exposes the same `invariant`, so nested pullbacks prune too, and the
-    base's `xi_bound` (None for a bare callable), so `pairing` and
-    `support_gap` take it as it is.
+    is 0, the pullback is 0 and the point is not flown.  The base is an
+    `InteriorSymbol` or another pullback; the pullback exposes its
+    `invariant`, so nested pullbacks prune too, and its `xi_bound`, so
+    `pairing` and `support_gap` take it as it is.
     """
 
-    def __init__(self, base: Union[InteriorSymbol, Callable], s: float):
-        self._base = base.eval if hasattr(base, "eval") else base
-        self.invariant = getattr(base, "invariant", None)
-        self.xi_bound = getattr(base, "xi_bound", None)
+    def __init__(self, base: Union[InteriorSymbol, TransportedSymbol], s: float):
+        self._base = base.eval
+        self.invariant = base.invariant
+        self.xi_bound = base.xi_bound
         self.s = float(s)
         self.unresolved = 0
 
@@ -284,8 +259,6 @@ class TransportedSymbol:
             rs2 = s * xis[:, 0] + c * xis[:, 1]
             worst = np.maximum(worst, np.abs(self._base(rx1, rx2, rs1, rs2)))
         return worst > 1e-12
-
-    __call__ = eval
 
 
 def gliding_rotation(chart: Optional[CollarChart], s: float, xip: float = 1.0) -> float:
@@ -466,7 +439,7 @@ def support_gap(
                 )
             )
     else:
-        if not isinstance(a, (InteriorSymbol, TransportedSymbol)) or a.xi_bound is None:
+        if not isinstance(a, (InteriorSymbol, TransportedSymbol)):
             raise TypeError("expected an interior or tangential symbol, or a pullback of one")
         _require_disk(chart)
         for m in modes:
@@ -609,23 +582,23 @@ def car_mass(
 TAIL_CUTOFFS = {"interior": (0.7, 0.9), "tangential": (0.2, 0.3)}
 
 
-def h_oscillation_tail(modes: Sequence, R, *, variant: str = "interior") -> np.ndarray:
-    """Mass fraction beyond frequency R/h for each mode, under a cutoff.
+def h_oscillation_tail(
+    modes: Sequence, radii: Sequence[float], *, variant: str = "interior"
+) -> np.ndarray:
+    """Mass fraction beyond frequency R/h for each mode and radius R, under a cutoff.
 
     variant="interior": modes are sampled on a Cartesian box sized so the
-    lattice reaches the largest requested R, multiplied by a radial
+    lattice reaches the largest requested radius, multiplied by a radial
     plateau cutoff (ramp on |x| in [0.7, 0.9]; the closed form is
     evaluated only where the cutoff is nonzero), and the tail is the
     fraction of Fourier power at |xi| > R/h.  variant="tangential": the
     angular-frequency tail of the velocity restricted to the boundary
     collar (depth ramp on [0.2, 0.3]).  The ramps are `TAIL_CUTOFFS`.
 
-    R may be a scalar or a sequence; a sequence is measured on one shared
-    grid per mode, so the tails nest exactly.  Returns shape (len(modes),)
-    for scalar R, else (len(R), len(modes)).
+    The radii are measured on one shared grid per mode, so the tails nest
+    exactly.  Returns shape (len(radii), len(modes)).
     """
-    Rs = np.atleast_1d(np.asarray(R, dtype=float))
-    scalar = np.ndim(R) == 0
+    Rs = np.asarray(radii, dtype=float)
     if np.any(Rs <= 1.0):
         raise ValueError("tail radii must exceed 1, the speed of the shell")
     if variant not in TAIL_CUTOFFS:
@@ -670,4 +643,4 @@ def h_oscillation_tail(modes: Sequence, R, *, variant: str = "interior") -> np.n
             freq = m.h * np.abs(g.modes.astype(float))
             for i, rad in enumerate(Rs):
                 out[i, j] = float(per_mode[freq > rad].sum()) / total
-    return out[0] if scalar else out
+    return out

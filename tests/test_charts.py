@@ -16,7 +16,6 @@ from bicharlab.charts import (
     ModelChart,
     OrderBudgetError,
     PhasePoint,
-    RJet,
     _derivative_order,
     _poly_mul2,
     load_chart,
@@ -59,23 +58,23 @@ def fd_jet(chart, y, xp, xip, h=1e-4):
 
         return (4 * central(h / 2) - central(h)) / 3
 
-    r = chart._jet_any_y(y, xp, xip).r
+    r = chart._jet_values(y, xp, xip)[0]
     return (
         r,
-        d(lambda s: chart._jet_any_y(y + s, xp, xip).r),
-        d(lambda s: chart._jet_any_y(y, xp + s, xip).r),
-        d(lambda s: chart._jet_any_y(y, xp, xip + s).r),
+        d(lambda s: chart._jet_values(y + s, xp, xip)[0]),
+        d(lambda s: chart._jet_values(y, xp + s, xip)[0]),
+        d(lambda s: chart._jet_values(y, xp, xip + s)[0]),
     )
 
 
 def test_disk_frozen_values():
     c = DiskChart()
-    jet = c._jet_any_y(0.0, 0.3, 0.5)
-    assert jet.r == pytest.approx(0.75, abs=1e-15)
-    assert jet.dr_dy == pytest.approx(-0.5, abs=1e-15)
-    jet = c._jet_any_y(0.0, -1.0, 1.0)
-    assert jet.r == pytest.approx(0.0, abs=1e-15)
-    assert jet.dr_dy == pytest.approx(-2.0, abs=1e-15)
+    r, dr_dy, _, _ = c._jet_values(0.0, 0.3, 0.5)
+    assert r == pytest.approx(0.75, abs=1e-15)
+    assert dr_dy == pytest.approx(-0.5, abs=1e-15)
+    r, dr_dy, _, _ = c._jet_values(0.0, -1.0, 1.0)
+    assert r == pytest.approx(0.0, abs=1e-15)
+    assert dr_dy == pytest.approx(-2.0, abs=1e-15)
     assert c.r0(0.0, 0.5) == pytest.approx(0.75)
     assert c.r1(0.0, 1.0) == pytest.approx(-2.0)
 
@@ -93,12 +92,12 @@ def test_fd_agreement_random_points():
             y = rng.uniform(0.01, chart.collar_width * 0.9)
             xp = rng.uniform(-2.0, 2.0)
             xip = rng.uniform(-1.2, 1.2)
-            jet = chart._jet_any_y(y, xp, xip)
+            _, dr_dy, dr_dxp, dr_dxip = chart._jet_values(y, xp, xip)
             _, fy, fxp, fxip = fd_jet(chart, y, xp, xip)
-            scale = 1.0 + abs(jet.dr_dy) + abs(jet.dr_dxp) + abs(jet.dr_dxip)
-            assert abs(jet.dr_dy - fy) / scale < 1e-6
-            assert abs(jet.dr_dxp - fxp) / scale < 1e-6
-            assert abs(jet.dr_dxip - fxip) / scale < 1e-6
+            scale = 1.0 + abs(dr_dy) + abs(dr_dxp) + abs(dr_dxip)
+            assert abs(dr_dy - fy) / scale < 1e-6
+            assert abs(dr_dxp - fxp) / scale < 1e-6
+            assert abs(dr_dxip - fxip) / scale < 1e-6
 
 
 def test_disk_r_against_embedded_metric():
@@ -116,7 +115,7 @@ def test_disk_r_against_embedded_metric():
         jt = (emb(y, th + h) - emb(y, th - h)) / (2 * h)
         g_tt = jt @ jt
         r_oracle = 1.0 - xip**2 / g_tt
-        assert abs(c._jet_any_y(y, th, xip).r - r_oracle) < 1e-8
+        assert abs(c._jet_values(y, th, xip)[0] - r_oracle) < 1e-8
 
 
 def test_collar_domain_enforced():
@@ -138,7 +137,7 @@ def test_collar_domain_enforced():
     # model charts have no ambient domain: any y >= 0 is meaningful
     m = ModelChart([(0, 1, 0, 1.0)])
     check_start(m, PhasePoint(5.0, 0.0, 0.0, 0.2))
-    assert m._jet_any_y(5.0, 0.0, 0.2).r == pytest.approx(0.2)
+    assert m._jet_values(5.0, 0.0, 0.2)[0] == pytest.approx(0.2)
 
 
 def test_bracket_model_chart_frozen():
@@ -227,7 +226,7 @@ def test_disk_energy_matches_euclidean():
     for _ in range(50):
         p = PhasePoint(rng.uniform(0, 0.3), rng.uniform(0, 6), rng.uniform(-1, 1), rng.uniform(-1, 1))
         x, xi = c.to_cartesian(p)
-        r = c._jet_any_y(p.y, p.xp, p.xip).r
+        r = c._jet_values(p.y, p.xp, p.xip)[0]
         assert abs((p.eta**2 - r) - (xi @ xi - 1.0)) < 1e-12
 
 
@@ -253,6 +252,15 @@ def test_load_chart(tmp_path):
     # JSON may write the power 1 as 1.0: the same chart
     floats = load_chart({"kind": "model", "terms": [[0, 1.0, 0, 1.0], [1, 0, 1.0, 1.0]]})
     assert floats.terms == m.terms and np.array_equal(floats.coef, m.coef)
+
+
+def test_load_chart_refuses_trailing_shorthand_fields():
+    # these once loaded, and the field past the shorthand was ignored
+    assert load_chart("disk:0.2").collar_width == 0.2
+    with pytest.raises(ValueError, match=r"'disk:0\.2:junk' has fields past disk\[:WIDTH\]"):
+        load_chart("disk:0.2:junk")
+    with pytest.raises(ValueError, match=r"'annulus:0\.3:inner:junk' has fields past annulus:"):
+        load_chart("annulus:0.3:inner:junk")
 
 
 def test_model_chart_validation():
@@ -307,14 +315,9 @@ class DiskOracle(CollarChart):
         self.collar_width = float(collar_width)
         self.max_derivative_order = _derivative_order(max_derivative_order)
 
-    def _jet_any_y(self, y, xp, xip):
+    def _jet_values(self, y, xp, xip):
         s = 1.0 - y
-        return RJet(
-            r=1.0 - xip**2 / s**2,
-            dr_dy=-2.0 * xip**2 / s**3,
-            dr_dxp=0.0,
-            dr_dxip=-2.0 * xip / s**2,
-        )
+        return (1.0 - xip**2 / s**2, -2.0 * xip**2 / s**3, 0.0, -2.0 * xip / s**2)
 
     def _bracket(self, j, xp, xip):
         # r0 and r1 depend on xi' alone, so the bracket vanishes identically
@@ -398,15 +401,10 @@ class AnnulusOracle(CollarChart):
             return 1.0 - y
         return self.rho_in + y
 
-    def _jet_any_y(self, y, xp, xip):
+    def _jet_values(self, y, xp, xip):
         sgn = -1.0 if self.component == "outer" else 1.0
         rho = self._rho(y)
-        return RJet(
-            r=1.0 - xip**2 / rho**2,
-            dr_dy=sgn * 2.0 * xip**2 / rho**3,
-            dr_dxp=0.0,
-            dr_dxip=-2.0 * xip / rho**2,
-        )
+        return (1.0 - xip**2 / rho**2, sgn * 2.0 * xip**2 / rho**3, 0.0, -2.0 * xip / rho**2)
 
     def _bracket(self, j, xp, xip):
         if j == 0:
@@ -498,7 +496,7 @@ def test_round_charts_match_their_two_class_form(pair, depth, xp, eta, xip, dept
     y = depth * span
     ys = np.array(depths) * span
     assert new.kind == old.kind and new.collar_width == old.collar_width
-    for got, want in zip(new._jet_any_y(y, xp, xip), old._jet_any_y(y, xp, xip), strict=True):
+    for got, want in zip(new._jet_values(y, xp, xip), old._jet_values(y, xp, xip), strict=True):
         assert same_bits(got, want)
     for j in (0, 1, 2):
         assert same_bits(new.iterated_bracket(j, xp, xip), old.iterated_bracket(j, xp, xip))

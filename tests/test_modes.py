@@ -21,7 +21,7 @@ from bicharlab.modes import (
     stokes_disk_mode,
 )
 from bicharlab.polar import PolarGrid
-from test_polar import EagerGrid, built
+from test_polar import EagerGrid, built, mesh
 
 
 def j0_series(x):
@@ -90,7 +90,7 @@ def test_laplace_mode_properties():
     assert rep["normalization"] < 1e-10
     assert rep["flux_norm"] == pytest.approx(math.sqrt(2.0), abs=1e-8)
     # closed-form evaluator agrees with the sampled field
-    pts = np.stack([mode.grid.R * np.cos(mode.grid.T), mode.grid.R * np.sin(mode.grid.T)], axis=-1)
+    pts = np.stack(mesh(mode.grid)[2:], axis=-1)
     vals = mode.eval_velocity(pts)[..., 0]
     assert np.max(np.abs(vals - mode.velocity[0])) < 1e-12
 
@@ -150,7 +150,7 @@ def eval_pressure(mode, points):
 def test_stokes_closed_form_evaluators():
     mode = stokes_disk_mode(3, 1)
     g = mode.grid
-    pts = np.stack([g.R * np.cos(g.T), g.R * np.sin(g.T)], axis=-1)
+    pts = np.stack(mesh(g)[2:], axis=-1)
     v = mode.eval_velocity(pts)
     assert np.max(np.abs(v[..., 0] - mode.velocity[0])) < 1e-9
     assert np.max(np.abs(v[..., 1] - mode.velocity[1])) < 1e-9

@@ -13,6 +13,12 @@ from bicharlab.polar import (
 )
 
 
+def mesh(grid):
+    """(R, T, X1, X2): the (K, n_theta) radius, angle and Cartesian meshes of a polar grid."""
+    R, T = np.meshgrid(grid.r, grid.theta, indexing="ij")
+    return R, T, R * np.cos(T), R * np.sin(T)
+
+
 def radial_diff(g, prof, parity):
     """d/dr of radial profiles (first axis) with the given parity at 0."""
     d = g.d_even if parity > 0 else g.d_odd
@@ -89,38 +95,41 @@ def test_radial_interpolation():
 def test_disk_area_and_moments():
     grid = PolarGrid(20, 16)
     one = np.ones((grid.K, grid.n_theta))
+    _, _, X1, X2 = mesh(grid)
     assert abs(grid.integrate(one) - np.pi) < 1e-12
-    assert abs(grid.integrate(grid.X1**2) - np.pi / 4) < 1e-12
-    assert abs(grid.integrate(grid.X1 * grid.X2)) < 1e-13
+    assert abs(grid.integrate(X1**2) - np.pi / 4) < 1e-12
+    assert abs(grid.integrate(X1 * X2)) < 1e-13
 
 
 def test_integrate_general_smooth_field():
     f = lambda x1, x2: np.exp(x1 - 0.5 * x2) * (1.0 + 0.3 * x2**3)
     a = PolarGrid(24, 20)
     b = PolarGrid(40, 34)
-    va = a.integrate(f(a.X1, a.X2))
-    vb = b.integrate(f(b.X1, b.X2))
+    va = a.integrate(f(*mesh(a)[2:]))
+    vb = b.integrate(f(*mesh(b)[2:]))
     assert abs(va - vb) < 1e-12
 
 
 def test_gradient_on_polynomials():
     grid = PolarGrid(18, 16)
-    f = grid.X1**3 - 2.0 * grid.X1 * grid.X2**2
+    _, _, X1, X2 = mesh(grid)
+    f = X1**3 - 2.0 * X1 * X2**2
     g1, g2 = grid.grad_cartesian(f)
-    assert np.max(np.abs(g1 - (3 * grid.X1**2 - 2 * grid.X2**2))) < 1e-10
-    assert np.max(np.abs(g2 - (-4 * grid.X1 * grid.X2))) < 1e-10
+    assert np.max(np.abs(g1 - (3 * X1**2 - 2 * X2**2))) < 1e-10
+    assert np.max(np.abs(g2 - (-4 * X1 * X2))) < 1e-10
 
 
 def test_laplacian_polynomial_and_helmholtz():
     grid = PolarGrid(60, 24)
-    f = grid.X1**4
-    assert np.max(np.abs(grid.derivatives(f)[0] - 12 * grid.X1**2)) < 1e-8
+    R, T, X1, _ = mesh(grid)
+    f = X1**4
+    assert np.max(np.abs(grid.derivatives(f)[0] - 12 * X1**2)) < 1e-8
 
     from scipy.special import jn_zeros
 
     m = 3
     lam = jn_zeros(m, 2)[-1]
-    u = jv(m, lam * grid.R) * np.exp(1j * m * grid.T)
+    u = jv(m, lam * R) * np.exp(1j * m * T)
     res = grid.derivatives(u)[0] + lam**2 * u
     assert grid.norm(res) / grid.norm(u) < 1e-9
 
@@ -141,7 +150,8 @@ def test_norm_of_disk_eigenmode():
     m, k = 5, 4
     lam = jn_zeros(m, k)[-1]
     grid = PolarGrid(60, 32)
-    u = jv(m, lam * grid.R) * np.exp(1j * m * grid.T)
+    R, T, _, _ = mesh(grid)
+    u = jv(m, lam * R) * np.exp(1j * m * T)
     exact = np.sqrt(np.pi) * abs(jv(m + 1, lam))
     assert abs(grid.norm(u) - exact) < 1e-11
 
@@ -236,7 +246,7 @@ class EagerGrid:
         return float(np.sqrt(np.sum(np.abs(row) ** 2) * self.dtheta_weight))
 
 
-LAZY = ("_d_parity", "_coeff", "w_rdr", "_mesh", "_cos_sin")
+LAZY = ("_d_parity", "_coeff", "w_rdr", "_cos_sin")
 
 
 def built(grid):
@@ -252,11 +262,14 @@ def test_first_use_grid_matches_eager_construction(num_r, num_theta):
     for name in ("d_even", "d_odd", "w_rdr"):
         assert np.array_equal(getattr(rad, name), getattr(eager, name)), name
     assert np.array_equal(rad._coeff, eager.coeff)
-    for name in ("r", "theta", "modes", "R", "T", "X1", "X2"):
+    for name in ("r", "theta", "modes"):
         assert np.array_equal(getattr(grid, name), getattr(eager, name)), name
+    # the (n_theta,) cos and sin broadcast to the eager meshes' cos and sin
+    for got, want in zip(grid._cos_sin, (np.cos(eager.T), np.sin(eager.T))):
+        assert got.shape == (num_theta,) and np.array_equal(np.broadcast_to(got, want.shape), want)
     assert built(grid) == sorted(LAZY)
     # a second read returns the built member itself
-    assert rad.d_even is rad.d_even and grid.T is grid.T
+    assert rad.d_even is rad.d_even and grid._cos_sin is grid._cos_sin
 
 
 @pytest.mark.parametrize("num_r, num_theta", [(12, 18), (40, 32), (61, 96)])

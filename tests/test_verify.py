@@ -31,6 +31,16 @@ def conserved_eval(x1, x2, xi1, xi2):
     return ring_window(xi1, xi2) * conserved_momentum(x1 * xi2 - x2 * xi1)
 
 
+def unit(x1, x2):
+    """The spatial factor 1, broadcast over x."""
+    return np.ones(np.broadcast_shapes(np.shape(x1), np.shape(x2)))
+
+
+def fiber_symbol(speed=None, momentum=None):
+    """An InteriorSymbol with spatial factor 1: a function of the fiber only."""
+    return InteriorSymbol(unit, speed, momentum, xi_bound=1.5)
+
+
 def closed_disk(x1, x2):
     return np.where(np.hypot(x1, x2) <= 1.0, 1.0, 0.0)
 
@@ -90,7 +100,7 @@ def test_transport_recenters_free_bump():
 def test_transport_conserved_quantities_invariant():
     # speed and angular momentum survive every reflection, so a window in
     # those variables is a fixed point of the pullback for any time
-    tau = verify.TransportedSymbol(conserved_eval, 3.7)
+    tau = verify.TransportedSymbol(fiber_symbol(ring_speed, conserved_momentum), 3.7)
     x1, x2, s1, s2 = disk_cloud(np.random.default_rng(2), 400)
     dev = np.abs(tau.eval(x1, x2, s1, s2) - conserved_eval(x1, x2, s1, s2))
     assert np.max(dev) < 1e-12
@@ -108,19 +118,20 @@ def test_transport_round_trip_inverts():
 
 
 def test_transport_zero_outside_disk_and_static_nodes():
-    tau = verify.TransportedSymbol(lambda *p: np.ones_like(p[0]), 0.5)
+    tau = verify.TransportedSymbol(fiber_symbol(), 0.5)
     assert tau.eval(1.2, 0.0, 1.0, 0.0) == 0.0
     assert tau.eval(0.3, 0.0, 0.0, 0.0) == 1.0
 
 
 def test_transport_marks_doubtful_tangential_contacts():
-    tau = verify.TransportedSymbol(lambda x1, x2, s1, s2: ring_window(s1, s2), 0.5)
+    tau = verify.TransportedSymbol(fiber_symbol(ring_speed), 0.5)
     val = tau.eval(np.array([1.0]), np.array([0.0]), np.array([0.0]), np.array([0.8]))
     assert val[0] == 0.0
     assert tau.unresolved == 1
 
     spatial = verify.TransportedSymbol(
-        lambda x1, x2, s1, s2: window(np.hypot(x1, x2), 0.2, 0.3, 0.5, 0.6), 0.5
+        InteriorSymbol(lambda x1, x2: window(np.hypot(x1, x2), 0.2, 0.3, 0.5, 0.6), xi_bound=1.5),
+        0.5,
     )
     val = spatial.eval(np.array([1.0]), np.array([0.0]), np.array([0.0]), np.array([0.8]))
     assert val[0] == 0.0
@@ -128,7 +139,7 @@ def test_transport_marks_doubtful_tangential_contacts():
 
 
 def test_transport_refuses_non_finite_input():
-    tau = verify.TransportedSymbol(lambda *p: np.ones_like(p[0]), 0.5)
+    tau = verify.TransportedSymbol(fiber_symbol(), 0.5)
     with pytest.raises(ValueError, match="finite"):
         tau.eval(np.nan, 0.0, 1.0, 0.0)
     with pytest.raises(ValueError, match="finite"):
@@ -712,9 +723,6 @@ def test_support_gap_rejects_other_inputs():
     fam = [modes.stokes_disk_mode(8, 2)]
     with pytest.raises(TypeError):
         verify.support_gap(fam, lambda *p: 0.0, 0.3)
-    # a pullback of a bare callable has no xi_bound to place it by
-    with pytest.raises(TypeError):
-        verify.support_gap(fam, verify.TransportedSymbol(conserved_eval, 0.3), 0.3)
 
 
 # -- elliptic and off-shell mass ----------------------------------------
@@ -816,25 +824,24 @@ def test_h_oscillation_tail_interior_bounds_and_nesting():
     assert np.all(tails[1] <= 0.01)
     assert np.all(np.diff(tails, axis=0) <= 0.0)
     assert np.all(tails >= 0.0)
-    single = verify.h_oscillation_tail(fam, 4.0)
-    assert single.shape == (3,)
-    np.testing.assert_allclose(single, verify.h_oscillation_tail(fam, (4.0,))[0])
+    single = verify.h_oscillation_tail(fam, (4.0,))
+    assert single.shape == (1, 3)
     # a different max R sizes a different box, so only grid-level agreement
-    np.testing.assert_allclose(single, tails[1], rtol=0.05)
+    np.testing.assert_allclose(single[0], tails[1], rtol=0.05)
 
 
 def test_h_oscillation_tail_tangential_zero_for_pure_modes():
     fam = [modes.stokes_disk_mode(8, 2), modes.stokes_disk_mode(12, 3)]
-    tails = verify.h_oscillation_tail(fam, 4.0, variant="tangential")
+    tails = verify.h_oscillation_tail(fam, (4.0,), variant="tangential")
     assert np.max(np.abs(tails)) == 0.0
 
 
 def test_h_oscillation_tail_validation():
     fam = [modes.laplace_disk_mode(0, 8)]
     with pytest.raises(ValueError, match="exceed 1"):
-        verify.h_oscillation_tail(fam, 1.0)
+        verify.h_oscillation_tail(fam, (4.0, 1.0))
     with pytest.raises(ValueError, match="variant"):
-        verify.h_oscillation_tail(fam, 4.0, variant="angular")
+        verify.h_oscillation_tail(fam, (4.0,), variant="angular")
 
 
 # -- reports -------------------------------------------------------------
@@ -842,6 +849,13 @@ def test_h_oscillation_tail_validation():
 
 def _rows(entries):
     return [ModeRow(*e) for e in entries]
+
+
+def report_text(rep):
+    """The thresholds and verdict of a report as text, read from its stored dict."""
+    d = rep.to_dict()
+    pairs = ", ".join(f"{k} = {v:g}" for k, v in d["thresholds"].items())
+    return f"thresholds: {pairs}\nverdict: {d['verdict']}"
 
 
 def test_report_round_trip_and_recompute():
@@ -852,7 +866,7 @@ def test_report_round_trip_and_recompute():
     assert back.recompute_verdict() == rep.verdict
     assert back.rows == rep.rows
     assert back.thresholds == rep.thresholds
-    text = str(rep)
+    text = report_text(back)
     for token in ("theta_pass", "kappa", "theta_floor", "verdict"):
         assert token in text
 
@@ -913,4 +927,4 @@ def test_thresholds_overridable_and_printed():
     )
     assert rep.verdict == "pass"
     assert rep.to_dict()["thresholds"]["kappa"] == 10.0
-    assert "kappa = 10" in str(rep)
+    assert "kappa = 10" in report_text(rep)
