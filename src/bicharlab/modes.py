@@ -71,10 +71,19 @@ def pick_k_for_ratio(family: str, m: int, ratio: float, k_max: int = 80) -> int:
     """Radial index whose angular-momentum fraction m/lam is nearest ratio.
 
     lam grows with k, so the fraction sweeps down monotonically; the
-    minimizer over 1..k_max is unique up to ties.
+    minimizer over 1..k_max is unique up to ties.  Once m/lam_K falls
+    below ratio, every later zero lies farther from it, so the zeros are
+    taken in prefixes of 8, 16, 32, ... and the search stops at the first
+    prefix that crosses; `jn_zeros` is prefix-stable, so the prefix holds
+    the same bits as the k_max table.
     """
-    zs = _bessel_zeros(_zero_order(family, m), k_max)
-    return int(np.argmin(np.abs(m / zs - ratio))) + 1
+    order = _zero_order(family, m)
+    K = min(8, k_max)
+    while True:
+        zs = _bessel_zeros(order, K)
+        if K == k_max or m / zs[-1] < ratio:
+            return int(np.argmin(np.abs(m / zs - ratio))) + 1
+        K = min(2 * K, k_max)
 
 
 @dataclass(frozen=True)
@@ -155,6 +164,11 @@ class Quasimode:
         return np.stack([g2, -g1]), -1j * c * lam * jm_lam * w_m
 
     @property
+    def ncomp(self) -> int:
+        """Velocity components: 1 for the scalar family, 2 for the velocity family."""
+        return 1 if self.kind == "laplace" else 2
+
+    @property
     def velocity(self) -> np.ndarray:
         return self._fields[0]
 
@@ -164,26 +178,21 @@ class Quasimode:
 
     # -- closed-form evaluation ------------------------------------------
 
-    def eval_velocity(self, points) -> np.ndarray:
-        """Closed-form velocity at ambient points, shape (..., ncomp).
+    def radial_table(self, rad: np.ndarray) -> tuple:
+        """The radial factors at the radii `rad`, one array per factor.
 
-        The profile F(rho) e^{i m theta} depends on the radius alone, so
-        the Bessel functions, powers of rho and F / rho are evaluated once
-        per distinct float rho and gathered back; only the angular part
-        runs per point.  Every value is computed from the same float
-        inputs as a per-point evaluation, so the output is bit-identical
-        to one.  Points may be anywhere in the plane; rho = 0 takes the
-        limit of F / rho.
+        The closed form F(rho) e^{i m theta} depends on the radius alone,
+        so a caller evaluates this table once per distinct float rho,
+        gathers it back to its points and runs only `angular_values` per
+        point.  Scalar family: (c J_m(lam rho),).  Velocity family: (F',
+        F / rho) for the stream profile F(rho) = c (J_m(lam rho) - J_m(lam)
+        rho^m); rho = 0 takes the limit of F / rho.  Each entry depends on
+        its own radius only, so a table on any set of radii holds the bits
+        of a per-point evaluation at each radius.
         """
-        pts = np.asarray(points, dtype=float)
-        rho = np.hypot(pts[..., 0], pts[..., 1])
-        theta = np.arctan2(pts[..., 1], pts[..., 0])
-        rad, inv = np.unique(rho.ravel(), return_inverse=True)
-        inv = inv.reshape(rho.shape)
         m, lam, c = self.m, self.lam, self.c
-        phase = np.exp(1j * m * theta)
         if self.kind == "laplace":
-            return ((c * jv(m, lam * rad))[inv] * phase)[..., None]
+            return (c * jv(m, lam * rad),)
         jm_lam = jv(m, lam)
         F = c * (jv(m, lam * rad) - jm_lam * rad**m)
         dF = c * (lam * _jv_deriv(m, lam * rad) - jm_lam * m * rad ** max(m - 1, 0))
@@ -192,7 +201,16 @@ class Quasimode:
         if m == 1:
             lim = c * (0.5 * lam - jv(1, lam))
             F_over_rho = np.where(rad > 1e-12, F_over_rho, lim)
-        dF, F_over_rho = dF[inv], F_over_rho[inv]
+        return dF, F_over_rho
+
+    def angular_values(self, radial, theta: np.ndarray) -> np.ndarray:
+        """Velocity, shape theta.shape + (ncomp,), from `radial_table`
+        entries gathered to the points and the points' polar angles."""
+        m = self.m
+        phase = np.exp(1j * m * theta)
+        if self.kind == "laplace":
+            return (radial[0] * phase)[..., None]
+        dF, F_over_rho = radial
         ct, st = np.cos(theta), np.sin(theta)
         # u = (d_2 psi, -d_1 psi) for psi = F(rho) e^{i m theta}
         ux = (st * dF + ct * 1j * m * F_over_rho) * phase

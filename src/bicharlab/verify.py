@@ -611,14 +611,22 @@ def h_oscillation_tail(
             comps = sample_mode_on_box(m, grid, lambda t: 1.0 - plateau_step(t, lo, hi))
             # one power spectrum per component serves every radius; the
             # per-radius sums still run over the components in order
-            speed = m.h * np.hypot(grid.K1, grid.K2)
+            speed = None
             tot = 0.0
             tail = np.zeros(Rs.size)
-            for u in comps:
-                # the spectrum overwrites the component and squares in
-                # place: fewer fresh (n, n) buffers keep the heap flat
-                power = np.abs(np.fft.fft2(u, out=u))
+            last = len(comps) - 1
+            for c in range(last + 1):
+                # the spectrum overwrites the component, and the sample is
+                # released once its last spectrum is taken, before the sums
+                power = np.abs(np.fft.fft2(comps[c], out=comps[c]))
+                if c == last:
+                    del comps
                 power *= power
+                if speed is None:
+                    # built once, after the first spectrum: a one-component
+                    # sample is gone by then, so the two never coexist
+                    speed = np.hypot(grid.K1, grid.K2)
+                    speed *= m.h
                 tot += float(power.sum())
                 for i, rad in enumerate(Rs):
                     tail[i] += float(power[speed > rad].sum())
@@ -626,7 +634,7 @@ def h_oscillation_tail(
             if tot != 0.0:
                 out[:, j] = tail / tot
             # free this box before the next one, or peak memory varies
-            del grid, comps, speed
+            del grid, speed
     else:
         for j, m in enumerate(modes):
             g = m.grid

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import jv
+from scipy.special import jn_zeros, jv
 
 from bicharlab import modes as modes_module
 from bicharlab.modes import (
@@ -74,6 +74,32 @@ def test_bessel_zero_cross_check_and_interlacing():
         assert abs(gap - math.pi) < 0.02
 
 
+def test_pick_k_for_ratio_matches_the_full_table_argmin():
+    # the prefix search gives the argmin over all 80 zeros, orders 0..65
+    ratios = np.concatenate([np.linspace(0.0, 1.2, 25), [-0.1, 0.5 + 1e-12, 2.0]])
+    for order in range(66):
+        zs = jn_zeros(order, 80)
+        families = [("laplace", order)] + ([("stokes", order - 1)] if order else [])
+        for family, m in families:
+            for ratio in ratios:
+                want = int(np.argmin(np.abs(m / zs - ratio))) + 1
+                assert pick_k_for_ratio(family, m, ratio) == want, (family, m, ratio)
+
+
+def test_pick_k_for_ratio_takes_zeros_only_as_far_as_the_minimizer(monkeypatch):
+    # m = 44 at ratio 0.5, the last `reflect` member, needs k = 10: the
+    # prefix of 16 zeros crosses, so no 80-zero table is computed
+    taken = []
+    monkeypatch.setattr(modes_module, "jn_zeros",
+                        lambda m, k: taken.append(k) or jn_zeros(m, k))
+    modes_module._zeros_table.cache_clear()
+    try:
+        assert pick_k_for_ratio("stokes", 44, 0.5) == 10
+    finally:
+        modes_module._zeros_table.cache_clear()
+    assert taken == [8, 16]
+
+
 def test_radial_orthogonality():
     grid = PolarGrid(48, 8)
     for m in (0, 2):
@@ -91,7 +117,7 @@ def test_laplace_mode_properties():
     assert rep["flux_norm"] == pytest.approx(math.sqrt(2.0), abs=1e-8)
     # closed-form evaluator agrees with the sampled field
     pts = np.stack(mesh(mode.grid)[2:], axis=-1)
-    vals = mode.eval_velocity(pts)[..., 0]
+    vals = eval_velocity(mode, pts)[..., 0]
     assert np.max(np.abs(vals - mode.velocity[0])) < 1e-12
 
 
@@ -151,7 +177,7 @@ def test_stokes_closed_form_evaluators():
     mode = stokes_disk_mode(3, 1)
     g = mode.grid
     pts = np.stack(mesh(g)[2:], axis=-1)
-    v = mode.eval_velocity(pts)
+    v = eval_velocity(mode, pts)
     assert np.max(np.abs(v[..., 0] - mode.velocity[0])) < 1e-9
     assert np.max(np.abs(v[..., 1] - mode.velocity[1])) < 1e-9
     q = eval_pressure(mode, pts)
@@ -347,6 +373,20 @@ def test_box_only_experiments_build_no_polar_matrices():
         assert "_fields" not in vars(mode) and built(mode.grid) == []
 
 
+def eval_velocity(mode, points):
+    """Closed-form velocity of a disk mode at ambient points, shape (..., ncomp).
+
+    The radial table runs once per distinct float radius and is gathered
+    back; the angular part runs per point.
+    """
+    pts = np.asarray(points, dtype=float)
+    rho = np.hypot(pts[..., 0], pts[..., 1])
+    theta = np.arctan2(pts[..., 1], pts[..., 0])
+    rad, inv = np.unique(rho.ravel(), return_inverse=True)
+    inv = inv.reshape(rho.shape)
+    return mode.angular_values([t[inv] for t in mode.radial_table(rad)], theta)
+
+
 def per_point_velocity(mode, points):
     """The per-point closed form that eval_velocity replaced: the oracle."""
     pts = np.asarray(points, dtype=float)
@@ -401,7 +441,7 @@ def test_eval_velocity_per_radius_is_bit_identical_to_per_point(family, m, pairs
     pts = np.array([(0.0, 0.0)] + [p for a, b in pairs for p in signed_swaps(a, b)])
     pts = pts.reshape(-1, 3, 2) if len(pts) % 3 == 0 else pts
     mode = mode_for(family, m)
-    got = mode.eval_velocity(pts)
+    got = eval_velocity(mode, pts)
     want = per_point_velocity(mode, pts)
     assert got.shape == want.shape
     assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),

@@ -42,6 +42,7 @@ from bicharlab.quantize import (
     apply_shifted_op,
 )
 from bicharlab.verify import h_oscillation_tail, invariance_gap
+from test_modes import eval_velocity
 from test_polar import mesh
 
 
@@ -53,6 +54,11 @@ def snap_frequency(grid, h, xi):
     """Componentwise nearest point of the h-scaled frequency lattice."""
     lattice = h * grid.k
     return np.array([lattice[np.argmin(np.abs(lattice - v))] for v in xi])
+
+
+def disk_mask(grid):
+    """The box nodes in the closed unit disk."""
+    return (grid.X1**2 + grid.X2**2) <= 1.0
 
 
 def box_norm(grid, f):
@@ -622,13 +628,83 @@ def test_sample_mode_on_box_is_the_full_box_closed_form_on_the_disk(mode):
     box = default_box(mode.h, 2.6)
     comps = sample_mode_on_box(mode, box)
     points = np.stack(np.broadcast_arrays(box.X1, box.X2), axis=-1)
-    full = np.moveaxis(mode.eval_velocity(points), -1, 0)
-    inside = box.disk_mask()
+    full = np.moveaxis(eval_velocity(mode, points), -1, 0)
+    inside = disk_mask(box)
     assert comps.shape == full.shape and comps.dtype == complex
     bits = [np.ascontiguousarray(c[:, inside]).view(np.uint64) for c in (comps, full)]
     assert np.array_equal(*bits)
     outside = np.ascontiguousarray(comps[:, ~inside]).view(float)
     assert np.all(outside == 0.0) and not np.signbit(outside).any()
+
+
+def one_shot_sample(mode, grid, cutoff=None):
+    """sample_mode_on_box as it was: every live node of the box gathered at
+    once and evaluated by one `eval_velocity` call.  The oracle of the
+    streamed sampler."""
+    i, j = np.nonzero(disk_mask(grid))
+    x1, x2 = grid.x[i], grid.x[j]
+    if cutoff is not None:
+        w = cutoff(np.hypot(x1, x2))
+        live = np.flatnonzero(w)
+        i, j, x1, x2, w = i[live], j[live], x1[live], x2[live], w[live]
+    vals = eval_velocity(mode, np.stack([x1, x2], axis=-1))
+    if cutoff is not None:
+        vals *= w[:, None]
+    comps = np.zeros((vals.shape[-1], grid.n, grid.n), dtype=complex)
+    comps[:, i, j] = vals.T
+    return comps
+
+
+def tail_cutoff(t):
+    return 1.0 - plateau_step(t, 0.7, 0.9)
+
+
+@pytest.mark.parametrize("cutoff", [None, tail_cutoff], ids=["disk", "cutoff"])
+@pytest.mark.parametrize("mode, xi_bound", [
+    (laplace_disk_mode(3, 4), 1.5),  # n = 36: the box is one block
+    (stokes_disk_mode(1, 2), 1.5),
+    (laplace_disk_mode(0, 40), 8.5),  # n = 1026, the layer tails box
+    (stokes_disk_mode(44, 10), 2.6),  # n = 236
+    (stokes_disk_mode(7, 5), 3.0),
+], ids=lambda v: f"{v.kind}-{v.m}-{v.k}" if hasattr(v, "kind") else str(v))
+def test_streamed_sample_matches_the_one_shot_oracle(mode, xi_bound, cutoff):
+    box = default_box(mode.h, xi_bound)
+    got = sample_mode_on_box(mode, box, cutoff)
+    want = one_shot_sample(mode, box, cutoff)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("family", [laplace_disk_mode, stokes_disk_mode])
+def test_streamed_sample_shares_radii_across_blocks(family, monkeypatch):
+    # blocks of two rows put the nodes (i, j) and (j, i) in different
+    # blocks; the one radius table keeps them on one entry and the bits
+    mode = family(5, 3)
+    box = default_box(mode.h, 1.5)
+    want = [one_shot_sample(mode, box, cutoff).tobytes() for cutoff in (None, tail_cutoff)]
+    monkeypatch.setattr(quantize, "SAMPLE_NODES", 2 * box.n)
+    tables = []
+    radial_table = type(mode).radial_table
+    monkeypatch.setattr(type(mode), "radial_table",
+                        lambda self, rad: tables.append(rad) or radial_table(self, rad))
+    got = [sample_mode_on_box(mode, box, cutoff).tobytes() for cutoff in (None, tail_cutoff)]
+    assert got == want
+    i, j = np.nonzero(disk_mask(box))
+    assert len(tables) == 2
+    assert np.array_equal(tables[0], np.unique(np.hypot(box.x[i], box.x[j])))
+
+
+def test_sample_of_a_box_within_one_block(monkeypatch):
+    mode = stokes_disk_mode(3, 2)
+    box = default_box(mode.h, 1.5)
+    assert box.n**2 <= quantize.SAMPLE_NODES
+    calls = []
+    angular_values = type(mode).angular_values
+    monkeypatch.setattr(type(mode), "angular_values",
+                        lambda self, *args: calls.append(1) or angular_values(self, *args))
+    got = sample_mode_on_box(mode, box, tail_cutoff)
+    assert len(calls) == 1
+    assert got.tobytes() == one_shot_sample(mode, box, tail_cutoff).tobytes()
 
 
 def spectral_tail_mass(fields, grid, h, R):
@@ -876,6 +952,78 @@ SHIFT_MODES = [
 ]
 
 
+def full_padded_shifted_op(a, s, f, h, grid):
+    """apply_shifted_op as it was, checks aside: the chirped coefficients
+    zero-padded into (2n)^2 arrays, the full ifft2 of each and the full
+    fft2 of their product, cut to the kept lattice.  The oracle of the
+    pruned padded passes."""
+    if s == 0.0:
+        return apply_interior_op(a, f, h, grid, check=False)
+    n = grid.n
+    pos = _lattice_positions(n)
+    kept = grid.dk * np.fft.fftfreq(2 * n, 1.0 / (2 * n)).astype(int)[pos]
+    unchirp = np.exp(1j * s * h * (kept[:, None] ** 2 + kept[None, :] ** 2))
+    chirp = np.exp(-1j * s * h * (grid.K1**2 + grid.K2**2))
+    phase = _origin_phase(grid)
+    spatial = np.broadcast_to(a.spatial(grid.X1, grid.X2), (n, n))
+    P2 = np.zeros((2 * n, 2 * n), dtype=complex)
+    Q2 = np.zeros_like(P2)
+    sel = np.ix_(pos, pos)
+    P2[sel] = _plane_coeffs(np.asarray(spatial, dtype=complex), grid, phase) * chirp
+    Q2[sel] = _speed_on_lattice(a, h, grid, _plane_coeffs(f, grid, phase) * chirp)
+    out2 = np.fft.fft2(np.fft.ifft2(P2) * np.fft.ifft2(Q2)) * (2 * n) ** 2
+    return _synthesize(out2[sel] * unchirp, grid)
+
+
+@pytest.mark.parametrize("n", [60, 88, 132, 204, 300])
+def test_pruned_padded_passes_match_the_full_transforms(n):
+    grid = BoxGrid(n)
+    a = build_symbol(BUMP_SYMBOL)
+    h = 2.0 * a.xi_bound / (grid.kmax - 2.0 * grid.dk)  # twice the least h the lattice takes
+    rng = np.random.default_rng(n)
+    f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for s in (0.15, -0.1, 1e-3):
+        got = apply_shifted_op(a, s, f, h, grid, check=False)
+        assert got.tobytes() == full_padded_shifted_op(a, s, f, h, grid).tobytes()
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+def test_shifted_op_refuses_a_non_finite_time(s):
+    grid = BoxGrid(64)
+    a = InteriorSymbol(spatial_plateau(0.25, 0.45), ring_speed, xi_bound=1.5)
+    f, _ = lattice_field(grid, 4, seed=3)
+    for check in (True, False):
+        with pytest.raises(ValueError, match="finite s"):
+            apply_shifted_op(a, s, f, 0.05, grid, check=check)
+    mode = laplace_disk_mode(0, 6)
+    with pytest.raises(ValueError, match="finite s"):
+        shifted_pairing(build_symbol(BUMP_SYMBOL), s, mode)
+    with pytest.raises(ValueError, match="finite s"):
+        invariance_gap([mode], build_symbol(BUMP_SYMBOL), s)
+
+
+def test_each_interior_operator_reads_the_spatial_factor_once():
+    # the margin check and the product or plane coefficients share one read
+    grid = BoxGrid(64)
+    plateau = spatial_plateau(0.25, 0.45)
+    reads = []
+    a = InteriorSymbol(lambda x1, x2: reads.append(1) or plateau(x1, x2), ring_speed,
+                       xi_bound=1.5)
+    f, _ = lattice_field(grid, 4, seed=7)
+
+    def shifted(a, f, h, grid, check):
+        return apply_shifted_op(a, 0.05, f, h, grid, check=check)
+
+    for apply in (apply_interior_op, shifted):
+        for check in (True, False):
+            reads.clear()
+            apply(a, f, 0.05, grid, check=check)
+            assert len(reads) == 1
+    with pytest.raises(SupportMarginError, match="transported"):
+        apply_shifted_op(a, 0.5, f, 0.05, grid)
+    assert len(reads) == 2
+
+
 @pytest.mark.parametrize("mode", SHIFT_MODES, ids=lambda md: f"{md.kind}-{md.m}-{md.k}")
 @pytest.mark.parametrize("s", [0.1, -0.07, 0.0])
 def test_kept_lattice_unchirp_matches_double_lattice_oracle(mode, s):
@@ -932,7 +1080,7 @@ def test_cutoff_sample_matches_the_full_box_cut(mode):
     full = sample_mode_on_box(mode, box)
     full *= cut(np.hypot(box.X1, box.X2))
     live = cut(np.hypot(box.X1, box.X2)) != 0.0
-    assert live.any() and not live[~box.disk_mask()].any()
+    assert live.any() and not live[~disk_mask(box)].any()
     assert same_bits(got[:, live], full[:, live])
     assert np.array_equal(got, full)
     assert not np.signbit(np.ascontiguousarray(got[:, ~live]).view(float)).any()

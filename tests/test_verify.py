@@ -830,6 +830,20 @@ def test_h_oscillation_tail_interior_bounds_and_nesting():
     np.testing.assert_allclose(single[0], tails[1], rtol=0.05)
 
 
+def test_interior_tail_peak_memory():
+    # the one-shot sample and the tail sums, which held the sample, its
+    # power, the lattice speed and a compressed copy at once, peaked at
+    # 42.8 MB here on the layer workload's largest tails box (n = 1026)
+    fam = [modes.laplace_disk_mode(0, 40)]
+    tracemalloc.start()
+    try:
+        verify.h_oscillation_tail(fam, (2.0, 4.0, 8.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32_000_000
+
+
 def test_h_oscillation_tail_tangential_zero_for_pure_modes():
     fam = [modes.stokes_disk_mode(8, 2), modes.stokes_disk_mode(12, 3)]
     tails = verify.h_oscillation_tail(fam, (4.0,), variant="tangential")
