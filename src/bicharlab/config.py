@@ -5,10 +5,12 @@ Each experiment kind is one record of `KINDS`: the schema of its keys,
 the cross-key rules no schema states, and the runner that computes it
 and returns an `Outcome`.  Validation reports every offense by the
 dotted path of the offending key before any numerics run.  The schema
-runs first; the cross-key rules of an experiment's own keys, of its
-family and of its symbol then run only where the schema found no error
-inside that part, so they read well-typed values.  Builders turn the
-declarative specs into charts, mode families and symbols.
+runs first, through a small in-house checker of the JSON Schema keywords
+the schemas use, which gives jsonschema's messages in jsonschema's order;
+the cross-key rules of an experiment's own keys, of its family and of
+its symbol then run only where the schema found no error inside that
+part, so they read well-typed values.  Builders turn the declarative
+specs into charts, mode families and symbols.
 
 The identity of a run is the canonical form of (chart, experiments,
 thresholds, seed); the output directory and the worker count are
@@ -18,11 +20,12 @@ execution details and stay out of the hash.
 from __future__ import annotations
 
 import math
+import numbers
+import re
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import jsonschema
 import numpy as np
 
 from .bumps import bump_profile, plateau_step, window
@@ -71,23 +74,17 @@ _PAIR = {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2}
 
 
 def _by(key: str, schemas: dict) -> dict:
-    """Object schema applying schemas[its value at `key`]."""
+    """Object schema applying schemas[its value at `key`].
+
+    The keyword "pick": [key, {value: schema}] applies the schema an
+    object's value at key names; the enum beside it reports any other value.
+    """
     return {
         "type": "object",
         "properties": {key: {"enum": list(schemas)}},
         "required": [key],
         "pick": [key, schemas],
     }
-
-
-def _pick(validator, pick, instance, schema):
-    # keyword "pick": [key, {value: schema}] applies the schema an object's
-    # value at key names; the enum beside it in _by reports any other value
-    key, schemas = pick
-    if validator.is_type(instance, "object"):
-        for value, picked in schemas.items():
-            if instance.get(key) == value:
-                yield from validator.descend(instance, picked)
 
 
 _FAMILY = {
@@ -770,16 +767,122 @@ _CONFIG = {
     "additionalProperties": False,
 }
 
-# JSON Schema's "integer" also admits 2.0, which the builders cannot
-# iterate or index with, so only Python ints count
-_VALIDATOR = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    validators={"pick": _pick},
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda checker, value: type(value) is int
-    ),
-)(_CONFIG)
+# ---------------------------------------------------------------------------
+# the schema checker: the JSON Schema keywords the schemas above use, with
+# the order and messages of jsonschema's Draft 2020-12 validator
 
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    # JSON Schema's "integer" also admits 2.0, which the builders cannot
+    # iterate or index with, so only Python ints count
+    "integer": lambda v: type(v) is int,
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+}
+
+# each implemented keyword and the type of value it applies to, None for any
+_KEYWORDS = {
+    "type": None, "enum": None, "anyOf": None,
+    "properties": "object", "required": "object", "additionalProperties": "object",
+    "pick": "object",
+    "items": "array", "minItems": "array", "maxItems": "array", "uniqueItems": "array",
+    "minimum": "number", "exclusiveMinimum": "number", "exclusiveMaximum": "number",
+    "pattern": "string",
+}
+
+_TRUE, _FALSE = object(), object()
+
+
+def _unbool(v):
+    return _TRUE if v is True else _FALSE if v is False else v
+
+
+def _same(a, b) -> bool:
+    """JSON equality: True and 1 differ, 1.0 and 1 do not."""
+    if a is b or isinstance(a, str) or isinstance(b, str):
+        return a is b or a == b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return len(a) == len(b) and all(k in b and _same(x, b[k]) for k, x in a.items())
+    return _unbool(a) == _unbool(b)
+
+
+def _unique(items) -> bool:
+    # neighbours once sorted, or every pair if the items do not sort
+    try:
+        s = sorted(map(_unbool, items))
+        return not any(map(_same, s, s[1:]))
+    except TypeError:
+        s = list(map(_unbool, items))
+        return not any(_same(a, b) for i, b in enumerate(s) for a in s[:i])
+
+
+def _offenses(schema: dict, v, path: tuple = ()):
+    """(at, path, message) of each offense of v, found at `path`, against schema.
+
+    `at` is where jsonschema places the offense: the object itself for an
+    unknown key, which gets its own path.  A keyword not in `_KEYWORDS`
+    raises, so no schema edit is ignored silently.
+    """
+    for key, arg in schema.items():
+        if key not in _KEYWORDS or (key == "additionalProperties" and arg is not False):
+            raise ValueError(f"schema keyword {key}: {arg!r} is not implemented")
+        if _KEYWORDS[key] and not _TYPES[_KEYWORDS[key]](v):
+            continue
+        bad = None
+        if key == "properties":
+            for name, sub in arg.items():
+                if name in v:
+                    yield from _offenses(sub, v[name], path + (name,))
+        elif key == "items":
+            for i, item in enumerate(v):
+                yield from _offenses(arg, item, path + (i,))
+        elif key == "pick":
+            name, schemas = arg
+            if isinstance(v.get(name), str) and v[name] in schemas:
+                yield from _offenses(schemas[v[name]], v, path)
+        elif key == "required":
+            for name in arg:
+                if name not in v:
+                    yield path, path, f"{name!r} is a required property"
+        elif key == "additionalProperties":
+            for name in sorted(set(v) - set(schema.get("properties", {}))):
+                yield path, path + (name,), "unknown key"
+        elif key == "type":
+            types = arg if isinstance(arg, list) else [arg]
+            if not any(_TYPES[t](v) for t in types):
+                bad = "is not of type " + ", ".join(map(repr, types))
+        elif key == "enum":
+            if not any(_same(e, v) for e in arg):
+                bad = f"is not one of {arg!r}"
+        elif key == "anyOf":
+            if all(any(_offenses(sub, v, path)) for sub in arg):
+                bad = "is not valid under any of the given schemas"
+        elif key == "minItems":
+            if len(v) < arg:
+                bad = "should be non-empty" if arg == 1 else "is too short"
+        elif key == "maxItems":
+            if len(v) > arg:
+                bad = "is expected to be empty" if arg == 0 else "is too long"
+        elif key == "uniqueItems":
+            if arg and not _unique(v):
+                bad = "has non-unique elements"
+        elif key == "minimum":
+            if v < arg:
+                bad = f"is less than the minimum of {arg!r}"
+        elif key == "exclusiveMinimum":
+            if v <= arg:
+                bad = f"is less than or equal to the minimum of {arg!r}"
+        elif key == "exclusiveMaximum":
+            if v >= arg:
+                bad = f"is greater than or equal to the maximum of {arg!r}"
+        elif not re.search(arg, v):
+            bad = f"does not match {arg!r}"
+        if bad:
+            yield path, path, f"{v!r} {bad}"
 
 # ---------------------------------------------------------------------------
 # validation
@@ -805,16 +908,10 @@ def _nonfinite(node, path=()):
 
 
 def _schema_errors(raw) -> list[tuple]:
-    """(path, message) of each schema offense; an unknown key gets its own path."""
-    out = []
-    for e in sorted(_VALIDATOR.iter_errors(raw), key=lambda e: list(e.absolute_path)):
-        path = tuple(e.absolute_path)
-        if e.validator == "additionalProperties":
-            extra = sorted(set(e.instance) - set(e.schema.get("properties", {})))
-            out += [(path + (key,), "unknown key") for key in extra]
-        else:
-            out.append((path, e.message))
-    return out
+    """(path, message) of each schema offense, in the order jsonschema sorts
+    them by path; an unknown key gets its own path."""
+    found = sorted(_offenses(_CONFIG, raw), key=lambda e: e[0])
+    return [(path, message) for _, path, message in found]
 
 
 def _spoiled(path) -> tuple:
@@ -907,8 +1004,7 @@ def load_config(raw: dict, *, out=None, seed=None, jobs=None) -> ExperimentConfi
     errors = validate_config(raw)
     for key, value in (("seed", seed), ("jobs", jobs)):
         if value is not None:
-            flag_schema = _VALIDATOR.evolve(schema=_CONFIG["properties"][key])
-            errors += [f"--{key}: {e.message}" for e in flag_schema.iter_errors(value)]
+            errors += [f"--{key}: {m}" for _, _, m in _offenses(_CONFIG["properties"][key], value)]
     if errors:
         raise ConfigError(errors)
     return ExperimentConfig(

@@ -308,6 +308,14 @@ def _speed_on_lattice(a: InteriorSymbol, h: float, grid: BoxGrid, fhat: np.ndarr
     return a.speed(np.hypot(h * grid.K1, h * grid.K2)) * fhat
 
 
+def _require_spatial(a, check: bool) -> None:
+    # a pullback has no spatial factor for the margin check to read
+    if check and not isinstance(a, InteriorSymbol):
+        raise TypeError(
+            f"expected an InteriorSymbol, or a pullback with check=False, got {type(a).__name__}"
+        )
+
+
 def apply_interior_op(
     a,
     f: np.ndarray,
@@ -321,6 +329,7 @@ def apply_interior_op(
     An InteriorSymbol without a momentum factor takes the FFT path; one
     with it, or any other symbol with an `eval`, the direct lattice sum.
     """
+    _require_spatial(a, check)
     fast = isinstance(a, InteriorSymbol) and a.momentum is None
     if check or fast:
         # one read of the spatial factor serves the margin and the product
@@ -470,10 +479,7 @@ def pairing(a, mode, *, check: bool = True) -> complex:
         for u in mode.velocity:
             total += g.inner(apply_tangential_op(a, u, h, g), u)
         return complex(total)
-    if check and not isinstance(a, InteriorSymbol):
-        raise TypeError(
-            "expected an InteriorSymbol or TangentialSymbol, or a pullback paired with check=False"
-        )
+    _require_spatial(a, check)
     [total] = _box_pairings(a, mode, lambda u, g: apply_interior_op(a, u, h, g, check=check))
     return total
 

@@ -13,6 +13,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bicharlab.cli as cli
 from bicharlab import config, quantize, verify
@@ -1403,6 +1405,263 @@ def test_every_benchmark_workload_config_validates():
     for name in workloads.WORKLOADS:
         for seed in range(4):
             assert validate_config(workloads.build_config(name, seed)) == [], (name, seed)
+
+
+# -- the schema checker against jsonschema --------------------------------
+
+
+def _pick(validator, pick, instance, schema):
+    # keyword "pick": [key, {value: schema}] applies the schema an object's
+    # value at key names
+    key, schemas = pick
+    if validator.is_type(instance, "object"):
+        for value, picked in schemas.items():
+            if instance.get(key) == value:
+                yield from validator.descend(instance, picked)
+
+
+# the oracle: Draft 2020-12 with "pick" and with only Python ints as integers
+ORACLE = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    validators={"pick": _pick},
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda checker, value: type(value) is int
+    ),
+)(config._CONFIG)
+
+
+def oracle_schema_errors(raw) -> list[tuple]:
+    """jsonschema's offenses as `config._schema_errors` reports them."""
+    out = []
+    for e in sorted(ORACLE.iter_errors(raw), key=lambda e: list(e.absolute_path)):
+        path = tuple(e.absolute_path)
+        if e.validator == "additionalProperties":
+            extra = sorted(set(e.instance) - set(e.schema.get("properties", {})))
+            out += [(path + (key,), "unknown key") for key in extra]
+        else:
+            out.append((path, e.message))
+    return out
+
+
+def seed_configs() -> list:
+    """The shipped configs and the benchmark's, which mirror the acceptance criteria."""
+    root = Path(__file__).resolve().parents[1]
+    shipped = sorted((root / "src" / "bicharlab" / "configs").glob("*.json"))
+    docs = [json.loads(p.read_text()) for p in shipped]
+    workloads = benchmark_workloads()
+    return docs + [workloads.build_config(name, 0) for name in workloads.WORKLOADS]
+
+
+SEED_CONFIGS = seed_configs()
+
+# wrong types, 2.0 and True for integers, values out of range (0 against
+# exclusiveMinimum), enum misses, names off the pattern, lists of the wrong
+# length or with duplicates, bad arms of family.m, family.k and trace.start
+ODD_VALUES = [
+    "3", "nope", True, None, 64, 2.0, [], [0], [1, 1], [0, 1, 0], [True], [1.0, 1], [2, 2.0],
+    ["a"], [0.1, 0.2, 0.3], [0.1, 0.2, 0.3, 0.4, 0.5], [[1, 2]], [0, 0, 1, 0],
+    {}, {"ratio": 0.5}, {"ratio": 1.0}, {"ratio": 0.5, "k_max": 0}, {"k_max": 3},
+    {"y": 0.1, "xp": 0.0, "eta": 0.5}, {"y": 0.1, "xp": 0.0, "eta": 0.5, "xip": "0"},
+    {"var": "radius"}, {"var": "bump", "center": [0, 0], "radius": 0},
+]
+# what replaces a number or a string, to probe ranges, enums and the pattern
+ODD_LEAVES = {
+    "number": [0, 0.0, 1, 1.0, -1, -0.5, 1.5, 2.0, 1e9, float("nan"), True, False, "1"],
+    "string": ["", "nope", "-dash", "x" * 65, "a.b_c-1", "speed", "bump", "tangential",
+               "pullback", "stokes", "parametrix", 0],
+}
+
+
+def fresh(draw, values):
+    return json.loads(json.dumps(draw(st.sampled_from(values))))
+
+
+def nodes(doc, path=()):
+    yield path, doc
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from nodes(value, path + (key,))
+
+
+# the nodes each mutation applies to
+TARGETS = {
+    "replace": object, "leaf": (str, int, float, type(None)), "delete": dict, "add": dict,
+    "duplicate": list, "drop": list,
+}
+
+
+@st.composite
+def mutated_configs(draw):
+    doc = json.loads(json.dumps(draw(st.sampled_from(SEED_CONFIGS))))
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["replace", "leaf", "leaf", "delete", "add", "duplicate",
+                                   "drop"]))
+        # draw a key name first, so that rare keys come up as often as the
+        # many numbers of a window list
+        found = {}
+        for p, n in nodes(doc):
+            if p and isinstance(n, TARGETS[op]):
+                name = next(k for k in reversed(p) if isinstance(k, str))
+                found.setdefault(name, []).append((p, n))
+        if not found:
+            continue
+        path, node = draw(st.sampled_from(found[draw(st.sampled_from(sorted(found)))]))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if op == "replace":
+            parent[path[-1]] = fresh(draw, ODD_VALUES)
+        elif op == "leaf":
+            kind = "string" if isinstance(node, str) else "number"
+            parent[path[-1]] = fresh(draw, ODD_LEAVES[kind])
+        elif op == "delete" and node:
+            del node[draw(st.sampled_from(sorted(node)))]
+        elif op == "add":
+            key = draw(st.sampled_from(["extra", "kind", "samples", "window", "zz", "type"]))
+            node[key] = fresh(draw, ODD_VALUES)
+        elif op == "duplicate" and node:
+            node.append(node[draw(st.integers(0, len(node) - 1))])
+        elif op == "drop" and node:
+            node.pop()
+    return doc
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(mutated_configs())
+def test_schema_checker_matches_jsonschema(raw):
+    assert config._schema_errors(raw) == oracle_schema_errors(raw)
+
+
+def test_schema_checker_matches_jsonschema_on_the_seed_configs():
+    # the mutations start from valid documents; the cases below pin one
+    # offense of each keyword, and True against 1 and 1.0 against 1
+    for raw in SEED_CONFIGS:
+        assert config._schema_errors(raw) == [] == oracle_schema_errors(raw)
+    exp = {"name": "p", "kind": "parametrix", "m": [2, 2.0, True], "orders": [0, 0]}
+    cases = [
+        ({"experiments": [exp]}, [
+            (("experiments", 0, "m"), "[2, 2.0, True] has non-unique elements"),
+            (("experiments", 0, "m", 1), "2.0 is not of type 'integer'"),
+            (("experiments", 0, "m", 2), "True is not of type 'integer'"),
+            (("experiments", 0, "orders"), "[0, 0] has non-unique elements"),
+        ]),
+        ({"experiments": [{"name": "-x", "kind": "classify"}, {"name": "y", "kind": "nope"}],
+          "jobs": 0, "seed": True}, [
+            (("experiments", 0, "name"), "'-x' does not match '^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$'"),
+            (("experiments", 1, "kind"), f"'nope' is not one of {list(KINDS)!r}"),
+            (("jobs",), "0 is less than the minimum of 1"),
+            (("seed",), "True is not of type 'integer'"),
+        ]),
+        ({"experiments": [], "thresholds": {"kappa": 0, "theta": 1}, "chart": 3}, [
+            (("chart",), "3 is not of type 'string', 'object'"),
+            (("thresholds", "theta"), "unknown key"),
+            (("thresholds", "kappa"), "0 is less than or equal to the minimum of 0"),
+        ]),
+        ({"experiments": [
+            {"name": "s", "kind": "support", "family": {"family": "stokes", "m": 1,
+             "k": {"ratio": 1.0}}, "symbol": {"type": "tangential", "y_support": 1.0,
+             "xip_window": [0, 1, 2]}, "time": 0.5, "glancing_sign": True},
+            {"name": "c", "kind": "support", "family": {"family": "laplace", "m": 0, "k": [1]},
+             "symbol": {"type": "interior", "xi_bound": 1.5, "factors": []}, "time": 0.5,
+             "glancing_sign": 1.0},
+            {"name": "t", "kind": "trace", "start": [0, 0, 1], "time": 1},
+        ]}, [
+            (("experiments", 0, "family", "k"),
+             "{'ratio': 1.0} is not valid under any of the given schemas"),
+            (("experiments", 0, "glancing_sign"), "True is not one of [1, -1]"),
+            (("experiments", 0, "symbol", "xip_window"), "[0, 1, 2] is too short"),
+            (("experiments", 0, "symbol", "y_support"),
+             "1.0 is greater than or equal to the maximum of 1"),
+            (("experiments", 1, "symbol", "factors"), "[] should be non-empty"),
+            (("experiments", 2, "start"), "[0, 0, 1] is not valid under any of the given schemas"),
+        ]),
+    ]
+    for raw, want in cases:
+        assert config._schema_errors(raw) == oracle_schema_errors(raw) == want
+
+
+def test_unique_items_compares_as_jsonschema_does():
+    # True differs from 1, and jsonschema compares only the neighbours of a
+    # sortable list, so [[1], [True], [1]] and [1, nan, 1] pass as unique
+    for m, unique in (([1, True, 1], False), ([1, 1.0], False), ([1, True], True),
+                      ([[1], [True], [1]], True), ([1, float("nan"), 1], True)):
+        raw = {"experiments": [{"name": "p", "kind": "parametrix", "m": m}]}
+        got = config._schema_errors(raw)
+        assert got == oracle_schema_errors(raw)
+        assert ((("experiments", 0, "m"), f"{m!r} has non-unique elements") not in got) == unique
+
+
+def test_flag_checks_match_jsonschema():
+    raw = json.loads((Path(config.__file__).parent / "configs" / "smoke.json").read_text())
+    for key in ("seed", "jobs"):
+        flag = ORACLE.evolve(schema=config._CONFIG["properties"][key])
+        for value in (-1, 0, 2.0, True, "3"):
+            want = [f"--{key}: {e.message}" for e in flag.iter_errors(value)]
+            try:
+                load_config(raw, **{key: value})
+                got = []
+            except ConfigError as exc:
+                got = exc.errors
+            assert got == want, (key, value)
+            assert bool(want) != (key == "seed" and value == 0), (key, value)
+    with pytest.raises(ConfigError) as info:
+        load_config(raw, jobs=2.0)
+    assert info.value.errors == ["--jobs: 2.0 is not of type 'integer'"]
+
+
+def all_schemas(schema):
+    """`schema` and each of its subschemas."""
+    yield schema
+    for key, arg in schema.items():
+        subs = ()
+        if key == "properties":
+            subs = arg.values()
+        elif key == "items":
+            subs = [arg]
+        elif key == "anyOf":
+            subs = arg
+        elif key == "pick":
+            subs = arg[1].values()
+        for sub in subs:
+            yield from all_schemas(sub)
+
+
+def test_schemas_use_only_the_keywords_the_checker_implements():
+    schemas = [s for top in (config._CONFIG, *(k.schema for k in KINDS.values()))
+               for s in all_schemas(top)]
+    keywords = {key for s in schemas for key in s}
+    # each keyword used is implemented, and none is implemented for nothing
+    assert keywords == set(config._KEYWORDS)
+    types = {t for s in schemas if "type" in s
+             for t in ([s["type"]] if isinstance(s["type"], str) else s["type"])}
+    assert types == set(config._TYPES)
+    assert all(s["additionalProperties"] is False for s in schemas if "additionalProperties" in s)
+    for schema, value in (({"maxLength": 3}, "abcd"), ({"additionalProperties": {}}, {}),
+                          ({"properties": {"a": {"const": 1}}}, {"a": 2})):
+        with pytest.raises(ValueError, match="not implemented"):
+            list(config._offenses(schema, value))
+
+
+def test_no_process_imports_jsonschema():
+    code = (
+        "import sys\n"
+        "from bicharlab import cli\n"
+        "cli.load_config(cli._read_config('@smoke'))\n"
+        "try:\n"
+        "    cli.load_config({'experiments': [{'kind': 'nope'}], 'jobs': 0}, seed=True)\n"
+        "except cli.ConfigError as exc:\n"
+        "    assert len(exc.errors) == 3, exc.errors\n"
+        "else:\n"
+        "    raise SystemExit('the invalid config was accepted')\n"
+        "print(sorted(m for m in ('jsonschema', 'referencing', 'attrs', 'rpds') if m in sys.modules))\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # (h, before, after, gap) per mode of the seed-0 `reflect` benchmark

@@ -41,7 +41,7 @@ from bicharlab.quantize import (
     _synthesize,
     apply_shifted_op,
 )
-from bicharlab.verify import h_oscillation_tail, invariance_gap
+from bicharlab.verify import TransportedSymbol, h_oscillation_tail, invariance_gap
 from test_modes import eval_velocity
 from test_polar import mesh
 
@@ -783,6 +783,25 @@ def test_pairing_refuses_a_pullback_it_cannot_place():
     with pytest.raises(TypeError, match="check=False"):
         pairing(placed, mode)
     assert pairing(placed, mode, check=False) == 0.0
+
+
+def test_apply_interior_op_refuses_a_pullback_it_cannot_place():
+    # the pairing's refusal, not an AttributeError on the missing spatial
+    # factor; unchecked, the pullback takes the direct lattice sum, which at
+    # s = 0 is the base's FFT path
+    grid, h = BoxGrid(32), 0.1
+    base = InteriorSymbol(
+        spatial_plateau(0.55, 0.7), lambda r: window(r, 0.2, 0.4, 1.2, 1.5), xi_bound=1.6
+    )
+    tau = TransportedSymbol(base, 0.0)
+    f, _ = packet(grid, (-0.1, 0.05), (0.6, 0.2), h, width=0.3)
+    with pytest.raises(TypeError, match="check=False"):
+        apply_interior_op(tau, f, h, grid)
+    calls = []
+    tau.eval = lambda *args: calls.append(1) or TransportedSymbol.eval(tau, *args)
+    direct = apply_interior_op(tau, f, h, grid, check=False)
+    assert len(calls) == grid.n
+    assert np.max(np.abs(direct - apply_interior_op(base, f, h, grid))) < 1e-10
 
 
 # -- transported-symbol application (chirped convolution route) --------------
