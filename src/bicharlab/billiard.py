@@ -20,8 +20,9 @@ __all__ = [
     "chord_rotation",
 ]
 
-# rays per pass of `propagate`: bounds the size of its temporaries
-BLOCK = 16_384
+# rays per pass of `propagate`: bounds the size of its temporaries, a few
+# hundred kB per block
+BLOCK = 4_096
 
 
 def time_to_boundary(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -29,10 +30,18 @@ def time_to_boundary(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
 
     Solves 4|xi|^2 t^2 + 4(x.xi) t + (|x|^2 - 1) = 0 for its nonnegative
     root.  Shapes broadcast over leading axes; the last axis is length 2.
+    Contract: x and xi finite, every x in the closed disk (hypot(x) <=
+    1 + 1e-12, as `propagate`) and every xi nonzero; ValueError otherwise.
     """
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(xi).all()):
+        raise ValueError("x and xi must be finite")
+    if np.any(np.hypot(x[..., 0], x[..., 1]) > 1.0 + 1e-12):
+        raise ValueError("every x must lie in the closed unit disk")
     a = np.sum(xi * xi, axis=-1)
+    if not np.all(a > 0.0):
+        raise ValueError("every xi must be nonzero")
     b = np.sum(x * xi, axis=-1)
     c = np.sum(x * x, axis=-1) - 1.0
     disc = b * b - a * c
@@ -80,7 +89,7 @@ def _flow(x, xi, t):
     After the first hit every chord takes the same time and turns the state
     by the same angle: all later bounces are one rotation and one partial chord.
     """
-    th = time_to_boundary(x, xi)
+    th = time_to_boundary(x, xi)  # checks each block's x and xi
     # landing exactly at the endpoint still reflects, matching the
     # post-contact convention of the ODE tracer
     hit = (th <= t) & (t > 0.0)
@@ -111,7 +120,8 @@ def propagate(x: np.ndarray, xi: np.ndarray, t: float, pinned: str = "raise"):
     Returns (x_t, xi_t, bounces), exactly and at a cost independent of t:
     a flight to the first hit, one rotation for all later chords and one
     partial chord.  ValueError unless x, xi and t are finite, every x is
-    in the closed disk (hypot(x) <= 1 + 1e-12) and every xi is nonzero.
+    in the closed disk (hypot(x) <= 1 + 1e-12) and every xi is nonzero;
+    `time_to_boundary` checks x and xi one block of BLOCK rays at a time.
     A tangential contact cannot be continued by chords; with
     pinned="raise" (default) that aborts the batch, with pinned="mark"
     the offending rays are frozen at the contact point and flagged in a
@@ -119,15 +129,11 @@ def propagate(x: np.ndarray, xi: np.ndarray, t: float, pinned: str = "raise"):
     """
     if pinned not in ("raise", "mark"):
         raise ValueError("pinned must be 'raise' or 'mark'")
+    if not np.isfinite(t):
+        raise ValueError("t must be finite")
     x = np.array(x, dtype=float, copy=True)
     xi = np.array(xi, dtype=float, copy=True)
     flat_x, flat_xi = x.reshape(-1, 2), xi.reshape(-1, 2)
-    if not (np.isfinite(t) and np.isfinite(x).all() and np.isfinite(xi).all()):
-        raise ValueError("propagate needs finite x, xi and t")
-    if np.any(np.hypot(flat_x[:, 0], flat_x[:, 1]) > 1.0 + 1e-12):
-        raise ValueError("propagate needs every x in the closed unit disk")
-    if not np.all(np.sum(flat_xi * flat_xi, axis=-1) > 0.0):
-        raise ValueError("propagate needs every xi nonzero")
     if t < 0:
         flat_xi *= -1.0
 

@@ -33,7 +33,6 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 from pathlib import Path
 
@@ -152,6 +151,9 @@ def run_config(cfg: ExperimentConfig, *, only_kinds=None, select=None):
     payloads = [(identity, i, str(out_dir), chash) for i in live]
     t0 = time.perf_counter()
     if cfg.jobs > 1 and len(payloads) > 1:
+        # imported here: it pulls in multiprocessing, which a serial run never reads
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(payloads))) as ex:
             done = list(ex.map(_entry, payloads))
     else:

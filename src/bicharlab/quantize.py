@@ -99,7 +99,16 @@ class BoxGrid:
 
 
 def default_box(h: float, xi_bound: float) -> BoxGrid:
-    """Smallest comfortable grid whose lattice covers |xi| <= xi_bound."""
+    """Smallest comfortable grid whose lattice covers |xi| <= xi_bound.
+
+    Contract: h finite and > 0, xi_bound finite and >= 0; ValueError otherwise.
+    """
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"default_box needs a finite h > 0, got h = {h!r}")
+    if not 0.0 <= xi_bound < math.inf:
+        raise ValueError(
+            f"default_box needs a finite xi_bound >= 0, got xi_bound = {xi_bound!r}"
+        )
     half = BoxGrid.half
     n = int(math.ceil((xi_bound / h + 4.0 * np.pi / (2.0 * half)) * 2.0 * half / np.pi))
     n = max(32, n + (n % 2) + 8)
@@ -225,6 +234,10 @@ class TangentialSymbol:
 # box nodes per block of the sampler's passes: its temporaries stay a few
 # MB at any box size, and a box of at most this many nodes is one block
 SAMPLE_NODES = 1 << 15
+
+# complex entries per block of `husimi_grid`'s second pass, (centre
+# columns, xi, box columns): a box of 236 columns takes 4 centre columns
+HUSIMI_NODES = 1 << 15
 
 
 def sample_mode_on_box(mode, grid: BoxGrid, cutoff: Optional[Callable] = None) -> np.ndarray:
@@ -583,15 +596,18 @@ def husimi_grid(
     """Coherent-state density |<phi_{x,xi}, u>|^2 / (2 pi h)^2 of a disk mode.
 
     The mode's components are sampled on the box whose lattice reaches
-    xi_max + 1, and h is the mode's.  The xi axis snaps to
-    the frequency lattice, so overlaps are entries of DFTs: per x0 row and
-    component, one batched 1-D FFT along x1 and one along x2 for the
-    window centres y0 at once, both numpy's pocketfft.  No BLAS call
-    enters, so the bytes do not depend on the thread count.  The mode is
-    +0.0 outside the closed disk, so the first pass transforms only the
-    box columns with |x2| <= 1; the others would give exact zeros.  Cells
-    wider than about sqrt(h) under-resolve the coherent widths and the
-    mass check drifts; callers pick nx, nxi accordingly.
+    xi_max + 1, and h is the mode's.  The xi axis snaps to the frequency
+    lattice, so overlaps are entries of DFTs: per x0 row and component,
+    one batched 1-D FFT along x1, then batched 1-D FFTs along x2 over a
+    few window centres y0 at a time (HUSIMI_NODES entries per batch), all
+    numpy's pocketfft.  No BLAS call enters, so the bytes do not depend on
+    the thread count or the batch.  Resident at once: the 4-D density,
+    the box sample and one batch; the sample is dropped before the
+    symmetry fill.  The mode is +0.0 outside the closed disk, so the
+    first pass transforms only the box columns with |x2| <= 1; the others
+    would give exact zeros.  Cells wider than about sqrt(h) under-resolve
+    the coherent widths and the mass check drifts; callers pick nx, nxi
+    accordingly.
 
     A disk mode's density has the symmetry of the square, the dihedral
     group D4.  For the quarter turn R(x1, x2) = (-x2, x1), u(R x) =
@@ -630,8 +646,8 @@ def husimi_grid(
         raise ValueError("frequency lattice too coarse for the xi axis")
     dxi = float(np.mean(np.diff(xi_axis)))
     x_axis = _symmetric_axis(x_max, nx)
-    # the window g(x1 - x0) g(x2 - y0) is separable; one x0 row at a time
-    # bounds the work array at (nx - nx // 2, len(idx), n)
+    # the window g(x1 - x0) g(x2 - y0) is separable; one x0 row and a few
+    # centre columns at a time bound the work array at HUSIMI_NODES entries
     g = np.exp(-((box.x[None, :] - x_axis[:, None]) ** 2) / (2.0 * h))
     dens = np.zeros((nx, nx, len(idx), len(idx)))
     half = nx // 2  # x_axis[half:] >= 0 and x_axis[nx - half:] > 0
@@ -640,12 +656,15 @@ def husimi_grid(
     V = np.zeros((len(idx), box.n), dtype=complex)
     # rows a > 0 with centres 0 <= b <= a; when nx is odd, row `half` is
     # the origin and column `half` is b = 0
+    step = max(1, HUSIMI_NODES // (len(idx) * box.n))
     for i in range(half, nx):
-        cols = slice(half, i + 1)
         for u in comps:
             V[:, disk_cols] = np.fft.fft(g[i][:, None] * u[:, disk_cols], axis=0)[idx]
-            G = np.fft.fft(V[None] * g[cols, None, :], axis=2)[:, :, idx]
-            dens[i, cols] += np.abs(G) ** 2
+            for lo in range(half, i + 1, step):
+                cols = slice(lo, min(lo + step, i + 1))
+                G = np.fft.fft(V[None] * g[cols, None, :], axis=2)[:, :, idx]
+                dens[i, cols] += np.abs(G) ** 2
+    del comps  # the fill reads the density only
     # the swap fills the centres b > a of the positive quadrant
     pos = dens[nx - half :, nx - half :]
     upper = np.triu_indices(half, 1)

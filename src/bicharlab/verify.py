@@ -342,6 +342,10 @@ def invariance_gap(
     )
 
 
+# (window centre, xi) pairs per block of the support survivors' momentum scan
+SURVIVOR_PAIRS = 1 << 14
+
+
 def _phase_survivors(hg, invariant):
     """The survivors of a Husimi phase grid, as `_survivors` finds them.
 
@@ -349,10 +353,11 @@ def _phase_survivors(hg, invariant):
     invariant (an InteriorSymbol's, or None) is read on them times the
     flattened xi grid, (N_x, 1) by (1, N_xi), not on the full 4-D grid:
     its speed factor once per xi point, and its momentum factor only where
-    the speed is nonzero.  A zero speed times a finite momentum is 0, so
-    the mask is the product's.  `np.nonzero` in C order then yields the
-    points of the 4-D scan, in its order and bit for bit.  Returns (idx,
-    points): `idx` indexes `hg.density`.
+    the speed is nonzero, on blocks of centres of about SURVIVOR_PAIRS
+    pairs each.  A zero speed times a finite momentum is 0, so the mask
+    is the product's.  `np.nonzero` in C order, block after block, then
+    yields the points of the 4-D scan, in its order and bit for bit.
+    Returns (idx, points): `idx` indexes `hg.density`.
     """
     n_xi = len(hg.xi_axis)
     ci, cj = np.nonzero(np.hypot(hg.x_axis[:, None], hg.x_axis[None, :]) <= 1.0 + 1e-12)
@@ -364,12 +369,19 @@ def _phase_survivors(hg, invariant):
         speed = 1.0 if invariant.speed is None else invariant.speed(np.hypot(s1, s2))
         speed = np.broadcast_to(speed, p.shape)
         keep = speed != 0
-        if invariant.momentum is not None:
-            live = np.flatnonzero(keep)
-            wedge = x1[:, None] * s2[live] - x2[:, None] * s1[live]
-            keep = np.zeros((len(ci), len(p)), dtype=bool)
-            keep[:, live] = speed[live] * invariant.momentum(wedge) != 0
-    r, c = np.nonzero(np.broadcast_to(keep, (len(ci), len(p))))
+    if invariant is None or invariant.momentum is None:
+        r, c = np.nonzero(np.broadcast_to(keep, (len(ci), len(p))))
+    else:
+        live = np.flatnonzero(keep)
+        step = max(1, SURVIVOR_PAIRS // max(1, live.size))
+        rows, cols = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+        for lo in range(0, len(ci), step):
+            block = slice(lo, lo + step)
+            wedge = x1[block, None] * s2[live] - x2[block, None] * s1[live]
+            r, c = np.nonzero(speed[live] * invariant.momentum(wedge) != 0)
+            rows.append(r + lo)
+            cols.append(live[c])
+        r, c = np.concatenate(rows), np.concatenate(cols)
     return (ci[r], cj[r], p[c], q[c]), (x1[r], x2[r], s1[c], s2[c])
 
 
@@ -397,12 +409,17 @@ def support_gap(
     positive (ValueError otherwise).  Both symbols are evaluated only on the
     survivors of the phase grid, the window centres in the closed disk
     times the xi points where the symbol's invariant is nonzero, and each
-    mass is a sum over those points.  Tangential symbols are compared
-    against their gliding rotation: the transported symbol is the input
-    arc rotated by the angle the flow engine sweeps in time s at the
-    glancing ring on the side `glancing_sign`, and the masses are
-    boundary-collar pairings.
-    Pass rule: mass_after <= kappa * mass_before + theta_floor per mode.
+    mass is a sum over those points.  Of each mode's Husimi grid only the
+    total mass, the cell volume and the survivors' densities are kept,
+    and the grid is released before either symbol is evaluated: past
+    `husimi_grid` and the survivors scan, what is resident at once is the
+    survivors' 1-D arrays and one `billiard.BLOCK` of rays, and none of
+    it outlives the mode.  Tangential symbols are compared against their
+    gliding rotation: the transported symbol is the input arc rotated by
+    the angle the flow engine sweeps in time s at the glancing ring on
+    the side `glancing_sign`, and the masses are boundary-collar pairings.
+    Pass rule: mass_after <= kappa * mass_before + theta_floor per mode;
+    it is one-sided, so a transport that loses mass passes.
     """
     th = thresholds or Thresholds()
     rows = []
@@ -456,13 +473,19 @@ def support_gap(
             # zero-outside convention, and the s and then -s
             # reversibility holds for any input support
             idx, pts = _phase_survivors(hg, a.invariant)
-            dens = hg.density[idx]
+            dens, cell = hg.density[idx], hg.cell_volume
+            # the masses read only these: the grid goes before either
+            # symbol is evaluated
+            del hg, idx
             tau = TransportedSymbol(a, s)
             base_sq = np.abs(a.eval(*pts)) ** 2
             moved_sq = tau.eval(*pts) ** 2
             unresolved += tau.unresolved
-            before = float(np.sum(dens * base_sq) * hg.cell_volume) / total
-            after = float(np.sum(dens * moved_sq) * hg.cell_volume) / total
+            before = float(np.sum(dens * base_sq) * cell) / total
+            after = float(np.sum(dens * moved_sq) * cell) / total
+            # and none of them is alive while the next grid is built, where
+            # they would split the heap hole the next density can reuse
+            del pts, dens, tau, base_sq, moved_sq
             rows.append(
                 ModeRow(
                     h=float(m.h), before=before, after=after, gap=after - before

@@ -1664,6 +1664,25 @@ def test_no_process_imports_jsonschema():
     assert proc.stdout.strip() == "[]"
 
 
+def test_no_serial_run_imports_multiprocessing():
+    # only the pool branch of `run_config` (--jobs > 1, more than one
+    # experiment) imports the process pool, and with it multiprocessing
+    code = (
+        "import sys\n"
+        "import bicharlab.cli as cli\n"
+        "cli.load_config(cli._read_config('@smoke'))\n"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
+        "if m in sys.modules))\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # (h, before, after, gap) per mode of the seed-0 `reflect` benchmark
 # config, as the per-point Bessel sampling and the all-centre Husimi loop
 # computed them
@@ -1702,6 +1721,16 @@ def test_reflect_support_values_hold_to_round_off(tmp_path):
 
 def test_bounce_support_values_hold_to_round_off(tmp_path):
     assert_support_rows(tmp_path, "bounce", BOUNCE_SUPPORT_ROWS)
+
+
+def test_support_rule_passes_a_transport_that_loses_all_mass():
+    # a negative control: the seed-0 `reflect` rows with every `after`
+    # set to 0, as a transport that drops the mass would give.  The rule
+    # after <= kappa * before + theta_floor is one-sided, so it passes;
+    # this records the rule's power, not a wanted verdict
+    rows = [verify.ModeRow(h, before, 0.0, -before) for h, before, _, _ in REFLECT_SUPPORT_ROWS]
+    rep = verify.PropagationReport("reflect-support", "window", 0.9, "support", rows)
+    assert rep.recompute_verdict() == "pass"
 
 
 # the seed-0 `layer-parametrix` errors by order and m, as the ring-FFT

@@ -1,0 +1,67 @@
+"""Input contracts of the public kernels, one table.
+
+Each kernel states its contract in one docstring line that starts with
+"Contract:" and refuses what lies outside it with a ValueError naming the
+offending argument, checked at its entry.
+"""
+
+import numpy as np
+import pytest
+
+from bicharlab.billiard import time_to_boundary
+from bicharlab.quantize import default_box
+
+NAN, INF = float("nan"), float("inf")
+
+# (kernel, args, pattern the ValueError must match)
+REFUSED = [
+    (time_to_boundary, ([2.0, 0.0], [1.0, 0.0]), r"\bx\b.*closed unit disk"),
+    (time_to_boundary, ([[0.1, 0.0], [0.0, -1.5]], [[1.0, 0.0], [1.0, 0.0]]), r"\bx\b.*disk"),
+    (time_to_boundary, ([1.0 + 1e-11, 0.0], [-1.0, 0.0]), r"\bx\b.*disk"),
+    (time_to_boundary, ([NAN, 0.0], [1.0, 0.0]), r"\bx\b.*must be finite"),
+    (time_to_boundary, ([0.0, -INF], [1.0, 0.0]), r"\bx\b.*must be finite"),
+    (time_to_boundary, ([0.0, 0.0], [INF, 0.0]), r"\bxi\b must be finite"),
+    (time_to_boundary, ([0.0, 0.0], [0.0, NAN]), r"\bxi\b must be finite"),
+    (time_to_boundary, ([0.5, 0.0], [0.0, 0.0]), r"\bxi\b must be nonzero"),
+    (
+        time_to_boundary,
+        ([[0.5, 0.0], [0.0, 0.2]], [[1.0, 0.0], [0.0, 0.0]]),
+        r"\bxi\b must be nonzero",
+    ),
+    (default_box, (-0.1, 1.5), r"\bh > 0"),
+    (default_box, (0.0, 1.5), r"\bh > 0"),
+    (default_box, (NAN, 1.5), r"\bh > 0"),
+    (default_box, (INF, 1.5), r"\bh > 0"),
+    (default_box, (0.1, -1.0), r"\bxi_bound >= 0"),
+    (default_box, (0.1, NAN), r"\bxi_bound >= 0"),
+    (default_box, (0.1, INF), r"\bxi_bound >= 0"),
+]
+
+# (kernel, args, the documented value, to 1e-12) at the edges of each contract
+ACCEPTED = [
+    (time_to_boundary, ([0.0, 0.0], [1.0, 0.0]), 0.5),
+    (time_to_boundary, ([1.0, 0.0], [-1.0, 0.0]), 1.0),
+    (time_to_boundary, ([1.0 + 5e-13, 0.0], [-1.0, 0.0]), 1.0),
+    (lambda h, b: default_box(h, b).n, (0.1, 0.0), 32),
+]
+
+
+@pytest.mark.parametrize(
+    "kernel, args, pattern",
+    REFUSED,
+    ids=[f"{k.__name__}-{i}" for i, (k, _, _) in enumerate(REFUSED)],
+)
+def test_kernel_refuses_input_outside_its_contract(kernel, args, pattern):
+    with np.errstate(all="raise"), pytest.raises(ValueError, match=pattern):
+        kernel(*args)
+
+
+@pytest.mark.parametrize("kernel, args, want", ACCEPTED)
+def test_kernel_accepts_the_edges_of_its_contract(kernel, args, want):
+    assert abs(kernel(*args) - want) <= 1e-12
+
+
+@pytest.mark.parametrize("kernel", sorted({k for k, _, _ in REFUSED}, key=lambda k: k.__name__))
+def test_kernel_states_its_contract(kernel):
+    lines = [line.strip() for line in kernel.__doc__.splitlines()]
+    assert sum(line.startswith("Contract:") for line in lines) == 1

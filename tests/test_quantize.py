@@ -623,6 +623,86 @@ def test_husimi_refuses_raw_fields():
         husimi_grid(f)
 
 
+def one_call_per_row_husimi(mode, nx, nxi, x_max=1.25, xi_max=1.6):
+    """`husimi_grid` with one second-pass FFT call per x0 row: the oracle.
+
+    The form before the second pass was cut into blocks of centre
+    columns; it also keeps the box sample alive through the fill.
+    """
+    h = mode.h
+    box = default_box(h, xi_max + 1.0)
+    comps = sample_mode_on_box(mode, box)
+    lattice = h * box.k
+    targets = quantize._symmetric_axis(xi_max, nxi)
+    up = np.unique([int(np.argmin(np.abs(lattice - t))) for t in targets[nxi // 2 :]])
+    idx = np.concatenate([box.n - up[up > 0][::-1], up])
+    xi_axis = lattice[idx]
+    dxi = float(np.mean(np.diff(xi_axis)))
+    x_axis = quantize._symmetric_axis(x_max, nx)
+    g = np.exp(-((box.x[None, :] - x_axis[:, None]) ** 2) / (2.0 * h))
+    dens = np.zeros((nx, nx, len(idx), len(idx)))
+    half = nx // 2
+    on = np.nonzero(box.x**2 <= 1.0)[0]
+    disk_cols = slice(on[0], on[-1] + 1)
+    V = np.zeros((len(idx), box.n), dtype=complex)
+    for i in range(half, nx):
+        cols = slice(half, i + 1)
+        for u in comps:
+            V[:, disk_cols] = np.fft.fft(g[i][:, None] * u[:, disk_cols], axis=0)[idx]
+            G = np.fft.fft(V[None] * g[cols, None, :], axis=2)[:, :, idx]
+            dens[i, cols] += np.abs(G) ** 2
+    pos = dens[nx - half :, nx - half :]
+    upper = np.triu_indices(half, 1)
+    pos[upper] = pos.transpose(1, 0, 3, 2)[:, :, ::-1, ::-1][upper]
+    quadrants = [
+        (slice(nx - half, nx), slice(half, nx)),
+        (slice(0, nx - half), slice(nx - half, nx)),
+        (slice(0, half), slice(0, nx - half)),
+        (slice(half, nx), slice(0, half)),
+    ]
+    for src, dst in zip(quadrants, quadrants[1:]):
+        dens[dst] = np.rot90(np.rot90(dens[src], axes=(0, 1)), axes=(2, 3))
+    dens *= (box.cell / np.sqrt(np.pi * h)) ** 2 / (2.0 * np.pi * h) ** 2
+    dx0 = float(x_axis[1] - x_axis[0])
+    return HusimiGrid(x_axis, xi_axis, dens, (dx0 * dxi) ** 2)
+
+
+def assert_same_husimi(got, want):
+    for a, b in zip(
+        (got.x_axis, got.xi_axis, got.density, got.cell_volume),
+        (want.x_axis, want.xi_axis, want.density, want.cell_volume),
+    ):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# the four `reflect` modes (m, k for the ratio 0.5) on its 28 x 29 grid,
+# and one Laplace mode at an odd nx
+@pytest.mark.parametrize(
+    "build, m, k, nx, nxi",
+    [
+        (stokes_disk_mode, 16, 3, 28, 29),
+        (stokes_disk_mode, 24, 5, 28, 29),
+        (stokes_disk_mode, 32, 7, 28, 29),
+        (stokes_disk_mode, 44, 10, 28, 29),
+        (laplace_disk_mode, 5, 4, 13, 17),
+    ],
+    ids=["stokes-16-3", "stokes-24-5", "stokes-32-7", "stokes-44-10", "laplace-5-4"],
+)
+def test_blocked_second_pass_matches_one_call_per_row(build, m, k, nx, nxi):
+    mode = build(m, k)
+    want = one_call_per_row_husimi(mode, nx, nxi)
+    assert_same_husimi(husimi_grid(mode, nx=nx, nxi=nxi), want)
+
+
+@pytest.mark.parametrize("nodes", [1, 5_000, 1 << 30])
+def test_second_pass_block_size_moves_no_bit(monkeypatch, nodes):
+    # one centre column per block, a few, and the whole row in one call
+    mode = stokes_disk_mode(16, 3)
+    monkeypatch.setattr(quantize, "HUSIMI_NODES", nodes)
+    assert_same_husimi(husimi_grid(mode, nx=15, nxi=21), one_call_per_row_husimi(mode, 15, 21))
+
+
 @pytest.mark.parametrize("mode", [stokes_disk_mode(7, 2), laplace_disk_mode(3, 4)])
 def test_sample_mode_on_box_is_the_full_box_closed_form_on_the_disk(mode):
     box = default_box(mode.h, 2.6)

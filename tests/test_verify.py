@@ -576,17 +576,105 @@ def test_support_gap_refuses_degenerate_windows():
 
 
 def test_support_gap_holds_no_full_phase_grid_temporaries():
-    # the 4-D survivors scan and two full-grid mass arrays peaked at
-    # 27.9 MB here, the product-grid scan at 16.2 MB
-    mode = modes.stokes_disk_mode(44, 10)  # the last `reflect` member
+    # on the last `reflect` member, the 4-D survivors scan and two
+    # full-grid mass arrays peaked at 27.9 MB here, the product-grid scan
+    # at 16.2 MB, and the density alive through the transport at 11.2 MB;
+    # on the first member, that last form peaked at 11.3 MB.  The first
+    # member's survivor arrays, kept alive through the last member's grid,
+    # read 9.7 MB on the pair
     a = config.build_symbol(REFLECT_SYMBOL)
-    tracemalloc.start()
-    try:
-        verify.support_gap([mode], a, 0.9, nx=28, nxi=29)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 20_000_000
+    for members, limit in ((((16, 3), (44, 10)), 9_500_000), (((16, 3),), 8_000_000)):
+        fam = [modes.stokes_disk_mode(m, k) for m, k in members]
+        tracemalloc.start()
+        try:
+            verify.support_gap(fam, a, 0.9, nx=28, nxi=29)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, members
+
+
+def unchunked_phase_survivors(hg, invariant):
+    """`verify._phase_survivors` with one momentum block for all centres: the oracle."""
+    n_xi = len(hg.xi_axis)
+    ci, cj = np.nonzero(np.hypot(hg.x_axis[:, None], hg.x_axis[None, :]) <= 1.0 + 1e-12)
+    x1, x2 = hg.x_axis[ci], hg.x_axis[cj]
+    p, q = np.divmod(np.arange(n_xi * n_xi), n_xi)
+    s1, s2 = hg.xi_axis[p], hg.xi_axis[q]
+    keep = True
+    if invariant is not None:
+        speed = 1.0 if invariant.speed is None else invariant.speed(np.hypot(s1, s2))
+        speed = np.broadcast_to(speed, p.shape)
+        keep = speed != 0
+        if invariant.momentum is not None:
+            live = np.flatnonzero(keep)
+            wedge = x1[:, None] * s2[live] - x2[:, None] * s1[live]
+            keep = np.zeros((len(ci), len(p)), dtype=bool)
+            keep[:, live] = speed[live] * invariant.momentum(wedge) != 0
+    r, c = np.nonzero(np.broadcast_to(keep, (len(ci), len(p))))
+    return (ci[r], cj[r], p[c], q[c]), (x1[r], x2[r], s1[c], s2[c])
+
+
+def assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# the `reflect` members, (m, k) for the ratio 0.5; `bounce` runs the first
+REFLECT_MEMBERS = [(16, 3), (24, 5), (32, 7), (44, 10)]
+
+
+@functools.lru_cache(maxsize=None)
+def reflect_grid(m, k):
+    """The Husimi grid of a `reflect` or `bounce` member, 28 x 29 as there."""
+    return quantize.husimi_grid(modes.stokes_disk_mode(m, k), nx=28, nxi=29)
+
+
+@pytest.mark.parametrize("pairs", [1, 700, verify.SURVIVOR_PAIRS, 1 << 30])
+def test_chunked_survivors_match_the_unchunked_oracle(monkeypatch, pairs):
+    # one centre per block, a few, the module's blocks, and one block
+    monkeypatch.setattr(verify, "SURVIVOR_PAIRS", pairs)
+    fibers = [
+        config.build_symbol(REFLECT_SYMBOL).invariant,
+        fiber_symbol(momentum=conserved_momentum).invariant,
+        fiber_symbol(speed=ring_speed).invariant,
+        None,
+    ]
+    members = REFLECT_MEMBERS if pairs == verify.SURVIVOR_PAIRS else REFLECT_MEMBERS[:1]
+    for m, k in members:
+        hg = reflect_grid(m, k)
+        for inv in fibers:
+            got_idx, got_pts = verify._phase_survivors(hg, inv)
+            want_idx, want_pts = unchunked_phase_survivors(hg, inv)
+            assert_same_arrays(got_idx + got_pts, want_idx + want_pts)
+    # no window centre in the closed disk: nothing survives
+    hg = quantize.husimi_grid(modes.stokes_disk_mode(16, 3), nx=2, nxi=5, x_max=1.0)
+    got_idx, got_pts = verify._phase_survivors(hg, fibers[0])
+    want_idx, want_pts = unchunked_phase_survivors(hg, fibers[0])
+    assert got_idx[0].size == 0
+    assert_same_arrays(got_idx + got_pts, want_idx + want_pts)
+
+
+@pytest.mark.parametrize(
+    "members, s",
+    [(REFLECT_MEMBERS, 0.9), ([(16, 3)], 12.0)],
+    ids=["reflect", "bounce"],
+)
+def test_ray_blocks_match_the_16384_ray_blocks(monkeypatch, members, s):
+    # the rays `TransportedSymbol` flies on the workload grids: blocks of
+    # 16,384 rays, the oracle, give the same bits as blocks of BLOCK
+    a = config.build_symbol(REFLECT_SYMBOL)
+    for m, k in members:
+        _, (x1, x2, s1, s2) = verify._phase_survivors(reflect_grid(m, k), a.invariant)
+        live = np.hypot(s1, s2) > verify.DEAD_SPEED
+        x, xi = np.stack([x1, x2], axis=-1)[live], np.stack([s1, s2], axis=-1)[live]
+        assert x.shape[0] > billiard.BLOCK
+        got = billiard.propagate(x, xi, s, pinned="mark")
+        with monkeypatch.context() as patch:
+            patch.setattr(billiard, "BLOCK", 16_384)
+            want = billiard.propagate(x, xi, s, pinned="mark")
+        assert_same_arrays(got, want)
 
 
 def test_propagation_checks_require_disk_chart():
