@@ -48,7 +48,10 @@ def plateau_step(t, a: float, b: float):
 
 
 def bump_profile(t):
-    """Even bump supported on |t| < 1 with value 1 at t = 0."""
+    """Even bump supported on |t| < 1 with value 1 at t = 0.
+
+    Contract: any float t; NaN and |t| >= 1 give 0.
+    """
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     inside = np.abs(t) < 1.0

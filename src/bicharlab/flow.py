@@ -356,6 +356,13 @@ class RaySegment:
     evaluate: Callable[[float], np.ndarray]
 
 
+def _components(chart):
+    """The chart and, on an annulus, the chart of its other boundary circle."""
+    if hasattr(chart, "other_component"):
+        return [chart, chart.other_component()]
+    return [chart]
+
+
 class GeneralizedRay:
     """Piecewise trajectory together with its boundary events.
 
@@ -401,7 +408,7 @@ class GeneralizedRay:
         frame, chart, u = self.state_vector(t)
         if frame == "collar":
             return PhasePoint(u[0], u[1], u[2], u[3])
-        for ch in self._charts():
+        for ch in _components(self.chart):
             p = ch.from_cartesian(u[:2], u[2:])
             if -1e-9 <= p.y <= ch.collar_width:
                 return p
@@ -421,12 +428,6 @@ class GeneralizedRay:
 
     def final_cartesian(self):
         return self.state_cartesian(self.t_final)
-
-    def _charts(self):
-        charts = [self.chart]
-        if hasattr(self.chart, "other_component"):
-            charts.append(self.chart.other_component())
-        return charts
 
     def _time_reversed(self) -> "GeneralizedRay":
         def rev_seg(seg: RaySegment) -> RaySegment:
@@ -503,43 +504,46 @@ def _kick(chart: CollarChart, u):
 
 
 class _Tracer:
+    """The stage loop of one ray.
+
+    Each stage takes (t, payload, t_total) and returns (t, mode, payload),
+    where mode names the next stage, or is "done" once time runs out or
+    the ray aborts.  Every logged event and restart is charged against
+    MAX_EVENTS, and the charge past it sets the status that ends the loop.
+    """
+
     def __init__(self, chart: CollarChart):
         self.chart = chart
         self.segments: list = []
         self.events: list = []
         self.restarts = 0
         self.status = "completed"
-        self.active_chart = chart
         self.embeddable = hasattr(chart, "to_cartesian")
         self.bands = []
         if self.embeddable:
-            charts = [chart]
-            if hasattr(chart, "other_component"):
-                charts.append(chart.other_component())
             self.bands = [
-                (ch, ch.radius(0.5 * ch.collar_width), ch.component) for ch in charts
+                (ch, ch.radius(0.5 * ch.collar_width), ch.component) for ch in _components(chart)
             ]
 
     # -- event logging ---------------------------------------------------
 
-    def _log(self, kind, t, point=None, x=None, classification=None):
-        if point is not None and x is None and hasattr(self.active_chart, "to_cartesian"):
+    def _log(self, kind, t, chart, point, x=None, classification=None):
+        """Record an event; without x, its position is taken through `chart`."""
+        if x is None and hasattr(chart, "to_cartesian"):
             try:
-                xa, _ = self.active_chart.to_cartesian(
+                xa, _ = chart.to_cartesian(
                     PhasePoint(max(point.y, 0.0), point.xp, point.eta, point.xip)
                 )
                 x = (float(xa[0]), float(xa[1]))
             except ValueError:
                 x = None
         self.events.append(RayEvent(kind, t, point, x, classification))
-        return self._within_budget()
+        self._check_budget()
 
-    def _within_budget(self) -> bool:
-        """False, with the ray aborted, once it has spent MAX_EVENTS."""
+    def _check_budget(self):
+        """Abort the ray once its events and restarts exceed MAX_EVENTS."""
         if len(self.events) + self.restarts > MAX_EVENTS:
             self.status = "aborted_max_events"
-            return False
-        return True
 
     # -- free flight -------------------------------------------------------
 
@@ -561,9 +565,9 @@ class _Tracer:
                 best = (t_cross, ch)
         return best
 
-    def run_free(self, t, x, xi, t_total):
-        x = np.array(x, dtype=float)
-        xi = np.array(xi, dtype=float)
+    def run_free(self, t, payload, t_total):
+        x = np.array(payload[0], dtype=float)
+        xi = np.array(payload[1], dtype=float)
         hit = self._entry_time(x, xi)
         t_end = t_total if hit is None else min(t + hit[0], t_total)
 
@@ -572,25 +576,20 @@ class _Tracer:
 
         self.segments.append(RaySegment("free", "cartesian", t, t_end, None, ev))
         if hit is None or t + hit[0] >= t_total:
-            return t_total, None, None
+            return t_total, "done", None
         x_new = x + 2.0 * hit[0] * xi
         pt = hit[1].from_cartesian(x_new, xi)
-        self.active_chart = hit[1]
-        if not self._log("enter_collar", t_end, pt, (float(x_new[0]), float(x_new[1]))):
-            return t_end, None, None
-        return t_end, hit[1], pt
+        self._log("enter_collar", t_end, hit[1], pt, (float(x_new[0]), float(x_new[1])))
+        return t_end, "collar", (hit[1], pt)
 
     # -- collar integration --------------------------------------------------
 
-    def run_collar(self, t, chart, pt, t_total):
-        """Integrate inside the collar until contact, exit, or time runs out.
-
-        Returns (t_new, mode, payload) with mode in {"free", "collar",
-        "glide", "done"}.
-        """
+    def run_collar(self, t, payload, t_total):
+        """Integrate inside the collar until contact, exit, or time runs out."""
+        chart, pt = payload
         if pt.y <= GRAZE_TOL and pt.eta <= 0.0:
             # on the boundary moving along or into it: dispatch immediately
-            return self.dispatch(t, chart, pt, t_total)
+            return self.dispatch(t, chart, pt)
 
         u0 = [float(pt.y), float(pt.xp), float(pt.eta), float(pt.xip)]
         events = _COLLAR_EVENTS
@@ -607,49 +606,41 @@ class _Tracer:
         if kind == _EXIT:
             p = PhasePoint(u[0], u[1], u[2], u[3])
             x, xi = chart.to_cartesian(p)
-            if not self._log("exit_collar", t_hit, p, (float(x[0]), float(x[1]))):
-                return t_hit, "done", None
+            self._log("exit_collar", t_hit, chart, p, (float(x[0]), float(x[1])))
             return t_hit, "free", (x, xi)
 
         if kind == _CONTACT:
-            contact = PhasePoint(0.0, u[1], u[2], u[3])
-            return self.dispatch(t_hit, chart, contact, t_total)
+            return self.dispatch(t_hit, chart, PhasePoint(0.0, u[1], u[2], u[3]))
 
         # turning point: eta hits 0 and y is locally extremal there
         if u[0] > GRAZE_TOL:
             # perihelion above the boundary: nudge past the root and go on;
-            # the nudge logs no event, so it is counted here
+            # the nudge logs no event, so it is charged here
             self.restarts += 1
-            if not self._within_budget():
-                return t_hit, "done", None
-            u2 = _kick(chart, u)
-            return t_hit + KICK, "collar", (chart, PhasePoint(*u2))
+            self._check_budget()
+            return t_hit + KICK, "collar", (chart, PhasePoint(*_kick(chart, u)))
         if u[0] >= -GRAZE_TOL:
-            contact = PhasePoint(0.0, u[1], u[2], u[3])
-            return self.dispatch(t_hit, chart, contact, t_total)
+            return self.dispatch(t_hit, chart, PhasePoint(0.0, u[1], u[2], u[3]))
         # the step dipped below the boundary without an endpoint sign change;
         # locate the first actual crossing inside the accepted step
         t_a = path.ts[max(bisect_left(path.ts, t_hit) - 1, 0)]
         t_c = _brent(lambda s: path(s)[0], t_a, t_hit, 1e-14)
         u_c = path(t_c)
         segment.t1 = t_c
-        contact = PhasePoint(0.0, u_c[1], u_c[2], u_c[3])
-        return self.dispatch(t_c, chart, contact, t_total)
+        return self.dispatch(t_c, chart, PhasePoint(0.0, u_c[1], u_c[2], u_c[3]))
 
     # -- contact dispatch ------------------------------------------------------
 
-    def dispatch(self, t, chart, contact: PhasePoint, t_total):
+    def dispatch(self, t, chart, contact: PhasePoint):
         cls = classify(chart, contact.xp, contact.xip)
         if cls.tag == HYPERBOLIC:
             out = reflect_hyperbolic(chart, contact)
-            if not self._log("reflect", t, out, classification=cls):
-                return t, "done", None
+            self._log("reflect", t, chart, out, classification=cls)
             return t, "collar", (chart, out)
         if cls.tag == GLANCING and not cls.unresolved:
             if cls.order == 2 and cls.sign == 1:
                 out = PhasePoint(0.0, contact.xp, -contact.eta, contact.xip)
-                if not self._log("diffract", t, out, classification=cls):
-                    return t, "done", None
+                self._log("diffract", t, chart, out, classification=cls)
                 if out.eta <= 0.0:
                     u = _kick(chart, [0.0, out.xp, out.eta, out.xip])
                     return t + KICK, "collar", (chart, PhasePoint(*u))
@@ -657,19 +648,19 @@ class _Tracer:
             start = PhasePoint(
                 0.0, contact.xp, 0.0, _project_shell(chart, contact.xp, contact.xip)
             )
-            if not self._log("glide_start", t, start, classification=cls):
-                return t, "done", None
+            self._log("glide_start", t, chart, start, classification=cls)
             return t, "glide", (chart, start)
         kind = "abort_unresolved" if cls.tag == GLANCING else "abort_elliptic"
-        self._log(kind, t, contact, classification=cls)
+        self._log(kind, t, chart, contact, classification=cls)
         if self.status == "completed":
             self.status = "aborted_" + kind.split("_", 1)[1]
         return t, "done", None
 
     # -- gliding ---------------------------------------------------------------
 
-    def run_glide(self, t, chart, pt, t_total):
+    def run_glide(self, t, payload, t_total):
         """Glide along the boundary until r1 turns positive or time runs out."""
+        chart, pt = payload
         u = [0.0, pt.xp, 0.0, pt.xip]
         if chart.r1(pt.xp, pt.xip) > 0.0:
             # the liftoff condition already holds: release at once
@@ -683,8 +674,7 @@ class _Tracer:
         if hit is None:
             return t_total, "done", None
         _, t_rel, u = hit
-        if not self._log("glide_release", t_rel, PhasePoint(*u)):
-            return t_rel, "done", None
+        self._log("glide_release", t_rel, chart, PhasePoint(*u))
         return t_rel + KICK, "collar", (chart, PhasePoint(*_kick(chart, u)))
 
     # -- main loop ---------------------------------------------------------------
@@ -699,7 +689,6 @@ class _Tracer:
         return "free", (x, xi)
 
     def run(self, start, t_total):
-        t = 0.0
         if isinstance(start, PhasePoint):
             if self.embeddable and start.y > 0.5 * self.chart.collar_width:
                 x, xi = self.chart.to_cartesian(start)
@@ -710,59 +699,30 @@ class _Tracer:
             x = np.asarray(start[0], dtype=float)
             xi = np.asarray(start[1], dtype=float)
             mode, payload = self._place(x, xi)
-        mode0, payload0 = mode, payload
 
+        stages = {"free": self.run_free, "collar": self.run_collar, "glide": self.run_glide}
+        t, mode0, payload0 = 0.0, mode, payload
         while t < t_total - 1e-15 and self.status == "completed":
-            if mode == "free":
-                t, ch, pt = self.run_free(t, payload[0], payload[1], t_total)
-                if ch is None:
-                    break
-                mode, payload = "collar", (ch, pt)
-            elif mode == "collar":
-                ch, pt = payload
-                self.active_chart = ch
-                t, mode, payload = self.run_collar(t, ch, pt, t_total)
-                if mode == "done":
-                    break
-            elif mode == "glide":
-                ch, pt = payload
-                self.active_chart = ch
-                t, mode, payload = self.run_glide(t, ch, pt, t_total)
-                if mode == "done":
-                    break
-            else:
-                break
+            t, mode, payload = stages[mode](t, payload, t_total)
 
         if not self.segments:
             # nothing integrated (t_total = 0 or an immediate abort): expose
             # the start state through a zero-length segment
             if mode0 == "free":
-                x0, xi0 = np.asarray(payload0[0]), np.asarray(payload0[1])
-                u0 = np.concatenate([x0, xi0])
-                self.segments.append(
-                    RaySegment("free", "cartesian", 0.0, 0.0, None, lambda tt, _u=u0: _u)
-                )
+                frame, chart, u0 = "cartesian", None, np.concatenate(payload0)
             else:
-                ch0, p0 = payload0
-                u0 = np.array([p0.y, p0.xp, p0.eta, p0.xip])
-                self.segments.append(
-                    RaySegment("collar", "collar", 0.0, 0.0, ch0, lambda tt, _u=u0: _u)
-                )
-        if self.status == "completed" and self.segments:
+                chart, p0 = payload0
+                frame, u0 = "collar", np.array([p0.y, p0.xp, p0.eta, p0.xip])
+            self.segments.append(RaySegment(mode0, frame, 0.0, 0.0, chart, lambda tt, _u=u0: _u))
+        if self.status == "completed":
             last = self.segments[-1]
             u = last.evaluate(last.t1)
             if last.frame == "collar":
-                self.active_chart = last.chart
-                self._log("finish", last.t1, PhasePoint(u[0], u[1], u[2], u[3]))
+                self._log("finish", last.t1, last.chart, PhasePoint(u[0], u[1], u[2], u[3]))
             else:
-                self._log("finish", last.t1, None, (float(u[0]), float(u[1])))
+                self._log("finish", last.t1, None, None, (float(u[0]), float(u[1])))
         return GeneralizedRay(
-            self.chart,
-            self.segments,
-            self.events,
-            self.status,
-            0.0,
-            self.segments[-1].t1 if self.segments else 0.0,
+            self.chart, self.segments, self.events, self.status, 0.0, self.segments[-1].t1
         )
 
 

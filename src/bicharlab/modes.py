@@ -76,7 +76,13 @@ def pick_k_for_ratio(family: str, m: int, ratio: float, k_max: int = 80) -> int:
     taken in prefixes of 8, 16, 32, ... and the search stops at the first
     prefix that crosses; `jn_zeros` is prefix-stable, so the prefix holds
     the same bits as the k_max table.
+
+    Contract: ratio finite and k_max >= 1, else ValueError.
     """
+    if not math.isfinite(ratio):
+        raise ValueError(f"ratio must be finite, got {ratio}")
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
     order = _zero_order(family, m)
     K = min(8, k_max)
     while True:

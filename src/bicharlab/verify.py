@@ -36,6 +36,7 @@ __all__ = [
     "Thresholds",
     "ModeRow",
     "PropagationReport",
+    "recompute_verdict",
     "TransportedSymbol",
     "gliding_rotation",
     "invariance_gap",
@@ -85,7 +86,7 @@ class PropagationReport:
 
     `kind` selects the verdict rule; everything the rule consumes lives in
     `rows`, `thresholds`, and `notes`, so `recompute_verdict` is a pure
-    function of the stored numbers.
+    function of the stored form that `to_dict` writes.
     """
 
     experiment: str
@@ -101,34 +102,7 @@ class PropagationReport:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown report kind {self.kind!r}")
         if not self.verdict:
-            self.verdict = self.recompute_verdict()
-
-    def recompute_verdict(self) -> str:
-        th = self.thresholds
-        if self.notes.get("unresolved", 0.0) > 0 or not self.rows:
-            return "inconclusive"
-        gaps = [r.gap for r in self.rows]
-        if self.kind == "invariance":
-            shrinking = all(
-                gaps[i + 1] <= gaps[i] + th.theta_floor for i in range(len(gaps) - 1)
-            )
-            return "pass" if shrinking and gaps[-1] <= th.theta_pass else "fail"
-        if self.kind == "support":
-            bounded = all(
-                r.after <= th.kappa * r.before + th.theta_floor for r in self.rows
-            )
-            return "pass" if bounded else "fail"
-        if self.kind == "elliptic":
-            return "pass" if max(gaps) <= th.theta_pass else "fail"
-        # car: magnitudes must shrink at least like h (within 50 percent
-        # per step, ignored below the measurement floor) and end small.
-        hs = [r.h for r in self.rows]
-        tracks = True
-        for i in range(len(gaps) - 1):
-            if gaps[i] <= th.theta_floor:
-                continue
-            tracks = tracks and gaps[i + 1] <= 1.5 * gaps[i] * (hs[i + 1] / hs[i])
-        return "pass" if tracks and gaps[-1] <= th.theta_pass else "fail"
+            self.verdict = recompute_verdict(self.to_dict())
 
     def to_dict(self) -> dict:
         return {
@@ -142,18 +116,40 @@ class PropagationReport:
             "verdict": self.verdict,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PropagationReport":
-        return cls(
-            experiment=d["experiment"],
-            symbol=d["symbol"],
-            flow_time=float(d["flow_time"]),
-            kind=d["kind"],
-            rows=[ModeRow(**row) for row in d["rows"]],
-            thresholds=Thresholds(**d["thresholds"]),
-            notes=dict(d.get("notes", {})),
-            verdict=d.get("verdict", ""),
+
+def recompute_verdict(report: dict) -> str:
+    """The verdict of a report from its stored form, as to_dict writes it.
+
+    Reads only `kind`, `rows`, `thresholds` and `notes`, so a report read
+    back from a JSON artifact re-judges without being rebuilt.
+    """
+    th = report["thresholds"]
+    rows = report["rows"]
+    if report["notes"].get("unresolved", 0.0) > 0 or not rows:
+        return "inconclusive"
+    gaps = [r["gap"] for r in rows]
+    kind = report["kind"]
+    if kind == "invariance":
+        shrinking = all(
+            gaps[i + 1] <= gaps[i] + th["theta_floor"] for i in range(len(gaps) - 1)
         )
+        return "pass" if shrinking and gaps[-1] <= th["theta_pass"] else "fail"
+    if kind == "support":
+        bounded = all(
+            r["after"] <= th["kappa"] * r["before"] + th["theta_floor"] for r in rows
+        )
+        return "pass" if bounded else "fail"
+    if kind == "elliptic":
+        return "pass" if max(gaps) <= th["theta_pass"] else "fail"
+    # car: magnitudes must shrink at least like h (within 50 percent
+    # per step, ignored below the measurement floor) and end small.
+    hs = [r["h"] for r in rows]
+    tracks = True
+    for i in range(len(gaps) - 1):
+        if gaps[i] <= th["theta_floor"]:
+            continue
+        tracks = tracks and gaps[i + 1] <= 1.5 * gaps[i] * (hs[i + 1] / hs[i])
+    return "pass" if tracks and gaps[-1] <= th["theta_pass"] else "fail"
 
 
 def _require_disk(chart: Optional[CollarChart]) -> DiskChart:

@@ -353,10 +353,7 @@ def _defined_and_used(path):
 
 
 # public names kept without a program caller, each with its reason
-NO_CALLER_YET = {
-    "verify.PropagationReport.from_dict": "the planned `check` command, which recomputes"
-    " each verdict from the stored report, is its program caller",
-}
+NO_CALLER_YET = {}
 
 
 # public method names that two or more exported classes define, each owner
@@ -1730,7 +1727,35 @@ def test_support_rule_passes_a_transport_that_loses_all_mass():
     # this records the rule's power, not a wanted verdict
     rows = [verify.ModeRow(h, before, 0.0, -before) for h, before, _, _ in REFLECT_SUPPORT_ROWS]
     rep = verify.PropagationReport("reflect-support", "window", 0.9, "support", rows)
-    assert rep.recompute_verdict() == "pass"
+    assert verify.recompute_verdict(rep.to_dict()) == "pass"
+
+
+def stored_report(kind, rows, notes):
+    """A report in the stored form that `to_dict` writes, default thresholds."""
+    keys = ("h", "before", "after", "gap")
+    rows = [dict(zip(keys, row)) for row in rows]
+    return {"kind": kind, "rows": rows, "thresholds": verify.Thresholds().as_dict(), "notes": notes}
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.5, 2.0])
+def test_invariance_rule_passes_a_wrong_transport(scale):
+    # negative controls: the seed-0 `layer-invariance` rows with `after`
+    # replaced by 0, before/2 or 2 before.  The gaps are absolute, every
+    # `before` is about 0.033 and theta_pass = 0.05, so all three pass;
+    # this records the rule's power, not a wanted verdict
+    rows = [(h, before, scale * before, abs(scale * before - before))
+            for h, before, _, _ in LAYER_INVARIANCE_ROWS]
+    report = stored_report("invariance", rows, {"unresolved": 0.0})
+    assert verify.recompute_verdict(report) == "pass"
+
+
+def test_support_rule_passes_a_symbol_that_meets_no_mass():
+    # a vacuous pass: the `reflect` speed window times a radius window
+    # [0, 0.01, 0.02, 0.03], on Stokes (16, 3) at time 0.9 on the 28 x 29
+    # grid, reads before = 0 and after = 8.0e-7, both below theta_floor
+    h, after = REFLECT_SUPPORT_ROWS[0][0], 7.981098022258895e-07
+    report = stored_report("support", [(h, 0.0, after, after)], {"unresolved": 0.0})
+    assert verify.recompute_verdict(report) == "pass"
 
 
 # the seed-0 `layer-parametrix` errors by order and m, as the ring-FFT

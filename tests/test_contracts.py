@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from bicharlab.billiard import time_to_boundary
+from bicharlab.bumps import bump_profile
+from bicharlab.modes import pick_k_for_ratio
 from bicharlab.quantize import default_box
 
 NAN, INF = float("nan"), float("inf")
@@ -35,6 +37,11 @@ REFUSED = [
     (default_box, (0.1, -1.0), r"\bxi_bound >= 0"),
     (default_box, (0.1, NAN), r"\bxi_bound >= 0"),
     (default_box, (0.1, INF), r"\bxi_bound >= 0"),
+    (pick_k_for_ratio, ("stokes", 16, NAN), r"\bratio\b must be finite"),
+    (pick_k_for_ratio, ("stokes", 16, INF), r"\bratio\b must be finite"),
+    (pick_k_for_ratio, ("stokes", 16, -INF), r"\bratio\b must be finite"),
+    (pick_k_for_ratio, ("stokes", 16, 0.5, 0), r"\bk_max\b must be >= 1"),
+    (pick_k_for_ratio, ("laplace", 3, 0.5, -2), r"\bk_max\b must be >= 1"),
 ]
 
 # (kernel, args, the documented value, to 1e-12) at the edges of each contract
@@ -43,6 +50,11 @@ ACCEPTED = [
     (time_to_boundary, ([1.0, 0.0], [-1.0, 0.0]), 1.0),
     (time_to_boundary, ([1.0 + 5e-13, 0.0], [-1.0, 0.0]), 1.0),
     (lambda h, b: default_box(h, b).n, (0.1, 0.0), 32),
+    (pick_k_for_ratio, ("stokes", 16, 0.5, 1), 1),
+    (bump_profile, (NAN,), 0.0),
+    (bump_profile, (1.0,), 0.0),
+    (bump_profile, (-1.0,), 0.0),
+    (bump_profile, (0.0,), 1.0),
 ]
 
 
@@ -61,7 +73,11 @@ def test_kernel_accepts_the_edges_of_its_contract(kernel, args, want):
     assert abs(kernel(*args) - want) <= 1e-12
 
 
-@pytest.mark.parametrize("kernel", sorted({k for k, _, _ in REFUSED}, key=lambda k: k.__name__))
+# every kernel that either table names
+KERNELS = {k for k, _, _ in REFUSED + ACCEPTED if k.__name__ != "<lambda>"}
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS, key=lambda k: k.__name__))
 def test_kernel_states_its_contract(kernel):
     lines = [line.strip() for line in kernel.__doc__.splitlines()]
     assert sum(line.startswith("Contract:") for line in lines) == 1

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+from bisect import bisect_left
 from operator import mul
 from pathlib import Path
 
@@ -640,3 +641,355 @@ def test_bounce_trace_matches_generic_step(seed, monkeypatch):
     oracle = trace(DISK, start, exp["time"])
     assert trace_record(ray) == trace_record(oracle)
     assert sum(trace_record(ray)[2]) > 1000
+
+
+# ---------------------------------------------------------------------------
+# the event budget, and the stage loop against the tracer it replaced
+
+BOUNCE_START = ([0.05, -0.17], [0.6, 0.8])
+# the restart ray's turning points lie above the rim: each takes a nudge
+RESTART_START = PhasePoint(0.05, 0.0, 0.1, 0.9)
+ANNULUS_START = ([-0.8, 0.4], [1.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "chart, start, t, kinds",
+    [
+        (DISK, BOUNCE_START, 100.0, ["enter_collar", "reflect", "exit_collar"] * 3
+         + ["enter_collar", "reflect"]),
+        (DISK, BOUNCE_START, -100.0, ["reflect", "enter_collar", "exit_collar"] * 3
+         + ["reflect", "enter_collar"]),
+        (AnnulusChart(0.4), ANNULUS_START, 50.0, ["exit_collar", "enter_collar", "diffract"]
+         + ["exit_collar", "enter_collar", "reflect", "exit_collar", "enter_collar", "diffract"]
+         + ["exit_collar", "enter_collar"]),
+        # 5 events and 6 restart nudges make the 11 charges
+        (DISK, RESTART_START, 30.0, ["reflect"] * 5),
+    ],
+    ids=["bounce", "backward", "annulus", "restart"],
+)
+def test_event_budget_aborts_the_ray(chart, start, t, kinds, monkeypatch):
+    # a ray aborts at the first event or restart past MAX_EVENTS, with
+    # the events it logged and no finish
+    monkeypatch.setattr(flow, "MAX_EVENTS", 10)
+    ray = trace(chart, start, t)
+    assert ray.status == "aborted_max_events"
+    assert [e.kind for e in ray.events] == kinds
+    assert ray.reflections == kinds.count("reflect")
+
+
+class ParentTracer:
+    """The tracer before its stages shared one loop, kept as the oracle.
+
+    Each stage returned early on an exhausted event budget, and run
+    dispatched on the mode through an if/elif chain.
+    """
+
+    def __init__(self, chart):
+        self.chart = chart
+        self.segments: list = []
+        self.events: list = []
+        self.restarts = 0
+        self.status = "completed"
+        self.active_chart = chart
+        self.embeddable = hasattr(chart, "to_cartesian")
+        self.bands = []
+        if self.embeddable:
+            charts = [chart]
+            if hasattr(chart, "other_component"):
+                charts.append(chart.other_component())
+            self.bands = [
+                (ch, ch.radius(0.5 * ch.collar_width), ch.component) for ch in charts
+            ]
+
+    # -- event logging ---------------------------------------------------
+
+    def _log(self, kind, t, point=None, x=None, classification=None):
+        if point is not None and x is None and hasattr(self.active_chart, "to_cartesian"):
+            try:
+                xa, _ = self.active_chart.to_cartesian(
+                    PhasePoint(max(point.y, 0.0), point.xp, point.eta, point.xip)
+                )
+                x = (float(xa[0]), float(xa[1]))
+            except ValueError:
+                x = None
+        self.events.append(flow.RayEvent(kind, t, point, x, classification))
+        return self._within_budget()
+
+    def _within_budget(self) -> bool:
+        """False, with the ray aborted, once it has spent MAX_EVENTS."""
+        if len(self.events) + self.restarts > flow.MAX_EVENTS:
+            self.status = "aborted_max_events"
+            return False
+        return True
+
+    # -- free flight -------------------------------------------------------
+
+    def _entry_time(self, x, xi):
+        """Earliest future crossing into a collar band, or None."""
+        best = None
+        a = float(xi @ xi)
+        b = float(x @ xi)
+        for ch, radius, side in self.bands:
+            c = float(x @ x) - radius * radius
+            disc = b * b - a * c
+            if disc <= 0.0:
+                continue
+            root = math.sqrt(disc)
+            # outer bands are entered moving outward (larger root), inner
+            # bands moving inward (smaller root)
+            t_cross = (-b + root) / (2.0 * a) if side == "outer" else (-b - root) / (2.0 * a)
+            if t_cross > 1e-13 and (best is None or t_cross < best[0]):
+                best = (t_cross, ch)
+        return best
+
+    def run_free(self, t, x, xi, t_total):
+        x = np.array(x, dtype=float)
+        xi = np.array(xi, dtype=float)
+        hit = self._entry_time(x, xi)
+        t_end = t_total if hit is None else min(t + hit[0], t_total)
+
+        def ev(tt, _t=t, _x=x.copy(), _xi=xi.copy()):
+            return np.concatenate([_x + 2.0 * (tt - _t) * _xi, _xi])
+
+        self.segments.append(flow.RaySegment("free", "cartesian", t, t_end, None, ev))
+        if hit is None or t + hit[0] >= t_total:
+            return t_total, None, None
+        x_new = x + 2.0 * hit[0] * xi
+        pt = hit[1].from_cartesian(x_new, xi)
+        self.active_chart = hit[1]
+        if not self._log("enter_collar", t_end, pt, (float(x_new[0]), float(x_new[1]))):
+            return t_end, None, None
+        return t_end, hit[1], pt
+
+    # -- collar integration --------------------------------------------------
+
+    def run_collar(self, t, chart, pt, t_total):
+        """Integrate inside the collar until contact, exit, or time runs out.
+
+        Returns (t_new, mode, payload) with mode in {"free", "collar",
+        "glide", "done"}.
+        """
+        if pt.y <= flow.GRAZE_TOL and pt.eta <= 0.0:
+            # on the boundary moving along or into it: dispatch immediately
+            return self.dispatch(t, chart, pt, t_total)
+
+        u0 = [float(pt.y), float(pt.xp), float(pt.eta), float(pt.xip)]
+        events = flow._COLLAR_EVENTS
+        if self.embeddable:
+            mid = 0.5 * chart.collar_width
+            events += ((lambda get: get(0) - mid, 1),)
+        path, hit = flow._solve_collar(flow._collar_field(chart), t, u0, t_total, events)
+        segment = flow.RaySegment("collar", "collar", t, path.ts[-1], chart, path)
+        self.segments.append(segment)
+        if hit is None:
+            return t_total, "done", None
+
+        kind, t_hit, u = hit
+        if kind == flow._EXIT:
+            p = PhasePoint(u[0], u[1], u[2], u[3])
+            x, xi = chart.to_cartesian(p)
+            if not self._log("exit_collar", t_hit, p, (float(x[0]), float(x[1]))):
+                return t_hit, "done", None
+            return t_hit, "free", (x, xi)
+
+        if kind == flow._CONTACT:
+            contact = PhasePoint(0.0, u[1], u[2], u[3])
+            return self.dispatch(t_hit, chart, contact, t_total)
+
+        # turning point: eta hits 0 and y is locally extremal there
+        if u[0] > flow.GRAZE_TOL:
+            # perihelion above the boundary: nudge past the root and go on;
+            # the nudge logs no event, so it is counted here
+            self.restarts += 1
+            if not self._within_budget():
+                return t_hit, "done", None
+            u2 = flow._kick(chart, u)
+            return t_hit + flow.KICK, "collar", (chart, PhasePoint(*u2))
+        if u[0] >= -flow.GRAZE_TOL:
+            contact = PhasePoint(0.0, u[1], u[2], u[3])
+            return self.dispatch(t_hit, chart, contact, t_total)
+        # the step dipped below the boundary without an endpoint sign change;
+        # locate the first actual crossing inside the accepted step
+        t_a = path.ts[max(bisect_left(path.ts, t_hit) - 1, 0)]
+        t_c = flow._brent(lambda s: path(s)[0], t_a, t_hit, 1e-14)
+        u_c = path(t_c)
+        segment.t1 = t_c
+        contact = PhasePoint(0.0, u_c[1], u_c[2], u_c[3])
+        return self.dispatch(t_c, chart, contact, t_total)
+
+    # -- contact dispatch ------------------------------------------------------
+
+    def dispatch(self, t, chart, contact: PhasePoint, t_total):
+        cls = flow.classify(chart, contact.xp, contact.xip)
+        if cls.tag == flow.HYPERBOLIC:
+            out = flow.reflect_hyperbolic(chart, contact)
+            if not self._log("reflect", t, out, classification=cls):
+                return t, "done", None
+            return t, "collar", (chart, out)
+        if cls.tag == flow.GLANCING and not cls.unresolved:
+            if cls.order == 2 and cls.sign == 1:
+                out = PhasePoint(0.0, contact.xp, -contact.eta, contact.xip)
+                if not self._log("diffract", t, out, classification=cls):
+                    return t, "done", None
+                if out.eta <= 0.0:
+                    u = flow._kick(chart, [0.0, out.xp, out.eta, out.xip])
+                    return t + flow.KICK, "collar", (chart, PhasePoint(*u))
+                return t, "collar", (chart, out)
+            start = PhasePoint(
+                0.0, contact.xp, 0.0, flow._project_shell(chart, contact.xp, contact.xip)
+            )
+            if not self._log("glide_start", t, start, classification=cls):
+                return t, "done", None
+            return t, "glide", (chart, start)
+        kind = "abort_unresolved" if cls.tag == flow.GLANCING else "abort_elliptic"
+        self._log(kind, t, contact, classification=cls)
+        if self.status == "completed":
+            self.status = "aborted_" + kind.split("_", 1)[1]
+        return t, "done", None
+
+    # -- gliding ---------------------------------------------------------------
+
+    def run_glide(self, t, chart, pt, t_total):
+        """Glide along the boundary until r1 turns positive or time runs out."""
+        u = [0.0, pt.xp, 0.0, pt.xip]
+        if chart.r1(pt.xp, pt.xip) > 0.0:
+            # the liftoff condition already holds: release at once
+            hit = (0, t, u)
+            segment = flow.RaySegment(
+                "gliding", "collar", t, t, chart, lambda tt, _u=np.array(u): _u
+            )
+        else:
+            release = (lambda get: chart.r1(get(1), get(3)), 1)
+            path, hit = flow._solve_collar(flow._glide_field(chart), t, u, t_total, (release,))
+            segment = flow.RaySegment("gliding", "collar", t, path.ts[-1], chart, path)
+        self.segments.append(segment)
+        if hit is None:
+            return t_total, "done", None
+        _, t_rel, u = hit
+        if not self._log("glide_release", t_rel, PhasePoint(*u)):
+            return t_rel, "done", None
+        return t_rel + flow.KICK, "collar", (chart, PhasePoint(*flow._kick(chart, u)))
+
+    # -- main loop ---------------------------------------------------------------
+
+    def _place(self, x, xi):
+        """Assign an ambient point to a collar band or the free region."""
+        rho = float(np.hypot(x[0], x[1]))
+        for ch, radius, side in self.bands:
+            inside = rho >= radius - 1e-12 if side == "outer" else rho <= radius + 1e-12
+            if inside:
+                return "collar", (ch, ch.from_cartesian(x, xi))
+        return "free", (x, xi)
+
+    def run(self, start, t_total):
+        t = 0.0
+        if isinstance(start, PhasePoint):
+            if self.embeddable and start.y > 0.5 * self.chart.collar_width:
+                x, xi = self.chart.to_cartesian(start)
+                mode, payload = self._place(np.asarray(x), np.asarray(xi))
+            else:
+                mode, payload = "collar", (self.chart, start)
+        else:
+            x = np.asarray(start[0], dtype=float)
+            xi = np.asarray(start[1], dtype=float)
+            mode, payload = self._place(x, xi)
+        mode0, payload0 = mode, payload
+
+        while t < t_total - 1e-15 and self.status == "completed":
+            if mode == "free":
+                t, ch, pt = self.run_free(t, payload[0], payload[1], t_total)
+                if ch is None:
+                    break
+                mode, payload = "collar", (ch, pt)
+            elif mode == "collar":
+                ch, pt = payload
+                self.active_chart = ch
+                t, mode, payload = self.run_collar(t, ch, pt, t_total)
+                if mode == "done":
+                    break
+            elif mode == "glide":
+                ch, pt = payload
+                self.active_chart = ch
+                t, mode, payload = self.run_glide(t, ch, pt, t_total)
+                if mode == "done":
+                    break
+            else:
+                break
+
+        if not self.segments:
+            # nothing integrated (t_total = 0 or an immediate abort): expose
+            # the start state through a zero-length segment
+            if mode0 == "free":
+                x0, xi0 = np.asarray(payload0[0]), np.asarray(payload0[1])
+                u0 = np.concatenate([x0, xi0])
+                self.segments.append(
+                    flow.RaySegment("free", "cartesian", 0.0, 0.0, None, lambda tt, _u=u0: _u)
+                )
+            else:
+                ch0, p0 = payload0
+                u0 = np.array([p0.y, p0.xp, p0.eta, p0.xip])
+                self.segments.append(
+                    flow.RaySegment("collar", "collar", 0.0, 0.0, ch0, lambda tt, _u=u0: _u)
+                )
+        if self.status == "completed" and self.segments:
+            last = self.segments[-1]
+            u = last.evaluate(last.t1)
+            if last.frame == "collar":
+                self.active_chart = last.chart
+                self._log("finish", last.t1, PhasePoint(u[0], u[1], u[2], u[3]))
+            else:
+                self._log("finish", last.t1, None, (float(u[0]), float(u[1])))
+        return flow.GeneralizedRay(
+            self.chart,
+            self.segments,
+            self.events,
+            self.status,
+            0.0,
+            self.segments[-1].t1 if self.segments else 0.0,
+        )
+
+
+def ray_record(ray):
+    """trace_record, the status, each segment's kind, frame and ends, and
+    the final state, as bits."""
+    segments = [(s.kind, s.frame, bits(s.t0), bits(s.t1)) for s in ray.segments]
+    frame, _, u = ray.state_vector(ray.t_final)
+    return trace_record(ray), ray.status, segments, frame, bits(list(u))
+
+
+def bounce_case(seed, sign):
+    exp = benchmark_trace_spec(seed)
+    return DISK, (exp["start"][:2], exp["start"][2:]), sign * exp["time"], None
+
+
+PARENT_CASES = {
+    "bounce-0": bounce_case(0, 1),
+    "bounce-0-backward": bounce_case(0, -1),
+    "bounce-1": bounce_case(1, 1),
+    "bounce-1-backward": bounce_case(1, -1),
+    "annulus-inner-diffraction": (AnnulusChart(0.4), ANNULUS_START, 2.0, None),
+    "rim-glide": (DISK, PhasePoint(0.0, 0.3, 0.0, 1.0), 2.0, None),
+    "glide-release": (RELEASE_CHART, PhasePoint(0.0, -0.5, 0.0, 1.0), 0.5, None),
+    "elliptic-abort": (DISK, PhasePoint(0.0, 0.1, 0.0, 1.5), 1.0, None),
+    "unresolved-abort": (ModelChart([(0, 1, 0, 1.0)]), PhasePoint(0.0, 0.0, 0.0, 0.0), 1.0, None),
+    "restart": (DISK, RESTART_START, 3.0, None),
+    "zero-time-ambient": (DISK, ([0.2, 0.0], unit(0.3)), 0.0, None),
+    "zero-time-collar": (DISK, PhasePoint(0.0, 0.3, 0.0, 1.0), 0.0, None),
+    **{f"budget-{n}-bounce": (DISK, BOUNCE_START, 100.0, n) for n in (0, 1, 3, 10, 25)},
+    **{f"budget-{n}-backward": (DISK, BOUNCE_START, -100.0, n) for n in (0, 10)},
+    **{f"budget-{n}-annulus": (AnnulusChart(0.4), ANNULUS_START, 50.0, n) for n in (3, 10)},
+    **{f"budget-{n}-restart": (DISK, RESTART_START, 30.0, n) for n in range(3, 26)},
+    **{f"budget-{n}-glide": (RELEASE_CHART, PhasePoint(0.0, -0.5, 0.0, 1.0), 0.5, n)
+       for n in (0, 1, 2)},
+    "budget-0-rim-glide": (DISK, PhasePoint(0.0, 0.3, 0.0, 1.0), 2.0, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARENT_CASES))
+def test_stage_loop_matches_the_parent_tracer(case, monkeypatch):
+    chart, start, t, max_events = PARENT_CASES[case]
+    if max_events is not None:
+        monkeypatch.setattr(flow, "MAX_EVENTS", max_events)
+    ray = trace(chart, start, t)
+    monkeypatch.setattr(flow, "_Tracer", ParentTracer)
+    assert ray_record(ray) == ray_record(trace(chart, start, t))

@@ -1,4 +1,5 @@
 import functools
+import json
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from bicharlab import billiard, config, modes, quantize, verify
 from bicharlab.bumps import bump_profile, plateau_step, window
 from bicharlab.charts import AnnulusChart, DiskChart
+from bicharlab.io import write_json
 from bicharlab.quantize import InteriorSymbol, TangentialSymbol
 from bicharlab.verify import ModeRow, PropagationReport, Thresholds
 
@@ -953,24 +955,26 @@ def _rows(entries):
     return [ModeRow(*e) for e in entries]
 
 
-def report_text(rep):
-    """The thresholds and verdict of a report as text, read from its stored dict."""
-    d = rep.to_dict()
-    pairs = ", ".join(f"{k} = {v:g}" for k, v in d["thresholds"].items())
-    return f"thresholds: {pairs}\nverdict: {d['verdict']}"
+def report_text(stored):
+    """The thresholds and verdict of a report as text, read from its stored form."""
+    pairs = ", ".join(f"{k} = {v:g}" for k, v in stored["thresholds"].items())
+    return f"thresholds: {pairs}\nverdict: {stored['verdict']}"
 
 
-def test_report_round_trip_and_recompute():
+def test_report_round_trip_and_recompute(tmp_path):
     fam = [modes.laplace_disk_mode(0, k) for k in (10, 14)]
     rep = verify.invariance_gap(fam, offcenter_bump(), 0.15)
-    back = PropagationReport.from_dict(rep.to_dict())
-    assert back.verdict == rep.verdict
-    assert back.recompute_verdict() == rep.verdict
-    assert back.rows == rep.rows
-    assert back.thresholds == rep.thresholds
-    text = report_text(back)
+    path = write_json(tmp_path / "report.json", rep.to_dict(), meta={"config_hash": "0" * 64})
+    stored = json.loads(path.read_text())["payload"]
+    assert stored == rep.to_dict()
+    assert rep.verdict == "pass"
+    assert verify.recompute_verdict(stored) == "pass"
+    text = report_text(stored)
     for token in ("theta_pass", "kappa", "theta_floor", "verdict"):
         assert token in text
+    # the verdict follows the stored numbers, not the report they came from
+    stored["rows"][-1]["gap"] = 2 * stored["thresholds"]["theta_pass"]
+    assert verify.recompute_verdict(stored) == "fail"
 
 
 def test_report_verdict_rules_from_stored_numbers():
@@ -1029,4 +1033,4 @@ def test_thresholds_overridable_and_printed():
     )
     assert rep.verdict == "pass"
     assert rep.to_dict()["thresholds"]["kappa"] == 10.0
-    assert "kappa = 10" in report_text(rep)
+    assert "kappa = 10" in report_text(rep.to_dict())
