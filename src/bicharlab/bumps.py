@@ -33,8 +33,9 @@ def smooth_step(t):
 def plateau_step(t, a: float, b: float):
     """Monotone C-infinity ramp: 0 for t <= a, 1 for t >= b.
 
-    The exponentials are taken on the ramp a < t < b only; NaN input
-    gives 0.
+    The exponentials are taken on the ramp a < t < b only.
+
+    Contract: b > a, else ValueError; any float t, NaN gives 0.
     """
     if not b > a:
         raise ValueError("need b > a")

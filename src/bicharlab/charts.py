@@ -38,6 +38,7 @@ __all__ = [
     "DiskChart",
     "AnnulusChart",
     "ModelChart",
+    "chart_definition",
     "load_chart",
 ]
 
@@ -354,6 +355,21 @@ class ModelChart(CollarChart):
 # loading
 
 
+def chart_definition(spec: str | dict) -> str | dict:
+    """The definition a chart spec stands for: a shorthand string or a dict
+    as given, a path read to the dict its JSON file holds."""
+    if isinstance(spec, dict):
+        return spec
+    s = str(spec)
+    if s == "disk" or s.startswith(("disk:", "annulus:")):
+        return s
+    with open(s) as fh:
+        d = json.load(fh)
+    if not isinstance(d, dict):
+        raise ValueError("a chart definition must be a JSON object")
+    return d
+
+
 def load_chart(spec: str | dict) -> CollarChart:
     """Build a chart from a shorthand string or a parsed definition.
 
@@ -362,27 +378,22 @@ def load_chart(spec: str | dict) -> CollarChart:
     kind plus the keyword arguments of that kind's constructor, e.g.
     {"kind": "model", "terms": [[pow_z1, pow_zeta1, pow_y, coeff], ...]}.
     """
+    spec = chart_definition(spec)
     if isinstance(spec, dict):
         return _chart_from_dict(spec)
-    s = str(spec)
-    if s == "disk" or s.startswith(("disk:", "annulus:")):
-        kind, *fields = s.split(":")
-        form, most = ("disk[:WIDTH]", 1) if kind == "disk" else ("annulus:RHO_IN[:inner|outer]", 2)
-        if len(fields) > most:
-            raise ValueError(f"chart {s!r} has fields past {form}")
-        if kind == "disk":
-            return DiskChart(collar_width=float(fields[0]) if fields else 0.35)
-        return AnnulusChart(float(fields[0]), *fields[1:])
-    with open(s) as fh:
-        return _chart_from_dict(json.load(fh))
+    kind, *fields = spec.split(":")
+    form, most = ("disk[:WIDTH]", 1) if kind == "disk" else ("annulus:RHO_IN[:inner|outer]", 2)
+    if len(fields) > most:
+        raise ValueError(f"chart {spec!r} has fields past {form}")
+    if kind == "disk":
+        return DiskChart(collar_width=float(fields[0]) if fields else 0.35)
+    return AnnulusChart(float(fields[0]), *fields[1:])
 
 
 _KINDS = {"disk": DiskChart, "annulus": AnnulusChart, "model": ModelChart}
 
 
 def _chart_from_dict(d: dict) -> CollarChart:
-    if not isinstance(d, dict):
-        raise ValueError("a chart definition must be a JSON object")
     kind = d.get("kind")
     if kind not in _KINDS:
         raise ValueError(f"unknown chart kind {kind!r}")

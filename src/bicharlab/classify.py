@@ -29,7 +29,7 @@ ELLIPTIC = "elliptic"
 HYPERBOLIC = "hyperbolic"
 GLANCING = "glancing"
 
-# default gates: |r0| <= TOL_G is tangency, |bracket| <= TOL_BRACKET is zero
+# the gates: |r0| <= TOL_G is tangency, |bracket| <= TOL_BRACKET is zero
 TOL_G = 1e-8
 TOL_BRACKET = 1e-6
 
@@ -63,16 +63,10 @@ class BoundaryClass:
         return f"glancing({self.order})"
 
 
-def classify(
-    chart: CollarChart,
-    xp: float,
-    xip: float,
-    tol_g: float = TOL_G,
-    tol_bracket: float = TOL_BRACKET,
-) -> BoundaryClass:
+def classify(chart: CollarChart, xp: float, xip: float) -> BoundaryClass:
     """Classify the boundary covector (x', xi') of the chart.
 
-    tol_g bounds |r0| for the tangency band, tol_bracket decides whether
+    TOL_G bounds |r0| for the tangency band, TOL_BRACKET decides whether
     a bracket value counts as zero.  Contact orders are resolved up to
     the chart's max_derivative_order (an integer >= 2, which the chart
     constructors enforce); deeper contact is reported explicitly as
@@ -80,25 +74,23 @@ def classify(
     """
     if not (math.isfinite(xp) and math.isfinite(xip)):
         raise ValueError(f"boundary covector must be finite, got ({xp}, {xip})")
-    if tol_g <= 0 or tol_bracket <= 0:
-        raise ValueError("tolerances must be positive")
     k_max = chart.max_derivative_order
 
     r0 = chart.r0(xp, xip)
-    if r0 > tol_g:
+    if r0 > TOL_G:
         return BoundaryClass(HYPERBOLIC, witness={"r0": r0})
-    if r0 < -tol_g:
+    if r0 < -TOL_G:
         return BoundaryClass(ELLIPTIC, witness={"r0": r0})
 
     brackets = [chart.iterated_bracket(0, xp, xip)]
-    if abs(brackets[0]) > tol_bracket:
+    if abs(brackets[0]) > TOL_BRACKET:
         sign = 1 if brackets[0] > 0 else -1
         return BoundaryClass(
             GLANCING, order=2, sign=sign, witness={"r0": r0, "r1": brackets[0]}
         )
     for j in range(1, k_max - 1):
         brackets.append(chart.iterated_bracket(j, xp, xip))
-        if abs(brackets[-1]) > tol_bracket:
+        if abs(brackets[-1]) > TOL_BRACKET:
             return BoundaryClass(
                 GLANCING,
                 order=j + 2,

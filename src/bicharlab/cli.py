@@ -256,21 +256,10 @@ def _print_parametrix(spec, outcome):
 # given leaves its key out, so the config default applies), and how it
 # prints the outcome
 _PROBES = {
-    "classify": (
-        lambda a: _given(points=[[a.xp, a.xip]], tol_g=a.tol_g, tol_bracket=a.tol_bracket),
-        _print_classify,
-    ),
+    "classify": (lambda a: {"points": [[a.xp, a.xip]]}, _print_classify),
     "trace": (lambda a: _given(start=a.start, time=a.time, samples=a.samples), _print_trace),
-    "mode": (
-        lambda a: {
-            "family": _given(family=a.family, m=a.m, k=a.k, num_r=a.num_r, num_theta=a.num_theta)
-        },
-        _print_mode,
-    ),
-    "parametrix": (
-        lambda a: _given(m=a.m, orders=a.orders, delta0=a.delta0, eps0=a.eps0),
-        _print_parametrix,
-    ),
+    "mode": (lambda a: {"family": {"family": a.family, "m": a.m, "k": a.k}}, _print_mode),
+    "parametrix": (lambda a: _given(m=a.m, orders=a.orders), _print_parametrix),
 }
 
 
@@ -347,8 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chart", default="disk", help=chart_help)
     p.add_argument("--xp", type=float, required=True)
     p.add_argument("--xip", type=float, required=True)
-    p.add_argument("--tol-g", dest="tol_g", type=float)
-    p.add_argument("--tol-bracket", dest="tol_bracket", type=float)
 
     p = probe("trace", "trace one broken ray")
     p.add_argument("--chart", default="disk", help=chart_help)
@@ -360,15 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, help="laplace or stokes")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--num-r", dest="num_r", type=int)
-    p.add_argument("--num-theta", dest="num_theta", type=int)
 
     p = probe("parametrix", "boundary-layer extension errors")
     p.add_argument("--m", type=_comma_list(int), default="32,64,128",
                    help="comma-separated angular orders")
     p.add_argument("--orders", type=_comma_list(int), help="comma-separated symbol orders")
-    p.add_argument("--delta0", type=float)
-    p.add_argument("--eps0", type=float)
 
     for command, kinds, help in (
         ("measure", {"measure"}, "run the pairing-series experiments of a config"),

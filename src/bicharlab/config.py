@@ -13,8 +13,9 @@ part, so they read well-typed values.  Builders turn the declarative
 specs into charts, mode families and symbols.
 
 The identity of a run is the canonical form of (chart, experiments,
-thresholds, seed); the output directory and the worker count are
-execution details and stay out of the hash.
+thresholds, seed), with a chart file read to its definition; the output
+directory and the worker count are execution details and stay out of
+the hash.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bumps import bump_profile, plateau_step, window
-from .charts import PhasePoint, load_chart
+from .charts import PhasePoint, chart_definition, load_chart
 from .classify import classify
 from .flow import check_start, trace
 from .io import config_hash
-from .modes import ModeSpec, family_lambda, laplace_disk_mode, pick_k_for_ratio, stokes_disk_mode
+from .modes import family_lambda, laplace_disk_mode, pick_k_for_ratio, stokes_disk_mode
 from .parametrix import build_parametrix, extension_error
 from .quantize import InteriorSymbol, TangentialSymbol, measure_sequence
 from .verify import CAR_BAND, ELLIPTIC_EDGE, Thresholds
@@ -92,20 +93,17 @@ _FAMILY = {
     "properties": {
         "family": {"enum": ["laplace", "stokes"]},
         "m": {"anyOf": [_INT_NN, {"type": "array", "items": _INT_NN, "minItems": 1}]},
+        # the three forms of k in one schema: each keyword reads its own type
+        # only, so an offense inside the ratio form is named at its own path
         "k": {
-            "anyOf": [
-                _INT_POS,
-                {"type": "array", "items": _INT_POS, "minItems": 1},
-                {
-                    "type": "object",
-                    "properties": {"ratio": _FRAC, "k_max": _INT_POS},
-                    "required": ["ratio"],
-                    "additionalProperties": False,
-                },
-            ]
+            "type": ["integer", "array", "object"],
+            "minimum": 1,
+            "items": _INT_POS,
+            "minItems": 1,
+            "properties": {"ratio": _FRAC},
+            "required": ["ratio"],
+            "additionalProperties": False,
         },
-        "num_r": _INT_POS,
-        "num_theta": _INT_POS,
     },
     "required": ["family", "m", "k"],
     "additionalProperties": False,
@@ -232,17 +230,6 @@ def _check_family(fam: dict, where: str) -> list[str]:
         errors.append(f"{where}: m and k lists must have equal length to pair up")
     if fam["family"] == "stokes" and min(m if isinstance(m, list) else [m]) < 1:
         errors.append(f"{where}.m: the velocity family needs m >= 1")
-    if errors or not {"num_r", "num_theta"} & set(fam):
-        return errors
-    # the defaults clear the floors; explicit sizes must clear them for
-    # every member, since the floors grow with m and lam
-    for mi, ki in family_members(fam):
-        spec = ModeSpec(fam["family"], mi, ki, fam.get("num_r"), fam.get("num_theta"))
-        try:
-            spec.resolve(family_lambda(fam["family"], mi, ki))
-        except ValueError as exc:
-            key = "num_theta" if "num_theta" in str(exc) else "num_r"
-            return [f"{where}.{key}: {exc}"]
     return errors
 
 
@@ -338,15 +325,17 @@ def _check_elliptic(exp, where, chart):
             )
 
 
+# the band each order-0 error ratio e(m)/e(2m) must lie in: h halves
+# from m to 2m, so a first-order error halves, a ratio near 2
+HALVING_BAND = (1.4, 2.6)
+
+
 def _halving_pairs(ms):
     """The pairs (m, 2m) of the set ms, in ascending m."""
     return [(m, 2 * m) for m in sorted(ms) if 2 * m in ms]
 
 
 def _check_parametrix(exp, where, chart):
-    band = exp.get("halving_band")
-    if band is not None and not 0 < band[0] < band[1]:
-        yield f"{where}.halving_band: need 0 < lo < hi"
     if exp.get("expect_halving"):
         if 0 not in exp.get("orders", [0, 1]):
             yield f"{where}.expect_halving: the halving law judges order 0, which orders lacks"
@@ -394,8 +383,7 @@ def _run_classify(spec, ctx):
         rng = np.random.default_rng(1_000_003 * (ctx.seed + 1) + ctx.index)
         extra = rng.uniform((-np.pi, -1.5), (np.pi, 1.5), size=(n_extra, 2))
         points += [tuple(p) for p in extra]
-    kwargs = _set_keys(spec, "tol_g", "tol_bracket")
-    results = [classify(ctx.chart, xp, xip, **kwargs) for xp, xip in points]
+    results = [classify(ctx.chart, xp, xip) for xp, xip in points]
     labels = [r.label() for r in results]
     cols = {
         "xp": [p[0] for p in points],
@@ -490,12 +478,11 @@ def _run_mode(spec, ctx):
 
 
 def _run_parametrix(spec, ctx):
-    kwargs = _set_keys(spec, "delta0", "eps0")
     orders = spec.get("orders", [0, 1])
     ms = spec["m"]
     table = {}
     for order in orders:
-        sym = build_parametrix(chart=ctx.chart, order=order, **kwargs)
+        sym = build_parametrix(chart=ctx.chart, order=order)
         table[order] = {m: extension_error(sym, m) for m in ms}
     cols = {
         "order": [o for o in orders for _ in ms],
@@ -505,7 +492,7 @@ def _run_parametrix(spec, ctx):
     }
     violations = []
     if spec.get("expect_halving"):
-        lo, hi = spec.get("halving_band", [1.4, 2.6])
+        lo, hi = HALVING_BAND
         for m1, m2 in _halving_pairs(ms):
             ratio = table[0][m1] / table[0][m2]
             if not lo <= ratio <= hi:
@@ -630,8 +617,6 @@ KINDS = {
             points={"type": "array", "items": _PAIR},
             samples=_INT_NN,
             expect={"type": "array", "items": {"type": "string"}},
-            tol_g=_POS,
-            tol_bracket=_POS,
         ),
         _check_classify,
         _run_classify,
@@ -686,10 +671,7 @@ KINDS = {
             "m",
             m={"type": "array", "items": _INT_POS, "minItems": 1, "uniqueItems": True},
             orders={"type": "array", "items": {"enum": [0, 1]}, "minItems": 1, "uniqueItems": True},
-            delta0=_FRAC,
-            eps0=_FRAC,
             expect_halving={"type": "boolean"},
-            halving_band=_PAIR,
         ),
         _check_parametrix,
         _run_parametrix,
@@ -720,8 +702,6 @@ KINDS = {
                 "properties": {
                     "nx": {"type": "integer", "minimum": 2},
                     "nxi": {"type": "integer", "minimum": 2},
-                    "x_max": _POS,
-                    "xi_max": _POS,
                 },
                 "additionalProperties": False,
             },
@@ -934,7 +914,12 @@ def validate_config(raw) -> list[str]:
     if not isinstance(raw, dict):
         return ["(root): config must be a JSON object"]
     found = _schema_errors(raw)
-    found += [(path, f"{value} is not a finite number") for path, value in _nonfinite(raw)]
+    # a chart refuses its own non-finite values, naming the parameter
+    found += [
+        (path, f"{value} is not a finite number")
+        for path, value in _nonfinite(raw)
+        if path[:1] != ("chart",)
+    ]
     errors = [f"{_path_str(path)}: {message}" for path, message in found]
     try:
         chart = load_chart(raw.get("chart", "disk"))
@@ -973,9 +958,12 @@ def validate_config(raw) -> list[str]:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated config plus the resolved execution knobs."""
+    """Validated config plus the resolved execution knobs.
 
-    raw: dict
+    `chart` is the chart's definition, a chart file read to what it held.
+    """
+
+    chart: object
     experiments: tuple
     thresholds: Thresholds
     seed: int
@@ -989,7 +977,7 @@ class ExperimentConfig:
     def identity(self) -> dict:
         """The hashed portion: what was computed, not where or how wide."""
         return {
-            "chart": self.raw.get("chart", "disk"),
+            "chart": self.chart,
             "experiments": list(self.experiments),
             "thresholds": self.thresholds.as_dict(),
             "seed": self.seed,
@@ -999,8 +987,15 @@ class ExperimentConfig:
 def load_config(raw: dict, *, out=None, seed=None, jobs=None) -> ExperimentConfig:
     """Validate and resolve a parsed config; flags beat file values.
 
-    The --seed and --jobs flags are held to the schema of their file keys.
+    A chart file is read here, once: the config carries its definition, so
+    the hash and every worker see what the file held, not its path.  The
+    --seed and --jobs flags are held to the schema of their file keys.
     """
+    if isinstance(raw, dict):
+        try:
+            raw = dict(raw, chart=chart_definition(raw.get("chart", "disk")))
+        except (ValueError, OSError):
+            pass  # validate_config names the offense
     errors = validate_config(raw)
     for key, value in (("seed", seed), ("jobs", jobs)):
         if value is not None:
@@ -1008,7 +1003,7 @@ def load_config(raw: dict, *, out=None, seed=None, jobs=None) -> ExperimentConfi
     if errors:
         raise ConfigError(errors)
     return ExperimentConfig(
-        raw=raw,
+        chart=raw["chart"],
         experiments=tuple(raw["experiments"]),
         thresholds=Thresholds(**raw.get("thresholds", {})),
         seed=int(seed if seed is not None else raw.get("seed", 0)),
@@ -1036,10 +1031,7 @@ def family_members(fam: dict) -> list[tuple[int, int]]:
 
 def build_family(fam: dict) -> list:
     ctor = laplace_disk_mode if fam["family"] == "laplace" else stokes_disk_mode
-    return [
-        ctor(m, k, fam.get("num_r"), fam.get("num_theta"))
-        for m, k in family_members(fam)
-    ]
+    return [ctor(m, k) for m, k in family_members(fam)]
 
 
 def _arc_factor(arc: dict):

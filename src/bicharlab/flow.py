@@ -508,8 +508,9 @@ class _Tracer:
 
     Each stage takes (t, payload, t_total) and returns (t, mode, payload),
     where mode names the next stage, or is "done" once time runs out or
-    the ray aborts.  Every logged event and restart is charged against
-    MAX_EVENTS, and the charge past it sets the status that ends the loop.
+    the ray aborts.  Every logged event but the closing finish, and every
+    restart, is charged against MAX_EVENTS, and the charge past it sets the
+    status that ends the loop.
     """
 
     def __init__(self, chart: CollarChart):
@@ -528,7 +529,8 @@ class _Tracer:
     # -- event logging ---------------------------------------------------
 
     def _log(self, kind, t, chart, point, x=None, classification=None):
-        """Record an event; without x, its position is taken through `chart`."""
+        """Record an event and charge all but a finish; without x, its
+        position is taken through `chart`."""
         if x is None and hasattr(chart, "to_cartesian"):
             try:
                 xa, _ = chart.to_cartesian(
@@ -538,7 +540,8 @@ class _Tracer:
             except ValueError:
                 x = None
         self.events.append(RayEvent(kind, t, point, x, classification))
-        self._check_budget()
+        if kind != "finish":
+            self._check_budget()
 
     def _check_budget(self):
         """Abort the ray once its events and restarts exceed MAX_EVENTS."""

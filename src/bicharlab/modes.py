@@ -67,29 +67,31 @@ def family_lambda(family: str, m: int, k: int) -> float:
     return bessel_zero(_zero_order(family, m), k)
 
 
-def pick_k_for_ratio(family: str, m: int, ratio: float, k_max: int = 80) -> int:
+# the radial indices a ratio is matched over: 1..K_MAX
+K_MAX = 80
+
+
+def pick_k_for_ratio(family: str, m: int, ratio: float) -> int:
     """Radial index whose angular-momentum fraction m/lam is nearest ratio.
 
     lam grows with k, so the fraction sweeps down monotonically; the
-    minimizer over 1..k_max is unique up to ties.  Once m/lam_K falls
+    minimizer over 1..K_MAX is unique up to ties.  Once m/lam_K falls
     below ratio, every later zero lies farther from it, so the zeros are
     taken in prefixes of 8, 16, 32, ... and the search stops at the first
     prefix that crosses; `jn_zeros` is prefix-stable, so the prefix holds
-    the same bits as the k_max table.
+    the same bits as the K_MAX table.
 
-    Contract: ratio finite and k_max >= 1, else ValueError.
+    Contract: ratio finite, else ValueError.
     """
     if not math.isfinite(ratio):
         raise ValueError(f"ratio must be finite, got {ratio}")
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
     order = _zero_order(family, m)
-    K = min(8, k_max)
+    K = 8
     while True:
         zs = _bessel_zeros(order, K)
-        if K == k_max or m / zs[-1] < ratio:
+        if K == K_MAX or m / zs[-1] < ratio:
             return int(np.argmin(np.abs(m / zs - ratio))) + 1
-        K = min(2 * K, k_max)
+        K = min(2 * K, K_MAX)
 
 
 @dataclass(frozen=True)

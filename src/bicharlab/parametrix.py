@@ -22,8 +22,8 @@ The round charts supply lam and the first-order coefficient of the
 Laplacian in collar coordinates: on the unit disk lam = |xi'|/(1 - y)
 and the coefficient is -1/(1 - y); on the inner component of an annulus
 lam = |xi'|/(rho_in + y) falls with depth.  Low frequencies are
-removed by a polynomial ramp that vanishes for lam <= delta0/2 and
-equals one for lam >= delta0, which also removes the xi' = 0
+removed by a polynomial ramp that vanishes for lam <= DELTA0/2 and
+equals one for lam >= DELTA0, which also removes the xi' = 0
 singularity of the layer symbols.
 """
 
@@ -51,7 +51,7 @@ __all__ = [
 MIN_ODE_STEPS = 2000
 # log-growth of the homogeneous sweep that one scan block may span
 LOG_GROWTH_BLOCK = float(np.log(1e30))
-# default ramp edge and collar depth of the layer symbols
+# ramp edge and collar depth of the layer symbols
 DELTA0 = 0.25
 EPS0 = 0.3
 # Gauss-Legendre depth slices of the collar integrals
@@ -301,7 +301,7 @@ def _hermite_rows(ys, table, table_v, y_new):
 
 @dataclass
 class ParametrixSymbol:
-    """Two-term boundary-layer symbol with its cutoff and depth range.
+    """Two-term boundary-layer symbol on the collar depths [0, EPS0].
 
     a0(y, xi'; h) = exp(-y lam / h) ramp(lam) in closed form; the
     correction a1 solves the forced depth ODE with zero boundary value
@@ -310,17 +310,15 @@ class ParametrixSymbol:
     """
 
     order: int
-    delta0: float
-    eps0: float
     chart: object
     step: PolyStep = field(repr=False)
 
     def _in_domain(self, y, xi):
-        """y and xi as float arrays; refuses depths off [0, eps0] and non-finite xi."""
+        """y and xi as float arrays; refuses depths off [0, EPS0] and non-finite xi."""
         y = np.asarray(y, dtype=float)
         xi = np.asarray(xi, dtype=float)
-        if not np.all((y >= 0.0) & (y <= self.eps0)):
-            raise ValueError("depths must lie in [0, eps0]")
+        if not np.all((y >= 0.0) & (y <= EPS0)):
+            raise ValueError("depths must lie in [0, EPS0]")
         if not np.isfinite(xi).all():
             raise ValueError("frequencies must be finite")
         return y, xi
@@ -337,11 +335,11 @@ class ParametrixSymbol:
         _require_h(h)
         y, xi = (np.atleast_1d(v) for v in self._in_domain(y, xi))
         # lam is monotone in depth on the round charts, so it peaks at an end
-        lam_ends = self.chart.lam_jet(np.array([0.0, self.eps0]), np.max(np.abs(xi)))[0]
+        lam_ends = self.chart.lam_jet(np.array([0.0, EPS0]), np.max(np.abs(xi)))[0]
         lam_top = float(np.max(lam_ends))
-        steps = max(MIN_ODE_STEPS, int(self.eps0 * lam_top / h))
+        steps = max(MIN_ODE_STEPS, int(EPS0 * lam_top / h))
         ys, corr, corr_v = _solve_correction(
-            self.chart, self.step, xi, h, self.eps0, steps
+            self.chart, self.step, xi, h, EPS0, steps
         )
         vals = _hermite_rows(ys, corr, corr_v, y)
         lam = self.chart.lam_jet(y[:, None], np.abs(xi)[None, :])[0]
@@ -357,9 +355,7 @@ class ParametrixSymbol:
         return out
 
 
-def build_parametrix(
-    chart=None, delta0: float = DELTA0, order: int = 0, eps0: float = EPS0
-) -> ParametrixSymbol:
+def build_parametrix(chart=None, order: int = 0) -> ParametrixSymbol:
     """Assemble the layer symbol for a collar chart with metric data.
 
     The chart must expose lam_jet(y, xi') (metric frequency length with
@@ -370,20 +366,10 @@ def build_parametrix(
         chart = DiskChart()
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
-    if delta0 <= 0.0:
-        raise ValueError("delta0 must be positive")
-    if not 0.0 < eps0 < 1.0:
-        raise ValueError("eps0 must lie in (0, 1)")
     for attr in ("lam_jet", "curvature_h"):
         if not hasattr(chart, attr):
             raise TypeError(f"chart lacks {attr}, needed for the layer symbols")
-    return ParametrixSymbol(
-        order=int(order),
-        delta0=float(delta0),
-        eps0=float(eps0),
-        chart=chart,
-        step=PolyStep(delta0 / 2.0, delta0),
-    )
+    return ParametrixSymbol(order=int(order), chart=chart, step=PolyStep(DELTA0 / 2.0, DELTA0))
 
 
 @lru_cache(maxsize=None)
@@ -414,7 +400,7 @@ def extension_error(sym: ParametrixSymbol, m: int) -> float:
     if not (np.isfinite(m) and float(m).is_integer()):
         raise ValueError(f"ring mode m must be an integer, got {m}")
     h = 1.0 / abs(m)
-    y, w = _gauss_nodes(0.0, sym.eps0, NUM_Y)
+    y, w = _gauss_nodes(0.0, EPS0, NUM_Y)
     rho, rho0 = sym.chart.radius(y), sym.chart.radius(0.0)
     base = rho0 / rho if sym.chart.component == "inner" else rho / rho0
     ramp = sym.step(h * abs(m))

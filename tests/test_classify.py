@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import bicharlab.classify as strata
 from bicharlab.charts import AnnulusChart, DiskChart, ModelChart
 from bicharlab.classify import ELLIPTIC, GLANCING, HYPERBOLIC, classify
 
@@ -48,19 +49,17 @@ def test_unresolved_flag():
     assert g.label() == "glancing(order>6)"
 
 
-def test_partition_and_tolerance_monotonicity():
+def test_partition_and_tolerance_monotonicity(monkeypatch):
     c = DiskChart()
     rng = np.random.default_rng(3)
-    tags = {ELLIPTIC: 0, HYPERBOLIC: 0, GLANCING: 0}
-    for _ in range(2000):
-        xp, xip = rng.uniform(-3, 3), rng.uniform(-1.5, 1.5)
-        base = classify(c, xp, xip, tol_g=1e-8)
-        wide = classify(c, xp, xip, tol_g=1e-2)
-        tags[base.tag] += 1
-        # widening the gate can only absorb points into the glancing stratum
-        if wide.tag != base.tag:
-            assert wide.tag == GLANCING
-    assert tags[ELLIPTIC] > 0 and tags[HYPERBOLIC] > 0
+    points = [(rng.uniform(-3, 3), rng.uniform(-1.5, 1.5)) for _ in range(2000)]
+    base = [classify(c, xp, xip).tag for xp, xip in points]
+    assert base.count(ELLIPTIC) > 0 and base.count(HYPERBOLIC) > 0
+    # widening the gate can only absorb points into the glancing stratum
+    monkeypatch.setattr(strata, "TOL_G", 1e-2)
+    for (xp, xip), tag in zip(points, base):
+        wide = classify(c, xp, xip).tag
+        assert wide == tag or wide == GLANCING
 
 
 def test_rotation_invariance():
@@ -72,10 +71,6 @@ def test_rotation_invariance():
 
 def test_parameter_validation():
     c = DiskChart(max_derivative_order=6)
-    with pytest.raises(ValueError):
-        classify(c, 0.0, 1.0, tol_g=-1.0)
-    with pytest.raises(ValueError):
-        classify(c, 0.0, 1.0, tol_bracket=0.0)
     # contact order 2 needs r1: no chart resolves fewer than 2 derivatives
     for order in (1, 0, 2.5, "8", True, math.nan):
         for build in (

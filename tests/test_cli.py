@@ -5,9 +5,11 @@ import importlib.util
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+from importlib import resources
 from pathlib import Path
 
 import jsonschema
@@ -70,6 +72,50 @@ def test_config_hash_ignores_key_order():
     assert artio.config_hash(a) != artio.config_hash({**a, "x": 2})
 
 
+# a chart file counts by what it holds: the identity carries the
+# definition, read once by load_config, never the path
+OUTER = {"kind": "annulus", "rho_in": 0.5}
+INNER = {"kind": "annulus", "rho_in": 0.3, "component": "inner"}
+RIM_POINTS = {"name": "c", "kind": "classify", "points": [[0.0, 0.5], [0.0, 1.0], [0.0, 1.5]]}
+
+
+def chart_config(chart, out=None):
+    return load_config({"chart": chart, "experiments": [RIM_POINTS]}, out=out)
+
+
+def test_chart_files_with_different_definitions_hash_apart(tmp_path):
+    path = tmp_path / "chart.json"
+    hashes = []
+    for definition in (OUTER, INNER):
+        path.write_text(json.dumps(definition))
+        hashes.append(chart_config(str(path)).hash)
+    assert hashes[0] != hashes[1]
+
+
+def test_chart_file_hashes_as_its_definition_inline(tmp_path):
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(OUTER))
+    assert chart_config(str(path)).hash == chart_config(OUTER).hash
+    # a shorthand is its own definition
+    assert chart_config("annulus:0.5").identity()["chart"] == "annulus:0.5"
+
+
+def test_chart_file_edited_after_load_does_not_change_the_run(tmp_path):
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(OUTER))
+    cfg = chart_config(str(path), out=str(tmp_path / "file"))
+    path.write_text(json.dumps(INNER))
+    assert cli.run_config(cfg)[0] == 0
+    for definition, label in ((OUTER, "outer"), (INNER, "inner")):
+        assert cli.run_config(chart_config(definition, out=str(tmp_path / label)))[0] == 0
+    assert tree_digest(tmp_path / "file") == tree_digest(tmp_path / "outer")
+    # the edit would have mattered: the inner circle reads every point elliptic
+    tags = {label: [row["result"]["tag"] for row in
+                    json.load(open(tmp_path / label / "c.json"))["payload"]]
+            for label in ("outer", "inner")}
+    assert tags == {"outer": ["hyperbolic", "glancing", "elliptic"], "inner": ["elliptic"] * 3}
+
+
 def test_writers_embed_hash_and_version(tmp_path):
     meta = {"config_hash": "abc123"}
     p = artio.write_csv(tmp_path / "t.csv", {"h": [0.1], "v": [1.25]}, meta=meta)
@@ -109,16 +155,31 @@ def test_field_grid_round_trip(tmp_path):
 # -- config validation ---------------------------------------------------
 
 
-def test_validation_names_tol_g():
+def test_validation_names_the_offending_key():
     bad = {
         "experiments": [
-            {"name": "c", "kind": "classify", "points": [[0.0, 0.5]], "tol_g": -1}
+            {"name": "c", "kind": "classify", "points": [[0.0, 0.5]], "samples": -1}
         ]
     }
     errs = validate_config(bad)
-    assert len(errs) == 1 and "tol_g" in errs[0]
-    with pytest.raises(ConfigError, match="tol_g"):
+    assert errs == ["experiments[0].samples: -1 is less than the minimum of 0"]
+    with pytest.raises(ConfigError, match=r"experiments\[0\]\.samples"):
         load_config(bad)
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--xp", "0", "--xip", "1", "--tol-g", "1e-8"],
+    ["classify", "--xp", "0", "--xip", "1", "--tol-bracket", "1e-6"],
+    ["mode", "--family", "laplace", "--m", "2", "--k", "1", "--num-r", "40"],
+    ["mode", "--family", "laplace", "--m", "2", "--k", "1", "--num-theta", "32"],
+    ["parametrix", "--m", "12", "--delta0", "0.25"],
+    ["parametrix", "--m", "12", "--eps0", "0.3"],
+], ids=lambda argv: argv[-2])
+def test_removed_probe_flags_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    assert f"error: unrecognized arguments: {argv[-2]} {argv[-1]}\n" in capsys.readouterr().err
 
 
 def test_validation_names_nested_trace_option(tmp_path, capsys):
@@ -163,12 +224,12 @@ def test_validation_collects_every_offense():
             {
                 "name": "r",
                 "kind": "mode",
-                "family": {"family": "laplace", "m": 2, "k": 1, "num_r": 3},
+                "family": {"family": "stokes", "m": 0, "k": 1},
             },
         ],
     }
     errs = "\n".join(validate_config(bad))
-    assert "experiments[5].family.num_r: need num_r > 6.5 for lam = 5.136, got 3" in errs
+    assert "experiments[5].family.m: the velocity family needs m >= 1" in errs
     assert "experiments[4].m: [12, 12] has non-unique elements" in errs
     assert "experiments[4].orders: [1, 1] has non-unique elements" in errs
     assert "junk" in errs
@@ -561,15 +622,12 @@ def test_invalid_config_exits_two(tmp_path, capsys):
     tangential = {"type": "tangential", "y_support": 0.3}
     elliptic = {"name": "e", "kind": "elliptic", "family": family, "symbol": tangential}
     cases = [
-        ({"experiments": [dict(classify, tol_g=-1)]}, "tol_g"),
+        ({"experiments": [dict(classify, samples=-1)]}, "experiments[0].samples"),
         ({"experiments": [{"name": "p", "kind": "parametrix", "m": [12, 12]}]},
          "experiments[0].m"),
         ({"chart": {"kind": "annulus"}, "experiments": [classify]}, "chart: "),
         ({"chart": {"kind": "annulus", "rho_in": 2}, "experiments": [classify]}, "chart: "),
         ({"chart": str(no_radius), "experiments": [classify]}, "chart: "),
-        ({"experiments": [{"name": "m", "kind": "mode", "family": {
-            "family": "laplace", "m": 2, "k": 1, "num_r": 3}}]},
-         "experiments[0].family.num_r"),
         ({"chart": NAN_CHART, "experiments": [classify]}, "chart: "),
         ({"chart": str(nan_coeff), "experiments": [classify]}, "chart: "),
         ({"experiments": [dict(classify, points=[[0, float("nan")]])]},
@@ -631,9 +689,9 @@ def test_invalid_config_exits_two(tmp_path, capsys):
         ({"experiments": [dict(tails, radii=["a"])]},
          "experiments[0].radii[0]: 'a' is not of type 'number'"),
         ({"experiments": [dict(tails, radii=5)]}, "experiments[0].radii: 5 is not of type 'array'"),
-        ({"experiments": [{"name": "p", "kind": "parametrix", "m": [12],
-                           "halving_band": ["a", "b"]}]},
-         "experiments[0].halving_band[0]: 'a' is not of type 'number'"),
+        ({"experiments": [{"name": "p", "kind": "parametrix", "m": ["a"],
+                           "expect_halving": True}]},
+         "experiments[0].m[0]: 'a' is not of type 'integer'"),
         ({"experiments": [dict(classify, points=3, expect=["hyperbolic"])]},
          "experiments[0].points: 3 is not of type 'array'"),
         ({"experiments": [dict(measure, symbol=dict(
@@ -647,15 +705,12 @@ def test_invalid_config_exits_two(tmp_path, capsys):
         ({"experiments": [dict(elliptic, symbol=dict(tangential, xip_window=[1, 2, 3]))]},
          "experiments[0].symbol.xip_window: [1, 2, 3] is too short"),
         ({"experiments": [{"name": "m", "kind": "mode", "family": {
-            "family": "laplace", "m": 2.0, "k": 1, "num_r": 40}}]},
+            "family": "laplace", "m": 2.0, "k": 1}}]},
          "experiments[0].family.m: 2.0 is not valid under any of the given schemas"),
         ({"experiments": [dict(tails, radii=[2.0, 0.5])]},
          "experiments[0].radii: every radius must exceed 1"),
         ({"experiments": [dict(tails, radii=[3.0, 2.0])]},
          "experiments[0].radii: must be increasing"),
-        ({"experiments": [{"name": "p", "kind": "parametrix", "m": [12],
-                           "halving_band": [2.6, 1.4]}]},
-         "experiments[0].halving_band: need 0 < lo < hi"),
         ({"experiments": [{"name": "m", "kind": "mode", "family": {
             "family": "stokes", "m": 0, "k": 1}}]},
          "experiments[0].family.m: the velocity family needs m >= 1"),
@@ -666,6 +721,24 @@ def test_invalid_config_exits_two(tmp_path, capsys):
             ({"experiments": [dict(trace, start=[0.1, 0, *xi], time=3.0)]},
              f"experiments[0].start: |xi| = {speed} lies off the unit energy shell")
             for xi, speed in (([1.2, 1.6], 2.0), ([0.3, 0.4], 0.5), ([0, 0], 0.0))
+        ),
+        # the keys no config, workload or @smoke set are constants now
+        *(
+            ({"experiments": [exp]}, f"\n  experiments[0].{path}: unknown key\n")
+            for exp, path in (
+                (dict(tails, family=dict(family, k={"ratio": 0.5, "k_max": 80})),
+                 "family.k.k_max"),
+                (dict(tails, family=dict(family, num_r=40)), "family.num_r"),
+                (dict(tails, family=dict(family, num_theta=32)), "family.num_theta"),
+                (dict(classify, tol_g=1e-8), "tol_g"),
+                (dict(classify, tol_bracket=1e-6), "tol_bracket"),
+                ({"name": "p", "kind": "parametrix", "m": [12], "delta0": 0.25}, "delta0"),
+                ({"name": "p", "kind": "parametrix", "m": [12], "eps0": 0.3}, "eps0"),
+                ({"name": "p", "kind": "parametrix", "m": [12], "halving_band": [1.4, 2.6]},
+                 "halving_band"),
+                (dict(measure, kind="support", time=0.1, husimi={"x_max": 1.25}), "husimi.x_max"),
+                (dict(measure, kind="support", time=0.1, husimi={"xi_max": 1.6}), "husimi.xi_max"),
+            )
         ),
     ]
     for i, (raw, named) in enumerate(cases):
@@ -826,16 +899,14 @@ PROBE_REFUSALS = [
     (["mode", "--family", "laplace", "--m", "-1", "--k", "1"], "--m", laplace(m=-1)),
     (["mode", "--family", "stokes", "--m", "3", "--k", "0"], "--k",
      probe_config("mode", family={"family": "stokes", "m": 3, "k": 0})),
-    (["classify", "--xp", "0", "--xip", "1", "--tol-g", "0"], "--tol-g",
-     probe_config("classify", **COVECTOR, tol_g=0.0)),
-    (["mode", "--family", "laplace", "--m", "2", "--k", "1", "--num-r", "3"], "--num-r",
-     laplace(num_r=3)),
-    (["mode", "--family", "laplace", "--m", "2", "--k", "1", "--num-theta", "6"],
-     "--num-theta", laplace(num_theta=6)),
-    (["parametrix", "--m", "12", "--delta0", "-1"], "--delta0",
-     probe_config("parametrix", m=[12], delta0=-1.0)),
-    (["parametrix", "--m", "12", "--eps0", "1.5"], "--eps0",
-     probe_config("parametrix", m=[12], eps0=1.5)),
+    (["classify", "--xp", "inf", "--xip", "1"], "--xp",
+     probe_config("classify", points=[[float("inf"), 1.0]])),
+    (["mode", "--family", "nope", "--m", "2", "--k", "1"], "--family", laplace(family="nope")),
+    (["mode", "--family", "stokes", "--m", "0", "--k", "1"], "--m",
+     probe_config("mode", family={"family": "stokes", "m": 0, "k": 1})),
+    (["parametrix", "--m", "12", "--orders", "2"], "--orders",
+     probe_config("parametrix", m=[12], orders=[2])),
+    (["parametrix", "--m", "12,12"], "--m", probe_config("parametrix", m=[12, 12])),
     (["classify", "--chart", "annulus:2", "--xp", "0", "--xip", "1"], "--chart",
      probe_config("classify", "annulus:2", **COVECTOR)),
     (["classify", "--chart", "nosuch", "--xp", "0", "--xip", "1"], "--chart",
@@ -866,8 +937,8 @@ PROBE_REFUSALS = [
      probe_config("classify", "int-term.json", **COVECTOR)),
     (["trace", "--chart", "model.json", "--start", "0,0,1,0", "--time", "1"], "--start",
      probe_config("trace", "model.json", **ORIGIN_RAY)),
-    (["parametrix", "--m", "12", "--delta0", "2"], "--delta0",
-     probe_config("parametrix", m=[12], delta0=2.0)),
+    (["parametrix", "--m", "12", "--orders", "0,0"], "--orders",
+     probe_config("parametrix", m=[12], orders=[0, 0])),
     (["trace", "--start", "2,0,1,0", "--time", "1"], "--start",
      probe_config("trace", **dict(ORIGIN_RAY, start=[2.0, 0.0, 1.0, 0.0]))),
     (["trace", "--chart", "annulus:0.5", "--start", "0.2,0,1,0", "--time", "1"], "--start",
@@ -984,10 +1055,9 @@ LAPLACE_RING = {"family": "laplace", "m": 0, "k": [2]}
         ({"kind": "mode", "family": LAPLACE_RING, "tolerances": {"pde": 1e-300}},
          "pde: worst"),
         ({"kind": "tails", "family": LAPLACE_RING, "radii": [2.0], "bound": 1e-300}, "bound"),
-        # listed in descending m: only the pair 16 -> 32 (ratio 1.886) is judged
-        ({"kind": "parametrix", "m": [32, 16], "orders": [0], "expect_halving": True,
-          "halving_band": [1.9, 2.6]},
-         "order-0 ratio 1.886 at m 16->32 outside [1.9, 2.6]"),
+        # listed in descending m: only the pair 4 -> 8 (ratio 1.060) is judged
+        ({"kind": "parametrix", "m": [8, 4], "orders": [0], "expect_halving": True},
+         "order-0 ratio 1.060 at m 4->8 outside [1.4, 2.6]"),
     ],
     ids=["trace-reflections", "mode-unreported-key", "mode-residual", "tails-bound",
          "parametrix-halving"],
@@ -1086,8 +1156,8 @@ def test_verify_subcommand_filters_kinds(tmp_path):
 
 
 def test_spelt_out_defaults_change_nothing(tmp_path):
-    # each optional key's default lives in the signature of the function
-    # that takes it; spelling it out must give the same rows and payloads
+    # each optional key's default lives in the function or record that
+    # takes it; spelling it out must give the same rows and payloads
     rings = {"family": "laplace", "m": 0, "k": [16, 25]}
     bump = {"type": "interior", "xi_bound": 1.6, "factors": [
         {"var": "bump", "center": [0.25, 0.0], "radius": 0.2},
@@ -1103,14 +1173,17 @@ def test_spelt_out_defaults_change_nothing(tmp_path):
         {"name": "tails", "kind": "tails", "family": rings, "radii": [2.0, 4.0]},
     ]
     spelt = [
-        dict(bare[0], route="free"),
+        # a symbol's label defaults to its experiment's name
+        dict(bare[0], route="free", symbol=dict(bump, name="inv")),
         dict(bare[1], glancing_sign=1),
         dict(bare[2], variant="interior"),
     ]
+    thresholds = {"theta_pass": 0.05, "kappa": 2.0, "theta_floor": 1e-3}
     outs = []
-    for label, exps in (("bare", bare), ("spelt", spelt)):
+    for label, raw in (("bare", {"experiments": bare}),
+                       ("spelt", {"experiments": spelt, "thresholds": thresholds})):
         cfg = tmp_path / f"{label}.json"
-        cfg.write_text(json.dumps({"experiments": exps}))
+        cfg.write_text(json.dumps(raw))
         assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / label)]) == 0
         outs.append(tmp_path / label)
     for name in ("inv", "sup", "tails"):
@@ -1163,6 +1236,12 @@ def test_out_env_var_is_the_default_root(tmp_path, monkeypatch):
     cfg.write_text(json.dumps({"experiments": []}))
     assert run_cli(["run", "--config", str(cfg)]) == 0
     assert (tmp_path / "envroot" / "summary.json").exists()
+    # the config's out beats the variable, and the --out flag beats both
+    cfg.write_text(json.dumps({"experiments": [], "out": str(tmp_path / "fileroot")}))
+    assert run_cli(["run", "--config", str(cfg)]) == 0
+    assert (tmp_path / "fileroot" / "summary.json").exists()
+    assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "flagroot")]) == 0
+    assert (tmp_path / "flagroot" / "summary.json").exists()
 
 
 def test_mode_experiment_writes_field_grid(tmp_path):
@@ -1175,7 +1254,9 @@ def test_mode_experiment_writes_field_grid(tmp_path):
                         "name": "probe",
                         "kind": "mode",
                         "family": {"family": "stokes", "m": 2, "k": [1]},
-                        "tolerances": {"momentum": 1e-6, "divergence": 1e-8},
+                        # h |du/dn| of a unit no-slip mode is sqrt 2 on the rim
+                        "tolerances": {"momentum": 1e-6, "divergence": 1e-8,
+                                       "normalization": 1e-12, "flux_norm": 1.5},
                         "fields": True,
                     }
                 ]
@@ -1404,6 +1485,91 @@ def test_every_benchmark_workload_config_validates():
             assert validate_config(workloads.build_config(name, seed)) == [], (name, seed)
 
 
+# -- the settable surface --------------------------------------------------
+
+# the schema keys that neither @smoke nor a seed-0 benchmark config sets,
+# each with why it stays and the test that sets it: a behaviour key picks
+# another computation, a label names an output, a threshold judges one, a
+# deployment key says where or how wide a run goes, and a collar-frame
+# start places a trace in collar coordinates.  Any other key is a knob no
+# caller turns, and becomes a constant
+KEPT_KEYS = {
+    "out": ("deployment", "test_out_env_var_is_the_default_root"),
+    "jobs": ("deployment", "test_schema_checker_matches_jsonschema_on_the_seed_configs"),
+    **{key: ("threshold", "test_spelt_out_defaults_change_nothing") for key in (
+        "thresholds", "thresholds.theta_pass", "thresholds.kappa", "thresholds.theta_floor")},
+    "mode.tolerances.normalization": ("threshold", "test_mode_experiment_writes_field_grid"),
+    "mode.tolerances.flux_norm": ("threshold", "test_mode_experiment_writes_field_grid"),
+    "symbol.name": ("label", "test_spelt_out_defaults_change_nothing"),
+    "invariance.route": (
+        "behaviour", "test_pullback_invariance_and_arc_symbols_pass_the_kind_rules"),
+    "support.glancing_sign": ("behaviour", "test_spelt_out_defaults_change_nothing"),
+    "tails.variant": ("behaviour", "test_spelt_out_defaults_change_nothing"),
+    "mode.fields": ("behaviour", "test_mode_experiment_writes_field_grid"),
+    **{f"trace.start.{key}": ("collar-frame start", "test_invalid_config_exits_two")
+       for key in ("y", "xp", "eta", "xip")},
+}
+
+
+def surface_key(path) -> str:
+    """The dotted name of a key: an experiment's own keys under its kind,
+    the family and symbol keys every kind shares under family and symbol."""
+    if len(path) > 2 and path[1] in ("family", "symbol"):
+        path = path[1:]
+    return ".".join(path)
+
+
+def schema_keys(schema, path=()):
+    for key, arg in schema.items():
+        if key == "properties":
+            for name, sub in arg.items():
+                yield path + (name,)
+                yield from schema_keys(sub, path + (name,))
+        elif key == "items":
+            yield from schema_keys(arg, path)
+        elif key == "anyOf":
+            for sub in arg:
+                yield from schema_keys(sub, path)
+        elif key == "pick":
+            for sub in arg[1].values():
+                yield from schema_keys(sub, path)
+
+
+def set_keys(node, path):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield path + (key,)
+            yield from set_keys(value, path + (key,))
+    elif isinstance(node, list):
+        for value in node:
+            yield from set_keys(value, path)
+
+
+def test_every_config_key_is_set_by_a_config_or_kept():
+    surface = {surface_key(p) for p in schema_keys(config._CONFIG) if p[0] != "experiments"}
+    for kind, spec in KINDS.items():
+        surface |= {surface_key(p) for p in schema_keys(spec.schema, (kind,))}
+    workloads = benchmark_workloads()
+    docs = [json.loads((resources.files("bicharlab") / "configs" / "smoke.json").read_text())]
+    docs += [workloads.build_config(name, 0) for name in workloads.WORKLOADS]
+    used = set()
+    for doc in docs:
+        for key, value in doc.items():
+            if key != "experiments":
+                used |= {surface_key(p) for p in set_keys({key: value}, ())}
+        for exp in doc["experiments"]:
+            used |= {surface_key(p) for p in set_keys(exp, (exp["kind"],))}
+    # a key nobody sets is a knob unless it is kept, and a kept key that a
+    # config sets needs no entry
+    assert sorted(surface - used - set(KEPT_KEYS)) == []
+    assert sorted(set(KEPT_KEYS) - (surface - used)) == []
+    reasons = {"behaviour", "label", "threshold", "deployment", "collar-frame start"}
+    for key, (reason, test) in KEPT_KEYS.items():
+        assert reason in reasons, key
+        leaf = key.rsplit(".", 1)[-1]
+        assert re.search(rf"\b{leaf}\b", inspect.getsource(globals()[test])), (key, test)
+
+
 # -- the schema checker against jsonschema --------------------------------
 
 
@@ -1453,7 +1619,7 @@ SEED_CONFIGS = seed_configs()
 
 # wrong types, 2.0 and True for integers, values out of range (0 against
 # exclusiveMinimum), enum misses, names off the pattern, lists of the wrong
-# length or with duplicates, bad arms of family.m, family.k and trace.start
+# length or with duplicates, bad forms of family.m, family.k and trace.start
 ODD_VALUES = [
     "3", "nope", True, None, 64, 2.0, [], [0], [1, 1], [0, 1, 0], [True], [1.0, 1], [2, 2.0],
     ["a"], [0.1, 0.2, 0.3], [0.1, 0.2, 0.3, 0.4, 0.5], [[1, 2]], [0, 0, 1, 0],
@@ -1563,8 +1729,8 @@ def test_schema_checker_matches_jsonschema_on_the_seed_configs():
              "glancing_sign": 1.0},
             {"name": "t", "kind": "trace", "start": [0, 0, 1], "time": 1},
         ]}, [
-            (("experiments", 0, "family", "k"),
-             "{'ratio': 1.0} is not valid under any of the given schemas"),
+            (("experiments", 0, "family", "k", "ratio"),
+             "1.0 is greater than or equal to the maximum of 1"),
             (("experiments", 0, "glancing_sign"), "True is not one of [1, -1]"),
             (("experiments", 0, "symbol", "xip_window"), "[0, 1, 2] is too short"),
             (("experiments", 0, "symbol", "y_support"),

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from bicharlab.billiard import time_to_boundary
-from bicharlab.bumps import bump_profile
+from bicharlab.bumps import bump_profile, plateau_step
 from bicharlab.modes import pick_k_for_ratio
 from bicharlab.quantize import default_box
 
@@ -40,8 +40,9 @@ REFUSED = [
     (pick_k_for_ratio, ("stokes", 16, NAN), r"\bratio\b must be finite"),
     (pick_k_for_ratio, ("stokes", 16, INF), r"\bratio\b must be finite"),
     (pick_k_for_ratio, ("stokes", 16, -INF), r"\bratio\b must be finite"),
-    (pick_k_for_ratio, ("stokes", 16, 0.5, 0), r"\bk_max\b must be >= 1"),
-    (pick_k_for_ratio, ("laplace", 3, 0.5, -2), r"\bk_max\b must be >= 1"),
+    (plateau_step, (0.5, 1.0, 1.0), r"\bb > a\b"),
+    (plateau_step, (0.5, 1.0, 0.0), r"\bb > a\b"),
+    (plateau_step, (0.5, 0.0, NAN), r"\bb > a\b"),
 ]
 
 # (kernel, args, the documented value, to 1e-12) at the edges of each contract
@@ -50,11 +51,15 @@ ACCEPTED = [
     (time_to_boundary, ([1.0, 0.0], [-1.0, 0.0]), 1.0),
     (time_to_boundary, ([1.0 + 5e-13, 0.0], [-1.0, 0.0]), 1.0),
     (lambda h, b: default_box(h, b).n, (0.1, 0.0), 32),
-    (pick_k_for_ratio, ("stokes", 16, 0.5, 1), 1),
+    # 16 / lam_1 = 0.72 lies nearest, so the first prefix of zeros decides
+    (pick_k_for_ratio, ("stokes", 16, 0.9), 1),
     (bump_profile, (NAN,), 0.0),
     (bump_profile, (1.0,), 0.0),
     (bump_profile, (-1.0,), 0.0),
     (bump_profile, (0.0,), 1.0),
+    (plateau_step, (NAN, 0.0, 1.0), 0.0),
+    (plateau_step, (0.0, 0.0, 1.0), 0.0),
+    (plateau_step, (1.0, 0.0, 1.0), 1.0),
 ]
 
 

@@ -677,11 +677,22 @@ def test_event_budget_aborts_the_ray(chart, start, t, kinds, monkeypatch):
     assert ray.reflections == kinds.count("reflect")
 
 
+def test_finish_is_not_charged_against_the_budget(monkeypatch):
+    # the ray spends exactly the 303 charged events before t = 100, and
+    # the finish that closes it is not charged, so it completes
+    monkeypatch.setattr(flow, "MAX_EVENTS", 303)
+    ray = trace(DISK, BOUNCE_START, 100.0)
+    assert ray.status == "completed"
+    assert len(ray.events) == 304 and ray.events[-1].kind == "finish"
+    assert ray.t_final == 100.0
+
+
 class ParentTracer:
     """The tracer before its stages shared one loop, kept as the oracle.
 
     Each stage returned early on an exhausted event budget, and run
-    dispatched on the mode through an if/elif chain.
+    dispatched on the mode through an if/elif chain.  One rule differs
+    from the tracer it was: the closing finish is logged uncharged.
     """
 
     def __init__(self, chart):
@@ -713,7 +724,7 @@ class ParentTracer:
             except ValueError:
                 x = None
         self.events.append(flow.RayEvent(kind, t, point, x, classification))
-        return self._within_budget()
+        return kind == "finish" or self._within_budget()
 
     def _within_budget(self) -> bool:
         """False, with the ray aborted, once it has spent MAX_EVENTS."""
