@@ -82,8 +82,6 @@ class CollarChart:
     """Base interface; concrete charts fill in the r data."""
 
     kind = "abstract"
-    collar_width: float
-    max_derivative_order: int
 
     # -- required geometry ------------------------------------------
 
@@ -107,10 +105,6 @@ class CollarChart:
         """
         if j < 0:
             raise ValueError("bracket order must be >= 0")
-        if j > self.max_derivative_order - 2:
-            raise OrderBudgetError(
-                f"bracket order {j} exceeds budget K-2 = {self.max_derivative_order - 2}"
-            )
         return self._bracket(j, xp, xip)
 
     def _bracket(self, j: int, xp: float, xip: float) -> float:
@@ -132,13 +126,14 @@ class _RoundChart(CollarChart):
     an inner one (edge hole).  The boundary metric pulled to the collar gives
     |xi'|^2_g = xi'^2 / rho(y)^2, hence r = 1 - xi'^2 / rho(y)^2 in closed
     form.  The defaults are the outer circle of the unit disk, hole 0.
+    At a glancing covector |r1| is about 2 / rho(0) >= 2, so `classify`
+    resolves it at order 2 and a round chart needs no bracket budget.
     """
 
     component = "outer"
 
-    def __init__(self, collar_width, max_derivative_order, edge=1.0, direction=-1.0, hole=0.0):
+    def __init__(self, collar_width, edge=1.0, direction=-1.0, hole=0.0):
         self.collar_width = float(collar_width)
-        self.max_derivative_order = _derivative_order(max_derivative_order)
         # instance attributes, which read faster than class ones in _jet_values
         self._edge, self._dir, self._hole = edge, direction, hole
 
@@ -213,10 +208,10 @@ class DiskChart(_RoundChart):
 
     kind = "disk"
 
-    def __init__(self, collar_width: float = 0.35, max_derivative_order: int = 8):
+    def __init__(self, collar_width: float = 0.35):
         if not 0.0 < collar_width < 1.0:
             raise ValueError("collar width must lie in (0, 1)")
-        super().__init__(collar_width, max_derivative_order)
+        super().__init__(collar_width)
 
 
 class AnnulusChart(_RoundChart):
@@ -229,7 +224,6 @@ class AnnulusChart(_RoundChart):
         rho_in: float,
         component: str = "outer",
         collar_width: float | None = None,
-        max_derivative_order: int = 8,
     ):
         if not 0.0 < rho_in < 1.0:
             raise ValueError("inner radius must lie in (0, 1)")
@@ -242,13 +236,11 @@ class AnnulusChart(_RoundChart):
         if not 0.0 < width < gap:
             raise ValueError("collar width must be positive and below the gap width")
         edge, direction = (self.rho_in, 1.0) if component == "inner" else (1.0, -1.0)
-        super().__init__(width, max_derivative_order, edge, direction, self.rho_in)
+        super().__init__(width, edge, direction, self.rho_in)
 
     def other_component(self) -> "AnnulusChart":
         other = "inner" if self.component == "outer" else "outer"
-        return AnnulusChart(
-            self.rho_in, other, self.collar_width, self.max_derivative_order
-        )
+        return AnnulusChart(self.rho_in, other, self.collar_width)
 
 
 # ----------------------------------------------------------------------
@@ -283,8 +275,9 @@ class ModelChart(CollarChart):
     """Abstract collar with polynomial r; used to stage higher-order contact.
 
     `terms` lists (pow_z1, pow_zeta1, pow_y, coeff); r0 is the y^0 slice,
-    r1 the y^1 slice.  There is no ambient domain, so y is unrestricted
-    below `collar_width` and no Euclidean embedding exists.
+    r1 the y^1 slice.  There is no ambient domain, so y >= 0 is
+    unrestricted and no Euclidean embedding exists; brackets past order
+    max_derivative_order - 2 raise OrderBudgetError.
     """
 
     kind = "model"
@@ -292,7 +285,6 @@ class ModelChart(CollarChart):
     def __init__(
         self,
         terms: Sequence[tuple[int, int, int, float]],
-        collar_width: float = 1.0,
         max_derivative_order: int = 8,
     ):
         if not terms:
@@ -304,14 +296,11 @@ class ModelChart(CollarChart):
                 raise ValueError(f"bad term {t!r}: powers must be integers >= 0")
             if not math.isfinite(float(t[3])):
                 raise ValueError(f"bad term {t!r}: coefficient must be finite")
-        if not 0.0 < collar_width < math.inf:
-            raise ValueError("collar width must be finite and positive")
         self.terms = tuple((int(a), int(b), int(cy), float(v)) for a, b, cy, v in terms)
         coef = np.zeros(tuple(max(t[i] for t in self.terms) + 1 for i in range(3)))
         for a, b, cy, v in self.terms:
             coef[a, b, cy] += v
         self.coef = coef
-        self.collar_width = float(collar_width)
         self.max_derivative_order = _derivative_order(max_derivative_order)
         self._r0_poly = coef[:, :, 0]
         self._r1_poly = coef[:, :, 1] if coef.shape[2] > 1 else np.zeros((1, 1))
@@ -338,6 +327,10 @@ class ModelChart(CollarChart):
         return _poly_eval2(self._r1_poly, xp, xip)
 
     def _bracket(self, j, xp, xip):
+        if j > self.max_derivative_order - 2:
+            raise OrderBudgetError(
+                f"bracket order {j} exceeds budget K-2 = {self.max_derivative_order - 2}"
+            )
         return _poly_eval2(self._bracket_poly(j), xp, xip)
 
     def _bracket_poly(self, j: int) -> np.ndarray:

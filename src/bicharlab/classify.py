@@ -67,14 +67,14 @@ def classify(chart: CollarChart, xp: float, xip: float) -> BoundaryClass:
     """Classify the boundary covector (x', xi') of the chart.
 
     TOL_G bounds |r0| for the tangency band, TOL_BRACKET decides whether
-    a bracket value counts as zero.  Contact orders are resolved up to
-    the chart's max_derivative_order (an integer >= 2, which the chart
-    constructors enforce); deeper contact is reported explicitly as
-    unresolved, never silently rounded down.
+    a bracket value counts as zero.  Round charts resolve every glancing
+    point at order 2, where |r1| is about 2 / rho(0) >= 2.  A model chart
+    resolves contact orders up to its max_derivative_order (an integer
+    >= 2); deeper contact is reported explicitly as unresolved, never
+    silently rounded down.
     """
     if not (math.isfinite(xp) and math.isfinite(xip)):
         raise ValueError(f"boundary covector must be finite, got ({xp}, {xip})")
-    k_max = chart.max_derivative_order
 
     r0 = chart.r0(xp, xip)
     if r0 > TOL_G:
@@ -88,6 +88,7 @@ def classify(chart: CollarChart, xp: float, xip: float) -> BoundaryClass:
         return BoundaryClass(
             GLANCING, order=2, sign=sign, witness={"r0": r0, "r1": brackets[0]}
         )
+    k_max = chart.max_derivative_order
     for j in range(1, k_max - 1):
         brackets.append(chart.iterated_bracket(j, xp, xip))
         if abs(brackets[-1]) > TOL_BRACKET:

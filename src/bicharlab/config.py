@@ -247,16 +247,6 @@ def _symbol_of(symbol_type):
     return check
 
 
-def _check_invariance(exp, where, chart):
-    yield from _symbol_of("interior")(exp, where, chart)
-    factors = exp["symbol"].get("factors", ())
-    if exp.get("route") != "pullback" and any(f["var"] == "angular_momentum" for f in factors):
-        yield (
-            f"{where}.symbol.factors: an angular_momentum factor is not separable,"
-            " so only route 'pullback' transports it"
-        )
-
-
 def _check_car(exp, where, chart):
     yield from _symbol_of("interior")(exp, where, chart)
     speeds = [f for f in exp["symbol"].get("factors", ()) if f["var"] in SPEEDS]
@@ -562,10 +552,7 @@ def _run_propagation(check, spec, ctx, **options):
 
 
 def _run_invariance(spec, ctx):
-    return _run_propagation(
-        invariance_gap, spec, ctx, s=float(spec["time"]), chart=ctx.chart,
-        **_set_keys(spec, "route"),
-    )
+    return _run_propagation(invariance_gap, spec, ctx, s=float(spec["time"]))
 
 
 def _run_support(spec, ctx):
@@ -684,9 +671,8 @@ KINDS = {
             family=_FAMILY,
             symbol=_SYMBOL,
             time=_NUM,
-            route={"enum": ["free", "pullback"]},
         ),
-        _check_invariance,
+        _symbol_of("interior"),
         _run_invariance,
         _DISK,
     ),

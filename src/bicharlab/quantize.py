@@ -15,7 +15,9 @@ factor it is one separable term and goes through FFTs; with it the
 direct lattice sum runs, which is slower but makes no structural
 assumption.  A pullback symbol with an `eval` and a `xi_bound` takes the
 direct sum too, and the same symbol with momentum factor 1 doubles as
-the cross-check oracle for the fast path.
+the cross-check oracle for the fast path.  The type decides the check:
+the operators check an InteriorSymbol's margin and lattice reach at
+their entry, and a pullback, which has no spatial factor, never.
 
 Tangential symbols are a depth-frequency multiplier b(y, xi') times an
 optional angular factor c(theta).  Left quantization of that product on
@@ -321,33 +323,20 @@ def _speed_on_lattice(a: InteriorSymbol, h: float, grid: BoxGrid, fhat: np.ndarr
     return a.speed(np.hypot(h * grid.K1, h * grid.K2)) * fhat
 
 
-def _require_spatial(a, check: bool) -> None:
-    # a pullback has no spatial factor for the margin check to read
-    if check and not isinstance(a, InteriorSymbol):
-        raise TypeError(
-            f"expected an InteriorSymbol, or a pullback with check=False, got {type(a).__name__}"
-        )
-
-
-def apply_interior_op(
-    a,
-    f: np.ndarray,
-    h: float,
-    grid: BoxGrid,
-    *,
-    check: bool = True,
-) -> np.ndarray:
+def apply_interior_op(a, f: np.ndarray, h: float, grid: BoxGrid) -> np.ndarray:
     """Left quantization of `a` at parameter h applied to a box field.
 
     An InteriorSymbol without a momentum factor takes the FFT path; one
     with it, or any other symbol with an `eval`, the direct lattice sum.
+
+    Contract: an InteriorSymbol's support keeps two cells inside the unit
+    circle (SupportMarginError) and its xi_bound lies within the lattice
+    reach (BandlimitError); a pullback has no spatial factor to check.
     """
-    _require_spatial(a, check)
-    fast = isinstance(a, InteriorSymbol) and a.momentum is None
-    if check or fast:
+    spatial = None
+    if isinstance(a, InteriorSymbol):
         # one read of the spatial factor serves the margin and the product
         spatial = a.spatial(grid.X1, grid.X2)
-    if check:
         rad, bound = _support_radius(spatial, grid), _margin_bound(grid)
         if rad > bound:
             raise SupportMarginError(
@@ -355,7 +344,13 @@ def apply_interior_op(
                 f"(two cells inside the unit circle at n = {grid.n})"
             )
         _check_bandlimit(a, h, grid)
-    if fast:
+    return _apply_interior(a, f, h, grid, spatial)
+
+
+def _apply_interior(a, f: np.ndarray, h: float, grid: BoxGrid, spatial) -> np.ndarray:
+    """`apply_interior_op` past its entry check; `spatial` is an
+    InteriorSymbol's spatial factor on the box, None for a pullback."""
+    if spatial is not None and a.momentum is None:
         fhat = _speed_on_lattice(a, h, grid, np.fft.fft2(f))
         return spatial * np.fft.ifft2(fhat)
     # direct lattice sum, chunked over the first frequency axis
@@ -409,48 +404,53 @@ def _padded_ifft2(coeffs: np.ndarray, pos: np.ndarray) -> np.ndarray:
 
 
 def apply_shifted_op(
-    a: InteriorSymbol,
-    s: float,
-    f: np.ndarray,
-    h: float,
-    grid: BoxGrid,
-    *,
-    check: bool = True,
+    a: InteriorSymbol, s: float, f: np.ndarray, h: float, grid: BoxGrid
 ) -> np.ndarray:
     """Left quantization of the free-transported symbol a(x + 2 s xi, xi).
 
-    Needs a symbol without a momentum factor and a finite s.  Writing 2
-    k_p.k_q = |k_p+k_q|^2 - |k_p|^2 - |k_q|^2 turns the shifted action
-    into chirped coefficients, one frequency-lattice convolution and an
-    unchirped synthesis, so no dense (x, xi) sum is ever formed.  The
-    convolution runs on a zero-padded double lattice, which makes it the
-    exact linear one; output frequencies beyond the original lattice are
-    discarded, which is the projection any pairing against a resolved
+    Writing 2 k_p.k_q = |k_p+k_q|^2 - |k_p|^2 - |k_q|^2 turns the shifted
+    action into chirped coefficients, one frequency-lattice convolution
+    and an unchirped synthesis, so no dense (x, xi) sum is ever formed.
+    The convolution runs on a zero-padded double lattice, which makes it
+    the exact linear one; output frequencies beyond the original lattice
+    are discarded, which is the projection any pairing against a resolved
     field performs anyway.  The padded inverse transforms skip the zero
     rows, and the forward one transforms along axis 0 only the kept
     columns; fft2 runs the last axis first, so the kept values are
     bit-identical to those of the full transforms.
+
+    Contract: a has no momentum factor and s is finite (ValueError); the
+    support widened by the shift 2|s| xi_bound keeps two cells inside the
+    unit circle (SupportMarginError) and xi_bound lies within the lattice
+    reach (BandlimitError).
     """
     if a.momentum is not None:
         raise ValueError("shifted application needs a symbol without a momentum factor")
     s = float(s)
     if not math.isfinite(s):
         raise ValueError("apply_shifted_op needs a finite s")
+    spatial = a.spatial(grid.X1, grid.X2)
+    shift = 2.0 * abs(s) * a.xi_bound
+    rad, bound = _support_radius(spatial, grid) + shift, _margin_bound(grid)
+    if rad > bound:
+        raise SupportMarginError(
+            f"transported support reaches |x| = {rad:.4f}, needs <= "
+            f"{bound:.4f} (shift 2|s| xi_bound = {shift:.3f})"
+        )
+    _check_bandlimit(a, h, grid)
+    return _apply_shifted(a, s, f, h, grid, spatial)
+
+
+def _apply_shifted(
+    a: InteriorSymbol, s: float, f: np.ndarray, h: float, grid: BoxGrid, spatial
+) -> np.ndarray:
+    """`apply_shifted_op` past its entry checks; `spatial` is a's spatial factor on the box."""
     if s == 0.0:
         # the zero-time flow is the identity, so match the plain route
         # exactly instead of reprojecting through the double lattice
-        return apply_interior_op(a, f, h, grid, check=check)
+        return _apply_interior(a, f, h, grid, spatial)
     n = grid.n
-    spatial = np.broadcast_to(a.spatial(grid.X1, grid.X2), (n, n))
-    if check:
-        shift = 2.0 * abs(s) * a.xi_bound
-        rad, bound = _support_radius(spatial, grid) + shift, _margin_bound(grid)
-        if rad > bound:
-            raise SupportMarginError(
-                f"transported support reaches |x| = {rad:.4f}, needs <= "
-                f"{bound:.4f} (shift 2|s| xi_bound = {shift:.3f})"
-            )
-        _check_bandlimit(a, h, grid)
+    spatial = np.broadcast_to(spatial, (n, n))
     pos = _lattice_positions(n)
     # the double lattice's frequencies at the kept positions: the unchirp
     # is needed there only
@@ -477,13 +477,16 @@ def apply_tangential_op(
     return out
 
 
-def pairing(a, mode, *, check: bool = True) -> complex:
+def pairing(a, mode) -> complex:
     """Quadratic form (Op_h(a) u | u), summed over velocity components.
 
     Besides interior and tangential symbols, `a` may be a pullback such as
     `verify.TransportedSymbol`: its `eval` takes the direct lattice sum on
-    the box of its base's `xi_bound`.  It has no spatial factor for the
-    margin check to read, so it pairs with check=False only.
+    the box of its base's `xi_bound`.
+
+    Contract: an InteriorSymbol is checked as `apply_interior_op` checks
+    it (SupportMarginError, BandlimitError); a pullback, which has no
+    spatial factor, and a tangential symbol are paired as they are.
     """
     h = mode.h
     if isinstance(a, TangentialSymbol):
@@ -492,8 +495,7 @@ def pairing(a, mode, *, check: bool = True) -> complex:
         for u in mode.velocity:
             total += g.inner(apply_tangential_op(a, u, h, g), u)
         return complex(total)
-    _require_spatial(a, check)
-    [total] = _box_pairings(a, mode, lambda u, g: apply_interior_op(a, u, h, g, check=check))
+    [total] = _box_pairings(a, mode, lambda u, g: apply_interior_op(a, u, h, g))
     return total
 
 

@@ -25,6 +25,8 @@ from .flow import trace
 from .quantize import (
     InteriorSymbol,
     TangentialSymbol,
+    _box_pairings,
+    apply_interior_op,
     default_box,
     husimi_grid,
     pairing,
@@ -219,7 +221,14 @@ class TransportedSymbol:
         self.unresolved = 0
 
     def eval(self, x1, x2, xi1, xi2) -> np.ndarray:
-        shape, idx, (p1, p2, q1, q2) = _survivors(x1, x2, xi1, xi2, self.invariant)
+        shape, idx, points = _survivors(x1, x2, xi1, xi2, self.invariant)
+        out = np.zeros(shape, dtype=float)
+        out[idx] = self._at_survivors(*points)
+        return out.reshape(np.broadcast_shapes(*map(np.shape, (x1, x2, xi1, xi2))))
+
+    def _at_survivors(self, p1, p2, q1, q2) -> np.ndarray:
+        """The pullback at gathered survivors, four 1-D arrays of finite
+        points in the closed disk where the invariant is nonzero."""
         px = np.stack([p1, p2], axis=-1)
         pxi = np.stack([q1, q2], axis=-1)
         live = np.hypot(q1, q2) > DEAD_SPEED
@@ -230,13 +239,13 @@ class TransportedSymbol:
             )
         if stuck.any():
             self.unresolved += int(np.sum(self._doubtful(px[stuck], pxi[stuck])))
-        out = np.zeros(shape, dtype=float)
+        out = np.zeros(live.shape, dtype=float)
         keep = ~stuck
         if keep.any():
-            out[tuple(i[keep] for i in idx)] = np.real(
+            out[keep] = np.real(
                 self._base(px[keep, 0], px[keep, 1], pxi[keep, 0], pxi[keep, 1])
             )
-        return out.reshape(np.broadcast_shapes(*map(np.shape, (x1, x2, xi1, xi2))))
+        return out
 
     def _doubtful(self, xs: np.ndarray, xis: np.ndarray) -> np.ndarray:
         """Tangential contacts where zero cannot be certified.
@@ -282,37 +291,41 @@ def invariance_gap(
     s: float,
     *,
     thresholds: Optional[Thresholds] = None,
-    route: str = "free",
-    chart: Optional[CollarChart] = None,
     experiment: str = "invariance-gap",
 ) -> PropagationReport:
     """Compare pairings of a and of a(gamma_s) along a mode family.
 
-    route="free" quantizes the straight-line transported symbol with the
-    fast shifted-lattice path, pairing both symbols on one box sample of
-    each mode (`shifted_pairing`); it is the broken-flow pullback only while
-    the support cannot reach the boundary within time s, and the margin
-    check inside refuses geometries where that could fail.  route="pullback"
-    evaluates the transported symbol through the closed-form billiard map
-    and quantizes it on the dense path; valid across reflections but far
-    slower, meant for small cross-checks.
+    The symbol decides the route.  Without a momentum factor, a is one
+    separable term and the straight-line transported symbol is quantized
+    on the fast shifted-lattice path, both symbols paired on one box
+    sample of each mode (`shifted_pairing`); it is the broken-flow
+    pullback only while the support cannot reach the boundary within
+    time s, and the margin check inside refuses geometries where that
+    could fail.  With a momentum factor, the transported symbol is
+    evaluated through the closed-form billiard map and quantized on the
+    dense path, before and after on one box sample too; valid across
+    reflections but far slower, meant for small cross-checks.
+
+    Contract: a is an InteriorSymbol (TypeError otherwise).
     """
-    if route not in ("free", "pullback"):
-        raise ValueError("route must be 'free' or 'pullback'")
-    _require_disk(chart)
+    if not isinstance(a, InteriorSymbol):
+        raise TypeError(f"invariance_gap pairs an InteriorSymbol, got {type(a).__name__}")
     th = thresholds or Thresholds()
     rows = []
     unresolved = 0
     for m in modes:
-        if route == "free":
+        if a.momentum is None:
             before, after = shifted_pairing(a, s, m)
         else:
             # both sides share the pullback's conventions (zero outside
             # the closed disk), so a flow-invariant symbol gives a gap at
             # roundoff, not rim-smearing, size
-            tau = TransportedSymbol(a, s)
-            before = pairing(TransportedSymbol(a, 0.0), m, check=False)
-            after = pairing(tau, m, check=False)
+            still, tau = TransportedSymbol(a, 0.0), TransportedSymbol(a, s)
+            before, after = _box_pairings(
+                tau, m,
+                lambda u, g: apply_interior_op(still, u, m.h, g),
+                lambda u, g: apply_interior_op(tau, u, m.h, g),
+            )
             unresolved += tau.unresolved
         rows.append(
             ModeRow(
@@ -391,8 +404,6 @@ def support_gap(
     experiment: str = "support-transport",
     nx: int = 28,
     nxi: int = 29,
-    x_max: float = 1.25,
-    xi_max: float = 1.6,
     glancing_sign: float = 1.0,
 ) -> PropagationReport:
     """Mass of |a|^2 against each mode, before and after time-s transport.
@@ -405,7 +416,8 @@ def support_gap(
     positive (ValueError otherwise).  Both symbols are evaluated only on the
     survivors of the phase grid, the window centres in the closed disk
     times the xi points where the symbol's invariant is nonzero, and each
-    mass is a sum over those points.  Of each mode's Husimi grid only the
+    mass is a sum over those points, where the pullback flies them as
+    gathered.  Of each mode's Husimi grid only the
     total mass, the cell volume and the survivors' densities are kept,
     and the grid is released before either symbol is evaluated: past
     `husimi_grid` and the survivors scan, what is resident at once is the
@@ -456,7 +468,7 @@ def support_gap(
             raise TypeError("expected an interior or tangential symbol, or a pullback of one")
         _require_disk(chart)
         for m in modes:
-            hg = husimi_grid(m, nx=nx, nxi=nxi, x_max=x_max, xi_max=xi_max)
+            hg = husimi_grid(m, nx=nx, nxi=nxi)
             total = hg.mass()
             if total == 0.0:
                 raise ValueError(
@@ -475,7 +487,8 @@ def support_gap(
             del hg, idx
             tau = TransportedSymbol(a, s)
             base_sq = np.abs(a.eval(*pts)) ** 2
-            moved_sq = tau.eval(*pts) ** 2
+            # the points are tau's survivors already: no second scan
+            moved_sq = tau._at_survivors(*pts) ** 2
             unresolved += tau.unresolved
             before = float(np.sum(dens * base_sq) * cell) / total
             after = float(np.sum(dens * moved_sq) * cell) / total

@@ -62,6 +62,27 @@ def test_partition_and_tolerance_monotonicity(monkeypatch):
         assert wide == tag or wide == GLANCING
 
 
+@pytest.mark.parametrize(
+    "chart",
+    [DiskChart(), *(AnnulusChart(rho, side) for rho in (0.05, 0.5, 0.95)
+                    for side in ("inner", "outer"))],
+    ids=lambda c: f"{c.kind}-{getattr(c, 'rho_in', 0)}-{c.component}",
+)
+def test_round_charts_resolve_every_glancing_point_at_order_two(chart):
+    # across the tangency band |r0| <= TOL_G, |r1| = 2 xi'^2 / rho(0)^3 is
+    # about 2 / rho(0) >= 2, so classify stops at order 2; a round chart has
+    # no budget for the bracket loop to read
+    rho = chart.radius(0.0)
+    band = [sign * rho * math.sqrt(1.0 - r0)
+            for r0 in np.linspace(-strata.TOL_G, strata.TOL_G, 41) for sign in (1.0, -1.0)]
+    glancing = [xip for xip in band if abs(chart.r0(0.3, xip)) <= strata.TOL_G]
+    assert len(glancing) >= 78
+    for xip in glancing:
+        g = classify(chart, 0.3, xip)
+        assert (g.tag, g.order, g.unresolved) == (GLANCING, 2, False)
+        assert abs(g.witness["r1"]) >= 2.0 * (1.0 - 1e-7) / rho
+
+
 def test_rotation_invariance():
     c = DiskChart()
     for xp in (0.0, 1.1, -2.7):
@@ -70,17 +91,16 @@ def test_rotation_invariance():
 
 
 def test_parameter_validation():
-    c = DiskChart(max_derivative_order=6)
-    # contact order 2 needs r1: no chart resolves fewer than 2 derivatives
+    c = DiskChart()
+    # contact order 2 needs r1: no model chart resolves fewer than 2 derivatives
     for order in (1, 0, 2.5, "8", True, math.nan):
-        for build in (
-            lambda: DiskChart(max_derivative_order=order),
-            lambda: AnnulusChart(0.5, max_derivative_order=order),
-            lambda: ModelChart([(0, 1, 0, 1.0)], max_derivative_order=order),
-        ):
-            with pytest.raises(ValueError, match="max_derivative_order"):
-                build()
-    assert DiskChart(max_derivative_order=2.0).max_derivative_order == 2
+        with pytest.raises(ValueError, match="max_derivative_order"):
+            ModelChart([(0, 1, 0, 1.0)], max_derivative_order=order)
+    assert ModelChart([(0, 1, 0, 1.0)], max_derivative_order=2.0).max_derivative_order == 2
+    # round charts resolve every glancing point at order 2: no budget to set
+    for build in (DiskChart, lambda **kw: AnnulusChart(0.5, **kw)):
+        with pytest.raises(TypeError, match="max_derivative_order"):
+            build(max_derivative_order=8)
     for xp, xip in ((0.0, math.inf), (math.nan, 1.0), (-math.inf, 0.5)):
         with pytest.raises(ValueError, match="finite"):
             classify(c, xp, xip)

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bicharlab.cli as cli
-from bicharlab import config, quantize, verify
+from bicharlab import charts, config, quantize, verify
 from bicharlab import io as artio
 from bicharlab.config import (
     KINDS,
@@ -98,6 +98,22 @@ def test_chart_file_hashes_as_its_definition_inline(tmp_path):
     assert chart_config(str(path)).hash == chart_config(OUTER).hash
     # a shorthand is its own definition
     assert chart_config("annulus:0.5").identity()["chart"] == "annulus:0.5"
+
+
+def test_chart_keys_reach_the_chart():
+    # each constructor keyword of a chart kind, inline or in a shorthand,
+    # is the chart's that the run loads
+    for definition, want in (
+        ({"kind": "disk", "collar_width": 0.2}, {"collar_width": 0.2}),
+        ("disk:0.2", {"collar_width": 0.2}),
+        ({"kind": "annulus", "rho_in": 0.3, "component": "inner", "collar_width": 0.1},
+         {"rho_in": 0.3, "component": "inner", "collar_width": 0.1}),
+        ("annulus:0.3:inner", {"rho_in": 0.3, "component": "inner"}),
+        ({"kind": "model", "terms": [[0, 1, 0, 1.0]], "max_derivative_order": 4},
+         {"terms": ((0, 1, 0, 1.0),), "max_derivative_order": 4}),
+    ):
+        chart = charts.load_chart(chart_config(definition).identity()["chart"])
+        assert {key: getattr(chart, key) for key in want} == want
 
 
 def test_chart_file_edited_after_load_does_not_change_the_run(tmp_path):
@@ -429,7 +445,7 @@ SHARED_MEMBERS = {
         "verify.Thresholds": "verify.PropagationReport.to_dict",
     },
     "eval": {
-        "quantize.InteriorSymbol": "quantize.apply_interior_op",
+        "quantize.InteriorSymbol": "quantize._apply_interior",
         "verify.TransportedSymbol": "verify.support_gap",
     },
     "inner": {"polar.PolarGrid": "quantize.pairing", "quantize.BoxGrid": "quantize._box_pairings"},
@@ -481,7 +497,10 @@ def test_every_public_name_has_a_program_caller():
 def test_pairing_layer_takes_only_what_the_program_sets():
     # the box, check and pairing keywords, the scalar tail radius and the
     # bare-callable pullback were set by tests alone and were removed; the
-    # tests pin a box through sample_mode_on_box and the apply_*_op
+    # tests pin a box through sample_mode_on_box and the apply_*_op.  The
+    # symbol's type decides the operators' check and its momentum factor
+    # the invariance route, and the chart kind decides whether a chart
+    # has a bracket budget or a collar width
     def bare(fn):
         sig = inspect.signature(fn)
         params = [p.replace(annotation=p.empty) for p in sig.parameters.values()]
@@ -490,13 +509,24 @@ def test_pairing_layer_takes_only_what_the_program_sets():
     assert {fn.__qualname__: bare(fn) for fn in (
         quantize.pairing, quantize.shifted_pairing, quantize.measure_sequence,
         quantize.husimi_grid, verify.h_oscillation_tail, verify.TransportedSymbol.__init__,
+        quantize.apply_interior_op, quantize.apply_shifted_op,
+        verify.invariance_gap, verify.support_gap,
+        charts.DiskChart.__init__, charts.AnnulusChart.__init__, charts.ModelChart.__init__,
     )} == {
-        "pairing": "(a, mode, *, check=True)",
+        "pairing": "(a, mode)",
         "shifted_pairing": "(a, s, mode)",
         "measure_sequence": "(a, modes)",
         "husimi_grid": "(mode, *, nx=24, nxi=25, x_max=1.25, xi_max=1.6)",
         "h_oscillation_tail": "(modes, radii, *, variant='interior')",
         "TransportedSymbol.__init__": "(self, base, s)",
+        "apply_interior_op": "(a, f, h, grid)",
+        "apply_shifted_op": "(a, s, f, h, grid)",
+        "invariance_gap": "(modes, a, s, *, thresholds=None, experiment='invariance-gap')",
+        "support_gap": "(modes, a, s, *, thresholds=None, chart=None,"
+        " experiment='support-transport', nx=28, nxi=29, glancing_sign=1.0)",
+        "DiskChart.__init__": "(self, collar_width=0.35)",
+        "AnnulusChart.__init__": "(self, rho_in, component='outer', collar_width=None)",
+        "ModelChart.__init__": "(self, terms, max_derivative_order=8)",
     }
 
 
@@ -596,7 +626,11 @@ def test_empty_experiment_list_exits_zero(tmp_path):
 NAN_CHART = {"kind": "model", "terms": [[0, 1, 0, 1.0], [1, 0, 1, float("nan")]]}
 HALF_POWER_CHART = {"kind": "model", "terms": [[0, 1, 0, 1.0], [1.5, 0, 1, 1.0]]}
 MISSPELT_CHART = {"kind": "disk", "colar_width": 0.2}
-ORDER_ONE_CHART = {"kind": "disk", "max_derivative_order": 1}
+ORDER_ONE_CHART = {"kind": "model", "terms": [[0, 1, 0, 1.0]], "max_derivative_order": 1}
+# round charts resolve every glancing point at order 2 and take no budget;
+# a model chart is never embedded, so no step reads a collar width
+ROUND_BUDGET_CHART = {"kind": "disk", "max_derivative_order": 8}
+MODEL_COLLAR_CHART = {"kind": "model", "terms": [[0, 1, 0, 1.0]], "collar_width": 1.0}
 ZERO_COLLAR_CHART = {"kind": "annulus", "rho_in": 0.5, "collar_width": 0}
 INT_TERM_CHART = {"kind": "model", "terms": [5]}
 MODEL_CHART = {"kind": "model", "terms": [[0, 1, 0, 1.0], [1, 0, 1, 1.0]]}
@@ -640,6 +674,13 @@ def test_invalid_config_exits_two(tmp_path, capsys):
          "chart: chart kind 'disk' has no key 'colar_width'"),
         ({"chart": ORDER_ONE_CHART, "experiments": [classify]},
          "chart: max_derivative_order must be an integer >= 2"),
+        ({"chart": ROUND_BUDGET_CHART, "experiments": [classify]},
+         "chart: chart kind 'disk' has no key 'max_derivative_order'"),
+        ({"chart": {"kind": "annulus", "rho_in": 0.5, "max_derivative_order": 8},
+          "experiments": [classify]},
+         "chart: chart kind 'annulus' has no key 'max_derivative_order'"),
+        ({"chart": MODEL_COLLAR_CHART, "experiments": [classify]},
+         "chart: chart kind 'model' has no key 'collar_width'"),
         ({"chart": str(zero_collar), "experiments": [classify]},
          "chart: collar width must be positive"),
         ({"chart": INT_TERM_CHART, "experiments": [classify]},
@@ -722,7 +763,8 @@ def test_invalid_config_exits_two(tmp_path, capsys):
              f"experiments[0].start: |xi| = {speed} lies off the unit energy shell")
             for xi, speed in (([1.2, 1.6], 2.0), ([0.3, 0.4], 0.5), ([0, 0], 0.0))
         ),
-        # the keys no config, workload or @smoke set are constants now
+        # the keys no config, workload or @smoke set are constants now, and
+        # the keys the symbol decides are gone
         *(
             ({"experiments": [exp]}, f"\n  experiments[0].{path}: unknown key\n")
             for exp, path in (
@@ -738,6 +780,8 @@ def test_invalid_config_exits_two(tmp_path, capsys):
                  "halving_band"),
                 (dict(measure, kind="support", time=0.1, husimi={"x_max": 1.25}), "husimi.x_max"),
                 (dict(measure, kind="support", time=0.1, husimi={"xi_max": 1.6}), "husimi.xi_max"),
+                # the symbol decides the invariance route
+                (dict(measure, kind="invariance", time=0.1, route="free"), "route"),
             )
         ),
     ]
@@ -778,8 +822,11 @@ def pairing_config(kind, symbol, **keys):
         (pairing_config("elliptic", INTERIOR),
          "experiments[0].symbol.type: elliptic experiments need tangential symbols"),
         (pairing_config("invariance", COLLAR, time=0.1), "experiments[0].symbol.type"),
-        (pairing_config("invariance", SPINNING, time=0.1), "experiments[0].symbol.factors"),
-        (pairing_config("invariance", SPINNING, time=0.1, route="free"),
+        # a momentum factor takes the pullback route, and its symbol still
+        # meets the symbol rules
+        (pairing_config("invariance", dict(SPINNING, factors=SPINNING["factors"][1:]), time=0.1),
+         "experiments[0].symbol.factors"),
+        (pairing_config("invariance", dict(SPINNING, xi_bound=1.2), time=0.1),
          "experiments[0].symbol.factors"),
         (pairing_config("support", COLLAR, time=0.1, husimi={"nx": 8}),
          "experiments[0].husimi"),
@@ -862,15 +909,24 @@ def test_elliptic_window_rule_reads_the_open_support():
         assert validate_config(pairing_config("elliptic", symbol)) == []
 
 
-def test_pullback_invariance_and_arc_symbols_pass_the_kind_rules(tmp_path):
-    pullback = pairing_config("invariance", SPINNING, time=0.1, route="pullback")
-    assert validate_config(pullback) == []
+def test_pullback_invariance_and_arc_symbols_pass_the_kind_rules(tmp_path, monkeypatch):
+    # the symbol decides the route: a momentum factor takes the pullback,
+    # any other symbol the free shifted pairing
+    free = counted(monkeypatch, verify, "shifted_pairing")
+    pullback = counted(monkeypatch, verify, "_box_pairings")
+    spinning = {"experiments": [{"name": "p", "kind": "invariance", "symbol": SPINNING,
+                                 "family": {"family": "laplace", "m": 0, "k": 2}, "time": 0.1}]}
+    assert validate_config(spinning) == []
     # an arc is a factor of x alone, so the free route takes this symbol
     arc = dict(INTERIOR, arc={"center": 0.0, "inner": 0.5, "outer": 1.0})
-    cfg = tmp_path / "arc.json"
-    cfg.write_text(json.dumps(pairing_config("invariance", arc, time=0.15)))
-    assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    assert summary_of(tmp_path / "out")["experiments"][0]["summary"]["verdict"] == "pass"
+    arcs = pairing_config("invariance", arc, time=0.15)
+    for label, raw in (("spinning", spinning), ("arc", arcs)):
+        cfg = tmp_path / f"{label}.json"
+        cfg.write_text(json.dumps(raw))
+        assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / label)]) == 0
+        assert summary_of(tmp_path / label)["experiments"][0]["summary"]["verdict"] == "pass"
+    # one pullback pairing for the one spinning mode, one free one per ring mode
+    assert len(pullback) == 1 and len(free) == 2
 
 
 def probe_config(kind, chart=None, **keys):
@@ -889,79 +945,91 @@ def laplace(**family):
     return probe_config("mode", family={"family": "laplace", "m": 2, "k": 1, **family})
 
 
-# (probe argv, refused flag, equivalent config); no config where argparse
-# cannot convert the text to numbers, which no JSON config can hold
+# (tag, probe argv, refused flag, equivalent config); no config where
+# argparse cannot convert the text to numbers, which no JSON config can
+# hold.  A row's id is its own tag and flag, so deleting a row renames no
+# other; the argvN tags are the positions the rows held when ids were
+# built from them
 PROBE_REFUSALS = [
-    (["trace", "--start", "a,b,c,d", "--time", "1"], "--start", None),
-    (["parametrix", "--m", "0", "--orders", "0"], "--m",
+    ("argv0", ["trace", "--start", "a,b,c,d", "--time", "1"], "--start", None),
+    ("argv1", ["parametrix", "--m", "0", "--orders", "0"], "--m",
      probe_config("parametrix", m=[0], orders=[0])),
-    (["parametrix", "--m", "12,x"], "--m", None),
-    (["mode", "--family", "laplace", "--m", "-1", "--k", "1"], "--m", laplace(m=-1)),
-    (["mode", "--family", "stokes", "--m", "3", "--k", "0"], "--k",
+    ("argv2", ["parametrix", "--m", "12,x"], "--m", None),
+    ("argv3", ["mode", "--family", "laplace", "--m", "-1", "--k", "1"], "--m", laplace(m=-1)),
+    ("argv4", ["mode", "--family", "stokes", "--m", "3", "--k", "0"], "--k",
      probe_config("mode", family={"family": "stokes", "m": 3, "k": 0})),
-    (["classify", "--xp", "inf", "--xip", "1"], "--xp",
+    ("argv5", ["classify", "--xp", "inf", "--xip", "1"], "--xp",
      probe_config("classify", points=[[float("inf"), 1.0]])),
-    (["mode", "--family", "nope", "--m", "2", "--k", "1"], "--family", laplace(family="nope")),
-    (["mode", "--family", "stokes", "--m", "0", "--k", "1"], "--m",
+    ("argv6", ["mode", "--family", "nope", "--m", "2", "--k", "1"], "--family",
+     laplace(family="nope")),
+    ("argv7", ["mode", "--family", "stokes", "--m", "0", "--k", "1"], "--m",
      probe_config("mode", family={"family": "stokes", "m": 0, "k": 1})),
-    (["parametrix", "--m", "12", "--orders", "2"], "--orders",
+    ("argv8", ["parametrix", "--m", "12", "--orders", "2"], "--orders",
      probe_config("parametrix", m=[12], orders=[2])),
-    (["parametrix", "--m", "12,12"], "--m", probe_config("parametrix", m=[12, 12])),
-    (["classify", "--chart", "annulus:2", "--xp", "0", "--xip", "1"], "--chart",
+    ("argv9", ["parametrix", "--m", "12,12"], "--m", probe_config("parametrix", m=[12, 12])),
+    ("argv10", ["classify", "--chart", "annulus:2", "--xp", "0", "--xip", "1"], "--chart",
      probe_config("classify", "annulus:2", **COVECTOR)),
-    (["classify", "--chart", "nosuch", "--xp", "0", "--xip", "1"], "--chart",
+    ("argv11", ["classify", "--chart", "nosuch", "--xp", "0", "--xip", "1"], "--chart",
      probe_config("classify", "nosuch", **COVECTOR)),
-    (["trace", "--start", "0,0,1,0", "--time", "1", "--samples", "0", "--out", "D"],
+    ("argv12", ["trace", "--start", "0,0,1,0", "--time", "1", "--samples", "0", "--out", "D"],
      "--samples", probe_config("trace", **ORIGIN_RAY, samples=0)),
-    (["trace", "--start", "0,0,1,0", "--time", "0"], "--time",
+    ("argv13", ["trace", "--start", "0,0,1,0", "--time", "0"], "--time",
      probe_config("trace", **dict(ORIGIN_RAY, time=0.0))),
-    (["trace", "--start", "0,0,1,0", "--time", "nan"], "--time",
+    ("argv14", ["trace", "--start", "0,0,1,0", "--time", "nan"], "--time",
      probe_config("trace", **dict(ORIGIN_RAY, time=float("nan")))),
-    (["classify", "--chart", "no-radius.json", "--xp", "0", "--xip", "1"], "--chart",
+    ("argv15", ["classify", "--chart", "no-radius.json", "--xp", "0", "--xip", "1"], "--chart",
      probe_config("classify", "no-radius.json", **COVECTOR)),
-    (["classify", "--xp", "0", "--xip", "inf"], "--xip",
+    ("argv16", ["classify", "--xp", "0", "--xip", "inf"], "--xip",
      probe_config("classify", points=[[0.0, float("inf")]])),
-    (["classify", "--xp", "nan", "--xip", "1"], "--xp",
+    ("argv17", ["classify", "--xp", "nan", "--xip", "1"], "--xp",
      probe_config("classify", points=[[float("nan"), 1.0]])),
-    (["classify", "--chart", "nan-coeff.json", "--xp", "0", "--xip", "1"], "--chart",
+    ("argv18", ["classify", "--chart", "nan-coeff.json", "--xp", "0", "--xip", "1"], "--chart",
      probe_config("classify", "nan-coeff.json", **COVECTOR)),
-    (["classify", "--chart", "half-power.json", "--xp", "0", "--xip", "1"], "--chart",
+    ("argv19", ["classify", "--chart", "half-power.json", "--xp", "0", "--xip", "1"], "--chart",
      probe_config("classify", "half-power.json", **COVECTOR)),
-    (["classify", "--chart", "misspelt.json", "--xp", "0", "--xip", "1"], "--chart",
+    ("argv20", ["classify", "--chart", "misspelt.json", "--xp", "0", "--xip", "1"], "--chart",
      probe_config("classify", "misspelt.json", **COVECTOR)),
-    (["classify", "--chart", "order-one.json", "--xp", "0", "--xip", "1"], "--chart",
+    ("argv21", ["classify", "--chart", "order-one.json", "--xp", "0", "--xip", "1"], "--chart",
      probe_config("classify", "order-one.json", **COVECTOR)),
-    (["classify", "--chart", "zero-collar.json", "--xp", "0", "--xip", "1"], "--chart",
+    ("argv22", ["classify", "--chart", "zero-collar.json", "--xp", "0", "--xip", "1"], "--chart",
      probe_config("classify", "zero-collar.json", **COVECTOR)),
-    (["classify", "--chart", "int-term.json", "--xp", "0", "--xip", "1"], "--chart",
+    ("argv23", ["classify", "--chart", "int-term.json", "--xp", "0", "--xip", "1"], "--chart",
      probe_config("classify", "int-term.json", **COVECTOR)),
-    (["trace", "--chart", "model.json", "--start", "0,0,1,0", "--time", "1"], "--start",
+    ("argv24", ["trace", "--chart", "model.json", "--start", "0,0,1,0", "--time", "1"], "--start",
      probe_config("trace", "model.json", **ORIGIN_RAY)),
-    (["parametrix", "--m", "12", "--orders", "0,0"], "--orders",
+    ("argv25", ["parametrix", "--m", "12", "--orders", "0,0"], "--orders",
      probe_config("parametrix", m=[12], orders=[0, 0])),
-    (["trace", "--start", "2,0,1,0", "--time", "1"], "--start",
+    ("argv26", ["trace", "--start", "2,0,1,0", "--time", "1"], "--start",
      probe_config("trace", **dict(ORIGIN_RAY, start=[2.0, 0.0, 1.0, 0.0]))),
-    (["trace", "--chart", "annulus:0.5", "--start", "0.2,0,1,0", "--time", "1"], "--start",
+    ("argv27", ["trace", "--chart", "annulus:0.5", "--start", "0.2,0,1,0", "--time", "1"],
+     "--start",
      probe_config("trace", "annulus:0.5", **dict(ORIGIN_RAY, start=[0.2, 0.0, 1.0, 0.0]))),
     # ambient starts off the unit shell |xi| = 1
-    (["trace", "--start", "0.1,0,1.2,1.6", "--time", "3"], "--start",
+    ("argv28", ["trace", "--start", "0.1,0,1.2,1.6", "--time", "3"], "--start",
      probe_config("trace", start=[0.1, 0.0, 1.2, 1.6], time=3.0)),
-    (["trace", "--start", "0.1,0,0.3,0.4", "--time", "3"], "--start",
+    ("argv29", ["trace", "--start", "0.1,0,0.3,0.4", "--time", "3"], "--start",
      probe_config("trace", start=[0.1, 0.0, 0.3, 0.4], time=3.0)),
-    (["trace", "--start", "0.1,0,0,0", "--time", "3"], "--start",
+    ("argv30", ["trace", "--start", "0.1,0,0,0", "--time", "3"], "--start",
      probe_config("trace", start=[0.1, 0.0, 0.0, 0.0], time=3.0)),
     # shorthands with a field past their last one
-    (["classify", "--chart", "disk:0.2:junk", "--xp", "0", "--xip", "1"], "--chart",
+    ("argv31", ["classify", "--chart", "disk:0.2:junk", "--xp", "0", "--xip", "1"], "--chart",
      probe_config("classify", "disk:0.2:junk", **COVECTOR)),
-    (["trace", "--chart", "annulus:0.3:inner:junk", "--start", "0.5,0,1,0", "--time", "1"],
+    ("argv32",
+     ["trace", "--chart", "annulus:0.3:inner:junk", "--start", "0.5,0,1,0", "--time", "1"],
      "--chart", probe_config("trace", "annulus:0.3:inner:junk",
                              **dict(ORIGIN_RAY, start=[0.5, 0.0, 1.0, 0.0]))),
+    # chart keys the chart kind decides
+    ("round-budget", ["classify", "--chart", "round-budget.json", "--xp", "0", "--xip", "1"],
+     "--chart", probe_config("classify", "round-budget.json", **COVECTOR)),
+    ("model-collar", ["classify", "--chart", "model-collar.json", "--xp", "0", "--xip", "1"],
+     "--chart", probe_config("classify", "model-collar.json", **COVECTOR)),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, flag, config",
-    [pytest.param(*case, id=f"argv{i}-{case[1]}") for i, case in enumerate(PROBE_REFUSALS)],
+    [pytest.param(argv, flag, config, id=f"{tag}-{flag}")
+     for tag, argv, flag, config in PROBE_REFUSALS],
 )
 def test_adhoc_usage_error_exits_two(argv, flag, config, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -970,6 +1038,7 @@ def test_adhoc_usage_error_exits_two(argv, flag, config, tmp_path, monkeypatch, 
         ("half-power", HALF_POWER_CHART), ("misspelt", MISSPELT_CHART),
         ("order-one", ORDER_ONE_CHART), ("zero-collar", ZERO_COLLAR_CHART),
         ("int-term", INT_TERM_CHART), ("model", MODEL_CHART),
+        ("round-budget", ROUND_BUDGET_CHART), ("model-collar", MODEL_COLLAR_CHART),
     ]:
         (tmp_path / f"{name}.json").write_text(json.dumps(chart))
     # argparse refuses the flag: one usage line, exit 2, no traceback
@@ -1174,7 +1243,7 @@ def test_spelt_out_defaults_change_nothing(tmp_path):
     ]
     spelt = [
         # a symbol's label defaults to its experiment's name
-        dict(bare[0], route="free", symbol=dict(bump, name="inv")),
+        dict(bare[0], symbol=dict(bump, name="inv")),
         dict(bare[1], glancing_sign=1),
         dict(bare[2], variant="interior"),
     ]
@@ -1487,12 +1556,13 @@ def test_every_benchmark_workload_config_validates():
 
 # -- the settable surface --------------------------------------------------
 
-# the schema keys that neither @smoke nor a seed-0 benchmark config sets,
-# each with why it stays and the test that sets it: a behaviour key picks
-# another computation, a label names an output, a threshold judges one, a
-# deployment key says where or how wide a run goes, and a collar-frame
-# start places a trace in collar coordinates.  Any other key is a knob no
-# caller turns, and becomes a constant
+# the schema keys and chart keywords that neither @smoke nor a seed-0
+# benchmark config sets, each with why it stays and the test that sets it:
+# a behaviour key picks another computation, a label names an output, a
+# threshold judges one, a deployment key says where or how wide a run goes,
+# a collar-frame start places a trace in collar coordinates, and a geometry
+# key defines a chart.  Any other key is a knob no caller turns, and
+# becomes a constant
 KEPT_KEYS = {
     "out": ("deployment", "test_out_env_var_is_the_default_root"),
     "jobs": ("deployment", "test_schema_checker_matches_jsonschema_on_the_seed_configs"),
@@ -1501,13 +1571,16 @@ KEPT_KEYS = {
     "mode.tolerances.normalization": ("threshold", "test_mode_experiment_writes_field_grid"),
     "mode.tolerances.flux_norm": ("threshold", "test_mode_experiment_writes_field_grid"),
     "symbol.name": ("label", "test_spelt_out_defaults_change_nothing"),
-    "invariance.route": (
-        "behaviour", "test_pullback_invariance_and_arc_symbols_pass_the_kind_rules"),
     "support.glancing_sign": ("behaviour", "test_spelt_out_defaults_change_nothing"),
     "tails.variant": ("behaviour", "test_spelt_out_defaults_change_nothing"),
     "mode.fields": ("behaviour", "test_mode_experiment_writes_field_grid"),
     **{f"trace.start.{key}": ("collar-frame start", "test_invalid_config_exits_two")
        for key in ("y", "xp", "eta", "xip")},
+    **{f"chart.{key}": ("geometry", "test_chart_keys_reach_the_chart")
+       for key in ("annulus.rho_in", "annulus.component", "model.terms")},
+    # where the tracer changes frames, and the deepest contact classify resolves
+    **{f"chart.{key}": ("behaviour", "test_chart_keys_reach_the_chart") for key in (
+        "disk.collar_width", "annulus.collar_width", "model.max_derivative_order")},
 }
 
 
@@ -1545,6 +1618,18 @@ def set_keys(node, path):
             yield from set_keys(value, path)
 
 
+def chart_keys(definition) -> set:
+    """The constructor keywords a chart definition sets, as chart.KIND.KEY;
+    a shorthand's fields are its kind's leading keywords."""
+    definition = charts.chart_definition(definition)
+    if isinstance(definition, dict):
+        kind, keys = definition["kind"], set(definition) - {"kind"}
+    else:
+        kind, *fields = definition.split(":")
+        keys = list(inspect.signature(charts._KINDS[kind]).parameters)[: len(fields)]
+    return {f"chart.{kind}.{key}" for key in keys}
+
+
 def test_every_config_key_is_set_by_a_config_or_kept():
     surface = {surface_key(p) for p in schema_keys(config._CONFIG) if p[0] != "experiments"}
     for kind, spec in KINDS.items():
@@ -1561,9 +1646,14 @@ def test_every_config_key_is_set_by_a_config_or_kept():
             used |= {surface_key(p) for p in set_keys(exp, (exp["kind"],))}
     # a key nobody sets is a knob unless it is kept, and a kept key that a
     # config sets needs no entry
+    # and so is a chart kind's constructor keyword
+    surface |= {f"chart.{kind}.{key}" for kind, ctor in charts._KINDS.items()
+                for key in inspect.signature(ctor).parameters}
+    for doc in docs:
+        used |= chart_keys(doc.get("chart", "disk"))
     assert sorted(surface - used - set(KEPT_KEYS)) == []
     assert sorted(set(KEPT_KEYS) - (surface - used)) == []
-    reasons = {"behaviour", "label", "threshold", "deployment", "collar-frame start"}
+    reasons = {"behaviour", "label", "threshold", "deployment", "collar-frame start", "geometry"}
     for key, (reason, test) in KEPT_KEYS.items():
         assert reason in reasons, key
         leaf = key.rsplit(".", 1)[-1]

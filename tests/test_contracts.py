@@ -1,8 +1,9 @@
 """Input contracts of the public kernels, one table.
 
 Each kernel states its contract in one docstring line that starts with
-"Contract:" and refuses what lies outside it with a ValueError naming the
-offending argument, checked at its entry.
+"Contract:" and refuses what lies outside it, checked at its entry: a
+value out of its domain with a ValueError naming the offending argument
+or the bound it crossed, an argument of the wrong type with a TypeError.
 """
 
 import numpy as np
@@ -10,39 +11,95 @@ import pytest
 
 from bicharlab.billiard import time_to_boundary
 from bicharlab.bumps import bump_profile, plateau_step
-from bicharlab.modes import pick_k_for_ratio
-from bicharlab.quantize import default_box
+from bicharlab.modes import laplace_disk_mode, pick_k_for_ratio
+from bicharlab.quantize import (
+    BandlimitError,
+    BoxGrid,
+    InteriorSymbol,
+    SupportMarginError,
+    TangentialSymbol,
+    apply_interior_op,
+    apply_shifted_op,
+    default_box,
+    pairing,
+)
+from bicharlab.verify import invariance_gap
 
 NAN, INF = float("nan"), float("inf")
 
-# (kernel, args, pattern the ValueError must match)
+# a field, a box and a mode for the operators' rows
+GRID = BoxGrid(32)
+FIELD = np.zeros((32, 32), dtype=complex)
+MODE = laplace_disk_mode(1, 1)
+# spatial support out to the rim, past the margin of every box
+RIM = InteriorSymbol(lambda x1, x2: np.where(np.hypot(x1, x2) <= 1.0, 1.0, 0.0), xi_bound=1.0)
+CORE = InteriorSymbol(lambda x1, x2: np.where(np.hypot(x1, x2) <= 0.3, 1.0, 0.0), xi_bound=1.0)
+SPINNING = InteriorSymbol(RIM.spatial, None, np.cos, xi_bound=1.0)
+COLLAR = TangentialSymbol(lambda y, xp: 0.0 * (y + xp), y_support=0.3)
+
+# (kernel, tag, args, error, pattern the error must match); a row's id is
+# its kernel and its own tag, so deleting a row renames no other.  The
+# numbered tags are the positions the rows held when ids were built from them
 REFUSED = [
-    (time_to_boundary, ([2.0, 0.0], [1.0, 0.0]), r"\bx\b.*closed unit disk"),
-    (time_to_boundary, ([[0.1, 0.0], [0.0, -1.5]], [[1.0, 0.0], [1.0, 0.0]]), r"\bx\b.*disk"),
-    (time_to_boundary, ([1.0 + 1e-11, 0.0], [-1.0, 0.0]), r"\bx\b.*disk"),
-    (time_to_boundary, ([NAN, 0.0], [1.0, 0.0]), r"\bx\b.*must be finite"),
-    (time_to_boundary, ([0.0, -INF], [1.0, 0.0]), r"\bx\b.*must be finite"),
-    (time_to_boundary, ([0.0, 0.0], [INF, 0.0]), r"\bxi\b must be finite"),
-    (time_to_boundary, ([0.0, 0.0], [0.0, NAN]), r"\bxi\b must be finite"),
-    (time_to_boundary, ([0.5, 0.0], [0.0, 0.0]), r"\bxi\b must be nonzero"),
+    (time_to_boundary, "0", ([2.0, 0.0], [1.0, 0.0]), ValueError, r"\bx\b.*closed unit disk"),
     (
         time_to_boundary,
+        "1",
+        ([[0.1, 0.0], [0.0, -1.5]], [[1.0, 0.0], [1.0, 0.0]]),
+        ValueError,
+        r"\bx\b.*disk",
+    ),
+    (time_to_boundary, "2", ([1.0 + 1e-11, 0.0], [-1.0, 0.0]), ValueError, r"\bx\b.*disk"),
+    (time_to_boundary, "3", ([NAN, 0.0], [1.0, 0.0]), ValueError, r"\bx\b.*must be finite"),
+    (time_to_boundary, "4", ([0.0, -INF], [1.0, 0.0]), ValueError, r"\bx\b.*must be finite"),
+    (time_to_boundary, "5", ([0.0, 0.0], [INF, 0.0]), ValueError, r"\bxi\b must be finite"),
+    (time_to_boundary, "6", ([0.0, 0.0], [0.0, NAN]), ValueError, r"\bxi\b must be finite"),
+    (time_to_boundary, "7", ([0.5, 0.0], [0.0, 0.0]), ValueError, r"\bxi\b must be nonzero"),
+    (
+        time_to_boundary,
+        "8",
         ([[0.5, 0.0], [0.0, 0.2]], [[1.0, 0.0], [0.0, 0.0]]),
+        ValueError,
         r"\bxi\b must be nonzero",
     ),
-    (default_box, (-0.1, 1.5), r"\bh > 0"),
-    (default_box, (0.0, 1.5), r"\bh > 0"),
-    (default_box, (NAN, 1.5), r"\bh > 0"),
-    (default_box, (INF, 1.5), r"\bh > 0"),
-    (default_box, (0.1, -1.0), r"\bxi_bound >= 0"),
-    (default_box, (0.1, NAN), r"\bxi_bound >= 0"),
-    (default_box, (0.1, INF), r"\bxi_bound >= 0"),
-    (pick_k_for_ratio, ("stokes", 16, NAN), r"\bratio\b must be finite"),
-    (pick_k_for_ratio, ("stokes", 16, INF), r"\bratio\b must be finite"),
-    (pick_k_for_ratio, ("stokes", 16, -INF), r"\bratio\b must be finite"),
-    (plateau_step, (0.5, 1.0, 1.0), r"\bb > a\b"),
-    (plateau_step, (0.5, 1.0, 0.0), r"\bb > a\b"),
-    (plateau_step, (0.5, 0.0, NAN), r"\bb > a\b"),
+    (default_box, "9", (-0.1, 1.5), ValueError, r"\bh > 0"),
+    (default_box, "10", (0.0, 1.5), ValueError, r"\bh > 0"),
+    (default_box, "11", (NAN, 1.5), ValueError, r"\bh > 0"),
+    (default_box, "12", (INF, 1.5), ValueError, r"\bh > 0"),
+    (default_box, "13", (0.1, -1.0), ValueError, r"\bxi_bound >= 0"),
+    (default_box, "14", (0.1, NAN), ValueError, r"\bxi_bound >= 0"),
+    (default_box, "15", (0.1, INF), ValueError, r"\bxi_bound >= 0"),
+    (pick_k_for_ratio, "16", ("stokes", 16, NAN), ValueError, r"\bratio\b must be finite"),
+    (pick_k_for_ratio, "17", ("stokes", 16, INF), ValueError, r"\bratio\b must be finite"),
+    (pick_k_for_ratio, "18", ("stokes", 16, -INF), ValueError, r"\bratio\b must be finite"),
+    (plateau_step, "19", (0.5, 1.0, 1.0), ValueError, r"\bb > a\b"),
+    (plateau_step, "20", (0.5, 1.0, 0.0), ValueError, r"\bb > a\b"),
+    (plateau_step, "21", (0.5, 0.0, NAN), ValueError, r"\bb > a\b"),
+    (apply_interior_op, "rim", (RIM, FIELD, 0.1, GRID), SupportMarginError, r"support reaches"),
+    (apply_interior_op, "xi-box", (CORE, FIELD, 0.01, GRID), BandlimitError, r"xi box"),
+    (
+        apply_shifted_op,
+        "momentum",
+        (SPINNING, 0.1, FIELD, 0.1, GRID),
+        ValueError,
+        r"without a momentum factor",
+    ),
+    (apply_shifted_op, "nan-s", (CORE, NAN, FIELD, 0.1, GRID), ValueError, r"\bfinite s\b"),
+    (
+        apply_shifted_op,
+        "shifted-rim",
+        (CORE, 0.5, FIELD, 0.1, GRID),
+        SupportMarginError,
+        r"transported support reaches",
+    ),
+    (pairing, "rim", (RIM, MODE), SupportMarginError, r"support reaches"),
+    (
+        invariance_gap,
+        "tangential",
+        ([MODE], COLLAR, 0.1),
+        TypeError,
+        r"\bInteriorSymbol\b.*\bTangentialSymbol\b",
+    ),
 ]
 
 # (kernel, args, the documented value, to 1e-12) at the edges of each contract
@@ -64,12 +121,12 @@ ACCEPTED = [
 
 
 @pytest.mark.parametrize(
-    "kernel, args, pattern",
-    REFUSED,
-    ids=[f"{k.__name__}-{i}" for i, (k, _, _) in enumerate(REFUSED)],
+    "kernel, args, error, pattern",
+    [pytest.param(k, args, error, pattern, id=f"{k.__name__}-{tag}")
+     for k, tag, args, error, pattern in REFUSED],
 )
-def test_kernel_refuses_input_outside_its_contract(kernel, args, pattern):
-    with np.errstate(all="raise"), pytest.raises(ValueError, match=pattern):
+def test_kernel_refuses_input_outside_its_contract(kernel, args, error, pattern):
+    with np.errstate(all="raise"), pytest.raises(error, match=pattern):
         kernel(*args)
 
 
@@ -79,7 +136,7 @@ def test_kernel_accepts_the_edges_of_its_contract(kernel, args, want):
 
 
 # every kernel that either table names
-KERNELS = {k for k, _, _ in REFUSED + ACCEPTED if k.__name__ != "<lambda>"}
+KERNELS = {row[0] for row in REFUSED + ACCEPTED if row[0].__name__ != "<lambda>"}
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS, key=lambda k: k.__name__))

@@ -34,6 +34,8 @@ from bicharlab.quantize import (
     shifted_pairing,
 )
 from bicharlab.quantize import (
+    _apply_interior,
+    _apply_shifted,
     _lattice_positions,
     _origin_phase,
     _plane_coeffs,
@@ -74,11 +76,11 @@ def packet(grid, x0, xi0, h, width=0.35):
     return f / box_norm(grid, f), xi
 
 
-def box_pairing(a, mode, grid, check=True):
+def box_pairing(a, mode, grid):
     """(Op_h(a) u | u) summed over the mode's components, sampled on an explicit box."""
     total = 0.0 + 0.0j
     for u in sample_mode_on_box(mode, grid):
-        total += grid.inner(apply_interior_op(a, u, mode.h, grid, check=check), u)
+        total += grid.inner(apply_interior_op(a, u, mode.h, grid), u)
     return complex(total)
 
 
@@ -856,30 +858,39 @@ def test_box_grid_keeps_axes_not_meshgrids():
     assert np.array_equal(box.K1[:, 0], box.k) and np.array_equal(box.K2[0], box.k)
 
 
-def test_pairing_refuses_a_pullback_it_cannot_place():
-    # a pullback has no spatial factor for the margin check to read
+def test_pairing_takes_a_pullback_unchecked():
+    # a pullback has no spatial factor for a margin check to read, so its
+    # type alone puts it on the unchecked direct lattice sum: the pairing is,
+    # bit for bit, the sum over the sampled components of that kernel's
+    # action, which is what the pairing's check=False returned
     mode = laplace_disk_mode(1, 1)
     placed = SimpleNamespace(eval=lambda x1, x2, xi1, xi2: 0.0 * x1, xi_bound=1.0)
-    with pytest.raises(TypeError, match="check=False"):
-        pairing(placed, mode)
-    assert pairing(placed, mode, check=False) == 0.0
+    assert pairing(placed, mode) == 0.0
+    with pytest.raises(TypeError, match="check"):
+        pairing(placed, mode, check=False)
+    tau = TransportedSymbol(build_symbol(BUMP_SYMBOL), 0.3)
+    for mode in (laplace_disk_mode(2, 2), stokes_disk_mode(1, 2)):
+        grid = default_box(mode.h, max(tau.xi_bound, XI_FLOOR))
+        want = 0.0 + 0.0j
+        for u in sample_mode_on_box(mode, grid):
+            want += grid.inner(_apply_interior(tau, u, mode.h, grid, None), u)
+        assert same_bits(pairing(tau, mode), complex(want))
 
 
-def test_apply_interior_op_refuses_a_pullback_it_cannot_place():
-    # the pairing's refusal, not an AttributeError on the missing spatial
-    # factor; unchecked, the pullback takes the direct lattice sum, which at
-    # s = 0 is the base's FFT path
+def test_apply_interior_op_takes_a_pullback_unchecked():
+    # no AttributeError on the missing spatial factor: the pullback takes the
+    # direct lattice sum, which at s = 0 is the base's FFT path
     grid, h = BoxGrid(32), 0.1
     base = InteriorSymbol(
         spatial_plateau(0.55, 0.7), lambda r: window(r, 0.2, 0.4, 1.2, 1.5), xi_bound=1.6
     )
     tau = TransportedSymbol(base, 0.0)
     f, _ = packet(grid, (-0.1, 0.05), (0.6, 0.2), h, width=0.3)
-    with pytest.raises(TypeError, match="check=False"):
-        apply_interior_op(tau, f, h, grid)
+    with pytest.raises(TypeError, match="check"):
+        apply_interior_op(tau, f, h, grid, check=False)
     calls = []
     tau.eval = lambda *args: calls.append(1) or TransportedSymbol.eval(tau, *args)
-    direct = apply_interior_op(tau, f, h, grid, check=False)
+    direct = apply_interior_op(tau, f, h, grid)
     assert len(calls) == grid.n
     assert np.max(np.abs(direct - apply_interior_op(base, f, h, grid))) < 1e-10
 
@@ -932,7 +943,7 @@ def test_shifted_op_matches_direct_sum():
     a = InteriorSymbol(xf, ring_speed, xi_bound=1.5)
     f, coeffs = lattice_field(grid, 4, seed=31)
     # support semantics are exercised elsewhere; this is the algebra check
-    got = apply_shifted_op(a, s, f, h, grid, check=False)
+    got = _apply_shifted(a, s, f, h, grid, a.spatial(grid.X1, grid.X2))
     # independent dense route straight from the left-quantization sum,
     # evaluating the shifted window at each live lattice frequency
     live = np.argwhere(np.abs(coeffs) > 0)
@@ -956,8 +967,9 @@ def test_shifted_op_zero_shift_is_plain_quantization():
     xf = trig_window(grid)
     a = InteriorSymbol(xf, ring_speed, xi_bound=1.5)
     f, _ = lattice_field(grid, 4, seed=5)
-    got = apply_shifted_op(a, 0.0, f, h, grid, check=False)
-    want = apply_interior_op(a, f, h, grid, check=False)
+    spatial = a.spatial(grid.X1, grid.X2)
+    got = _apply_shifted(a, 0.0, f, h, grid, spatial)
+    want = _apply_interior(a, f, h, grid, spatial)
     assert np.abs(got - want).max() < 1e-10 * np.abs(want).max()
 
 
@@ -987,8 +999,8 @@ def test_shifted_pairing_agrees_with_masked_route():
     )
     fast = 0.0 + 0.0j
     for u in sample_mode_on_box(md, grid):
-        fast += grid.inner(apply_shifted_op(a, s, u, h, grid, check=False), u)
-    dense = box_pairing(moved, md, grid, check=False)
+        fast += grid.inner(_apply_shifted(a, s, u, h, grid, xf(grid.X1, grid.X2)), u)
+    dense = box_pairing(moved, md, grid)
     assert abs(fast - dense) < 1e-8 * max(1.0, abs(dense))
 
 
@@ -1004,7 +1016,7 @@ def double_lattice_unchirp_op(a, s, f, h, grid):
     and the box-origin phase taken once per plane transform.  The oracle
     of the kept-lattice unchirp."""
     if s == 0.0:
-        return apply_interior_op(a, f, h, grid, check=False)
+        return _apply_interior(a, f, h, grid, a.spatial(grid.X1, grid.X2))
     n = grid.n
     pos = _lattice_positions(n)
     k2 = grid.dk * np.fft.fftfreq(2 * n, 1.0 / (2 * n)).astype(int)
@@ -1057,7 +1069,7 @@ def full_padded_shifted_op(a, s, f, h, grid):
     fft2 of their product, cut to the kept lattice.  The oracle of the
     pruned padded passes."""
     if s == 0.0:
-        return apply_interior_op(a, f, h, grid, check=False)
+        return _apply_interior(a, f, h, grid, a.spatial(grid.X1, grid.X2))
     n = grid.n
     pos = _lattice_positions(n)
     kept = grid.dk * np.fft.fftfreq(2 * n, 1.0 / (2 * n)).astype(int)[pos]
@@ -1082,7 +1094,7 @@ def test_pruned_padded_passes_match_the_full_transforms(n):
     rng = np.random.default_rng(n)
     f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     for s in (0.15, -0.1, 1e-3):
-        got = apply_shifted_op(a, s, f, h, grid, check=False)
+        got = _apply_shifted(a, s, f, h, grid, a.spatial(grid.X1, grid.X2))
         assert got.tobytes() == full_padded_shifted_op(a, s, f, h, grid).tobytes()
 
 
@@ -1091,9 +1103,8 @@ def test_shifted_op_refuses_a_non_finite_time(s):
     grid = BoxGrid(64)
     a = InteriorSymbol(spatial_plateau(0.25, 0.45), ring_speed, xi_bound=1.5)
     f, _ = lattice_field(grid, 4, seed=3)
-    for check in (True, False):
-        with pytest.raises(ValueError, match="finite s"):
-            apply_shifted_op(a, s, f, 0.05, grid, check=check)
+    with pytest.raises(ValueError, match="finite s"):
+        apply_shifted_op(a, s, f, 0.05, grid)
     mode = laplace_disk_mode(0, 6)
     with pytest.raises(ValueError, match="finite s"):
         shifted_pairing(build_symbol(BUMP_SYMBOL), s, mode)
@@ -1110,14 +1121,11 @@ def test_each_interior_operator_reads_the_spatial_factor_once():
                        xi_bound=1.5)
     f, _ = lattice_field(grid, 4, seed=7)
 
-    def shifted(a, f, h, grid, check):
-        return apply_shifted_op(a, 0.05, f, h, grid, check=check)
-
-    for apply in (apply_interior_op, shifted):
-        for check in (True, False):
-            reads.clear()
-            apply(a, f, 0.05, grid, check=check)
-            assert len(reads) == 1
+    # each entry check hands the read it checks to the kernel behind it
+    for apply in (apply_interior_op, lambda *args: apply_shifted_op(a, 0.05, *args[1:])):
+        reads.clear()
+        apply(a, f, 0.05, grid)
+        assert len(reads) == 1
     with pytest.raises(SupportMarginError, match="transported"):
         apply_shifted_op(a, 0.5, f, 0.05, grid)
     assert len(reads) == 2
@@ -1138,7 +1146,7 @@ def test_kept_lattice_unchirp_on_a_lattice_field(s):
     grid = BoxGrid(64)
     a = InteriorSymbol(trig_window(grid), ring_speed, xi_bound=1.5)
     f, _ = lattice_field(grid, 4, seed=17)
-    got = apply_shifted_op(a, s, f, 0.05, grid, check=False)
+    got = _apply_shifted(a, s, f, 0.05, grid, a.spatial(grid.X1, grid.X2))
     assert same_bits(got, double_lattice_unchirp_op(a, s, f, 0.05, grid))
 
 

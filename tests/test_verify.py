@@ -422,8 +422,9 @@ def test_property_factored_symbol_matches_two_branch_oracle(spec, seed):
         box = quantize.BoxGrid(32)
         f = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
         twin = InteriorSymbol(a.spatial, a.speed, np.ones_like, xi_bound=a.xi_bound)
-        fast = quantize.apply_interior_op(a, f, 0.1, box, check=False)
-        dense = quantize.apply_interior_op(twin, f, 0.1, box, check=False)
+        spatial = a.spatial(box.X1, box.X2)
+        fast = quantize._apply_interior(a, f, 0.1, box, spatial)
+        dense = quantize._apply_interior(twin, f, 0.1, box, spatial)
         assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(f))
 
 
@@ -564,17 +565,38 @@ def test_property_product_grid_survivors_match_full_grid_oracle(spec, member, nx
     assert rep.notes["unresolved"] == unresolved
 
 
-def test_support_gap_refuses_degenerate_windows():
+def test_support_gap_refuses_degenerate_windows(monkeypatch):
     fam = [modes.stokes_disk_mode(16, 3)]
     a = config.build_symbol(REFLECT_SYMBOL)
-    # x_max = 0 read before = after = 0 and passed; x_max = inf read NaN
-    for bad in ({"x_max": 0.0}, {"x_max": np.inf}, {"xi_max": -1.0}, {"xi_max": np.nan}):
-        with pytest.raises(ValueError, match="x_max"):
+    # the windows are husimi_grid's, which refuses degenerate ones
+    # (test_quantize); support_gap sets none of its own
+    for bad in ({"x_max": 0.0}, {"xi_max": 1.6}):
+        with pytest.raises(TypeError, match="_max"):
             verify.support_gap(fam, a, 0.9, **bad)
     # every window centre so far out that its Gaussian underflows on the
     # box: the mode has no Husimi mass to take fractions of
+    monkeypatch.setattr(
+        verify, "husimi_grid", functools.partial(quantize.husimi_grid, x_max=50.0)
+    )
     with pytest.raises(ValueError, match="no Husimi mass"):
-        verify.support_gap(fam, a, 0.9, nx=4, x_max=50.0)
+        verify.support_gap(fam, a, 0.9, nx=4)
+
+
+def test_support_gap_flies_the_survivors_as_gathered(monkeypatch):
+    # the phase survivors are the pullback's survivors already: support_gap
+    # runs no second survivors scan, and its masses are, bit for bit, those
+    # of the pullback's eval on the same points
+    a = config.build_symbol(REFLECT_SYMBOL)
+    mode = modes.stokes_disk_mode(16, 3)
+    hg = quantize.husimi_grid(mode, nx=28, nxi=29)
+    idx, pts = verify._phase_survivors(hg, a.invariant)
+    tau = verify.TransportedSymbol(a, 0.9)
+    after = float(np.sum(hg.density[idx] * tau.eval(*pts) ** 2) * hg.cell_volume) / hg.mass()
+    scans, scan = [], verify._survivors
+    monkeypatch.setattr(verify, "_survivors", lambda *args: scans.append(1) or scan(*args))
+    rep = verify.support_gap([mode], a, 0.9)
+    assert scans == [] and rep.rows[0].after == after
+    assert rep.notes["unresolved"] == tau.unresolved
 
 
 def test_support_gap_holds_no_full_phase_grid_temporaries():
@@ -682,8 +704,9 @@ def test_ray_blocks_match_the_16384_ray_blocks(monkeypatch, members, s):
 def test_propagation_checks_require_disk_chart():
     fam = [modes.laplace_disk_mode(0, 8)]
     annulus = AnnulusChart(0.35)
-    with pytest.raises(NotImplementedError):
-        verify.invariance_gap(fam, conserved_symbol(), 0.3, route="pullback", chart=annulus)
+    # invariance takes no chart: validation holds its kind to the disk
+    with pytest.raises(TypeError, match="chart"):
+        verify.invariance_gap(fam, conserved_symbol(), 0.3, chart=annulus)
     with pytest.raises(NotImplementedError):
         verify.support_gap(fam, conserved_symbol(), 0.3, chart=annulus)
 
@@ -721,20 +744,31 @@ def test_invariance_gap_free_route_decays():
     assert hs == sorted(hs, reverse=True)
 
 
-def test_invariance_gap_pullback_conserved_symbol():
+def test_invariance_gap_pullback_conserved_symbol(monkeypatch):
     # flow-invariant symbol: the gap isolates integrator roundoff
     fam = [modes.laplace_disk_mode(0, 8)]
-    rep = verify.invariance_gap(fam, conserved_symbol(), 1.3, route="pullback")
+    a = conserved_symbol()
+    samples, sample = [], quantize.sample_mode_on_box
+    monkeypatch.setattr(
+        quantize, "sample_mode_on_box", lambda *args: samples.append(1) or sample(*args)
+    )
+    rep = verify.invariance_gap(fam, a, 1.3)
     assert rep.verdict == "pass"
     assert rep.rows[0].gap < 1e-10
     assert abs(rep.rows[0].before) > 1e-3
     assert rep.notes["unresolved"] == 0
+    # the momentum factor takes the pullback: both times pair on one sample
+    # of the mode, bit for bit the two pullbacks' own pairings
+    assert len(samples) == 1
+    for value, s in ((rep.rows[0].before, 0.0), (rep.rows[0].after, 1.3)):
+        assert value == float(quantize.pairing(verify.TransportedSymbol(a, s), fam[0]).real)
 
 
 def test_invariance_gap_route_validated():
+    # the symbol decides the route: there is no keyword to pick one
     fam = [modes.laplace_disk_mode(0, 8)]
-    with pytest.raises(ValueError, match="route"):
-        verify.invariance_gap(fam, offcenter_bump(), 0.1, route="sideways")
+    with pytest.raises(TypeError, match="route"):
+        verify.invariance_gap(fam, offcenter_bump(), 0.1, route="pullback")
 
 
 # -- support ------------------------------------------------------------
@@ -773,12 +807,15 @@ def test_support_gap_reverse_transport_recovers_mass():
     assert abs(rep2.rows[0].before - rep1.rows[0].before) < 1e-10
 
 
-def test_support_gap_counts_both_masses_on_the_same_centres():
+def test_support_gap_counts_both_masses_on_the_same_centres(monkeypatch):
     # the centres at |x| = 1 + 5e-13 survive the closed-disk tolerance 1e-12;
     # masked to |x| <= 1 before transport only, they read before = 0.0 and
     # after = 0.00547 under a zero-time flow
     a = config.build_symbol(REFLECT_SYMBOL)
-    rep = verify.support_gap([modes.stokes_disk_mode(16, 3)], a, 0.0, nx=3, x_max=1.0 + 5e-13)
+    monkeypatch.setattr(
+        verify, "husimi_grid", functools.partial(quantize.husimi_grid, x_max=1.0 + 5e-13)
+    )
+    rep = verify.support_gap([modes.stokes_disk_mode(16, 3)], a, 0.0, nx=3)
     (row,) = rep.rows
     assert row.before > 0.005 and row.gap == 0.0
 
