@@ -124,12 +124,6 @@ class ModeSpec:
         return num_r, num_theta
 
 
-def _jv_deriv(m, x):
-    if m == 0:
-        return -jv(1, x)
-    return 0.5 * (jv(m - 1, x) - jv(m + 1, x))
-
-
 class Quasimode:
     """A sampled mode plus its closed-form evaluators.
 
@@ -190,20 +184,26 @@ class Quasimode:
         """The radial factors at the radii `rad`, one array per factor.
 
         The closed form F(rho) e^{i m theta} depends on the radius alone,
-        so a caller evaluates this table once per distinct float rho,
-        gathers it back to its points and runs only `angular_values` per
-        point.  Scalar family: (c J_m(lam rho),).  Velocity family: (F',
-        F / rho) for the stream profile F(rho) = c (J_m(lam rho) - J_m(lam)
-        rho^m); rho = 0 takes the limit of F / rho.  Each entry depends on
-        its own radius only, so a table on any set of radii holds the bits
-        of a per-point evaluation at each radius.
+        so a caller evaluates this table at the radii of its points and
+        runs `angular_values` per point.  Scalar family: (c J_m(lam rho),).
+        Velocity family: (F', F / rho) for the stream profile F(rho) = c
+        (J_m(lam rho) - J_m(lam) rho^m); rho = 0 takes the limit of F /
+        rho.  J_m' = J_{m-1} - (m / x) J_m takes the two orders m - 1 and
+        m; as x -> 0, (m / x) J_m -> 1/2 for m = 1 and 0 for any other
+        m.  Each entry depends on its own radius only, so a table on any
+        set of radii holds the bits of a per-point evaluation at each
+        radius.
         """
         m, lam, c = self.m, self.lam, self.c
+        x = lam * rad
+        jm = jv(m, x)
         if self.kind == "laplace":
-            return (c * jv(m, lam * rad),)
+            return (c * jm,)
         jm_lam = jv(m, lam)
-        F = c * (jv(m, lam * rad) - jm_lam * rad**m)
-        dF = c * (lam * _jv_deriv(m, lam * rad) - jm_lam * m * rad ** max(m - 1, 0))
+        F = c * (jm - jm_lam * rad**m)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            jm_over_x = np.where(x > 0.0, jm / x, 0.5 if m == 1 else 0.0)
+        dF = c * (lam * (jv(m - 1, x) - m * jm_over_x) - jm_lam * m * rad ** max(m - 1, 0))
         with np.errstate(divide="ignore", invalid="ignore"):
             F_over_rho = np.where(rad > 1e-12, F / np.where(rad > 1e-12, rad, 1.0), 0.0)
         if m == 1:

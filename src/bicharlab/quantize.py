@@ -78,7 +78,9 @@ class BoxGrid:
     sum_k fhat_k e^{i k.x} with fhat = fft2(f) / n^2.  `X1`, `X2`, `K1`
     and `K2` are the axes as broadcast views, (n, 1) and (1, n), so a
     grid holds O(n) numbers.  Every box has the same half width, 1.5,
-    which leaves the unit disk a margin of 0.5.
+    which leaves the unit disk a margin of 0.5.  The axis is built from
+    integer offsets of the centre node n // 2, so x[n - j] == -x[j]
+    exactly and the symmetries of the square map box nodes onto box nodes.
     """
 
     half = 1.5
@@ -88,7 +90,7 @@ class BoxGrid:
             raise ValueError("n must be even and >= 8")
         self.n = int(n)
         self.dx = 2.0 * self.half / self.n
-        self.x = -self.half + self.dx * np.arange(self.n)
+        self.x = self.dx * (np.arange(self.n) - self.n // 2)
         self.X1, self.X2 = self.x[:, None], self.x[None, :]
         self.k = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
         self.K1, self.K2 = self.k[:, None], self.k[None, :]
@@ -233,78 +235,76 @@ class TangentialSymbol:
             )
 
 
-# box nodes per block of the sampler's passes: its temporaries stay a few
-# MB at any box size, and a box of at most this many nodes is one block
-SAMPLE_NODES = 1 << 15
-
 # complex entries per block of `husimi_grid`'s second pass, (centre
 # columns, xi, box columns): a box of 236 columns takes 4 centre columns
 HUSIMI_NODES = 1 << 15
 
 
+def _times_i_power(z: np.ndarray, k: int) -> np.ndarray:
+    """i**k z by swapping and negating real and imaginary parts: exact to the bit."""
+    k %= 4
+    if k % 2 == 0:
+        return z if k == 0 else -z
+    out = np.empty_like(z)
+    out.real, out.imag = (-z.imag, z.real) if k == 1 else (z.imag, -z.real)
+    return out
+
+
 def sample_mode_on_box(mode, grid: BoxGrid, cutoff: Optional[Callable] = None) -> np.ndarray:
     """Velocity components on the box, zero outside the closed disk.
 
-    The closed form is evaluated at the disk nodes only, where the Bessel
-    argument stays below lam; the rest of the box is left at +0.0.  With
-    `cutoff`, a function of |x|, the components are multiplied by it, and
-    the closed form is evaluated only at the disk nodes where it is
-    nonzero.
+    The closed form is evaluated at the disk nodes of one octant, 0 <=
+    x2 <= x1, where the Bessel argument stays below lam; the rest of the
+    box is left at +0.0.  With `cutoff`, a function of |x|, the components
+    are multiplied by it, and the closed form is evaluated only at the
+    octant nodes where it is nonzero.
 
-    The box is walked in blocks of rows, about SAMPLE_NODES nodes each, so
-    the temporaries stay small.  A first pass keeps the flat indices of
-    the live nodes, their cutoff weights, and each node's place among its
-    block's distinct radii, in arrays sized by counting the disk nodes,
-    so no block's arrays outlive it (kept per block, they fragmented the
-    heap, and peak RSS varied by 12 MB from run to run).  The mode's `radial_table` then runs
-    once on the distinct radii of the whole box, so the nodes (i, j) and
-    (j, i) share one entry even in different blocks, as hypot(a, b) ==
-    hypot(b, a).  A second pass runs `angular_values` on SAMPLE_NODES
-    nodes at a time and scatters them.  Each value takes the same float
-    inputs as a per-point evaluation of the closed form, so the bits are
-    those of one.
+    The other seven octants are the images under the symmetries of the
+    square, the dihedral group D4, which map box nodes onto box nodes
+    because x[n - j] == -x[j] exactly.  For the quarter turn R(x1, x2) =
+    (-x2, x1), u(R x) = i^m R u(x), with R u = (-u_y, u_x) on the two
+    components of a Stokes mode; the reflection x2 -> -x2 takes (u_x,
+    u_y) to (-conj u_x, conj u_y) for a Stokes mode and u to conj u for a
+    Laplace mode, since both are c F(rho) e^{i m theta} with c and F real.
+    Each image is written by swaps and sign changes of the octant values,
+    so it is exact to the bit, and the octant nodes, written last, hold
+    the closed form itself.  The filled values agree with a per-node
+    evaluation to the round-off of the closed form.
+
+    Contract: `mode` is a `modes.Quasimode`, whose closed form has the
+    symmetry of the square; TypeError otherwise.
     """
-    n, x = grid.n, grid.x
-    on = np.flatnonzero(x**2 <= 1.0)  # the rows that can meet the disk
-    step = max(1, SAMPLE_NODES // n)
-    starts = range(on[0], on[-1] + 1, step)
+    if not isinstance(mode, Quasimode):
+        raise TypeError("sample_mode_on_box takes a disk mode, whose sample is rotation symmetric")
+    n, c = grid.n, grid.n // 2
+    q = grid.x[c:][grid.x[c:] ** 2 <= 1.0]  # x[c + i] == q[i] >= 0
+    i, j = np.nonzero(np.tril(q[:, None] ** 2 + q[None, :] ** 2 <= 1.0))
+    rho = np.hypot(q[i], q[j])
+    w = None if cutoff is None else cutoff(rho)
+    if w is not None:
+        live = np.flatnonzero(w)
+        i, j, rho, w = i[live], j[live], rho[live], w[live]
+    vals = mode.angular_values(mode.radial_table(rho), np.arctan2(q[j], q[i]))
+    if w is not None:
+        vals *= w[:, None]
+    vals = vals.T
+    stokes = mode.ncomp == 2
 
-    def in_disk(lo):
-        return x[lo : min(lo + step, on[-1] + 1), None] ** 2 + x[None, :] ** 2 <= 1.0
+    def turn(v):  # the value at R x from the value at x
+        return _times_i_power(np.stack([-v[1], v[0]]) if stokes else v, mode.m)
 
-    size = sum(int(np.count_nonzero(in_disk(lo))) for lo in starts)
-    idx, at = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)
-    w = None if cutoff is None else np.empty(size)
-    spans, radii, end = [], [], 0
-    for lo in starts:
-        i, j = np.nonzero(in_disk(lo))
-        i += lo
-        rho = np.hypot(x[i], x[j])
-        if cutoff is not None:
-            block_w = cutoff(rho)
-            live = np.flatnonzero(block_w)
-            i, j, rho = i[live], j[live], rho[live]
-            w[end : end + live.size] = block_w[live]
-        block_rad, inv = np.unique(rho, return_inverse=True)
-        span = slice(end, end + rho.size)
-        idx[span], at[span] = i * n + j, inv
-        spans.append(span)
-        radii.append(block_rad)
-        end = span.stop
-    rad = np.unique(np.concatenate(radii))
-    for span, block_rad in zip(spans, radii):
-        at[span] = np.searchsorted(rad, block_rad)[at[span]]
-    del radii
-    table = mode.radial_table(rad)
-    comps = np.zeros((mode.ncomp, n * n), dtype=complex)
-    for lo in range(0, end, SAMPLE_NODES):
-        span = slice(lo, min(lo + SAMPLE_NODES, end))
-        i, j = np.divmod(idx[span], n)
-        vals = mode.angular_values([t[at[span]] for t in table], np.arctan2(x[j], x[i]))
-        if w is not None:
-            vals *= w[span, None]
-        comps[:, idx[span]] = vals.T
-    return comps.reshape(-1, n, n)
+    # the values at the mirror images (x1, -x2) of the octant nodes
+    mirror = np.stack([-np.conj(vals[0]), np.conj(vals[1])]) if stokes else np.conj(vals)
+    comps = np.zeros((mode.ncomp, n, n), dtype=complex)
+    i += c
+    j += c
+    # R takes the node (a, b) to (n - b, a); four exact turns bring each
+    # orbit back to its own bits, so the octant values land last
+    for v, a, b in ((mirror, i, n - j), (vals, i, j)):
+        for _ in range(4):
+            v, a, b = turn(v), n - b, a
+            comps[:, a, b] = v
+    return comps
 
 
 def _check_bandlimit(a: InteriorSymbol, h: float, grid: BoxGrid) -> None:

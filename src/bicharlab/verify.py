@@ -641,32 +641,26 @@ def h_oscillation_tail(
         for j, m in enumerate(modes):
             grid = default_box(m.h, float(Rs.max()) + 0.5)
             comps = sample_mode_on_box(m, grid, lambda t: 1.0 - plateau_step(t, lo, hi))
-            # one power spectrum per component serves every radius; the
-            # per-radius sums still run over the components in order
-            speed = None
+            # the spectrum overwrites each component, and its power is
+            # reduced over blocks of 64 rows, so no full power or speed
+            # array is ever held
             tot = 0.0
             tail = np.zeros(Rs.size)
-            last = len(comps) - 1
-            for c in range(last + 1):
-                # the spectrum overwrites the component, and the sample is
-                # released once its last spectrum is taken, before the sums
-                power = np.abs(np.fft.fft2(comps[c], out=comps[c]))
-                if c == last:
-                    del comps
-                power *= power
-                if speed is None:
-                    # built once, after the first spectrum: a one-component
-                    # sample is gone by then, so the two never coexist
-                    speed = np.hypot(grid.K1, grid.K2)
+            for u in comps:
+                spec = np.fft.fft2(u, out=u)
+                for r0 in range(0, grid.n, 64):
+                    rows = slice(r0, r0 + 64)
+                    power = np.abs(spec[rows])
+                    power *= power
+                    speed = np.hypot(grid.K1[rows], grid.K2)
                     speed *= m.h
-                tot += float(power.sum())
-                for i, rad in enumerate(Rs):
-                    tail[i] += float(power[speed > rad].sum())
-                del power
+                    tot += float(power.sum())
+                    for i, rad in enumerate(Rs):
+                        tail[i] += float(power.sum(where=speed > rad))
             if tot != 0.0:
                 out[:, j] = tail / tot
             # free this box before the next one, or peak memory varies
-            del grid, speed
+            del comps, grid
     else:
         for j, m in enumerate(modes):
             g = m.grid

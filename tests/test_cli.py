@@ -812,66 +812,74 @@ def pairing_config(kind, symbol, **keys):
     return {"experiments": [exp]}
 
 
-# each passed validation and then ended as a run-time error (exit 1), or
-# ran with a key its computation ignores
+# (tag, config, the error it must name): each passed validation and then
+# ended as a run-time error (exit 1), or ran with a key its computation
+# ignores.  A row's id is its own tag and error, so deleting a row renames
+# no other; the rawN tags are the positions the rows held when ids were
+# built from them
+KIND_RULES = [
+    ("raw0", pairing_config("car", COLLAR),
+     "experiments[0].symbol.type: car experiments need interior symbols"),
+    ("raw1", pairing_config("elliptic", INTERIOR),
+     "experiments[0].symbol.type: elliptic experiments need tangential symbols"),
+    ("raw2", pairing_config("invariance", COLLAR, time=0.1), "experiments[0].symbol.type"),
+    # a momentum factor takes the pullback route, and its symbol still
+    # meets the symbol rules
+    ("raw3",
+     pairing_config("invariance", dict(SPINNING, factors=SPINNING["factors"][1:]), time=0.1),
+     "experiments[0].symbol.factors"),
+    ("raw4", pairing_config("invariance", dict(SPINNING, xi_bound=1.2), time=0.1),
+     "experiments[0].symbol.factors"),
+    ("raw5", pairing_config("support", COLLAR, time=0.1, husimi={"nx": 8}),
+     "experiments[0].husimi"),
+    ("raw6", pairing_config("support", INTERIOR, time=0.1, glancing_sign=-1),
+     "experiments[0].glancing_sign"),
+    ("raw7", pairing_config("car", dict(INTERIOR, factors=[
+        INTERIOR["factors"][0], {"var": "speed_sq", "window": [0.35, 0.35, 0.75, 0.8]},
+    ])), "experiments[0].symbol.factors[1].window: window ramps must be at least 1e-09"),
+    ("raw8", pairing_config("measure", dict(INTERIOR, factors=[
+        INTERIOR["factors"][0], {"var": "speed", "window": [0.6, 0.8, 1.2, 1.2 + 1e-12]},
+    ])), "experiments[0].symbol.factors[1].window: window ramps"),
+    ("raw9", pairing_config("elliptic", dict(COLLAR, xip_window=[1.15, 1.15, 3.5, 3.9])),
+     "experiments[0].symbol.xip_window: window ramps"),
+    # the lattice never samples this speed window: the pairing read 1.9e-19
+    ("raw10", pairing_config("measure", {"type": "interior", "xi_bound": 0.5, "factors": [
+        {"var": "radius", "window": [-0.7, -0.6, 0.6, 0.7]},
+        {"var": "speed", "window": [1.0, 1.1, 1.3, 1.4]},
+    ]}), "experiments[0].symbol.factors[1].window: the window reaches |xi| = 1.4"),
+    ("raw11", pairing_config("measure", dict(INTERIOR, xi_bound=0.85, factors=[
+        INTERIOR["factors"][0], {"var": "speed_sq", "window": [0.35, 0.5, 0.75, 0.8]},
+    ])), "experiments[0].symbol.factors[1].window: the window reaches |xi| = 0.894"),
+    # 1.0 at |xi|^2 = 0.875, between the samples of a coarse probe
+    ("raw12", pairing_config("car", dict(INTERIOR, factors=[
+        INTERIOR["factors"][0], {"var": "speed_sq", "window": [0.86, 0.87, 0.88, 0.89]},
+    ])), "experiments[0].symbol.factors: the speed windows are nonzero for |xi|^2"),
+    ("raw13", pairing_config("car", dict(INTERIOR, factors=[
+        *INTERIOR["factors"], {"var": "speed", "window": [1.05, 1.1, 1.4, 1.5]},
+    ])), "experiments[0].symbol.factors: the speed windows are nonzero for |xi|^2"),
+    ("raw14", pairing_config("car", dict(INTERIOR, factors=INTERIOR["factors"][:1])),
+     "experiments[0].symbol.factors: car symbols need a speed or speed_sq factor"),
+    # elliptic_mass refused this window at run time: exit 1
+    ("raw15",
+     pairing_config("elliptic", dict(COLLAR, xip_window=[0.5, 0.6, 3.5, 3.9], xip_abs=True)),
+     "experiments[0].symbol.xip_window: the window is nonzero for |xi'| in (0.5, 3.9)"),
+    ("raw16", pairing_config("elliptic", dict(COLLAR, xip_window=[-3.9, -3.5, 1.0, 1.2])),
+     "experiments[0].symbol.xip_window: the window is nonzero for xi' in (-3.9, 1.2)"),
+    ("raw17", pairing_config("elliptic", {"type": "tangential", "y_support": 0.3}),
+     "experiments[0].symbol.xip_window: elliptic symbols need a window"),
+    # the halving law judged the order-1 errors, or no pair at all
+    ("raw18", {"experiments": [{"name": "p", "kind": "parametrix", "m": [32, 64],
+                                "orders": [1], "expect_halving": True}]},
+     "experiments[0].expect_halving: the halving law judges order 0, which orders lacks"),
+    ("raw19", {"experiments": [{"name": "p", "kind": "parametrix", "m": [16, 64],
+                                "expect_halving": True}]},
+     "experiments[0].expect_halving: m holds no pair (m, 2m) to judge"),
+]
+
+
 @pytest.mark.parametrize(
     "raw, named",
-    [
-        (pairing_config("car", COLLAR),
-         "experiments[0].symbol.type: car experiments need interior symbols"),
-        (pairing_config("elliptic", INTERIOR),
-         "experiments[0].symbol.type: elliptic experiments need tangential symbols"),
-        (pairing_config("invariance", COLLAR, time=0.1), "experiments[0].symbol.type"),
-        # a momentum factor takes the pullback route, and its symbol still
-        # meets the symbol rules
-        (pairing_config("invariance", dict(SPINNING, factors=SPINNING["factors"][1:]), time=0.1),
-         "experiments[0].symbol.factors"),
-        (pairing_config("invariance", dict(SPINNING, xi_bound=1.2), time=0.1),
-         "experiments[0].symbol.factors"),
-        (pairing_config("support", COLLAR, time=0.1, husimi={"nx": 8}),
-         "experiments[0].husimi"),
-        (pairing_config("support", INTERIOR, time=0.1, glancing_sign=-1),
-         "experiments[0].glancing_sign"),
-        (pairing_config("car", dict(INTERIOR, factors=[
-            INTERIOR["factors"][0], {"var": "speed_sq", "window": [0.35, 0.35, 0.75, 0.8]},
-        ])), "experiments[0].symbol.factors[1].window: window ramps must be at least 1e-09"),
-        (pairing_config("measure", dict(INTERIOR, factors=[
-            INTERIOR["factors"][0], {"var": "speed", "window": [0.6, 0.8, 1.2, 1.2 + 1e-12]},
-        ])), "experiments[0].symbol.factors[1].window: window ramps"),
-        (pairing_config("elliptic", dict(COLLAR, xip_window=[1.15, 1.15, 3.5, 3.9])),
-         "experiments[0].symbol.xip_window: window ramps"),
-        # the lattice never samples this speed window: the pairing read 1.9e-19
-        (pairing_config("measure", {"type": "interior", "xi_bound": 0.5, "factors": [
-            {"var": "radius", "window": [-0.7, -0.6, 0.6, 0.7]},
-            {"var": "speed", "window": [1.0, 1.1, 1.3, 1.4]},
-        ]}), "experiments[0].symbol.factors[1].window: the window reaches |xi| = 1.4"),
-        (pairing_config("measure", dict(INTERIOR, xi_bound=0.85, factors=[
-            INTERIOR["factors"][0], {"var": "speed_sq", "window": [0.35, 0.5, 0.75, 0.8]},
-        ])), "experiments[0].symbol.factors[1].window: the window reaches |xi| = 0.894"),
-        # 1.0 at |xi|^2 = 0.875, between the samples of a coarse probe
-        (pairing_config("car", dict(INTERIOR, factors=[
-            INTERIOR["factors"][0], {"var": "speed_sq", "window": [0.86, 0.87, 0.88, 0.89]},
-        ])), "experiments[0].symbol.factors: the speed windows are nonzero for |xi|^2"),
-        (pairing_config("car", dict(INTERIOR, factors=[
-            *INTERIOR["factors"], {"var": "speed", "window": [1.05, 1.1, 1.4, 1.5]},
-        ])), "experiments[0].symbol.factors: the speed windows are nonzero for |xi|^2"),
-        (pairing_config("car", dict(INTERIOR, factors=INTERIOR["factors"][:1])),
-         "experiments[0].symbol.factors: car symbols need a speed or speed_sq factor"),
-        # elliptic_mass refused this window at run time: exit 1
-        (pairing_config("elliptic", dict(COLLAR, xip_window=[0.5, 0.6, 3.5, 3.9], xip_abs=True)),
-         "experiments[0].symbol.xip_window: the window is nonzero for |xi'| in (0.5, 3.9)"),
-        (pairing_config("elliptic", dict(COLLAR, xip_window=[-3.9, -3.5, 1.0, 1.2])),
-         "experiments[0].symbol.xip_window: the window is nonzero for xi' in (-3.9, 1.2)"),
-        (pairing_config("elliptic", {"type": "tangential", "y_support": 0.3}),
-         "experiments[0].symbol.xip_window: elliptic symbols need a window"),
-        # the halving law judged the order-1 errors, or no pair at all
-        ({"experiments": [{"name": "p", "kind": "parametrix", "m": [32, 64], "orders": [1],
-                           "expect_halving": True}]},
-         "experiments[0].expect_halving: the halving law judges order 0, which orders lacks"),
-        ({"experiments": [{"name": "p", "kind": "parametrix", "m": [16, 64],
-                           "expect_halving": True}]},
-         "experiments[0].expect_halving: m holds no pair (m, 2m) to judge"),
-    ],
+    [pytest.param(raw, named, id=f"{tag}-{named}") for tag, raw, named in KIND_RULES],
 )
 def test_kind_symbol_and_window_rules_exit_two(raw, named, tmp_path, capsys):
     cfg = tmp_path / "bad.json"
@@ -2041,7 +2049,8 @@ def test_layer_parametrix_errors_hold_to_round_off(tmp_path):
 
 
 # seed-0 `layer` values before the experiments computed only what they
-# read; each must come back bit for bit
+# read, and before the box axis was built odd about its centre node and
+# the sample filled from one octant; they bound the values below
 LAYER_INVARIANCE_ROWS = [  # (h, before, after, gap)
     (0.03264282180449974, 0.03282379564956469, 0.039253076029787, 0.008488558770565072),
     (0.02020911997312793, 0.03361835759817946, 0.03539915256349787, 0.00643189555868364),
@@ -2054,6 +2063,21 @@ LAYER_TAIL_FRACTIONS = [
     [0.0004394837057482119, 6.898871491183182e-06, 9.283718084882042e-08],
     [9.061414413186673e-07, 1.2268795002870352e-09, 4.334585079894924e-13],
     [3.42487888814023e-10, 7.268153350787496e-14, 5.225783804850996e-19],
+]
+# the same values from the octant sample on the odd box axis; each must
+# come back bit for bit
+OCTANT_INVARIANCE_ROWS = [  # (h, before, after, gap)
+    (0.03264282180449974, 0.03282379564956464, 0.039253076029786955, 0.008488558770565086),
+    (0.02020911997312793, 0.033618357598179424, 0.03539915256349787, 0.006431895558683646),
+    (0.01286073962619287, 0.03397178075069513, 0.033640820854419044, 0.0036619596385353654),
+    (0.008007731694726204, 0.03387602066196256, 0.03309092756532406, 0.0019373384123264376),
+    (0.005327343212934813, 0.03388194338938234, 0.03333388479282905, 0.0008903080559324054),
+]
+OCTANT_INVARIANCE_GAP_RATE = 1.2491364710435562
+OCTANT_TAIL_FRACTIONS = [
+    [0.00043948370574821487, 6.898871491183251e-06, 9.283718084881757e-08],
+    [9.061414413185747e-07, 1.2268795002888548e-09, 4.3345850809675847e-13],
+    [3.424878888128293e-10, 7.26815335161658e-14, 5.22578397009791e-19],
 ]
 LAYER_STOKES_WORST = {
     "boundary": 3.8980232585552894e-12,
@@ -2080,10 +2104,18 @@ def test_layer_box_and_residual_values_are_bit_identical(tmp_path):
     assert tree_digest(outs[0]) == tree_digest(outs[1])
     inv = json.load(open(outs[0] / "layer-invariance.json"))["payload"]
     rows = [(r["h"], r["before"], r["after"], r["gap"]) for r in inv["rows"]]
-    assert rows == LAYER_INVARIANCE_ROWS
-    assert inv["notes"] == {"gap_rate": LAYER_INVARIANCE_GAP_RATE, "unresolved": 0.0}
+    assert rows == OCTANT_INVARIANCE_ROWS
+    assert inv["notes"] == {"gap_rate": OCTANT_INVARIANCE_GAP_RATE, "unresolved": 0.0}
     tails = json.load(open(outs[0] / "layer-tails.json"))["payload"]
-    assert tails["fractions"] == LAYER_TAIL_FRACTIONS
+    assert tails["fractions"] == OCTANT_TAIL_FRACTIONS
+    # the earlier values hold as a bound: the box axis moved by round-off.
+    # The largest fraction moved 3.0e-18 and the smallest 1.7e-26
+    old = np.array(LAYER_INVARIANCE_ROWS)
+    assert np.all(np.abs(np.array(rows) - old) <= 1e-13 * old)
+    rate = inv["notes"]["gap_rate"]
+    assert abs(rate - LAYER_INVARIANCE_GAP_RATE) <= 1e-13 * LAYER_INVARIANCE_GAP_RATE
+    old = np.array(LAYER_TAIL_FRACTIONS)
+    assert np.all(np.abs(np.array(tails["fractions"]) - old) <= 1e-13 * old + 1e-20)
     stokes = json.load(open(outs[0] / "layer-stokes-modes.json"))["payload"]
     assert stokes["worst"] == LAYER_STOKES_WORST
     lines = [ln for ln in (outs[0] / "layer-stokes-modes.csv").read_text().splitlines()

@@ -22,6 +22,7 @@ from bicharlab.quantize import (
     apply_shifted_op,
     default_box,
     pairing,
+    sample_mode_on_box,
 )
 from bicharlab.verify import invariance_gap
 
@@ -93,6 +94,8 @@ REFUSED = [
         r"transported support reaches",
     ),
     (pairing, "rim", (RIM, MODE), SupportMarginError, r"support reaches"),
+    # only a disk mode has the symmetry of the square the sampler fills by
+    (sample_mode_on_box, "raw-field", (FIELD, GRID), TypeError, r"\bdisk mode\b"),
     (
         invariance_gap,
         "tangential",
@@ -102,21 +105,24 @@ REFUSED = [
     ),
 ]
 
-# (kernel, args, the documented value, to 1e-12) at the edges of each contract
+# (kernel, tag, args, the documented value, to 1e-12) at the edges of
+# each contract; a row's id is its kernel and its own tag, as in REFUSED.
+# The argsN tags are the positions the rows held, and the values they
+# carried, when ids were built from them
 ACCEPTED = [
-    (time_to_boundary, ([0.0, 0.0], [1.0, 0.0]), 0.5),
-    (time_to_boundary, ([1.0, 0.0], [-1.0, 0.0]), 1.0),
-    (time_to_boundary, ([1.0 + 5e-13, 0.0], [-1.0, 0.0]), 1.0),
-    (lambda h, b: default_box(h, b).n, (0.1, 0.0), 32),
+    (time_to_boundary, "args0-0.5", ([0.0, 0.0], [1.0, 0.0]), 0.5),
+    (time_to_boundary, "args1-1.0", ([1.0, 0.0], [-1.0, 0.0]), 1.0),
+    (time_to_boundary, "args2-1.0", ([1.0 + 5e-13, 0.0], [-1.0, 0.0]), 1.0),
+    (lambda h, b: default_box(h, b).n, "args3-32", (0.1, 0.0), 32),
     # 16 / lam_1 = 0.72 lies nearest, so the first prefix of zeros decides
-    (pick_k_for_ratio, ("stokes", 16, 0.9), 1),
-    (bump_profile, (NAN,), 0.0),
-    (bump_profile, (1.0,), 0.0),
-    (bump_profile, (-1.0,), 0.0),
-    (bump_profile, (0.0,), 1.0),
-    (plateau_step, (NAN, 0.0, 1.0), 0.0),
-    (plateau_step, (0.0, 0.0, 1.0), 0.0),
-    (plateau_step, (1.0, 0.0, 1.0), 1.0),
+    (pick_k_for_ratio, "args4-1", ("stokes", 16, 0.9), 1),
+    (bump_profile, "args5-0.0", (NAN,), 0.0),
+    (bump_profile, "args6-0.0", (1.0,), 0.0),
+    (bump_profile, "args7-0.0", (-1.0,), 0.0),
+    (bump_profile, "args8-1.0", (0.0,), 1.0),
+    (plateau_step, "args9-0.0", (NAN, 0.0, 1.0), 0.0),
+    (plateau_step, "args10-0.0", (0.0, 0.0, 1.0), 0.0),
+    (plateau_step, "args11-1.0", (1.0, 0.0, 1.0), 1.0),
 ]
 
 
@@ -130,7 +136,10 @@ def test_kernel_refuses_input_outside_its_contract(kernel, args, error, pattern)
         kernel(*args)
 
 
-@pytest.mark.parametrize("kernel, args, want", ACCEPTED)
+@pytest.mark.parametrize(
+    "kernel, args, want",
+    [pytest.param(k, args, want, id=f"{k.__name__}-{tag}") for k, tag, args, want in ACCEPTED],
+)
 def test_kernel_accepts_the_edges_of_its_contract(kernel, args, want):
     assert abs(kernel(*args) - want) <= 1e-12
 

@@ -12,7 +12,6 @@ from bicharlab import modes as modes_module
 from bicharlab.modes import (
     ModeSpec,
     _bessel_zeros,
-    _jv_deriv,
     _zeros_table,
     bessel_zero,
     family_lambda,
@@ -397,8 +396,11 @@ def per_point_velocity(mode, points):
     if mode.kind == "laplace":
         return (c * jv(m, lam * rho) * phase)[..., None]
     jm_lam = jv(m, lam)
-    F = c * (jv(m, lam * rho) - jm_lam * rho**m)
-    dF = c * (lam * _jv_deriv(m, lam * rho) - jm_lam * m * rho ** max(m - 1, 0))
+    x = lam * rho
+    F = c * (jv(m, x) - jm_lam * rho**m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        djm = jv(m - 1, x) - m * np.where(x > 0.0, jv(m, x) / x, 0.5 if m == 1 else 0.0)
+    dF = c * (lam * djm - jm_lam * m * rho ** max(m - 1, 0))
     with np.errstate(divide="ignore", invalid="ignore"):
         F_over_rho = np.where(rho > 1e-12, F / np.where(rho > 1e-12, rho, 1.0), 0.0)
     if m == 1:
@@ -408,6 +410,29 @@ def per_point_velocity(mode, points):
     ux = (st_ * dF + ct * 1j * m * F_over_rho) * phase
     uy = -(ct * dF - st_ * 1j * m * F_over_rho) * phase
     return np.stack([ux, uy], axis=-1)
+
+
+def three_order_derivative(m, x):
+    """J_m' as `radial_table` took it before: (J_{m-1} - J_{m+1}) / 2, and
+    -J_1 at m = 0.  The oracle of the two-order form."""
+    if m == 0:
+        return -jv(1, x)
+    return 0.5 * (jv(m - 1, x) - jv(m + 1, x))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 16, 44, 64])
+@pytest.mark.parametrize("k", [1, 2, 5, 10])
+def test_radial_table_derivative_matches_the_three_order_oracle(m, k):
+    # J_m' = J_{m-1} - (m / x) J_m with its limit at x = 0, against the
+    # three orders it replaced: within 1e-14 of the profile's max
+    mode = stokes_disk_mode(m, k)
+    rad = np.linspace(0.0, 1.0, 2001)
+    dF, _ = mode.radial_table(rad)
+    jm_lam = jv(m, mode.lam)
+    want = mode.c * (mode.lam * three_order_derivative(m, mode.lam * rad)
+                     - jm_lam * m * rad ** max(m - 1, 0))
+    assert np.max(np.abs(dF - want)) <= 1e-14 * np.max(np.abs(want))
+    assert dF[0] == want[0]  # the limit at rho = 0, exactly
 
 
 @functools.cache

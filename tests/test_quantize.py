@@ -705,24 +705,32 @@ def test_second_pass_block_size_moves_no_bit(monkeypatch, nodes):
     assert_same_husimi(husimi_grid(mode, nx=15, nxi=21), one_call_per_row_husimi(mode, 15, 21))
 
 
+def octant_mask(grid):
+    """The box nodes 0 <= x2 <= x1: the octant the sampler evaluates."""
+    return (grid.X2 >= 0.0) & (grid.X2 <= grid.X1)
+
+
 @pytest.mark.parametrize("mode", [stokes_disk_mode(7, 2), laplace_disk_mode(3, 4)])
 def test_sample_mode_on_box_is_the_full_box_closed_form_on_the_disk(mode):
+    # the octant holds the closed form's bits, the other seven octants
+    # its images, within round-off of the closed form at their own nodes
     box = default_box(mode.h, 2.6)
     comps = sample_mode_on_box(mode, box)
     points = np.stack(np.broadcast_arrays(box.X1, box.X2), axis=-1)
     full = np.moveaxis(eval_velocity(mode, points), -1, 0)
     inside = disk_mask(box)
     assert comps.shape == full.shape and comps.dtype == complex
-    bits = [np.ascontiguousarray(c[:, inside]).view(np.uint64) for c in (comps, full)]
-    assert np.array_equal(*bits)
+    octant = inside & octant_mask(box)
+    assert same_bits(comps[:, octant], full[:, octant])
+    assert np.max(np.abs(comps[:, inside] - full[:, inside])) <= 1e-13 * np.max(np.abs(full))
     outside = np.ascontiguousarray(comps[:, ~inside]).view(float)
     assert np.all(outside == 0.0) and not np.signbit(outside).any()
 
 
 def one_shot_sample(mode, grid, cutoff=None):
-    """sample_mode_on_box as it was: every live node of the box gathered at
-    once and evaluated by one `eval_velocity` call.  The oracle of the
-    streamed sampler."""
+    """sample_mode_on_box as it was before the octant fill: every live node
+    of the box gathered at once and evaluated by one `eval_velocity` call.
+    The oracle of the octant sampler."""
     i, j = np.nonzero(disk_mask(grid))
     x1, x2 = grid.x[i], grid.x[j]
     if cutoff is not None:
@@ -737,13 +745,23 @@ def one_shot_sample(mode, grid, cutoff=None):
     return comps
 
 
+def assert_matches_one_shot(got, want):
+    """The octant sample against the per-node oracle: within 1e-13 of the
+    sample's max, and zero wherever the oracle is (a reflected image may
+    hold -0.0 where the oracle holds +0.0)."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    parts = [np.ascontiguousarray(f).view(float) for f in (got, want)]
+    assert np.all(parts[0][parts[1] == 0.0] == 0.0)
+
+
 def tail_cutoff(t):
     return 1.0 - plateau_step(t, 0.7, 0.9)
 
 
 @pytest.mark.parametrize("cutoff", [None, tail_cutoff], ids=["disk", "cutoff"])
 @pytest.mark.parametrize("mode, xi_bound", [
-    (laplace_disk_mode(3, 4), 1.5),  # n = 36: the box is one block
+    (laplace_disk_mode(3, 4), 1.5),  # n = 36
     (stokes_disk_mode(1, 2), 1.5),
     (laplace_disk_mode(0, 40), 8.5),  # n = 1026, the layer tails box
     (stokes_disk_mode(44, 10), 2.6),  # n = 236
@@ -751,42 +769,105 @@ def tail_cutoff(t):
 ], ids=lambda v: f"{v.kind}-{v.m}-{v.k}" if hasattr(v, "kind") else str(v))
 def test_streamed_sample_matches_the_one_shot_oracle(mode, xi_bound, cutoff):
     box = default_box(mode.h, xi_bound)
-    got = sample_mode_on_box(mode, box, cutoff)
-    want = one_shot_sample(mode, box, cutoff)
-    assert got.shape == want.shape and got.dtype == want.dtype
-    assert got.tobytes() == want.tobytes()
+    assert_matches_one_shot(sample_mode_on_box(mode, box, cutoff),
+                            one_shot_sample(mode, box, cutoff))
 
 
 @pytest.mark.parametrize("family", [laplace_disk_mode, stokes_disk_mode])
 def test_streamed_sample_shares_radii_across_blocks(family, monkeypatch):
-    # blocks of two rows put the nodes (i, j) and (j, i) in different
-    # blocks; the one radius table keeps them on one entry and the bits
+    # the other seven octants share the octant's radii: the radial table
+    # runs once per sample, on the radii of the octant's live nodes only
     mode = family(5, 3)
     box = default_box(mode.h, 1.5)
-    want = [one_shot_sample(mode, box, cutoff).tobytes() for cutoff in (None, tail_cutoff)]
-    monkeypatch.setattr(quantize, "SAMPLE_NODES", 2 * box.n)
+    want = [one_shot_sample(mode, box, cutoff) for cutoff in (None, tail_cutoff)]
     tables = []
     radial_table = type(mode).radial_table
     monkeypatch.setattr(type(mode), "radial_table",
                         lambda self, rad: tables.append(rad) or radial_table(self, rad))
-    got = [sample_mode_on_box(mode, box, cutoff).tobytes() for cutoff in (None, tail_cutoff)]
-    assert got == want
-    i, j = np.nonzero(disk_mask(box))
+    for cutoff, oracle in zip((None, tail_cutoff), want):
+        assert_matches_one_shot(sample_mode_on_box(mode, box, cutoff), oracle)
+    octant = disk_mask(box) & octant_mask(box)
+    rho = np.hypot(box.X1, box.X2)[octant]
     assert len(tables) == 2
-    assert np.array_equal(tables[0], np.unique(np.hypot(box.x[i], box.x[j])))
+    assert np.array_equal(np.sort(tables[0]), np.sort(rho))
+    assert np.array_equal(np.sort(tables[1]), np.sort(rho[tail_cutoff(rho) != 0.0]))
+    assert 8 * len(tables[0]) < 1.2 * np.count_nonzero(disk_mask(box))
 
 
 def test_sample_of_a_box_within_one_block(monkeypatch):
+    # the octant is evaluated by one angular call, whatever the box size
     mode = stokes_disk_mode(3, 2)
     box = default_box(mode.h, 1.5)
-    assert box.n**2 <= quantize.SAMPLE_NODES
     calls = []
     angular_values = type(mode).angular_values
     monkeypatch.setattr(type(mode), "angular_values",
                         lambda self, *args: calls.append(1) or angular_values(self, *args))
     got = sample_mode_on_box(mode, box, tail_cutoff)
     assert len(calls) == 1
-    assert got.tobytes() == one_shot_sample(mode, box, tail_cutoff).tobytes()
+    assert_matches_one_shot(got, one_shot_sample(mode, box, tail_cutoff))
+
+
+def square_action(vals, mode, turns, reflect):
+    """The value at g x of a disk mode, from the value `vals` (ncomp, count)
+    at x, for g = R^turns after the reflection x2 -> -x2 when `reflect`.
+
+    Written on the real and imaginary parts, so every step is exact: the
+    reflection is (-conj u_x, conj u_y) for a Stokes mode and conj u for a
+    Laplace mode, and R takes u to i^m (-u_y, u_x), or to i^m u.
+    """
+    parts = np.ascontiguousarray(vals).view(float).reshape(vals.shape + (2,))
+    re, im = parts[..., 0], parts[..., 1]
+    stokes = len(vals) == 2
+    if reflect:
+        im = -im
+        if stokes:
+            re, im = np.stack([-re[0], re[1]]), np.stack([-im[0], im[1]])
+    for _ in range(turns):
+        if stokes:
+            re, im = np.stack([-re[1], re[0]]), np.stack([-im[1], im[0]])
+        for _ in range(mode.m % 4):
+            re, im = -im, re
+    return np.stack([re, im], axis=-1).view(complex)[..., 0]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    family=st.sampled_from(["laplace", "stokes"]),
+    m=st.integers(0, 13),
+    k=st.integers(1, 4),
+    xi_bound=st.floats(0.0, 4.0),
+    cut=st.booleans(),
+)
+def test_octant_images_are_the_square_symmetries_bit_for_bit(family, m, k, xi_bound, cut):
+    # each image holds the group action on its octant value; a node on a
+    # mirror line of the square, which two elements reach, holds the
+    # action of one of them; every node outside the disk, or where the
+    # cutoff is zero, is +0.0.  The box axis is exactly odd about n // 2
+    mode = laplace_disk_mode(m, k) if family == "laplace" else stokes_disk_mode(max(m, 1), k)
+    box = default_box(mode.h, xi_bound)
+    n, c = box.n, box.n // 2
+    assert box.x[c] == 0.0 and np.array_equal(box.x[1:][::-1], -box.x[1:])
+    comps = sample_mode_on_box(mode, box, tail_cutoff if cut else None)
+    live = disk_mask(box)
+    assert not np.ascontiguousarray(comps[:, ~live]).view(np.uint64).any()
+    if cut:
+        # a node where the cutoff is zero is never written either
+        live &= tail_cutoff(np.hypot(box.X1, box.X2)) != 0.0
+        assert not np.ascontiguousarray(comps[:, ~live]).view(np.uint64).any()
+    i, j = np.nonzero(live & octant_mask(box))
+    vals = comps[:, i, j]
+    flat = comps.reshape(len(comps), -1)
+    held = np.zeros(n * n, dtype=bool)
+    for reflect in (False, True):
+        a, b = (i, n - j) if reflect else (i, j)
+        for turns in range(4):
+            want = square_action(vals, mode, turns, reflect)
+            bits = [np.ascontiguousarray(v).view(np.uint64).reshape(len(v), -1, 2)
+                    for v in (flat[:, a * n + b], want)]
+            same = np.all(bits[0] == bits[1], axis=(0, 2))
+            held[(a * n + b)[same]] = True
+            a, b = n - b, a
+    assert np.array_equal(held, live.ravel())
 
 
 def spectral_tail_mass(fields, grid, h, R):
@@ -823,7 +904,9 @@ def test_spectral_tail_mass_decreases_in_radius():
 
 def test_h_oscillation_tail_matches_per_radius_oracle():
     # the Stokes mode has two velocity components, so the sums over
-    # components are checked too; the cutoff is the interior default
+    # components are checked too; the cutoff is the interior default.
+    # The tails sum the power over blocks of rows, the oracle over the
+    # whole box: only the order of the sums differs
     fam = [laplace_disk_mode(0, 5), laplace_disk_mode(1, 3), laplace_disk_mode(4, 6),
            stokes_disk_mode(1, 2), stokes_disk_mode(3, 4, num_r=64, num_theta=30)]
     radii = (2.0, 4.0, 8.0)
@@ -834,7 +917,7 @@ def test_h_oscillation_tail_matches_per_radius_oracle():
         comps *= 1.0 - plateau_step(np.hypot(box.X1, box.X2), 0.7, 0.9)
         for i, R in enumerate(radii):
             want[i, j] = spectral_tail_mass(comps, box, mode.h, R)
-    assert np.array_equal(h_oscillation_tail(fam, radii), want)
+    assert np.all(np.abs(h_oscillation_tail(fam, radii) - want) <= 1e-12 * want)
 
 
 def test_default_box_and_snap_frequency():
@@ -1179,15 +1262,17 @@ def test_invariance_rows_match_the_per_call_loop():
                                   stokes_disk_mode(3, 4)], ids=["laplace-0", "laplace-1", "stokes-3"])
 def test_cutoff_sample_matches_the_full_box_cut(mode):
     # the cutoff vanishes for |x| >= 0.9, so only the nodes inside are
-    # evaluated; the full-box product gives the same bits there and a
-    # zero of either sign everywhere else
+    # evaluated; the full-box product gives the same values there, the
+    # bits on the octant, and a zero of either sign everywhere else
     cut = lambda t: 1.0 - plateau_step(t, 0.7, 0.9)
     box = default_box(mode.h, 4.5)
     got = sample_mode_on_box(mode, box, cut)
+    assert_matches_one_shot(got, one_shot_sample(mode, box, cut))
     full = sample_mode_on_box(mode, box)
     full *= cut(np.hypot(box.X1, box.X2))
     live = cut(np.hypot(box.X1, box.X2)) != 0.0
     assert live.any() and not live[~disk_mask(box)].any()
-    assert same_bits(got[:, live], full[:, live])
+    octant = live & octant_mask(box)
+    assert same_bits(got[:, octant], full[:, octant])
     assert np.array_equal(got, full)
     assert not np.signbit(np.ascontiguousarray(got[:, ~live]).view(float)).any()
