@@ -59,11 +59,16 @@ def bessel_zero(m: int, k: int) -> float:
 
 def _zero_order(family: str, m: int) -> int:
     # scalar eigenvalues sit at zeros of J_m, velocity ones at J_{m+1}
+    if family not in ("laplace", "stokes"):
+        raise ValueError(f"family must be 'laplace' or 'stokes', got {family!r}")
     return m if family == "laplace" else m + 1
 
 
 def family_lambda(family: str, m: int, k: int) -> float:
-    """Eigenvalue lam = 1/h of the (m, k) member of a mode family."""
+    """Eigenvalue lam = 1/h of the (m, k) member of a mode family.
+
+    Contract: family is "laplace" or "stokes", else ValueError.
+    """
     return bessel_zero(_zero_order(family, m), k)
 
 
@@ -81,7 +86,7 @@ def pick_k_for_ratio(family: str, m: int, ratio: float) -> int:
     prefix that crosses; `jn_zeros` is prefix-stable, so the prefix holds
     the same bits as the K_MAX table.
 
-    Contract: ratio finite, else ValueError.
+    Contract: family is "laplace" or "stokes" and ratio finite, else ValueError.
     """
     if not math.isfinite(ratio):
         raise ValueError(f"ratio must be finite, got {ratio}")

@@ -268,7 +268,10 @@ def sample_mode_on_box(mode, grid: BoxGrid, cutoff: Optional[Callable] = None) -
     Laplace mode, since both are c F(rho) e^{i m theta} with c and F real.
     Each image is written by swaps and sign changes of the octant values,
     so it is exact to the bit, and the octant nodes, written last, hold
-    the closed form itself.  The filled values agree with a per-node
+    the closed form itself.  A node on a diagonal |x1| = |x2| is the image
+    of its octant node under two elements and holds the one written last,
+    so the mirror identity holds exactly off the diagonals and to
+    round-off on them.  The filled values agree with a per-node
     evaluation to the round-off of the closed form.
 
     Contract: `mode` is a `modes.Quasimode`, whose closed form has the
@@ -351,8 +354,7 @@ def _apply_interior(a, f: np.ndarray, h: float, grid: BoxGrid, spatial) -> np.nd
     """`apply_interior_op` past its entry check; `spatial` is an
     InteriorSymbol's spatial factor on the box, None for a pullback."""
     if spatial is not None and a.momentum is None:
-        fhat = _speed_on_lattice(a, h, grid, np.fft.fft2(f))
-        return spatial * np.fft.ifft2(fhat)
+        return _plain_route(spatial, _speed_on_lattice(a, h, grid, np.fft.fft2(f)))
     # direct lattice sum, chunked over the first frequency axis
     n = grid.n
     F = _plane_coeffs(f, grid, _origin_phase(grid))
@@ -369,9 +371,17 @@ def _apply_interior(a, f: np.ndarray, h: float, grid: BoxGrid, spatial) -> np.nd
     return out
 
 
+def _plain_route(spatial: np.ndarray, weighted: np.ndarray) -> np.ndarray:
+    """spatial times the inverse transform of f's speed-weighted spectrum:
+    the FFT route of a symbol without a momentum factor."""
+    return spatial * np.fft.ifft2(weighted)
+
+
 def _origin_phase(grid: BoxGrid) -> np.ndarray:
-    """e^{i k.half}: the lattice phase of the box origin at (-half, -half)."""
-    return np.exp(1j * grid.half * (grid.K1 + grid.K2))
+    """e^{i k.half}: the lattice phase of the box origin at (-half, -half),
+    the outer product of its two 1-D factors."""
+    e = np.exp(1j * grid.half * grid.k)
+    return e[:, None] * e[None, :]
 
 
 def _plane_coeffs(f: np.ndarray, grid: BoxGrid, phase: np.ndarray) -> np.ndarray:
@@ -379,45 +389,59 @@ def _plane_coeffs(f: np.ndarray, grid: BoxGrid, phase: np.ndarray) -> np.ndarray
     return np.fft.fft2(f) / grid.n**2 * phase
 
 
-def _synthesize(coeffs: np.ndarray, grid: BoxGrid) -> np.ndarray:
-    return np.fft.ifft2(coeffs * np.exp(-1j * grid.half * (grid.K1 + grid.K2))) * grid.n**2
+def _alias_free_length(n: int) -> int:
+    """Least 5-smooth integer >= 3n/2, the padded lattice of `_apply_shifted`."""
+    size = (3 * n + 1) // 2
+    while True:
+        rest = size
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return size
+        size += 1
 
 
-def _lattice_positions(n: int):
-    """Positions of the n-lattice integer frequencies inside a 2n lattice."""
-    return np.fft.fftfreq(n, 1.0 / n).astype(int) % (2 * n)
+def _padded_ifft2(coeffs: np.ndarray, pos: np.ndarray, size: int) -> np.ndarray:
+    """ifft2 of the (size, size) array holding `coeffs` at pos x pos, zero elsewhere.
 
-
-def _padded_ifft2(coeffs: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """ifft2 of the (2n, 2n) array holding `coeffs` at pos x pos, zero elsewhere.
-
-    ifft2 runs the last axis, then axis 0.  Only the n rows at `pos` are
-    nonzero, so only they take the last-axis pass; the others stay zero
-    for the axis-0 pass.  The bits are those of the full ifft2.
+    `size` is the alias-free length `_alias_free_length(n)` of an n x n
+    `coeffs`.  ifft2 runs the last axis, then axis 0.  Only the n rows at
+    `pos` are nonzero, so only they take the last-axis pass; the others
+    stay zero for the axis-0 pass.  The bits are those of the full ifft2.
     """
-    n = len(pos)
-    rows = np.zeros((n, 2 * n), dtype=complex)
+    rows = np.zeros((len(pos), size), dtype=complex)
     rows[:, pos] = coeffs
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
+    out = np.zeros((size, size), dtype=complex)
     out[pos] = np.fft.ifft(rows, axis=-1)
     return np.fft.ifft(out, axis=0, out=out)
 
 
-def apply_shifted_op(
-    a: InteriorSymbol, s: float, f: np.ndarray, h: float, grid: BoxGrid
-) -> np.ndarray:
+def apply_shifted_op(a: InteriorSymbol, s, f: np.ndarray, h: float, grid: BoxGrid) -> list:
     """Left quantization of the free-transported symbol a(x + 2 s xi, xi).
 
     Writing 2 k_p.k_q = |k_p+k_q|^2 - |k_p|^2 - |k_q|^2 turns the shifted
     action into chirped coefficients, one frequency-lattice convolution
     and an unchirped synthesis, so no dense (x, xi) sum is ever formed.
-    The convolution runs on a zero-padded double lattice, which makes it
-    the exact linear one; output frequencies beyond the original lattice
-    are discarded, which is the projection any pairing against a resolved
-    field performs anyway.  The padded inverse transforms skip the zero
-    rows, and the forward one transforms along axis 0 only the kept
-    columns; fft2 runs the last axis first, so the kept values are
-    bit-identical to those of the full transforms.
+    The chirps are outer products of 1-D exponentials, and the box-origin
+    and synthesis phases e^{+-i k.half} are the exact signs (-1)^(m1+m2)
+    at k = m dk, taken as signs.  The convolution runs on a zero-padded
+    lattice of L >= 3n/2 points per axis (L 5-smooth, so the transforms
+    stay fast): the sums of two n-lattice frequency indices lie in
+    [-n, n - 2] and wrap into the kept window [-n/2, n/2 - 1] only when
+    L < 3n/2 (Orszag's 3/2 rule), so the kept values are those of the
+    exact linear convolution.  Output frequencies beyond the original
+    lattice are discarded, which is the projection any pairing against a
+    resolved field performs anyway.  The padded inverse transforms skip
+    the zero rows, and the forward one transforms along axis 0 only the
+    kept columns.
+
+    `s` is a sequence of times (one number counts as one time); the
+    fields come back in a list, one per time, from one fft2 of f, one
+    speed-weighted spectrum and one read of the spatial factor, so
+    `shifted_pairing` takes the times (0, s) in one call.  At s = 0 the
+    flow is the identity, and the field is `apply_interior_op`'s to the
+    bit.
 
     Contract: a has no momentum factor and s is finite (ValueError); the
     support widened by the shift 2|s| xi_bound keeps two cells inside the
@@ -426,11 +450,11 @@ def apply_shifted_op(
     """
     if a.momentum is not None:
         raise ValueError("shifted application needs a symbol without a momentum factor")
-    s = float(s)
-    if not math.isfinite(s):
+    times = np.atleast_1d(np.asarray(s, dtype=float))
+    if not np.all(np.isfinite(times)):
         raise ValueError("apply_shifted_op needs a finite s")
     spatial = a.spatial(grid.X1, grid.X2)
-    shift = 2.0 * abs(s) * a.xi_bound
+    shift = 2.0 * float(np.max(np.abs(times))) * a.xi_bound
     rad, bound = _support_radius(spatial, grid) + shift, _margin_bound(grid)
     if rad > bound:
         raise SupportMarginError(
@@ -438,32 +462,43 @@ def apply_shifted_op(
             f"{bound:.4f} (shift 2|s| xi_bound = {shift:.3f})"
         )
     _check_bandlimit(a, h, grid)
-    return _apply_shifted(a, s, f, h, grid, spatial)
+    return _apply_shifted(a, times, f, h, grid, spatial)
 
 
-def _apply_shifted(
-    a: InteriorSymbol, s: float, f: np.ndarray, h: float, grid: BoxGrid, spatial
-) -> np.ndarray:
-    """`apply_shifted_op` past its entry checks; `spatial` is a's spatial factor on the box."""
-    if s == 0.0:
-        # the zero-time flow is the identity, so match the plain route
-        # exactly instead of reprojecting through the double lattice
-        return _apply_interior(a, f, h, grid, spatial)
+def _apply_shifted(a: InteriorSymbol, times, f: np.ndarray, h: float, grid: BoxGrid,
+                   spatial) -> list:
+    """`apply_shifted_op` past its entry checks, one field per time in
+    `times`; `spatial` is a's spatial factor on the box."""
     n = grid.n
     spatial = np.broadcast_to(spatial, (n, n))
-    pos = _lattice_positions(n)
-    # the double lattice's frequencies at the kept positions: the unchirp
-    # is needed there only
-    kept = grid.dk * np.fft.fftfreq(2 * n, 1.0 / (2 * n)).astype(int)[pos]
-    unchirp = np.exp(1j * s * h * (kept[:, None] ** 2 + kept[None, :] ** 2))
-    chirp = np.exp(-1j * s * h * (grid.K1**2 + grid.K2**2))
-    phase = _origin_phase(grid)
-    prod = _padded_ifft2(_plane_coeffs(np.asarray(spatial, dtype=complex), grid, phase) * chirp, pos)
-    prod *= _padded_ifft2(_speed_on_lattice(a, h, grid, _plane_coeffs(f, grid, phase) * chirp), pos)
-    kept_cols = np.fft.fft(prod, axis=-1, out=prod)[:, pos]
-    del prod
-    out = np.fft.fft(kept_cols, axis=0, out=kept_cols)[pos] * (2 * n) ** 2
-    return _synthesize(out * unchirp, grid)
+    weighted = _speed_on_lattice(a, h, grid, np.fft.fft2(f))
+    fields = []
+    if any(s != 0.0 for s in times):
+        size = _alias_free_length(n)
+        ints = (np.arange(n) + n // 2) % n - n // 2  # the lattice's integer frequencies
+        pos = ints % size
+        sign = 1.0 - 2.0 * (ints % 2)  # e^{i k half} = (-1)^m, exactly
+        spatial_hat = np.fft.fft2(spatial)
+    for s in times:
+        if s == 0.0:
+            # the zero-time flow is the identity: the plain route, exactly
+            fields.append(_plain_route(spatial, weighted))
+            continue
+        # per axis: the origin sign and the chirp, then 1/n; the unchirp
+        # with the synthesis sign is their conjugate, needed on the kept
+        # lattice only, with the scales of the padded and kept transforms
+        e = sign * np.exp(-1j * s * h * grid.k**2)
+        c = e / n
+        cc = c[:, None] * c[None, :]
+        prod = _padded_ifft2(spatial_hat * cc, pos, size)
+        prod *= _padded_ifft2(weighted * cc, pos, size)
+        kept_cols = np.fft.fft(prod, axis=-1, out=prod)[:, pos]
+        del prod
+        out = np.fft.fft(kept_cols, axis=0, out=kept_cols)[pos]
+        d = np.conj(e) * (size * n)
+        out *= d[:, None] * d[None, :]
+        fields.append(np.fft.ifft2(out, out=out))
+    return fields
 
 
 def apply_tangential_op(
@@ -495,38 +530,40 @@ def pairing(a, mode) -> complex:
         for u in mode.velocity:
             total += g.inner(apply_tangential_op(a, u, h, g), u)
         return complex(total)
-    [total] = _box_pairings(a, mode, lambda u, g: apply_interior_op(a, u, h, g))
+    [total] = _box_pairings(a, mode, lambda u, g: [apply_interior_op(a, u, h, g)])
     return total
 
 
-def _box_pairings(a, mode, *applies) -> list:
-    """Sums of (apply(u, grid) | u) over the mode's velocity components, one per apply.
+def _box_pairings(a, mode, apply) -> list:
+    """Sums of (v | u) over the mode's velocity components u, one per
+    field v of the list that `apply(u, grid)` returns.
 
     The mode is sampled once, on `default_box(mode.h, max(a.xi_bound, XI_FLOOR))`.
     """
     grid = default_box(mode.h, max(a.xi_bound, XI_FLOOR))
-    totals = [0.0 + 0.0j] * len(applies)
+    totals = None
     for u in sample_mode_on_box(mode, grid):
-        for i, apply in enumerate(applies):
-            totals[i] += grid.inner(apply(u, grid), u)
+        fields = apply(u, grid)
+        if totals is None:
+            totals = [0.0 + 0.0j] * len(fields)
+        totals = [t + grid.inner(v, u) for t, v in zip(totals, fields)]
     return [complex(total) for total in totals]
 
 
 def shifted_pairing(a: InteriorSymbol, s: float, mode) -> tuple[complex, complex]:
     """Quadratic forms of a and of the free-transported a(x + 2 s xi, xi).
 
-    Both pair on one sample of the mode, on the box `pairing` takes; the
-    first equals `pairing(a, mode)`.  The second is the
-    broken-flow pullback only while every ray feeding the support stays
-    strictly inside the disk over the shift; the margin check inside
-    apply_shifted_op enforces the conservative version of that geometry.
+    Both pair on one sample of the mode, on the box `pairing` takes, and
+    each component takes one `apply_shifted_op` call at the times (0, s):
+    one fft2, one speed-weighted spectrum and one read of the spatial
+    factor serve both.  The first equals `pairing(a, mode)` to the bit.
+    The second is the broken-flow pullback only while every ray feeding
+    the support stays strictly inside the disk over the shift; the margin
+    check inside apply_shifted_op enforces the conservative version of
+    that geometry.
     """
     h = mode.h
-    return tuple(_box_pairings(
-        a, mode,
-        lambda u, g: apply_interior_op(a, u, h, g),
-        lambda u, g: apply_shifted_op(a, s, u, h, g),
-    ))
+    return tuple(_box_pairings(a, mode, lambda u, g: apply_shifted_op(a, (0.0, s), u, h, g)))
 
 
 @dataclass

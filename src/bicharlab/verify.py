@@ -323,8 +323,8 @@ def invariance_gap(
             still, tau = TransportedSymbol(a, 0.0), TransportedSymbol(a, s)
             before, after = _box_pairings(
                 tau, m,
-                lambda u, g: apply_interior_op(still, u, m.h, g),
-                lambda u, g: apply_interior_op(tau, u, m.h, g),
+                lambda u, g: [apply_interior_op(still, u, m.h, g),
+                              apply_interior_op(tau, u, m.h, g)],
             )
             unresolved += tau.unresolved
         rows.append(
@@ -627,6 +627,25 @@ def h_oscillation_tail(
     angular-frequency tail of the velocity restricted to the boundary
     collar (depth ramp on [0.2, 0.3]).  The ramps are `TAIL_CUTOFFS`.
 
+    The interior spectrum is taken from half of it.  The box sample obeys
+    the mirror identity u(x1, -x2) = conj u(x1, x2) for a Laplace mode
+    and for u_y of a Stokes mode, and i u_x obeys it too: exactly off the
+    diagonals |x1| = |x2|, and to round-off on them, where the sampler
+    writes a quarter turn of the octant value (see `sample_mode_on_box`).
+    So the x2-transform of each row is real: it is `np.fft.hfft` of the
+    row's first n/2 + 1 entries, over the rows that meet the cutoff,
+    taken as the irfft of their conjugate (`np.fft.hfft` ignores `out`)
+    and written in place into a float view of the sample.  `np.fft.rfft`
+    then transforms along x1 over blocks of columns, and the power of
+    every k1 row but k1 = 0 and the Nyquist row counts twice, for -k1.
+    No full spectrum, power or speed array is allocated.
+
+    Round-off: each coefficient carries about eps/n of the field's norm
+    on an n x n box, so a fraction f moves by about eps sqrt(f) / n
+    between two transforms of one sample (the half spectrum and a full
+    fft2 differ by up to 6 times that), and a fraction near eps^2 n^2 of
+    the power (5e-26 at n = 1026) reads round-off, not a measurement.
+
     The radii are measured on one shared grid per mode, so the tails nest
     exactly.  Returns shape (len(radii), len(modes)).
     """
@@ -640,19 +659,28 @@ def h_oscillation_tail(
     if variant == "interior":
         for j, m in enumerate(modes):
             grid = default_box(m.h, float(Rs.max()) + 0.5)
+            n = grid.n
             comps = sample_mode_on_box(m, grid, lambda t: 1.0 - plateau_step(t, lo, hi))
-            # the spectrum overwrites each component, and its power is
-            # reduced over blocks of 64 rows, so no full power or speed
-            # array is ever held
+            on = np.flatnonzero(np.abs(grid.x) < hi)  # the other rows are +0.0
+            rows = slice(on[0], on[-1] + 1)
+            k1 = grid.k[: n // 2 + 1, None]  # the rfft's rows, Nyquist last
             tot = 0.0
             tail = np.zeros(Rs.size)
-            for u in comps:
-                spec = np.fft.fft2(u, out=u)
-                for r0 in range(0, grid.n, 64):
-                    rows = slice(r0, r0 + 64)
-                    power = np.abs(spec[rows])
+            for c, u in enumerate(comps):
+                spec = u.view(np.float64)[:, :n]
+                # hfft of the live rows, as the irfft of their conjugate;
+                # for u_x the rows of i u_x, conj(i u_x) = -i conj(u_x)
+                half = np.conj(u[rows, : n // 2 + 1])
+                if c == 0 and m.ncomp == 2:
+                    half *= -1j
+                np.fft.irfft(half, n, norm="forward", out=spec[rows])
+                del half
+                for c0 in range(0, n, 64):
+                    cols = slice(c0, c0 + 64)
+                    power = np.abs(np.fft.rfft(spec[:, cols], axis=0))
                     power *= power
-                    speed = np.hypot(grid.K1[rows], grid.K2)
+                    power[1 : n // 2] *= 2.0
+                    speed = np.hypot(k1, grid.k[cols])
                     speed *= m.h
                     tot += float(power.sum())
                     for i, rad in enumerate(Rs):

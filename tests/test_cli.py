@@ -30,6 +30,7 @@ from bicharlab.config import (
     validate_config,
 )
 from bicharlab.modes import bessel_zero, pick_k_for_ratio
+from test_quantize import tail_tolerance
 
 
 def read_field_grid(path_base):
@@ -580,6 +581,24 @@ def test_support_bytes_do_not_depend_on_threads_or_jobs(tmp_path):
          "family": {"family": "stokes", "m": m, "k": {"ratio": 0.5}}}
         for m in (4, 32)
     ]}))
+    digests = digests_at_widths(tmp_path, cfg)
+    assert len(digests[0]) == 5  # two CSV/JSON pairs and summary.json
+    assert digests[0] == digests[1]
+
+
+def test_shifted_pairing_and_tail_bytes_do_not_depend_on_threads_or_jobs(tmp_path):
+    # the alias-free shifted pairing and the half-spectrum tails of the
+    # seed-0 `layer` config
+    cfg = tmp_path / "layer.json"
+    cfg.write_text(json.dumps(benchmark_workloads().build_config("layer", 0)))
+    digests = digests_at_widths(tmp_path, cfg, "--select", "layer-invariance", "layer-tails")
+    assert len(digests[0]) == 5  # two CSV/JSON pairs and summary.json
+    assert digests[0] == digests[1]
+
+
+def digests_at_widths(tmp_path, cfg, *args):
+    """Tree digests of `bicharlab run` on `cfg` in a fresh process at
+    OPENBLAS_NUM_THREADS and --jobs both 1, then both 2."""
     root = Path(__file__).resolve().parents[1]
     digests = []
     for width in ("1", "2"):
@@ -587,13 +606,12 @@ def test_support_bytes_do_not_depend_on_threads_or_jobs(tmp_path):
         out = tmp_path / f"out{width}"
         proc = subprocess.run(
             [sys.executable, "-m", "bicharlab.cli", "run", "--config", str(cfg),
-             "--out", str(out), "--jobs", width],
+             "--out", str(out), "--jobs", width, *args],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         digests.append(tree_digest(out))
-    assert len(digests[0]) == 5  # two CSV/JSON pairs and summary.json
-    assert digests[0] == digests[1]
+    return digests
 
 
 def test_seed_changes_output_bytes(tmp_path):
@@ -2064,8 +2082,8 @@ LAYER_TAIL_FRACTIONS = [
     [9.061414413186673e-07, 1.2268795002870352e-09, 4.334585079894924e-13],
     [3.42487888814023e-10, 7.268153350787496e-14, 5.225783804850996e-19],
 ]
-# the same values from the octant sample on the odd box axis; each must
-# come back bit for bit
+# the same values from the octant sample on the odd box axis, before the
+# alias-free lattice and the half spectrum; they bound the values below
 OCTANT_INVARIANCE_ROWS = [  # (h, before, after, gap)
     (0.03264282180449974, 0.03282379564956464, 0.039253076029786955, 0.008488558770565086),
     (0.02020911997312793, 0.033618357598179424, 0.03539915256349787, 0.006431895558683646),
@@ -2078,6 +2096,22 @@ OCTANT_TAIL_FRACTIONS = [
     [0.00043948370574821487, 6.898871491183251e-06, 9.283718084881757e-08],
     [9.061414413185747e-07, 1.2268795002888548e-09, 4.3345850809675847e-13],
     [3.424878888128293e-10, 7.26815335161658e-14, 5.22578397009791e-19],
+]
+# the shifted pairing on the alias-free 3/2 lattice, its box-origin
+# phases taken as exact signs, and the tails from a half spectrum; each
+# must come back bit for bit
+ALIAS_FREE_INVARIANCE_ROWS = [  # (h, before, after, gap)
+    (0.03264282180449974, 0.03282379564956464, 0.03925307602978696, 0.00848855877056508),
+    (0.02020911997312793, 0.033618357598179424, 0.035399152563497856, 0.0064318955586836445),
+    (0.01286073962619287, 0.03397178075069513, 0.033640820854419044, 0.0036619596385353732),
+    (0.008007731694726204, 0.03387602066196256, 0.03309092756532404, 0.0019373384123264983),
+    (0.005327343212934813, 0.03388194338938234, 0.03333388479282901, 0.000890308055932462),
+]
+ALIAS_FREE_GAP_RATE = 1.2491364710435215
+HALF_SPECTRUM_TAIL_FRACTIONS = [
+    [0.0004394837057482142, 6.898871491183261e-06, 9.283718084881794e-08],
+    [9.061414413185903e-07, 1.2268795002888238e-09, 4.3345850809710254e-13],
+    [3.4248788881285896e-10, 7.268153351609775e-14, 5.225783979249252e-19],
 ]
 LAYER_STOKES_WORST = {
     "boundary": 3.8980232585552894e-12,
@@ -2104,10 +2138,24 @@ def test_layer_box_and_residual_values_are_bit_identical(tmp_path):
     assert tree_digest(outs[0]) == tree_digest(outs[1])
     inv = json.load(open(outs[0] / "layer-invariance.json"))["payload"]
     rows = [(r["h"], r["before"], r["after"], r["gap"]) for r in inv["rows"]]
-    assert rows == OCTANT_INVARIANCE_ROWS
-    assert inv["notes"] == {"gap_rate": OCTANT_INVARIANCE_GAP_RATE, "unresolved": 0.0}
+    assert rows == ALIAS_FREE_INVARIANCE_ROWS
+    assert inv["notes"] == {"gap_rate": ALIAS_FREE_GAP_RATE, "unresolved": 0.0}
     tails = json.load(open(outs[0] / "layer-tails.json"))["payload"]
-    assert tails["fractions"] == OCTANT_TAIL_FRACTIONS
+    assert tails["fractions"] == HALF_SPECTRUM_TAIL_FRACTIONS
+    # the octant values hold as a bound: the shifted op and the tails
+    # moved by round-off.  The befores kept their bits; the afters moved
+    # up to 1.1e-15 relative, the gaps 6.4e-14 and the rate 2.8e-14
+    old = np.array(OCTANT_INVARIANCE_ROWS)
+    assert np.all(np.abs(np.array(rows) - old) <= 1e-13 * old)
+    rate = inv["notes"]["gap_rate"]
+    assert abs(rate - OCTANT_INVARIANCE_GAP_RATE) <= 1e-13 * OCTANT_INVARIANCE_GAP_RATE
+    # the fractions moved up to 9.4e-13 relative, 6.8e-26 absolute, at
+    # 7.3e-14, and the smallest, at its floor, 1.75e-9 relative
+    spec = next(e for e in json.loads(cfg.read_text())["experiments"] if e["name"] == "layer-tails")
+    ns = [quantize.default_box(m.h, max(tails["radii"]) + 0.5).n
+          for m in config.build_family(spec["family"])]
+    old = np.array(OCTANT_TAIL_FRACTIONS)
+    assert np.all(np.abs(np.array(tails["fractions"]) - old) <= tail_tolerance(old, ns))
     # the earlier values hold as a bound: the box axis moved by round-off.
     # The largest fraction moved 3.0e-18 and the smallest 1.7e-26
     old = np.array(LAYER_INVARIANCE_ROWS)

@@ -11,7 +11,7 @@ import pytest
 
 from bicharlab.billiard import time_to_boundary
 from bicharlab.bumps import bump_profile, plateau_step
-from bicharlab.modes import laplace_disk_mode, pick_k_for_ratio
+from bicharlab.modes import family_lambda, laplace_disk_mode, pick_k_for_ratio
 from bicharlab.quantize import (
     BandlimitError,
     BoxGrid,
@@ -73,6 +73,9 @@ REFUSED = [
     (pick_k_for_ratio, "16", ("stokes", 16, NAN), ValueError, r"\bratio\b must be finite"),
     (pick_k_for_ratio, "17", ("stokes", 16, INF), ValueError, r"\bratio\b must be finite"),
     (pick_k_for_ratio, "18", ("stokes", 16, -INF), ValueError, r"\bratio\b must be finite"),
+    # a misspelt family was read as Stokes
+    (family_lambda, "stoks", ("stoks", 3, 2), ValueError, r"\bfamily\b.*'stoks'"),
+    (pick_k_for_ratio, "stoks", ("stoks", 16, 0.9), ValueError, r"\bfamily\b.*'stoks'"),
     (plateau_step, "19", (0.5, 1.0, 1.0), ValueError, r"\bb > a\b"),
     (plateau_step, "20", (0.5, 1.0, 0.0), ValueError, r"\bb > a\b"),
     (plateau_step, "21", (0.5, 0.0, NAN), ValueError, r"\bb > a\b"),

@@ -34,13 +34,11 @@ from bicharlab.quantize import (
     shifted_pairing,
 )
 from bicharlab.quantize import (
+    _alias_free_length,
     _apply_interior,
     _apply_shifted,
-    _lattice_positions,
-    _origin_phase,
-    _plane_coeffs,
+    _padded_ifft2,
     _speed_on_lattice,
-    _synthesize,
     apply_shifted_op,
 )
 from bicharlab.verify import TransportedSymbol, h_oscillation_tail, invariance_gap
@@ -920,6 +918,83 @@ def test_h_oscillation_tail_matches_per_radius_oracle():
     assert np.all(np.abs(h_oscillation_tail(fam, radii) - want) <= 1e-12 * want)
 
 
+def full_spectrum_tails(modes, radii):
+    """h_oscillation_tail's interior loop before the half spectrum: a full
+    complex fft2 of each component in place, the power reduced over blocks
+    of 64 rows.  The oracle of the half-spectrum tails."""
+    Rs = np.asarray(radii, dtype=float)
+    out = np.zeros((Rs.size, len(modes)))
+    for j, m in enumerate(modes):
+        grid = default_box(m.h, float(Rs.max()) + 0.5)
+        comps = sample_mode_on_box(m, grid, lambda t: 1.0 - plateau_step(t, 0.7, 0.9))
+        tot = 0.0
+        tail = np.zeros(Rs.size)
+        for u in comps:
+            spec = np.fft.fft2(u, out=u)
+            for r0 in range(0, grid.n, 64):
+                rows = slice(r0, r0 + 64)
+                power = np.abs(spec[rows])
+                power *= power
+                speed = np.hypot(grid.K1[rows], grid.K2)
+                speed *= m.h
+                tot += float(power.sum())
+                for i, rad in enumerate(Rs):
+                    tail[i] += float(power.sum(where=speed > rad))
+        if tot != 0.0:
+            out[:, j] = tail / tot
+    return out
+
+
+def tail_tolerance(fractions, ns):
+    """1e-13 relative plus the round-off floor of a power fraction f on an
+    n x n box: each coefficient carries about eps/n of the field's norm,
+    which moves the tail's power by about eps sqrt(f) / n of the total
+    (two routes through one sample differ by up to 6 times that), and
+    its square by at most eps^2 n^2."""
+    eps = np.finfo(float).eps
+    ns = np.asarray(ns, dtype=float)
+    return 1e-13 * fractions + 16.0 * eps * np.sqrt(fractions) / ns + (eps * ns) ** 2
+
+
+def test_half_spectrum_tails_match_the_full_fft2_on_a_stokes_family():
+    # no workload reaches the i u_x path: the Stokes family checks it
+    fam = [stokes_disk_mode(0, 3), stokes_disk_mode(1, 4), stokes_disk_mode(3, 2),
+           stokes_disk_mode(6, 3), stokes_disk_mode(2, 7)]
+    radii = (1.5, 2.0, 4.0, 8.0)
+    got, want = h_oscillation_tail(fam, radii), full_spectrum_tails(fam, radii)
+    ns = [default_box(m.h, max(radii) + 0.5).n for m in fam]
+    assert np.all(want > 0.0)
+    assert np.all(np.abs(got - want) <= tail_tolerance(want, ns))
+
+
+def mirrored(u):
+    """u at the mirror images (x1, -x2): box column j holds x2 = -x[n - j]."""
+    n = u.shape[-1]
+    return u[..., (n - np.arange(n)) % n]
+
+
+@pytest.mark.parametrize("cut", [None, lambda t: 1.0 - plateau_step(t, 0.7, 0.9)],
+                         ids=["whole", "cutoff"])
+@pytest.mark.parametrize("mode", [laplace_disk_mode(0, 5), laplace_disk_mode(3, 4),
+                                  stokes_disk_mode(1, 2), stokes_disk_mode(4, 3)],
+                         ids=lambda md: f"{md.kind}-{md.m}-{md.k}")
+def test_box_sample_holds_the_mirror_identity(mode, cut):
+    # u(x1, -x2) = conj u(x1, x2) for a Laplace mode and for u_y, and
+    # for i u_x, exactly (a zero's sign aside) off the diagonals |x1| =
+    # |x2|.  A diagonal node's image takes a quarter turn of its octant
+    # value, not the reflection, and agrees with it to round-off
+    box = default_box(mode.h, 4.5)
+    comps = sample_mode_on_box(mode, box, cut)
+    diagonal = np.abs(box.X1) == np.abs(box.X2)
+    if mode.ncomp == 2:
+        # u_x itself takes the opposite sign: u_x(x1, -x2) = -conj u_x
+        assert np.array_equal(mirrored(comps[0])[~diagonal], -np.conj(comps[0])[~diagonal])
+        comps[0] *= 1j
+    assert np.array_equal(mirrored(comps)[:, ~diagonal], np.conj(comps)[:, ~diagonal])
+    gap = np.abs(mirrored(comps) - np.conj(comps))[:, diagonal]
+    assert gap.max() <= 1e-15 * np.abs(comps).max()
+
+
 def test_default_box_and_snap_frequency():
     h = 0.02
     grid = default_box(h, 2.0)
@@ -1026,7 +1101,7 @@ def test_shifted_op_matches_direct_sum():
     a = InteriorSymbol(xf, ring_speed, xi_bound=1.5)
     f, coeffs = lattice_field(grid, 4, seed=31)
     # support semantics are exercised elsewhere; this is the algebra check
-    got = _apply_shifted(a, s, f, h, grid, a.spatial(grid.X1, grid.X2))
+    [got] = _apply_shifted(a, (s,), f, h, grid, a.spatial(grid.X1, grid.X2))
     # independent dense route straight from the left-quantization sum,
     # evaluating the shifted window at each live lattice frequency
     live = np.argwhere(np.abs(coeffs) > 0)
@@ -1051,9 +1126,8 @@ def test_shifted_op_zero_shift_is_plain_quantization():
     a = InteriorSymbol(xf, ring_speed, xi_bound=1.5)
     f, _ = lattice_field(grid, 4, seed=5)
     spatial = a.spatial(grid.X1, grid.X2)
-    got = _apply_shifted(a, 0.0, f, h, grid, spatial)
-    want = _apply_interior(a, f, h, grid, spatial)
-    assert np.abs(got - want).max() < 1e-10 * np.abs(want).max()
+    [got] = _apply_shifted(a, (0.0,), f, h, grid, spatial)
+    assert same_bits(got, _apply_interior(a, f, h, grid, spatial))
 
 
 def test_shifted_op_margin_accounts_for_transport():
@@ -1082,7 +1156,8 @@ def test_shifted_pairing_agrees_with_masked_route():
     )
     fast = 0.0 + 0.0j
     for u in sample_mode_on_box(md, grid):
-        fast += grid.inner(_apply_shifted(a, s, u, h, grid, xf(grid.X1, grid.X2)), u)
+        [moved_u] = _apply_shifted(a, (s,), u, h, grid, xf(grid.X1, grid.X2))
+        fast += grid.inner(moved_u, u)
     dense = box_pairing(moved, md, grid)
     assert abs(fast - dense) < 1e-8 * max(1.0, abs(dense))
 
@@ -1091,6 +1166,24 @@ def test_shifted_pairing_agrees_with_masked_route():
 def same_bits(a, b) -> bool:
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _origin_phase(grid):
+    """e^{i k.half} as the 2n-lattice oracles took it, one exp per lattice point."""
+    return np.exp(1j * grid.half * (grid.K1 + grid.K2))
+
+
+def _plane_coeffs(f, grid, phase):
+    return np.fft.fft2(f) / grid.n**2 * phase
+
+
+def _synthesize(coeffs, grid):
+    return np.fft.ifft2(coeffs * np.exp(-1j * grid.half * (grid.K1 + grid.K2))) * grid.n**2
+
+
+def _lattice_positions(n):
+    """Positions of the n-lattice integer frequencies inside a 2n lattice."""
+    return np.fft.fftfreq(n, 1.0 / n).astype(int) % (2 * n)
 
 
 def double_lattice_unchirp_op(a, s, f, h, grid):
@@ -1169,16 +1262,106 @@ def full_padded_shifted_op(a, s, f, h, grid):
     return _synthesize(out2[sel] * unchirp, grid)
 
 
+def within_max(got, want, rel=1e-13) -> bool:
+    """Every entry of `got` within rel of the largest |want|."""
+    return got.shape == want.shape and np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
 @pytest.mark.parametrize("n", [60, 88, 132, 204, 300])
 def test_pruned_padded_passes_match_the_full_transforms(n):
+    # the alias-free lattice keeps the double lattice's linear
+    # convolution, so the two agree to round-off; the pruned passes keep
+    # the bits of the full ifft2 on that lattice
     grid = BoxGrid(n)
     a = build_symbol(BUMP_SYMBOL)
     h = 2.0 * a.xi_bound / (grid.kmax - 2.0 * grid.dk)  # twice the least h the lattice takes
     rng = np.random.default_rng(n)
     f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     for s in (0.15, -0.1, 1e-3):
-        got = _apply_shifted(a, s, f, h, grid, a.spatial(grid.X1, grid.X2))
-        assert got.tobytes() == full_padded_shifted_op(a, s, f, h, grid).tobytes()
+        [got] = _apply_shifted(a, (s,), f, h, grid, a.spatial(grid.X1, grid.X2))
+        assert within_max(got, full_padded_shifted_op(a, s, f, h, grid))
+    size = _alias_free_length(n)
+    pos = (np.arange(n) + n // 2) % n - n // 2
+    pos %= size
+    rng = np.random.default_rng(n + 1)
+    coeffs = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    full = np.zeros((size, size), dtype=complex)
+    full[np.ix_(pos, pos)] = coeffs
+    assert same_bits(_padded_ifft2(coeffs, pos, size), np.fft.ifft2(full))
+
+
+def test_alias_free_length_is_the_least_5_smooth_size():
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    for n in range(8, 700, 2):
+        size = _alias_free_length(n)
+        assert 2 * size >= 3 * n and smooth(size)
+        assert not any(smooth(m) for m in range((3 * n + 1) // 2, size))
+
+
+# even box sizes with n/2 prime, and n = 2 mod 4, beside 5-smooth ones
+ODD_HALF_SIZES = [14, 22, 26, 34, 38, 46, 58, 62, 74, 82, 94, 106, 118, 122]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    n=st.one_of(st.sampled_from(ODD_HALF_SIZES), st.integers(4, 64).map(lambda k: 2 * k)),
+    s=st.floats(-0.2, 0.2, allow_nan=False).filter(lambda t: t != 0.0),
+)
+def test_alias_free_lattice_matches_the_double_lattice(n, s):
+    # the sums of two kept indices never wrap into the kept window on a
+    # lattice of 3n/2 or more, so the kernel is the 2n oracle's up to
+    # round-off.  A random spatial factor and no speed factor fill the
+    # whole lattice, so any wrap would show
+    grid = BoxGrid(n)
+    rng = np.random.default_rng(n)
+    spatial = rng.standard_normal((n, n))
+    a = InteriorSymbol(lambda x1, x2: spatial, xi_bound=0.0)
+    f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    [got] = _apply_shifted(a, (s,), f, 0.05, grid, spatial)
+    assert within_max(got, full_padded_shifted_op(a, s, f, 0.05, grid))
+
+
+def long_double_shifted_op(a, s, f, h, grid):
+    """The shifted op in long double on the double lattice: the phases
+    from long-double exponentials, the transforms from scipy.fft."""
+    import scipy.fft
+
+    n, ld = grid.n, np.longdouble
+    half = ld(grid.half)
+    k = np.arccos(ld(-1)) / half * ((np.arange(n) + n // 2) % n - n // 2)
+    c = np.exp(1j * (half * k - ld(s) * ld(h) * k**2)) / n
+    cc = c[:, None] * c[None, :]
+    weight = np.asarray(a.speed(np.hypot(h * grid.K1, h * grid.K2)), dtype=ld)
+    spatial = np.broadcast_to(a.spatial(grid.X1, grid.X2), (n, n)).astype(ld)
+    sel = np.ix_(*2 * [_lattice_positions(n)])
+    P = np.zeros((2 * n, 2 * n), dtype=np.clongdouble)
+    Q = np.zeros_like(P)
+    P[sel] = scipy.fft.fft2(spatial) * cc
+    Q[sel] = scipy.fft.fft2(f.astype(np.clongdouble)) * weight * cc
+    out = scipy.fft.fft2(scipy.fft.ifft2(P) * scipy.fft.ifft2(Q))[sel]
+    d = np.conj(c) * (2 * n**3)
+    return scipy.fft.ifft2(out * d[:, None] * d[None, :])
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-17, reason="long double is double here")
+@pytest.mark.parametrize("s", [0.15, -0.1])
+def test_shifted_op_matches_a_long_double_reference(s):
+    # the box-origin phases e^{i k half} = (-1)^m, taken as exact signs,
+    # carry no rounding of the phase k half (up to n pi / 2): on the last
+    # `layer` invariance mode (n = 300) the field is within 2.6e-15 of the
+    # max of the long-double one, where the 2n oracle's exponentials are
+    # off by 1.3e-14
+    a = build_symbol(BUMP_SYMBOL)
+    mode = laplace_disk_mode(0, 60)
+    grid = default_box(mode.h, a.xi_bound)
+    [u] = sample_mode_on_box(mode, grid)
+    [got] = _apply_shifted(a, (s,), u, mode.h, grid, a.spatial(grid.X1, grid.X2))
+    assert within_max(got, long_double_shifted_op(a, s, u, mode.h, grid), rel=4e-15)
 
 
 @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
@@ -1214,14 +1397,34 @@ def test_each_interior_operator_reads_the_spatial_factor_once():
     assert len(reads) == 2
 
 
+def test_shifted_op_takes_several_times_from_one_transform():
+    # a sequence of times lists the fields of the single-time calls, bit
+    # for bit, and the margin check reads the largest |s|
+    grid = BoxGrid(64)
+    a = InteriorSymbol(spatial_plateau(0.25, 0.45), ring_speed, xi_bound=1.5)
+    f, _ = lattice_field(grid, 4, seed=11)
+    got = apply_shifted_op(a, (0.0, 0.05, -0.03), f, 0.05, grid)
+    assert len(got) == 3
+    assert same_bits(got[0], apply_interior_op(a, f, 0.05, grid))
+    for field, s in zip(got[1:], (0.05, -0.03)):
+        [want] = apply_shifted_op(a, s, f, 0.05, grid)
+        assert same_bits(field, want)
+    with pytest.raises(SupportMarginError, match="transported"):
+        apply_shifted_op(a, (0.0, -0.5), f, 0.05, grid)
+    with pytest.raises(ValueError, match="finite s"):
+        apply_shifted_op(a, (0.05, math.nan), f, 0.05, grid)
+
+
 @pytest.mark.parametrize("mode", SHIFT_MODES, ids=lambda md: f"{md.kind}-{md.m}-{md.k}")
 @pytest.mark.parametrize("s", [0.1, -0.07, 0.0])
 def test_kept_lattice_unchirp_matches_double_lattice_oracle(mode, s):
+    # at s = 0 both take the plain route, to the bit
     a = build_symbol(BUMP_SYMBOL)
     grid = default_box(mode.h, 1.6)
     for u in sample_mode_on_box(mode, grid):
-        got = apply_shifted_op(a, s, u, mode.h, grid)
-        assert same_bits(got, double_lattice_unchirp_op(a, s, u, mode.h, grid))
+        [got] = apply_shifted_op(a, s, u, mode.h, grid)
+        want = double_lattice_unchirp_op(a, s, u, mode.h, grid)
+        assert same_bits(got, want) if s == 0.0 else within_max(got, want)
 
 
 @pytest.mark.parametrize("s", [0.12, -0.12, 1e-3])
@@ -1229,8 +1432,8 @@ def test_kept_lattice_unchirp_on_a_lattice_field(s):
     grid = BoxGrid(64)
     a = InteriorSymbol(trig_window(grid), ring_speed, xi_bound=1.5)
     f, _ = lattice_field(grid, 4, seed=17)
-    got = _apply_shifted(a, s, f, 0.05, grid, a.spatial(grid.X1, grid.X2))
-    assert same_bits(got, double_lattice_unchirp_op(a, s, f, 0.05, grid))
+    [got] = _apply_shifted(a, (s,), f, 0.05, grid, a.spatial(grid.X1, grid.X2))
+    assert within_max(got, double_lattice_unchirp_op(a, s, f, 0.05, grid))
 
 
 @pytest.mark.parametrize("mode", SHIFT_MODES, ids=lambda md: f"{md.kind}-{md.m}-{md.k}")
@@ -1244,7 +1447,10 @@ def test_shifted_pairing_takes_both_times_on_one_sample(mode, monkeypatch):
                             lambda *args: samples.append(1) or sample(*args))
         got = shifted_pairing(a, s, mode)
         monkeypatch.undo()
-        assert got == want and len(samples) == 1
+        # one sample; the first pairing is `pairing`'s to the bit, the
+        # second the 2n oracle's to round-off
+        assert got[0] == want[0] and len(samples) == 1
+        assert abs(got[1] - want[1]) <= 1e-13 * abs(want[1])
 
 
 def test_invariance_rows_match_the_per_call_loop():
@@ -1254,8 +1460,11 @@ def test_invariance_rows_match_the_per_call_loop():
         rep = invariance_gap(modes, a, s)
         for row, mode in zip(rep.rows, modes):
             before, after = per_call_pairings(a, s, mode)
-            assert (row.h, row.before, row.after, row.gap) == (
-                float(mode.h), float(before.real), float(after.real), float(abs(after - before)))
+            assert (row.h, row.before) == (float(mode.h), float(before.real))
+            # the shifted pairing is the 2n oracle's to round-off, and so is
+            # the gap, each relative to itself
+            assert abs(row.after - after.real) <= 1e-13 * abs(after)
+            assert abs(row.gap - abs(after - before)) <= 1e-13 * abs(after - before)
 
 
 @pytest.mark.parametrize("mode", [laplace_disk_mode(0, 9), laplace_disk_mode(1, 5),
