@@ -11,13 +11,13 @@ checked to solver precision:
   companion pressure is a multiple of the harmonic polynomial r^m e^{i m
   theta}.
 
-The semiclassical parameter of a mode is h = 1/lam.
+The semiclassical parameter of a mode is h = 1/lam.  One builder sizes
+each mode's polar grid and evaluates c and, once, J_m(lam).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
 
@@ -30,7 +30,6 @@ __all__ = [
     "bessel_zero",
     "family_lambda",
     "pick_k_for_ratio",
-    "ModeSpec",
     "Quasimode",
     "laplace_disk_mode",
     "stokes_disk_mode",
@@ -61,13 +60,15 @@ def _zero_order(family: str, m: int) -> int:
     # scalar eigenvalues sit at zeros of J_m, velocity ones at J_{m+1}
     if family not in ("laplace", "stokes"):
         raise ValueError(f"family must be 'laplace' or 'stokes', got {family!r}")
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
     return m if family == "laplace" else m + 1
 
 
 def family_lambda(family: str, m: int, k: int) -> float:
     """Eigenvalue lam = 1/h of the (m, k) member of a mode family.
 
-    Contract: family is "laplace" or "stokes", else ValueError.
+    Contract: family is "laplace" or "stokes" and m >= 0, else ValueError.
     """
     return bessel_zero(_zero_order(family, m), k)
 
@@ -86,7 +87,8 @@ def pick_k_for_ratio(family: str, m: int, ratio: float) -> int:
     prefix that crosses; `jn_zeros` is prefix-stable, so the prefix holds
     the same bits as the K_MAX table.
 
-    Contract: family is "laplace" or "stokes" and ratio finite, else ValueError.
+    Contract: family is "laplace" or "stokes", m >= 0 and ratio finite,
+    else ValueError.
     """
     if not math.isfinite(ratio):
         raise ValueError(f"ratio must be finite, got {ratio}")
@@ -99,36 +101,6 @@ def pick_k_for_ratio(family: str, m: int, ratio: float) -> int:
         K = min(2 * K, K_MAX)
 
 
-@dataclass(frozen=True)
-class ModeSpec:
-    """Resolution request for a quasimode; None fields pick safe defaults."""
-
-    kind: str
-    m: int
-    k: int
-    num_r: Optional[int] = None
-    num_theta: Optional[int] = None
-
-    def resolve(self, lam: float):
-        if self.kind not in ("laplace", "stokes"):
-            raise ValueError(f"unknown mode kind {self.kind!r}")
-        if self.m < 0 or self.k < 1:
-            raise ValueError("need m >= 0 and k >= 1")
-        num_r = self.num_r if self.num_r is not None else max(40, int(math.ceil(1.35 * lam)) + 16)
-        num_theta = (
-            self.num_theta
-            if self.num_theta is not None
-            else max(32, 4 * self.m + 16)
-        )
-        num_theta += num_theta % 2
-        floor_r = 4.0 * lam / math.pi
-        if num_r <= floor_r:
-            raise ValueError(f"need num_r > {floor_r:.1f} for lam = {lam:.3f}, got {num_r}")
-        if num_theta <= 4 * self.m:
-            raise ValueError(f"need num_theta > {4 * self.m} for m = {self.m}, got {num_theta}")
-        return num_r, num_theta
-
-
 class Quasimode:
     """A sampled mode plus its closed-form evaluators.
 
@@ -139,7 +111,7 @@ class Quasimode:
     evaluate the closed form never build them.
     """
 
-    def __init__(self, kind, m, k, lam, grid, c):
+    def __init__(self, kind, m, k, lam, grid, c, jm_lam):
         self.kind = kind
         self.m = m
         self.k = k
@@ -147,23 +119,25 @@ class Quasimode:
         self.h = 1.0 / lam
         self.grid = grid
         self.c = c
+        self.jm_lam = jm_lam  # J_m(lam) of the velocity family, else None
 
     @cached_property
     def _fields(self):
         """(velocity, pressure) on the polar grid.
 
-        For the velocity family, u = (d_2 psi, -d_1 psi), and -h^2 Lap u -
-        u is the rotated gradient of the harmonic c J_m(lam) r^m e^{i m
-        theta}, which for a power of z = x_1 + i x_2 is i times its
-        gradient; so the momentum equation -h^2 Lap u - u + h grad q = 0
-        fixes q = -i c lam J_m(lam) z^m.
+        The scalar family is the closed form on the polar mesh.  For the
+        velocity family, u = (d_2 psi, -d_1 psi), and -h^2 Lap u - u is the
+        rotated gradient of the harmonic c J_m(lam) r^m e^{i m theta}, which
+        for a power of z = x_1 + i x_2 is i times its gradient; so the
+        momentum equation -h^2 Lap u - u + h grad q = 0 fixes q = -i c lam
+        J_m(lam) z^m.  Its velocity, the spectral derivative of psi, is the
+        one velocity left beside the closed form; the switch moves recorded
+        residuals, so it waits for tolerance classes on the reference.
         """
-        g, m, lam, c = self.grid, self.m, self.lam, self.c
+        g, m, lam, c, jm_lam = self.grid, self.m, self.lam, self.c, self.jm_lam
         if self.kind == "laplace":
-            profile = c * jv(m, lam * g.r)
-            u = profile[:, None] * np.exp(1j * m * g.theta)[None, :]
-            return np.stack([u]), None
-        jm_lam = jv(m, lam)
+            u = self.angular_values(self.radial_table(g.r[:, None]), g.theta)
+            return np.moveaxis(u, -1, 0), None
         F = c * (jv(m, lam * g.r) - jm_lam * g.r**m)
         psi = F[:, None] * np.exp(1j * m * g.theta)[None, :]
         g1, g2 = g.grad_cartesian(psi)
@@ -192,19 +166,19 @@ class Quasimode:
         so a caller evaluates this table at the radii of its points and
         runs `angular_values` per point.  Scalar family: (c J_m(lam rho),).
         Velocity family: (F', F / rho) for the stream profile F(rho) = c
-        (J_m(lam rho) - J_m(lam) rho^m); rho = 0 takes the limit of F /
-        rho.  J_m' = J_{m-1} - (m / x) J_m takes the two orders m - 1 and
+        (J_m(lam rho) - J_m(lam) rho^m), with the mode's stored J_m(lam);
+        rho = 0 takes the limit of F / rho, c (lam / 2 - J_1(lam)) at m = 1
+        and 0 otherwise.  J_m' = J_{m-1} - (m / x) J_m takes the two orders m - 1 and
         m; as x -> 0, (m / x) J_m -> 1/2 for m = 1 and 0 for any other
         m.  Each entry depends on its own radius only, so a table on any
         set of radii holds the bits of a per-point evaluation at each
         radius.
         """
-        m, lam, c = self.m, self.lam, self.c
+        m, lam, c, jm_lam = self.m, self.lam, self.c, self.jm_lam
         x = lam * rad
         jm = jv(m, x)
         if self.kind == "laplace":
             return (c * jm,)
-        jm_lam = jv(m, lam)
         F = c * (jm - jm_lam * rad**m)
         with np.errstate(divide="ignore", invalid="ignore"):
             jm_over_x = np.where(x > 0.0, jm / x, 0.5 if m == 1 else 0.0)
@@ -212,13 +186,14 @@ class Quasimode:
         with np.errstate(divide="ignore", invalid="ignore"):
             F_over_rho = np.where(rad > 1e-12, F / np.where(rad > 1e-12, rad, 1.0), 0.0)
         if m == 1:
-            lim = c * (0.5 * lam - jv(1, lam))
+            lim = c * (0.5 * lam - jm_lam)
             F_over_rho = np.where(rad > 1e-12, F_over_rho, lim)
         return dF, F_over_rho
 
     def angular_values(self, radial, theta: np.ndarray) -> np.ndarray:
-        """Velocity, shape theta.shape + (ncomp,), from `radial_table`
-        entries gathered to the points and the points' polar angles."""
+        """Velocity from `radial_table` entries gathered to the points and
+        the points' polar angles; the shape is that of the entries and
+        theta broadcast together, plus (ncomp,)."""
         m = self.m
         phase = np.exp(1j * m * theta)
         if self.kind == "laplace":
@@ -265,13 +240,31 @@ class Quasimode:
         return out
 
 
+def _disk_mode(kind: str, m: int, k: int, num_r, num_theta) -> Quasimode:
+    """The unit-norm (m, k) mode of a family; a None grid size takes the
+    default, and a grid that cannot resolve lam or m raises ValueError."""
+    lam = family_lambda(kind, m, k)
+    if num_r is None:
+        num_r = max(40, int(math.ceil(1.35 * lam)) + 16)
+    if num_theta is None:
+        num_theta = max(32, 4 * m + 16)
+    num_theta += num_theta % 2
+    floor_r = 4.0 * lam / math.pi
+    if num_r <= floor_r:
+        raise ValueError(f"need num_r > {floor_r:.1f} for lam = {lam:.3f}, got {num_r}")
+    if num_theta <= 4 * m:
+        raise ValueError(f"need num_theta > {4 * m} for m = {m}, got {num_theta}")
+    if kind == "laplace":
+        jm_lam, c = None, 1.0 / (math.sqrt(math.pi) * abs(jv(m + 1, lam)))
+    else:
+        jm_lam = jv(m, lam)
+        c = 1.0 / (math.sqrt(math.pi) * lam * abs(jm_lam))
+    return Quasimode(kind, m, k, lam, PolarGrid(num_r, num_theta), c, jm_lam)
+
+
 def laplace_disk_mode(m: int, k: int, num_r=None, num_theta=None) -> Quasimode:
-    """Dirichlet eigenmode of the scalar problem, unit L2 norm."""
-    spec = ModeSpec("laplace", m, k, num_r, num_theta)
-    lam = family_lambda("laplace", m, k)
-    grid = PolarGrid(*spec.resolve(lam))
-    c = 1.0 / (math.sqrt(math.pi) * abs(jv(m + 1, lam)))
-    return Quasimode("laplace", m, k, lam, grid, c)
+    """Dirichlet eigenmode u = c J_m(lam r) e^{i m theta} of the scalar problem."""
+    return _disk_mode("laplace", m, k, num_r, num_theta)
 
 
 def stokes_disk_mode(m: int, k: int, num_r=None, num_theta=None) -> Quasimode:
@@ -280,8 +273,4 @@ def stokes_disk_mode(m: int, k: int, num_r=None, num_theta=None) -> Quasimode:
     The velocity derives from the stream function c (J_m(lam r) - J_m(lam)
     r^m) e^{i m theta}; see `Quasimode._fields` for the pressure.
     """
-    spec = ModeSpec("stokes", m, k, num_r, num_theta)
-    lam = family_lambda("stokes", m, k)
-    grid = PolarGrid(*spec.resolve(lam))
-    c = 1.0 / (math.sqrt(math.pi) * lam * abs(jv(m, lam)))
-    return Quasimode("stokes", m, k, lam, grid, c)
+    return _disk_mode("stokes", m, k, num_r, num_theta)

@@ -13,9 +13,11 @@ interior symbol is a spatial factor times a function of |xi| times a
 function of the angular momentum x wedge xi.  Without the momentum
 factor it is one separable term and goes through FFTs; with it the
 direct lattice sum runs, which is slower but makes no structural
-assumption.  A pullback symbol with an `eval` and a `xi_bound` takes the
-direct sum too, and the same symbol with momentum factor 1 doubles as
-the cross-check oracle for the fast path.  The type decides the check:
+assumption; it runs in the FFT convention too, as the box-origin phase
+of the coefficients and the node phase of e^{i k.x} cancel.  A pullback
+symbol with an `eval` and a `xi_bound` takes the direct sum too, and the
+same symbol with momentum factor 1 doubles as the cross-check oracle for
+the fast path.  The type decides the check:
 the operators check an InteriorSymbol's margin and lattice reach at
 their entry, and a pullback, which has no spatial factor, never.
 
@@ -352,13 +354,19 @@ def apply_interior_op(a, f: np.ndarray, h: float, grid: BoxGrid) -> np.ndarray:
 
 def _apply_interior(a, f: np.ndarray, h: float, grid: BoxGrid, spatial) -> np.ndarray:
     """`apply_interior_op` past its entry check; `spatial` is an
-    InteriorSymbol's spatial factor on the box, None for a pullback."""
+    InteriorSymbol's spatial factor on the box, None for a pullback.
+
+    The direct sum takes F = fft2(f) / n^2 and E[m, j] = w^(m j mod n),
+    w = e^{2 pi i / n}: e^{i k_m x_j} = (-1)^m w^(m j) at the nodes, and
+    its (-1)^m cancels the box-origin phase e^{i k_m half} = (-1)^m.
+    """
     if spatial is not None and a.momentum is None:
         return _plain_route(spatial, _speed_on_lattice(a, h, grid, np.fft.fft2(f)))
     # direct lattice sum, chunked over the first frequency axis
     n = grid.n
-    F = _plane_coeffs(f, grid, _origin_phase(grid))
-    E = np.exp(1j * np.outer(grid.k, grid.x))  # E[m, j] = e^{i k_m x_j}
+    F = np.fft.fft2(f) / n**2
+    idx = np.arange(n)
+    E = np.exp(2j * np.pi / n * (np.outer(idx, idx) % n))
     out = np.zeros((n, n), dtype=complex)
     x1 = grid.x[:, None, None]
     x2 = grid.x[None, :, None]
@@ -375,18 +383,6 @@ def _plain_route(spatial: np.ndarray, weighted: np.ndarray) -> np.ndarray:
     """spatial times the inverse transform of f's speed-weighted spectrum:
     the FFT route of a symbol without a momentum factor."""
     return spatial * np.fft.ifft2(weighted)
-
-
-def _origin_phase(grid: BoxGrid) -> np.ndarray:
-    """e^{i k.half}: the lattice phase of the box origin at (-half, -half),
-    the outer product of its two 1-D factors."""
-    e = np.exp(1j * grid.half * grid.k)
-    return e[:, None] * e[None, :]
-
-
-def _plane_coeffs(f: np.ndarray, grid: BoxGrid, phase: np.ndarray) -> np.ndarray:
-    """Coefficients of f in the e^{i k.x} basis; `phase` is `_origin_phase(grid)`."""
-    return np.fft.fft2(f) / grid.n**2 * phase
 
 
 def _alias_free_length(n: int) -> int:

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bicharlab.cli as cli
-from bicharlab import charts, config, quantize, verify
+from bicharlab import billiard, charts, config, modes, quantize, verify
 from bicharlab import io as artio
 from bicharlab.config import (
     KINDS,
@@ -501,7 +501,8 @@ def test_pairing_layer_takes_only_what_the_program_sets():
     # tests pin a box through sample_mode_on_box and the apply_*_op.  The
     # symbol's type decides the operators' check and its momentum factor
     # the invariance route, and the chart kind decides whether a chart
-    # has a bracket budget or a collar width
+    # has a bracket budget or a collar width.  The ray batch and the mode
+    # constructors are pinned too, so no knob reaches them unreviewed
     def bare(fn):
         sig = inspect.signature(fn)
         params = [p.replace(annotation=p.empty) for p in sig.parameters.values()]
@@ -513,6 +514,7 @@ def test_pairing_layer_takes_only_what_the_program_sets():
         quantize.apply_interior_op, quantize.apply_shifted_op,
         verify.invariance_gap, verify.support_gap,
         charts.DiskChart.__init__, charts.AnnulusChart.__init__, charts.ModelChart.__init__,
+        billiard.propagate, modes.laplace_disk_mode, modes.stokes_disk_mode,
     )} == {
         "pairing": "(a, mode)",
         "shifted_pairing": "(a, s, mode)",
@@ -528,6 +530,9 @@ def test_pairing_layer_takes_only_what_the_program_sets():
         "DiskChart.__init__": "(self, collar_width=0.35)",
         "AnnulusChart.__init__": "(self, rho_in, component='outer', collar_width=None)",
         "ModelChart.__init__": "(self, terms, max_derivative_order=8)",
+        "propagate": "(x, xi, t, pinned='raise')",
+        "laplace_disk_mode": "(m, k, num_r=None, num_theta=None)",
+        "stokes_disk_mode": "(m, k, num_r=None, num_theta=None)",
     }
 
 

@@ -76,6 +76,9 @@ REFUSED = [
     # a misspelt family was read as Stokes
     (family_lambda, "stoks", ("stoks", 3, 2), ValueError, r"\bfamily\b.*'stoks'"),
     (pick_k_for_ratio, "stoks", ("stoks", 16, 0.9), ValueError, r"\bfamily\b.*'stoks'"),
+    # m = -1 read the zeros of J_0 as the Stokes eigenvalues
+    (family_lambda, "neg-m", ("stokes", -1, 2), ValueError, r"\bm must be >= 0, got -1"),
+    (pick_k_for_ratio, "neg-m", ("stokes", -1, 0.5), ValueError, r"\bm must be >= 0, got -1"),
     (plateau_step, "19", (0.5, 1.0, 1.0), ValueError, r"\bb > a\b"),
     (plateau_step, "20", (0.5, 1.0, 0.0), ValueError, r"\bb > a\b"),
     (plateau_step, "21", (0.5, 0.0, NAN), ValueError, r"\bb > a\b"),

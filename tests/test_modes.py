@@ -10,7 +10,6 @@ from scipy.special import jn_zeros, jv
 
 from bicharlab import modes as modes_module
 from bicharlab.modes import (
-    ModeSpec,
     _bessel_zeros,
     _zeros_table,
     bessel_zero,
@@ -208,8 +207,6 @@ def test_resolution_validation():
     with pytest.raises(ValueError):
         laplace_disk_mode(0, 8, num_r=10)
     with pytest.raises(ValueError):
-        ModeSpec("heat", 0, 1).resolve(3.0)
-    with pytest.raises(ValueError):
         bessel_zero(-1, 1)
 
 
@@ -263,11 +260,14 @@ def test_bessel_zero_tables_are_read_only():
 def eager_mode(kind, m, k, num_r=None, num_theta=None):
     """A mode as its constructors built it before the fields became lazy.
 
-    The grid and both fields are made at once, on an `EagerGrid`.  Kept
-    as the oracle of `Quasimode`'s first-read fields.
+    The grid and both fields are made at once, on an `EagerGrid` sized by
+    the default rule as the constructors took it then.  Kept as the oracle
+    of `Quasimode`'s first-read fields.
     """
     lam = family_lambda(kind, m, k)
-    grid = EagerGrid(*ModeSpec(kind, m, k, num_r, num_theta).resolve(lam))
+    num_r = num_r if num_r is not None else max(40, int(math.ceil(1.35 * lam)) + 16)
+    num_theta = num_theta if num_theta is not None else max(32, 4 * m + 16)
+    grid = EagerGrid(num_r, num_theta + num_theta % 2)
     if kind == "laplace":
         c = 1.0 / (math.sqrt(math.pi) * abs(jv(m + 1, lam)))
         profile = c * jv(m, lam * grid.r)

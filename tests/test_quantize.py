@@ -168,6 +168,26 @@ def test_masked_path_matches_fast_path():
     assert abs(v_fast - v_masked) < 1e-10
 
 
+@pytest.mark.parametrize("mode, n", [
+    (laplace_disk_mode(3, 2), 32),
+    (laplace_disk_mode(0, 6), 36),
+    (laplace_disk_mode(9, 3), 40),
+    (stokes_disk_mode(4, 3), 42),
+])
+def test_direct_sum_matches_the_fft_route_to_round_off(mode, n):
+    # both routes run in the FFT convention, so a momentum factor of 1
+    # leaves only the summation order between them; rounded box-origin
+    # and node phases, which cancel only in exact arithmetic, miss 2e-15
+    grid = BoxGrid(n)
+    sym = InteriorSymbol(
+        spatial_plateau(0.55, 0.7), lambda r: window(r, 0.6, 0.8, 1.2, 1.4), xi_bound=1.5
+    )
+    twin = dense_twin(sym)
+    for u in sample_mode_on_box(mode, grid):
+        fast = apply_interior_op(sym, u, mode.h, grid)
+        assert within_max(apply_interior_op(twin, u, mode.h, grid), fast, rel=2e-15)
+
+
 def test_margin_bandlimit_and_construction_refusals():
     grid = BoxGrid(64)
     wide = InteriorSymbol(spatial_plateau(0.95, 0.99), xi_bound=0.0)
