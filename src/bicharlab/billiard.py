@@ -23,6 +23,8 @@ __all__ = [
 # rays per pass of `propagate`: bounds the size of its temporaries, a few
 # hundred kB per block
 BLOCK = 4_096
+# a point counts as in the closed unit disk while |x| <= CLOSED_RADIUS
+CLOSED_RADIUS = 1.0 + 1e-12
 
 
 def time_to_boundary(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -31,13 +33,13 @@ def time_to_boundary(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
     Solves 4|xi|^2 t^2 + 4(x.xi) t + (|x|^2 - 1) = 0 for its nonnegative
     root.  Shapes broadcast over leading axes; the last axis is length 2.
     Contract: x and xi finite, every x in the closed disk (hypot(x) <=
-    1 + 1e-12, as `propagate`) and every xi nonzero; ValueError otherwise.
+    CLOSED_RADIUS, as `propagate`) and every xi nonzero; ValueError otherwise.
     """
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
     if not (np.isfinite(x).all() and np.isfinite(xi).all()):
         raise ValueError("x and xi must be finite")
-    if np.any(np.hypot(x[..., 0], x[..., 1]) > 1.0 + 1e-12):
+    if np.any(np.hypot(x[..., 0], x[..., 1]) > CLOSED_RADIUS):
         raise ValueError("every x must lie in the closed unit disk")
     a = np.sum(xi * xi, axis=-1)
     if not np.all(a > 0.0):
@@ -120,7 +122,7 @@ def propagate(x: np.ndarray, xi: np.ndarray, t: float, pinned: str = "raise"):
     Returns (x_t, xi_t, bounces), exactly and at a cost independent of t:
     a flight to the first hit, one rotation for all later chords and one
     partial chord.  ValueError unless x, xi and t are finite, every x is
-    in the closed disk (hypot(x) <= 1 + 1e-12) and every xi is nonzero;
+    in the closed disk (hypot(x) <= CLOSED_RADIUS) and every xi is nonzero;
     `time_to_boundary` checks x and xi one block of BLOCK rays at a time.
     A tangential contact cannot be continued by chords; with
     pinned="raise" (default) that aborts the batch, with pinned="mark"

@@ -31,6 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .billiard import CLOSED_RADIUS
+
 __all__ = [
     "OrderBudgetError",
     "PhasePoint",
@@ -170,7 +172,7 @@ class _RoundChart(CollarChart):
 
     def contains(self, x: Sequence[float]) -> bool:
         """x lies in the closed domain, up to 1e-12 as in billiard.propagate."""
-        return self._hole - 1e-12 <= math.hypot(x[0], x[1]) <= 1.0 + 1e-12
+        return self._hole - 1e-12 <= math.hypot(x[0], x[1]) <= CLOSED_RADIUS
 
     def to_cartesian(self, p: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
         rho = self.radius(p.y)

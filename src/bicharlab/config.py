@@ -224,13 +224,10 @@ def _check_symbol(spec: dict, where: str):
 
 
 def _check_family(fam: dict, where: str) -> list[str]:
-    errors = []
     m, k = fam["m"], fam["k"]
     if isinstance(m, list) and isinstance(k, list) and len(m) != len(k):
-        errors.append(f"{where}: m and k lists must have equal length to pair up")
-    if fam["family"] == "stokes" and min(m if isinstance(m, list) else [m]) < 1:
-        errors.append(f"{where}.m: the velocity family needs m >= 1")
-    return errors
+        return [f"{where}: m and k lists must have equal length to pair up"]
+    return []
 
 
 def _no_rules(exp, where, chart):

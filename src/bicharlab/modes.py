@@ -36,16 +36,12 @@ __all__ = [
 ]
 
 
-def _bessel_zeros(m: int, k: int) -> np.ndarray:
-    """The first k positive zeros of J_m, increasing; a read-only array."""
-    if m < 0 or k < 1:
-        raise ValueError("need m >= 0 and k >= 1")
-    return _zeros_table(m, k)
-
-
 @lru_cache(maxsize=None)
 def _zeros_table(m: int, k: int) -> np.ndarray:
-    # one table per (m, k) and process; read-only, so no caller can edit it
+    """The first k positive zeros of J_m, increasing: one read-only table
+    per (m, k) and process.  A refused (m, k) raises and is not cached."""
+    if m < 0 or k < 1:
+        raise ValueError("need m >= 0 and k >= 1")
     zs = jn_zeros(m, k)
     zs.flags.writeable = False
     return zs
@@ -53,7 +49,7 @@ def _zeros_table(m: int, k: int) -> np.ndarray:
 
 def bessel_zero(m: int, k: int) -> float:
     """k-th positive zero of J_m."""
-    return float(_bessel_zeros(m, k)[-1])
+    return float(_zeros_table(m, k)[-1])
 
 
 def _zero_order(family: str, m: int) -> int:
@@ -95,7 +91,7 @@ def pick_k_for_ratio(family: str, m: int, ratio: float) -> int:
     order = _zero_order(family, m)
     K = 8
     while True:
-        zs = _bessel_zeros(order, K)
+        zs = _zeros_table(order, K)
         if K == K_MAX or m / zs[-1] < ratio:
             return int(np.argmin(np.abs(m / zs - ratio))) + 1
         K = min(2 * K, K_MAX)
@@ -240,37 +236,29 @@ class Quasimode:
         return out
 
 
-def _disk_mode(kind: str, m: int, k: int, num_r, num_theta) -> Quasimode:
-    """The unit-norm (m, k) mode of a family; a None grid size takes the
-    default, and a grid that cannot resolve lam or m raises ValueError."""
+def _disk_mode(kind: str, m: int, k: int) -> Quasimode:
+    """The unit-norm (m, k) mode of a family, on max(40, ceil(1.35 lam) +
+    16) radii and max(32, 4 m + 16) angles: more than 4 lam / pi radii and
+    an even count of more than 4 m angles resolve lam and m."""
     lam = family_lambda(kind, m, k)
-    if num_r is None:
-        num_r = max(40, int(math.ceil(1.35 * lam)) + 16)
-    if num_theta is None:
-        num_theta = max(32, 4 * m + 16)
-    num_theta += num_theta % 2
-    floor_r = 4.0 * lam / math.pi
-    if num_r <= floor_r:
-        raise ValueError(f"need num_r > {floor_r:.1f} for lam = {lam:.3f}, got {num_r}")
-    if num_theta <= 4 * m:
-        raise ValueError(f"need num_theta > {4 * m} for m = {m}, got {num_theta}")
+    grid = PolarGrid(max(40, int(math.ceil(1.35 * lam)) + 16), max(32, 4 * m + 16))
     if kind == "laplace":
         jm_lam, c = None, 1.0 / (math.sqrt(math.pi) * abs(jv(m + 1, lam)))
     else:
         jm_lam = jv(m, lam)
         c = 1.0 / (math.sqrt(math.pi) * lam * abs(jm_lam))
-    return Quasimode(kind, m, k, lam, PolarGrid(num_r, num_theta), c, jm_lam)
+    return Quasimode(kind, m, k, lam, grid, c, jm_lam)
 
 
-def laplace_disk_mode(m: int, k: int, num_r=None, num_theta=None) -> Quasimode:
+def laplace_disk_mode(m: int, k: int) -> Quasimode:
     """Dirichlet eigenmode u = c J_m(lam r) e^{i m theta} of the scalar problem."""
-    return _disk_mode("laplace", m, k, num_r, num_theta)
+    return _disk_mode("laplace", m, k)
 
 
-def stokes_disk_mode(m: int, k: int, num_r=None, num_theta=None) -> Quasimode:
+def stokes_disk_mode(m: int, k: int) -> Quasimode:
     """No-slip divergence-free eigenmode pair (velocity, rescaled pressure).
 
     The velocity derives from the stream function c (J_m(lam r) - J_m(lam)
     r^m) e^{i m theta}; see `Quasimode._fields` for the pressure.
     """
-    return _disk_mode("stokes", m, k, num_r, num_theta)
+    return _disk_mode("stokes", m, k)

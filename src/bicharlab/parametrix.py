@@ -29,7 +29,7 @@ singularity of the layer symbols.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -38,7 +38,6 @@ from .charts import DiskChart
 from .polar import PolarGrid
 
 __all__ = [
-    "PolyStep",
     "ParametrixODEError",
     "ParametrixSymbol",
     "build_parametrix",
@@ -67,50 +66,44 @@ def _require_h(h) -> None:
         raise ValueError(f"h must be finite and positive, got {h}")
 
 
-class PolyStep:
-    """Polynomial ramp: 0 below a, 1 above b, C^3 across [a, b].
+def _ramp_s(t):
+    # the layer symbols' ramp rises over [DELTA0 / 2, DELTA0]
+    return np.clip((np.asarray(t, dtype=float) - DELTA0 / 2.0) / (DELTA0 / 2.0), 0.0, 1.0)
+
+
+def _ramp(t):
+    """Polynomial ramp: 0 below DELTA0 / 2, 1 above DELTA0, C^3 across.
 
     The interior shape is 35 s^4 - 84 s^5 + 70 s^6 - 20 s^7, whose first
     three derivatives vanish at both ends, so first and second
     derivatives of the ramp are continuous and available in closed form.
     """
-
-    def __init__(self, a: float, b: float):
-        if not a < b:
-            raise ValueError("ramp needs a < b")
-        self.a = float(a)
-        self.b = float(b)
-
-    def _s(self, t):
-        return np.clip((np.asarray(t, dtype=float) - self.a) / (self.b - self.a), 0.0, 1.0)
-
-    def __call__(self, t):
-        s = self._s(t)
-        return s**4 * (35.0 + s * (-84.0 + s * (70.0 - 20.0 * s)))
-
-    def d1(self, t):
-        s = self._s(t)
-        return 140.0 * (s * (1.0 - s)) ** 3 / (self.b - self.a)
-
-    def d2(self, t):
-        s = self._s(t)
-        return 420.0 * (s * (1.0 - s)) ** 2 * (1.0 - 2.0 * s) / (self.b - self.a) ** 2
+    s = _ramp_s(t)
+    return s**4 * (35.0 + s * (-84.0 + s * (70.0 - 20.0 * s)))
 
 
-def _layer_pieces(chart, step: PolyStep, y, xi, h: float):
+def _ramp_derivatives(t):
+    """First and second derivatives of `_ramp`."""
+    s = _ramp_s(t)
+    w = s * (1.0 - s)
+    return 140.0 * w**3 / (DELTA0 / 2.0), 420.0 * w**2 * (1.0 - 2.0 * s) / (DELTA0 / 2.0) ** 2
+
+
+def _layer_pieces(chart, y, xi, h: float):
     """Exponential layer E, ramp factor and the derivative combinations
     entering the correction forcing, all broadcast over (y, xi)."""
     lam, lam1, lam2 = chart.lam_jet(y, np.abs(xi))
     E = np.exp(-y * lam / h)
-    phi = step(lam)
-    phi1 = step.d1(lam) * lam1
-    phi2 = step.d2(lam) * lam1**2 + step.d1(lam) * lam2
+    phi = _ramp(lam)
+    d1, d2 = _ramp_derivatives(lam)
+    phi1 = d1 * lam1
+    phi2 = d2 * lam1**2 + d1 * lam2
     psi1 = lam + y * lam1
     psi2 = 2.0 * lam1 + y * lam2
     return lam, E, phi, phi1, phi2, psi1, psi2
 
 
-def _forcing(chart, step: PolyStep, y, xi, h: float):
+def _forcing(chart, y, xi, h: float):
     """Right-hand side of the correction ODE  h^2 A'' - lam^2 A = F.
 
     F collects the order-one remainder of applying the collar Laplacian
@@ -123,7 +116,7 @@ def _forcing(chart, step: PolyStep, y, xi, h: float):
     be one order lower and the correction would no longer cancel the
     order-h residual (see the per-mode residual identity in the tests).
     """
-    lam, E, phi, phi1, phi2, psi1, psi2 = _layer_pieces(chart, step, y, xi, h)
+    lam, E, phi, phi1, phi2, psi1, psi2 = _layer_pieces(chart, y, xi, h)
     H = chart.curvature_h(y)
     # (psi1^2 - lam^2) expands to 2 lam (y lam') + (y lam')^2; keep it in
     # that form so nothing is lost to cancellation at small y
@@ -183,8 +176,8 @@ def _suffix_scan(m11, m12, m21, m22, c1, c2):
         d *= 2
 
 
-def _solve_correction(chart, step: PolyStep, xi, h: float, eps0: float, n_steps: int):
-    """Solve the correction ODE backward from y = eps0 and superpose.
+def _solve_correction(chart, xi, h: float, n_steps: int):
+    """Solve the correction ODE backward from y = EPS0 and superpose.
 
     Zero terminal data wipes the branch that grows with depth; one
     backward sweep of the homogeneous equation supplies the decaying
@@ -196,7 +189,7 @@ def _solve_correction(chart, step: PolyStep, xi, h: float, eps0: float, n_steps:
     the unit vectors without forcing, c_j the step applied to 0 with it,
     both for all rows at once.  A suffix scan composes the maps in
     ceil(log2 n_steps) passes; the particular solution is the scanned c,
-    the homogeneous one the scanned M applied to (1, -lam(eps0)/h).
+    the homogeneous one the scanned M applied to (1, -lam(EPS0)/h).
 
     The homogeneous sweep grows like exp(int lam dy / h), so the rows are
     scanned in blocks, from the deepest, each of log-growth at most
@@ -215,12 +208,12 @@ def _solve_correction(chart, step: PolyStep, xi, h: float, eps0: float, n_steps:
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     ns = int(n_steps)
-    ys = np.linspace(0.0, eps0, ns + 1)
-    dt = eps0 / ns
+    ys = np.linspace(0.0, EPS0, ns + 1)
+    dt = EPS0 / ns
 
     y = ys[1:, None]
     with np.errstate(invalid="ignore", over="ignore"):
-        tables = [(chart.lam_jet(yy, np.abs(xi))[0] ** 2, _forcing(chart, step, yy, xi, h))
+        tables = [(chart.lam_jet(yy, np.abs(xi))[0] ** 2, _forcing(chart, yy, xi, h))
                   for yy in (y, y - 0.5 * dt, y - dt)]
         unforced = [(lam2, 0.0) for lam2, _ in tables]
         m11, m21 = _backward_step(unforced, 1.0, 0.0, h, dt)
@@ -230,7 +223,7 @@ def _solve_correction(chart, step: PolyStep, xi, h: float, eps0: float, n_steps:
             (dt / h) * np.sqrt(np.max([lam2.max(axis=1) for lam2, _ in tables], axis=0))[::-1]
         )
 
-    lam_end = chart.lam_jet(eps0, np.abs(xi))[0]
+    lam_end = chart.lam_jet(EPS0, np.abs(xi))[0]
     path_a = np.zeros((ns + 1, xi.size), dtype=complex)
     path_v = np.zeros_like(path_a)
     path_u = np.ones((ns + 1, xi.size))
@@ -311,7 +304,6 @@ class ParametrixSymbol:
 
     order: int
     chart: object
-    step: PolyStep = field(repr=False)
 
     def _in_domain(self, y, xi):
         """y and xi as float arrays; refuses depths off [0, EPS0] and non-finite xi."""
@@ -328,7 +320,7 @@ class ParametrixSymbol:
         _require_h(h)
         y, xi = self._in_domain(y, xi)
         lam = self.chart.lam_jet(y, np.abs(xi))[0]
-        return np.exp(-y * lam / h) * self.step(lam)
+        return np.exp(-y * lam / h) * _ramp(lam)
 
     def a1(self, y, xi, h: float):
         """Correction symbol on a (depth, frequency) product grid."""
@@ -338,12 +330,10 @@ class ParametrixSymbol:
         lam_ends = self.chart.lam_jet(np.array([0.0, EPS0]), np.max(np.abs(xi)))[0]
         lam_top = float(np.max(lam_ends))
         steps = max(MIN_ODE_STEPS, int(EPS0 * lam_top / h))
-        ys, corr, corr_v = _solve_correction(
-            self.chart, self.step, xi, h, EPS0, steps
-        )
+        ys, corr, corr_v = _solve_correction(self.chart, xi, h, steps)
         vals = _hermite_rows(ys, corr, corr_v, y)
         lam = self.chart.lam_jet(y[:, None], np.abs(xi)[None, :])[0]
-        return vals * self.step(lam)
+        return vals * _ramp(lam)
 
     def total(self, y, xi, h: float):
         """a0, plus h times the correction when order is 1; grid output."""
@@ -369,20 +359,20 @@ def build_parametrix(chart=None, order: int = 0) -> ParametrixSymbol:
     for attr in ("lam_jet", "curvature_h"):
         if not hasattr(chart, attr):
             raise TypeError(f"chart lacks {attr}, needed for the layer symbols")
-    return ParametrixSymbol(order=int(order), chart=chart, step=PolyStep(DELTA0 / 2.0, DELTA0))
+    return ParametrixSymbol(order=int(order), chart=chart)
 
 
 @lru_cache(maxsize=None)
-def _legendre_rule(num: int):
-    # one eigenvalue solve per size and process; read-only, so no caller can edit it
-    z, w = np.polynomial.legendre.leggauss(num)
+def _legendre_rule():
+    # one eigenvalue solve per process; read-only, so no caller can edit it
+    z, w = np.polynomial.legendre.leggauss(NUM_Y)
     z.flags.writeable = w.flags.writeable = False
     return z, w
 
 
-def _gauss_nodes(a: float, b: float, num: int):
-    """num Gauss-Legendre nodes and weights on [a, b], as fresh arrays."""
-    z, w = _legendre_rule(int(num))
+def _gauss_nodes(a: float, b: float):
+    """NUM_Y Gauss-Legendre nodes and weights on [a, b], as fresh arrays."""
+    z, w = _legendre_rule()
     return 0.5 * (b - a) * z + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
@@ -400,10 +390,10 @@ def extension_error(sym: ParametrixSymbol, m: int) -> float:
     if not (np.isfinite(m) and float(m).is_integer()):
         raise ValueError(f"ring mode m must be an integer, got {m}")
     h = 1.0 / abs(m)
-    y, w = _gauss_nodes(0.0, EPS0, NUM_Y)
+    y, w = _gauss_nodes(0.0, EPS0)
     rho, rho0 = sym.chart.radius(y), sym.chart.radius(0.0)
     base = rho0 / rho if sym.chart.component == "inner" else rho / rho0
-    ramp = sym.step(h * abs(m))
+    ramp = _ramp(h * abs(m))
     ref = ramp * base ** abs(m)
     got = ramp * sym.total(y, h * m, h)[:, 0]
     return float(np.sqrt(np.dot(w, np.abs(got - ref) ** 2) / np.dot(w, ref**2)))
@@ -423,12 +413,12 @@ def band_mass(field: np.ndarray, grid: PolarGrid, y0: float, h: float) -> float:
     fhat = grid.to_modes(np.asarray(field, dtype=complex))
     col_mass = np.sum(np.abs(fhat) ** 2, axis=0)
     live = np.flatnonzero(col_mass > col_mass.sum() * 1e-30)
-    y, w = _gauss_nodes(y0, EPS0, NUM_Y)
+    y, w = _gauss_nodes(y0, EPS0)
     rho = sym.chart.radius(y)
     total = np.zeros(y.size)
     for j in live:
         m = int(grid.modes[j])
         prof = grid.interp_modes_radial(fhat[:, j], m, rho)
         lam = sym.chart.lam_jet(y, h * abs(m))[0]
-        total += np.abs(sym.step(lam) * prof) ** 2
+        total += np.abs(_ramp(lam) * prof) ** 2
     return float(np.dot(w, 2.0 * np.pi * total))

@@ -240,6 +240,10 @@ class TangentialSymbol:
 # complex entries per block of `husimi_grid`'s second pass, (centre
 # columns, xi, box columns): a box of 236 columns takes 4 centre columns
 HUSIMI_NODES = 1 << 15
+# half-widths of `husimi_grid`'s window centres: x reaches past the unit
+# disk and xi past the unit energy shell
+HUSIMI_X_MAX = 1.25
+HUSIMI_XI_MAX = 1.6
 
 
 def _times_i_power(z: np.ndarray, k: int) -> np.ndarray:
@@ -620,19 +624,14 @@ def _symmetric_axis(half_width: float, num: int) -> np.ndarray:
     return half_width * (2 * np.arange(num) - (num - 1)) / (num - 1)
 
 
-def husimi_grid(
-    mode,
-    *,
-    nx: int = 24,
-    nxi: int = 25,
-    x_max: float = 1.25,
-    xi_max: float = 1.6,
-) -> HusimiGrid:
+def husimi_grid(mode, *, nx: int, nxi: int) -> HusimiGrid:
     """Coherent-state density |<phi_{x,xi}, u>|^2 / (2 pi h)^2 of a disk mode.
 
+    The window centres are nx points on [-HUSIMI_X_MAX, HUSIMI_X_MAX] per
+    axis and nxi frequencies near [-HUSIMI_XI_MAX, HUSIMI_XI_MAX] per axis.
     The mode's components are sampled on the box whose lattice reaches
-    xi_max + 1, and h is the mode's.  The xi axis snaps to the frequency
-    lattice, so overlaps are entries of DFTs: per x0 row and component,
+    HUSIMI_XI_MAX + 1, and h is the mode's.  The xi axis snaps to the
+    frequency lattice, so overlaps are entries of DFTs: per x0 row and component,
     one batched 1-D FFT along x1, then batched 1-D FFTs along x2 over a
     few window centres y0 at a time (HUSIMI_NODES entries per batch), all
     numpy's pocketfft.  No BLAS call enters, so the bytes do not depend on
@@ -660,27 +659,24 @@ def husimi_grid(
     and three turns fill the rest.  The filled values agree with a direct
     computation to the round-off of the sampled field, within 1e-13 of
     the density's max.  Anything but a `modes.Quasimode` is refused: only
-    a disk mode, with its real profile, has the symmetry.  x_max and
-    xi_max must be finite and positive.
+    a disk mode, with its real profile, has the symmetry.
     """
     if not isinstance(mode, Quasimode):
         raise TypeError("husimi_grid takes a disk mode, whose density is rotation symmetric")
     if nx < 2 or nxi < 2:
         raise ValueError("need nx >= 2 and nxi >= 2")
-    if not (0.0 < x_max < math.inf and 0.0 < xi_max < math.inf):
-        raise ValueError("need finite x_max > 0 and xi_max > 0")
     h = mode.h
-    box = default_box(h, xi_max + 1.0)
+    box = default_box(h, HUSIMI_XI_MAX + 1.0)
     comps = sample_mode_on_box(mode, box)
     lattice = h * box.k  # lattice[-i] == -lattice[i] exactly
-    targets = _symmetric_axis(xi_max, nxi)
+    targets = _symmetric_axis(HUSIMI_XI_MAX, nxi)
     up = np.unique([int(np.argmin(np.abs(lattice - t))) for t in targets[nxi // 2 :]])
     idx = np.concatenate([box.n - up[up > 0][::-1], up])
     xi_axis = lattice[idx]
     if len(xi_axis) < 2:
         raise ValueError("frequency lattice too coarse for the xi axis")
     dxi = float(np.mean(np.diff(xi_axis)))
-    x_axis = _symmetric_axis(x_max, nx)
+    x_axis = _symmetric_axis(HUSIMI_X_MAX, nx)
     # the window g(x1 - x0) g(x2 - y0) is separable; one x0 row and a few
     # centre columns at a time bound the work array at HUSIMI_NODES entries
     g = np.exp(-((box.x[None, :] - x_axis[:, None]) ** 2) / (2.0 * h))

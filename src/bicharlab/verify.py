@@ -184,7 +184,7 @@ def _survivors(x1, x2, xi1, xi2, invariant):
     if not all(np.isfinite(v).all() for v in (X1, X2, S1, S2)):
         raise ValueError("a transported symbol needs finite x and xi")
     shape = np.broadcast_shapes(X1.shape, X2.shape, S1.shape, S2.shape)
-    keep = np.hypot(X1, X2) <= 1.0 + 1e-12
+    keep = np.hypot(X1, X2) <= billiard.CLOSED_RADIUS
     if invariant is not None:
         keep = keep & (invariant(X1, X2, S1, S2) != 0)
     idx = np.nonzero(np.broadcast_to(keep, shape))
@@ -369,7 +369,7 @@ def _phase_survivors(hg, invariant):
     Returns (idx, points): `idx` indexes `hg.density`.
     """
     n_xi = len(hg.xi_axis)
-    ci, cj = np.nonzero(np.hypot(hg.x_axis[:, None], hg.x_axis[None, :]) <= 1.0 + 1e-12)
+    ci, cj = np.nonzero(np.hypot(hg.x_axis[:, None], hg.x_axis[None, :]) <= billiard.CLOSED_RADIUS)
     x1, x2 = hg.x_axis[ci], hg.x_axis[cj]
     p, q = np.divmod(np.arange(n_xi * n_xi), n_xi)
     s1, s2 = hg.xi_axis[p], hg.xi_axis[q]

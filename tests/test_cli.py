@@ -241,12 +241,12 @@ def test_validation_collects_every_offense():
             {
                 "name": "r",
                 "kind": "mode",
-                "family": {"family": "stokes", "m": 0, "k": 1},
+                "family": {"family": "stokes", "m": -1, "k": 1},
             },
         ],
     }
     errs = "\n".join(validate_config(bad))
-    assert "experiments[5].family.m: the velocity family needs m >= 1" in errs
+    assert "experiments[5].family.m: -1 is not valid under any of the given schemas" in errs
     assert "experiments[4].m: [12, 12] has non-unique elements" in errs
     assert "experiments[4].orders: [1, 1] has non-unique elements" in errs
     assert "junk" in errs
@@ -495,14 +495,107 @@ def test_every_public_name_has_a_program_caller():
             assert any(n == member and lo <= line <= hi for n, line in uses), (member, caller)
 
 
+def _defaulted_parameters(path):
+    """(callee, name, positional index or None) of each parameter with a
+    default of a public function or method of a module.
+
+    A method is called by its own name and `__init__` by its class's; a
+    method's positional index does not count self, and a keyword-only
+    parameter has none.
+    """
+    tree = ast.parse(path.read_text())
+    exported = next((ast.literal_eval(node.value) for node in tree.body
+                     if isinstance(node, ast.Assign)
+                     and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)),
+                    [])
+    defs = []
+    for node in tree.body:
+        if getattr(node, "name", None) not in exported:
+            continue
+        if isinstance(node, ast.FunctionDef):
+            defs.append((node.name, node.name, node, 0))
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and (fn.name == "__init__" or fn.name[0] != "_"):
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in fn.decorator_list)
+                    callee = node.name if fn.name == "__init__" else fn.name
+                    defs.append((callee, f"{node.name}.{fn.name}", fn, 0 if static else 1))
+    out = []
+    for callee, qual, fn, skip in defs:
+        positional = fn.args.posonlyargs + fn.args.args
+        first = len(positional) - len(fn.args.defaults)
+        for i, p in enumerate(positional[first:], first):
+            out.append((callee, f"{path.stem}.{qual}.{p.arg}", i - skip))
+        for p, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                out.append((callee, f"{path.stem}.{qual}.{p.arg}", None))
+    return out
+
+
+def _calls(path):
+    """Per callee name, (positional count, any *, keyword names) of each call;
+    a ** shows as the keyword name None."""
+    out = {}
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            npos = sum(not isinstance(a, ast.Starred) for a in node.args)
+            out.setdefault(name, []).append(
+                (npos, npos < len(node.args), {k.arg for k in node.keywords})
+            )
+    return out
+
+
+# parameters with a default that no call in the program or the acceptance
+# criteria passes, each with the dispatch that sets it
+_CHECK_DISPATCH = "config._run_propagation passes it through its `check` argument"
+DISPATCHED_KEYWORDS = {
+    "charts.ModelChart.__init__.max_derivative_order":
+        "a chart file's key: charts._chart_from_dict passes the keys to the kind's constructor",
+    "cli.main.argv": "the console script calls main(), and argparse reads sys.argv",
+    **{
+        f"verify.{check}.{name}": _CHECK_DISPATCH
+        for check in ("invariance_gap", "support_gap", "elliptic_mass", "car_mass")
+        for name in ("thresholds", "experiment")
+    },
+    **{f"verify.support_gap.{name}": _CHECK_DISPATCH for name in ("nx", "nxi", "glancing_sign")},
+}
+
+
+def test_every_defaulted_keyword_has_a_program_setter():
+    # a parameter with a default that only tests set is a knob the program
+    # does not use: every one must be passed, by keyword, by position or
+    # through * or **, at some call in the program or an acceptance
+    # criterion, or be listed above with the dispatch that sets it
+    root = Path(__file__).resolve().parents[1]
+    files = sorted((root / "src" / "bicharlab").glob("*.py"))
+    calls = {}
+    for path in [*files, root / "tests" / "test_acceptance.py"]:
+        for name, seen in _calls(path).items():
+            calls.setdefault(name, []).extend(seen)
+    unset = [
+        key
+        for path in files
+        for callee, key, index in _defaulted_parameters(path)
+        if not any(
+            key.rpartition(".")[2] in names or None in names
+            or (index is not None and (npos > index or star))
+            for npos, star, names in calls.get(callee, [])
+        )
+    ]
+    assert sorted(unset) == sorted(DISPATCHED_KEYWORDS)
+
+
 def test_pairing_layer_takes_only_what_the_program_sets():
-    # the box, check and pairing keywords, the scalar tail radius and the
-    # bare-callable pullback were set by tests alone and were removed; the
-    # tests pin a box through sample_mode_on_box and the apply_*_op.  The
-    # symbol's type decides the operators' check and its momentum factor
-    # the invariance route, and the chart kind decides whether a chart
-    # has a bracket budget or a collar width.  The ray batch and the mode
-    # constructors are pinned too, so no knob reaches them unreviewed
+    # the box, check and pairing keywords, the scalar tail radius, the
+    # bare-callable pullback, the mode grid sizes and the Husimi window were
+    # set by tests alone and were removed; the tests pin a box through
+    # sample_mode_on_box and the apply_*_op.  The symbol's type decides the
+    # operators' check and its momentum factor the invariance route, and
+    # the chart kind decides whether a chart has a bracket budget or a
+    # collar width.  The ray batch and the mode constructors are pinned
+    # too, so no knob reaches them unreviewed
     def bare(fn):
         sig = inspect.signature(fn)
         params = [p.replace(annotation=p.empty) for p in sig.parameters.values()]
@@ -519,7 +612,7 @@ def test_pairing_layer_takes_only_what_the_program_sets():
         "pairing": "(a, mode)",
         "shifted_pairing": "(a, s, mode)",
         "measure_sequence": "(a, modes)",
-        "husimi_grid": "(mode, *, nx=24, nxi=25, x_max=1.25, xi_max=1.6)",
+        "husimi_grid": "(mode, *, nx, nxi)",
         "h_oscillation_tail": "(modes, radii, *, variant='interior')",
         "TransportedSymbol.__init__": "(self, base, s)",
         "apply_interior_op": "(a, f, h, grid)",
@@ -531,8 +624,8 @@ def test_pairing_layer_takes_only_what_the_program_sets():
         "AnnulusChart.__init__": "(self, rho_in, component='outer', collar_width=None)",
         "ModelChart.__init__": "(self, terms, max_derivative_order=8)",
         "propagate": "(x, xi, t, pinned='raise')",
-        "laplace_disk_mode": "(m, k, num_r=None, num_theta=None)",
-        "stokes_disk_mode": "(m, k, num_r=None, num_theta=None)",
+        "laplace_disk_mode": "(m, k)",
+        "stokes_disk_mode": "(m, k)",
     }
 
 
@@ -776,8 +869,8 @@ def test_invalid_config_exits_two(tmp_path, capsys):
         ({"experiments": [dict(tails, radii=[3.0, 2.0])]},
          "experiments[0].radii: must be increasing"),
         ({"experiments": [{"name": "m", "kind": "mode", "family": {
-            "family": "stokes", "m": 0, "k": 1}}]},
-         "experiments[0].family.m: the velocity family needs m >= 1"),
+            "family": "stokes", "m": [0, -2], "k": [1, 2]}}]},
+         "experiments[0].family.m: [0, -2] is not valid under any of the given schemas"),
         ({"experiments": [dict(classify, expect=["hyperbolic", "elliptic"])]},
          "experiments[0].expect: must match points, one label per point"),
         # ambient starts off the unit shell were traced as if |xi| = 1
@@ -993,8 +1086,8 @@ PROBE_REFUSALS = [
      probe_config("classify", points=[[float("inf"), 1.0]])),
     ("argv6", ["mode", "--family", "nope", "--m", "2", "--k", "1"], "--family",
      laplace(family="nope")),
-    ("argv7", ["mode", "--family", "stokes", "--m", "0", "--k", "1"], "--m",
-     probe_config("mode", family={"family": "stokes", "m": 0, "k": 1})),
+    ("argv7", ["mode", "--family", "stokes", "--m", "-1", "--k", "1"], "--m",
+     probe_config("mode", family={"family": "stokes", "m": -1, "k": 1})),
     ("argv8", ["parametrix", "--m", "12", "--orders", "2"], "--orders",
      probe_config("parametrix", m=[12], orders=[2])),
     ("argv9", ["parametrix", "--m", "12,12"], "--m", probe_config("parametrix", m=[12, 12])),
@@ -1371,6 +1464,23 @@ def test_mode_experiment_writes_field_grid(tmp_path):
     assert vel.shape == mode.velocity.shape
     assert np.array_equal(vel, mode.velocity.astype(complex))
     (tmp_path / "out" / "probe-pressure.f64").exists()
+
+
+def test_stokes_swirl_mode_experiment_passes(tmp_path):
+    # m = 0 of the velocity family is the azimuthal swirl, which vanishes
+    # on the circle; a config runs it like any other member, to criterion
+    # 3's tolerances
+    cfg = tmp_path / "swirl.json"
+    cfg.write_text(json.dumps({"experiments": [{
+        "name": "swirl",
+        "kind": "mode",
+        "family": {"family": "stokes", "m": 0, "k": [1, 2, 3, 6]},
+        "tolerances": {"momentum": 1e-6, "divergence": 1e-8, "boundary": 1e-8},
+    }]}))
+    assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    (row,) = summary_of(tmp_path / "out")["experiments"]
+    assert row["status"] == "ok"
+    assert json.load(open(tmp_path / "out" / "swirl.json"))["payload"]["violations"] == []
 
 
 def test_dotted_experiment_names_keep_their_field_grids_apart(tmp_path):

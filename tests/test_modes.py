@@ -10,7 +10,7 @@ from scipy.special import jn_zeros, jv
 
 from bicharlab import modes as modes_module
 from bicharlab.modes import (
-    _bessel_zeros,
+    K_MAX,
     _zeros_table,
     bessel_zero,
     family_lambda,
@@ -203,23 +203,22 @@ def test_large_angular_mode():
 
 def test_resolution_validation():
     with pytest.raises(ValueError):
-        laplace_disk_mode(3, 1, num_theta=12)
-    with pytest.raises(ValueError):
-        laplace_disk_mode(0, 8, num_r=10)
-    with pytest.raises(ValueError):
         bessel_zero(-1, 1)
 
 
-def test_too_coarse_grids_raise_at_construction():
-    # the resolution is checked when the mode is made, not when its
-    # first-use fields are read
-    for ctor in (laplace_disk_mode, stokes_disk_mode):
-        with pytest.raises(ValueError, match="num_r"):
-            ctor(3, 4, num_r=8)
-        with pytest.raises(ValueError, match="num_theta"):
-            ctor(3, 4, num_theta=12)
-        with pytest.raises(ValueError, match="num_theta"):
-            ctor(5, 1, num_r=60, num_theta=20)
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    ctor=st.sampled_from([laplace_disk_mode, stokes_disk_mode]),
+    m=st.integers(0, 128),
+    k=st.integers(1, K_MAX),
+)
+def test_grid_sizing_rule_resolves_every_mode(ctor, m, k):
+    # the constructors' one sizing rule resolves lam and m on every mode a
+    # config can name, so no grid needs a resolution check: more than 4
+    # lam / pi radial nodes, and an even count of more than 4 m angles
+    mode = ctor(m, k)
+    assert mode.grid.K > 4.0 * mode.lam / math.pi
+    assert mode.grid.n_theta > 4 * m and mode.grid.n_theta % 2 == 0
 
 
 def test_mode_construction_makes_one_grid_and_one_zero_lookup(monkeypatch):
@@ -243,31 +242,29 @@ def test_mode_construction_makes_one_grid_and_one_zero_lookup(monkeypatch):
 
 
 def test_bessel_zero_tables_are_read_only():
-    zs = _bessel_zeros(4, 6)
+    zs = _zeros_table(4, 6)
     want = zs.copy()
     with pytest.raises(ValueError):
         zs[-1] = 0.0
-    assert np.array_equal(_bessel_zeros(4, 6), want)
+    assert np.array_equal(_zeros_table(4, 6), want)
     assert bessel_zero(4, 6) == want[-1]
-    # the range checks run ahead of the cache, which keeps no refused key
+    # the cache keeps no refused key
     size = _zeros_table.cache_info().currsize
     for m, k in ((-1, 3), (2, 0)):
         with pytest.raises(ValueError, match="m >= 0 and k >= 1"):
-            _bessel_zeros(m, k)
+            _zeros_table(m, k)
     assert _zeros_table.cache_info().currsize == size
 
 
-def eager_mode(kind, m, k, num_r=None, num_theta=None):
+def eager_mode(kind, m, k):
     """A mode as its constructors built it before the fields became lazy.
 
     The grid and both fields are made at once, on an `EagerGrid` sized by
-    the default rule as the constructors took it then.  Kept as the oracle
-    of `Quasimode`'s first-read fields.
+    the rule as the constructors took it then.  Kept as the oracle of
+    `Quasimode`'s first-read fields.
     """
     lam = family_lambda(kind, m, k)
-    num_r = num_r if num_r is not None else max(40, int(math.ceil(1.35 * lam)) + 16)
-    num_theta = num_theta if num_theta is not None else max(32, 4 * m + 16)
-    grid = EagerGrid(num_r, num_theta + num_theta % 2)
+    grid = EagerGrid(max(40, int(math.ceil(1.35 * lam)) + 16), max(32, 4 * m + 16))
     if kind == "laplace":
         c = 1.0 / (math.sqrt(math.pi) * abs(jv(m + 1, lam)))
         profile = c * jv(m, lam * grid.r)
@@ -321,14 +318,16 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+# (kind, m, k) and, where pinned, the grid's (num_r, num_theta): an odd
+# num_r, and a num_r past its floor of 40
 FIRST_READ_CASES = [
     ("laplace", 0, 1, None, None),
     ("laplace", 1, 3, None, None),
-    ("laplace", 5, 2, 44, 40),
+    ("laplace", 5, 12, 77, 36),
     ("laplace", 33, 6, None, None),
     ("stokes", 0, 2, None, None),
     ("stokes", 1, 1, None, None),
-    ("stokes", 2, 3, 36, 22),
+    ("stokes", 2, 9, 60, 32),
     ("stokes", 16, 4, None, None),
 ]
 
@@ -336,10 +335,12 @@ FIRST_READ_CASES = [
 @pytest.mark.parametrize("kind, m, k, num_r, num_theta", FIRST_READ_CASES)
 def test_first_read_fields_and_one_pass_residuals_match_eager_oracle(kind, m, k, num_r, num_theta):
     ctor = laplace_disk_mode if kind == "laplace" else stokes_disk_mode
-    mode = ctor(m, k, num_r, num_theta)
+    mode = ctor(m, k)
     assert "_fields" not in vars(mode) and built(mode.grid) == []
-    eager = eager_mode(kind, m, k, num_r, num_theta)
+    eager = eager_mode(kind, m, k)
     assert (mode.grid.K, mode.grid.n_theta) == (eager.grid.K, eager.grid.n_theta)
+    if num_r is not None:
+        assert (mode.grid.K, mode.grid.n_theta) == (num_r, num_theta)
     assert mode.c == eager.c and mode.lam == eager.lam
     assert same_bits(mode.velocity, eager.velocity)
     assert len(mode.velocity) == (1 if kind == "laplace" else 2)

@@ -13,9 +13,10 @@ from bicharlab.parametrix import (
     NUM_Y,
     ParametrixODEError,
     ParametrixSymbol,
-    PolyStep,
     _forcing,
     _gauss_nodes,
+    _ramp,
+    _ramp_derivatives,
     _require_h,
     _solve_correction,
     band_mass,
@@ -68,8 +69,8 @@ def apply_parametrix(sym: ParametrixSymbol, q0: np.ndarray, h: float) -> CollarF
     _require_h(h)
     c, m = _boundary_modes(q0)
     peak = np.abs(c).max()
-    c = c * sym.step(h * np.abs(m))
-    y, w = _gauss_nodes(0.0, EPS0, NUM_Y)
+    c = c * _ramp(h * np.abs(m))
+    y, w = _gauss_nodes(0.0, EPS0)
     # rounding dust in the ring FFT would otherwise enlarge the ODE batch
     live = np.abs(c) > peak * 1e-14 if peak > 0.0 else np.zeros(m.size, bool)
     vals = np.zeros((y.size, m.size), dtype=complex)
@@ -88,8 +89,8 @@ def collar_poisson(sym: ParametrixSymbol, q0: np.ndarray, h: float) -> CollarFie
     """
     _require_h(h)
     c, m = _boundary_modes(q0)
-    c = c * sym.step(h * np.abs(m))
-    y, w = _gauss_nodes(0.0, EPS0, NUM_Y)
+    c = c * _ramp(h * np.abs(m))
+    y, w = _gauss_nodes(0.0, EPS0)
     rho, rho0 = sym.chart.radius(y), sym.chart.radius(0.0)
     base = rho0 / rho if sym.chart.component == "inner" else rho / rho0
     prof = base[:, None] ** np.abs(m)[None, :]
@@ -121,7 +122,7 @@ def dtn(q0):
     return np.fft.ifft(np.abs(m) * c * q0.size)
 
 
-def loop_solve_correction(chart, step, xi, h, eps0, n_steps, cancelled=False):
+def loop_solve_correction(chart, xi, h, n_steps, cancelled=False):
     """The RK4 depth solve with lam^2 and F recomputed at every stage.
 
     With `cancelled`, also returns the largest terms, per column, that the
@@ -129,10 +130,10 @@ def loop_solve_correction(chart, step, xi, h, eps0, n_steps, cancelled=False):
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     ns = int(n_steps)
-    ys = np.linspace(0.0, eps0, ns + 1)
-    dt = eps0 / ns
+    ys = np.linspace(0.0, EPS0, ns + 1)
+    dt = EPS0 / ns
 
-    lam_end = chart.lam_jet(eps0, np.abs(xi))[0]
+    lam_end = chart.lam_jet(EPS0, np.abs(xi))[0]
     a_p = np.zeros(xi.shape, dtype=complex)
     v_p = np.zeros(xi.shape, dtype=complex)
     a_u = np.ones(xi.shape)
@@ -152,7 +153,7 @@ def loop_solve_correction(chart, step, xi, h, eps0, n_steps, cancelled=False):
 
     def rhs(y, ap, vp, au, vu):
         lam2 = chart.lam_jet(y, np.abs(xi))[0] ** 2
-        force = _forcing(chart, step, y, xi, h)
+        force = _forcing(chart, y, xi, h)
         return vp, (lam2 * ap + force) / h**2, vu, lam2 * au / h**2
 
     for i in range(ns, 0, -1):
@@ -207,21 +208,22 @@ def live_solves(monkeypatch, run):
 
 
 def test_poly_step_values_and_smoothness():
-    st = PolyStep(0.125, 0.25)
-    assert st(0.1) == 0.0 and st(0.125) == 0.0
-    assert st(0.25) == 1.0 and st(0.4) == 1.0
+    assert _ramp(0.1) == 0.0 and _ramp(0.125) == 0.0
+    assert _ramp(0.25) == 1.0 and _ramp(0.4) == 1.0
     t = np.linspace(0.1, 0.3, 301)
-    vals = st(t)
+    vals = _ramp(t)
     assert (np.diff(vals) >= -1e-15).all()
     # closed-form derivatives against central differences inside the ramp
     tt = np.linspace(0.13, 0.24, 57)
     eps = 1e-6
-    d1_fd = (st(tt + eps) - st(tt - eps)) / (2 * eps)
-    d2_fd = (st.d1(tt + eps) - st.d1(tt - eps)) / (2 * eps)
-    assert np.abs(st.d1(tt) - d1_fd).max() < 1e-6
-    assert np.abs(st.d2(tt) - d2_fd).max() < 1e-5
+    d1, d2 = _ramp_derivatives(tt)
+    d1_fd = (_ramp(tt + eps) - _ramp(tt - eps)) / (2 * eps)
+    d2_fd = (_ramp_derivatives(tt + eps)[0] - _ramp_derivatives(tt - eps)[0]) / (2 * eps)
+    assert np.abs(d1 - d1_fd).max() < 1e-6
+    assert np.abs(d2 - d2_fd).max() < 1e-5
     # C^1 across the ends
-    assert abs(st.d1(0.125 + 1e-9)) < 1e-5 and abs(st.d1(0.25 - 1e-9)) < 1e-5
+    ends = _ramp_derivatives(np.array([0.125 + 1e-9, 0.25 - 1e-9]))[0]
+    assert np.abs(ends).max() < 1e-5
 
 
 # -- harmonic extension and boundary derivative ------------------------------
@@ -296,7 +298,7 @@ def test_leading_symbol_closed_form():
     xi = rng.uniform(-2.0, 2.0, 40)
     h = 0.05
     lam = np.abs(xi) / (1.0 - y)
-    want = np.exp(-y * lam / h) * sym.step(lam)
+    want = np.exp(-y * lam / h) * _ramp(lam)
     assert np.abs(sym.a0(y, xi, h) - want).max() < 1e-14
 
 
@@ -305,7 +307,7 @@ def test_symbol_boundary_values():
     xi = np.array([0.3, 0.7, 1.4, -1.0])
     h = 1.0 / 24
     a0 = sym.a0(np.zeros(4), xi, h)
-    assert np.abs(a0 - sym.step(np.abs(xi))).max() < 1e-14
+    assert np.abs(a0 - _ramp(np.abs(xi))).max() < 1e-14
     a1 = sym.a1(np.array([0.0]), xi, h)
     assert np.abs(a1).max() < 1e-13
 
@@ -319,10 +321,9 @@ def test_correction_vanishes_below_cutoff():
 
 def test_correction_solves_depth_ode():
     chart = DiskChart()
-    st = PolyStep(0.125, 0.25)
     h = 1.0 / 32
     xi = np.array([1.0])
-    ys, corr, corr_v = _solve_correction(chart, st, xi, h, 0.3, 2000)
+    ys, corr, corr_v = _solve_correction(chart, xi, h, 2000)
     dt = ys[1] - ys[0]
     # stored derivative agrees with a high-order difference of the values
     mid_fd = (corr[:-4] - 8 * corr[1:-3] + 8 * corr[3:-1] - corr[4:]) / (12 * dt)
@@ -330,7 +331,7 @@ def test_correction_solves_depth_ode():
     # the ODE itself: h^2 A'' - lam^2 A = F at interior nodes
     second = (corr_v[2:] - corr_v[:-2]) / (2 * dt)
     lam = chart.lam_jet(ys[1:-1, None], np.abs(xi)[None, :])[0]
-    F = np.stack([_forcing(chart, st, y, xi, h) for y in ys[1:-1]])
+    F = np.stack([_forcing(chart, y, xi, h) for y in ys[1:-1]])
     resid = h * h * second - lam**2 * corr[1:-1] - F
     assert np.abs(resid).max() < 2e-2 * np.abs(F).max()
 
@@ -355,7 +356,7 @@ def test_scanned_solve_matches_stage_loop(monkeypatch):
         q0 = sum((rng.standard_normal() + 1j * rng.standard_normal()) * np.exp(1j * m * th)
                  for m in range(20, 61))
         batch = live_solves(monkeypatch, lambda: apply_parametrix(sym, q0, h))
-        assert batch[0][2].size == 41
+        assert batch[0][1].size == 41
         solves += batch
     assert len(solves) == 8
     for args in solves:
@@ -392,10 +393,9 @@ def test_scan_splits_growth_into_blocks(monkeypatch):
         real(*block)
 
     monkeypatch.setattr(parametrix, "_suffix_scan", spy)
-    st = PolyStep(0.125, 0.25)
     for m in (128, 2000):
         scans.clear()
-        ys, corr, corr_v = _solve_correction(DiskChart(), st, np.array([1.0]), 1.0 / m, 0.3, 2000)
+        ys, corr, corr_v = _solve_correction(DiskChart(), np.array([1.0]), 1.0 / m, 2000)
         assert sum(scans) == 2000 and np.isfinite(corr).all() and np.isfinite(corr_v).all()
         # the log-growth is the integral of lam / h = m / (1 - y) over [0, 0.3]
         want = int(np.ceil(-m * np.log(0.7) / parametrix.LOG_GROWTH_BLOCK))
@@ -599,20 +599,19 @@ def test_band_mass_against_closed_form():
 
 
 def test_band_mass_reads_the_default_layer_ramp():
-    # the ramp PolyStep(DELTA0 / 2, DELTA0) and lam = h |m| / (1 - y), spelt
-    # out as band_mass once did, give the same bits on criterion 9's inputs
+    # the ramp and lam = h |m| / (1 - y), spelt out as band_mass once did,
+    # give the same bits on criterion 9's inputs
     md = stokes_disk_mode(32, 1)
-    st = PolyStep(0.125, 0.25)
     fhat = md.grid.to_modes(np.asarray(md.pressure, dtype=complex))
     col_mass = np.sum(np.abs(fhat) ** 2, axis=0)
     live = np.flatnonzero(col_mass > col_mass.sum() * 1e-30)
     for y0 in (0.02, 0.1):
-        y, w = _gauss_nodes(y0, 0.3, NUM_Y)
+        y, w = _gauss_nodes(y0, 0.3)
         total = np.zeros(y.size)
         for j in live:
             m = int(md.grid.modes[j])
             prof = md.grid.interp_modes_radial(fhat[:, j], m, 1.0 - y)
-            total += np.abs(st(md.h * abs(m) / (1.0 - y)) * prof) ** 2
+            total += np.abs(_ramp(md.h * abs(m) / (1.0 - y)) * prof) ** 2
         want = float(np.dot(w, 2.0 * np.pi * total))
         assert band_mass(md.pressure, md.grid, y0, md.h) == want
 
@@ -645,19 +644,19 @@ def test_band_mass_input_validation():
 
 def test_gauss_nodes_are_fresh_arrays_over_one_cached_rule():
     want_z, want_w = np.polynomial.legendre.leggauss(NUM_Y)
-    y, w = _gauss_nodes(-1.0, 1.0, NUM_Y)
+    y, w = _gauss_nodes(-1.0, 1.0)
     assert np.array_equal(y, want_z) and np.array_equal(w, want_w)
     # a caller writing into its nodes cannot change the next call's
     y[:] = 0.0
     w *= 2.0
-    y2, w2 = _gauss_nodes(-1.0, 1.0, NUM_Y)
+    y2, w2 = _gauss_nodes(-1.0, 1.0)
     assert np.array_equal(y2, want_z) and np.array_equal(w2, want_w)
     assert y2 is not y and w2 is not w
-    z, wz = parametrix._legendre_rule(NUM_Y)
+    z, wz = parametrix._legendre_rule()
     assert not z.flags.writeable and not wz.flags.writeable
-    assert parametrix._legendre_rule(NUM_Y)[0] is z
+    assert parametrix._legendre_rule()[0] is z
     # the affine map onto [a, b] is the one it always was
     a, b = 0.05, 0.3
-    y3, w3 = _gauss_nodes(a, b, NUM_Y)
+    y3, w3 = _gauss_nodes(a, b)
     assert np.array_equal(y3, 0.5 * (b - a) * want_z + 0.5 * (a + b))
     assert np.array_equal(w3, 0.5 * (b - a) * want_w)

@@ -329,6 +329,13 @@ def test_collar_exponential_symbol_matches_power_extension():
     assert 0.35 < rels[1] / rels[0] < 0.7
 
 
+def on_radial_nodes(mode, num_r):
+    """`mode` on a polar grid of num_r radii, swapped in before its fields
+    are first read; the angles stay."""
+    mode.grid = PolarGrid(num_r, mode.grid.n_theta)
+    return mode
+
+
 def test_pairing_partition_of_unity():
     grid = BoxGrid(192)
     interior = InteriorSymbol(spatial_plateau(0.8, 0.9), xi_bound=0.0)
@@ -338,15 +345,15 @@ def test_pairing_partition_of_unity():
     # default radial grids under-resolve the Gevrey ramp of the cutoffs,
     # so the quadrature side of this identity needs more radial nodes
     for mode in (
-        laplace_disk_mode(3, 4, num_r=128),
-        stokes_disk_mode(2, 3, num_r=128),
+        on_radial_nodes(laplace_disk_mode(3, 4), 128),
+        on_radial_nodes(stokes_disk_mode(2, 3), 128),
     ):
         total = box_pairing(interior, mode, grid) + pairing(collar, mode)
         assert abs(total - 1.0) < 1e-6
 
 
 def test_pairing_multiplication_matches_polar_quadrature():
-    mode = laplace_disk_mode(0, 1, num_r=128)
+    mode = on_radial_nodes(laplace_disk_mode(0, 1), 128)
     grid = BoxGrid(128)
     sym = InteriorSymbol(lambda x1, x2: bump_profile(np.hypot(x1, x2) / 0.6), xi_bound=0.0)
     val = box_pairing(sym, mode, grid)
@@ -481,7 +488,7 @@ def test_husimi_plane_wave_peak_and_mass():
 
 def test_husimi_mode_concentrates_on_unit_shell():
     mode = laplace_disk_mode(0, 20)
-    hg = husimi_grid(mode)
+    hg = husimi_grid(mode, nx=24, nxi=25)
     assert abs(hg.mass() - 1.0) < 0.05
     # share of mass at frequency radius outside [0.7, 1.3]
     S1, S2 = np.meshgrid(hg.xi_axis, hg.xi_axis, indexing="ij")
@@ -573,7 +580,7 @@ def test_husimi_matches_fft_loop_on_a_mode_when_xi_targets_collapse():
     assert 2 <= len(hg.xi_axis) < 25
 
 
-def test_husimi_axes_are_symmetric_through_a_target_tie():
+def test_husimi_axes_are_symmetric_through_a_target_tie(monkeypatch):
     # xi_max sits halfway between the lattice points 3 h dk and 4 h dk, an
     # exact tie in floats: argmin takes the first in FFT order, 3 h dk for
     # +xi_max but -4 h dk for -xi_max, so snapping both signs is lopsided
@@ -587,7 +594,8 @@ def test_husimi_axes_are_symmetric_through_a_target_tie():
     assert abs(lattice[3] - xi_max) == abs(lattice[4] - xi_max)
     lopsided = lattice[husimi_snap(mode.h, box, 3, xi_max)]
     assert not np.array_equal(lopsided, -lopsided[::-1])
-    hg = husimi_grid(mode, nx=27, nxi=3, xi_max=xi_max)
+    monkeypatch.setattr(quantize, "HUSIMI_XI_MAX", xi_max)
+    hg = husimi_grid(mode, nx=27, nxi=3)
     assert np.array_equal(hg.xi_axis, [-lattice[3], 0.0, lattice[3]])
     # linspace(-1.25, 1.25, 27) is off symmetric by 4.4e-16
     assert np.array_equal(hg.x_axis, -hg.x_axis[::-1]) and hg.x_axis[13] == 0.0
@@ -630,9 +638,10 @@ def test_husimi_density_has_the_symmetry_of_the_square(mode, nx):
 
 
 def test_husimi_refuses_degenerate_windows():
+    # one window centre or frequency per axis spans no cell
     mode = laplace_disk_mode(0, 3)
-    for bad in ({"x_max": 0.0}, {"x_max": math.inf}, {"xi_max": -0.5}, {"xi_max": math.nan}):
-        with pytest.raises(ValueError, match="x_max"):
+    for bad in ({"nx": 1, "nxi": 25}, {"nx": 24, "nxi": 1}):
+        with pytest.raises(ValueError, match="nx >= 2 and nxi >= 2"):
             husimi_grid(mode, **bad)
 
 
@@ -640,7 +649,7 @@ def test_husimi_refuses_raw_fields():
     box = BoxGrid(32)
     f, _ = packet(box, (0.1, 0.2), (0.6, 0.4), 0.1, width=0.5)
     with pytest.raises(TypeError, match="disk mode"):
-        husimi_grid(f)
+        husimi_grid(f, nx=24, nxi=25)
 
 
 def one_call_per_row_husimi(mode, nx, nxi, x_max=1.25, xi_max=1.6):
@@ -926,7 +935,7 @@ def test_h_oscillation_tail_matches_per_radius_oracle():
     # The tails sum the power over blocks of rows, the oracle over the
     # whole box: only the order of the sums differs
     fam = [laplace_disk_mode(0, 5), laplace_disk_mode(1, 3), laplace_disk_mode(4, 6),
-           stokes_disk_mode(1, 2), stokes_disk_mode(3, 4, num_r=64, num_theta=30)]
+           stokes_disk_mode(1, 2), stokes_disk_mode(3, 4)]
     radii = (2.0, 4.0, 8.0)
     want = np.zeros((len(radii), len(fam)))
     for j, mode in enumerate(fam):
@@ -1253,7 +1262,7 @@ BUMP_SYMBOL = {
 SHIFT_MODES = [
     laplace_disk_mode(0, 6),
     laplace_disk_mode(1, 4),
-    laplace_disk_mode(5, 3, num_r=48, num_theta=40),
+    laplace_disk_mode(5, 3),
     stokes_disk_mode(1, 2),
     stokes_disk_mode(4, 2),
 ]

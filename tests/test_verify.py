@@ -568,16 +568,13 @@ def test_property_product_grid_survivors_match_full_grid_oracle(spec, member, nx
 def test_support_gap_refuses_degenerate_windows(monkeypatch):
     fam = [modes.stokes_disk_mode(16, 3)]
     a = config.build_symbol(REFLECT_SYMBOL)
-    # the windows are husimi_grid's, which refuses degenerate ones
-    # (test_quantize); support_gap sets none of its own
+    # the windows are husimi_grid's constants; support_gap sets none
     for bad in ({"x_max": 0.0}, {"xi_max": 1.6}):
         with pytest.raises(TypeError, match="_max"):
             verify.support_gap(fam, a, 0.9, **bad)
     # every window centre so far out that its Gaussian underflows on the
     # box: the mode has no Husimi mass to take fractions of
-    monkeypatch.setattr(
-        verify, "husimi_grid", functools.partial(quantize.husimi_grid, x_max=50.0)
-    )
+    monkeypatch.setattr(quantize, "HUSIMI_X_MAX", 50.0)
     with pytest.raises(ValueError, match="no Husimi mass"):
         verify.support_gap(fam, a, 0.9, nx=4)
 
@@ -673,7 +670,8 @@ def test_chunked_survivors_match_the_unchunked_oracle(monkeypatch, pairs):
             want_idx, want_pts = unchunked_phase_survivors(hg, inv)
             assert_same_arrays(got_idx + got_pts, want_idx + want_pts)
     # no window centre in the closed disk: nothing survives
-    hg = quantize.husimi_grid(modes.stokes_disk_mode(16, 3), nx=2, nxi=5, x_max=1.0)
+    monkeypatch.setattr(quantize, "HUSIMI_X_MAX", 1.0)
+    hg = quantize.husimi_grid(modes.stokes_disk_mode(16, 3), nx=2, nxi=5)
     got_idx, got_pts = verify._phase_survivors(hg, fibers[0])
     want_idx, want_pts = unchunked_phase_survivors(hg, fibers[0])
     assert got_idx[0].size == 0
@@ -812,9 +810,7 @@ def test_support_gap_counts_both_masses_on_the_same_centres(monkeypatch):
     # masked to |x| <= 1 before transport only, they read before = 0.0 and
     # after = 0.00547 under a zero-time flow
     a = config.build_symbol(REFLECT_SYMBOL)
-    monkeypatch.setattr(
-        verify, "husimi_grid", functools.partial(quantize.husimi_grid, x_max=1.0 + 5e-13)
-    )
+    monkeypatch.setattr(quantize, "HUSIMI_X_MAX", 1.0 + 5e-13)
     rep = verify.support_gap([modes.stokes_disk_mode(16, 3)], a, 0.0, nx=3)
     (row,) = rep.rows
     assert row.before > 0.005 and row.gap == 0.0
