@@ -12,28 +12,18 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "smooth_step",
     "plateau_step",
     "bump_profile",
     "window",
 ]
 
 
-def smooth_step(t):
-    """0 for t <= 0, exp(-1/t) for t > 0; the basic flat germ."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0
-    # a subnormal t overflows -1/t to -inf, whose exp is the right 0
-    with np.errstate(over="ignore"):
-        out[pos] = np.exp(-1.0 / t[pos])
-    return out if out.ndim else float(out)
-
-
 def plateau_step(t, a: float, b: float):
     """Monotone C-infinity ramp: 0 for t <= a, 1 for t >= b.
 
-    The exponentials are taken on the ramp a < t < b only.
+    With u = (t - a) / (b - a), the ramp a < t < b is e(u) / (e(u) +
+    e(1 - u)) for the flat germ e(r) = exp(-1/r); its exponentials are
+    taken there only, where u and 1 - u are both positive.
 
     Contract: b > a, else ValueError; any float t, NaN gives 0.
     """
@@ -42,8 +32,11 @@ def plateau_step(t, a: float, b: float):
     u = (np.asarray(t, dtype=float) - a) / (b - a)
     out = np.where(u >= 1.0, 1.0, 0.0)
     ramp = (u > 0.0) & (u < 1.0)
-    s0 = smooth_step(u[ramp])
-    s1 = smooth_step(1.0 - u[ramp])
+    r = u[ramp]
+    # a subnormal r overflows -1/r to -inf, whose exp is the right 0
+    with np.errstate(over="ignore"):
+        s0 = np.exp(-1.0 / r)
+        s1 = np.exp(-1.0 / (1.0 - r))
     out[ramp] = s0 / (s0 + s1)
     return out if out.ndim else float(out)
 

@@ -638,10 +638,14 @@ def husimi_grid(mode, *, nx: int, nxi: int) -> HusimiGrid:
     the thread count or the batch.  Resident at once: the 4-D density,
     the box sample and one batch; the sample is dropped before the
     symmetry fill.  The mode is +0.0 outside the closed disk, so the
-    first pass transforms only the box columns with |x2| <= 1; the others
-    would give exact zeros.  Cells wider than about sqrt(h) under-resolve
-    the coherent widths and the mass check drifts; callers pick nx, nxi
-    accordingly.
+    first pass transforms only box columns with |x2| <= 1; the others
+    would give exact zeros.  It transforms the half x2 >= 0 of them and
+    fills the mirror columns from V[xi1, -x2] = s conj V[-xi1, x2], with
+    s = -1 for a Stokes u_x and +1 for u_y and for a Laplace mode (the
+    reflection below): the xi indices are symmetric and x[n - j] == -x[j],
+    so -xi1 and -x2 are reversals of the rows and of the columns.  Cells
+    wider than about sqrt(h) under-resolve the coherent widths and the
+    mass check drifts; callers pick nx, nxi accordingly.
 
     A disk mode's density has the symmetry of the square, the dihedral
     group D4.  For the quarter turn R(x1, x2) = (-x2, x1), u(R x) =
@@ -673,8 +677,6 @@ def husimi_grid(mode, *, nx: int, nxi: int) -> HusimiGrid:
     up = np.unique([int(np.argmin(np.abs(lattice - t))) for t in targets[nxi // 2 :]])
     idx = np.concatenate([box.n - up[up > 0][::-1], up])
     xi_axis = lattice[idx]
-    if len(xi_axis) < 2:
-        raise ValueError("frequency lattice too coarse for the xi axis")
     dxi = float(np.mean(np.diff(xi_axis)))
     x_axis = _symmetric_axis(HUSIMI_X_MAX, nx)
     # the window g(x1 - x0) g(x2 - y0) is separable; one x0 row and a few
@@ -682,15 +684,22 @@ def husimi_grid(mode, *, nx: int, nxi: int) -> HusimiGrid:
     g = np.exp(-((box.x[None, :] - x_axis[:, None]) ** 2) / (2.0 * h))
     dens = np.zeros((nx, nx, len(idx), len(idx)))
     half = nx // 2  # x_axis[half:] >= 0 and x_axis[nx - half:] > 0
-    on = np.nonzero(box.x**2 <= 1.0)[0]  # the disk's columns, contiguous
-    disk_cols = slice(on[0], on[-1] + 1)
+    # the disk's columns x2 >= 0 are c .. hi - 1, x[c] == 0; their
+    # mirrors n - j, in reverse, are n + 1 - hi .. c - 1
+    c, hi = box.n // 2, int(np.nonzero(box.x**2 <= 1.0)[0][-1]) + 1
+    left = slice(box.n + 1 - hi, c)
+    # the mirror's sign s is -1 on a Stokes u_x only
+    flips = (True, False) if len(comps) == 2 else (False,)
     V = np.zeros((len(idx), box.n), dtype=complex)
     # rows a > 0 with centres 0 <= b <= a; when nx is odd, row `half` is
     # the origin and column `half` is b = 0
     step = max(1, HUSIMI_NODES // (len(idx) * box.n))
     for i in range(half, nx):
-        for u in comps:
-            V[:, disk_cols] = np.fft.fft(g[i][:, None] * u[:, disk_cols], axis=0)[idx]
+        for u, flip in zip(comps, flips):
+            V[:, c:hi] = np.fft.fft(g[i][:, None] * u[:, c:hi], axis=0)[idx]
+            # idx is symmetric, so the reversed rows are the frequencies -xi1
+            mirror = np.conj(V[::-1, hi - 1 : c : -1])
+            V[:, left] = -mirror if flip else mirror
             for lo in range(half, i + 1, step):
                 cols = slice(lo, min(lo + step, i + 1))
                 G = np.fft.fft(V[None] * g[cols, None, :], axis=2)[:, :, idx]

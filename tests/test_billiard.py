@@ -8,13 +8,83 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bicharlab import billiard
-from bicharlab.billiard import (
-    angular_momentum,
-    chord_rotation,
-    propagate,
-    specular_reflect,
-    time_to_boundary,
-)
+from bicharlab.billiard import CLOSED_RADIUS, angular_momentum, chord_rotation, propagate
+
+# -- the (N, 2) row kernel `propagate` replaced, kept as its oracle ---------
+
+
+def time_to_boundary(x, xi):
+    """First time t >= 0 with |x + 2 xi t| = 1, on (..., 2) rows."""
+    x = np.asarray(x, dtype=float)
+    xi = np.asarray(xi, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(xi).all()):
+        raise ValueError("x and xi must be finite")
+    if np.any(np.hypot(x[..., 0], x[..., 1]) > CLOSED_RADIUS):
+        raise ValueError("every x must lie in the closed unit disk")
+    a = np.sum(xi * xi, axis=-1)
+    if not np.all(a > 0.0):
+        raise ValueError("every xi must be nonzero")
+    b = np.sum(x * xi, axis=-1)
+    c = np.sum(x * x, axis=-1) - 1.0
+    disc = b * b - a * c
+    return (-b + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * a)
+
+
+def specular_reflect(x, xi):
+    """Reflect covectors at boundary points (outward normal = x)."""
+    x = np.asarray(x, dtype=float)
+    xi = np.asarray(xi, dtype=float)
+    n2 = np.sum(x * x, axis=-1, keepdims=True)
+    proj = np.sum(x * xi, axis=-1, keepdims=True) / n2
+    return xi - 2.0 * proj * x
+
+
+def _turn(inward, ell):
+    return np.where(ell < 0.0, -2.0, 2.0) * np.arctan2(inward, np.abs(ell))
+
+
+def pair_flow(x, xi, t):
+    """One block of (N, 2) rows flown in place for t >= 0: (bounces, pinned)."""
+    th = time_to_boundary(x, xi)
+    hit = (th <= t) & (t > 0.0)
+    x += 2.0 * np.where(hit, th, t)[:, None] * xi
+    x[hit] /= np.linalg.norm(x[hit], axis=-1, keepdims=True)
+    xi[hit] = specular_reflect(x[hit], xi[hit])
+    a = np.sum(xi * xi, axis=-1)
+    inward = -np.sum(x * xi, axis=-1)
+    chord = inward / a
+    pin = hit & (chord < 1e-14) & (inward <= 1e-12 * np.sqrt(a))
+    go = np.flatnonzero(hit & ~pin)
+    n = np.floor((t - th[go]) / chord[go])
+    turn = n * _turn(inward[go], angular_momentum(x[go], xi[go]))
+    c, s = np.cos(turn)[:, None], np.sin(turn)[:, None] * [-1.0, 1.0]
+    xi[go] = c * xi[go] + s * xi[go, ::-1]
+    x[go] = c * x[go] + s * x[go, ::-1] + 2.0 * (t - th[go] - n * chord[go])[:, None] * xi[go]
+    bounces = np.zeros(x.shape[0], dtype=np.int64)
+    bounces[go] = n + 1
+    return bounces, pin
+
+
+def pair_propagate(x, xi, t, pinned="raise"):
+    """`propagate` on (N, 2) rows, one `billiard.BLOCK` at a time: the oracle
+    of the component kernel, which must equal it bit for bit."""
+    x = np.array(x, dtype=float, copy=True)
+    xi = np.array(xi, dtype=float, copy=True)
+    flat_x, flat_xi = x.reshape(-1, 2), xi.reshape(-1, 2)
+    if t < 0:
+        flat_xi *= -1.0
+    bounces = np.zeros(flat_x.shape[0], dtype=np.int64)
+    stuck = np.zeros(flat_x.shape[0], dtype=bool)
+    for lo in range(0, flat_x.shape[0], billiard.BLOCK):
+        block = slice(lo, lo + billiard.BLOCK)
+        bounces[block], stuck[block] = pair_flow(flat_x[block], flat_xi[block], abs(t))
+    if stuck.any() and pinned == "raise":
+        raise RuntimeError("ray pinned tangentially at the boundary")
+    if t < 0:
+        flat_xi *= -1.0
+    if pinned == "mark":
+        return x, xi, bounces.reshape(x.shape[:-1]), stuck.reshape(x.shape[:-1])
+    return x, xi, bounces.reshape(x.shape[:-1])
 
 
 def test_diameter_period():
@@ -351,3 +421,75 @@ def test_property_grazing_rays_from_exact_rim_points(x, ray):
     # from a point exactly on the circle only the per-chord formula can err;
     # a rotation angle taken from ell / |xi| alone would miss by ~1e-7 here
     check_grazing(np.array(x), *ray, tol=1e-10)
+
+
+# -- the component kernel against the (N, 2) row oracle, bit for bit --------
+
+
+def outcome(flow, x, xi, t, pinned):
+    """What a flow returns, as bytes, or the error it raises."""
+    try:
+        return [(a.shape, a.dtype, a.tobytes()) for a in flow(x, xi, t, pinned=pinned)]
+    except (ValueError, RuntimeError) as err:
+        return (type(err), str(err))
+
+
+@st.composite
+def edge_rays(draw):
+    """A ray from the bulk, from the rim out to CLOSED_RADIUS, or tangent there."""
+    kind = draw(st.sampled_from(["bulk", "rim", "tangent"]))
+    if kind == "bulk":
+        return draw(rays())
+    a, s, b = draw(angles), draw(st.floats(0.1, 3.0)), draw(angles)
+    r = draw(st.sampled_from([1.0, 1.0 + 5e-13]))
+    x = draw(
+        st.sampled_from(
+            [
+                np.array([r * math.cos(a), r * math.sin(a)]),
+                np.array([CLOSED_RADIUS, 0.0]),
+                np.array([0.0, -CLOSED_RADIUS]),
+            ]
+        )
+    )
+    if kind == "tangent":
+        sense = draw(st.sampled_from([-1.0, 1.0]))
+        return x, sense * s * np.array([-x[1], x[0]])
+    return x, np.array([s * math.cos(b), s * math.sin(b)])
+
+
+@PROPERTY
+@given(
+    st.lists(edge_rays(), min_size=1, max_size=12),
+    st.one_of(st.just(0.0), times),
+    st.integers(1, 5),
+)
+def test_property_matches_pair_oracle_bit_for_bit(batch, t, block):
+    # several blocks per batch: the rows cross block edges
+    x = np.array([ray[0] for ray in batch])
+    xi = np.array([ray[1] for ray in batch])
+    saved = billiard.BLOCK
+    billiard.BLOCK = block
+    try:
+        for pinned in ("raise", "mark"):
+            want = outcome(pair_propagate, x, xi, t, pinned)
+            assert outcome(propagate, x, xi, t, pinned) == want
+    finally:
+        billiard.BLOCK = saved
+
+
+def test_batches_past_block_match_pair_oracle_bit_for_bit():
+    # a batch of several BLOCKs: bulk rays, rim starts and tangent rays
+    rng = np.random.default_rng(34)
+    n = 3 * billiard.BLOCK + 17
+    r = np.sqrt(rng.uniform(0.0, 1.0, n))
+    r[::7], r[1::7] = 1.0, 1.0 + 5e-13
+    a, s, b = rng.uniform(-np.pi, np.pi, (3, n))
+    s = 0.1 + 2.9 * (s + np.pi) / (2.0 * np.pi)
+    x = np.stack([r * np.cos(a), r * np.sin(a)], axis=-1)
+    xi = np.stack([s * np.cos(b), s * np.sin(b)], axis=-1)
+    xi[::7] = s[::7, None] * np.stack([-x[::7, 1], x[::7, 0]], axis=-1)
+    for t in (0.9, -0.9, 0.0, 12.0, -3.3):
+        want = outcome(pair_propagate, x, xi, t, "mark")
+        assert outcome(propagate, x, xi, t, "mark") == want
+        assert outcome(propagate, x, xi, t, "raise") == outcome(pair_propagate, x, xi, t, "raise")
+    assert want[3][2] != np.zeros(n, dtype=bool).tobytes()  # some rays pin

@@ -4,7 +4,18 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicharlab.bumps import plateau_step, smooth_step
+from bicharlab.bumps import plateau_step
+
+
+def smooth_step(t):
+    """0 for t <= 0, exp(-1/t) for t > 0: the flat germ, at every point."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    pos = t > 0
+    # a subnormal t overflows -1/t to -inf, whose exp is the right 0
+    with np.errstate(over="ignore"):
+        out[pos] = np.exp(-1.0 / t[pos])
+    return out
 
 
 def plateau_oracle(t, a, b):
@@ -34,6 +45,14 @@ def test_plateau_step_matches_two_step_formula(a, width, t, near):
     for p in pts[-len(edges):]:
         one = plateau_step(p, a, b)
         assert type(one) is float and one == float(plateau_oracle(p, a, b))
+
+
+def test_plateau_step_reads_subnormal_ramp_points_as_zero():
+    # the smallest ramp values overflow -1/u to -inf inside the ramp
+    tiny = np.array([5e-324, 1e-310, 2.2e-308])
+    with np.errstate(over="raise"):
+        got = plateau_step(tiny, 0.0, 1.0)
+    assert np.array_equal(got, plateau_oracle(tiny, 0.0, 1.0)) and not got.any()
 
 
 def test_plateau_step_reads_nan_as_zero():

@@ -656,7 +656,9 @@ def one_call_per_row_husimi(mode, nx, nxi, x_max=1.25, xi_max=1.6):
     """`husimi_grid` with one second-pass FFT call per x0 row: the oracle.
 
     The form before the second pass was cut into blocks of centre
-    columns; it also keeps the box sample alive through the fill.
+    columns, and before the first pass transformed only the columns
+    x2 >= 0: it transforms every disk column.  It also keeps the box
+    sample alive through the fill.
     """
     h = mode.h
     box = default_box(h, xi_max + 1.0)
@@ -705,8 +707,18 @@ def assert_same_husimi(got, want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def assert_matches_all_column_oracle(got, want):
+    # the mirrored columns x2 < 0 come from other FFTs than the oracle's,
+    # so the density agrees to round-off; the axes and the cell to the bit
+    for a, b in ((got.x_axis, want.x_axis), (got.xi_axis, want.xi_axis)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert got.cell_volume == want.cell_volume
+    assert got.density.shape == want.density.shape
+    assert np.max(np.abs(got.density - want.density)) <= 1e-14 * want.density.max()
+
+
 # the four `reflect` modes (m, k for the ratio 0.5) on its 28 x 29 grid,
-# and one Laplace mode at an odd nx
+# and two Laplace modes at an odd nx: the mirror fill without a sign flip
 @pytest.mark.parametrize(
     "build, m, k, nx, nxi",
     [
@@ -715,21 +727,25 @@ def assert_same_husimi(got, want):
         (stokes_disk_mode, 32, 7, 28, 29),
         (stokes_disk_mode, 44, 10, 28, 29),
         (laplace_disk_mode, 5, 4, 13, 17),
+        (laplace_disk_mode, 7, 3, 11, 20),
     ],
-    ids=["stokes-16-3", "stokes-24-5", "stokes-32-7", "stokes-44-10", "laplace-5-4"],
+    ids=["stokes-16-3", "stokes-24-5", "stokes-32-7", "stokes-44-10", "laplace-5-4", "laplace-7-3"],
 )
 def test_blocked_second_pass_matches_one_call_per_row(build, m, k, nx, nxi):
     mode = build(m, k)
     want = one_call_per_row_husimi(mode, nx, nxi)
-    assert_same_husimi(husimi_grid(mode, nx=nx, nxi=nxi), want)
+    assert_matches_all_column_oracle(husimi_grid(mode, nx=nx, nxi=nxi), want)
 
 
 @pytest.mark.parametrize("nodes", [1, 5_000, 1 << 30])
 def test_second_pass_block_size_moves_no_bit(monkeypatch, nodes):
     # one centre column per block, a few, and the whole row in one call
     mode = stokes_disk_mode(16, 3)
+    whole = husimi_grid(mode, nx=15, nxi=21)
     monkeypatch.setattr(quantize, "HUSIMI_NODES", nodes)
-    assert_same_husimi(husimi_grid(mode, nx=15, nxi=21), one_call_per_row_husimi(mode, 15, 21))
+    got = husimi_grid(mode, nx=15, nxi=21)
+    assert_same_husimi(got, whole)
+    assert_matches_all_column_oracle(got, one_call_per_row_husimi(mode, 15, 21))
 
 
 def octant_mask(grid):
