@@ -18,7 +18,7 @@ each mode's polar grid and evaluates c and, once, J_m(lam).
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -36,15 +36,30 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
+# the radial indices a ratio is matched over: 1..K_MAX
+K_MAX = 80
+
+# one read-only table of the first zeros of J_m per order m, per process
+_ZEROS: dict = {}
+
+
 def _zeros_table(m: int, k: int) -> np.ndarray:
-    """The first k positive zeros of J_m, increasing: one read-only table
-    per (m, k) and process.  A refused (m, k) raises and is not cached."""
+    """The first k positive zeros of J_m, increasing: a read-only prefix of
+    the order's one table, which grows by doubling, 8, 16, 32, ... zeros,
+    up to K_MAX or k if larger.  `jn_zeros` is prefix-stable, so a prefix
+    holds the bits of a k-zero table.  A refused (m, k) raises and leaves
+    the tables as they were."""
     if m < 0 or k < 1:
         raise ValueError("need m >= 0 and k >= 1")
-    zs = jn_zeros(m, k)
-    zs.flags.writeable = False
-    return zs
+    zs = _ZEROS.get(m)
+    if zs is None or len(zs) < k:
+        n = 8 if zs is None else 2 * len(zs)
+        while n < k:
+            n *= 2
+        zs = jn_zeros(m, min(n, max(k, K_MAX)))
+        zs.flags.writeable = False
+        _ZEROS[m] = zs
+    return zs[:k]
 
 
 def bessel_zero(m: int, k: int) -> float:
@@ -69,19 +84,14 @@ def family_lambda(family: str, m: int, k: int) -> float:
     return bessel_zero(_zero_order(family, m), k)
 
 
-# the radial indices a ratio is matched over: 1..K_MAX
-K_MAX = 80
-
-
 def pick_k_for_ratio(family: str, m: int, ratio: float) -> int:
     """Radial index whose angular-momentum fraction m/lam is nearest ratio.
 
     lam grows with k, so the fraction sweeps down monotonically; the
     minimizer over 1..K_MAX is unique up to ties.  Once m/lam_K falls
     below ratio, every later zero lies farther from it, so the zeros are
-    taken in prefixes of 8, 16, 32, ... and the search stops at the first
-    prefix that crosses; `jn_zeros` is prefix-stable, so the prefix holds
-    the same bits as the K_MAX table.
+    read in prefixes of 8, 16, 32, ... of the order's table, which grows
+    only as far as the first prefix that crosses.
 
     Contract: family is "laplace" or "stokes", m >= 0 and ratio finite,
     else ValueError.
@@ -118,27 +128,37 @@ class Quasimode:
         self.jm_lam = jm_lam  # J_m(lam) of the velocity family, else None
 
     @cached_property
+    def _polar_table(self) -> tuple:
+        """The radial table on the polar radii: the closed form for the
+        scalar family, and for the velocity family (F', F / r) with F' the
+        spectral derivative of the stream profile F on the grid."""
+        g = self.grid
+        if self.kind == "laplace":
+            return self.radial_table(g.r)
+        F = self.c * (jv(self.m, self.lam * g.r) - self.jm_lam * g.r**self.m)
+        return g.harmonic_dr(F, self.m), F / g.r
+
+    @cached_property
     def _fields(self):
         """(velocity, pressure) on the polar grid.
 
-        The scalar family is the closed form on the polar mesh.  For the
-        velocity family, u = (d_2 psi, -d_1 psi), and -h^2 Lap u - u is the
-        rotated gradient of the harmonic c J_m(lam) r^m e^{i m theta}, which
-        for a power of z = x_1 + i x_2 is i times its gradient; so the
+        Both families assemble the polar radial table with `angular_values`.
+        For the velocity family, u = (d_2 psi, -d_1 psi), and -h^2 Lap u - u
+        is the rotated gradient of the harmonic c J_m(lam) r^m e^{i m theta},
+        which for a power of z = x_1 + i x_2 is i times its gradient; so the
         momentum equation -h^2 Lap u - u + h grad q = 0 fixes q = -i c lam
-        J_m(lam) z^m.  Its velocity, the spectral derivative of psi, is the
-        one velocity left beside the closed form; the switch moves recorded
-        residuals, so it waits for tolerance classes on the reference.
+        J_m(lam) z^m, the closed form.  The table's F' is the one spectral
+        derivative left beside the closed form; taking `radial_table`'s dF
+        instead moves recorded residuals, so it waits for tolerance classes
+        on the reference.
         """
-        g, m, lam, c, jm_lam = self.grid, self.m, self.lam, self.c, self.jm_lam
+        g, m = self.grid, self.m
+        u = self.angular_values([t[:, None] for t in self._polar_table], g.theta)
+        u = np.moveaxis(u, -1, 0)
         if self.kind == "laplace":
-            u = self.angular_values(self.radial_table(g.r[:, None]), g.theta)
-            return np.moveaxis(u, -1, 0), None
-        F = c * (jv(m, lam * g.r) - jm_lam * g.r**m)
-        psi = F[:, None] * np.exp(1j * m * g.theta)[None, :]
-        g1, g2 = g.grad_cartesian(psi)
+            return u, None
         w_m = g.r[:, None] ** m * np.exp(1j * m * g.theta)[None, :]
-        return np.stack([g2, -g1]), -1j * c * lam * jm_lam * w_m
+        return u, -1j * self.c * self.lam * self.jm_lam * w_m
 
     @property
     def ncomp(self) -> int:
@@ -204,36 +224,67 @@ class Quasimode:
     # -- grid diagnostics ---------------------------------------------------
 
     def residual_report(self) -> dict:
-        """Residuals of the sampled fields, and h times their boundary flux.
+        """Residuals of the polar fields, and h times their boundary flux.
 
-        Each velocity component takes one angular transform and one radial
-        derivative, which give its Laplacian, its normal derivative on the
-        boundary row r = 1 and, for the divergence, its gradient.
+        Each field is a sum of a few angular harmonics p_j(r) e^{i j theta},
+        so every residual is taken on the profiles of the polar table, with
+        no angular transform: the scalar mode sits at m, and with A, B =
+        (F' -+ m F / r) / 2 the velocity is u_x = -i A e^{i (m+1) theta} +
+        i B e^{i (m-1) theta} and u_y = -A e^{i (m+1) theta} - B e^{i (m-1)
+        theta}.  The Laplacian keeps each harmonic, a gradient sends j to
+        j +- 1, norms are Parseval sums, and the boundary and flux norms
+        read the entries at r = 1.
         """
-        g = self.grid
-        h = self.h
+        g, h, m = self.grid, self.h, self.m
         out = {}
-        stokes = self.kind == "stokes"
-        lap, dr, grad = zip(*(g.derivatives(u, gradient=stokes) for u in self.velocity))
-        if not stokes:
-            u = self.velocity[0]
-            out["pde"] = g.norm(-(h * h) * lap[0] - u)
-            out["boundary"] = g.boundary_norm(u[0, :])
-            out["normalization"] = abs(g.norm(u) - 1.0)
+        if self.kind == "laplace":
+            u = [{m: self._polar_table[0]}]
         else:
-            ux, uy = self.velocity
-            qx, qy = g.grad_cartesian(self.pressure)
-            rx = -(h * h) * lap[0] - ux + h * qx
-            ry = -(h * h) * lap[1] - uy + h * qy
-            out["momentum"] = math.hypot(g.norm(rx), g.norm(ry))
-            out["divergence"] = g.norm(grad[0][0] + grad[1][1])
-            out["boundary"] = max(g.boundary_norm(ux[0, :]), g.boundary_norm(uy[0, :]))
-            nrm = math.hypot(g.norm(ux), g.norm(uy))
+            dF, F_over_r = self._polar_table
+            A, B = 0.5 * (dF - m * F_over_r), 0.5 * (dF + m * F_over_r)
+            u = [{m + 1: -1j * A, m - 1: 1j * B}, {m + 1: -A, m - 1: -B}]
+        res = [{j: -(h * h) * g.harmonic_laplacian(p, j) - p for j, p in c.items()} for c in u]
+        if self.kind == "laplace":
+            out["pde"] = g.harmonic_norm(res[0].values())
+            out["boundary"] = _rim_norm(p[0] for p in u[0].values())
+            out["normalization"] = abs(g.harmonic_norm(u[0].values()) - 1.0)
+        else:
+            q = -1j * self.c * self.lam * self.jm_lam * g.r**m
+            grad_q = _gradient(g, {m: q})
+            res = [{j: p + h * dq[j] for j, p in rc.items()} for rc, dq in zip(res, grad_q)]
+            out["momentum"] = math.hypot(*(g.harmonic_norm(rc.values()) for rc in res))
+            d1ux, d2uy = _gradient(g, u[0])[0], _gradient(g, u[1])[1]
+            out["divergence"] = g.harmonic_norm(d1ux[j] + d2uy[j] for j in d1ux)
+            out["boundary"] = max(_rim_norm(p[0] for p in c.values()) for c in u)
+            nrm = math.hypot(*(g.harmonic_norm(c.values()) for c in u))
             out["normalization"] = abs(nrm - 1.0)
-        out["flux_norm"] = math.sqrt(
-            sum(g.boundary_norm(h * d[0, :]) ** 2 for d in dr)
+        out["flux_norm"] = _rim_norm(
+            h * g.harmonic_dr(p, j)[0] for c in u for j, p in c.items()
         )
         return out
+
+
+def _gradient(grid: PolarGrid, field: dict) -> tuple[dict, dict]:
+    """(d_1 f, d_2 f) of f = sum_j p_j(r) e^{i j theta}, each as {j: p_j}.
+
+    d_1 = cos theta d_r - (sin theta / r) d_theta sends p_j to
+    (p_j' -+ j p_j / r) / 2 at j +- 1, and d_2 = sin theta d_r + (cos theta
+    / r) d_theta to -+ (i / 2) (p_j' -+ j p_j / r).
+    """
+    d1, d2 = {}, {}
+    for j, p in field.items():
+        dp, p_over_r = grid.harmonic_dr(p, j), j * p / grid.r
+        for s in (1, -1):
+            half = 0.5 * (dp - s * p_over_r)
+            d1[j + s] = d1.get(j + s, 0.0) + half
+            d2[j + s] = d2.get(j + s, 0.0) - s * 1j * half
+    return d1, d2
+
+
+def _rim_norm(values) -> float:
+    """L2 norm on the unit circle of a sum of distinct harmonics, given their
+    profiles' values at r = 1: (2 pi sum_j |p_j(1)|^2)^{1/2} by Parseval."""
+    return math.sqrt(2.0 * math.pi * sum(abs(v) ** 2 for v in values))
 
 
 def _disk_mode(kind: str, m: int, k: int) -> Quasimode:

@@ -1,11 +1,14 @@
 """Spectral tensor grid on the unit disk.
 
-Fourier differentiation in the angle, Chebyshev differentiation in the
+Fourier transforms in the angle, Chebyshev differentiation in the
 radius.  The radial nodes are the positive half of a Lobatto grid of odd
 degree, so there is no node at r = 0 and every smooth field on the disk
-splits into angular modes whose radial profiles extend evenly or oddly
-through the origin.  Differentiation uses that parity; quadrature uses
-Clenshaw-Curtis style weights for the measure r dr.
+splits into angular harmonics p(r) e^{i j theta} whose radial profiles
+extend evenly or oddly through the origin, with the parity of j.  The
+Laplacian acts on each harmonic separately, so the calculus works on one
+profile at a time, and the L2 norm of a sum of distinct harmonics is a
+sum over their profiles (Parseval).  Quadrature uses Clenshaw-Curtis
+style weights for the measure r dr.
 """
 
 from __future__ import annotations
@@ -120,8 +123,8 @@ class PolarGrid:
     """Tensor grid: K radii (descending from 1) by n_theta equispaced angles.
 
     Fields are arrays of shape (K, n_theta).  Angular transforms follow the
-    numpy FFT layout; `mode_numbers` gives the integer frequency of each
-    column of a transformed field.
+    numpy FFT layout; `modes` gives the integer frequency of each column of
+    a transformed field.  A harmonic's profile is an array of shape (K,).
     """
 
     def __init__(self, num_r: int, num_theta: int):
@@ -133,13 +136,7 @@ class PolarGrid:
         self.theta = 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta
         self.r = self.radial.r
         self.modes = np.fft.fftfreq(self.n_theta, 1.0 / self.n_theta).astype(int)
-        self._even_cols = (self.modes % 2) == 0
         self.dtheta_weight = 2.0 * np.pi / self.n_theta
-
-    @cached_property
-    def _cos_sin(self) -> tuple[np.ndarray, np.ndarray]:
-        """cos and sin of the angle nodes, shape (n_theta,), built on first use."""
-        return np.cos(self.theta), np.sin(self.theta)
 
     # -- transforms -------------------------------------------------
 
@@ -149,44 +146,47 @@ class PolarGrid:
     def from_modes(self, fhat: np.ndarray) -> np.ndarray:
         return np.fft.ifft(fhat * self.n_theta, axis=1)
 
-    # -- calculus ---------------------------------------------------
+    # -- one harmonic p(r) e^{i j theta} ------------------------------
 
-    def _diff_modes(self, fhat: np.ndarray, extra_parity: int = 1) -> np.ndarray:
-        """Radial derivative of angular-mode profiles, column by parity."""
-        out = np.empty_like(fhat)
-        ev = self._even_cols
-        if extra_parity < 0:
-            ev = ~ev
-        out[:, ev] = self.radial.d_even @ fhat[:, ev]
-        out[:, ~ev] = self.radial.d_odd @ fhat[:, ~ev]
-        return out
+    def _check_profile(self, prof: np.ndarray) -> None:
+        if np.shape(prof) != (self.K,):
+            raise ValueError(
+                f"profile must have the grid's K = {self.K} radii, got shape {np.shape(prof)}"
+            )
 
-    def _cartesian(self, fhat: np.ndarray, fr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(d_1 f, d_2 f) from the angular transform of f and its radial derivative."""
-        ft_over_r = self.from_modes(
-            1j * self.modes[None, :] * fhat / self.r[:, None]
-        )
-        ct, st = self._cos_sin
-        return ct * fr - st * ft_over_r, st * fr + ct * ft_over_r
+    def harmonic_dr(self, prof: np.ndarray, j: int) -> np.ndarray:
+        """p' of the harmonic p(r) e^{i j theta}; p extends through r = 0
+        with the parity of j, which picks `d_even` or `d_odd`.
 
-    def grad_cartesian(self, field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        fhat = self.to_modes(field)
-        return self._cartesian(fhat, self.from_modes(self._diff_modes(fhat)))
-
-    def derivatives(self, field: np.ndarray, *, gradient: bool = False):
-        """(Laplacian, d_r f, (d_1 f, d_2 f) or None) of a field.
-
-        One angular transform and one radial derivative serve all three;
-        the Cartesian gradient is taken only with `gradient`.  The flat
-        Laplacian is taken mode by mode: f'' + f'/r - n^2 f / r^2.
+        Contract: prof has shape (K,), else ValueError.
         """
-        fhat = self.to_modes(field)
-        d1 = self._diff_modes(fhat)
-        d2 = self._diff_modes(d1, extra_parity=-1)
-        rinv = 1.0 / self.r[:, None]
-        lap = d2 + rinv * d1 - (self.modes[None, :] ** 2) * rinv**2 * fhat
-        fr = self.from_modes(d1)
-        return self.from_modes(lap), fr, self._cartesian(fhat, fr) if gradient else None
+        self._check_profile(prof)
+        d = self.radial.d_even if j % 2 == 0 else self.radial.d_odd
+        # einsum without `optimize` sums outside BLAS, so the bits do not
+        # depend on the BLAS thread count
+        return np.einsum("ij,j->i", d, prof)
+
+    def harmonic_laplacian(self, prof: np.ndarray, j: int) -> np.ndarray:
+        """p'' + p'/r - j^2 p / r^2, the Laplacian of p(r) e^{i j theta};
+        p' has the other parity, so its derivative takes the other matrix.
+
+        Contract: prof has shape (K,), else ValueError.
+        """
+        d1 = self.harmonic_dr(prof, j)
+        rinv = 1.0 / self.r
+        return self.harmonic_dr(d1, j + 1) + rinv * d1 - (j * j) * rinv**2 * prof
+
+    def harmonic_norm(self, profiles) -> float:
+        """L2 norm over the disk of a sum of distinct harmonics, given their
+        profiles: (2 pi sum_j int |p_j|^2 r dr)^{1/2} by Parseval.
+
+        Contract: each profile has shape (K,), else ValueError.
+        """
+        power = 0.0
+        for prof in profiles:
+            self._check_profile(prof)
+            power = power + np.abs(prof) ** 2
+        return float(np.sqrt(max(2.0 * np.pi * self.radial.integrate_rdr(power), 0.0)))
 
     # -- measure ----------------------------------------------------
 
@@ -197,15 +197,6 @@ class PolarGrid:
 
     def inner(self, f: np.ndarray, g: np.ndarray) -> complex:
         return self.integrate(f * np.conj(g))
-
-    def norm(self, f: np.ndarray) -> float:
-        return float(np.sqrt(max(self.integrate(np.abs(f) ** 2).real, 0.0)))
-
-    def boundary_norm(self, f_boundary_row: np.ndarray) -> float:
-        """L2 norm on the unit circle of a row sampled at the theta nodes."""
-        return float(
-            np.sqrt(np.sum(np.abs(f_boundary_row) ** 2) * self.dtheta_weight)
-        )
 
     def interp_modes_radial(
         self, fhat_col: np.ndarray, mode: int, r_new: np.ndarray

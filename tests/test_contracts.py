@@ -32,6 +32,8 @@ NAN, INF = float("nan"), float("inf")
 GRID = BoxGrid(32)
 FIELD = np.zeros((32, 32), dtype=complex)
 MODE = laplace_disk_mode(1, 1)
+# the mode's polar grid, K = 40 radii, for the single-harmonic operators' rows
+POLAR = MODE.grid
 # spatial support out to the rim, past the margin of every box
 RIM = InteriorSymbol(lambda x1, x2: np.where(np.hypot(x1, x2) <= 1.0, 1.0, 0.0), xi_bound=1.0)
 CORE = InteriorSymbol(lambda x1, x2: np.where(np.hypot(x1, x2) <= 0.3, 1.0, 0.0), xi_bound=1.0)
@@ -106,6 +108,17 @@ REFUSED = [
         r"transported support reaches",
     ),
     (pairing, "rim", (RIM, MODE), SupportMarginError, r"support reaches"),
+    # a profile of another grid's length was read against this grid's radii
+    (POLAR.harmonic_dr, "short", (np.zeros(39), 2), ValueError, r"\bK = 40\b.*\(39,\)"),
+    (POLAR.harmonic_laplacian, "long", (np.zeros(41), 1), ValueError, r"\bK = 40\b.*\(41,\)"),
+    (POLAR.harmonic_laplacian, "column", (np.zeros((40, 1)), 1), ValueError, r"\(40, 1\)"),
+    (
+        POLAR.harmonic_norm,
+        "one-short",
+        ([np.zeros(40), np.zeros(39)],),
+        ValueError,
+        r"\bK = 40\b.*\(39,\)",
+    ),
     # only a disk mode has the symmetry of the square the sampler fills by
     (sample_mode_on_box, "raw-field", (FIELD, GRID), TypeError, r"\bdisk mode\b"),
     (
@@ -135,6 +148,8 @@ ACCEPTED = [
     (plateau_step, "args9-0.0", (NAN, 0.0, 1.0), 0.0),
     (plateau_step, "args10-0.0", (0.0, 0.0, 1.0), 0.0),
     (plateau_step, "args11-1.0", (1.0, 0.0, 1.0), 1.0),
+    # the constant 1 has norm sqrt(pi) on the disk
+    (POLAR.harmonic_norm, "one", ([np.ones(40)],), np.sqrt(np.pi)),
 ]
 
 

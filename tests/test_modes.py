@@ -90,12 +90,12 @@ def test_pick_k_for_ratio_takes_zeros_only_as_far_as_the_minimizer(monkeypatch):
     taken = []
     monkeypatch.setattr(modes_module, "jn_zeros",
                         lambda m, k: taken.append(k) or jn_zeros(m, k))
-    modes_module._zeros_table.cache_clear()
-    try:
-        assert pick_k_for_ratio("stokes", 44, 0.5) == 10
-    finally:
-        modes_module._zeros_table.cache_clear()
+    monkeypatch.setattr(modes_module, "_ZEROS", {})
+    assert pick_k_for_ratio("stokes", 44, 0.5) == 10
     assert taken == [8, 16]
+    # the order keeps one table, and a shorter read takes a prefix of it
+    assert list(modes_module._ZEROS) == [45] and len(modes_module._ZEROS[45]) == 16
+    assert bessel_zero(45, 3) == modes_module._ZEROS[45][2] and taken == [8, 16]
 
 
 def test_radial_orthogonality():
@@ -129,7 +129,7 @@ def test_stokes_mode_properties():
     assert rep["normalization"] < 1e-9
     assert rep["flux_norm"] == pytest.approx(math.sqrt(2.0), abs=1e-7)
     # companion pressure: exact norm and gradient norm
-    g = mode.grid
+    g = EagerGrid(mode.grid.K, mode.grid.n_theta)
     assert g.norm(mode.pressure) == pytest.approx(1.0 / math.sqrt(m + 1), abs=1e-10)
     qx, qy = g.grad_cartesian(mode.pressure)
     grad_norm = mode.h * math.hypot(g.norm(qx), g.norm(qy))
@@ -138,12 +138,12 @@ def test_stokes_mode_properties():
 
 def test_stokes_flux_is_tangential_of_constant_modulus():
     mode = stokes_disk_mode(4, 2)
-    flux = [mode.h * mode.grid.derivatives(u)[1][0, :] for u in mode.velocity]
+    g = EagerGrid(mode.grid.K, mode.grid.n_theta)
+    flux = [mode.h * g.dr(u)[0, :] for u in mode.velocity]
     mag = np.hypot(np.abs(flux[0]), np.abs(flux[1]))
     assert np.max(np.abs(mag - 1.0 / math.sqrt(math.pi))) < 1e-7
     # radial part of the normal derivative vanishes on the boundary; contract
     # the cartesian jacobian (u itself vanishes there, so no frame terms)
-    g = mode.grid
     ct, st = np.cos(g.theta), np.sin(g.theta)
     dux = g.grad_cartesian(mode.velocity[0])
     duy = g.grad_cartesian(mode.velocity[1])
@@ -154,11 +154,11 @@ def test_stokes_flux_is_tangential_of_constant_modulus():
 
 def test_stokes_pressure_sign_matters():
     mode = stokes_disk_mode(2, 2)
-    g = mode.grid
+    g = EagerGrid(mode.grid.K, mode.grid.n_theta)
     h = mode.h
     qx, qy = g.grad_cartesian(-mode.pressure)
-    rx = -(h * h) * g.derivatives(mode.velocity[0])[0] - mode.velocity[0] + h * qx
-    ry = -(h * h) * g.derivatives(mode.velocity[1])[0] - mode.velocity[1] + h * qy
+    rx = -(h * h) * g.laplacian(mode.velocity[0]) - mode.velocity[0] + h * qx
+    ry = -(h * h) * g.laplacian(mode.velocity[1]) - mode.velocity[1] + h * qy
     wrong = math.hypot(g.norm(rx), g.norm(ry))
     assert wrong > 10 * mode.residual_report()["momentum"]
 
@@ -190,7 +190,8 @@ def test_m_zero_modes():
     mode = stokes_disk_mode(0, 2)
     rep = mode.residual_report()
     assert rep["momentum"] < 1e-8 and rep["divergence"] < 1e-9
-    assert mode.grid.norm(mode.pressure) == pytest.approx(1.0, abs=1e-10)
+    g = EagerGrid(mode.grid.K, mode.grid.n_theta)
+    assert g.norm(mode.pressure) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_large_angular_mode():
@@ -248,12 +249,36 @@ def test_bessel_zero_tables_are_read_only():
         zs[-1] = 0.0
     assert np.array_equal(_zeros_table(4, 6), want)
     assert bessel_zero(4, 6) == want[-1]
-    # the cache keeps no refused key
-    size = _zeros_table.cache_info().currsize
+    # a longer read grows the order's one table, still read-only
+    assert np.array_equal(_zeros_table(4, 12)[:6], want)
+    with pytest.raises(ValueError):
+        _zeros_table(4, 12)[0] = 0.0
+    # the tables keep no refused key
+    keys = sorted(modes_module._ZEROS)
     for m, k in ((-1, 3), (2, 0)):
         with pytest.raises(ValueError, match="m >= 0 and k >= 1"):
             _zeros_table(m, k)
-    assert _zeros_table.cache_info().currsize == size
+    assert sorted(modes_module._ZEROS) == keys
+
+
+def test_bessel_zero_tables_grow_by_doubling_as_prefixes(monkeypatch):
+    # `jn_zeros` is prefix-stable: each order's table grows through 8, 16,
+    # 32, 64 and K_MAX = 80 zeros, and every prefix read on the way holds
+    # the bits of the 80-zero table, over every order a config reaches
+    taken = []
+    monkeypatch.setattr(modes_module, "jn_zeros",
+                        lambda m, k: taken.append(k) or jn_zeros(m, k))
+    monkeypatch.setattr(modes_module, "_ZEROS", {})
+    for m in range(130):
+        prefixes = [_zeros_table(m, k) for k in range(1, K_MAX + 1)]
+        full = modes_module._ZEROS[m]
+        assert len(full) == K_MAX and not full.flags.writeable
+        for k, zs in enumerate(prefixes, 1):
+            assert same_bits(zs, full[:k]), (m, k)
+    assert taken == [8, 16, 32, 64, 80] * 130
+    # a table of exactly k zeros holds the same bits, at a few (m, k)
+    for m, k in ((0, 1), (0, 80), (13, 5), (44, 10), (65, 8), (129, 37)):
+        assert bessel_zero(m, k) == jn_zeros(m, k)[-1]
 
 
 def eager_mode(kind, m, k):
@@ -318,6 +343,31 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def assert_matches_eager_oracle(mode, eager):
+    """The polar fields and the residuals on profiles against the grid route.
+
+    The scalar velocity and every pressure are the closed form on both
+    sides, so they are bit-equal; the velocity family's velocity within
+    1e-13 of its max.  The residuals: flux_norm within 1e-11 relative, the
+    others within 2e-11 absolute, the round-off of the grid route's sums
+    over every angular column.
+    """
+    assert (mode.grid.K, mode.grid.n_theta) == (eager.grid.K, eager.grid.n_theta)
+    assert mode.c == eager.c and mode.lam == eager.lam
+    assert len(mode.velocity) == (1 if mode.kind == "laplace" else 2)
+    if mode.kind == "laplace":
+        assert same_bits(mode.velocity, eager.velocity) and mode.pressure is None
+    else:
+        peak = np.abs(eager.velocity).max()
+        assert np.abs(mode.velocity - eager.velocity).max() <= 1e-13 * peak
+        assert same_bits(mode.pressure, eager.pressure)
+    got, want = mode.residual_report(), eager_residual_report(eager)
+    assert sorted(got) == sorted(want)
+    for key, value in want.items():
+        tol = 1e-11 * value if key == "flux_norm" else 2e-11
+        assert abs(got[key] - value) <= tol, (key, got[key], value)
+
+
 # (kind, m, k) and, where pinned, the grid's (num_r, num_theta): an odd
 # num_r, and a num_r past its floor of 40
 FIRST_READ_CASES = [
@@ -337,19 +387,29 @@ def test_first_read_fields_and_one_pass_residuals_match_eager_oracle(kind, m, k,
     ctor = laplace_disk_mode if kind == "laplace" else stokes_disk_mode
     mode = ctor(m, k)
     assert "_fields" not in vars(mode) and built(mode.grid) == []
-    eager = eager_mode(kind, m, k)
-    assert (mode.grid.K, mode.grid.n_theta) == (eager.grid.K, eager.grid.n_theta)
     if num_r is not None:
         assert (mode.grid.K, mode.grid.n_theta) == (num_r, num_theta)
-    assert mode.c == eager.c and mode.lam == eager.lam
-    assert same_bits(mode.velocity, eager.velocity)
-    assert len(mode.velocity) == (1 if kind == "laplace" else 2)
-    if kind == "laplace":
-        assert mode.pressure is None
-    else:
-        assert same_bits(mode.pressure, eager.pressure)
+    assert_matches_eager_oracle(mode, eager_mode(kind, m, k))
     assert mode.velocity is mode.velocity
-    assert mode.residual_report() == eager_residual_report(eager)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(kind=st.sampled_from(["laplace", "stokes"]), m=st.integers(0, 48), k=st.integers(1, 8))
+def test_residuals_on_profiles_match_the_grid_route(kind, m, k):
+    ctor = laplace_disk_mode if kind == "laplace" else stokes_disk_mode
+    eager = eager_mode(kind, m, k)
+    assert_matches_eager_oracle(ctor(m, k), eager)
+    # the premise: a mode's grid fields hold only their harmonics, the
+    # scalar mode and the pressure m, the velocity components m +- 1
+    g = eager.grid
+    fields = [(eager.velocity, [m] if kind == "laplace" else [m - 1, m + 1])]
+    if kind == "stokes":
+        fields.append((eager.pressure[None], [m]))
+    for field, js in fields:
+        for comp in field:
+            fhat = g.to_modes(comp)
+            off = ~np.isin(g.modes, js)
+            assert np.abs(fhat[:, off]).max() <= 1e-13 * np.abs(comp).max()
 
 
 def test_box_only_experiments_build_no_polar_matrices():

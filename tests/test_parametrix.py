@@ -24,6 +24,7 @@ from bicharlab.parametrix import (
     extension_error,
 )
 from bicharlab.polar import PolarGrid
+from test_polar import EagerGrid
 
 
 def ring(n):
@@ -245,8 +246,9 @@ def test_poisson_extend_is_harmonic():
     th = ring(64)
     q0 = sum(c[i] * np.exp(1j * (i - 8) * th) for i in range(17))
     u = poisson_extend(q0, grid)
-    res = grid.derivatives(u)[0]
-    assert grid.norm(res) < 1e-6 * grid.norm(u)
+    eager = EagerGrid(grid.K, grid.n_theta)
+    res = eager.laplacian(u)
+    assert eager.norm(res) < 1e-6 * eager.norm(u)
     assert np.abs(u[0, :] - q0).max() < 1e-10
 
 
@@ -269,7 +271,7 @@ def test_dtn_against_radial_derivative():
         a = rng.standard_normal() + 1j * rng.standard_normal()
         q0 += a * np.exp(1j * m * th)
     u = poisson_extend(q0, grid)
-    normal_deriv = grid.derivatives(u)[1][0, :]
+    normal_deriv = EagerGrid(grid.K, grid.n_theta).dr(u)[0, :]
     assert np.abs(normal_deriv - dtn(q0)).max() < 1e-8 * np.abs(dtn(q0)).max()
 
 

@@ -4,6 +4,7 @@ from scipy.special import jv
 
 from numpy.polynomial import chebyshev as cheb
 
+from bicharlab.modes import _gradient, _rim_norm
 from bicharlab.polar import (
     PolarGrid,
     RadialHalfGrid,
@@ -110,11 +111,23 @@ def test_integrate_general_smooth_field():
     assert abs(va - vb) < 1e-12
 
 
+def harmonics(grid, field, floor=1e-12):
+    """{j: p_j}: the angular harmonics of a (K, n_theta) field above `floor`."""
+    fhat = grid.to_modes(field)
+    return {int(j): fhat[:, c] for c, j in enumerate(grid.modes) if np.abs(fhat[:, c]).max() > floor}
+
+
+def assemble(grid, field):
+    """The (K, n_theta) field sum_j p_j(r) e^{i j theta} of {j: p_j}."""
+    return sum(p[:, None] * np.exp(1j * j * grid.theta)[None, :] for j, p in field.items())
+
+
 def test_gradient_on_polynomials():
+    # the residuals' gradient rule, harmonic by harmonic, on x1^3 - 2 x1 x2^2
     grid = PolarGrid(18, 16)
     _, _, X1, X2 = mesh(grid)
     f = X1**3 - 2.0 * X1 * X2**2
-    g1, g2 = grid.grad_cartesian(f)
+    g1, g2 = (assemble(grid, d) for d in _gradient(grid, harmonics(grid, f)))
     assert np.max(np.abs(g1 - (3 * X1**2 - 2 * X2**2))) < 1e-10
     assert np.max(np.abs(g2 - (-4 * X1 * X2))) < 1e-10
 
@@ -122,16 +135,16 @@ def test_gradient_on_polynomials():
 def test_laplacian_polynomial_and_helmholtz():
     grid = PolarGrid(60, 24)
     R, T, X1, _ = mesh(grid)
-    f = X1**4
-    assert np.max(np.abs(grid.derivatives(f)[0] - 12 * X1**2)) < 1e-8
+    lap = {j: grid.harmonic_laplacian(p, j) for j, p in harmonics(grid, X1**4).items()}
+    assert np.max(np.abs(assemble(grid, lap) - 12 * X1**2)) < 1e-8
 
     from scipy.special import jn_zeros
 
     m = 3
     lam = jn_zeros(m, 2)[-1]
-    u = jv(m, lam * R) * np.exp(1j * m * T)
-    res = grid.derivatives(u)[0] + lam**2 * u
-    assert grid.norm(res) / grid.norm(u) < 1e-9
+    p = jv(m, lam * grid.r)
+    res = grid.harmonic_laplacian(p, m) + lam**2 * p
+    assert grid.harmonic_norm([res]) / grid.harmonic_norm([p]) < 1e-9
 
 
 def test_mode_roundtrip_and_boundary_norm():
@@ -140,8 +153,12 @@ def test_mode_roundtrip_and_boundary_norm():
     f = rng.standard_normal((grid.K, grid.n_theta))
     assert np.max(np.abs(grid.from_modes(grid.to_modes(f)) - f)) < 1e-12
 
-    row = np.exp(3j * grid.theta)
-    assert abs(grid.boundary_norm(row) - np.sqrt(2 * np.pi)) < 1e-12
+    assert abs(_rim_norm([1.0]) - np.sqrt(2 * np.pi)) < 1e-12
+    # the circle's norm of distinct harmonics from their r = 1 values
+    field = {j: rng.standard_normal(grid.K) + 1j * rng.standard_normal(grid.K) for j in (-3, 0, 5)}
+    row = assemble(grid, field)[0, :]
+    want = EagerGrid(grid.K, grid.n_theta).boundary_norm(row)
+    assert abs(_rim_norm(p[0] for p in field.values()) - want) <= 1e-14 * want
 
 
 def test_norm_of_disk_eigenmode():
@@ -150,10 +167,8 @@ def test_norm_of_disk_eigenmode():
     m, k = 5, 4
     lam = jn_zeros(m, k)[-1]
     grid = PolarGrid(60, 32)
-    R, T, _, _ = mesh(grid)
-    u = jv(m, lam * R) * np.exp(1j * m * T)
     exact = np.sqrt(np.pi) * abs(jv(m + 1, lam))
-    assert abs(grid.norm(u) - exact) < 1e-11
+    assert abs(grid.harmonic_norm([jv(m, lam * grid.r)]) - exact) < 1e-11
 
 
 def test_rejects_bad_grid_shapes():
@@ -167,9 +182,11 @@ class EagerGrid:
     """The polar grid as it was built before its matrices became lazy.
 
     Every matrix and mesh is made in the constructor, and the Laplacian,
-    radial derivative and divergence are separate compositions, each
-    with its own angular transform.  Kept as the oracle of
-    `PolarGrid`'s first-use construction and of `derivatives`.
+    radial derivative, gradient and divergence are separate compositions,
+    each with its own angular transform and BLAS products over every
+    angular column.  Kept as the oracle of `PolarGrid`'s first-use
+    construction, of its single-harmonic operators and of the mode
+    residuals taken on profiles.
     """
 
     def __init__(self, num_r: int, num_theta: int):
@@ -246,7 +263,7 @@ class EagerGrid:
         return float(np.sqrt(np.sum(np.abs(row) ** 2) * self.dtheta_weight))
 
 
-LAZY = ("_d_parity", "_coeff", "w_rdr", "_cos_sin")
+LAZY = ("_d_parity", "_coeff", "w_rdr")
 
 
 def built(grid):
@@ -264,29 +281,29 @@ def test_first_use_grid_matches_eager_construction(num_r, num_theta):
     assert np.array_equal(rad._coeff, eager.coeff)
     for name in ("r", "theta", "modes"):
         assert np.array_equal(getattr(grid, name), getattr(eager, name)), name
-    # the (n_theta,) cos and sin broadcast to the eager meshes' cos and sin
-    for got, want in zip(grid._cos_sin, (np.cos(eager.T), np.sin(eager.T))):
-        assert got.shape == (num_theta,) and np.array_equal(np.broadcast_to(got, want.shape), want)
     assert built(grid) == sorted(LAZY)
     # a second read returns the built member itself
-    assert rad.d_even is rad.d_even and grid._cos_sin is grid._cos_sin
+    assert rad.d_even is rad.d_even and rad.w_rdr is rad.w_rdr
 
 
 @pytest.mark.parametrize("num_r, num_theta", [(12, 18), (40, 32), (61, 96)])
 def test_one_pass_derivatives_match_the_separate_compositions(num_r, num_theta):
+    # the single-harmonic operators against the grid route, which takes
+    # every angular column through a transform and a BLAS product: random
+    # profiles times e^{i j theta} at even, odd, zero and negative j
     grid, eager = PolarGrid(num_r, num_theta), EagerGrid(num_r, num_theta)
     rng = np.random.default_rng(num_r)
-    shape = (grid.K, grid.n_theta)
-    for f in (rng.standard_normal(shape), rng.standard_normal(shape) + 1j * rng.standard_normal(shape)):
-        lap, fr, (d1, d2) = grid.derivatives(f, gradient=True)
-        assert np.array_equal(lap, eager.laplacian(f))
-        assert np.array_equal(fr, eager.dr(f))
-        g1, g2 = eager.grad_cartesian(f)
-        assert np.array_equal(d1, g1) and np.array_equal(d2, g2)
-        without = grid.derivatives(f)
-        assert without[2] is None
-        assert np.array_equal(without[0], lap) and np.array_equal(without[1], fr)
-        assert all(np.array_equal(a, b) for a, b in zip(grid.grad_cartesian(f), (g1, g2)))
-    u1, u2 = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
-    div = grid.derivatives(u1, gradient=True)[2][0] + grid.derivatives(u2, gradient=True)[2][1]
-    assert np.array_equal(div, eager.div_cartesian(u1, u2))
+    js = (0, 1, 2, 3, -1, -2, -5, num_theta // 2 - 1)
+    profiles = {}
+    for j in js:
+        p = rng.standard_normal(grid.K) + 1j * rng.standard_normal(grid.K)
+        profiles[j] = p
+        field = assemble(grid, {j: p})
+        for got, want in ((assemble(grid, {j: grid.harmonic_dr(p, j)}), eager.dr(field)),
+                          (assemble(grid, {j: grid.harmonic_laplacian(p, j)}), eager.laplacian(field))):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), j
+        want = eager.norm(field)
+        assert abs(grid.harmonic_norm([p]) - want) <= 1e-14 * want
+    # Parseval over a sum of distinct harmonics
+    want = eager.norm(assemble(grid, profiles))
+    assert abs(grid.harmonic_norm(profiles.values()) - want) <= 1e-14 * want
