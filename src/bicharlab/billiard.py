@@ -5,7 +5,7 @@ specular reflections all have explicit formulas, and after its first hit
 a ray repeats one chord turned by one angle: any flow time costs the
 same.  This module is the fast vectorized engine used to push symbols
 along the broken flow, and it doubles as an independent oracle for the
-ODE-based tracer.
+tracer of flow.py.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def _flow(x1, x2, s1, s2, t):
     """
     th = _time_to_boundary(x1, x2, s1, s2)  # checks each block's x and xi
     # landing exactly at the endpoint still reflects, matching the
-    # post-contact convention of the ODE tracer
+    # post-contact convention of flow's tracer
     hit = (th <= t) & (t > 0.0)
     step = 2.0 * np.where(hit, th, t)
     x1 += step * s1

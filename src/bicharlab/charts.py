@@ -179,15 +179,18 @@ class _RoundChart(CollarChart):
         if rho < 0.0:
             raise ValueError("point beyond the center")
         ct, st = math.cos(p.xp), math.sin(p.xp)
-        rhat = np.array([ct, st])
-        that = np.array([-st, ct])
+        # xi = dir eta rhat + (xi' / rho) that, with rhat = (ct, st) and
+        # that = (-st, ct), one component at a time
+        normal = self._dir * p.eta
         if rho == 0.0:
             if p.xip != 0.0:
                 raise ValueError("cannot place an angular covector at the center")
-            return np.zeros(2), self._dir * p.eta * rhat
-        x = np.array([rho * ct, rho * st])
-        xi = self._dir * p.eta * rhat + (p.xip / rho) * that
-        return x, xi
+            return np.zeros(2), np.array([normal * ct, normal * st])
+        tangent = p.xip / rho
+        return (
+            np.array([rho * ct, rho * st]),
+            np.array([normal * ct - tangent * st, normal * st + tangent * ct]),
+        )
 
     def from_cartesian(self, x: Sequence[float], xi: Sequence[float]) -> PhasePoint:
         x = np.asarray(x, dtype=float)

@@ -1,7 +1,7 @@
 """Broken bicharacteristic flow with glancing-aware boundary dispatch.
 
 A ray alternates between exact straight-line flight away from the boundary
-collar, an ODE integration of the collar Hamilton field inside it, and a
+collar, the motion of the collar Hamilton field inside it, and a
 constrained gliding motion along the boundary when it arrives tangentially
 with the boundary curving away.  Each boundary contact is classified and
 dispatched: transversal contacts reflect, tangential contacts with the
@@ -11,16 +11,23 @@ changes sign.  Unresolvable contacts abort the trace rather than guess.
 Motion is at unit energy: the collar field and the reflection hold the
 shell |xi| = 1, and an ambient start off it is refused.
 
-The collar field and the gliding field are integrated by one Dormand-Prince
-5(4) stepper with its 4th-order continuous extension (Dormand & Prince 1980;
-step control and dense output as in Hairer, Norsett & Wanner, Solving ODEs I,
-II.4-II.6), a port of scipy's RK45 on plain floats, written out for the
-4-component collar state (y, x', eta, xi').  Its dense output is the
-ray between events; the boundary contact, the turning point, the band exit
-and the glide release are events located on it, and they and the sub-step
-dip crossing come from one Brent solver (scipy's brentq, ported).  The tests
-hold both to scipy's solve_ivp and brentq as oracles, and the written-out
-step to a loop over the tableau, bit for bit.
+On a round chart (the disk, either annulus component) the collar flight
+is in closed form: the ray is the straight line x + 2t xi in the plane,
+its contact, band exit and grazing vertex are the roots and the vertex
+of |x + 2t xi|^2 = rho^2, which the free flight solves for its band
+entry too, and a glide along a round rim is a rotation at constant speed.
+
+A model chart has no embedding, so its collar field and gliding field are
+integrated by one Dormand-Prince 5(4) stepper with its 4th-order continuous
+extension (Dormand & Prince 1980; step control and dense output as in
+Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6), a port of scipy's
+RK45 on plain floats, written out for the 4-component collar state (y, x',
+eta, xi').  Its dense output is the ray between events; the boundary
+contact, the turning point and the glide release are events located on it,
+and they and the sub-step dip crossing come from one Brent solver (scipy's
+brentq, ported).  The tests hold both to scipy's solve_ivp and brentq as
+oracles, the written-out step to a loop over the tableau, bit for bit, and
+the closed-form flight to the solve of the collar field on round charts.
 """
 
 from __future__ import annotations
@@ -69,8 +76,9 @@ _ERR_EXP = -1 / 5
 # relative root tolerance, and the absolute one of event times (scipy's 4 eps)
 _ROOT_TOL = 4 * sys.float_info.epsilon
 # collar events (function of a state getter, direction): the boundary y = 0
-# crossed downward, the turning point eta = 0, and (embeddable charts only)
-# the collar band's midline crossed upward, appended per chart
+# crossed downward and the turning point eta = 0; the closed-form flight of
+# a round chart reports the same two and the collar band's midline crossed
+# upward
 _CONTACT, _TURN, _EXIT = 0, 1, 2
 _COLLAR_EVENTS = ((lambda get: get(0), -1), (lambda get: get(2), 0))
 
@@ -496,9 +504,98 @@ def _project_shell(chart: CollarChart, xp: float, xip: float) -> float:
     return xip
 
 
+def _crossing(x1, x2, s1, s2, radius, outward):
+    """Time t > 1e-13 at which the line x + 2t xi crosses the circle |x| =
+    radius outward (the larger root of |x + 2t xi|^2 = radius^2) or inward
+    (the smaller one), or None; a root at the line's own start is skipped."""
+    a = s1 * s1 + s2 * s2
+    b = x1 * s1 + x2 * s2
+    disc = b * b - a * (x1 * x1 + x2 * x2 - radius * radius)
+    if disc <= 0.0:
+        return None
+    root = math.sqrt(disc)
+    t = (-b + root) / (2.0 * a) if outward else (-b - root) / (2.0 * a)
+    return t if t > 1e-13 else None
+
+
+class _Line:
+    """The straight line x + 2(t - t0) xi through a round chart's collar
+    state at t0, read in that chart's collar coordinates.
+
+    x' runs on from the start's x' by the angle swept since t0, so it stays
+    continuous where from_cartesian's wrapped atan2 would jump, and xi' is
+    the start's, which the line conserves.
+    """
+
+    def __init__(self, chart, t0, pt):
+        x, xi = chart.to_cartesian(pt)
+        self.t0, self.xp, self.xip = t0, pt.xp, pt.xip
+        self.x1, self.x2 = float(x[0]), float(x[1])
+        self.s1, self.s2 = float(xi[0]), float(xi[1])
+        self.edge = chart.radius(0.0)
+        # d rho / dy: inward from the outer circle, outward from the inner
+        self.sign = 1.0 if chart.component == "inner" else -1.0
+
+    def height(self, dt):
+        """y a time dt after t0, as state reads it; defined at the center too."""
+        p1, p2 = self.x1 + 2.0 * dt * self.s1, self.x2 + 2.0 * dt * self.s2
+        return self.sign * (math.hypot(p1, p2) - self.edge)
+
+    def state(self, dt):
+        """(y, x', eta, xi') a time dt after t0, as plain floats."""
+        x1, x2, s1, s2 = self.x1, self.x2, self.s1, self.s2
+        p1, p2 = x1 + 2.0 * dt * s1, x2 + 2.0 * dt * s2
+        rho = math.hypot(p1, p2)
+        return (
+            self.sign * (rho - self.edge),
+            self.xp + math.atan2(x1 * p2 - x2 * p1, x1 * p1 + x2 * p2),
+            self.sign * (p1 * s1 + p2 * s2) / rho,
+            self.xip,
+        )
+
+    def __call__(self, t):
+        return np.array(self.state(t - self.t0))
+
+
+def _fly(chart, t, pt, t_total):
+    """The collar flight of a round chart in closed form: (line, hit).
+
+    hit is (event, time, state) as _solve_collar gives it, or None once
+    t_total comes first.  The events are the contact (the outward root at
+    the outer circle, the inward root at the inner one), the band exit
+    (the midline crossed away from the boundary) and the turning point:
+    the line's vertex when it lies within GRAZE_TOL of the boundary, on
+    either side, which the tracer dispatches as a contact.  Such a vertex
+    takes the place of the contact root, which a line dipping below the
+    boundary by at most GRAZE_TOL meets at most about 2e-5 before its
+    vertex at unit speed: the collar solve's steps straddled that dip and
+    found the turning point.  A vertex farther above the boundary is no event, and xi = 0
+    stays put.
+    """
+    line = _Line(chart, t, pt)
+    x1, x2, s1, s2 = line.x1, line.x2, line.s1, line.s2
+    outer = chart.component == "outer"
+    speed_sq = s1 * s1 + s2 * s2
+    t_v = -(x1 * s1 + x2 * s2) / (2.0 * speed_sq) if speed_sq > 0.0 else 0.0
+    if t_v > 1e-13 and abs(line.height(t_v)) <= GRAZE_TOL:
+        hits = [(t_v, _TURN)]
+    else:
+        hits = [(_crossing(x1, x2, s1, s2, line.edge, outer), _CONTACT)]
+    mid = chart.radius(0.5 * chart.collar_width)
+    hits.append((_crossing(x1, x2, s1, s2, mid, not outer), _EXIT))
+    hits = [h for h in hits if h[0] is not None]
+    if not hits or t + min(hits)[0] >= t_total:
+        return line, None
+    dt, kind = min(hits)
+    return line, (kind, t + dt, list(line.state(dt)))
+
+
 def _kick(chart: CollarChart, u):
-    # one tiny Dormand-Prince step of the collar field, so restarts do not
-    # sit exactly on an event root
+    # the state KICK after u, so restarts do not sit exactly on an event
+    # root: the line on a round chart, one tiny Dormand-Prince step of the
+    # collar field elsewhere
+    if hasattr(chart, "to_cartesian"):
+        return _Line(chart, 0.0, PhasePoint(*u)).state(KICK)
     f = _collar_field(chart)
     return _dp_step(f, u, f(u), KICK)[0]
 
@@ -553,18 +650,11 @@ class _Tracer:
     def _entry_time(self, x, xi):
         """Earliest future crossing into a collar band, or None."""
         best = None
-        a = float(xi @ xi)
-        b = float(x @ xi)
+        line = float(x[0]), float(x[1]), float(xi[0]), float(xi[1])
         for ch, radius, side in self.bands:
-            c = float(x @ x) - radius * radius
-            disc = b * b - a * c
-            if disc <= 0.0:
-                continue
-            root = math.sqrt(disc)
-            # outer bands are entered moving outward (larger root), inner
-            # bands moving inward (smaller root)
-            t_cross = (-b + root) / (2.0 * a) if side == "outer" else (-b - root) / (2.0 * a)
-            if t_cross > 1e-13 and (best is None or t_cross < best[0]):
+            # outer bands are entered moving outward, inner bands inward
+            t_cross = _crossing(*line, radius, side == "outer")
+            if t_cross is not None and (best is None or t_cross < best[0]):
                 best = (t_cross, ch)
         return best
 
@@ -585,22 +675,22 @@ class _Tracer:
         self._log("enter_collar", t_end, hit[1], pt, (float(x_new[0]), float(x_new[1])))
         return t_end, "collar", (hit[1], pt)
 
-    # -- collar integration --------------------------------------------------
+    # -- collar flight ---------------------------------------------------------
 
     def run_collar(self, t, payload, t_total):
-        """Integrate inside the collar until contact, exit, or time runs out."""
+        """Move inside the collar until contact, exit, or time runs out: in
+        closed form on a round chart, by the collar solve on a model chart."""
         chart, pt = payload
         if pt.y <= GRAZE_TOL and pt.eta <= 0.0:
             # on the boundary moving along or into it: dispatch immediately
             return self.dispatch(t, chart, pt)
 
-        u0 = [float(pt.y), float(pt.xp), float(pt.eta), float(pt.xip)]
-        events = _COLLAR_EVENTS
         if self.embeddable:
-            mid = 0.5 * chart.collar_width
-            events += ((lambda get: get(0) - mid, 1),)
-        path, hit = _solve_collar(_collar_field(chart), t, u0, t_total, events)
-        segment = RaySegment("collar", "collar", t, path.ts[-1], chart, path)
+            path, hit = _fly(chart, t, pt, t_total)
+        else:
+            u0 = [float(pt.y), float(pt.xp), float(pt.eta), float(pt.xip)]
+            path, hit = _solve_collar(_collar_field(chart), t, u0, t_total, _COLLAR_EVENTS)
+        segment = RaySegment("collar", "collar", t, t_total if hit is None else hit[1], chart, path)
         self.segments.append(segment)
         if hit is None:
             return t_total, "done", None
@@ -615,17 +705,18 @@ class _Tracer:
         if kind == _CONTACT:
             return self.dispatch(t_hit, chart, PhasePoint(0.0, u[1], u[2], u[3]))
 
-        # turning point: eta hits 0 and y is locally extremal there
+        # turning point: eta hits 0 and y is locally extremal there; a round
+        # chart's flight reports one only within GRAZE_TOL of the boundary
         if u[0] > GRAZE_TOL:
-            # perihelion above the boundary: nudge past the root and go on;
-            # the nudge logs no event, so it is charged here
+            # perihelion above the boundary (collar solve only): nudge past
+            # the root and go on; the nudge logs no event, so it is charged here
             self.restarts += 1
             self._check_budget()
             return t_hit + KICK, "collar", (chart, PhasePoint(*_kick(chart, u)))
         if u[0] >= -GRAZE_TOL:
             return self.dispatch(t_hit, chart, PhasePoint(0.0, u[1], u[2], u[3]))
-        # the step dipped below the boundary without an endpoint sign change;
-        # locate the first actual crossing inside the accepted step
+        # the step dipped below the boundary without an endpoint sign change
+        # (collar solve only); locate the first actual crossing inside it
         t_a = path.ts[max(bisect_left(path.ts, t_hit) - 1, 0)]
         t_c = _brent(lambda s: path(s)[0], t_a, t_hit, 1e-14)
         u_c = path(t_c)
@@ -669,6 +760,16 @@ class _Tracer:
             # the liftoff condition already holds: release at once
             hit = (0, t, u)
             segment = RaySegment("gliding", "collar", t, t, chart, lambda tt, _u=np.array(u): _u)
+        elif self.embeddable:
+            # r1 is constant on a round rim, so the glide never releases: it
+            # is the rotation x' = x'0 + 2 xi' (t - t0) / rho0^2
+            rate = 2.0 * pt.xip / chart.radius(0.0) ** 2
+
+            def rotation(tt, _t=t, _xp=pt.xp, _xip=pt.xip):
+                return np.array([0.0, _xp + rate * (tt - _t), 0.0, _xip])
+
+            hit = None
+            segment = RaySegment("gliding", "collar", t, t_total, chart, rotation)
         else:
             release = (lambda get: chart.r1(get(1), get(3)), 1)
             path, hit = _solve_collar(_glide_field(chart), t, u, t_total, (release,))
@@ -709,7 +810,7 @@ class _Tracer:
             t, mode, payload = stages[mode](t, payload, t_total)
 
         if not self.segments:
-            # nothing integrated (t_total = 0 or an immediate abort): expose
+            # nothing traced (t_total = 0 or an immediate abort): expose
             # the start state through a zero-length segment
             if mode0 == "free":
                 frame, chart, u0 = "cartesian", None, np.concatenate(payload0)
@@ -737,7 +838,10 @@ def check_start(chart: CollarChart, start: Union[PhasePoint, tuple]) -> None:
     (x, xi) pair needs an embeddable chart, x in its domain and |xi| = 1
     within SHELL_TOL.  Both hold the boundary up to 1e-12, as
     billiard.propagate does.  A collar-frame start off the shell
-    eta^2 = r is taken as given.
+    eta^2 = r is taken as given: on a round chart, which flies in closed
+    form, it flies its straight line at speed 2|xi| until the first
+    reflection, eta -> +sqrt(r0), puts it on the shell; on a model chart
+    the Dormand-Prince collar solve integrates it.
     """
     embeddable = hasattr(chart, "to_cartesian")
     if isinstance(start, PhasePoint):
