@@ -55,7 +55,9 @@ def bump_profile(t):
 
 
 def window(t, a: float, b: float, c: float, d: float):
-    """Smooth trapezoid: 0 off (a, d), 1 on [b, c], monotone ramps between."""
+    """Smooth trapezoid: 0 off (a, d), 1 on [b, c], monotone ramps between.
+
+    Contract: a < b <= c < d, else ValueError."""
     if not (a < b <= c < d):
         raise ValueError("need a < b <= c < d")
     return plateau_step(t, a, b) * (1.0 - plateau_step(t, c, d))

@@ -136,7 +136,6 @@ class _RoundChart(CollarChart):
 
     def __init__(self, collar_width, edge=1.0, direction=-1.0, hole=0.0):
         self.collar_width = float(collar_width)
-        # instance attributes, which read faster than class ones in _jet_values
         self._edge, self._dir, self._hole = edge, direction, hole
 
     def radius(self, y):
@@ -144,8 +143,7 @@ class _RoundChart(CollarChart):
         return self._edge + self._dir * y
 
     def _jet_values(self, y, xp, xip):
-        # rho(y) inline: the tracer calls this on every field evaluation
-        rho = self._edge + self._dir * y
+        rho = self.radius(y)
         return (
             1.0 - xip**2 / rho**2,
             self._dir * 2.0 * xip**2 / rho**3,
@@ -209,7 +207,9 @@ class _RoundChart(CollarChart):
 
 
 class DiskChart(_RoundChart):
-    """Unit disk, collar at the circle |x| = 1: the round family without a hole."""
+    """Unit disk, collar at the circle |x| = 1: the round family without a hole.
+
+    Contract: 0 < collar_width < 1, else ValueError."""
 
     kind = "disk"
 
@@ -220,7 +220,10 @@ class DiskChart(_RoundChart):
 
 
 class AnnulusChart(_RoundChart):
-    """Round annulus rho_in < |x| < 1; collar at the selected component."""
+    """Round annulus rho_in < |x| < 1; collar at the selected component.
+
+    Contract: 0 < rho_in < 1, component "inner" or "outer" and 0 < collar_width
+    < 1 - rho_in, by default 0.4 (1 - rho_in); ValueError otherwise."""
 
     kind = "annulus"
 
@@ -355,7 +358,10 @@ class ModelChart(CollarChart):
 
 def chart_definition(spec: str | dict) -> str | dict:
     """The definition a chart spec stands for: a shorthand string or a dict
-    as given, a path read to the dict its JSON file holds."""
+    as given, a path read to the dict its JSON file holds.
+
+    Contract: a chart file holds a JSON object, else ValueError.
+    """
     if isinstance(spec, dict):
         return spec
     s = str(spec)
@@ -392,6 +398,8 @@ _KINDS = {"disk": DiskChart, "annulus": AnnulusChart, "model": ModelChart}
 
 
 def _chart_from_dict(d: dict) -> CollarChart:
+    """Contract: kind is "disk", "annulus" or "model" and the other keys are
+    that kind's keywords, each required one given; ValueError otherwise."""
     kind = d.get("kind")
     if kind not in _KINDS:
         raise ValueError(f"unknown chart kind {kind!r}")

@@ -396,8 +396,6 @@ class GeneralizedRay:
         return sum(1 for e in self.events if e.kind == "reflect")
 
     def segment_at(self, t: float) -> RaySegment:
-        if not self.segments:
-            raise ValueError("empty ray")
         lo, hi = sorted((self.t0, self.t1))
         if not (lo - 1e-9 <= t <= hi + 1e-9):
             raise ValueError(f"time {t} outside [{lo}, {hi}]")
@@ -629,13 +627,9 @@ class _Tracer:
         """Record an event and charge all but a finish; without x, its
         position is taken through `chart`."""
         if x is None and hasattr(chart, "to_cartesian"):
-            try:
-                xa, _ = chart.to_cartesian(
-                    PhasePoint(max(point.y, 0.0), point.xp, point.eta, point.xip)
-                )
-                x = (float(xa[0]), float(xa[1]))
-            except ValueError:
-                x = None
+            p = PhasePoint(max(point.y, 0.0), point.xp, point.eta, point.xip)
+            xa, _ = chart.to_cartesian(p)
+            x = (float(xa[0]), float(xa[1]))
         self.events.append(RayEvent(kind, t, point, x, classification))
         if kind != "finish":
             self._check_budget()

@@ -74,21 +74,11 @@ def _stamped(meta: Mapping) -> dict:
 
 def write_json(path: PathLike, payload, *, meta: Mapping) -> Path:
     doc = {"meta": _stamped(meta), "payload": payload}
-    text = json.dumps(doc, sort_keys=True, indent=1, default=_coerce)
+    text = json.dumps(doc, sort_keys=True, indent=1)
     return atomic_write_text(path, text + "\n")
 
 
-def _coerce(obj):
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def _cell(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):

@@ -83,6 +83,8 @@ class BoxGrid:
     which leaves the unit disk a margin of 0.5.  The axis is built from
     integer offsets of the centre node n // 2, so x[n - j] == -x[j]
     exactly and the symmetries of the square map box nodes onto box nodes.
+
+    Contract: n even and >= 8, else ValueError.
     """
 
     half = 1.5
@@ -587,6 +589,8 @@ def measure_sequence(a, modes: Sequence) -> PairingSeries:
     Linear-in-h fit through the last three members gives the reported
     limit; with fewer than three modes extrapolation is refused and only
     the raw values are returned.  Successive gaps are always reported.
+
+    Contract: at least one mode, ordered by strictly decreasing h; ValueError otherwise.
     """
     hs = np.array([m.h for m in modes], dtype=float)
     if len(hs) == 0:

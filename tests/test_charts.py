@@ -195,6 +195,8 @@ def test_base_chart_has_no_bracket_fallback():
     chart = CollarChart()
     with pytest.raises(NotImplementedError):
         chart.iterated_bracket(1, 0.0, 0.5)
+    with pytest.raises(NotImplementedError):
+        chart.r0(0.0, 0.5)
 
 
 def test_bracket_budget():

@@ -774,6 +774,9 @@ def test_invalid_config_exits_two(tmp_path, capsys):
     tangential = {"type": "tangential", "y_support": 0.3}
     elliptic = {"name": "e", "kind": "elliptic", "family": family, "symbol": tangential}
     cases = [
+        # the config file itself: no file at the path, and text that is not JSON
+        (None, "config not found: "),
+        ("{experiments: []}", "config is not valid JSON: Expecting property name"),
         ({"experiments": [dict(classify, samples=-1)]}, "experiments[0].samples"),
         ({"experiments": [{"name": "p", "kind": "parametrix", "m": [12, 12]}]},
          "experiments[0].m"),
@@ -905,7 +908,8 @@ def test_invalid_config_exits_two(tmp_path, capsys):
     ]
     for i, (raw, named) in enumerate(cases):
         cfg = tmp_path / f"bad{i}.json"
-        cfg.write_text(json.dumps(raw))
+        if raw is not None:
+            cfg.write_text(raw if isinstance(raw, str) else json.dumps(raw))
         out = tmp_path / f"out{i}"
         code = run_cli(["run", "--config", str(cfg), "--out", str(out)])
         assert code == 2

@@ -6,11 +6,14 @@ value out of its domain with a ValueError naming the offending argument
 or the bound it crossed, an argument of the wrong type with a TypeError.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from bicharlab.billiard import _time_to_boundary
-from bicharlab.bumps import bump_profile, plateau_step
+from bicharlab.bumps import bump_profile, plateau_step, window
+from bicharlab.charts import AnnulusChart, DiskChart, _chart_from_dict, chart_definition
 from bicharlab.modes import family_lambda, laplace_disk_mode, pick_k_for_ratio
 from bicharlab.quantize import (
     BandlimitError,
@@ -21,6 +24,7 @@ from bicharlab.quantize import (
     apply_interior_op,
     apply_shifted_op,
     default_box,
+    measure_sequence,
     pairing,
     sample_mode_on_box,
 )
@@ -39,6 +43,8 @@ RIM = InteriorSymbol(lambda x1, x2: np.where(np.hypot(x1, x2) <= 1.0, 1.0, 0.0),
 CORE = InteriorSymbol(lambda x1, x2: np.where(np.hypot(x1, x2) <= 0.3, 1.0, 0.0), xi_bound=1.0)
 SPINNING = InteriorSymbol(RIM.spatial, None, np.cos, xi_bound=1.0)
 COLLAR = TangentialSymbol(lambda y, xp: 0.0 * (y + xp), y_support=0.3)
+# a chart file that holds a JSON array, not an object
+LIST_CHART = Path(__file__).with_name("data") / "list-chart.json"
 
 def kernel_id(kernel):
     # a private kernel keeps the id it had while it was public
@@ -128,6 +134,14 @@ REFUSED = [
         TypeError,
         r"\bInteriorSymbol\b.*\bTangentialSymbol\b",
     ),
+    # the refusals of charts, boxes, windows and families
+    (DiskChart, "wide-collar", (1.0,), ValueError, r"collar width must lie in \(0, 1\)"),
+    (AnnulusChart, "component", (0.5, "middle"), ValueError, r"component must be 'inner' or 'outer'"),
+    (chart_definition, "list-file", (str(LIST_CHART),), ValueError, r"must be a JSON object"),
+    (_chart_from_dict, "kind", ({"kind": "ellipse"},), ValueError, r"unknown chart kind 'ellipse'"),
+    (BoxGrid, "odd-n", (33,), ValueError, r"\bn must be even"),
+    (window, "unordered", (0.5, 0.2, 0.1, 0.3, 0.4), ValueError, r"\ba < b <= c < d\b"),
+    (measure_sequence, "empty", (CORE, []), ValueError, r"empty mode family"),
 ]
 
 # (kernel, tag, args, the documented value, to 1e-12) at the edges of

@@ -28,6 +28,8 @@ RELEASE_CHART = ModelChart([(0, 0, 0, 1.0), (0, 2, 0, -1.0), (1, 0, 1, 1.0)])
 # and the collar solve nudges past each turning point
 RESTART_CHART = ModelChart([(0, 0, 0, 1.0), (0, 2, 0, -1.0), (0, 2, 1, -2.0)])
 RESTART_START = PhasePoint(0.05, 0.0, 0.1, 0.9)
+# r = 1 - zeta^2 + y: eta grows at rate 1, so y is a parabola in t
+DIP_CHART = ModelChart([(0, 0, 0, 1.0), (0, 2, 0, -1.0), (0, 0, 1, 1.0)])
 
 
 def unit(angle):
@@ -221,8 +223,54 @@ def test_glide_starting_with_positive_r1_releases_at_once():
     assert ray.status == "completed"
     assert [(e.kind, e.t) for e in ray.events][:2] == [("glide_start", 0.0), ("glide_release", 0.0)]
     assert (ray.segments[0].kind, ray.segments[0].t0, ray.segments[0].t1) == ("gliding", 0.0, 0.0)
+    # the zero-length glide holds the projected start
+    assert list(ray.state_vector(0.0)[2]) == [0.0, 5e-9, 0.0, ray.events[0].point.xip]
     p = ray.final_collar()
     assert p.y > 1e-4 and p.eta > 0.0
+
+
+def test_dip_below_the_boundary_inside_one_step_reflects_at_the_first_crossing():
+    # on DIP_CHART y = y0 + 2 eta0 t + t^2, whose vertex at t = -eta0 lies
+    # r0 = 1e-6 below the boundary and which crosses y = 0 at -eta0 -+ sqrt(r0).
+    # The dip lasts 2e-3, inside one collar-solve step whose ends both lie
+    # above the boundary, so only the turning point fires; the tracer goes
+    # back to the first crossing and reflects there
+    xip = math.sqrt(1.0 - 1e-6)
+    r0 = DIP_CHART.r0(0.0, xip)
+    y0 = 5e-4
+    eta0 = -math.sqrt(r0 + y0)
+    ray = trace(DIP_CHART, PhasePoint(y0, 0.0, eta0, xip), 0.05)
+    collar = ray.segments[0]
+    t_old, h = collar.evaluate.steps[-1][:2]
+    assert collar.evaluate(t_old)[0] > 0.0 and collar.evaluate(t_old + h)[0] > 0.0
+    t_turn = collar.evaluate.ts[-1]
+    assert t_old < t_turn == pytest.approx(-eta0, abs=1e-12)
+    assert collar.evaluate(t_turn)[0] == pytest.approx(-r0, abs=1e-12)
+    assert -r0 < -flow.GRAZE_TOL
+    first = ray.events[0]
+    assert first.kind == "reflect" and first.t == collar.t1
+    assert first.t == pytest.approx(-eta0 - math.sqrt(r0), abs=1e-12)
+    assert first.point.eta == math.sqrt(r0)
+
+
+@pytest.mark.parametrize("chart, start", [
+    (DISK, PhasePoint(0.5, 0.3, -0.6, 0.4)),
+    # the start past the inner circle's midline lies in the outer circle's band
+    (AnnulusChart(0.5, "inner"), PhasePoint(0.45, 2.0, 0.8, 0.57)),
+    (AnnulusChart(0.5, "outer"), PhasePoint(0.3, -1.0, 0.6, 0.56)),
+])
+def test_collar_start_past_the_midline_traces_as_its_cartesian_start(chart, start):
+    # a collar-frame start past the collar's midline is placed as the
+    # Cartesian point it stands for, in another band or the free region
+    x, xi = chart.to_cartesian(start)
+    xi = xi / np.hypot(*xi)
+    start = chart.from_cartesian(x, xi)
+    assert start.y > 0.5 * chart.collar_width
+    collar, cartesian = trace(chart, start, 3.0), trace(chart, chart.to_cartesian(start), 3.0)
+    assert collar.status == cartesian.status == "completed"
+    assert collar.events == cartesian.events
+    for a, b in zip(collar.final_cartesian(), cartesian.final_cartesian()):
+        assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
